@@ -1,5 +1,6 @@
 """Truncated-precision kernel for multivariable Frobenius-module rings."""
 
+from .caches import clear_caches, cache_info
 from .coeff import (Params, FField, FElt, OERing, OEInt, OKRing, OKElement,
                     teichmuller, frobenius_lift, padic_binomial, fq_field,
                     oe_ring, ok_ring)
@@ -38,5 +39,5 @@ __all__ = [
     "verify_phi_equivariance", "to_belt",
     "PhiModule", "is_etale", "base_change", "unramified_char",
     "oc_certificate_check", "integral_bound", "tensor",
-    "errors",
+    "errors", "clear_caches", "cache_info",
 ]

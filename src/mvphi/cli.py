@@ -18,7 +18,7 @@ from .mvring import MvLaurent, norm_s, phi_decompose, recompose
 from .phimod import (mat_identity, is_etale, commutation_holds,
                      oc_certificate_check)
 from .embed import iota_generators, to_belt, verify_norm_compare
-from .suites import SUITES, run_suite
+from .suites import SUITES, frobenius_congruence, run_suite
 from . import serialize as ser
 from .errors import KernelError
 
@@ -118,19 +118,6 @@ def read_input(args) -> dict:
     return json.load(sys.stdin)
 
 
-def _congruence_mod_p(params, i) -> bool:
-    fi = phi_y(params, i)
-    prev = (i - 1) % params.f
-    e = [0] * params.f
-    e[prev] = params.p
-    lead = TSeries(params, params.N, params.M,
-                   {tuple(e): (1,) + (0,) * (params.h - 1)})
-    diff = fi - lead
-    return (not any(diff.constant_term())) and all(
-        all(v % params.p == 0 for v in c) and sum(exp) >= 1
-        for exp, c in diff.terms.items())
-
-
 def cmd_phi_y(args) -> int:
     cfg = resolve_config(args)
     params = make_params(cfg)
@@ -139,7 +126,7 @@ def cmd_phi_y(args) -> int:
         s = phi_y(params, i)
         out.append({"i": i, "series": ser.tseries_json(s),
                     "str": ser.tseries_str(s),
-                    "congruence_mod_p": _congruence_mod_p(params, i)})
+                    "congruence_mod_p": frobenius_congruence(params, i)})
     emit(args, {"config": cfg, "phi_y": out})
     return 0 if all(r["congruence_mod_p"] for r in out) else 1
 
@@ -186,7 +173,10 @@ def cmd_iota(args) -> int:
     ok = True
     for s in (1, 2):
         for i in range(params.f):
-            rep = verify_norm_compare(MvLaurent.monomial(params, 1), s)
+            # Y_i = Y_0 * X_i
+            cross = tuple(1 if j == i - 1 else 0
+                          for j in range(params.f - 1))
+            rep = verify_norm_compare(MvLaurent.monomial(params, 1, cross), s)
             ok = ok and rep["ok"]
             table.append({"s": s, "i": i,
                           "ring_side": ser.fraction_json(rep["ring_side"]),
@@ -202,7 +192,13 @@ def cmd_iota(args) -> int:
     return 0 if ok and payload["stabilization_ok"] else 1
 
 
+def _check_s(s: int) -> None:
+    if s < 1:
+        raise KernelError(f"--s must be a positive integer, got {s}")
+
+
 def cmd_norm(args) -> int:
+    _check_s(args.s)
     cfg = resolve_config(args)
     params = make_params(cfg)
     x = ser.mv_from(params, read_input(args))
@@ -239,6 +235,7 @@ def cmd_etale(args) -> int:
 
 
 def cmd_oc_cert(args) -> int:
+    _check_s(args.s)
     cfg = resolve_config(args)
     params = make_params(cfg)
     obj = read_input(args)

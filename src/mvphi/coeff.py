@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .caches import cached
 from .errors import NotAUnit, PrecisionExhausted
 
 
@@ -307,9 +308,6 @@ class OERing:
             out[i] = 0
         return tuple(c % m for c in out[:h])
 
-    def raw_is_zero(self, a) -> bool:
-        return not any(a)
-
     def raw_val(self, a, prec: int) -> int:
         """min v_p over coordinates; prec when indistinguishable from 0."""
         v = prec
@@ -561,30 +559,31 @@ class Params:
                 self.poly)
 
 
-_FIELD_CACHE: dict = {}
-_OERING_CACHE: dict = {}
-_OKRING_CACHE: dict = {}
-
+# fields and O_E rings are keyed on (p, h, poly) alone: hashing three
+# fields is cheaper than hashing the whole Params, and oe_ring is on every
+# arithmetic path
 
 def fq_field(params: Params) -> FField:
-    key = (params.p, params.h, params.poly)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FField(params.p, params.h, params.poly)
-    return _FIELD_CACHE[key]
+    return _fq_field(params.p, params.h, params.poly)
 
 
 def oe_ring(params: Params) -> OERing:
-    key = (params.p, params.h, params.poly)
-    if key not in _OERING_CACHE:
-        _OERING_CACHE[key] = OERing(fq_field(params))
-    return _OERING_CACHE[key]
+    return _oe_ring(params.p, params.h, params.poly)
 
 
+@cached
+def _fq_field(p: int, h: int, poly: tuple) -> FField:
+    return FField(p, h, poly)
+
+
+@cached
+def _oe_ring(p: int, h: int, poly: tuple) -> OERing:
+    return OERing(_fq_field(p, h, poly))
+
+
+@cached
 def ok_ring(params: Params) -> "OKRing":
-    key = params.key()
-    if key not in _OKRING_CACHE:
-        _OKRING_CACHE[key] = OKRing(params)
-    return _OKRING_CACHE[key]
+    return OKRing(params)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .caches import cached
 from .coeff import Params, oe_ring
 from .errors import (DepthExhausted, StabilizationFailure, Uncertified)
 from .mvring import MvLaurent, NormValue, norm_s, apply_phi
 from .perfd import PerfLaurent, ainf_handle, BElt
-from . import iwasawa
+from . import iwasawa, sparse
 from . import witt as wt
 
 
@@ -230,25 +231,13 @@ class WAlg:
         prec = min(self.prec, other.prec)
         H = _hmono(tuple(_hmin(a, b) for a, b in
                          zip(self.H[:prec], other.H[:prec])))
-        ring = oe_ring(self.params)
-        out = {}
-        for src in (self.terms, other.terms):
-            for e, c in src.items():
-                cur = out.get(e)
-                s = ring.raw_add(cur, c, prec) if cur is not None \
-                    else ring.raw_reduce(c, prec)
-                if any(s):
-                    out[e] = s
-                elif cur is not None:
-                    del out[e]
+        out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec)
         return WAlg(self.params, prec, out, H,
                     self.floors.meet(other.floors), _normalized=True)
 
     def __neg__(self):
-        ring = oe_ring(self.params)
         return WAlg(self.params, self.prec,
-                    {e: ring.raw_neg(c, self.prec)
-                     for e, c in self.terms.items()},
+                    sparse.neg(oe_ring(self.params), self.terms, self.prec),
                     self.H, self.floors, _normalized=True)
 
     def __sub__(self, other):
@@ -301,12 +290,8 @@ class WAlg:
         H = [None] * self.prec
         for w in range(v, self.prec):
             H[w] = self.H[w - v]
-        out = {}
-        for e, c in self.terms.items():
-            prod = ring.raw_mul(craw, c, self.prec)
-            if any(prod):
-                out[e] = prod
-        return WAlg(self.params, self.prec, out, tuple(H),
+        return WAlg(self.params, self.prec,
+                    sparse.smul(ring, self.terms, craw, self.prec), tuple(H),
                     self.floors.shift(v), _normalized=True)
 
     def clamp(self, bounds) -> "WAlg":
@@ -350,14 +335,9 @@ class WAlg:
                  if self.floors.at(m) is not None]
         fl = Floors(prec, self.floors.Lv[:prec],
                     min(cands) if cands else None, self.floors.sigma)
-        ring = oe_ring(self.params)
-        out = {}
-        for e, c in self.terms.items():
-            rc = ring.raw_reduce(c, prec)
-            if any(rc):
-                out[e] = rc
-        return WAlg(self.params, prec, out, self.H[:prec], fl,
-                    _normalized=True)
+        return WAlg(self.params, prec,
+                    sparse.reduce(oe_ring(self.params), self.terms, prec),
+                    self.H[:prec], fl, _normalized=True)
 
     def __repr__(self):
         scale = self.params.p ** self.params.k
@@ -423,9 +403,6 @@ class IotaResult:
     certificates: list  # one entry per step: pi-power checked
 
 
-_IOTA_CACHE: dict = {}
-
-
 def _corr_floor(ys) -> Optional[Fraction]:
     """min digit floor over positive levels of the generator tuple."""
     best = None
@@ -435,32 +412,6 @@ def _corr_floor(ys) -> Optional[Fraction]:
             if fl is not None:
                 best = fl if best is None else min(best, fl)
     return best
-
-
-def _eval_series(F: "iwasawa.TSeries", ys, prec: int,
-                 pow_cache: dict) -> WAlg:
-    params = ys[0].params
-
-    def power(i, e):
-        key = (i, e)
-        got = pow_cache.get(key)
-        if got is None:
-            got = WAlg.one(params, prec) if e == 0 \
-                else power(i, e - 1) * ys[i]
-            pow_cache[key] = got
-        return got
-
-    acc = WAlg.zero(params, prec)
-    for e, c in F.terms.items():
-        term = None
-        for i, ei in enumerate(e):
-            if ei:
-                pw = power(i, ei)
-                term = pw if term is None else term * pw
-        if term is None:
-            term = WAlg.one(params, prec)
-        acc = acc + term.scalar_mul(c)
-    return acc
 
 
 def _tail_clamp(params: Params, window: int, corr) -> tuple:
@@ -485,14 +436,23 @@ def iota_generators(params: Params, seed_offsets=None,
     certificate, StabilizationFailure otherwise).
     """
     w = params.embed_window if window is None else window
-    cache_key = (params.key(), w)
     if seed_offsets is None:
-        got = _IOTA_CACHE.get(cache_key)
-        if got is not None:
-            return got
+        return _iota_fixpoint(params, w)
+    return _solve_iota(params, seed_offsets, w)
+
+
+@cached
+def _iota_fixpoint(params: Params, w: int) -> IotaResult:
+    return _solve_iota(params, None, w)
+
+
+def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
     if params.k < params.N:
         raise DepthExhausted("need denominator depth k >= N for the fixpoint")
     N, f = params.N, params.f
+
+    def one():
+        return WAlg.one(params, N)
     Fs = [iwasawa.phi_y(params, i, w) for i in range(f)]
     ys = []
     for i in range(f):
@@ -508,10 +468,11 @@ def iota_generators(params: Params, seed_offsets=None,
     for n in range(1, N):
         corr = _corr_floor(ys)
         bounds = _tail_clamp(params, w, corr)
-        pow_cache: dict = {}
+        powers = sparse.Powers(ys, one)
         new = []
         for i in range(f):
-            z = _eval_series(Fs[i], ys, N, pow_cache)
+            z = sparse.evaluate(Fs[i].terms.items(), powers,
+                                WAlg.zero(params, N), one)
             z = z.clamp(bounds)
             new.append(z.phi_inverse())
         for i in range(f):
@@ -521,10 +482,7 @@ def iota_generators(params: Params, seed_offsets=None,
         certificates.append(n)
         ys = new
         steps = n
-    out = IotaResult(tuple(ys), steps, certificates)
-    if seed_offsets is None:
-        _IOTA_CACHE[cache_key] = out
-    return out
+    return IotaResult(tuple(ys), steps, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +493,11 @@ class _IotaContext:
     def __init__(self, params: Params, result: IotaResult):
         self.params = params
         self.ys = result.ys
-        self.pow_cache: dict = {}
-        self.inv = {}
+        self.powers = sparse.Powers(
+            self.ys, lambda: WAlg.one(params, params.N), self._inverse)
         self._slope = None
 
-    def inverse(self, i: int) -> WAlg:
-        got = self.inv.get(i)
-        if got is not None:
-            return got
+    def _inverse(self, i: int) -> WAlg:
         params = self.params
         y = self.ys[i]
         unitvec = tuple(Fraction(-1) if j == i else Fraction(0)
@@ -556,29 +511,14 @@ class _IotaContext:
             if pw.is_zero():
                 break
             acc = acc + pw
-        got = tinv * acc
-        self.inv[i] = got
-        return got
-
-    def power(self, i: int, e: int) -> WAlg:
-        key = (i, e)
-        got = self.pow_cache.get(key)
-        if got is None:
-            if e == 0:
-                got = WAlg.one(self.params, self.params.N)
-            elif e > 0:
-                got = self.power(i, e - 1) * self.ys[i]
-            else:
-                got = self.power(i, e + 1) * self.inverse(i)
-            self.pow_cache[key] = got
-        return got
+        return tinv * acc
 
     def slope(self) -> Fraction:
         """Worst per-level digit-floor drop across atoms, for the
         unknown-region bookkeeping of windowed inputs."""
         if self._slope is None:
             worst = Fraction(0)
-            atoms = list(self.ys) + [self.inverse(i)
+            atoms = list(self.ys) + [self.powers.inverse(i)
                                      for i in range(self.params.f)]
             for a in atoms:
                 f0 = a.floors.at(0)
@@ -592,32 +532,18 @@ class _IotaContext:
         return self._slope
 
 
-_CTX_CACHE: dict = {}
-
-
+@cached
 def iota_context(params: Params) -> _IotaContext:
-    key = params.key()
-    got = _CTX_CACHE.get(key)
-    if got is None:
-        got = _IotaContext(params, iota_generators(params))
-        _CTX_CACHE[key] = got
-    return got
+    return _IotaContext(params, iota_generators(params))
 
 
 def iota(x: MvLaurent) -> WAlg:
     """Evaluate the embedding on a Laurent element: Y_i -> y_i termwise."""
     params = x.params
     ctx = iota_context(params)
-    acc = WAlg.zero(params, min(x.prec, params.N))
-    for d, c in x.pure_y_exponents():
-        term = None
-        for i, e in enumerate(d):
-            if e:
-                pw = ctx.power(i, e)
-                term = pw if term is None else term * pw
-        if term is None:
-            term = WAlg.one(params, params.N)
-        acc = acc + term.scalar_mul(c)
+    acc = sparse.evaluate(x.pure_y_exponents(), ctx.powers,
+                          WAlg.zero(params, min(x.prec, params.N)),
+                          lambda: WAlg.one(params, params.N))
     if x.w_hi is not None:
         K = ctx.slope()
         bounds = tuple(Fraction(x.w_hi) - K * v for v in range(acc.prec))

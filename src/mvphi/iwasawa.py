@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coeff import Params, OKElement, oe_ring, ok_ring, vp_factorial
+from .caches import cached
+from .coeff import (Params, OKElement, oe_ring, ok_ring, padic_binomial,
+                    vp_factorial)
 from .errors import PrecisionExhausted, SingularJacobian
+from . import sparse
 
 
 class TSeries:
@@ -31,18 +34,8 @@ class TSeries:
         self.params = params
         self.prec = prec
         self.window = window
-        if _normalized:
-            self.terms = terms
-        else:
-            ring = oe_ring(params)
-            out = {}
-            for e, c in terms.items():
-                if sum(e) >= window:
-                    continue
-                rc = ring.raw_reduce(c, prec)
-                if any(rc):
-                    out[e] = rc
-            self.terms = out
+        self.terms = terms if _normalized else sparse.reduce(
+            oe_ring(params), terms, prec, lambda e: sum(e) < window)
 
     # -- constructors --------------------------------------------------------
 
@@ -75,24 +68,14 @@ class TSeries:
 
     def __add__(self, other):
         prec, window = self._meet(other)
-        ring = oe_ring(self.params)
-        out = {}
-        for src in (self.terms, other.terms):
-            for e, c in src.items():
-                if sum(e) >= window:
-                    continue
-                cur = out.get(e)
-                out[e] = ring.raw_add(cur, c, prec) if cur is not None \
-                    else ring.raw_reduce(c, prec)
-        for e in [e for e, c in out.items() if not any(c)]:
-            del out[e]
+        out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec,
+                         lambda e: sum(e) < window)
         return TSeries(self.params, prec, window, out, _normalized=True)
 
     def __neg__(self):
-        ring = oe_ring(self.params)
         return TSeries(self.params, self.prec, self.window,
-                       {e: ring.raw_neg(c, self.prec)
-                        for e, c in self.terms.items()}, _normalized=True)
+                       sparse.neg(oe_ring(self.params), self.terms, self.prec),
+                       _normalized=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -124,12 +107,9 @@ class TSeries:
             craw = ring.raw_reduce(c.coords, prec)
         else:
             craw = ring.raw_reduce(c, prec)
-        out = {}
-        for e, v in self.terms.items():
-            prod = ring.raw_mul(craw, ring.raw_reduce(v, prec), prec)
-            if any(prod):
-                out[e] = prod
-        return TSeries(self.params, prec, self.window, out, _normalized=True)
+        return TSeries(self.params, prec, self.window,
+                       sparse.smul(ring, self.terms, craw, prec),
+                       _normalized=True)
 
     def __eq__(self, other):
         return (isinstance(other, TSeries) and self.params == other.params
@@ -159,12 +139,12 @@ class TSeries:
         return TSeries(self.params, prec, self.window, self.terms)
 
     def substitute(self, images, cap: Optional[int] = None,
-                   pow_cache: Optional[dict] = None) -> "TSeries":
+                   powers: Optional[sparse.Powers] = None) -> "TSeries":
         """Substitute T_j -> images[j]; images need zero constant term.
 
         ``cap`` truncates the result (and all intermediates) at a smaller
-        total degree.  ``pow_cache`` maps (j, e) to images[j]**e and may be
-        shared across calls with identical images.
+        total degree.  ``powers`` is a power table of the images at this
+        window and may be shared across calls with identical images.
         """
         params = self.params
         window = self.window if cap is None else min(self.window, cap)
@@ -174,42 +154,14 @@ class TSeries:
                 raise ValueError("substitution images must have zero constant")
             prec = min(prec, im.prec)
             window = min(window, im.window)
-        if pow_cache is None:
-            pow_cache = {}
 
-        def power(j, e):
-            if e == 0:
-                return TSeries.one(params, prec, window)
-            key = (j, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = power(j, e - 1) * images[j].truncate(window)
-                pow_cache[key] = got
-            return got.truncate(window)
-
-        acc = TSeries.zero(params, prec, window)
-        for e, c in self.terms.items():
-            if sum(e) >= window and sum(e) > 0:
-                continue
-            term = None
-            for j, ej in enumerate(e):
-                if ej:
-                    pw = power(j, ej)
-                    term = pw if term is None else term * pw
-            if term is None:
-                term = TSeries.one(params, prec, window)
-            acc = acc + term.scalar_mul(c)
-        return acc
-
-    def map_coefficients(self, fn) -> "TSeries":
-        ring = oe_ring(self.params)
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if any(v):
-                out[e] = v
-        return TSeries(self.params, self.prec, self.window, out,
-                       _normalized=True)
+        def one():
+            return TSeries.one(params, prec, window)
+        if powers is None:
+            powers = sparse.Powers([im.truncate(window) for im in images], one)
+        return sparse.evaluate(((e, c) for e, c in self.terms.items()
+                                if sum(e) < window), powers,
+                               TSeries.zero(params, prec, window), one)
 
     def __repr__(self):
         if not self.terms:
@@ -244,46 +196,22 @@ def group_like(x: OKElement, window: Optional[int] = None) -> TSeries:
     ring = oe_ring(params)
     f = params.f
     # univariate binomial rows per variable
-    rows = []
-    for j in range(f):
-        a = x.coords[j] % p ** x.prec
-        row = [(1,) + (0,) * (params.h - 1)]
-        m = p ** x.prec
-        num = 1
-        for d in range(1, w):
-            num = (num * (a - (d - 1))) % m
-            v = vp_factorial(d, p)
-            fact = 1
-            for i in range(2, d + 1):
-                fact *= i
-            fact //= p ** v
-            if num % p ** v:
-                raise PrecisionExhausted("binomial numerator lost divisibility")
-            val = ((num // p ** v) * pow(fact, -1, p ** (x.prec - v))) \
-                % p ** out_prec
-            row.append((val,) + (0,) * (params.h - 1))
-        rows.append(row)
+    rows = [[ring.raw_reduce(
+        padic_binomial(params, x.coords[j], d, x.prec).coords, out_prec)
+        for d in range(w)] for j in range(f)]
     out = {}
-    if f == 1:
-        for d in range(w):
-            c = rows[0][d]
-            if any(c):
-                out[(d,)] = c
-    else:
-        def rec(j, e, coeff):
-            if j == f:
-                if any(coeff):
-                    out[tuple(e)] = coeff
-                return
-            room = w - 1 - sum(e)
-            for d in range(room + 1):
-                c = ring.raw_mul(coeff, rows[j][d], out_prec) if d else coeff
-                rec(j + 1, e + [d], c)
-        rec(0, [], (1,) + (0,) * (params.h - 1))
+
+    def rec(j, e, coeff):
+        if j == f:
+            if any(coeff):
+                out[tuple(e)] = coeff
+            return
+        room = w - 1 - sum(e)
+        for d in range(room + 1):
+            c = ring.raw_mul(coeff, rows[j][d], out_prec) if d else coeff
+            rec(j + 1, e + [d], c)
+    rec(0, [], (1,) + (0,) * (params.h - 1))
     return TSeries(params, out_prec, w, out, _normalized=True)
-
-
-_YGEN_CACHE: dict = {}
 
 
 def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries:
@@ -293,30 +221,16 @@ def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries
     sigma_i(lambda)^{-1} times the group-like of the Teichmueller lift of
     lambda; for q = 2 it is [1] - 1 = T_0.
     """
-    w = params.M if window is None else window
-    key = (params.key(), i, w)
-    got = _YGEN_CACHE.get(key)
-    if got is not None:
-        return got
+    return _y_generator(params, i, params.M if window is None else window)
+
+
+@cached
+def _y_generator(params: Params, i: int, w: int) -> TSeries:
     if not 0 <= i < params.f:
         raise ValueError("generator index out of range")
-    okr = ok_ring(params)
     if params.q == 2:
-        out = TSeries.variable(params, 0, params.N, w)
-    else:
-        guard = vp_factorial(w - 1, params.p)
-        prec_in = params.N + guard
-        acc = TSeries.zero(params, params.N, w)
-        for lam in okr.fq_elements():
-            if not lam:
-                continue
-            coeff = okr.sigma(okr.coordinates_of_felt(lam.inverse(), prec_in),
-                              i)
-            gl = group_like(okr.coordinates_of_felt(lam, prec_in), w)
-            acc = acc + gl.scalar_mul(coeff)
-        out = acc
-    _YGEN_CACHE[key] = out
-    return out
+        return TSeries.variable(params, 0, params.N, w)
+    return _group_sum(params, i, lambda x: x, w)
 
 
 def phi_map(s: TSeries) -> TSeries:
@@ -381,8 +295,6 @@ def revert_series(series, window: int):
     if len(series) != f:
         raise ValueError("need exactly f series")
     prec = min(s.prec for s in series)
-    ring = oe_ring(params)
-    p = params.p
     for s in series:
         if any(s.constant_term()):
             raise ValueError("series must have zero constant term")
@@ -401,16 +313,14 @@ def revert_series(series, window: int):
     G = [_linear_combo(params, Linv[j], zvars, prec, window)
          for j in range(f)]
     for cap in range(2, window + 1):
-        cache: dict = {}
+        powers = sparse.Powers([g.truncate(cap) for g in G],
+                               lambda: TSeries.one(params, prec, cap))
         newG = []
-        highs = [high[i].substitute(G, cap=cap, pow_cache=cache)
+        highs = [high[i].substitute(G, cap=cap, powers=powers)
                  for i in range(f)]
         for j in range(f):
-            acc = TSeries.zero(params, prec, window)
-            for i in range(f):
-                acc = acc + highs[i].scalar_mul(
-                    ring.raw_reduce(Linv[j][i], prec))
-            g = zvars_combo(params, Linv[j], prec, window) - acc
+            acc = _linear_combo(params, Linv[j], highs, prec, window)
+            g = _linear_combo(params, Linv[j], zvars, prec, window) - acc
             # the cap shrank the window metadata; the iterate is correct to
             # degree < cap by induction, so restore the target window
             newG.append(TSeries(params, prec, window, g.terms,
@@ -433,12 +343,6 @@ def _linear_combo(params, row, vecs, prec, window):
     for c, v in zip(row, vecs):
         acc = acc + v.scalar_mul(c)
     return acc
-
-
-def zvars_combo(params, row, prec, window):
-    vecs = [TSeries.variable(params, j, prec, window)
-            for j in range(params.f)]
-    return _linear_combo(params, row, vecs, prec, window)
 
 
 def _invert_coeff_matrix(params, L, prec):
@@ -472,29 +376,28 @@ def _invert_coeff_matrix(params, L, prec):
     return inv
 
 
-_REVERSION_CACHE: dict = {}
-_GPOW_CACHE: dict = {}
-
-
 def y_to_t_inverse(params: Params, window: Optional[int] = None):
     """Series G with T_j = G_j(Y_0, ..., Y_{f-1}) to the degree window."""
-    w = params.M if window is None else window
-    key = (params.key(), w)
-    got = _REVERSION_CACHE.get(key)
-    if got is None:
-        ys = tuple(y_generator(params, i, w) for i in range(params.f))
-        got = revert_series(ys, w)
-        _REVERSION_CACHE[key] = got
-    return got
+    return _y_to_t_inverse(params, params.M if window is None else window)
+
+
+@cached
+def _y_to_t_inverse(params: Params, w: int):
+    ys = tuple(y_generator(params, i, w) for i in range(params.f))
+    return revert_series(ys, w)
+
+
+@cached
+def _y_to_t_powers(params: Params, w: int) -> sparse.Powers:
+    G = y_to_t_inverse(params, w)
+    prec = min(g.prec for g in G)
+    return sparse.Powers(G, lambda: TSeries.one(params, prec, w))
 
 
 def to_y_coordinates(s: TSeries) -> TSeries:
     """Re-express a T-series in Y-coordinates via the cached reversion."""
-    params = s.params
-    G = y_to_t_inverse(params, s.window)
-    key = (params.key(), s.window)
-    cache = _GPOW_CACHE.setdefault(key, {})
-    return s.substitute(list(G), pow_cache=cache)
+    return s.substitute(list(y_to_t_inverse(s.params, s.window)),
+                        powers=_y_to_t_powers(s.params, s.window))
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +419,6 @@ def _group_sum(params: Params, i: int, transform, window: int) -> TSeries:
     return acc
 
 
-_PHIPOW_CACHE: dict = {}
-
-
 def phi_power_y(params: Params, i: int, power: int,
                 window: Optional[int] = None) -> TSeries:
     """phi^power(Y_i) expressed as a series in the Y-generators.
@@ -526,11 +426,12 @@ def phi_power_y(params: Params, i: int, power: int,
     Multiplication by p^power on the group exponents; one substitution, so
     the degree window is not compounded.
     """
-    w = params.M if window is None else window
-    key = (params.key(), i, power, w)
-    got = _PHIPOW_CACHE.get(key)
-    if got is not None:
-        return got
+    return _phi_power_y(params, i, power,
+                        params.M if window is None else window)
+
+
+@cached
+def _phi_power_y(params: Params, i: int, power: int, w: int) -> TSeries:
     m = params.p ** power
     if params.q == 2:
         # phi^e(Y) = (1+Y)^(2^e) - 1 exactly
@@ -542,12 +443,8 @@ def phi_power_y(params: Params, i: int, power: int,
                 acc = acc * base
             base = base * base if e > 1 else base
             e >>= 1
-        out = acc - one
-    else:
-        phi_t = _group_sum(params, i, lambda x: x * m, w)
-        out = to_y_coordinates(phi_t)
-    _PHIPOW_CACHE[key] = out
-    return out
+        return acc - one
+    return to_y_coordinates(_group_sum(params, i, lambda x: x * m, w))
 
 
 def phi_y(params: Params, i: int, window: Optional[int] = None) -> TSeries:

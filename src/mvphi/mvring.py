@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .caches import cached
 from .coeff import Params, OKElement, oe_ring
 from .errors import (BandOverflow, NotAUnit, WindowTooSmall)
-from . import iwasawa
+from . import iwasawa, sparse
 
 
 def _min_w(a, b):
@@ -120,14 +121,9 @@ class MvLaurent:
     def reduce(self, prec: int) -> "MvLaurent":
         if prec >= self.prec:
             return self
-        ring = oe_ring(self.params)
-        out = {}
-        for k, c in self.terms.items():
-            rc = ring.raw_reduce(c, prec)
-            if any(rc):
-                out[k] = rc
-        return MvLaurent(self.params, prec, out, self.w_lo, self.w_hi,
-                         self.band, _normalized=True)
+        return MvLaurent(self.params, prec,
+                         sparse.reduce(oe_ring(self.params), self.terms, prec),
+                         self.w_lo, self.w_hi, self.band, _normalized=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -167,25 +163,15 @@ class MvLaurent:
         w_hi = _min_w(self.w_hi, other.w_hi)
         w_lo = min(self.w_lo, other.w_lo)
         band = min(self.band, other.band)
-        ring = oe_ring(self.params)
-        out = {}
-        for src in (self.terms, other.terms):
-            for k, c in src.items():
-                if w_hi is not None and k[0] >= w_hi:
-                    continue
-                cur = out.get(k)
-                out[k] = ring.raw_add(cur, c, prec) if cur is not None \
-                    else ring.raw_reduce(c, prec)
-        for k in [k for k, c in out.items() if not any(c)]:
-            del out[k]
+        out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec,
+                         None if w_hi is None else lambda k: k[0] < w_hi)
         return MvLaurent(self.params, prec, out, w_lo, w_hi, band,
                          _normalized=True)
 
     def __neg__(self):
-        ring = oe_ring(self.params)
         return MvLaurent(self.params, self.prec,
-                         {k: ring.raw_neg(c, self.prec)
-                          for k, c in self.terms.items()},
+                         sparse.neg(oe_ring(self.params), self.terms,
+                                    self.prec),
                          self.w_lo, self.w_hi, self.band, _normalized=True)
 
     def __sub__(self, other):
@@ -228,13 +214,9 @@ class MvLaurent:
             craw = ring.raw_reduce((c,) + (0,) * (self.params.h - 1), prec)
         else:
             craw = ring.raw_reduce(c, prec)
-        out = {}
-        for k, v in self.terms.items():
-            prod = ring.raw_mul(craw, ring.raw_reduce(v, prec), prec)
-            if any(prod):
-                out[k] = prod
-        return MvLaurent(self.params, prec, out, self.w_lo, self.w_hi,
-                         self.band, _normalized=True)
+        return MvLaurent(self.params, prec,
+                         sparse.smul(ring, self.terms, craw, prec),
+                         self.w_lo, self.w_hi, self.band, _normalized=True)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -247,14 +229,6 @@ class MvLaurent:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-
-def add(x: MvLaurent, y: MvLaurent) -> MvLaurent:
-    return x + y
-
-
-def mul(x: MvLaurent, y: MvLaurent) -> MvLaurent:
-    return x * y
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +352,6 @@ def member(x: MvLaurent, tag: str, s: Optional[int] = None) -> bool:
 # phi, phi_q and the unit action
 # ---------------------------------------------------------------------------
 
-_SUBST_CACHE: dict = {}
-
-
 def _work_band(params: Params) -> int:
     return (params.B + params.M) * (params.p + 1)
 
@@ -391,32 +362,13 @@ class _SubstImages:
     def __init__(self, params: Params, images, horizon: int,
                  unit_degree: int):
         self.params = params
-        self.horizon = horizon
         self.unit_degree = unit_degree
         band = _work_band(params)
         self.images = [im.lift_band(band) for im in images]
-        self.inv = {}
-        self.pows: dict = {}
+        self.powers = sparse.Powers(
+            self.images, lambda: MvLaurent.one(params, params.N, None, band),
+            lambda i: invert_unit(self.images[i], horizon))
         self._drop = None
-
-    def power(self, i: int, e: int) -> MvLaurent:
-        params = self.params
-        key = (i, e)
-        got = self.pows.get(key)
-        if got is not None:
-            return got
-        if e == 0:
-            got = MvLaurent.one(params, params.N, None, _work_band(params))
-        elif e > 0:
-            got = self.power(i, e - 1) * self.images[i]
-        else:
-            base = self.inv.get(i)
-            if base is None:
-                base = invert_unit(self.images[i], self.horizon)
-                self.inv[i] = base
-            got = self.power(i, e + 1) * base
-        self.pows[key] = got
-        return got
 
     def _level_floors(self, x: MvLaurent):
         """Per-pi-level support floors of an atom, window included."""
@@ -449,7 +401,7 @@ class _SubstImages:
             worst = 0
             atoms = list(self.images)
             for i in range(self.params.f):
-                atoms.append(self.power(i, -1))
+                atoms.append(self.powers.inverse(i))
             for a in atoms:
                 fl = self._level_floors(a)
                 if fl[0] is None:
@@ -463,16 +415,10 @@ class _SubstImages:
     def apply(self, x: MvLaurent) -> MvLaurent:
         params = self.params
         band = _work_band(params)
-        acc = MvLaurent.zero(params, x.prec, None, band)
-        for d, c in x.pure_y_exponents():
-            term = None
-            for i, e in enumerate(d):
-                if e:
-                    pw = self.power(i, e)
-                    term = pw if term is None else term * pw
-            if term is None:
-                term = MvLaurent.one(params, x.prec, None, band)
-            acc = acc + term.scalar_mul(c)
+        acc = sparse.evaluate(
+            x.pure_y_exponents(), self.powers,
+            MvLaurent.zero(params, x.prec, None, band),
+            lambda: MvLaurent.one(params, x.prec, None, band))
         if x.w_hi is not None:
             # unknown x-terms sit at pure-Y total degree >= w_hi; their
             # images have level-0 support >= unit_degree * w_hi, and each
@@ -484,27 +430,21 @@ class _SubstImages:
 
 
 def phi_images(params: Params, window: Optional[int] = None) -> _SubstImages:
-    w = params.M if window is None else window
-    key = ("phi", params.key(), w)
-    got = _SUBST_CACHE.get(key)
-    if got is None:
-        images = [MvLaurent.from_y_series(iwasawa.phi_y(params, i, w))
-                  for i in range(params.f)]
-        got = _SubstImages(params, images, w - params.p, params.p)
-        _SUBST_CACHE[key] = got
-    return got
+    return _phi_images(params, params.M if window is None else window)
 
 
+@cached
+def _phi_images(params: Params, w: int) -> _SubstImages:
+    images = [MvLaurent.from_y_series(iwasawa.phi_y(params, i, w))
+              for i in range(params.f)]
+    return _SubstImages(params, images, w - params.p, params.p)
+
+
+@cached
 def phi_q_images(params: Params) -> _SubstImages:
-    key = ("phi_q", params.key())
-    got = _SUBST_CACHE.get(key)
-    if got is None:
-        images = [MvLaurent.from_y_series(
-            iwasawa.phi_power_y(params, i, params.f))
-            for i in range(params.f)]
-        got = _SubstImages(params, images, params.M - params.q, params.q)
-        _SUBST_CACHE[key] = got
-    return got
+    images = [MvLaurent.from_y_series(iwasawa.phi_power_y(params, i, params.f))
+              for i in range(params.f)]
+    return _SubstImages(params, images, params.M - params.q, params.q)
 
 
 def decompose_window(params: Params) -> int:
@@ -519,15 +459,11 @@ def decompose_window(params: Params) -> int:
     return max(params.M, 4 * params.p, 20)
 
 
+@cached
 def gamma_images(params: Params, a: OKElement) -> _SubstImages:
-    key = ("gamma", params.key(), a.prec, a.coords)
-    got = _SUBST_CACHE.get(key)
-    if got is None:
-        images = [MvLaurent.from_y_series(iwasawa.gamma_y(a, i))
-                  for i in range(params.f)]
-        got = _SubstImages(params, images, params.M - 1, 1)
-        _SUBST_CACHE[key] = got
-    return got
+    images = [MvLaurent.from_y_series(iwasawa.gamma_y(a, i))
+              for i in range(params.f)]
+    return _SubstImages(params, images, params.M - 1, 1)
 
 
 def apply_phi(x: MvLaurent) -> MvLaurent:
@@ -579,9 +515,11 @@ def phi_decompose(x: MvLaurent) -> dict:
 
     Buckets pure-Y exponents by residue class mod p (exact mod p since
     phi(Y_i) = Y_{i-1}^p there) and lifts pi-adically by successive
-    approximation, one digit per pass.
+    approximation, one digit per pass.  The Frobenius images are certified
+    mod p^N only, so the components carry at most N digits.
     """
     params = x.params
+    x = x.reduce(min(x.prec, params.N))
     p, f = params.p, params.f
     ring = oe_ring(params)
     images = phi_images(params, decompose_window(params))
@@ -613,10 +551,7 @@ def phi_decompose(x: MvLaurent) -> dict:
             if not terms:
                 continue
             g_delta = MvLaurent(params, rem.prec, terms, None, None, band)
-            for key, c in terms.items():
-                cur = comps[a].get(key)
-                comps[a][key] = ring.raw_add(cur, c, x.prec) \
-                    if cur is not None else c
+            comps[a] = sparse.add(ring, comps[a], terms, x.prec)
             mono = MvLaurent.monomial(params, a[0], a[1], 1, rem.prec, None,
                                       band)
             correction = correction + mono * images.apply(g_delta)

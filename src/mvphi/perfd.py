@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .caches import cached
 from .coeff import FElt, Params, fq_field
 from .errors import BandOverflow, DepthExhausted
 from . import witt as wt
@@ -376,21 +377,14 @@ class PerfHandle:
         return gauss_val(a)
 
 
-_HANDLE_CACHE: dict = {}
-
-
+@cached
 def ainf_handle(params: Params) -> PerfHandle:
-    key = ("ainf", params.key())
-    if key not in _HANDLE_CACHE:
-        _HANDLE_CACHE[key] = PerfHandle(ainf_ring(params))
-    return _HANDLE_CACHE[key]
+    return PerfHandle(ainf_ring(params))
 
 
+@cached
 def lt_handle(params: Params) -> PerfHandle:
-    key = ("lt", params.key())
-    if key not in _HANDLE_CACHE:
-        _HANDLE_CACHE[key] = PerfHandle(lt_ring(params))
-    return _HANDLE_CACHE[key]
+    return PerfHandle(lt_ring(params))
 
 
 # ---------------------------------------------------------------------------

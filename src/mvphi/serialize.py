@@ -38,17 +38,6 @@ def norm_json(nv: NormValue):
     return {"exponent": fraction_json(nv.val), "certified": nv.certified}
 
 
-def params_json(params: Params):
-    return {"p": params.p, "f": params.f, "h": params.h, "N": params.N,
-            "M": params.M, "B": params.B, "k": params.k,
-            "poly": list(params.poly)}
-
-
-def params_from(obj) -> Params:
-    return Params.create(obj["p"], obj["f"], obj["h"], obj["N"], obj["M"],
-                         obj["B"], obj["k"], tuple(obj["poly"]))
-
-
 def tseries_json(s: TSeries):
     terms = [{"exponents": list(e), "coeff": list(c)}
              for e, c in sorted(s.terms.items())]
@@ -96,8 +85,12 @@ def mv_json(x: MvLaurent):
 
 
 def mv_from(params: Params, obj) -> MvLaurent:
-    terms = {(t["y0"], tuple(t["cross"])): tuple(t["coeff"])
-             for t in obj["terms"]}
+    terms = {}
+    for t in obj["terms"]:
+        if len(t["coeff"]) != params.h or len(t["cross"]) != params.f - 1:
+            raise ValueError(f"a term needs {params.h} coefficients and "
+                             f"{params.f - 1} cross exponents: {t}")
+        terms[(t["y0"], tuple(t["cross"]))] = tuple(t["coeff"])
     w_lo, w_hi = obj["window"]
     return MvLaurent(params, obj["pi_prec"], terms, w_lo, w_hi, obj["band"])
 

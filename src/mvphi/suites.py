@@ -55,22 +55,25 @@ def _in_p_m_plus_m_pow(diff: TSeries, power: int) -> bool:
     return True
 
 
+def frobenius_congruence(params: Params, i: int) -> bool:
+    """phi(Y_i) lies in Y_{i-1}^p + p*m."""
+    f, p = params.f, params.p
+    e = [0] * f
+    e[(i - 1) % f] = p
+    lead = TSeries(params, params.N, params.M,
+                   {tuple(e): (1,) + (0,) * (params.h - 1)})
+    diff = phi_y(params, i) - lead
+    return (not any(diff.constant_term())) and all(
+        all(v % p == 0 for v in c) and sum(exp) >= 1
+        for exp, c in diff.terms.items())
+
+
 def suite_frobenius(params: Params, rng=None) -> dict:
     assertions = []
-    f, p, h = params.f, params.p, params.h
-    for i in range(f):
-        fi = phi_y(params, i)
-        prev = (i - 1) % f
-        e = [0] * f
-        e[prev] = p
-        lead = TSeries(params, params.N, params.M,
-                       {tuple(e): (1,) + (0,) * (h - 1)})
-        diff = fi - lead
-        const_ok = not any(diff.constant_term())
-        div_ok = all(all(v % p == 0 for v in c) and sum(exp) >= 1
-                     for exp, c in diff.terms.items())
+    for i in range(params.f):
+        prev = (i - 1) % params.f
         assertions.append({"id": f"frobenius/phi_y[{i}]-in-Y[{prev}]^p+p*m",
-                           "ok": bool(const_ok and div_ok)})
+                           "ok": frobenius_congruence(params, i)})
     return _report("frobenius", params, assertions)
 
 

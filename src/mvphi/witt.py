@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from .caches import cached
 from .coeff import FElt, FField, OEInt
 
 
@@ -105,9 +106,6 @@ def _ghost(nvars, offset, n, p):
     return acc
 
 
-_STRUCT_CACHE: dict = {}
-
-
 class StructurePolys:
     """Addition and multiplication polynomials S_n, P_n for W_N."""
 
@@ -118,11 +116,8 @@ class StructurePolys:
         self.prods = prods
 
 
+@cached
 def gen_structure_polys(p: int, N: int) -> StructurePolys:
-    key = (p, N)
-    got = _STRUCT_CACHE.get(key)
-    if got is not None:
-        return got
     nv = 2 * N
     sums, prods = [], []
     for n in range(N):
@@ -141,9 +136,7 @@ def gen_structure_polys(p: int, N: int) -> StructurePolys:
             raise RuntimeError("non-integral structure polynomial (bug)")
         sums.append(s_n)
         prods.append(p_n)
-    got = StructurePolys(p, N, sums, prods)
-    _STRUCT_CACHE[key] = got
-    return got
+    return StructurePolys(p, N, sums, prods)
 
 
 def ghost_components(p: int, N: int, values) -> list:

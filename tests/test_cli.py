@@ -160,3 +160,46 @@ def test_serialize_roundtrips():
     pl = PerfLaurent.monomial(ring, (Fraction(1, 3), Fraction(-2, 9)))
     back_p = ser.perf_from(ring, json.loads(json.dumps(ser.perf_json(pl))))
     assert back_p.terms == pl.terms
+
+
+def test_iota_norm_table_tests_each_generator(monkeypatch, tmp_path):
+    from mvphi import cli
+    from mvphi.embed import IotaResult
+    seen = []
+
+    def record(x, s):
+        seen.append((s, x))
+        return {"ok": True, "ring_side": None, "witt_side": None}
+    monkeypatch.setattr(cli, "iota_generators",
+                        lambda params: IotaResult((), 2, [1, 2]))
+    monkeypatch.setattr(cli, "verify_norm_compare", record)
+    assert cli.main(["iota", "--p", "3", "--f", "2", "--h", "2",
+                     "--out", str(tmp_path / "iota.json")]) == 0
+    pr = Params.create(3, 2, 2)
+    y0, y1 = MvLaurent.monomial(pr, 1), MvLaurent.monomial(pr, 1, (1,))
+    assert seen == [(1, y0), (1, y1), (2, y0), (2, y1)]
+
+
+def test_norm_radius_must_be_positive(capsys):
+    from mvphi import cli
+    for cmd in ("norm", "oc-cert"):
+        for s in ("0", "-1"):
+            assert cli.main([cmd, "--p", "3", "--f", "1", "--s", s]) == 2
+            assert "--s must be a positive integer" in capsys.readouterr().err
+
+
+def test_mv_from_rejects_wrong_vector_lengths(tmp_path):
+    import pytest
+    from mvphi import cli
+    pr = Params.create(3, 2, 2)
+    bad = {"pi_prec": 3, "window": [0, None], "band": 6,
+           "terms": [{"y0": 1, "cross": [0, 0, 5], "coeff": [1, 2, 3, 4]}]}
+    with pytest.raises(ValueError):
+        ser.mv_from(pr, bad)
+    short = dict(bad, terms=[{"y0": 1, "cross": [0], "coeff": [1]}])
+    with pytest.raises(ValueError):
+        ser.mv_from(pr, short)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["norm", "--p", "3", "--f", "2", "--h", "2",
+                     "--in", str(path)]) == 2

@@ -203,8 +203,10 @@ def test_uniqueness_from_fixpoint_equation():
     res = iota_generators(pr)
     from mvphi import iwasawa
     F = iwasawa.phi_y(pr, 0, pr.embed_window)
-    from mvphi.embed import _eval_series
-    rhs = _eval_series(F, res.ys, pr.N, {})
+    from mvphi import sparse
+    one = lambda: WAlg.one(pr, pr.N)
+    rhs = sparse.evaluate(F.terms.items(), sparse.Powers(res.ys, one),
+                          WAlg.zero(pr, pr.N), one)
     lhs = res.ys[0].phi_forward()
     assert congruent_mod(lhs, rhs, pr.N)
 

@@ -293,6 +293,15 @@ def test_gamma_y_matches_substitution_route(p, f, h):
         assert fast == slow
 
 
+def test_low_precision_unit_does_not_lower_later_phi_y():
+    # the shared Y-power table must not keep the precision of the call
+    # that built it
+    pr = params(3, 1, 1, M=7)
+    a = ok_ring(pr)((2,), pr.n_work() - 1)
+    assert gamma_y(a, 0).prec < pr.N
+    assert phi_y(pr, 0).prec == pr.N
+
+
 @pytest.mark.parametrize("p,f,h", GRID)
 def test_gamma_y_action_congruence(p, f, h):
     pr = params(p, f, h)

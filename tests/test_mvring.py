@@ -321,6 +321,17 @@ def test_phi_decompose_roundtrip(p, f, h, prec):
         assert back.w_hi is None or back.w_hi > supmax
 
 
+def test_phi_decompose_caps_precision_at_N():
+    # the Frobenius images are certified mod p^N only
+    pr = params(3, 1, 1)
+    x = MvLaurent(pr, 9, {(4, ()): (1 + 3 ** 5,), (1, ()): (2,)})
+    comps = phi_decompose(x)
+    for g in comps.values():
+        assert g.prec == pr.N
+        assert all(c[0] < 3 ** pr.N for c in g.terms.values())
+    assert (x - recompose(comps, pr)).is_zero()
+
+
 def test_phi_decompose_components_zero_for_zero():
     pr = params(3, 2, 2)
     comps = phi_decompose(MvLaurent.zero(pr))
@@ -390,3 +401,27 @@ def test_phi_basis_size():
     for p, f, h in GRID:
         pr = params(p, f, h)
         assert len(phi_basis(pr)) == pr.q
+
+
+CLEAR_CACHES_CHECK = """
+import mvphi
+from mvphi.coeff import Params
+from mvphi.mvring import MvLaurent, phi_images
+pr = Params.create(3, 1, 1)
+x = MvLaurent.monomial(pr, -1) + MvLaurent.monomial(pr, 2, None, 2)
+before = phi_images(pr).apply(x)
+assert phi_images(pr) is phi_images(pr, pr.M)
+assert mvphi.cache_info()["mvring._phi_images"].currsize == 1
+mvphi.clear_caches()
+assert all(i.currsize == 0 for i in mvphi.cache_info().values())
+assert phi_images(pr).apply(x) == before
+"""
+
+
+def test_clear_caches_empties_every_table():
+    # a fresh interpreter, so that the tables other tests built survive
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", CLEAR_CACHES_CHECK],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
