@@ -3,7 +3,8 @@
 Fields, rings, generator series, substitution images and the embedding's
 fixpoint are each built by a function decorated with ``cached``.
 ``clear_caches`` empties every one of them (test isolation, cold-start
-measurements); ``cache_info`` reports hits, misses and size per table.
+measurements); ``cache_info`` reports hits, misses, size and bound per
+table.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ import functools
 _REGISTRY: dict = {}
 
 
-def cached(fn):
-    """``functools.cache`` on fn, registered as ``<module>.<name>``."""
-    memo = functools.cache(fn)
+def cached(fn=None, *, maxsize=None):
+    """``functools.cache`` on fn, registered as ``<module>.<name>``.
+
+    ``@cached(maxsize=n)`` keeps only the n most recently used entries.
+    """
+    if fn is None:
+        return functools.partial(cached, maxsize=maxsize)
+    memo = functools.lru_cache(maxsize=maxsize)(fn)
     _REGISTRY[f"{fn.__module__.rpartition('.')[2]}.{fn.__qualname__}"] = memo
     return memo
 
@@ -28,5 +34,5 @@ def clear_caches() -> None:
 
 def cache_info() -> dict:
     """Registered name -> ``functools`` cache statistics (hits, misses,
-    currsize)."""
+    maxsize, currsize)."""
     return {name: memo.cache_info() for name, memo in sorted(_REGISTRY.items())}

@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 
 from .coeff import Params, ok_ring
-from .iwasawa import phi_y, gamma_y, TSeries
+from .iwasawa import phi_y, gamma_y
 from .mvring import MvLaurent, norm_s, phi_decompose, recompose
 from .phimod import (mat_identity, is_etale, commutation_holds,
                      oc_certificate_check)
 from .embed import iota_generators, to_belt, verify_norm_compare
-from .suites import SUITES, frobenius_congruence, run_suite
+from .suites import SUITES, frobenius_congruence, gamma_congruence, run_suite
 from . import serialize as ser
 from .errors import KernelError
 
@@ -149,10 +149,7 @@ def cmd_gamma_y(args) -> int:
     codes = []
     for i in range(params.f):
         gy = gamma_y(a, i)
-        sig = okr.sigma(a, i).reduce(params.N)
-        yi = TSeries.variable(params, i, params.N).scalar_mul(sig)
-        from .suites import _in_p_m_plus_m_pow
-        ok = _in_p_m_plus_m_pow(gy - yi, params.p)
+        ok = gamma_congruence(a, i, gy)
         codes.append(ok)
         out.append({"i": i, "series": ser.tseries_json(gy),
                     "str": ser.tseries_str(gy),

@@ -6,11 +6,16 @@ Group-like elements, the generators Y_i, the Frobenius substitution phi and
 the unit-group action all live here, together with the change of variables
 between T- and Y-coordinates (series reversion).
 
-Hot loops work on raw coordinate tuples via the OERing kernels.
+Series products and the change of variables run on a packed (Kronecker)
+layout: a whole series is one Python int, so a product of series is one
+integer product (Harvey, JSC 2009).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import product
 from typing import Optional
 
 from .caches import cached
@@ -46,20 +51,19 @@ class TSeries:
 
     @staticmethod
     def one(params: Params, prec: int, window: Optional[int] = None):
-        w = params.M if window is None else window
-        h = params.h
-        return TSeries(params, prec, w,
-                       {(0,) * params.f: tuple([1] + [0] * (h - 1))},
-                       _normalized=True)
+        return TSeries._monomial(params, (0,) * params.f, prec, window)
 
     @staticmethod
     def variable(params: Params, j: int, prec: int,
                  window: Optional[int] = None):
-        w = params.M if window is None else window
         e = tuple(1 if i == j else 0 for i in range(params.f))
-        h = params.h
-        return TSeries(params, prec, w, {e: tuple([1] + [0] * (h - 1))},
-                       _normalized=True)
+        return TSeries._monomial(params, e, prec, window)
+
+    @staticmethod
+    def _monomial(params: Params, e: tuple, prec: int, window):
+        w = params.M if window is None else window
+        terms = {e: (1,) + (0,) * (params.h - 1)} if sum(e) < w else {}
+        return TSeries(params, prec, w, terms, _normalized=True)
 
     # -- ring operations -------------------------------------------------------
 
@@ -82,20 +86,16 @@ class TSeries:
 
     def __mul__(self, other):
         prec, window = self._meet(other)
-        ring = oe_ring(self.params)
         out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) >= window:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = ring.raw_mul(c1, c2, prec)
-                cur = out.get(e)
-                out[e] = ring.raw_add(cur, prod, prec) if cur is not None \
-                    else prod
-        for e in [e for e, c in out.items() if not any(c)]:
-            del out[e]
+        if self.terms and other.terms:
+            params = self.params
+            lay = _layout(params.f, params.h, params.poly, window)
+            p = params.p
+            nb = _slot_bytes(min(len(self.terms), len(other.terms))
+                             * params.h * (p ** self.prec - 1)
+                             * (p ** other.prec - 1))
+            out = lay.unpack(lay.pack(self.terms, nb)
+                             * lay.pack(other.terms, nb), nb, p ** prec)
         return TSeries(self.params, prec, window, out, _normalized=True)
 
     def scalar_mul(self, c) -> "TSeries":
@@ -138,27 +138,29 @@ class TSeries:
             return self
         return TSeries(self.params, prec, self.window, self.terms)
 
-    def substitute(self, images, cap: Optional[int] = None,
-                   powers: Optional[sparse.Powers] = None) -> "TSeries":
+    def substitute(self, images,
+                   table: Optional[MonomialTable] = None) -> "TSeries":
         """Substitute T_j -> images[j]; images need zero constant term.
 
-        ``cap`` truncates the result (and all intermediates) at a smaller
-        total degree.  ``powers`` is a power table of the images at this
-        window and may be shared across calls with identical images.
+        ``table`` holds every monomial in the images at this window (the
+        reversion's ``monomials``); the substitution is then one packed sum
+        over it.  Without one, the powers of the images are built here.
         """
         params = self.params
-        window = self.window if cap is None else min(self.window, cap)
+        window = self.window
         prec = self.prec
         for im in images:
             if any(im.constant_term()):
                 raise ValueError("substitution images must have zero constant")
             prec = min(prec, im.prec)
             window = min(window, im.window)
+        if table is not None:
+            return TSeries(params, prec, window,
+                           table.combine(self.terms, prec), _normalized=True)
 
         def one():
             return TSeries.one(params, prec, window)
-        if powers is None:
-            powers = sparse.Powers([im.truncate(window) for im in images], one)
+        powers = sparse.Powers([im.truncate(window) for im in images], one)
         return sparse.evaluate(((e, c) for e, c in self.terms.items()
                                 if sum(e) < window), powers,
                                TSeries.zero(params, prec, window), one)
@@ -173,6 +175,136 @@ class TSeries:
                            for j, d in enumerate(e) if d)
             bits.append(f"{list(c)}{'*' + mon if mon else ''}")
         return " + ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker) layout
+# ---------------------------------------------------------------------------
+
+# array typecode per item size: a packed int converts to and from its slots
+# at C speed when a slot is an array item wide
+_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
+_SWAP = sys.byteorder != "little"
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for values up to ``bound``; an array item size when
+    one is wide enough."""
+    n = max(1, -(-bound.bit_length() // 8))
+    return min((size for size in _TYPECODES if size >= n), default=n)
+
+
+def _to_slots(x: int, nb: int, count: int) -> list:
+    """The lowest ``count`` slots of x, ``nb`` bytes each."""
+    size = count * nb
+    raw = x.to_bytes(max(size, -(-x.bit_length() // 8)), "little")[:size]
+    tc = _TYPECODES.get(nb)
+    if tc is None:
+        return [int.from_bytes(raw[i:i + nb], "little")
+                for i in range(0, size, nb)]
+    slots = array(tc, raw)
+    if _SWAP:
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _from_slots(slots, nb: int) -> int:
+    """The int whose slots, ``nb`` bytes each, hold ``slots``."""
+    tc = _TYPECODES.get(nb)
+    if tc is None:
+        return int.from_bytes(b"".join(v.to_bytes(nb, "little")
+                                       for v in slots), "little")
+    packed = array(tc, slots)
+    if _SWAP:
+        packed.byteswap()
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+class Layout:
+    """Kronecker layout of series in f variables below a degree window W.
+
+    T^e sits at position |e| R + sum_{j<f-1} e_j W^j, R = W^(f-1).  The
+    position is linear in e and one-to-one below the window, and every
+    exponent of degree >= W lands at a position >= W R, so the product of
+    two packed series is their packed truncated product.  A position holds
+    2h-1 slots, the coordinates of an O_E product before reduction by the
+    defining polynomial, each wide enough for the sum it collects.  The
+    positions of degree d, [d R, (d+1) R), form row d.
+    """
+
+    def __init__(self, f: int, h: int, poly: tuple, window: int):
+        self.h = h
+        self.span = 2 * h - 1
+        self.row = window ** (f - 1)
+        self.size = window * self.row
+        self.pos = {e: sum(e) * self.row
+                    + sum(ej * window ** j for j, ej in enumerate(e[:-1]))
+                    for e in product(range(window), repeat=f)
+                    if sum(e) < window}
+        self.by_pos = sorted((q, e) for e, q in self.pos.items())
+        # x^k mod the defining polynomial over Z, k = h .. 2h-2
+        xh = [-c for c in poly[:h]]
+        self.folds = []
+        r = xh
+        for _ in range(h - 1):
+            self.folds.append(r)
+            r = [a + r[-1] * b for a, b in zip([0] + r[:-1], xh)]
+
+    def fold(self, v, m: int) -> tuple:
+        """2h-1 product coordinates reduced to h, mod m."""
+        c = v[:self.h]
+        for k, red in enumerate(self.folds, self.h):
+            vk = v[k]
+            if vk:
+                for i, r in enumerate(red):
+                    c[i] += vk * r
+        return tuple(x % m for x in c)
+
+    def pack(self, terms: dict, nb: int) -> int:
+        """Terms below the window, reduced coordinates at nb-byte slots."""
+        span, pos = self.span, self.pos
+        at = [(pos[e], c) for e, c in terms.items() if e in pos]
+        if not at:
+            return 0
+        slots = [0] * ((max(q for q, _ in at) + 1) * span)
+        for q, c in at:
+            slots[q * span:q * span + self.h] = c
+        return _from_slots(slots, nb)
+
+    def unpack(self, x: int, nb: int, m: int) -> dict:
+        """The terms below the window of a packed sum of products, reduced
+        by the defining polynomial and mod m; zeros dropped."""
+        span = self.span
+        n = min(self.size, -(-x.bit_length() // (8 * nb * span)))
+        slots = _to_slots(x, nb, n * span)
+        out = {}
+        for q, e in self.by_pos:
+            if q >= n:
+                break
+            v = slots[q * span:(q + 1) * span]
+            if any(v):
+                c = self.fold(v, m)
+                if any(c):
+                    out[e] = c
+        return out
+
+    def reduce_row(self, x: int, nb: int, m: int) -> int:
+        """One packed row of sums of products, every position reduced."""
+        if not x:
+            return 0
+        span, h = self.span, self.h
+        slots = _to_slots(x, nb, self.row * span)
+        pad = (0,) * (span - h)
+        for b in range(0, len(slots), span):
+            v = slots[b:b + span]
+            if any(v):
+                slots[b:b + span] = self.fold(v, m) + pad
+        return _from_slots(slots, nb)
+
+
+@cached
+def _layout(f: int, h: int, poly: tuple, window: int) -> Layout:
+    return Layout(f, h, poly, window)
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +325,15 @@ def group_like(x: OKElement, window: Optional[int] = None) -> TSeries:
     if out_prec <= 0:
         raise PrecisionExhausted(
             f"group_like needs input precision > {guard} for window {w}")
-    ring = oe_ring(params)
     f = params.f
-    # univariate binomial rows per variable
-    rows = [[ring.raw_reduce(
-        padic_binomial(params, x.coords[j], d, x.prec).coords, out_prec)
-        for d in range(w)] for j in range(f)]
-    out = {}
-
-    def rec(j, e, coeff):
-        if j == f:
-            if any(coeff):
-                out[tuple(e)] = coeff
-            return
-        room = w - 1 - sum(e)
-        for d in range(room + 1):
-            c = ring.raw_mul(coeff, rows[j][d], out_prec) if d else coeff
-            rec(j + 1, e + [d], c)
-    rec(0, [], (1,) + (0,) * (params.h - 1))
-    return TSeries(params, out_prec, w, out, _normalized=True)
+    # the product of the univariate binomial series of each variable
+    acc = TSeries.one(params, out_prec, w)
+    for j in range(f):
+        row = {tuple(d if t == j else 0 for t in range(f)):
+               padic_binomial(params, x.coords[j], d, x.prec).coords
+               for d in range(w)}
+        acc = acc * TSeries(params, out_prec, w, row)
+    return acc
 
 
 def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries:
@@ -281,12 +403,56 @@ def gamma_map(a: OKElement, s: TSeries) -> TSeries:
 # reversion: T as series in Y
 # ---------------------------------------------------------------------------
 
-def revert_series(series, window: int):
+class MonomialTable:
+    """Every monomial G^e, |e| < window, of a tuple of series G, each kept
+    as one packed int whose slots can sum one product per monomial.
+
+    Substituting G into a T-series is then one packed sum and one unpack.
+    """
+
+    __slots__ = ("params", "layout", "nb", "packed")
+
+    def __init__(self, params: Params, layout: Layout, nb: int,
+                 packed: dict):
+        self.params = params
+        self.layout = layout
+        self.nb = nb
+        self.packed = packed
+
+    def combine(self, terms: dict, prec: int) -> dict:
+        """sum c_e G^e over the terms (e, c), mod p^prec; prec is at most
+        the precision of G."""
+        m = self.params.p ** prec
+        nb, packed = self.nb, self.packed
+        acc = 0
+        for e, c in terms.items():
+            x = packed.get(e)
+            if x is not None:
+                acc += _from_slots([v % m for v in c], nb) * x
+        return self.layout.unpack(acc, nb, m)
+
+
+class Reversion(tuple):
+    """The series G_0, ..., G_{f-1} that ``revert_series`` returns.
+
+    ``monomials`` is the table of every G^e below the window, which the
+    reversion builds on its way.
+    """
+
+    monomials: MonomialTable
+
+
+def revert_series(series, window: int) -> Reversion:
     """Compositional inverse of T -> (series_i(T)) on the degree filtration.
 
-    Each series must have zero constant term; the linear part must be
+    Each series must have zero constant term; the linear part L must be
     invertible mod p (SingularJacobian otherwise).  Returns G with
     G_j(series(T)) = T_j + O(degree window).
+
+    One pass up the degrees (Brent & Kung, JACM 1978): with H the part of
+    the series of degree >= 2, G = L^-1 T - L^-1 H(G).  The degree-d part
+    of each G^e (|e| >= 2) is a sum of products of parts of lower degree,
+    and then G[d] = -L^-1 H(G)[d].  Every part is one packed row.
     """
     if not series:
         raise ValueError("empty series tuple")
@@ -298,35 +464,57 @@ def revert_series(series, window: int):
     for s in series:
         if any(s.constant_term()):
             raise ValueError("series must have zero constant term")
+    series = [s.truncate(window) for s in series]
     # linear part L[i][j] = coeff of T_j in series_i, as h-tuples
-    unit_vecs = [tuple(1 if t == j else 0 for t in range(f)) for j in range(f)]
+    unit_vecs = [tuple(1 if t == j else 0 for t in range(f))
+                 for j in range(f)]
     L = [[series[i].coefficient(unit_vecs[j]) for j in range(f)]
          for i in range(f)]
     Linv = _invert_coeff_matrix(params, L, prec)
     if Linv is None:
         raise SingularJacobian("linear part of the change of variables "
                                "is singular mod p")
-    high = [s.truncate(window) - _linear_series(params, L[i], prec, window)
+    high = [s - _linear_series(params, L[i], prec, window)
             for i, s in enumerate(series)]
-    # G starts as Linv * Z and gains one correct degree per pass
-    zvars = [TSeries.variable(params, j, prec, window) for j in range(f)]
-    G = [_linear_combo(params, Linv[j], zvars, prec, window)
-         for j in range(f)]
-    for cap in range(2, window + 1):
-        powers = sparse.Powers([g.truncate(cap) for g in G],
-                               lambda: TSeries.one(params, prec, cap))
-        newG = []
-        highs = [high[i].substitute(G, cap=cap, powers=powers)
-                 for i in range(f)]
+    lay = _layout(f, params.h, params.poly, window)
+    m = params.p ** prec
+    nb = _slot_bytes(len(lay.pos) * params.h * (m - 1) ** 2)
+    row_bits = 8 * nb * lay.span * lay.row
+    # G[d] = sum over |e| >= 2 of coef[j][e] * G^e[d], coef = -L^-1 H
+    coef = [(-_linear_combo(params, Linv[j], high, prec, window)).terms
+            for j in range(f)]
+    coef = [{e: _from_slots(c, nb) for e, c in cj.items()} for cj in coef]
+    # rows[e][d]: the degree-d part of G^e, packed as row 0
+    rows = {e: [0] * window for e in lay.pos if sum(e)}
+    for j in range(f):
+        lin = {unit_vecs[i]: Linv[j][i] for i in range(f)}
+        rows[unit_vecs[j]][1] = lay.pack(lin, nb) >> row_bits
+    jobs = []           # G^e = G_j * G^(e - unit j), graded
+    for _, e in lay.by_pos:
+        if sum(e) >= 2:
+            j = next(t for t, et in enumerate(e) if et)
+            rest = e[:j] + (e[j] - 1,) + e[j + 1:]
+            jobs.append((sum(e), rows[e], rows[unit_vecs[j]], rows[rest]))
+    for d in range(2, window):
+        for deg, out, gj, rest in jobs:
+            if deg > d:
+                break
+            acc = 0
+            for k in range(1, d - deg + 2):
+                acc += gj[k] * rest[d - k]
+            out[d] = lay.reduce_row(acc, nb, m)
         for j in range(f):
-            acc = _linear_combo(params, Linv[j], highs, prec, window)
-            g = _linear_combo(params, Linv[j], zvars, prec, window) - acc
-            # the cap shrank the window metadata; the iterate is correct to
-            # degree < cap by induction, so restore the target window
-            newG.append(TSeries(params, prec, window, g.terms,
-                                _normalized=True))
-        G = newG
-    return tuple(G)
+            acc = 0
+            for e, c in coef[j].items():
+                acc += c * rows[e][d]
+            rows[unit_vecs[j]][d] = lay.reduce_row(acc, nb, m)
+    packed = {e: sum(r << (d * row_bits) for d, r in enumerate(rs))
+              for e, rs in rows.items()}
+    packed[(0,) * f] = _from_slots((1,), nb)
+    G = Reversion(TSeries(params, prec, window, lay.unpack(packed[u], nb, m),
+                          _normalized=True) for u in unit_vecs)
+    G.monomials = MonomialTable(params, lay, nb, packed)
+    return G
 
 
 def _linear_series(params, row, prec, window):
@@ -376,28 +564,24 @@ def _invert_coeff_matrix(params, L, prec):
     return inv
 
 
-def y_to_t_inverse(params: Params, window: Optional[int] = None):
-    """Series G with T_j = G_j(Y_0, ..., Y_{f-1}) to the degree window."""
-    return _y_to_t_inverse(params, params.M if window is None else window)
+def y_to_t_inverse(params: Params,
+                   window: Optional[int] = None) -> Reversion:
+    """Series G with T_j = G_j(Y_0, ..., Y_{f-1}) to the degree window,
+    with the table of every monomial G^e."""
+    return _reversion(params, params.M if window is None else window)
 
 
 @cached
-def _y_to_t_inverse(params: Params, w: int):
+def _reversion(params: Params, w: int) -> Reversion:
     ys = tuple(y_generator(params, i, w) for i in range(params.f))
     return revert_series(ys, w)
 
 
-@cached
-def _y_to_t_powers(params: Params, w: int) -> sparse.Powers:
-    G = y_to_t_inverse(params, w)
-    prec = min(g.prec for g in G)
-    return sparse.Powers(G, lambda: TSeries.one(params, prec, w))
-
-
 def to_y_coordinates(s: TSeries) -> TSeries:
-    """Re-express a T-series in Y-coordinates via the cached reversion."""
-    return s.substitute(list(y_to_t_inverse(s.params, s.window)),
-                        powers=_y_to_t_powers(s.params, s.window))
+    """Re-express a T-series in Y-coordinates: sum c_e G^e over the cached
+    monomial table of the reversion."""
+    G = y_to_t_inverse(s.params, s.window)
+    return s.substitute(G, G.monomials)
 
 
 # ---------------------------------------------------------------------------

@@ -364,10 +364,12 @@ class _SubstImages:
         self.params = params
         self.unit_degree = unit_degree
         band = _work_band(params)
-        self.images = [im.lift_band(band) for im in images]
+        # the closures hold the images, not self: no reference cycle, so a
+        # table evicted from a bounded cache is freed at once
+        self.images = atoms = [im.lift_band(band) for im in images]
         self.powers = sparse.Powers(
-            self.images, lambda: MvLaurent.one(params, params.N, None, band),
-            lambda i: invert_unit(self.images[i], horizon))
+            atoms, lambda: MvLaurent.one(params, params.N, None, band),
+            lambda i: invert_unit(atoms[i], horizon))
         self._drop = None
 
     def _level_floors(self, x: MvLaurent):
@@ -459,7 +461,11 @@ def decompose_window(params: Params) -> int:
     return max(params.M, 4 * params.p, 20)
 
 
-@cached
+# one table per unit; a stream of new units evicts the least recently used
+_GAMMA_TABLES = 32
+
+
+@cached(maxsize=_GAMMA_TABLES)
 def gamma_images(params: Params, a: OKElement) -> _SubstImages:
     images = [MvLaurent.from_y_series(iwasawa.gamma_y(a, i))
               for i in range(params.f)]

@@ -68,6 +68,14 @@ def frobenius_congruence(params: Params, i: int) -> bool:
         for exp, c in diff.terms.items())
 
 
+def gamma_congruence(a, i: int, gy: TSeries) -> bool:
+    """gy = gamma_y(a, i) lies in sigma_i(a) * Y_i + p*m + m^p."""
+    params = gy.params
+    sig = a.okr.sigma(a, i).reduce(params.N)
+    yi = TSeries.variable(params, i, params.N).scalar_mul(sig)
+    return _in_p_m_plus_m_pow(gy - yi, params.p)
+
+
 def suite_frobenius(params: Params, rng=None) -> dict:
     assertions = []
     for i in range(params.f):
@@ -85,13 +93,9 @@ def suite_action(params: Params, rng=None, n_units: int = 10) -> dict:
     for t in range(n_units):
         a = okr.random_unit(rng)
         for i in range(f):
-            gy = gamma_y(a, i)
-            sig = okr.sigma(a, i).reduce(params.N)
-            yi = TSeries.variable(params, i, params.N).scalar_mul(sig)
-            ok = _in_p_m_plus_m_pow(gy - yi, p)
             assertions.append(
                 {"id": f"action/unit{t}/gamma_y[{i}]-sigma*Y in p*m+m^p",
-                 "ok": bool(ok)})
+                 "ok": gamma_congruence(a, i, gamma_y(a, i))})
     for n in (1, 2):
         coords = [1 + p ** n * rng.randrange(p)] + \
             [p ** n * rng.randrange(p) for _ in range(f - 1)]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, oe_ring, ok_ring
 from mvphi.iwasawa import (TSeries, group_like, y_generator, phi_map,
@@ -335,3 +336,152 @@ def test_gamma_y_refined_congruence(p, f, h):
                 deg = sum(exp)
                 assert deg >= 1
                 assert all(v % p == 0 for v in c) or deg >= p ** n, (exp, c)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel
+# ---------------------------------------------------------------------------
+
+KERNEL_GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2), (2, 2, 4)]
+
+
+def pair_loop_mul(a, b):
+    """Reference product: every pair of terms, reduced as it goes."""
+    prec, window = min(a.prec, b.prec), min(a.window, b.window)
+    ring = oe_ring(a.params)
+    zero = (0,) * a.params.h
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if sum(e1) + sum(e2) < window:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = ring.raw_add(out.get(e, zero),
+                                      ring.raw_mul(c1, c2, prec), prec)
+    return TSeries(a.params, prec, window,
+                   {e: c for e, c in out.items() if any(c)})
+
+
+@st.composite
+def series_pairs(draw):
+    p, f, h = draw(st.sampled_from(KERNEL_GRID))
+    pr = params(p, f, h)
+
+    def series():
+        prec = draw(st.integers(1, 6))
+        window = draw(st.integers(1, 9))
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, window)] * f),
+            st.tuples(*[st.integers(0, p ** prec - 1)] * h), max_size=14))
+        return TSeries(pr, prec, window, terms)
+    return series(), series()
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+def test_packed_product_matches_pair_loop(pair):
+    a, b = pair
+    assert a * b == pair_loop_mul(a, b)
+    assert b * a == pair_loop_mul(a, b)
+
+
+@pytest.mark.parametrize("p,f,h,prec,w", [
+    (5, 2, 2, 3, 20), (2, 2, 4, 8, 12), (3, 1, 1, 5, 20),
+    (5, 2, 2, 40, 20), (3, 2, 2, 30, 10)])
+def test_packed_product_fills_the_slot_width(p, f, h, prec, w):
+    # every monomial below the window at the largest coefficient m - 1 makes
+    # the slot sums as large as they get; prec 30-40 needs slots wider than
+    # 8 bytes
+    pr = params(p, f, h)
+    top = p ** prec - 1
+    mons = _exponents(f, w)
+    full = TSeries(pr, prec, w, {e: (top,) * h for e in mons})
+    assert full * full == pair_loop_mul(full, full)
+    rng = random.Random(prec)
+    other = TSeries(pr, prec - 1, w - 1,
+                    {e: tuple(rng.randrange(top) for _ in range(h))
+                     for e in mons})
+    assert full * other == pair_loop_mul(full, other)
+
+
+def _exponents(f, w):
+    if f == 1:
+        return [(d,) for d in range(w)]
+    return [(d,) + rest for d in range(w)
+            for rest in _exponents(f - 1, w - d)]
+
+
+def test_product_with_zero_series():
+    pr = params(3, 2, 2)
+    y = y_generator(pr, 0)
+    zero = TSeries.zero(pr, 2, 5)
+    assert (y * zero) == TSeries.zero(pr, 2, 5)
+    assert (zero * y).is_zero() and (zero * y).window == 5
+
+
+@st.composite
+def invertible_series(draw):
+    """f series with a linear part D + pX, D diagonal with unit entries."""
+    p, f, h = draw(st.sampled_from(KERNEL_GRID))
+    pr = params(p, f, h)
+    prec = draw(st.integers(1, 4))
+    window = draw(st.integers(2, 7))
+    coords = st.tuples(*[st.integers(0, p ** prec - 1)] * h)
+    series = []
+    for i in range(f):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, window)] * f),
+                                     coords, max_size=10))
+        terms = {e: c for e, c in terms.items() if sum(e) >= 2}
+        for j in range(f):
+            c = [p * x for x in draw(coords)]
+            if i == j:
+                c[0] += draw(st.integers(1, p - 1))
+            terms[unit(f, j)] = tuple(c)
+        series.append(TSeries(pr, prec, window, terms))
+    other = TSeries(pr, prec, window, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, window)] * f), coords, max_size=10)))
+    return series, other
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_series())
+def test_reversion_roundtrip_of_random_series(data):
+    series, s = data
+    pr, prec, w = s.params, s.prec, s.window
+    G = revert_series(series, w)
+    for j in range(pr.f):
+        assert G[j].substitute(series) == TSeries.variable(pr, j, prec, w)
+        assert series[j].substitute(G) == TSeries.variable(pr, j, prec, w)
+    # the packed monomial table agrees with substituting power by power
+    assert s.substitute(G, G.monomials) == s.substitute(G)
+
+
+@pytest.mark.parametrize("p,f,h,w", [(5, 2, 2, 20), (3, 2, 2, 15)])
+def test_reversion_roundtrip_wide_window(p, f, h, w):
+    pr = params(p, f, h)
+    ys = [y_generator(pr, i, w) for i in range(f)]
+    G = y_to_t_inverse(pr, w)
+    for j in range(f):
+        back = G[j].substitute(ys)
+        assert back == TSeries.variable(pr, j, pr.N, w)
+        assert ys[j].substitute(G) == TSeries.variable(pr, j, pr.N, w)
+
+
+@pytest.mark.parametrize("p,f,h", KERNEL_GRID)
+def test_to_y_coordinates_of_the_generators(p, f, h):
+    pr = params(p, f, h)
+    for w in (2, 9):
+        for i in range(f):
+            got = to_y_coordinates(y_generator(pr, i, w))
+            assert got == TSeries.variable(pr, i, pr.N, w)
+
+
+def test_constructors_respect_the_window():
+    pr = params(2, 1, 1, M=1)
+    y = y_generator(pr, 0)
+    assert y.window == 1 and y.terms == {}
+    assert TSeries.variable(pr, 0, pr.N, 1).terms == {}
+    assert TSeries.one(pr, pr.N, 1).terms == {(0,): (1,)}
+    assert TSeries.one(pr, pr.N, 0).terms == {}
+    # a window of 1 holds no linear part to invert
+    with pytest.raises(SingularJacobian):
+        y_to_t_inverse(pr)

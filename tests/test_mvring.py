@@ -425,3 +425,21 @@ def test_clear_caches_empties_every_table():
     proc = subprocess.run([sys.executable, "-c", CLEAR_CACHES_CHECK],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gamma_images_is_bounded_and_rebuilds_evicted_units():
+    import mvphi
+    from mvphi.mvring import gamma_images
+    pr = params(3, 1, 1)
+    okr = ok_ring(pr)
+    units = [okr((k,)) for k in range(1, 61) if k % 3]
+    assert len(units) == 40
+    first = gamma_images(pr, units[0])
+    for a in units[1:]:
+        gamma_images(pr, a)
+    info = mvphi.cache_info()["mvring.gamma_images"]
+    assert info.maxsize is not None and info.maxsize < len(units)
+    assert info.currsize <= info.maxsize
+    again = gamma_images(pr, units[0])
+    assert again is not first
+    assert again.images == first.images
