@@ -1,7 +1,10 @@
 """Command-line driver: computations and verification suites as JSON.
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage or precondition violation,
-3 internal error.  A fixed configuration (including the seed) produces
+3 internal error.  A ValueError, KeyError, TypeError or OSError is a usage
+error only while the flags, the config file, the ``--out`` path or the
+input element are read (``_usage``); raised later, by the kernel, it is
+internal.  A fixed configuration (including the seed) produces
 byte-identical output.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .coeff import Params, ok_ring
@@ -21,6 +25,20 @@ from .embed import iota_generators, to_belt, verify_norm_compare
 from .suites import SUITES, frobenius_congruence, gamma_congruence, run_suite
 from . import serialize as ser
 from .errors import KernelError
+
+
+class UsageError(KernelError):
+    """Bad flags, config file or input element."""
+
+
+@contextmanager
+def _usage():
+    """Report errors of reading and parsing the user's input as usage
+    errors (exit 2)."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        raise UsageError(exc) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,11 +118,20 @@ def make_params(cfg) -> Params:
                          cfg["deg"], cfg["band"], cfg["depth"])
 
 
+def configure(args):
+    """The resolved flags and their parameters."""
+    with _usage():
+        cfg = resolve_config(args)
+        return cfg, make_params(cfg)
+
+
 def emit(args, payload: dict) -> None:
     text = ser.dumps(payload)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
+        with _usage():
+            fh = open(out, "w")
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -119,8 +146,7 @@ def read_input(args) -> dict:
 
 
 def cmd_phi_y(args) -> int:
-    cfg = resolve_config(args)
-    params = make_params(cfg)
+    cfg, params = configure(args)
     out = []
     for i in range(params.f):
         s = phi_y(params, i)
@@ -132,19 +158,19 @@ def cmd_phi_y(args) -> int:
 
 
 def cmd_gamma_y(args) -> int:
-    cfg = resolve_config(args)
-    params = make_params(cfg)
+    cfg, params = configure(args)
     okr = ok_ring(params)
     if args.a:
-        coords = tuple(int(t) for t in args.a.split(","))
-        if len(coords) != params.f:
-            raise KernelError(f"--a needs {params.f} coordinates")
-        a = okr(coords)
+        with _usage():
+            coords = tuple(int(t) for t in args.a.split(","))
+            if len(coords) != params.f:
+                raise UsageError(f"--a needs {params.f} coordinates")
+            a = okr(coords)
     else:
         import random
         a = okr.random_unit(random.Random(cfg["seed"]))
     if not a.is_unit():
-        raise KernelError("the action needs a unit")
+        raise UsageError("the action needs a unit")
     out = []
     codes = []
     for i in range(params.f):
@@ -159,8 +185,7 @@ def cmd_gamma_y(args) -> int:
 
 
 def cmd_iota(args) -> int:
-    cfg = resolve_config(args)
-    params = make_params(cfg)
+    cfg, params = configure(args)
     res = iota_generators(params)
     gens = []
     for i, y in enumerate(res.ys):
@@ -191,23 +216,23 @@ def cmd_iota(args) -> int:
 
 def _check_s(s: int) -> None:
     if s < 1:
-        raise KernelError(f"--s must be a positive integer, got {s}")
+        raise UsageError(f"--s must be a positive integer, got {s}")
 
 
 def cmd_norm(args) -> int:
     _check_s(args.s)
-    cfg = resolve_config(args)
-    params = make_params(cfg)
-    x = ser.mv_from(params, read_input(args))
+    cfg, params = configure(args)
+    with _usage():
+        x = ser.mv_from(params, read_input(args))
     nv = norm_s(x, args.s)
     emit(args, {"config": cfg, "s": args.s, "norm": ser.norm_json(nv)})
     return 0
 
 
 def cmd_decompose(args) -> int:
-    cfg = resolve_config(args)
-    params = make_params(cfg)
-    x = ser.mv_from(params, read_input(args))
+    cfg, params = configure(args)
+    with _usage():
+        x = ser.mv_from(params, read_input(args))
     comps = phi_decompose(x)
     back = recompose(comps, params)
     roundtrip = (x - back).is_zero()
@@ -221,9 +246,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_etale(args) -> int:
-    cfg = resolve_config(args)
-    params = make_params(cfg)
-    m = ser.phimodule_from(params, read_input(args))
+    cfg, params = configure(args)
+    with _usage():
+        m = ser.phimodule_from(params, read_input(args))
     et = is_etale(m)
     comm = commutation_holds(m)
     emit(args, {"config": cfg, "is_etale": bool(et),
@@ -233,14 +258,14 @@ def cmd_etale(args) -> int:
 
 def cmd_oc_cert(args) -> int:
     _check_s(args.s)
-    cfg = resolve_config(args)
-    params = make_params(cfg)
-    obj = read_input(args)
-    m = ser.phimodule_from(params, obj["module"])
-    if "U" in obj:
-        U = [[ser.mv_from(params, x) for x in row] for row in obj["U"]]
-    else:
-        U = mat_identity(params, m.rank)
+    cfg, params = configure(args)
+    with _usage():
+        obj = read_input(args)
+        m = ser.phimodule_from(params, obj["module"])
+        if "U" in obj:
+            U = [[ser.mv_from(params, x) for x in row] for row in obj["U"]]
+        else:
+            U = mat_identity(params, m.rank)
     rep = oc_certificate_check(m, U, args.s)
     payload = {"config": cfg, "ok": rep["ok"], "s": rep["s"],
                "entries": rep["entries"]}
@@ -251,8 +276,7 @@ def cmd_oc_cert(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = resolve_config(args)
-    params = make_params(cfg)
+    cfg, params = configure(args)
     report = run_suite(args.suite, params, seed=cfg["seed"])
     emit(args, {"config": cfg, "report": report})
     return 0 if report["ok"] else 1
@@ -275,8 +299,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (KernelError, ValueError, FileNotFoundError,
-            json.JSONDecodeError, KeyError) as exc:
+    except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal

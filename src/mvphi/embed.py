@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .caches import cached
@@ -45,31 +46,128 @@ def _hmono(H):
     return tuple(out)
 
 
+def _normalize(N, lv, b):
+    """Lv made non-increasing past its first finite entry (a missing level
+    takes the one below it) and B capped by the last finite level."""
+    lv = list(lv)
+    prev = None
+    for i in range(N):
+        x = lv[i]
+        if x is None or (prev is not None and prev < x):
+            lv[i] = prev
+        prev = lv[i]
+    return lv, b if prev is None else _hmin(b, prev)
+
+
+def _tabulate(N, den, lv, b, sig):
+    """(den, den*fl(0..2N+2), den*sigma, den*delta) from the numerators
+    of the N levels, the tail B and the slope over den."""
+    tab = list(lv[:N])
+    tab += [None if b is None else b + sig * (m - N)
+            for m in range(N, 2 * N + 3)]
+    delta = sig
+    prev = None
+    for x in tab[:N + 1]:
+        if prev is not None and x is not None and x - prev < delta:
+            delta = x - prev
+        prev = x
+    return den, tab, sig, delta
+
+
+def _tail(vals, n, sig):
+    """min over the finite vals[m], m >= n, of vals[m] - sig * (m - n)."""
+    best = None
+    for m in range(n, len(vals)):
+        x = vals[m]
+        if x is not None:
+            x -= sig * (m - n)
+            if best is None or x < best:
+                best = x
+    return best
+
+
+def _first(vals):
+    """Index of the first finite entry; len(vals) if there is none."""
+    for i, x in enumerate(vals):
+        if x is not None:
+            return i
+    return len(vals)
+
+
 class Floors:
     """Digit-valuation floors: fl(m) = Lv[m] for m < N (None = no content),
-    fl(m) = B + sigma * (m - N) for m >= N.  Lv is kept non-increasing
-    past its first finite entry."""
+    fl(m) = B + sigma * (m - N) for m >= N.
 
-    __slots__ = ("N", "Lv", "B", "sigma")
+    Invariants: the constructor keeps Lv non-increasing past its first
+    finite entry and B at most its last finite entry, and every operation
+    here keeps sigma <= 0 (``scale`` takes c > 0).  So fl is None up to its
+    first finite level, finite and non-increasing from there on, and the
+    minimum of fl over the levels <= m is fl(m).
+
+    A Floors is immutable.  Its arithmetic runs on integers: on first use
+    it tabulates D*fl(0..2N+2), D*sigma and D*delta() over one common
+    denominator D of its values.  ``convolve`` and ``meet`` work on these
+    numerators over lcm(D, D') of the two operands, ``shift`` and
+    ``truncate`` over D, and only the N levels and B of a result are turned
+    back into Fractions.
+    """
+
+    __slots__ = ("N", "Lv", "B", "sigma", "_ints")
 
     def __init__(self, N, Lv, B, sigma):
         self.N = N
-        lv = list(Lv)
-        prev = None
-        for i in range(N):
-            if lv[i] is None:
-                lv[i] = prev
-            elif prev is not None:
-                lv[i] = min(lv[i], prev)
-            prev = lv[i]
+        lv, self.B = _normalize(N, Lv, B)
         self.Lv = tuple(lv)
-        self.B = B if prev is None else _hmin(B, prev)
         self.sigma = sigma
+        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, N, den, lv, b, sig):
+        """The Floors of the numerators lv, b, sig over den, normalized as
+        the constructor does."""
+        lv, b = _normalize(N, lv, b)
+        self = cls.__new__(cls)
+        self.N = N
+        self.Lv = tuple(None if x is None else Fraction(x, den) for x in lv)
+        self.B = None if b is None else Fraction(b, den)
+        self.sigma = Fraction(sig, den)
+        self._ints = _tabulate(N, den, lv, b, sig)
+        return self
 
     @staticmethod
     def exact(N, level_mins):
         """From exact finite data: cumulative minima, flat tail."""
         return Floors(N, level_mins, None, Fraction(0))
+
+    def _table(self):
+        """(D, D*fl(0..2N+2), D*sigma, D*delta()), built on first use."""
+        if self._ints is None:
+            lv = self.Lv[:self.N]
+            vals = [x for x in lv if x is not None] + [self.sigma]
+            if self.B is not None:
+                vals.append(self.B)
+            den = lcm(*(x.denominator for x in vals))
+
+            def num(x):
+                return None if x is None else \
+                    x.numerator * (den // x.denominator)
+            self._ints = _tabulate(self.N, den, [num(x) for x in lv],
+                                   num(self.B), num(self.sigma))
+        return self._ints
+
+    def _over(self, den, top):
+        """(den*fl(0..top), den*sigma, den*delta()) as ints, None for no
+        content; D must divide den."""
+        d, tab, sig, delta = self._table()
+        tab = tab[:top + 1]
+        for m in range(len(tab), top + 1):
+            b = tab[self.N]
+            tab.append(None if b is None else b + sig * (m - self.N))
+        r = den // d
+        if r == 1:
+            return tab, sig, delta
+        return [None if x is None else x * r for x in tab], sig * r, \
+            delta * r
 
     def at(self, m):
         if m < self.N:
@@ -80,57 +178,50 @@ class Floors:
 
     def delta(self):
         """min increment fl(m+1) - fl(m) past the first finite level."""
-        best = self.sigma
-        prev = None
-        for v in range(self.N):
-            cur = self.Lv[v]
-            if prev is not None and cur is not None:
-                best = min(best, cur - prev)
-            prev = cur
-        if prev is not None and self.B is not None:
-            best = min(best, self.B - prev)
-        return best
+        d, _, _, delta = self._table()
+        return Fraction(delta, d)
 
     def meet(self, other):
-        return Floors(self.N,
-                      tuple(_hmin(a, b) for a, b in zip(self.Lv, other.Lv)),
-                      _hmin(self.B, other.B), min(self.sigma, other.sigma))
+        N = self.N
+        den = lcm(self._table()[0], other._table()[0])
+        xs, sx, _ = self._over(den, N)
+        ys, sy, _ = other._over(den, other.N)
+        lv = [_hmin(x, y) for x, y in zip(xs[:N], ys[:other.N])]
+        return Floors._from_ints(N, den, lv, _hmin(xs[N], ys[other.N]),
+                                 min(sx, sy))
 
     def convolve(self, other):
         """Floors of a product (min-plus convolution with affine tails)."""
         N = self.N
-        Lv = []
-        for v in range(N):
-            best = None
-            for a in range(v + 1):
-                x, y = self.at(a), other.at(v - a)
-                if x is not None and y is not None:
-                    best = _hmin(best, x + y)
-            Lv.append(best)
-        sigma = min(self.delta(), other.delta(), Fraction(0))
-        B = None
-        for m in range(N, 2 * N + 3):
-            best = None
-            for a in range(m + 1):
-                x, y = self.at(a), other.at(m - a)
-                if x is not None and y is not None:
-                    best = _hmin(best, x + y)
-            if best is not None:
-                B = _hmin(B, best - sigma * (m - N))
-        return Floors(N, Lv, B, sigma)
+        top = 2 * N + 2
+        den = lcm(self._table()[0], other._table()[0])
+        xs, _, dx = self._over(den, top)
+        ys, _, dy = other._over(den, top)
+        best = [None] * (top + 1)
+        j0 = _first(ys)
+        for i in range(_first(xs), top + 1 - j0):
+            x = xs[i]
+            for j in range(j0, top + 1 - i):
+                s = x + ys[j]
+                cur = best[i + j]
+                if cur is None or s < cur:
+                    best[i + j] = s
+        sig = min(dx, dy, 0)
+        return Floors._from_ints(N, den, best[:N], _tail(best, N, sig), sig)
 
     def shift(self, v):
         """Floors of p^v * x."""
-        Lv = [None] * self.N
-        for m in range(v, self.N):
-            Lv[m] = self.at(m - v)
-        tail = []
-        for m in range(self.N, 2 * self.N + v + 1):
-            val = self.at(m - v)
-            if val is not None:
-                tail.append(val - self.sigma * (m - self.N))
-        B = min(tail) if tail else None
-        return Floors(self.N, Lv, B, self.sigma)
+        N = self.N
+        den = self._table()[0]
+        xs, sig, _ = self._over(den, 2 * N)
+        xs = [None] * v + xs
+        return Floors._from_ints(N, den, xs[:N], _tail(xs, N, sig), sig)
+
+    def truncate(self, n, top):
+        """Floors of x mod p^n: the levels n..top fold into the tail."""
+        den = self._table()[0]
+        xs, sig, _ = self._over(den, top)
+        return Floors._from_ints(n, den, xs[:n], _tail(xs, n, sig), sig)
 
     def scale(self, c):
         sc = Fraction(c)
@@ -246,30 +337,28 @@ class WAlg:
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
         ring = oe_ring(self.params)
+        # floors are non-increasing past their first finite level, so the
+        # least floor over the levels <= v - v1 is the one at v - v1
+        fs = [self.floors.at(v) for v in range(prec)]
+        fo = [other.floors.at(v) for v in range(prec)]
         H = []
         for v in range(prec):
             best = None
             for v1 in range(v + 1):
-                v2max = v - v1
-                a = self.H[v1] if v1 < self.prec else None
-                if a is not None:
-                    for v2 in range(v2max + 1):
-                        fl = other.floors.at(v2)
-                        if fl is not None:
-                            best = _hmin(best, a + fl)
-                b = other.H[v1] if v1 < other.prec else None
-                if b is not None:
-                    for v2 in range(v2max + 1):
-                        fl = self.floors.at(v2)
-                        if fl is not None:
-                            best = _hmin(best, b + fl)
+                a, fl = self.H[v1], fo[v - v1]
+                if a is not None and fl is not None:
+                    best = _hmin(best, a + fl)
+                b, fl = other.H[v1], fs[v - v1]
+                if b is not None and fl is not None:
+                    best = _hmin(best, b + fl)
             H.append(best)
         H = _hmono(tuple(H))
+        rhs = [(e, ring.raw_reduce(c, prec)) for e, c in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                prod = ring.raw_mul(ring.raw_reduce(c1, prec),
-                                    ring.raw_reduce(c2, prec), prec)
+            c1 = ring.raw_reduce(c1, prec)
+            for e2, c2 in rhs:
+                prod = ring.raw_mul(c1, c2, prec)
                 if not any(prod):
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -330,14 +419,10 @@ class WAlg:
     def reduce(self, prec: int) -> "WAlg":
         if prec >= self.prec:
             return self
-        cands = [self.floors.at(m) - self.floors.sigma * (m - prec)
-                 for m in range(prec, 2 * self.prec + 1)
-                 if self.floors.at(m) is not None]
-        fl = Floors(prec, self.floors.Lv[:prec],
-                    min(cands) if cands else None, self.floors.sigma)
         return WAlg(self.params, prec,
                     sparse.reduce(oe_ring(self.params), self.terms, prec),
-                    self.H[:prec], fl, _normalized=True)
+                    self.H[:prec], self.floors.truncate(prec, 2 * self.prec),
+                    _normalized=True)
 
     def __repr__(self):
         scale = self.params.p ** self.params.k

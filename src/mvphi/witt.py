@@ -106,14 +106,29 @@ def _ghost(nvars, offset, n, p):
     return acc
 
 
+def _mod_p_terms(poly: ZPoly, p: int) -> tuple:
+    """The terms of an integral polynomial with coefficient c mod p != 0,
+    as (c mod p, ((j, d), ...) over the variables j of exponent d > 0)."""
+    out = []
+    for e, c in poly.terms.items():
+        ci = c.numerator % p
+        if ci:
+            out.append((ci, tuple((j, d) for j, d in enumerate(e) if d)))
+    return tuple(out)
+
+
 class StructurePolys:
-    """Addition and multiplication polynomials S_n, P_n for W_N."""
+    """Addition and multiplication polynomials S_n, P_n for W_N, and their
+    terms mod p (``sums_mod_p``, ``prods_mod_p``), which the arithmetic
+    over a characteristic-p handle evaluates."""
 
     def __init__(self, p: int, N: int, sums, prods):
         self.p = p
         self.N = N
         self.sums = sums
         self.prods = prods
+        self.sums_mod_p = [_mod_p_terms(s, p) for s in sums]
+        self.prods_mod_p = [_mod_p_terms(q, p) for q in prods]
 
 
 @cached
@@ -254,8 +269,9 @@ class WittVec:
         return WittVec(self.handle, prec, self.form, self.comps[:prec])
 
 
-def _eval_struct(poly: ZPoly, handle, xs, ys, p):
-    """Evaluate a structure polynomial on handle elements (coeffs mod p)."""
+def _eval_struct(terms, handle, xs, ys):
+    """Evaluate a structure polynomial, given by its terms mod p, on handle
+    elements."""
     acc = handle.zero()
     one = handle.one()
     pow_cache = {}
@@ -276,16 +292,12 @@ def _eval_struct(poly: ZPoly, handle, xs, ys, p):
         return got
 
     N = len(xs)
-    for e, c in poly.terms.items():
-        ci = c.numerator % p
-        if ci == 0:
-            continue
+    for ci, factors in terms:
         term = None
-        for j, d in enumerate(e):
-            if d:
-                val = xs[j] if j < N else ys[j - N]
-                pw = power(j, val, d)
-                term = pw if term is None else handle.mul(term, pw)
+        for j, d in factors:
+            val = xs[j] if j < N else ys[j - N]
+            pw = power(j, val, d)
+            term = pw if term is None else handle.mul(term, pw)
         if term is None:
             term = one
         scaled = handle.zero()
@@ -300,7 +312,7 @@ def witt_add(u: WittVec, v: WittVec) -> WittVec:
         raise ValueError("operands live over different Witt rings")
     sp = gen_structure_polys(u.handle.p, u.prec)
     xs, ys = u.coordinates().comps, v.coordinates().comps
-    comps = tuple(_eval_struct(sp.sums[n], u.handle, xs, ys, u.handle.p)
+    comps = tuple(_eval_struct(sp.sums_mod_p[n], u.handle, xs, ys)
                   for n in range(u.prec))
     return WittVec(u.handle, u.prec, WITT_COORDS, comps)
 
@@ -310,7 +322,7 @@ def witt_mul(u: WittVec, v: WittVec) -> WittVec:
         raise ValueError("operands live over different Witt rings")
     sp = gen_structure_polys(u.handle.p, u.prec)
     xs, ys = u.coordinates().comps, v.coordinates().comps
-    comps = tuple(_eval_struct(sp.prods[n], u.handle, xs, ys, u.handle.p)
+    comps = tuple(_eval_struct(sp.prods_mod_p[n], u.handle, xs, ys)
                   for n in range(u.prec))
     return WittVec(u.handle, u.prec, WITT_COORDS, comps)
 

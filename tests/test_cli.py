@@ -203,3 +203,51 @@ def test_mv_from_rejects_wrong_vector_lengths(tmp_path):
     path.write_text(json.dumps(bad))
     assert cli.main(["norm", "--p", "3", "--f", "2", "--h", "2",
                      "--in", str(path)]) == 2
+
+
+def test_kernel_value_error_is_internal(monkeypatch, capsys, tmp_path):
+    # a ValueError or KeyError raised by the kernel after the input was
+    # read is an internal error (3), not a usage error (2)
+    from mvphi import cli
+    from mvphi.coeff import OERing
+
+    def inexact(self, a, v, prec):
+        raise ValueError("division by p^v is not exact")
+    monkeypatch.setattr(OERing, "raw_div_exact_p", inexact)
+    assert cli.main(["iota", "--p", "2", "--f", "1", "--prec", "2",
+                     "--out", str(tmp_path / "iota.json")]) == 3
+    assert "internal error: ValueError: division by p^v is not exact" \
+        in capsys.readouterr().err
+
+    def missing(x, s):
+        raise KeyError("table entry")
+    monkeypatch.setattr(cli, "norm_s", missing)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(ser.mv_json(
+        MvLaurent.monomial(Params.create(3, 1, 1), 1))))
+    assert cli.main(["norm", "--p", "3", "--f", "1", "--in",
+                     str(path)]) == 3
+    assert "internal error: KeyError" in capsys.readouterr().err
+
+
+def test_input_errors_are_usage_errors(tmp_path, capsys):
+    from mvphi import cli
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_key = tmp_path / "no_key.json"
+    no_key.write_text(json.dumps({"pi_prec": 3}))
+    cases = [
+        ["phi-y", "--p", "4", "--f", "1"],                  # Params.create
+        ["phi-y", "--config", str(tmp_path / "missing.json")],
+        ["phi-y", "--config", str(bad_json)],
+        ["norm", "--p", "3", "--f", "1", "--in", str(bad_json)],
+        ["norm", "--p", "3", "--f", "1", "--in", str(no_key)],  # mv_from
+        ["oc-cert", "--p", "3", "--f", "1", "--in", str(no_key)],
+        ["gamma-y", "--p", "3", "--f", "1", "--a", "x"],
+        ["gamma-y", "--p", "3", "--f", "2", "--h", "2", "--a", "1"],
+        ["phi-y", "--p", "2", "--f", "1",
+         "--out", str(tmp_path / "no" / "dir.json")],
+    ]
+    for argv in cases:
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, oe_ring
-from mvphi.embed import (WAlg, congruent_mod, b_val_walg, iota_generators,
-                         iota, iota_context, verify_norm_compare,
-                         verify_phi_equivariance, to_belt)
+from mvphi.embed import (Floors, WAlg, congruent_mod, b_val_walg,
+                         iota_generators, iota, iota_context,
+                         verify_norm_compare, verify_phi_equivariance,
+                         to_belt)
 from mvphi.mvring import MvLaurent, norm_s
 from mvphi.perfd import b_val_r, gauss_val
 from mvphi.errors import Uncertified
@@ -230,3 +232,246 @@ def test_to_belt_digits_match_spec_example():
     digits = belt.digits()
     assert gauss_val(digits[0]) == 1
     assert gauss_val(digits[1]) == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer floor arithmetic against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+def _ref_hmin(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+class RefFloors:
+    """The Fraction-only floors the integer tables replace, kept as the
+    reference: every value is rebuilt from Lv, B and sigma on each use."""
+
+    def __init__(self, N, Lv, B, sigma):
+        self.N = N
+        lv = list(Lv)
+        prev = None
+        for i in range(N):
+            if lv[i] is None:
+                lv[i] = prev
+            elif prev is not None:
+                lv[i] = min(lv[i], prev)
+            prev = lv[i]
+        self.Lv = tuple(lv)
+        self.B = B if prev is None else _ref_hmin(B, prev)
+        self.sigma = sigma
+
+    @staticmethod
+    def exact(N, level_mins):
+        return RefFloors(N, level_mins, None, Fraction(0))
+
+    def at(self, m):
+        if m < self.N:
+            return self.Lv[m]
+        if self.B is None:
+            return None
+        return self.B + self.sigma * (m - self.N)
+
+    def delta(self):
+        best = self.sigma
+        prev = None
+        for v in range(self.N):
+            cur = self.Lv[v]
+            if prev is not None and cur is not None:
+                best = min(best, cur - prev)
+            prev = cur
+        if prev is not None and self.B is not None:
+            best = min(best, self.B - prev)
+        return best
+
+    def meet(self, other):
+        return RefFloors(self.N, tuple(_ref_hmin(a, b) for a, b in
+                                       zip(self.Lv, other.Lv)),
+                         _ref_hmin(self.B, other.B),
+                         min(self.sigma, other.sigma))
+
+    def convolve(self, other):
+        N = self.N
+        Lv = []
+        for v in range(N):
+            best = None
+            for a in range(v + 1):
+                x, y = self.at(a), other.at(v - a)
+                if x is not None and y is not None:
+                    best = _ref_hmin(best, x + y)
+            Lv.append(best)
+        sigma = min(self.delta(), other.delta(), Fraction(0))
+        B = None
+        for m in range(N, 2 * N + 3):
+            best = None
+            for a in range(m + 1):
+                x, y = self.at(a), other.at(m - a)
+                if x is not None and y is not None:
+                    best = _ref_hmin(best, x + y)
+            if best is not None:
+                B = _ref_hmin(B, best - sigma * (m - N))
+        return RefFloors(N, Lv, B, sigma)
+
+    def shift(self, v):
+        Lv = [None] * self.N
+        for m in range(v, self.N):
+            Lv[m] = self.at(m - v)
+        tail = []
+        for m in range(self.N, 2 * self.N + v + 1):
+            val = self.at(m - v)
+            if val is not None:
+                tail.append(val - self.sigma * (m - self.N))
+        return RefFloors(self.N, Lv, min(tail) if tail else None,
+                         self.sigma)
+
+    def scale(self, c):
+        sc = Fraction(c)
+        return RefFloors(self.N,
+                         tuple(None if x is None else x * sc
+                               for x in self.Lv),
+                         None if self.B is None else self.B * sc,
+                         self.sigma * sc)
+
+    def reduce(self, prec, walg_prec):
+        """The floors of ``WAlg.reduce(prec)`` on an element of precision
+        walg_prec."""
+        cands = [self.at(m) - self.sigma * (m - prec)
+                 for m in range(prec, 2 * walg_prec + 1)
+                 if self.at(m) is not None]
+        return RefFloors(prec, self.Lv[:prec],
+                         min(cands) if cands else None, self.sigma)
+
+    def global_min(self):
+        vals = [x for x in self.Lv if x is not None]
+        if self.B is not None:
+            vals.append(self.B)
+        return min(vals) if vals else None
+
+
+def ref_product_horizons(x, y):
+    """The O(N^3) horizon loop of the WAlg product: a minimum over every
+    v2 <= v - v1 of the other operand's floors."""
+    prec = min(x.prec, y.prec)
+    H = []
+    for v in range(prec):
+        best = None
+        for v1 in range(v + 1):
+            for h, fl in ((x.H[v1], y.floors), (y.H[v1], x.floors)):
+                if h is None:
+                    continue
+                for v2 in range(v - v1 + 1):
+                    f = fl.at(v2)
+                    if f is not None:
+                        best = _ref_hmin(best, h + f)
+        H.append(best)
+    for v in range(1, len(H)):
+        H[v] = _ref_hmin(H[v], H[v - 1])
+    return tuple(H)
+
+
+def _same_floors(fl, ref):
+    assert fl.N == ref.N
+    assert fl.Lv[:fl.N] == ref.Lv[:ref.N]
+    assert fl.B == ref.B and fl.sigma == ref.sigma
+    assert fl.delta() == ref.delta()
+    assert fl.global_min() == ref.global_min()
+    for m in range(2 * fl.N + 6):
+        assert fl.at(m) == ref.at(m)
+    # the invariants the integer shortcut relies on
+    assert fl.sigma <= 0
+    finite = [fl.at(m) for m in range(2 * fl.N + 6)]
+    first = next((i for i, x in enumerate(finite) if x is not None),
+                 len(finite))
+    assert all(x is not None for x in finite[first:])
+    assert all(a >= b for a, b in zip(finite[first:], finite[first + 1:]))
+
+
+_FLOOR_P = 3
+_level = st.one_of(st.none(), st.fractions(min_value=-4, max_value=12,
+                                           max_denominator=27))
+
+
+@st.composite
+def floor_pairs(draw, N=None):
+    """(Floors, RefFloors) built by the same random program of public
+    operations from exact starting data."""
+    if N is None:
+        N = draw(st.integers(1, 4))
+    lv = draw(st.lists(_level, min_size=N, max_size=N))
+    pair = (Floors.exact(N, lv), RefFloors.exact(N, lv))
+    pr = Params.create(_FLOOR_P, 1, 1, N=4)
+    for op in draw(st.lists(st.sampled_from(
+            ["meet", "convolve", "shift", "up", "down", "reduce"]),
+            max_size=5)):
+        fl, ref = pair
+        if op in ("meet", "convolve"):
+            # meet takes an operand of at least its own N, convolve any
+            M = draw(st.integers(N if op == "meet" else 1, 4))
+            olv = draw(st.lists(_level, min_size=M, max_size=M))
+            other = (Floors.exact(M, olv), RefFloors.exact(M, olv))
+            if draw(st.booleans()):
+                other = (other[0].scale(Fraction(1, _FLOOR_P)),
+                         other[1].scale(Fraction(1, _FLOOR_P)))
+            pair = (getattr(fl, op)(other[0]), getattr(ref, op)(other[1]))
+        elif op == "shift":
+            # scalar_mul shifts by v < prec <= N; past N the reference reads
+            # levels m - v < 0 as Lv[m - v]
+            v = draw(st.integers(0, N))
+            pair = (fl.shift(v), ref.shift(v))
+        elif op == "up":
+            pair = (fl.scale(_FLOOR_P), ref.scale(_FLOOR_P))
+        elif op == "down":
+            pair = (fl.scale(Fraction(1, _FLOOR_P)),
+                    ref.scale(Fraction(1, _FLOOR_P)))
+        elif N > 1:
+            n = draw(st.integers(1, N - 1))
+            x = WAlg(pr, N, {}, floors=fl)
+            pair = (x.reduce(n).floors, ref.reduce(n, N))
+            N = n
+        _same_floors(*pair)
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_pairs())
+def test_floors_match_fraction_reference(pair):
+    _same_floors(*pair)
+
+
+@st.composite
+def walg_operands(draw):
+    """A WAlg with random terms, horizons and floors at (3,1,1)."""
+    pr = Params.create(3, 1, 1, N=4)
+    prec = draw(st.integers(1, 4))
+    fl, ref = draw(floor_pairs(N=prec))
+    H = tuple(draw(st.lists(_level, min_size=prec, max_size=prec)))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-3 * 81, 3 * 81)),
+        st.tuples(st.integers(0, 3 ** prec - 1)), max_size=5))
+    return WAlg(pr, prec, terms, H, fl), ref
+
+
+def _ref_walg_mul_terms(x, y):
+    ring = oe_ring(x.params)
+    prec = min(x.prec, y.prec)
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            prod = ring.raw_mul(ring.raw_reduce(c1, prec),
+                                ring.raw_reduce(c2, prec), prec)
+            e = (e1[0] + e2[0],)
+            out[e] = ring.raw_add(out.get(e, (0,)), prod, prec)
+    return {e: c for e, c in out.items() if any(c)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(walg_operands(), walg_operands())
+def test_walg_product_horizons_match_cubic_loop(a, b):
+    (x, xref), (y, yref) = a, b
+    z = x * y
+    assert z.H == ref_product_horizons(x, y)
+    _same_floors(z.floors, xref.convolve(yref))
+    assert z.terms == _ref_walg_mul_terms(x, y)

@@ -25,6 +25,27 @@ def test_structure_polys_degree_zero():
     assert p0 == {(1, 0, 0, 1, 0, 0): Fraction(1)}
 
 
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 3), (3, 4)])
+def test_structure_polys_terms_mod_p(p, N):
+    # the reduced terms the handle arithmetic reads are the polynomials mod
+    # p, term for term in the polynomials' order
+    sp = gen_structure_polys(p, N)
+    for polys, reduced in ((sp.sums, sp.sums_mod_p),
+                           (sp.prods, sp.prods_mod_p)):
+        for poly, terms in zip(polys, reduced, strict=True):
+            back = []
+            for c, factors in terms:
+                assert 0 < c < p
+                e = [0] * (2 * N)
+                for j, d in factors:
+                    assert d > 0 and e[j] == 0
+                    e[j] = d
+                back.append((tuple(e), c))
+            assert back == [(e, c.numerator % p)
+                            for e, c in poly.terms.items()
+                            if c.numerator % p]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_s1_closed_form(p):
     # S_1 = X_1 + Y_1 - sum_{j=1}^{p-1} (1/p) C(p,j) X_0^j Y_0^{p-j}
