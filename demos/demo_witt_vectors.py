@@ -1,7 +1,7 @@
 """Witt vectors from first principles: ghost components and digit forms.
 
 Structure polynomials are solved from the ghost identities over the
-rationals; this script prints the first few, spot-checks the identities on
+integers; this script prints the first few, spot-checks the identities on
 random integers, and exhibits the isomorphism of length-N vectors over the
 prime field with integers mod p^N.
 """
@@ -9,14 +9,14 @@ prime field with integers mod p^N.
 import random
 
 from mvphi.coeff import Params, fq_field
-from mvphi.witt import (gen_structure_polys, ghost_components,
+from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, from_int,
                         witt_add, witt_mul, teich)
 
 
-def poly_str(zp, names):
+def poly_str(poly, names):
     bits = []
-    for e, c in sorted(zp.terms.items()):
+    for e, c in sorted(poly.items()):
         mono = "*".join(f"{names[i]}^{d}" if d > 1 else names[i]
                         for i, d in enumerate(e) if d)
         bits.append(f"{c}{'*' + mono if mono else ''}")
@@ -35,7 +35,7 @@ def main():
     rng = random.Random(0)
     xs = [rng.randrange(20) for _ in range(N)]
     ys = [rng.randrange(20) for _ in range(N)]
-    svals = [sp.sums[n].eval_int(xs + ys) for n in range(N)]
+    svals = [eval_int(sp.sums[n], xs + ys) for n in range(N)]
     print(f"\nghost check on {xs} + {ys}:")
     print("  ghost(x)      =", ghost_components(p, N, xs))
     print("  ghost(y)      =", ghost_components(p, N, ys))

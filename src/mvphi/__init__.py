@@ -12,9 +12,8 @@ from .mvring import (MvLaurent, NormValue, invert_unit, norm_s, member,
 from .witt import (WittVec, StructurePolys, gen_structure_polys, witt_add,
                    witt_mul, teich, to_expansion, from_expansion,
                    map_coefficients)
-from .perfd import (PerfLaurent, PerfRing, BElt, ainf_ring, lt_ring,
-                    ainf_prime_ring, gauss_val, b_val_r, member_B0r,
-                    pr_radius)
+from .perfd import (PerfLaurent, PerfRing, BElt, ainf_ring, gauss_val,
+                    b_val_r, member_B0r, pr_radius)
 from .embed import (WAlg, IotaResult, iota_generators, iota,
                     verify_norm_compare, verify_phi_equivariance, to_belt)
 from .phimod import (PhiModule, is_etale, base_change, unramified_char,
@@ -33,8 +32,8 @@ __all__ = [
     "WittVec", "StructurePolys", "gen_structure_polys", "witt_add",
     "witt_mul", "teich", "to_expansion", "from_expansion",
     "map_coefficients",
-    "PerfLaurent", "PerfRing", "BElt", "ainf_ring", "lt_ring",
-    "ainf_prime_ring", "gauss_val", "b_val_r", "member_B0r", "pr_radius",
+    "PerfLaurent", "PerfRing", "BElt", "ainf_ring", "gauss_val", "b_val_r",
+    "member_B0r", "pr_radius",
     "WAlg", "IotaResult", "iota_generators", "iota", "verify_norm_compare",
     "verify_phi_equivariance", "to_belt",
     "PhiModule", "is_etale", "base_change", "unramified_char",

@@ -677,14 +677,8 @@ class OKRing:
         self.params = params
         self.oe = oe_ring(params)
         self.field = fq_field(params)
-        p, f, h = params.p, params.f, params.h
         self.prec = params.n_work()
         self.fq_basis = self._subfield_basis()
-        # Teichmueller lifts of the basis, as raw O_E coordinate tuples
-        self.teich_basis = [self.oe.raw_teich(b, self.prec)
-                            for b in self.fq_basis]
-        # h x f matrix with columns the basis lifts
-        self.T = [[self.teich_basis[j][i] for j in range(f)] for i in range(h)]
         self._solver_cache: dict = {}
         self._prepare_solver()
 
@@ -728,10 +722,11 @@ class OKRing:
 
     def _prepare_solver(self):
         p, f, h = self.params.p, self.params.f, self.params.h
-        # choose f pivot rows of T that are independent mod p
-        rows, used = [], []
-        work = [row[:] for row in self.T]
-        reduced = [[c % p for c in row] for row in work]
+        # choose f pivot rows of the basis-lift matrix that are independent
+        # mod p; a Teichmueller lift is its residue mod p, so these are the
+        # rows of the F_q basis coordinates
+        rows = []
+        reduced = [[b.coords[i] for b in self.fq_basis] for i in range(h)]
         rank_rows = []
         basis_rows = []
         for i in range(h):

@@ -23,55 +23,20 @@ from math import lcm
 from typing import Optional
 
 from .caches import cached
-from .coeff import Params, oe_ring
+from .coeff import OEInt, Params, oe_ring
 from .errors import (DepthExhausted, StabilizationFailure, Uncertified)
 from .mvring import MvLaurent, NormValue, norm_s, apply_phi
 from .perfd import PerfLaurent, ainf_handle, BElt
 from . import iwasawa, sparse
+from .sparse import bound_min
 from . import witt as wt
-
-
-def _hmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _hmono(H):
     out = list(H)
     for v in range(1, len(out)):
-        out[v] = _hmin(out[v], out[v - 1])
+        out[v] = bound_min(out[v], out[v - 1])
     return tuple(out)
-
-
-def _normalize(N, lv, b):
-    """Lv made non-increasing past its first finite entry (a missing level
-    takes the one below it) and B capped by the last finite level."""
-    lv = list(lv)
-    prev = None
-    for i in range(N):
-        x = lv[i]
-        if x is None or (prev is not None and prev < x):
-            lv[i] = prev
-        prev = lv[i]
-    return lv, b if prev is None else _hmin(b, prev)
-
-
-def _tabulate(N, den, lv, b, sig):
-    """(den, den*fl(0..2N+2), den*sigma, den*delta) from the numerators
-    of the N levels, the tail B and the slope over den."""
-    tab = list(lv[:N])
-    tab += [None if b is None else b + sig * (m - N)
-            for m in range(N, 2 * N + 3)]
-    delta = sig
-    prev = None
-    for x in tab[:N + 1]:
-        if prev is not None and x is not None and x - prev < delta:
-            delta = x - prev
-        prev = x
-    return den, tab, sig, delta
 
 
 def _tail(vals, n, sig):
@@ -104,137 +69,149 @@ class Floors:
     first finite level, finite and non-increasing from there on, and the
     minimum of fl over the levels <= m is fl(m).
 
-    A Floors is immutable.  Its arithmetic runs on integers: on first use
-    it tabulates D*fl(0..2N+2), D*sigma and D*delta() over one common
-    denominator D of its values.  ``convolve`` and ``meet`` work on these
-    numerators over lcm(D, D') of the two operands, ``shift`` and
-    ``truncate`` over D, and only the N levels and B of a result are turned
-    back into Fractions.
+    A Floors is immutable and holds integers only: a denominator D,
+    D*fl(0..2N+2), D*sigma and D*delta().  ``Lv``, ``B``, ``sigma``,
+    ``at()``, ``delta()`` and ``global_min()`` build exact Fractions on
+    read; ``convolve`` and ``meet`` work over lcm(D, D') of the two
+    operands.
     """
 
-    __slots__ = ("N", "Lv", "B", "sigma", "_ints")
+    __slots__ = ("N", "den", "tab", "sig", "dlt")
 
-    def __init__(self, N, Lv, B, sigma):
-        self.N = N
-        lv, self.B = _normalize(N, Lv, B)
-        self.Lv = tuple(lv)
-        self.sigma = sigma
-        self._ints = None
+    def __init__(self, N, den, lv, b, sig):
+        """The floors of the numerators lv (N levels), b and sig over den.
 
-    @classmethod
-    def _from_ints(cls, N, den, lv, b, sig):
-        """The Floors of the numerators lv, b, sig over den, normalized as
-        the constructor does."""
-        lv, b = _normalize(N, lv, b)
-        self = cls.__new__(cls)
-        self.N = N
-        self.Lv = tuple(None if x is None else Fraction(x, den) for x in lv)
-        self.B = None if b is None else Fraction(b, den)
-        self.sigma = Fraction(sig, den)
-        self._ints = _tabulate(N, den, lv, b, sig)
-        return self
+        A missing level takes the one below it, a level above the one
+        below it is lowered to it, and B is capped by the last finite
+        level.
+        """
+        tab = list(lv[:N])
+        prev = None
+        for i in range(N):
+            x = tab[i]
+            if x is None or (prev is not None and prev < x):
+                tab[i] = prev
+            prev = tab[i]
+        b = bound_min(b, prev)
+        tab += [None if b is None else b + sig * (m - N)
+                for m in range(N, 2 * N + 3)]
+        # delta(), the least increment past the first finite level; every
+        # entry from there on is finite
+        dlt = sig
+        for x, y in zip(tab[:N], tab[1:N + 1]):
+            if x is not None and y - x < dlt:
+                dlt = y - x
+        self.N, self.den, self.tab, self.sig, self.dlt = N, den, tab, sig, dlt
 
     @staticmethod
     def exact(N, level_mins):
-        """From exact finite data: cumulative minima, flat tail."""
-        return Floors(N, level_mins, None, Fraction(0))
+        """From exact finite data (Fractions): cumulative minima, flat
+        tail."""
+        den = lcm(*(x.denominator for x in level_mins if x is not None))
+        return Floors(N, den, [None if x is None else
+                               x.numerator * (den // x.denominator)
+                               for x in level_mins], None, 0)
 
-    def _table(self):
-        """(D, D*fl(0..2N+2), D*sigma, D*delta()), built on first use."""
-        if self._ints is None:
-            lv = self.Lv[:self.N]
-            vals = [x for x in lv if x is not None] + [self.sigma]
-            if self.B is not None:
-                vals.append(self.B)
-            den = lcm(*(x.denominator for x in vals))
+    def _frac(self, x):
+        return None if x is None else Fraction(x, self.den)
 
-            def num(x):
-                return None if x is None else \
-                    x.numerator * (den // x.denominator)
-            self._ints = _tabulate(self.N, den, [num(x) for x in lv],
-                                   num(self.B), num(self.sigma))
-        return self._ints
+    @property
+    def Lv(self):
+        return tuple(self._frac(x) for x in self.tab[:self.N])
+
+    @property
+    def B(self):
+        return self._frac(self.tab[self.N])
+
+    @property
+    def sigma(self):
+        return Fraction(self.sig, self.den)
 
     def _over(self, den, top):
         """(den*fl(0..top), den*sigma, den*delta()) as ints, None for no
         content; D must divide den."""
-        d, tab, sig, delta = self._table()
-        tab = tab[:top + 1]
+        tab = self.tab[:top + 1]
         for m in range(len(tab), top + 1):
-            b = tab[self.N]
-            tab.append(None if b is None else b + sig * (m - self.N))
-        r = den // d
+            b = self.tab[self.N]
+            tab.append(None if b is None else b + self.sig * (m - self.N))
+        r = den // self.den
         if r == 1:
-            return tab, sig, delta
-        return [None if x is None else x * r for x in tab], sig * r, \
-            delta * r
+            return tab, self.sig, self.dlt
+        return [None if x is None else x * r for x in tab], self.sig * r, \
+            self.dlt * r
 
     def at(self, m):
         if m < self.N:
-            return self.Lv[m]
-        if self.B is None:
-            return None
-        return self.B + self.sigma * (m - self.N)
+            return self._frac(self.tab[m])
+        b = self.tab[self.N]
+        return self._frac(None if b is None else b + self.sig * (m - self.N))
 
     def delta(self):
         """min increment fl(m+1) - fl(m) past the first finite level."""
-        d, _, _, delta = self._table()
-        return Fraction(delta, d)
+        return Fraction(self.dlt, self.den)
 
     def meet(self, other):
-        N = self.N
-        den = lcm(self._table()[0], other._table()[0])
-        xs, sx, _ = self._over(den, N)
+        """Floors of a sum, at the lower of the two precisions."""
+        N = min(self.N, other.N)
+        den = lcm(self.den, other.den)
+        xs, sx, _ = self._over(den, self.N)
         ys, sy, _ = other._over(den, other.N)
-        lv = [_hmin(x, y) for x, y in zip(xs[:N], ys[:other.N])]
-        return Floors._from_ints(N, den, lv, _hmin(xs[N], ys[other.N]),
-                                 min(sx, sy))
+        lv = [bound_min(x, y) for x, y in zip(xs[:N], ys[:N])]
+        return Floors(N, den, lv, bound_min(xs[self.N], ys[other.N]),
+                      min(sx, sy))
 
     def convolve(self, other):
-        """Floors of a product (min-plus convolution with affine tails)."""
+        """Floors of a product (min-plus convolution with affine tails).
+
+        Past the level i0 + j0 of the first finite entries, the increments
+        of the convolution are at least min(delta, delta') >= sigma, so
+        best[m] - sigma * (m - N) is non-decreasing there and the tail B
+        is fixed by the first finite m >= N: the pairs with a + b <=
+        max(N, i0 + j0) are all that is needed.
+        """
         N = self.N
         top = 2 * N + 2
-        den = lcm(self._table()[0], other._table()[0])
+        den = lcm(self.den, other.den)
         xs, _, dx = self._over(den, top)
         ys, _, dy = other._over(den, top)
-        best = [None] * (top + 1)
-        j0 = _first(ys)
-        for i in range(_first(xs), top + 1 - j0):
+        i0, j0 = _first(xs), _first(ys)
+        hi = min(max(N, i0 + j0), top)
+        best = [None] * (hi + 1)
+        for i in range(i0, hi + 1 - j0):
             x = xs[i]
-            for j in range(j0, top + 1 - i):
+            for j in range(j0, hi + 1 - i):
                 s = x + ys[j]
                 cur = best[i + j]
                 if cur is None or s < cur:
                     best[i + j] = s
         sig = min(dx, dy, 0)
-        return Floors._from_ints(N, den, best[:N], _tail(best, N, sig), sig)
+        return Floors(N, den, best[:N], _tail(best, N, sig), sig)
 
     def shift(self, v):
         """Floors of p^v * x."""
         N = self.N
-        den = self._table()[0]
-        xs, sig, _ = self._over(den, 2 * N)
+        xs, sig, _ = self._over(self.den, 2 * N)
         xs = [None] * v + xs
-        return Floors._from_ints(N, den, xs[:N], _tail(xs, N, sig), sig)
+        return Floors(N, self.den, xs[:N], _tail(xs, N, sig), sig)
 
     def truncate(self, n, top):
         """Floors of x mod p^n: the levels n..top fold into the tail."""
-        den = self._table()[0]
-        xs, sig, _ = self._over(den, top)
-        return Floors._from_ints(n, den, xs[:n], _tail(xs, n, sig), sig)
+        xs, sig, _ = self._over(self.den, top)
+        return Floors(n, self.den, xs[:n], _tail(xs, n, sig), sig)
 
     def scale(self, c):
-        sc = Fraction(c)
-        return Floors(self.N,
-                      tuple(None if x is None else x * sc for x in self.Lv),
-                      None if self.B is None else self.B * sc,
-                      self.sigma * sc if self.sigma is not None else None)
+        """Floors of the values times c > 0 (Frobenius and its inverse)."""
+        c = Fraction(c)
+        a, d = c.numerator, c.denominator
+        b = self.tab[self.N]
+        return Floors(self.N, self.den * d,
+                      [None if x is None else x * a
+                       for x in self.tab[:self.N]],
+                      None if b is None else b * a, self.sig * a)
 
     def global_min(self):
-        vals = [x for x in self.Lv if x is not None]
-        if self.B is not None:
-            vals.append(self.B)
-        return min(vals) if vals else None
+        return self._frac(min((x for x in self.tab[:self.N + 1]
+                               if x is not None), default=None))
 
     def __repr__(self):
         return f"Floors({self.Lv}, tail {self.B} slope {self.sigma})"
@@ -268,7 +245,7 @@ class WAlg:
             if hv is not None and gv >= hv:
                 continue
             out[tuple(e)] = rc
-            level_mins[v] = _hmin(level_mins[v], gv)
+            level_mins[v] = bound_min(level_mins[v], gv)
         self.terms = out
         if floors is None:
             if any(h is not None for h in self.H):
@@ -320,7 +297,7 @@ class WAlg:
 
     def __add__(self, other):
         prec = min(self.prec, other.prec)
-        H = _hmono(tuple(_hmin(a, b) for a, b in
+        H = _hmono(tuple(bound_min(a, b) for a, b in
                          zip(self.H[:prec], other.H[:prec])))
         out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec)
         return WAlg(self.params, prec, out, H,
@@ -347,10 +324,10 @@ class WAlg:
             for v1 in range(v + 1):
                 a, fl = self.H[v1], fo[v - v1]
                 if a is not None and fl is not None:
-                    best = _hmin(best, a + fl)
+                    best = bound_min(best, a + fl)
                 b, fl = other.H[v1], fs[v - v1]
                 if b is not None and fl is not None:
-                    best = _hmin(best, b + fl)
+                    best = bound_min(best, b + fl)
             H.append(best)
         H = _hmono(tuple(H))
         rhs = [(e, ring.raw_reduce(c, prec)) for e, c in other.terms.items()]
@@ -385,7 +362,7 @@ class WAlg:
 
     def clamp(self, bounds) -> "WAlg":
         """Impose additional per-level horizons (a knowledge statement)."""
-        H = _hmono(tuple(_hmin(a, b) for a, b in zip(self.H, bounds)))
+        H = _hmono(tuple(bound_min(a, b) for a, b in zip(self.H, bounds)))
         ring = oe_ring(self.params)
         out = {}
         for e, c in self.terms.items():
@@ -439,7 +416,7 @@ def congruent_mod(x: WAlg, y: WAlg, m: int) -> bool:
     """x = y mod p^m on the meet of the certified regions."""
     diff = x - y
     ring = oe_ring(x.params)
-    H = tuple(_hmin(a, b) for a, b in zip(x.H, y.H))
+    H = tuple(bound_min(a, b) for a, b in zip(x.H, y.H))
     for e, c in diff.terms.items():
         v = ring.raw_val(c, diff.prec)
         if v >= m:
@@ -650,7 +627,7 @@ def verify_phi_equivariance(x: MvLaurent) -> dict:
     lhs = iota_phi(iota(x))
     rhs = iota(apply_phi(x))
     ok = congruent_mod(lhs, rhs, min(lhs.prec, rhs.prec))
-    meet = tuple(_hmin(a, b) for a, b in zip(lhs.H, rhs.H))
+    meet = tuple(bound_min(a, b) for a, b in zip(lhs.H, rhs.H))
     gmin = lhs.floors.global_min()
     nontrivial = all(h is None or (gmin is not None and h > gmin)
                      for h in meet)
@@ -698,14 +675,12 @@ def to_belt(x: WAlg, r: Fraction) -> BElt:
     params = x.params
     handle = ainf_handle(params)
     oering = oe_ring(params)
-    scale_ratio = handle.ring.scale // params.p ** params.k
     acc = wt.witt_zero(handle, x.prec)
     for e, c in x.terms.items():
-        mono = PerfLaurent(handle.ring,
-                           {tuple(v * scale_ratio for v in e):
-                            handle.field.one})
+        # both rings scale exponents by p^k
+        mono = PerfLaurent(handle.ring, {e: handle.field.one})
         tw = wt.teich(handle, mono, x.prec)
-        coeff = wt.from_oe_scalar(handle, _as_oeint(oering, c, x.prec))
+        coeff = wt.from_oe_scalar(handle, OEInt(oering, x.prec, c))
         acc = wt.witt_add(acc, wt.witt_mul(coeff, tw))
     digits = []
     for n, d in enumerate(acc.digits()):
@@ -716,8 +691,3 @@ def to_belt(x: WAlg, r: Fraction) -> BElt:
     floor = x.floors.global_min()
     return BElt(w, Fraction(r), Fraction(0),
                 Fraction(0) if floor is None else floor)
-
-
-def _as_oeint(oering, craw, prec):
-    from .coeff import OEInt
-    return OEInt(oering, prec, craw)

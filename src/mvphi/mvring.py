@@ -22,20 +22,7 @@ from .caches import cached
 from .coeff import Params, OKElement, oe_ring
 from .errors import (BandOverflow, NotAUnit, WindowTooSmall)
 from . import iwasawa, sparse
-
-
-def _min_w(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _add_w(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
+from .sparse import bound_add, bound_min
 
 
 class MvLaurent:
@@ -110,7 +97,7 @@ class MvLaurent:
 
     def with_window(self, w_lo=None, w_hi=None) -> "MvLaurent":
         """Weaken the window (narrow the claim); never strengthens it."""
-        new_hi = _min_w(self.w_hi, w_hi)
+        new_hi = bound_min(self.w_hi, w_hi)
         terms = {k: c for k, c in self.terms.items()
                  if new_hi is None or k[0] < new_hi}
         lo = self.w_lo if w_lo is None else max(self.w_lo, w_lo)
@@ -160,7 +147,7 @@ class MvLaurent:
 
     def __add__(self, other):
         prec = min(self.prec, other.prec)
-        w_hi = _min_w(self.w_hi, other.w_hi)
+        w_hi = bound_min(self.w_hi, other.w_hi)
         w_lo = min(self.w_lo, other.w_lo)
         band = min(self.band, other.band)
         out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec,
@@ -179,9 +166,9 @@ class MvLaurent:
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
-        w_lo = _add_w(self.w_lo, other.w_lo)
-        w_hi = _min_w(_add_w(self.w_lo, other.w_hi),
-                      _add_w(other.w_lo, self.w_hi))
+        w_lo = bound_add(self.w_lo, other.w_lo)
+        w_hi = bound_min(bound_add(self.w_lo, other.w_hi),
+                         bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
         ring = oe_ring(self.params)
         out = {}
@@ -562,7 +549,7 @@ def phi_decompose(x: MvLaurent) -> dict:
                                       band)
             correction = correction + mono * images.apply(g_delta)
         rem = rem - correction
-        h_run = _min_w(h_run, rem.w_hi)
+        h_run = bound_min(h_run, rem.w_hi)
     if not rem.is_zero():
         raise WindowTooSmall(
             f"decomposition left a remainder within the window: {rem!r}")

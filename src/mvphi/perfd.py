@@ -1,16 +1,9 @@
-"""Truncated perfectoid Laurent rings with Gauss norms.
+"""The truncated perfection of the mod-pi coefficient ring, with Gauss norms.
 
-``PerfLaurent`` holds a finite sum of terms c * (monomial with exponents in
-p^{-k} Z) over the residue field, with a Gauss-valuation window and a cross
-band.  Three ring descriptors share the implementation:
-
-* the completed perfection of the mod-pi coefficient ring (variables
-  Y_0, ..., Y_{f-1}; every variable has Gauss weight 1);
-* the tilted Lubin-Tate field F((T_LT^{1/p^oo})) (one variable, weight 1);
-* the product-side ring with variables T_LT,i and the cross structure
-  (T_LT,i / T_LT,0^{p^i}); weights (p-1)/(q-1) * p^i, so the embedding of
-  the Lubin-Tate line into coordinate i scales valuations by exactly the
-  radius factor of pr_radius.
+``PerfLaurent`` holds a finite sum of terms c * (monomial in Y_0, ...,
+Y_{f-1} with exponents in p^{-k} Z) over the residue field, with a
+Gauss-valuation window and a cross band.  Every variable has Gauss weight
+1, so the Gauss valuation of a monomial is the sum of its exponents.
 
 ``BElt`` wraps an expansion-form Witt vector over such a ring together with
 a radius and a global monomial shift (the [1/uniformizer] localization).
@@ -25,17 +18,16 @@ from typing import Optional
 from .caches import cached
 from .coeff import FElt, Params, fq_field
 from .errors import BandOverflow, DepthExhausted
+from .sparse import bound_add, bound_min
 from . import witt as wt
 
 
 class PerfRing:
-    """Descriptor: variable count, Gauss weights, denominator depth."""
+    """Descriptor: variable count f, denominator depth."""
 
-    def __init__(self, params: Params, nvars: int, weights, name: str):
+    def __init__(self, params: Params):
         self.params = params
-        self.nvars = nvars
-        self.weights = tuple(weights)
-        self.name = name
+        self.nvars = params.f
         self.scale = params.p ** params.k
         self.field = fq_field(params)
         # capacity guard: roots and structure-polynomial powers reach
@@ -43,23 +35,9 @@ class PerfRing:
         self.band_cap = max(params.B, 8) * self.scale \
             * params.p ** (params.N + 1)
 
-    def __repr__(self):
-        return f"PerfRing({self.name})"
-
 
 def ainf_ring(params: Params) -> PerfRing:
-    return PerfRing(params, params.f, (Fraction(1),) * params.f, "Ainf")
-
-
-def lt_ring(params: Params) -> PerfRing:
-    return PerfRing(params, 1, (Fraction(1),), "LTperf")
-
-
-def ainf_prime_ring(params: Params) -> PerfRing:
-    w = Fraction(params.p - 1, params.q - 1)
-    return PerfRing(params, params.f,
-                    tuple(w * params.p ** i for i in range(params.f)),
-                    "AinfPrime")
+    return PerfRing(params)
 
 
 class PerfLaurent:
@@ -94,9 +72,7 @@ class PerfLaurent:
         self.w_lo = lo if w_lo is None else min(w_lo, lo)
 
     def _gv(self, e) -> Fraction:
-        ring = self.ring
-        return sum((Fraction(x, ring.scale) * w
-                    for x, w in zip(e, ring.weights)), Fraction(0))
+        return Fraction(sum(e), self.ring.scale)
 
     # -- constructors ----------------------------------------------------------
 
@@ -127,16 +103,13 @@ class PerfLaurent:
     def is_zero(self):
         return not self.terms
 
-    def exponents(self, e) -> tuple:
-        return tuple(Fraction(x, self.ring.scale) for x in e)
-
     def __eq__(self, other):
         return (isinstance(other, PerfLaurent) and self.ring is other.ring
                 and self.terms == other.terms)
 
     def eq_within(self, other) -> bool:
         """Equality of represented terms inside the common window."""
-        hi = _min_f(self.w_hi, other.w_hi)
+        hi = bound_min(self.w_hi, other.w_hi)
         for e in set(self.terms) | set(other.terms):
             if hi is not None and self._gv(e) >= hi:
                 continue
@@ -147,22 +120,15 @@ class PerfLaurent:
     def __repr__(self):
         bits = []
         for e in sorted(self.terms):
-            mon = "*".join(f"{v}^{Fraction(x, self.ring.scale)}"
-                           for v, x in zip(self._names(), e) if x)
+            mon = "*".join(f"Y{i}^{Fraction(x, self.ring.scale)}"
+                           for i, x in enumerate(e) if x)
             bits.append(f"{list(self.terms[e].coords)}{'*' + mon if mon else ''}")
         return " + ".join(bits) if bits else "0"
-
-    def _names(self):
-        if self.ring.name == "Ainf":
-            return [f"Y{i}" for i in range(self.ring.nvars)]
-        if self.ring.name == "LTperf":
-            return ["T"]
-        return [f"T{i}" for i in range(self.ring.nvars)]
 
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
-        hi = _min_f(self.w_hi, other.w_hi)
+        hi = bound_min(self.w_hi, other.w_hi)
         lo = min(self.w_lo, other.w_lo)
         band = min(self.band, other.band)
         out = dict()
@@ -187,8 +153,8 @@ class PerfLaurent:
 
     def __mul__(self, other):
         lo = self.w_lo + other.w_lo
-        hi = _min_f(_add_f(self.w_lo, other.w_hi),
-                    _add_f(other.w_lo, self.w_hi))
+        hi = bound_min(bound_add(self.w_lo, other.w_hi),
+                       bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
         out = {}
         for e1, c1 in self.terms.items():
@@ -217,12 +183,12 @@ class PerfLaurent:
 
     def frobenius(self):
         """The ring Frobenius x -> x^p (coefficients included)."""
+        p = self.ring.params.p
         out = {tuple(p * x for x in e): c.frobenius()
-               for e, c in self.terms.items()
-               for p in (self.ring.params.p,)}
-        return PerfLaurent(self.ring, out, self.w_lo * self.ring.params.p,
-                           _mul_f(self.w_hi, self.ring.params.p),
-                           self.band * self.ring.params.p, _normalized=True)
+               for e, c in self.terms.items()}
+        return PerfLaurent(self.ring, out, self.w_lo * p,
+                           None if self.w_hi is None else self.w_hi * p,
+                           self.band * p, _normalized=True)
 
     def pth_root(self):
         p = self.ring.params.p
@@ -233,30 +199,9 @@ class PerfLaurent:
                     f"p-th root leaves depth p^-{self.ring.params.k}")
             out[tuple(x // p for x in e)] = c.pth_root()
         return PerfLaurent(self.ring, out, self.w_lo / p,
-                           _div_f(self.w_hi, p),
+                           None if self.w_hi is None
+                           else Fraction(self.w_hi) / p,
                            max(1, self.band // p), _normalized=True)
-
-
-def _min_f(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _add_f(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
-
-def _mul_f(a, c):
-    return None if a is None else a * c
-
-
-def _div_f(a, c):
-    return None if a is None else Fraction(a, 1) / c
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +215,6 @@ def gauss_val(x: PerfLaurent) -> Optional[Fraction]:
     return min(x._gv(e) for e in x.terms)
 
 
-def gauss_val_certified(x: PerfLaurent):
-    v = gauss_val(x)
-    if v is None:
-        return None, False
-    return v, (x.w_hi is None or v < x.w_hi)
-
-
 def phi_linear(x: PerfLaurent) -> PerfLaurent:
     """The coefficient-fixing substitution Y_i -> Y_{i-1}^p (index shift)."""
     p = x.ring.params.p
@@ -284,21 +222,9 @@ def phi_linear(x: PerfLaurent) -> PerfLaurent:
     out = {}
     for e, c in x.terms.items():
         out[tuple(p * e[(j + 1) % f] for j in range(f))] = c
-    return PerfLaurent(x.ring, out, x.w_lo * p, _mul_f(x.w_hi, p),
+    return PerfLaurent(x.ring, out, x.w_lo * p,
+                       None if x.w_hi is None else x.w_hi * p,
                        x.band * p, _normalized=True)
-
-
-def phi_linear_inv(x: PerfLaurent) -> PerfLaurent:
-    p = x.ring.params.p
-    f = x.ring.nvars
-    out = {}
-    for e, c in x.terms.items():
-        if any(v % p for v in e):
-            raise DepthExhausted(
-                f"phi^-1 leaves depth p^-{x.ring.params.k}")
-        out[tuple(e[(j - 1) % f] // p for j in range(f))] = c
-    return PerfLaurent(x.ring, out, x.w_lo / p, _div_f(x.w_hi, p),
-                       max(1, x.band // p), _normalized=True)
 
 
 def phi_q_linear(x: PerfLaurent) -> PerfLaurent:
@@ -306,20 +232,6 @@ def phi_q_linear(x: PerfLaurent) -> PerfLaurent:
     for _ in range(x.ring.params.f):
         out = phi_linear(out)
     return out
-
-
-def pr_embedding(lt: PerfLaurent, target: PerfRing, i: int) -> PerfLaurent:
-    """The coordinate-i embedding of the Lubin-Tate line: T_LT -> T_LT,i."""
-    if lt.ring.nvars != 1 or target.name != "AinfPrime":
-        raise ValueError("embedding goes from the Lubin-Tate line to the "
-                         "product-side ring")
-    out = {}
-    for (e,), c in lt.terms.items():
-        key = tuple(e if j == i else 0 for j in range(target.nvars))
-        out[key] = c
-    factor = target.weights[i]
-    return PerfLaurent(target, out, lt.w_lo * factor,
-                       _mul_f(lt.w_hi, factor), lt.band, _normalized=True)
 
 
 def pr_radius(params: Params, i: int, r: Fraction) -> Fraction:
@@ -380,11 +292,6 @@ class PerfHandle:
 @cached
 def ainf_handle(params: Params) -> PerfHandle:
     return PerfHandle(ainf_ring(params))
-
-
-@cached
-def lt_handle(params: Params) -> PerfHandle:
-    return PerfHandle(lt_ring(params))
 
 
 # ---------------------------------------------------------------------------

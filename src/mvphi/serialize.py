@@ -28,12 +28,6 @@ def fraction_json(x):
     return {"num": fr.numerator, "den": fr.denominator}
 
 
-def fraction_from(obj):
-    if obj is None:
-        return None
-    return Fraction(obj["num"], obj["den"])
-
-
 def norm_json(nv: NormValue):
     return {"exponent": fraction_json(nv.val), "certified": nv.certified}
 
@@ -44,13 +38,6 @@ def tseries_json(s: TSeries):
     return {"meta": {"p": s.params.p, "f": s.params.f, "h": s.params.h,
                      "N": s.prec, "M": s.window},
             "terms": terms}
-
-
-def tseries_from(params: Params, obj) -> TSeries:
-    meta = obj["meta"]
-    terms = {tuple(t["exponents"]): tuple(t["coeff"])
-             for t in obj["terms"]}
-    return TSeries(params, meta["N"], meta["M"], terms)
 
 
 def tseries_str(s: TSeries, names="Y") -> str:
@@ -108,24 +95,6 @@ def perf_json(x: PerfLaurent):
     return {"window": [fraction_json(x.w_lo), fraction_json(x.w_hi)],
             "band": fraction_json(Fraction(x.band, scale)),
             "terms": terms}
-
-
-def perf_from(ring, obj) -> PerfLaurent:
-    field = ring.field
-    terms = {}
-    for t in obj["terms"]:
-        y0 = fraction_from(t["y0"])
-        cross = [fraction_from(v) for v in t["cross"]]
-        pure = [y0 - sum(cross, Fraction(0))] + cross
-        key = []
-        for v in pure:
-            s = v * ring.scale
-            key.append(int(s))
-        terms[tuple(key)] = field(t["coeff"])
-    w = obj["window"]
-    band = fraction_from(obj["band"]) * ring.scale
-    return PerfLaurent(ring, terms, fraction_from(w[0]), fraction_from(w[1]),
-                       int(band))
 
 
 def witt_json(w) -> dict:

@@ -3,11 +3,28 @@
 Each of those classes stores an element as a dict from an exponent key to
 raw O_E coordinates and keeps only its own precision bookkeeping (degree
 window, Y_0 window and band, or per-level horizons and floors).  The
-termwise arithmetic on such dicts and the substitution of generator images
-into a sum of monomials live here.
+termwise arithmetic on such dicts, the substitution of generator images
+into a sum of monomials, and the min and sum of bounds for which None
+means unbounded live here.
 """
 
 from __future__ import annotations
+
+
+def bound_min(a, b):
+    """min(a, b), where None is unbounded."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def bound_add(a, b):
+    """a + b, unbounded if either is."""
+    if a is None or b is None:
+        return None
+    return a + b
 
 
 class Powers:

@@ -1,8 +1,8 @@
 """Truncated p-typical Witt vectors over perfect rings of characteristic p.
 
 Structure polynomials are generated once per (p, N) by solving the ghost
-identities over the rationals and verifying integrality; arithmetic applies
-them coordinatewise through a small handle protocol, so the same code runs
+identities over the integers (each step an exact division by p^n);
+arithmetic applies them coordinatewise through a small handle protocol, so the same code runs
 over any perfect base (finite fields, perfectoid Laurent rings).
 
 For E unramified, O_E = W(F), so the ramified functor W_{O_E} coincides with
@@ -19,108 +19,69 @@ from .coeff import FElt, FField, OEInt
 
 
 # ---------------------------------------------------------------------------
-# integer multivariate polynomials (exponent tuple -> coefficient)
+# integer polynomials over 2N variables: {exponent tuple: int}, no zero terms
 # ---------------------------------------------------------------------------
 
-class ZPoly:
-    """Sparse polynomial with Fraction coefficients over 2N variables."""
+def _padd(a: dict, b: dict, k: int = 1) -> dict:
+    """a + k * b."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + k * c
+    return {e: c for e, c in out.items() if c}
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[dict] = None):
-        self.nvars = nvars
-        self.terms = {} if terms is None else \
-            {e: c for e, c in terms.items() if c}
+def _pmul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
-    @staticmethod
-    def var(nvars, j):
-        e = tuple(1 if i == j else 0 for i in range(nvars))
-        return ZPoly(nvars, {e: Fraction(1)})
 
-    @staticmethod
-    def const(nvars, c):
-        return ZPoly(nvars, {(0,) * nvars: Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ZPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return ZPoly(self.nvars, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ZPoly(self.nvars, {e: c * other
-                                      for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return ZPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = ZPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def div_exact(self, n: int):
-        out = {}
-        for e, c in self.terms.items():
-            q = c / n
-            out[e] = q
-        return ZPoly(self.nvars, out)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def eval_int(self, values) -> int:
-        total = 0
-        for e, c in self.terms.items():
-            assert c.denominator == 1
-            term = c.numerator
-            for v, d in zip(values, e):
-                if d:
-                    term *= v ** d
-            total += term
-        return total
+def _ppow(a: dict, n: int, nvars: int) -> dict:
+    result = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            result = _pmul(result, a)
+        a = _pmul(a, a) if n > 1 else a
+        n >>= 1
+    return result
 
 
 def _ghost(nvars, offset, n, p):
-    """w_n = sum_{j <= n} p^j Z_{offset+j}^{p^(n-j)} as a ZPoly."""
-    acc = ZPoly(nvars, {})
+    """w_n = sum_{j <= n} p^j Z_{offset+j}^{p^(n-j)}."""
+    acc = {}
     for j in range(n + 1):
-        acc = acc + (ZPoly.var(nvars, offset + j) ** (p ** (n - j))) * (p ** j)
+        e = tuple(p ** (n - j) if i == offset + j else 0
+                  for i in range(nvars))
+        acc = _padd(acc, {e: 1}, p ** j)
     return acc
 
 
-def _mod_p_terms(poly: ZPoly, p: int) -> tuple:
-    """The terms of an integral polynomial with coefficient c mod p != 0,
-    as (c mod p, ((j, d), ...) over the variables j of exponent d > 0)."""
-    out = []
-    for e, c in poly.terms.items():
-        ci = c.numerator % p
-        if ci:
-            out.append((ci, tuple((j, d) for j, d in enumerate(e) if d)))
-    return tuple(out)
+def _mod_p_terms(poly: dict, p: int) -> tuple:
+    """The terms of a polynomial with coefficient c mod p != 0, as
+    (c mod p, ((j, d), ...) over the variables j of exponent d > 0)."""
+    return tuple((c % p, tuple((j, d) for j, d in enumerate(e) if d))
+                 for e, c in poly.items() if c % p)
+
+
+def eval_int(poly: dict, values) -> int:
+    """The value of an integer polynomial at integer arguments."""
+    total = 0
+    for e, c in poly.items():
+        for v, d in zip(values, e):
+            if d:
+                c *= v ** d
+        total += c
+    return total
 
 
 class StructurePolys:
-    """Addition and multiplication polynomials S_n, P_n for W_N, and their
-    terms mod p (``sums_mod_p``, ``prods_mod_p``), which the arithmetic
-    over a characteristic-p handle evaluates."""
+    """Addition and multiplication polynomials S_n, P_n for W_N, as
+    {exponent: int} dicts over X_0..X_{N-1}, Y_0..Y_{N-1}, and their terms
+    mod p (``sums_mod_p``, ``prods_mod_p``), which the arithmetic over a
+    characteristic-p handle evaluates."""
 
     def __init__(self, p: int, N: int, sums, prods):
         self.p = p
@@ -131,6 +92,12 @@ class StructurePolys:
         self.prods_mod_p = [_mod_p_terms(q, p) for q in prods]
 
 
+def _div_exact(poly: dict, m: int) -> dict:
+    if any(c % m for c in poly.values()):
+        raise RuntimeError("non-integral structure polynomial (bug)")
+    return {e: c // m for e, c in poly.items()}
+
+
 @cached
 def gen_structure_polys(p: int, N: int) -> StructurePolys:
     nv = 2 * N
@@ -138,19 +105,12 @@ def gen_structure_polys(p: int, N: int) -> StructurePolys:
     for n in range(N):
         wx = _ghost(nv, 0, n, p)
         wy = _ghost(nv, N, n, p)
-        target_s = wx + wy
-        target_p = wx * wy
-        acc_s = ZPoly(nv, {})
-        acc_p = ZPoly(nv, {})
+        acc_s, acc_p = {}, {}
         for j in range(n):
-            acc_s = acc_s + (sums[j] ** (p ** (n - j))) * (p ** j)
-            acc_p = acc_p + (prods[j] ** (p ** (n - j))) * (p ** j)
-        s_n = (target_s - acc_s).div_exact(p ** n)
-        p_n = (target_p - acc_p).div_exact(p ** n)
-        if not (s_n.is_integral() and p_n.is_integral()):
-            raise RuntimeError("non-integral structure polynomial (bug)")
-        sums.append(s_n)
-        prods.append(p_n)
+            acc_s = _padd(acc_s, _ppow(sums[j], p ** (n - j), nv), p ** j)
+            acc_p = _padd(acc_p, _ppow(prods[j], p ** (n - j), nv), p ** j)
+        sums.append(_div_exact(_padd(_padd(wx, wy), acc_s, -1), p ** n))
+        prods.append(_div_exact(_padd(_pmul(wx, wy), acc_p, -1), p ** n))
     return StructurePolys(p, N, sums, prods)
 
 

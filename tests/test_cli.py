@@ -150,16 +150,11 @@ def test_serialize_roundtrips():
     x = MvLaurent.monomial(pr, -1, (2,), 4) + MvLaurent.monomial(pr, 3)
     back = ser.mv_from(pr, json.loads(json.dumps(ser.mv_json(x))))
     assert back.terms == x.terms and back.w_hi == x.w_hi
-    from mvphi.iwasawa import y_generator
-    s = y_generator(pr, 1)
-    back_s = ser.tseries_from(pr, json.loads(json.dumps(ser.tseries_json(s))))
-    assert back_s == s
-    from mvphi.perfd import ainf_ring, PerfLaurent
-    ring = ainf_ring(pr)
-    from fractions import Fraction
-    pl = PerfLaurent.monomial(ring, (Fraction(1, 3), Fraction(-2, 9)))
-    back_p = ser.perf_from(ring, json.loads(json.dumps(ser.perf_json(pl))))
-    assert back_p.terms == pl.terms
+    from mvphi.coeff import oe_ring, ok_ring
+    m = unramified_char(pr, oe_ring(pr).from_int(2, pr.N),
+                        samples=(ok_ring(pr).one(),))
+    enc = json.loads(json.dumps(ser.phimodule_json(m)))
+    assert ser.phimodule_json(ser.phimodule_from(pr, enc)) == enc
 
 
 def test_iota_norm_table_tests_each_generator(monkeypatch, tmp_path):

@@ -36,6 +36,19 @@ def test_walg_ring_ops():
     assert (a - a).is_zero()
 
 
+def test_walg_add_at_mixed_precision_either_order():
+    # the sum lives at the lower precision whichever operand comes first
+    pr = params(3, 1, 1)
+    hi = WAlg.teich_monomial(pr, 3, (1,))
+    lo = WAlg.teich_monomial(pr, 2, (2,))
+    ab, ba = hi + lo, lo + hi
+    assert ab.prec == ba.prec == 2
+    assert ab.terms == ba.terms and ab.H == ba.H
+    fa, fb = ab.floors, ba.floors
+    assert fa.N == fb.N == 2
+    assert (fa.Lv, fa.B, fa.sigma) == (fb.Lv, fb.B, fb.sigma)
+
+
 def test_walg_phi_inverse_and_forward():
     pr = params(3, 2, 2)
     a = WAlg.teich_monomial(pr, 3, (1, 0))
@@ -288,8 +301,9 @@ class RefFloors:
         return best
 
     def meet(self, other):
-        return RefFloors(self.N, tuple(_ref_hmin(a, b) for a, b in
-                                       zip(self.Lv, other.Lv)),
+        return RefFloors(min(self.N, other.N),
+                         tuple(_ref_hmin(a, b) for a, b in
+                               zip(self.Lv, other.Lv)),
                          _ref_hmin(self.B, other.B),
                          min(self.sigma, other.sigma))
 
@@ -408,14 +422,14 @@ def floor_pairs(draw, N=None):
             max_size=5)):
         fl, ref = pair
         if op in ("meet", "convolve"):
-            # meet takes an operand of at least its own N, convolve any
-            M = draw(st.integers(N if op == "meet" else 1, 4))
+            M = draw(st.integers(1, 4))
             olv = draw(st.lists(_level, min_size=M, max_size=M))
             other = (Floors.exact(M, olv), RefFloors.exact(M, olv))
             if draw(st.booleans()):
                 other = (other[0].scale(Fraction(1, _FLOOR_P)),
                          other[1].scale(Fraction(1, _FLOOR_P)))
             pair = (getattr(fl, op)(other[0]), getattr(ref, op)(other[1]))
+            N = pair[1].N
         elif op == "shift":
             # scalar_mul shifts by v < prec <= N; past N the reference reads
             # levels m - v < 0 as Lv[m - v]

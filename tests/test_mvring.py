@@ -427,6 +427,14 @@ def test_clear_caches_empties_every_table():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_star_import_binds_every_export():
+    # a stale name in __all__ passes ``import mvphi`` but fails here
+    import mvphi
+    namespace = {}
+    exec("from mvphi import *", namespace)
+    assert set(mvphi.__all__) <= set(namespace)
+
+
 def test_gamma_images_is_bounded_and_rebuilds_evicted_units():
     import mvphi
     from mvphi.mvring import gamma_images

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mvphi.coeff import Params, fq_field
-from mvphi.perfd import (ainf_ring, lt_ring, ainf_prime_ring, PerfLaurent,
-                         gauss_val, gauss_val_certified, phi_linear,
-                         phi_linear_inv, phi_q_linear, pr_embedding,
-                         pr_radius, ainf_handle, lt_handle,
-                         BElt, b_val_r, member_B0r, phi_q_belt)
+from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
+                         phi_q_linear, pr_radius, ainf_handle, BElt, b_val_r,
+                         member_B0r, phi_q_belt)
 from mvphi.errors import DepthExhausted
 from mvphi import witt as wt
 
@@ -60,23 +58,13 @@ def test_gauss_multiplicativity():
             assert gauss_val(prod) == gauss_val(a) + gauss_val(b)
 
 
-def test_phi_linear_and_inverse():
+def test_phi_linear_index_shift():
     pr = params(3, 2, 2)
     ring = ainf_ring(pr)
     y1 = PerfLaurent.monomial(ring, (0, 1))
     img = phi_linear(y1)
     assert img.terms == PerfLaurent.monomial(ring, (3, 0)).terms
-    back = phi_linear_inv(img)
-    assert back.terms == y1.terms
     assert gauss_val(img) == 3 * gauss_val(y1)
-
-
-def test_phi_linear_inv_depth_exhaustion():
-    pr = params(3, 1, 1, k=1)
-    ring = ainf_ring(pr)
-    x = PerfLaurent.monomial(ring, (Fraction(1, 3),))
-    with pytest.raises(DepthExhausted):
-        phi_linear_inv(x)
 
 
 def test_phi_linear_scaling_random():
@@ -117,20 +105,6 @@ def test_pr_radius_formula(p, f, h):
 def test_pr_radius_spec_value():
     pr = params(3, 2, 2)
     assert pr_radius(pr, 1, Fraction(1)) == Fraction(1, 12)
-
-
-def test_pr_embedding_scales_valuation():
-    # the coordinate-i embedding scales Gauss valuations by exactly the
-    # radius conversion factor of pr_radius
-    pr = params(3, 2, 2)
-    lt = lt_ring(pr)
-    prime = ainf_prime_ring(pr)
-    t = PerfLaurent.monomial(lt, (Fraction(1, 3),))
-    for i in range(2):
-        img = pr_embedding(t, prime, i)
-        assert gauss_val(img) == gauss_val(t) * prime.weights[i]
-        assert prime.weights[i] == \
-            Fraction(pr.p - 1, pr.q - 1) * pr.p ** i
 
 
 def test_map_phi_on_teichmuller_generators():
@@ -260,12 +234,10 @@ def test_teich_product_over_perf_laurent():
         assert lhs.eq(wt.teich(h, x * y, pr.N))
 
 
-def test_lt_handle_and_windows():
+def test_gauss_val_windows():
     pr = params(2, 1, 1)
-    h = lt_handle(pr)
+    h = ainf_handle(pr)
     t = PerfLaurent.monomial(h.ring, (Fraction(1, 2),))
-    assert gauss_val(t) == Fraction(1, 2)
-    v, cert = gauss_val_certified(t)
-    assert cert
+    assert gauss_val(t) == Fraction(1, 2) and t.w_hi is None
     capped = PerfLaurent(h.ring, dict(t.terms), None, Fraction(1, 4))
     assert gauss_val(capped) is None
