@@ -161,7 +161,8 @@ class Floors:
                       min(sx, sy))
 
     def convolve(self, other):
-        """Floors of a product (min-plus convolution with affine tails).
+        """Floors of a product (min-plus convolution with affine tails), at
+        the lower of the two precisions.
 
         Past the level i0 + j0 of the first finite entries, the increments
         of the convolution are at least min(delta, delta') >= sigma, so
@@ -169,7 +170,7 @@ class Floors:
         is fixed by the first finite m >= N: the pairs with a + b <=
         max(N, i0 + j0) are all that is needed.
         """
-        N = self.N
+        N = min(self.N, other.N)
         top = 2 * N + 2
         den = lcm(self.den, other.den)
         xs, _, dx = self._over(den, top)

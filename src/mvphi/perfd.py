@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Optional
 
 from .caches import cached
@@ -127,14 +128,22 @@ class PerfLaurent:
 
     # -- arithmetic ---------------------------------------------------------------
 
+    def _cut(self, hi):
+        """The least scaled exponent sum at or above the bound hi."""
+        return None if hi is None else ceil(hi * self.ring.scale)
+
     def __add__(self, other):
         hi = bound_min(self.w_hi, other.w_hi)
         lo = min(self.w_lo, other.w_lo)
         band = min(self.band, other.band)
+        if hi is None and not (self.terms and other.terms):
+            return PerfLaurent(self.ring, self.terms or other.terms, lo, hi,
+                               band, _normalized=True)
+        hs = self._cut(hi)
         out = dict()
         for src in (self.terms, other.terms):
             for e, c in src.items():
-                if hi is not None and self._gv(e) >= hi:
+                if hs is not None and sum(e) >= hs:
                     continue
                 cur = out.get(e)
                 s = c if cur is None else cur + c
@@ -157,10 +166,13 @@ class PerfLaurent:
                        bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
         out = {}
+        if not (self.terms and other.terms):
+            return PerfLaurent(self.ring, out, lo, hi, band, _normalized=True)
+        hs = self._cut(hi)
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if hi is not None and self._gv(e) >= hi:
+                if hs is not None and sum(e) >= hs:
                     continue
                 if any(abs(x) > band for x in e[1:]):
                     raise BandOverflow(
@@ -281,6 +293,41 @@ class PerfHandle:
 
     def eq(self, a, b):
         return a.eq_within(b)
+
+    def window(self, acc, terms, vals):
+        """``acc``, the sum of the terms with no zero value, given the
+        window and band of the sum of every term of ``terms`` at ``vals``.
+
+        These depend only on the values' (w_lo, w_hi, band): v^d has w_lo
+        d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum
+        d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j), here as numerators
+        over the lcm of the values' window denominators.
+        """
+        den = lcm(*(x.denominator for v in vals for x in (v.w_lo, v.w_hi)
+                    if x is not None))
+        lo = [v.w_lo.numerator * (den // v.w_lo.denominator) for v in vals]
+        gap = [None if v.w_hi is None else
+               v.w_hi.numerator * (den // v.w_hi.denominator) - x
+               for v, x in zip(vals, lo)]
+        w_lo, w_hi, band = 0, None, self.ring.band_cap
+        for _, factors in terms:
+            t_lo, t_gap = 0, None
+            for j, d in factors:
+                t_lo += d * lo[j]
+                g = gap[j]
+                if g is not None and (t_gap is None or g < t_gap):
+                    t_gap = g
+                if vals[j].band < band:
+                    band = vals[j].band
+            w_lo = min(w_lo, t_lo)
+            if t_gap is not None and (w_hi is None or t_lo + t_gap < w_hi):
+                w_hi = t_lo + t_gap
+        hi = None if w_hi is None else Fraction(w_hi, den)
+        hs = acc._cut(hi)
+        out = acc.terms if hs is None else \
+            {e: c for e, c in acc.terms.items() if sum(e) < hs}
+        return PerfLaurent(self.ring, out, Fraction(w_lo, den), hi, band,
+                           _normalized=True)
 
     def embed_residue(self, lam: FElt):
         return PerfLaurent(self.ring, {(0,) * self.ring.nvars: lam})

@@ -164,6 +164,10 @@ class FiniteFieldHandle:
     def embed_residue(self, lam: FElt):
         return lam
 
+    def window(self, acc, terms, vals):
+        """Field elements carry no window: the sum is already exact."""
+        return acc
+
     def gauss_val(self, a):
         return None if not a else Fraction(0)
 
@@ -231,7 +235,14 @@ class WittVec:
 
 def _eval_struct(terms, handle, xs, ys):
     """Evaluate a structure polynomial, given by its terms mod p, on handle
-    elements."""
+    elements.
+
+    A term with a zero value is zero, so only the terms whose values are
+    all nonzero are multiplied out; ``handle.window`` then sets the bounds
+    of their sum to those of the sum of every term.
+    """
+    vals = xs + ys
+    live = [not handle.is_zero(v) for v in vals]
     acc = handle.zero()
     one = handle.one()
     pow_cache = {}
@@ -251,20 +262,20 @@ def _eval_struct(terms, handle, xs, ys):
             pow_cache[key] = got
         return got
 
-    N = len(xs)
     for ci, factors in terms:
+        if not all(live[j] for j, _ in factors):
+            continue
         term = None
         for j, d in factors:
-            val = xs[j] if j < N else ys[j - N]
-            pw = power(j, val, d)
+            pw = power(j, vals[j], d)
             term = pw if term is None else handle.mul(term, pw)
         if term is None:
             term = one
-        scaled = handle.zero()
-        for _ in range(ci):
+        scaled = term
+        for _ in range(ci - 1):
             scaled = handle.add(scaled, term)
         acc = handle.add(acc, scaled)
-    return acc
+    return handle.window(acc, terms, vals)
 
 
 def witt_add(u: WittVec, v: WittVec) -> WittVec:

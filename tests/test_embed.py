@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -36,17 +37,28 @@ def test_walg_ring_ops():
     assert (a - a).is_zero()
 
 
-def test_walg_add_at_mixed_precision_either_order():
-    # the sum lives at the lower precision whichever operand comes first
+def _same_in_either_order(op):
+    # at (3,1,1), precisions 3 and 2: the result lives at precision 2 and
+    # has the same terms, horizons, floors and valuations in both orders
     pr = params(3, 1, 1)
     hi = WAlg.teich_monomial(pr, 3, (1,))
     lo = WAlg.teich_monomial(pr, 2, (2,))
-    ab, ba = hi + lo, lo + hi
+    ab, ba = op(hi, lo), op(lo, hi)
     assert ab.prec == ba.prec == 2
     assert ab.terms == ba.terms and ab.H == ba.H
     fa, fb = ab.floors, ba.floors
     assert fa.N == fb.N == 2
     assert (fa.Lv, fa.B, fa.sigma) == (fb.Lv, fb.B, fb.sigma)
+    for r in (Fraction(1), Fraction(1, 3)):
+        assert b_val_walg(ab, r) == b_val_walg(ba, r)
+
+
+def test_walg_add_at_mixed_precision_either_order():
+    _same_in_either_order(operator.add)
+
+
+def test_walg_mul_at_mixed_precision_either_order():
+    _same_in_either_order(operator.mul)
 
 
 def test_walg_phi_inverse_and_forward():
@@ -308,7 +320,7 @@ class RefFloors:
                          min(self.sigma, other.sigma))
 
     def convolve(self, other):
-        N = self.N
+        N = min(self.N, other.N)
         Lv = []
         for v in range(N):
             best = None

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field, oe_ring
+from mvphi.perfd import PerfHandle, PerfLaurent, ainf_ring
 from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         witt_neg, witt_sub, teich, witt_zero, from_expansion,
                         to_expansion, from_oe_scalar, from_int,
-                        map_coefficients, scalar_mul)
+                        map_coefficients, scalar_mul, _eval_struct)
 
 
 def handle(p, h=1):
@@ -187,3 +190,132 @@ def test_scalar_mul_matches_repeated_addition():
     for _ in range(7):
         acc = witt_add(acc, u)
     assert scalar_mul(ring.from_int(7, 3), u).eq(acc)
+
+
+def _ref_eval_struct(terms, handle, xs, ys):
+    """The full evaluation: every term multiplied out, zero values
+    included.  ``_eval_struct`` must agree with it on terms, window and
+    band."""
+    acc = handle.zero()
+    one = handle.one()
+    pow_cache = {}
+
+    def power(idx, val, e):
+        key = (idx, e)
+        got = pow_cache.get(key)
+        if got is None:
+            got = one
+            base = val
+            n = e
+            while n:
+                if n & 1:
+                    got = handle.mul(got, base)
+                base = handle.mul(base, base) if n > 1 else base
+                n >>= 1
+            pow_cache[key] = got
+        return got
+
+    N = len(xs)
+    for ci, factors in terms:
+        term = None
+        for j, d in factors:
+            val = xs[j] if j < N else ys[j - N]
+            pw = power(j, val, d)
+            term = pw if term is None else handle.mul(term, pw)
+        if term is None:
+            term = one
+        scaled = handle.zero()
+        for _ in range(ci):
+            scaled = handle.add(scaled, term)
+        acc = handle.add(acc, scaled)
+    return acc
+
+
+_STRUCT_CASES = [(2, 3), (3, 3), (3, 4)]
+_window = st.fractions(min_value=-3, max_value=4, max_denominator=9)
+
+
+@st.composite
+def perf_value(draw, ring):
+    """A PerfLaurent of 0-2 terms (a third are zero), with negative
+    exponents, an optional floor and w_hi of mixed denominators, and a band
+    on either side of the ring's cap."""
+    scale, f = ring.scale, ring.nvars
+    elts = [e for e in ring.field.elements() if e]
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        e = (draw(st.integers(-2 * scale, 2 * scale)),) + tuple(
+            draw(st.integers(-scale, scale)) for _ in range(f - 1))
+        terms[e] = draw(st.sampled_from(elts))
+    w_lo = draw(st.one_of(st.none(), _window.map(lambda x: min(x, 0))))
+    w_hi = draw(st.one_of(st.none(), _window))
+    band = draw(st.integers(ring.band_cap // 2, 2 * ring.band_cap))
+    return PerfLaurent(ring, terms, w_lo, w_hi, band)
+
+
+def _both_evaluations(p, N, handle, xs, ys):
+    sp = gen_structure_polys(p, N)
+    for terms in sp.sums_mod_p + sp.prods_mod_p:
+        yield (_eval_struct(terms, handle, xs, ys),
+               _ref_eval_struct(terms, handle, xs, ys))
+
+
+def _same_perf(got, want):
+    assert got.terms == want.terms
+    assert (got.w_lo, got.w_hi, got.band) == \
+        (want.w_lo, want.w_hi, want.band)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p,N", _STRUCT_CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_eval_struct_matches_full_evaluation_over_perf(p, N, f, data):
+    # skipping the terms with a zero value keeps the terms, and the window
+    # rule gives the window and band the full evaluation gives
+    handle = PerfHandle(ainf_ring(Params.create(p, f, f, N=N, k=2)))
+    xs = tuple(data.draw(perf_value(handle.ring)) for _ in range(N))
+    ys = tuple(data.draw(perf_value(handle.ring)) for _ in range(N))
+    for got, want in _both_evaluations(p, N, handle, xs, ys):
+        _same_perf(got, want)
+
+
+@pytest.mark.parametrize("p,N", _STRUCT_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_eval_struct_matches_full_evaluation_over_field(p, N, data):
+    F = fq_field(Params.create(p, 2, 2))
+    handle = FiniteFieldHandle(F)
+    elts = list(F.elements())
+    xs = tuple(data.draw(st.sampled_from(elts)) for _ in range(N))
+    ys = tuple(data.draw(st.sampled_from(elts)) for _ in range(N))
+    for got, want in _both_evaluations(p, N, handle, xs, ys):
+        assert got == want
+
+
+def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
+    # v = [y] has Witt coordinates (y, 0, 0, 0): the terms of S_n with a
+    # Y_1..Y_3 factor are zero, and are not multiplied out
+    handle = PerfHandle(ainf_ring(Params.create(3, 1, 1, N=4)))
+    ring, F = handle.ring, handle.field
+    u = from_expansion(handle, tuple(
+        PerfLaurent.monomial(ring, (Fraction(n - 1, 3),),
+                             F.from_int(1 + n % 2)) for n in range(4)))
+    v = teich(handle, PerfLaurent.monomial(ring, (Fraction(1, 9),)), 4)
+    calls = []
+    mul = handle.mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(handle, "mul", counted)
+    got = witt_add(u, v)
+    fast = len(calls)
+    calls.clear()
+    xs, ys = u.coordinates().comps, v.coordinates().comps
+    sp = gen_structure_polys(3, 4)
+    want = [_ref_eval_struct(t, handle, xs, ys) for t in sp.sums_mod_p]
+    assert 0 < fast < len(calls) / 2
+    for a, b in zip(got.comps, want, strict=True):
+        _same_perf(a, b)
