@@ -10,8 +10,7 @@ from .mvring import (MvLaurent, NormValue, invert_unit, norm_s, member,
                      apply_phi, apply_phi_q, apply_gamma, phi_decompose,
                      recompose, check_local_analyticity)
 from .witt import (WittVec, StructurePolys, gen_structure_polys, witt_add,
-                   witt_mul, teich, to_expansion, from_expansion,
-                   map_coefficients)
+                   witt_mul, teich, from_expansion, map_coefficients)
 from .perfd import (PerfLaurent, PerfRing, BElt, ainf_ring, gauss_val,
                     b_val_r, member_B0r, pr_radius)
 from .embed import (WAlg, IotaResult, iota_generators, iota,
@@ -30,8 +29,7 @@ __all__ = [
     "apply_phi_q", "apply_gamma", "phi_decompose", "recompose",
     "check_local_analyticity",
     "WittVec", "StructurePolys", "gen_structure_polys", "witt_add",
-    "witt_mul", "teich", "to_expansion", "from_expansion",
-    "map_coefficients",
+    "witt_mul", "teich", "from_expansion", "map_coefficients",
     "PerfLaurent", "PerfRing", "BElt", "ainf_ring", "gauss_val", "b_val_r",
     "member_B0r", "pr_radius",
     "WAlg", "IotaResult", "iota_generators", "iota", "verify_norm_compare",

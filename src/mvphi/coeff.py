@@ -554,10 +554,6 @@ class Params:
         """Degree window for the fixpoint series of the perfectoid embedding."""
         return self.M if self.f == 1 else max(self.M, 15)
 
-    def key(self) -> tuple:
-        return (self.p, self.f, self.h, self.N, self.M, self.B, self.k,
-                self.poly)
-
 
 # fields and O_E rings are keyed on (p, h, poly) alone: hashing three
 # fields is cheaper than hashing the whole Params, and oe_ring is on every

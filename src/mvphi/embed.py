@@ -26,7 +26,8 @@ from .caches import cached
 from .coeff import OEInt, Params, oe_ring
 from .errors import (DepthExhausted, StabilizationFailure, Uncertified)
 from .mvring import MvLaurent, NormValue, norm_s, apply_phi
-from .perfd import PerfLaurent, ainf_handle, BElt
+from .perfd import (PerfLaurent, ainf_handle, BElt, phi_exponents,
+                    scaled_exponents)
 from . import iwasawa, sparse
 from .sparse import bound_min
 from . import witt as wt
@@ -262,15 +263,8 @@ class WAlg:
 
     @staticmethod
     def teich_monomial(params, prec, exponents, scalar=1):
-        scale = params.p ** params.k
-        key = []
-        for x in exponents:
-            s = Fraction(x) * scale
-            if s.denominator != 1:
-                raise DepthExhausted(f"exponent {x} below depth")
-            key.append(int(s))
         c = (scalar,) + (0,) * (params.h - 1)
-        return WAlg(params, prec, {tuple(key): c})
+        return WAlg(params, prec, {scaled_exponents(params, exponents): c})
 
     @staticmethod
     def one(params, prec):
@@ -387,9 +381,8 @@ class WAlg:
                     self.floors.scale(Fraction(1, p)), _normalized=True)
 
     def phi_forward(self) -> "WAlg":
-        p, f = self.params.p, self.params.f
-        out = {tuple(p * e[(j + 1) % f] for j in range(f)): c
-               for e, c in self.terms.items()}
+        p = self.params.p
+        out = {phi_exponents(e, p): c for e, c in self.terms.items()}
         H = tuple(None if h is None else h * p for h in self.H)
         return WAlg(self.params, self.prec, out, H,
                     self.floors.scale(p), _normalized=True)

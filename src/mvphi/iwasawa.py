@@ -339,9 +339,9 @@ def group_like(x: OKElement, window: Optional[int] = None) -> TSeries:
 def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries:
     """The i-th distinguished generator of the group ring.
 
-    For q > 2 it is sum over nonzero lambda in F_q of the Teichmueller scalar
+    It is the sum over nonzero lambda in F_q of the Teichmueller scalar
     sigma_i(lambda)^{-1} times the group-like of the Teichmueller lift of
-    lambda; for q = 2 it is [1] - 1 = T_0.
+    lambda, less 1 when q = 2 (there it is [1] - 1 = T_0).
     """
     return _y_generator(params, i, params.M if window is None else window)
 
@@ -350,8 +350,6 @@ def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries
 def _y_generator(params: Params, i: int, w: int) -> TSeries:
     if not 0 <= i < params.f:
         raise ValueError("generator index out of range")
-    if params.q == 2:
-        return TSeries.variable(params, 0, params.N, w)
     return _group_sum(params, i, lambda x: x, w)
 
 
@@ -589,7 +587,8 @@ def to_y_coordinates(s: TSeries) -> TSeries:
 # ---------------------------------------------------------------------------
 
 def _group_sum(params: Params, i: int, transform, window: int) -> TSeries:
-    """sum over nonzero lambda of sigma_i(lambda^{-1}) [transform(omega(lambda))]."""
+    """sum over nonzero lambda of sigma_i(lambda^{-1}) [transform(omega(lambda))]
+    less 1 when q = 2: the constant terms cancel only for q > 2."""
     okr = ok_ring(params)
     guard = vp_factorial(window - 1, params.p)
     prec_in = params.N + guard
@@ -600,6 +599,8 @@ def _group_sum(params: Params, i: int, transform, window: int) -> TSeries:
         coeff = okr.sigma(okr.coordinates_of_felt(lam.inverse(), prec_in), i)
         x = transform(okr.coordinates_of_felt(lam, prec_in))
         acc = acc + group_like(x, window).scalar_mul(coeff)
+    if params.q == 2:
+        acc = acc - TSeries.one(params, params.N, window)
     return acc
 
 
@@ -617,17 +618,6 @@ def phi_power_y(params: Params, i: int, power: int,
 @cached
 def _phi_power_y(params: Params, i: int, power: int, w: int) -> TSeries:
     m = params.p ** power
-    if params.q == 2:
-        # phi^e(Y) = (1+Y)^(2^e) - 1 exactly
-        one = TSeries.one(params, params.N, w)
-        base = one + TSeries.variable(params, 0, params.N, w)
-        acc, e = one, m
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc - one
     return to_y_coordinates(_group_sum(params, i, lambda x: x * m, w))
 
 
@@ -645,10 +635,6 @@ def gamma_y(a: OKElement, i: int, window: Optional[int] = None) -> TSeries:
     """
     params = a.okr.params
     w = params.M if window is None else window
-    if params.q == 2:
-        one = TSeries.one(params, params.N, w)
-        img = group_like(a.okr(a.coords, min(a.prec, params.n_work(w))), w)
-        return img - one
     guard = vp_factorial(w - 1, params.p)
     need = params.N + guard
     a_eff = a.okr(a.coords, need) if a.prec > need else a

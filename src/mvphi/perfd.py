@@ -41,6 +41,22 @@ def ainf_ring(params: Params) -> PerfRing:
     return PerfRing(params)
 
 
+def scaled_exponents(params: Params, exponents) -> tuple:
+    """Pure rational exponents as integers over the scale p^k."""
+    out = []
+    for x in exponents:
+        s = Fraction(x) * params.p ** params.k
+        if s.denominator != 1:
+            raise DepthExhausted(f"exponent {x} below depth p^-{params.k}")
+        out.append(int(s))
+    return tuple(out)
+
+
+def phi_exponents(e: tuple, p: int) -> tuple:
+    """The scaled exponent of the substitution Y_i -> Y_{i-1}^p."""
+    return tuple(p * x for x in e[1:] + e[:1])
+
+
 class PerfLaurent:
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
@@ -86,14 +102,7 @@ class PerfLaurent:
     def monomial(ring, exponents, coeff=None):
         """exponents: pure rational exponents (Fractions or ints)."""
         c = ring.field.one if coeff is None else coeff
-        e = []
-        for x in exponents:
-            s = Fraction(x) * ring.scale
-            if s.denominator != 1:
-                raise DepthExhausted(
-                    f"exponent {x} below depth p^-{ring.params.k}")
-            e.append(int(s))
-        return PerfLaurent(ring, {tuple(e): c})
+        return PerfLaurent(ring, {scaled_exponents(ring.params, exponents): c})
 
     @staticmethod
     def one(ring):
@@ -230,10 +239,7 @@ def gauss_val(x: PerfLaurent) -> Optional[Fraction]:
 def phi_linear(x: PerfLaurent) -> PerfLaurent:
     """The coefficient-fixing substitution Y_i -> Y_{i-1}^p (index shift)."""
     p = x.ring.params.p
-    f = x.ring.nvars
-    out = {}
-    for e, c in x.terms.items():
-        out[tuple(p * e[(j + 1) % f] for j in range(f))] = c
+    out = {phi_exponents(e, p): c for e, c in x.terms.items()}
     return PerfLaurent(x.ring, out, x.w_lo * p,
                        None if x.w_hi is None else x.w_hi * p,
                        x.band * p, _normalized=True)
@@ -272,21 +278,6 @@ class PerfHandle:
 
     def one(self):
         return PerfLaurent.one(self.ring)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def frobenius(self, a):
-        return a.frobenius()
-
-    def pth_root(self, a):
-        return a.pth_root()
 
     def is_zero(self, a):
         return a.is_zero()

@@ -67,8 +67,6 @@ def mat_det(A):
     d = len(A)
     if d == 1:
         return A[0][0]
-    if d == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
     acc = None
     for j in range(d):
         minor = [row[:j] + row[j + 1:] for row in A[1:]]
@@ -178,19 +176,23 @@ def commutation_holds(m: PhiModule) -> bool:
     return True
 
 
+def _conjugate(m: PhiModule, U, name: str):
+    """U^-1, U^-1 P phi_q(U) and the samples (a, U^-1 G_a gamma_a(U)); the
+    matrix U, called ``name`` in the error, must have a unit determinant."""
+    if not _unit_criterion(mat_det(U), TAG_AMV, None):
+        raise NotAUnit(f"{name} matrix has non-unit determinant")
+    U_inv = mat_inverse(U)
+    P = mat_mul(mat_mul(U_inv, m.P), mat_map(U, apply_phi_q))
+    action = [(a, mat_mul(mat_mul(U_inv, G),
+                          mat_map(U, lambda x: apply_gamma(a, x))))
+              for a, G in m.action]
+    return U_inv, P, action
+
+
 def base_change(m: PhiModule, U) -> PhiModule:
     """Conjugate the basis: P -> U^-1 P phi_q(U), G_a -> U^-1 G_a gamma_a(U)."""
-    det = mat_det(U)
-    if not _unit_criterion(det, TAG_AMV, None):
-        raise NotAUnit("base-change matrix has non-unit determinant")
-    U_inv = mat_inverse(U)
-    newP = mat_mul(mat_mul(U_inv, m.P), mat_map(U, apply_phi_q))
-    new_action = []
-    for a, G in m.action:
-        newG = mat_mul(mat_mul(U_inv, G),
-                       mat_map(U, lambda x: apply_gamma(a, x)))
-        new_action.append((a, newG))
-    return PhiModule(m.rank, m.tag, newP, new_action, m.s)
+    _, P, action = _conjugate(m, U, "base-change")
+    return PhiModule(m.rank, m.tag, P, action, m.s)
 
 
 def unramified_char(params: Params, lam, samples=()) -> PhiModule:
@@ -213,15 +215,12 @@ def oc_certificate_check(m: PhiModule, U, s: int, s_max: Optional[int] = None):
     unit-level slice.  Returns per-entry results and the minimal certified
     radius index that passes, or a failure witness.
     """
-    det = mat_det(U)
-    if not _unit_criterion(det, TAG_AMV, None):
-        raise NotAUnit("certificate matrix has non-unit determinant")
-    U_inv = mat_inverse(U)
-    P_t = mat_mul(mat_mul(U_inv, m.P), mat_map(U, apply_phi_q))
+    if s_max is not None and s_max < s:
+        raise ValueError(f"s_max = {s_max} is below s = {s}")
+    U_inv, P_t, action = _conjugate(m, U, "certificate")
     mats = {"U": U, "U_inv": U_inv, "P": P_t}
-    for idx, (a, G) in enumerate(m.action):
-        mats[f"G{idx}"] = mat_mul(mat_mul(U_inv, G),
-                                  mat_map(U, lambda x: apply_gamma(a, x)))
+    for idx, (_, G) in enumerate(action):
+        mats[f"G{idx}"] = G
     top = (s + 16) if s_max is None else s_max
     for s_try in range(s, top + 1):
         report = {"s": s_try, "entries": {}, "ok": True}
@@ -237,8 +236,6 @@ def oc_certificate_check(m: PhiModule, U, s: int, s_max: Optional[int] = None):
                             "term": witness,
                         }
         if report["ok"]:
-            return report
-        if s_try == top:
             return report
     return report
 

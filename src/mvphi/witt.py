@@ -2,8 +2,9 @@
 
 Structure polynomials are generated once per (p, N) by solving the ghost
 identities over the integers (each step an exact division by p^n);
-arithmetic applies them coordinatewise through a small handle protocol, so the same code runs
-over any perfect base (finite fields, perfectoid Laurent rings).
+arithmetic applies them coordinatewise with the base ring's own operators,
+so the same code runs over any perfect base (finite fields, perfectoid
+Laurent rings); a handle supplies only what differs between bases.
 
 For E unramified, O_E = W(F), so the ramified functor W_{O_E} coincides with
 W itself and O_E-scalars act through their Teichmueller digit expansions.
@@ -140,21 +141,6 @@ class FiniteFieldHandle:
     def one(self):
         return self.field.one
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def frobenius(self, a):
-        return a.frobenius()
-
-    def pth_root(self, a):
-        return a.pth_root()
-
     def is_zero(self, a):
         return not a
 
@@ -196,24 +182,22 @@ class WittVec:
     def coordinates(self) -> "WittVec":
         if self.form == WITT_COORDS:
             return self
-        h = self.handle
         comps = []
         for n, d in enumerate(self.comps):
             x = d
             for _ in range(n):
-                x = h.frobenius(x)
+                x = x.frobenius()
             comps.append(x)
         return WittVec(self.handle, self.prec, WITT_COORDS, tuple(comps))
 
     def expansion(self) -> "WittVec":
         if self.form == TEICH_EXPANSION:
             return self
-        h = self.handle
         comps = []
         for n, x in enumerate(self.comps):
             d = x
             for _ in range(n):
-                d = h.pth_root(d)
+                d = d.pth_root()
             comps.append(d)
         return WittVec(self.handle, self.prec, TEICH_EXPANSION, tuple(comps))
 
@@ -256,8 +240,8 @@ def _eval_struct(terms, handle, xs, ys):
             n = e
             while n:
                 if n & 1:
-                    got = handle.mul(got, base)
-                base = handle.mul(base, base) if n > 1 else base
+                    got = got * base
+                base = base * base if n > 1 else base
                 n >>= 1
             pow_cache[key] = got
         return got
@@ -268,34 +252,34 @@ def _eval_struct(terms, handle, xs, ys):
         term = None
         for j, d in factors:
             pw = power(j, vals[j], d)
-            term = pw if term is None else handle.mul(term, pw)
+            term = pw if term is None else term * pw
         if term is None:
             term = one
         scaled = term
         for _ in range(ci - 1):
-            scaled = handle.add(scaled, term)
-        acc = handle.add(acc, scaled)
+            scaled = scaled + term
+        acc = acc + scaled
     return handle.window(acc, terms, vals)
 
 
-def witt_add(u: WittVec, v: WittVec) -> WittVec:
+def _coordinatewise(u: WittVec, v: WittVec, polys: str) -> WittVec:
+    """Evaluate the structure polynomials ``polys`` of
+    ``StructurePolys`` on the Witt coordinates of u and v."""
     if u.handle is not v.handle or u.prec != v.prec:
         raise ValueError("operands live over different Witt rings")
     sp = gen_structure_polys(u.handle.p, u.prec)
     xs, ys = u.coordinates().comps, v.coordinates().comps
-    comps = tuple(_eval_struct(sp.sums_mod_p[n], u.handle, xs, ys)
-                  for n in range(u.prec))
+    comps = tuple(_eval_struct(terms, u.handle, xs, ys)
+                  for terms in getattr(sp, polys))
     return WittVec(u.handle, u.prec, WITT_COORDS, comps)
+
+
+def witt_add(u: WittVec, v: WittVec) -> WittVec:
+    return _coordinatewise(u, v, "sums_mod_p")
 
 
 def witt_mul(u: WittVec, v: WittVec) -> WittVec:
-    if u.handle is not v.handle or u.prec != v.prec:
-        raise ValueError("operands live over different Witt rings")
-    sp = gen_structure_polys(u.handle.p, u.prec)
-    xs, ys = u.coordinates().comps, v.coordinates().comps
-    comps = tuple(_eval_struct(sp.prods_mod_p[n], u.handle, xs, ys)
-                  for n in range(u.prec))
-    return WittVec(u.handle, u.prec, WITT_COORDS, comps)
+    return _coordinatewise(u, v, "prods_mod_p")
 
 
 def witt_neg(u: WittVec) -> WittVec:
@@ -324,10 +308,6 @@ def from_expansion(handle, digits, prec: Optional[int] = None) -> WittVec:
     comps = tuple(digits) + tuple(handle.zero()
                                   for _ in range(pr - len(digits)))
     return WittVec(handle, pr, TEICH_EXPANSION, comps)
-
-
-def to_expansion(u: WittVec) -> tuple:
-    return u.digits()
 
 
 def from_oe_scalar(handle, c: OEInt) -> WittVec:

@@ -1,0 +1,44 @@
+"""CLI commands print exactly the text kept in tests/data/cli.
+
+The q = 2 commands cover the Y = [1] - 1 generator through the group sum;
+the iota and witt-suite commands cover Witt arithmetic over the perfection
+and over a finite field.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = {
+    "phi-y_p2_f1": "phi-y --p 2 --f 1",
+    "phi-y_p2_f1_h2": "phi-y --p 2 --f 1 --h 2",
+    "gamma-y_p2_f1_a3": "gamma-y --p 2 --f 1 --a 3",
+    "gamma-y_p2_f1_h2_seed4": "gamma-y --p 2 --f 1 --h 2 --seed 4",
+    "check-action_p2_f1": "check --suite action --p 2 --f 1",
+    "iota_p2_f1_prec2": "iota --p 2 --f 1 --prec 2",
+    "iota_p3_f1": "iota --p 3 --f 1",
+    "check-witt_p3_f1": "check --suite witt --p 3 --f 1",
+}
+
+
+def test_golden_list_is_complete():
+    assert sorted(p.stem for p in (ROOT / "tests" / "data" / "cli")
+                  .glob("*.out")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_unchanged(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run([sys.executable, "-m", "mvphi"]
+                          + GOLDEN[name].split(), capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "data" / "cli" / (name + ".out")
+    assert proc.stdout == golden.read_text()

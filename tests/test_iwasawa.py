@@ -271,7 +271,8 @@ def test_gamma_y_identity():
         assert as_int_series_multi(gy) == {unit(2, i): 1}
 
 
-@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
+@pytest.mark.parametrize("p,f,h", [(2, 1, 1), (2, 1, 2), (3, 1, 1),
+                                   (3, 2, 2)])
 def test_phi_y_matches_substitution_route(p, f, h):
     # dual route: group-sum fast path vs generic substitution + reversion
     pr = params(p, f, h, M=8)
@@ -281,7 +282,8 @@ def test_phi_y_matches_substitution_route(p, f, h):
         assert fast == slow
 
 
-@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
+@pytest.mark.parametrize("p,f,h", [(2, 1, 1), (2, 1, 2), (3, 1, 1),
+                                   (3, 2, 2)])
 def test_gamma_y_matches_substitution_route(p, f, h):
     # dual route: group-sum fast path vs generic substitution + reversion
     pr = params(p, f, h, M=8)

@@ -135,6 +135,18 @@ def test_oc_certificate_monotone_and_failure():
     assert not r3["ok"] and "witness" in r3
 
 
+def test_oc_certificate_rejects_s_max_below_s():
+    pr = params(3, 1, 1)
+    m = unramified_char(pr, oe_ring(pr).from_int(4, 3))
+    with pytest.raises(ValueError, match="below s"):
+        oc_certificate_check(m, mat_identity(pr, 1), 5, s_max=3)
+    # the range is checked before the determinant of U (3 is no unit)
+    with pytest.raises(ValueError, match="below s"):
+        oc_certificate_check(m, [[mono(pr, 0, None, 3)]], 5, s_max=3)
+    rep = oc_certificate_check(m, mat_identity(pr, 1), 5, s_max=5)
+    assert rep["ok"] and rep["s"] == 5
+
+
 def test_is_etale_uncertified_window():
     from mvphi.errors import Uncertified
     pr = params(3, 1, 1)
