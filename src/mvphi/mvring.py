@@ -295,22 +295,23 @@ class NormValue:
         return f"NormValue({v}{'' if self.certified else ', uncertified'})"
 
 
+def _check_radius(s: int) -> None:
+    if s < 1:
+        raise ValueError(f"the radius index s must be >= 1, got {s}")
+
+
 def norm_s(x: MvLaurent, s: int) -> NormValue:
-    """sup-norm exponent: min over terms of v_p(c) + n_0/s."""
-    ring = oe_ring(x.params)
-    best = None
-    for (n0, _), c in x.terms.items():
-        lvl = Fraction(ring.raw_val(c, x.prec)) + Fraction(n0, s)
-        if best is None or lvl < best:
-            best = lvl
+    """sup-norm exponent: min over terms of v_p(c) + n_0/s, for s >= 1,
+    found and certified on the integers s * v_p(c) + n_0."""
+    _check_radius(s)
+    raw_val, prec = oe_ring(x.params).raw_val, x.prec
+    best = min((s * raw_val(c, prec) + n0 for (n0, _), c in x.terms.items()),
+               default=None)
     if best is None:
         return NormValue(None, False)
-    certified = True
-    if x.w_hi is not None and best >= Fraction(x.w_hi, s):
-        certified = False
-    if best >= x.prec + Fraction(x.w_lo, s):
-        certified = False
-    return NormValue(best, certified)
+    certified = ((x.w_hi is None or best < x.w_hi)
+                 and best < s * prec + x.w_lo)
+    return NormValue(Fraction(best, s), certified)
 
 
 RING_A0 = "A0"
@@ -330,6 +331,7 @@ def member(x: MvLaurent, tag: str, s: Optional[int] = None) -> bool:
     if tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
         if s is None:
             raise ValueError("dagger membership needs the radius index s")
+        _check_radius(s)
         return all(s * ring.raw_val(c, x.prec) + k[0] >= 0
                    for k, c in x.terms.items())
     raise ValueError(f"unknown ring tag {tag!r}")

@@ -323,9 +323,6 @@ class PerfHandle:
     def embed_residue(self, lam: FElt):
         return PerfLaurent(self.ring, {(0,) * self.ring.nvars: lam})
 
-    def gauss_val(self, a):
-        return gauss_val(a)
-
 
 @cached
 def ainf_handle(params: Params) -> PerfHandle:

@@ -27,12 +27,17 @@ def bound_add(a, b):
     return a + b
 
 
+# monomials a Powers keeps; past this, products are formed and not kept
+MONOMIAL_STORE = 256
+
+
 class Powers:
     """Powers x_i^e of a tuple of atoms, built on demand and kept.
 
     x_i^0 is ``one()``; x_i^e is one product from x_i^(e-1), or for e < 0
     from x_i^(e+1) and the inverse of x_i, which ``invert(i)`` builds the
-    first time a negative exponent asks for it.
+    first time a negative exponent asks for it.  The first
+    ``MONOMIAL_STORE`` monomials prod x_i^{e_i} formed are kept too.
     """
 
     def __init__(self, atoms, one, invert=None):
@@ -41,6 +46,7 @@ class Powers:
         self.invert = invert
         self.table: dict = {}
         self.inverses: dict = {}
+        self.monomials: dict = {}
 
     def inverse(self, i: int):
         got = self.inverses.get(i)
@@ -61,6 +67,19 @@ class Powers:
             self.table[key] = got
         return got
 
+    def monomial(self, e):
+        """prod x_i^{e_i}, its nonzero powers multiplied in generator order
+        (stored or not, the same product); None when all e_i are 0."""
+        got = self.monomials.get(e)
+        if got is None:
+            for i, ei in enumerate(e):
+                if ei:
+                    pw = self.power(i, ei)
+                    got = pw if got is None else got * pw
+            if got is not None and len(self.monomials) < MONOMIAL_STORE:
+                self.monomials[e] = got
+        return got
+
 
 def evaluate(terms, powers: Powers, zero, one):
     """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``.
@@ -69,13 +88,9 @@ def evaluate(terms, powers: Powers, zero, one):
     only when a constant term occurs.
     """
     acc = zero
-    power = powers.power
+    monomial = powers.monomial
     for e, c in terms:
-        term = None
-        for i, ei in enumerate(e):
-            if ei:
-                pw = power(i, ei)
-                term = pw if term is None else term * pw
+        term = monomial(e)
         acc = acc + (one() if term is None else term).scalar_mul(c)
     return acc
 

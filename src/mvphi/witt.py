@@ -12,7 +12,6 @@ W itself and O_E-scalars act through their Teichmueller digit expansions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .caches import cached
@@ -129,7 +128,7 @@ def ghost_components(p: int, N: int, values) -> list:
 # ---------------------------------------------------------------------------
 
 class FiniteFieldHandle:
-    """Perfect-ring handle over F_{p^h} (Gauss valuation: 0 or +infinity)."""
+    """Perfect-ring handle over F_{p^h}."""
 
     def __init__(self, field: FField):
         self.field = field
@@ -153,9 +152,6 @@ class FiniteFieldHandle:
     def window(self, acc, terms, vals):
         """Field elements carry no window: the sum is already exact."""
         return acc
-
-    def gauss_val(self, a):
-        return None if not a else Fraction(0)
 
 
 WITT_COORDS = "witt-coordinates"

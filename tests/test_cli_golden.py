@@ -2,7 +2,10 @@
 
 The q = 2 commands cover the Y = [1] - 1 generator through the group sum;
 the iota and witt-suite commands cover Witt arithmetic over the perfection
-and over a finite field.
+and over a finite field.  The norm and decompose commands read Laurent
+elements with mixed-sign and cross terms from tests/data/cli; two norm
+inputs sit on a certification boundary (s * norm = w_hi, and
+s * norm = s * prec + w_lo).
 """
 
 import os
@@ -22,6 +25,14 @@ GOLDEN = {
     "iota_p2_f1_prec2": "iota --p 2 --f 1 --prec 2",
     "iota_p3_f1": "iota --p 3 --f 1",
     "check-witt_p3_f1": "check --suite witt --p 3 --f 1",
+    "norm_p3_f2_s2": "norm --p 3 --f 2 --s 2 --in "
+                     "tests/data/cli/norm_p3_f2_s2.json",
+    "norm_p3_f2_s2_whi": "norm --p 3 --f 2 --s 2 --in "
+                         "tests/data/cli/norm_p3_f2_s2_whi.json",
+    "norm_p3_f2_s2_prec": "norm --p 3 --f 2 --s 2 --in "
+                          "tests/data/cli/norm_p3_f2_s2_prec.json",
+    "decompose_p3_f2": "decompose --p 3 --f 2 --in "
+                       "tests/data/cli/decompose_p3_f2.json",
 }
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field, oe_ring, ok_ring
 from mvphi.mvring import (MvLaurent, invert_unit, norm_s, member, apply_phi,
@@ -20,6 +21,10 @@ def params(p, f, h, **kw):
 
 def mono(pr, n0, cross=None, scalar=1, prec=None):
     return MvLaurent.monomial(pr, n0, cross, scalar, prec)
+
+
+def mono_band(pr, n0, cross, band):
+    return MvLaurent.monomial(pr, n0, cross, 1, None, None, band)
 
 
 def test_mul_trivial_cases():
@@ -108,6 +113,164 @@ def test_norm_certification_window():
     y = MvLaurent(pr, pr.N, {(2, ()): (3,)}, 0, 3, pr.B)
     # level 3 >= w_hi/1 -> uncertified
     assert not norm_s(y, 1).certified
+
+
+def test_norm_s_and_member_reject_radius_below_one():
+    pr = params(3, 2, 2)
+    x = mono(pr, 2) + mono(pr, -1, None, 3)  # Y_0^2 + 3 Y_0^-1
+    for s in (0, -1):
+        with pytest.raises(ValueError):
+            norm_s(x, s)
+        for tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
+            with pytest.raises(ValueError):
+                member(x, tag, s)
+
+
+def _ref_norm_s(x, s):
+    """norm_s in Fractions: min of v_p(c) + n_0/s, certified below w_hi/s
+    and below prec + w_lo/s."""
+    ring = oe_ring(x.params)
+    best = None
+    for (n0, _), c in x.terms.items():
+        lvl = Fraction(ring.raw_val(c, x.prec)) + Fraction(n0, s)
+        if best is None or lvl < best:
+            best = lvl
+    if best is None:
+        return NormValue(None, False)
+    certified = True
+    if x.w_hi is not None and best >= Fraction(x.w_hi, s):
+        certified = False
+    if best >= x.prec + Fraction(x.w_lo, s):
+        certified = False
+    return NormValue(best, certified)
+
+
+@st.composite
+def norm_cases(draw):
+    """(x, s, boundary) at (3,2,2); boundary "w_hi" puts s * norm on w_hi,
+    "prec" on s * prec + w_lo."""
+    pr = params(3, 2, 2)
+    p = pr.p
+    boundary = draw(st.sampled_from([None, "w_hi", "prec"]))
+    # on w_hi the least term needs v_p >= 1, or the window drops it
+    v_lo = 1 if boundary == "w_hi" else 0
+    prec = draw(st.integers(v_lo + 1, pr.N))
+    s = draw(st.integers(1, 7))
+    terms = {}
+    for _ in range(draw(st.integers(0 if boundary is None else 1, 4))):
+        v = draw(st.integers(v_lo, prec - 1))
+        u0 = draw(st.integers(1, p ** prec - 1).filter(lambda u: u % p))
+        u1 = draw(st.integers(-p ** prec, p ** prec))
+        key = (draw(st.integers(-8, 8)), (draw(st.integers(-3, 3)),))
+        terms[key] = (u0 * p ** v, u1 * p ** v)
+    w_lo = draw(st.one_of(st.none(), st.integers(-12, 12)))
+    w_hi = draw(st.one_of(st.none(), st.integers(-12, 20)))
+    if boundary is not None:
+        ring = oe_ring(pr)
+        best = min(s * ring.raw_val(ring.raw_reduce(c, prec), prec) + n0
+                   for (n0, _), c in terms.items())
+        if boundary == "w_hi":
+            w_hi = best
+        else:
+            w_lo, w_hi = best - s * prec, None
+    return MvLaurent(pr, prec, terms, w_lo, w_hi), s, boundary
+
+
+@settings(max_examples=400, deadline=None)
+@given(norm_cases())
+def test_norm_s_matches_fraction_reference(case):
+    x, s, boundary = case
+    got, ref = norm_s(x, s), _ref_norm_s(x, s)
+    assert got.val == ref.val and got.certified is ref.certified
+    if boundary == "w_hi":
+        assert s * ref.val == x.w_hi and not got.certified
+    elif boundary == "prec":
+        assert s * ref.val == s * x.prec + x.w_lo and not got.certified
+
+
+def test_powers_store_is_bounded_and_evaluates_as_a_fresh_table():
+    from mvphi import sparse
+    pr = params(3, 2, 2)
+    band = 20
+
+    def one():
+        return MvLaurent.one(pr, pr.N, None, band)
+
+    def zero():
+        return MvLaurent.zero(pr, pr.N, None, band)
+
+    def table():
+        # Y_0 and Y_1 = Y_0 X_1
+        return sparse.Powers([mono_band(pr, 1, (0,), band),
+                              mono_band(pr, 1, (1,), band)], one)
+
+    exps = [(a, b) for a in range(18) for b in range(18)]
+    assert len(exps) - 1 > sparse.MONOMIAL_STORE
+    batches = [[(e, (k % 5 + 1, k % 3)) for k, e in enumerate(exps[i:i + 4])]
+               for i in range(0, len(exps), 4)]
+    warm = table()
+    first = [sparse.evaluate(b, warm, zero(), one) for b in batches]
+    assert len(warm.monomials) == sparse.MONOMIAL_STORE
+    # again: stored monomials, then the ones past the bound formed anew
+    for b, got in zip(batches, first):
+        again = sparse.evaluate(b, warm, zero(), one)
+        fresh = sparse.evaluate(b, table(), zero(), one)
+        assert again == got == fresh
+        assert again.band == got.band == fresh.band
+    assert len(warm.monomials) == sparse.MONOMIAL_STORE
+    for e, c in batches[5]:
+        assert first[5].coefficient(sum(e), (e[1],)) == c
+
+
+WARM_COLD_CHECK = """
+import mvphi
+from mvphi.coeff import Params, ok_ring
+from mvphi.embed import iota
+from mvphi.mvring import MvLaurent, apply_gamma, apply_phi, apply_phi_q
+
+pr = Params.create(3, 2, 2)
+a = ok_ring(pr)((2, 1))
+
+
+def m(n0, cross, c, prec=None, w_hi=None):
+    return MvLaurent.monomial(pr, n0, cross, c, prec, w_hi)
+
+
+# Y_0^2 Y_1 (n0 = 3, cross (1,)) is reached at precision 3 and at 2
+xs = [m(3, (1,), 1) + m(-1, (-1,), 2) + m(0, (0,), 1),
+      m(3, (1,), 5, 3, 6) + m(2, (-1,), 3, 3, 6),
+      m(3, (1,), 4, 2) + m(1, (0,), 3, 2) + m(-2, (1,), 1, 2)]
+ops = [apply_phi, apply_phi_q, lambda x: apply_gamma(a, x), iota]
+
+
+def facts(z):
+    if isinstance(z, MvLaurent):
+        return (z.terms, z.prec, z.w_lo, z.w_hi, z.band)
+    fl = z.floors
+    return (z.terms, z.prec, z.H, [getattr(fl, k) for k in fl.__slots__])
+
+
+def run(order):
+    return {(j, i): facts(op(xs[i])) for i in order
+            for j, op in enumerate(ops)}
+
+
+first = run(range(len(xs)))
+warm = run(range(len(xs)))
+mvphi.clear_caches()
+# cold, the shared monomial is formed first from the precision-2 input
+cold = run(reversed(range(len(xs))))
+assert first == warm == cold
+"""
+
+
+def test_substitution_gives_the_same_result_on_a_warm_and_a_cold_table():
+    # a fresh interpreter, so that the tables other tests built survive
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", WARM_COLD_CHECK],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_norm_multiplicative_and_ultrametric():
