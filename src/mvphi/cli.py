@@ -103,7 +103,13 @@ def resolve_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = dict(json.load(fh))
+        for key, val in loaded.items():
+            if key not in DEFAULTS:
+                raise ValueError(f"unknown config key {key!r}")
+            if not (key == "h" and val is None):
+                ser.as_int(val, f"config {key}")
+        cfg.update(loaded)
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -263,7 +269,7 @@ def cmd_oc_cert(args) -> int:
         obj = read_input(args)
         m = ser.phimodule_from(params, obj["module"])
         if "U" in obj:
-            U = [[ser.mv_from(params, x) for x in row] for row in obj["U"]]
+            U = ser.matrix_from(params, obj["U"], m.rank)
         else:
             U = mat_identity(params, m.rank)
     rep = oc_certificate_check(m, U, args.s)

@@ -55,6 +55,28 @@ def vp_factorial(j: int, p: int) -> int:
     return v
 
 
+def base_p_digits(n: int, p: int, k: int) -> list:
+    """The k lowest base-p digits of n >= 0, least significant first."""
+    digits = []
+    for _ in range(k):
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
+def power(x, e: int, one):
+    """x^e for e >= 0 by binary powering with the ring's own ``*``,
+    starting from ``one``."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
 # ---------------------------------------------------------------------------
 # F_{p^h}
 # ---------------------------------------------------------------------------
@@ -137,14 +159,8 @@ def default_poly(p: int, h: int) -> tuple:
     """Smallest monic irreducible of degree h over F_p (lexicographic tail)."""
     if h == 1:
         return (0, 1)
-    count = p ** h
-    for tail in range(count):
-        coeffs = []
-        t = tail
-        for _ in range(h):
-            coeffs.append(t % p)
-            t //= p
-        poly = coeffs + [1]
+    for tail in range(p ** h):
+        poly = base_p_digits(tail, p, h) + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -176,11 +192,7 @@ class FField:
     def elements(self):
         p, h = self.p, self.h
         for idx in range(p ** h):
-            coords, t = [], idx
-            for _ in range(h):
-                coords.append(t % p)
-                t //= p
-            yield FElt(self, tuple(coords))
+            yield FElt(self, tuple(base_p_digits(idx, p, h)))
 
     def raw_mul(self, a: tuple, b: tuple) -> tuple:
         p = self.p
@@ -225,16 +237,9 @@ class FElt:
         return FElt(self.field, self.field.raw_mul(self.coords, other.coords))
 
     def __pow__(self, e: int):
-        f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        result, base = f.one, self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.field.one)
 
     def inverse(self) -> "FElt":
         if not self:
@@ -526,15 +531,8 @@ class Params:
             raise ValueError("need f >= 1 and f | h")
         if min(N, M, B, k) < 1:
             raise ValueError("N, M, B, k must all be >= 1")
-        if poly is None:
-            poly = default_poly(p, h)
-        else:
-            poly = tuple(int(c) % p for c in poly)
-            if len(poly) != h + 1 or poly[h] != 1:
-                raise ValueError("defining polynomial must be monic of "
-                                 "degree h")
-            if not _is_irreducible(list(poly), p):
-                raise ValueError("defining polynomial is reducible mod p")
+        # FField checks an explicit poly: monic, degree h, irreducible
+        poly = default_poly(p, h) if poly is None else FField(p, h, poly).poly
         return cls(p, f, h, N, M, B, k, tuple(poly))
 
     @property
@@ -630,7 +628,6 @@ def padic_binomial(params: Params, a, j: int,
         num = (num * (a_int - i)) % m
     if num % p ** v:
         raise PrecisionExhausted("numerator lost expected divisibility")
-    unit = 1
     fact = 1
     for i in range(2, j + 1):
         fact *= i
@@ -643,27 +640,26 @@ def padic_binomial(params: Params, a, j: int,
 # O_K inside O_E
 # ---------------------------------------------------------------------------
 
-def _solve_mod(matrix, rhs_cols, p, prec):
-    """Gauss-Jordan over Z/p^prec with unit pivots; matrix is square."""
-    n = len(matrix)
-    m = p ** prec
-    a = [row[:] for row in matrix]
-    rhs = [row[:] for row in rhs_cols]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
+def _row_reduce(rows, p: int, m: int):
+    """Gauss-Jordan over Z/m, m a power of p.  Each column pivots on the
+    first remaining row whose entry is a unit; a column with none is
+    skipped.  Returns the reduced rows and the pivot columns."""
+    a = [[x % m for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][col] % p), None)
         if piv is None:
-            raise NotAUnit("matrix is singular mod p")
-        a[col], a[piv] = a[piv], a[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = pow(a[col][col], -1, m)
-        a[col] = [(x * inv) % m for x in a[col]]
-        rhs[col] = [(x * inv) % m for x in rhs[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = pow(a[top][col], -1, m)
+        a[top] = [(x * inv) % m for x in a[top]]
+        for r in range(len(a)):
+            if r != top and a[r][col]:
                 c = a[r][col]
-                a[r] = [(x - c * y) % m for x, y in zip(a[r], a[col])]
-                rhs[r] = [(x - c * y) % m for x, y in zip(rhs[r], rhs[col])]
-    return rhs
+                a[r] = [(x - c * y) % m for x, y in zip(a[r], a[top])]
+        pivots.append(col)
+    return a, pivots
 
 
 class OKRing:
@@ -688,25 +684,10 @@ class OKRing:
             im = e ** (p ** f)
             cols.append([(a - b) % p for a, b in zip(im.coords, e.coords)])
         # kernel of the h x h matrix with those columns
-        a = [[cols[j][i] for j in range(h)] for i in range(h)]
-        pivots, free = [], []
-        row = 0
-        for col in range(h):
-            piv = next((r for r in range(row, h) if a[r][col]), None)
-            if piv is None:
-                free.append(col)
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            inv = pow(a[row][col], p - 2, p)
-            a[row] = [(x * inv) % p for x in a[row]]
-            for r in range(h):
-                if r != row and a[r][col]:
-                    c = a[r][col]
-                    a[r] = [(x - c * y) % p for x, y in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
+        a, pivots = _row_reduce([[cols[j][i] for j in range(h)]
+                                 for i in range(h)], p, p)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(h) if c not in pivots):
             vec = [0] * h
             vec[fc] = 1
             for r, pc in enumerate(pivots):
@@ -717,30 +698,12 @@ class OKRing:
         return basis
 
     def _prepare_solver(self):
-        p, f, h = self.params.p, self.params.f, self.params.h
-        # choose f pivot rows of the basis-lift matrix that are independent
+        # the first f rows of the basis-lift matrix that are independent
         # mod p; a Teichmueller lift is its residue mod p, so these are the
-        # rows of the F_q basis coordinates
-        rows = []
-        reduced = [[b.coords[i] for b in self.fq_basis] for i in range(h)]
-        rank_rows = []
-        basis_rows = []
-        for i in range(h):
-            cand = reduced[i][:]
-            for r, br in zip(rank_rows, basis_rows):
-                if cand[r]:
-                    c = cand[r]
-                    cand = [(x - c * y) % p for x, y in zip(cand, br)]
-            piv = next((c for c in range(f) if cand[c]), None)
-            if piv is not None:
-                inv = pow(cand[piv], p - 2, p)
-                cand = [(x * inv) % p for x in cand]
-                rank_rows.append(piv)
-                basis_rows.append(cand)
-                rows.append(i)
-            if len(rows) == f:
-                break
-        if len(rows) != f:
+        # pivot columns of the f x h matrix of the F_q basis coordinates
+        p = self.params.p
+        _, rows = _row_reduce([b.coords for b in self.fq_basis], p, p)
+        if len(rows) != self.params.f:
             raise RuntimeError("Teichmueller basis matrix is singular mod p")
         self.pivot_rows = rows
 
@@ -778,9 +741,13 @@ class OKRing:
         p, f = self.params.p, self.params.f
         tb = [self.oe.raw_teich(b, prec) for b in self.fq_basis]
         T = [[tb[j][i] for j in range(f)] for i in range(self.params.h)]
-        square = [T[i][:] for i in self.pivot_rows]
-        ident = [[1 if i == j else 0 for j in range(f)] for i in range(f)]
-        inv = _solve_mod(square, ident, p, prec)
+        # [square | I] reduces to [I | square^-1]
+        reduced, pivots = _row_reduce(
+            [T[i] + [int(r == c) for c in range(f)]
+             for r, i in enumerate(self.pivot_rows)], p, p ** prec)
+        if pivots[:f] != list(range(f)):
+            raise NotAUnit("matrix is singular mod p")
+        inv = [row[f:] for row in reduced]
         self._solver_cache[prec] = (tb, T, inv)
         return tb, T, inv
 
@@ -810,12 +777,8 @@ class OKRing:
         """All q elements of F_q as FElt of the big field."""
         p, f = self.params.p, self.params.f
         for idx in range(p ** f):
-            digits, t = [], idx
-            for _ in range(f):
-                digits.append(t % p)
-                t //= p
             acc = self.field.zero
-            for d, b in zip(digits, self.fq_basis):
+            for d, b in zip(base_p_digits(idx, p, f), self.fq_basis):
                 if d:
                     acc = acc + self.field.from_int(d) * b
             yield acc

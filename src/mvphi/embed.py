@@ -381,6 +381,7 @@ class WAlg:
                     self.floors.scale(Fraction(1, p)), _normalized=True)
 
     def phi_forward(self) -> "WAlg":
+        """W(phi): [mu] -> [phi(mu)], coefficients fixed."""
         p = self.params.p
         out = {phi_exponents(e, p): c for e, c in self.terms.items()}
         H = tuple(None if h is None else h * p for h in self.H)
@@ -607,18 +608,13 @@ def iota(x: MvLaurent) -> WAlg:
     return acc
 
 
-def iota_phi(x: WAlg) -> WAlg:
-    """W(phi) on the monoid algebra: [mu] -> [phi(mu)], coefficients fixed."""
-    return x.phi_forward()
-
-
 def verify_phi_equivariance(x: MvLaurent) -> dict:
     """Check W(phi)(iota(x)) = iota(phi(x)) on the meet of certified regions,
     and the q-power version (directly when the degree window allows
     inverting the q-power images, else by f-fold composition)."""
     from .mvring import apply_phi_q
     from .errors import NotAUnit
-    lhs = iota_phi(iota(x))
+    lhs = iota(x).phi_forward()
     rhs = iota(apply_phi(x))
     ok = congruent_mod(lhs, rhs, min(lhs.prec, rhs.prec))
     meet = tuple(bound_min(a, b) for a, b in zip(lhs.H, rhs.H))
@@ -629,7 +625,7 @@ def verify_phi_equivariance(x: MvLaurent) -> dict:
     try:
         lhs_q = iota(x)
         for _ in range(x.params.f):
-            lhs_q = iota_phi(lhs_q)
+            lhs_q = lhs_q.phi_forward()
         rhs_q = iota(apply_phi_q(x))
         ok_q = congruent_mod(lhs_q, rhs_q, min(lhs_q.prec, rhs_q.prec))
     except NotAUnit:

@@ -19,8 +19,7 @@ from itertools import product
 from typing import Optional
 
 from .caches import cached
-from .coeff import (Params, OKElement, oe_ring, ok_ring, padic_binomial,
-                    vp_factorial)
+from .coeff import Params, OKElement, oe_ring, ok_ring, padic_binomial
 from .errors import PrecisionExhausted, SingularJacobian
 from . import sparse
 
@@ -318,9 +317,8 @@ def group_like(x: OKElement, window: Optional[int] = None) -> TSeries:
     the result is reported at the uniform precision x.prec - guard(window).
     """
     params = x.okr.params
-    p = params.p
     w = params.M if window is None else window
-    guard = vp_factorial(w - 1, p)
+    guard = params.guard(w)
     out_prec = x.prec - guard
     if out_prec <= 0:
         raise PrecisionExhausted(
@@ -590,8 +588,7 @@ def _group_sum(params: Params, i: int, transform, window: int) -> TSeries:
     """sum over nonzero lambda of sigma_i(lambda^{-1}) [transform(omega(lambda))]
     less 1 when q = 2: the constant terms cancel only for q > 2."""
     okr = ok_ring(params)
-    guard = vp_factorial(window - 1, params.p)
-    prec_in = params.N + guard
+    prec_in = params.n_work(window)
     acc = TSeries.zero(params, params.N, window)
     for lam in okr.fq_elements():
         if not lam:
@@ -635,8 +632,7 @@ def gamma_y(a: OKElement, i: int, window: Optional[int] = None) -> TSeries:
     """
     params = a.okr.params
     w = params.M if window is None else window
-    guard = vp_factorial(w - 1, params.p)
-    need = params.N + guard
+    need = params.n_work(w)
     a_eff = a.okr(a.coords, need) if a.prec > need else a
     gam_t = _group_sum(params, i, lambda x: a_eff * x, w)
     return to_y_coordinates(gam_t)

@@ -205,22 +205,22 @@ class MvLaurent:
                          sparse.smul(ring, self.terms, craw, prec),
                          self.w_lo, self.w_hi, self.band, _normalized=True)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return invert_unit(self) ** (-e)
-        result = MvLaurent.one(self.params, self.prec, None, self.band)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
 
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
+
+def leading_slice(x: MvLaurent) -> list:
+    """The terms ((n_0, cross), coefficient) with a unit coefficient and
+    the least Y_0-degree n_0 among those; empty when no coefficient is a
+    unit at x's precision."""
+    raw_val = oe_ring(x.params).raw_val
+    units = [(k, c) for k, c in x.terms.items() if raw_val(c, x.prec) == 0]
+    if not units:
+        return []
+    n0 = min(k[0] for k, _ in units)
+    return [(k, c) for k, c in units if k[0] == n0]
+
 
 def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
     """Inverse of u * monomial * (1 + t) with t topologically nilpotent.
@@ -233,13 +233,9 @@ def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
     """
     params = x.params
     ring = oe_ring(params)
-    p = params.p
-    lead_candidates = [(k, c) for k, c in x.terms.items()
-                       if ring.raw_val(c, x.prec) == 0]
-    if not lead_candidates:
+    leads = leading_slice(x)
+    if not leads:
         raise NotAUnit("no unit-coefficient term at this precision")
-    min_n0 = min(k[0] for k, _ in lead_candidates)
-    leads = [(k, c) for k, c in lead_candidates if k[0] == min_n0]
     if len(leads) > 1:
         raise NotAUnit("leading slice is not a single monomial")
     (ln0, lcross), lc = leads[0]
@@ -322,17 +318,17 @@ RING_DAGGER_S = "dagger_s"
 
 def member(x: MvLaurent, tag: str, s: Optional[int] = None) -> bool:
     """Membership certificate for the represented terms at the precision."""
-    ring = oe_ring(x.params)
     if tag == RING_A:
         return True
     if tag == RING_A0:
-        return all(k[0] >= 0 for k, c in x.terms.items()
-                   if ring.raw_val(c, x.prec) == 0)
+        lead = leading_slice(x)
+        return not lead or lead[0][0][0] >= 0
     if tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
         if s is None:
             raise ValueError("dagger membership needs the radius index s")
         _check_radius(s)
-        return all(s * ring.raw_val(c, x.prec) + k[0] >= 0
+        raw_val = oe_ring(x.params).raw_val
+        return all(s * raw_val(c, x.prec) + k[0] >= 0
                    for k, c in x.terms.items())
     raise ValueError(f"unknown ring tag {tag!r}")
 

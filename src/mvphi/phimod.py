@@ -15,7 +15,8 @@ from typing import Optional
 
 from .coeff import Params, oe_ring
 from .errors import NotAUnit, Uncertified, ZeroDeterminant
-from .mvring import (MvLaurent, apply_phi_q, apply_gamma, invert_unit)
+from .mvring import (MvLaurent, apply_phi_q, apply_gamma, invert_unit,
+                     leading_slice)
 
 
 TAG_AMV = "A_mv"
@@ -118,35 +119,24 @@ def mat_eq_within(A, B) -> bool:
 # -- the unit criterion per base tag -----------------------------------------
 
 def _unit_criterion(x: MvLaurent, tag: str, s: Optional[int]) -> bool:
-    ring = oe_ring(x.params)
-    leads = [(k, c) for k, c in x.terms.items()
-             if ring.raw_val(c, x.prec) == 0]
-    if not leads:
+    """The leading slice is one monomial: every other unit-coefficient term
+    then has a larger Y_0-degree.  The integral and dagger tags also need
+    that monomial at Y_0-degree 0, and the dagger tag every other term at
+    s * v_p + n_0 >= 1."""
+    front = leading_slice(x)
+    if len(front) != 1:
         return False
-    min_n0 = min(k[0] for k, _ in leads)
-    front = [(k, c) for k, c in leads if k[0] == min_n0]
-    if len(front) > 1:
-        return False
+    lead = front[0][0]
     if tag == TAG_AMV:
-        rest_ok = all(ring.raw_val(c, x.prec) >= 1 or k[0] > min_n0
-                      for k, c in x.terms.items() if (k, c) not in front)
-        return rest_ok
+        return True
     if tag == TAG_A0:
-        if min_n0 != 0:
-            return False
-        return all(k[0] >= 1 for k, c in x.terms.items()
-                   if ring.raw_val(c, x.prec) == 0 and k[0] != 0)
+        return lead[0] == 0
     if tag == TAG_DAGGER:
         if s is None:
             raise ValueError("dagger tag needs the radius index s")
-        if min_n0 != 0:
-            return False
-        for k, c in x.terms.items():
-            if (k, c) in front:
-                continue
-            if s * ring.raw_val(c, x.prec) + k[0] < 1:
-                return False
-        return True
+        raw_val = oe_ring(x.params).raw_val
+        return lead[0] == 0 and all(s * raw_val(c, x.prec) + k[0] >= 1
+                                    for k, c in x.terms.items() if k != lead)
     raise ValueError(f"unknown base tag {tag!r}")
 
 
@@ -157,10 +147,7 @@ def is_etale(m: PhiModule) -> bool:
     finite window, so the leading slice cannot be resolved.
     """
     det = mat_det(m.P)
-    ring = oe_ring(m.params)
-    has_lead = any(ring.raw_val(c, det.prec) == 0
-                   for c in det.terms.values())
-    if not has_lead and det.w_hi is not None:
+    if not leading_slice(det) and det.w_hi is not None:
         raise Uncertified("det P has no resolvable leading slice "
                           "within the window")
     return _unit_criterion(det, m.tag, m.s)
@@ -246,13 +233,11 @@ def _dagger_with_shift(x: MvLaurent, s: int):
     The Y_0-shift is read off the unit-valuation slice; with that shift
     fixed, every term must satisfy s*v + n_0 + shift >= 0.
     """
-    ring = oe_ring(x.params)
-    shift = 0
-    for (n0, _), c in x.terms.items():
-        if ring.raw_val(c, x.prec) == 0:
-            shift = max(shift, -n0)
+    lead = leading_slice(x)
+    shift = max(0, -lead[0][0][0]) if lead else 0
+    raw_val = oe_ring(x.params).raw_val
     for (n0, cross), c in x.terms.items():
-        v = ring.raw_val(c, x.prec)
+        v = raw_val(c, x.prec)
         if s * v + n0 + shift < 0:
             return False, {"y0": n0, "cross": list(cross), "val": v,
                            "shift": shift}
@@ -262,13 +247,10 @@ def _dagger_with_shift(x: MvLaurent, s: int):
 def integral_bound(m: PhiModule) -> int:
     """Y_0-adic valuation of det P mod pi: the containment exponent for the
     maximal integral submodule."""
-    det = mat_det(m.P)
-    ring = oe_ring(m.params)
-    vals = [k[0] for k, c in det.terms.items()
-            if ring.raw_val(c, det.prec) == 0]
-    if not vals:
+    lead = leading_slice(mat_det(m.P))
+    if not lead:
         raise ZeroDeterminant("det P vanishes mod pi at this precision")
-    return min(vals)
+    return lead[0][0][0]
 
 
 def tensor(m1: PhiModule, m2: PhiModule) -> PhiModule:

@@ -14,7 +14,7 @@ from .coeff import Params, ok_ring
 from .iwasawa import TSeries
 from .mvring import MvLaurent, NormValue
 from .perfd import PerfLaurent
-from .phimod import PhiModule
+from .phimod import PhiModule, TAG_A0, TAG_AMV, TAG_DAGGER
 
 
 def dumps(obj) -> str:
@@ -71,15 +71,33 @@ def mv_json(x: MvLaurent):
             "terms": terms}
 
 
+def as_int(v, what: str) -> int:
+    """v when it is an int; a bool or a float is a ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def mv_from(params: Params, obj) -> MvLaurent:
     terms = {}
     for t in obj["terms"]:
-        if len(t["coeff"]) != params.h or len(t["cross"]) != params.f - 1:
+        coeff = tuple(as_int(c, "a coefficient") for c in t["coeff"])
+        key = (as_int(t["y0"], "y0"),
+               tuple(as_int(e, "a cross exponent") for e in t["cross"]))
+        if len(coeff) != params.h or len(key[1]) != params.f - 1:
             raise ValueError(f"a term needs {params.h} coefficients and "
                              f"{params.f - 1} cross exponents: {t}")
-        terms[(t["y0"], tuple(t["cross"]))] = tuple(t["coeff"])
-    w_lo, w_hi = obj["window"]
-    return MvLaurent(params, obj["pi_prec"], terms, w_lo, w_hi, obj["band"])
+        if key in terms:
+            raise ValueError(f"two terms at y0 = {key[0]}, cross = "
+                             f"{list(key[1])}")
+        terms[key] = coeff
+    w_lo, w_hi = (None if w is None else as_int(w, "a window bound")
+                  for w in obj["window"])
+    prec, band = as_int(obj["pi_prec"], "pi_prec"), as_int(obj["band"], "band")
+    if prec < 1 or band < 0:
+        raise ValueError(f"need pi_prec >= 1 and band >= 0, got {prec} and "
+                         f"{band}")
+    return MvLaurent(params, prec, terms, w_lo, w_hi, band)
 
 
 def perf_json(x: PerfLaurent):
@@ -110,12 +128,22 @@ def phimodule_json(m: PhiModule):
                        for a, G in m.action]}
 
 
+def matrix_from(params: Params, rows, side: int) -> list:
+    """A side x side matrix of Laurent elements."""
+    if len(rows) != side or any(len(row) != side for row in rows):
+        raise ValueError(f"a matrix must be {side} x {side}")
+    return [[mv_from(params, x) for x in row] for row in rows]
+
+
 def phimodule_from(params: Params, obj) -> PhiModule:
+    rank, tag, s = as_int(obj["rank"], "rank"), obj["tag"], obj.get("s")
+    if rank < 1 or tag not in (TAG_AMV, TAG_A0, TAG_DAGGER):
+        raise ValueError(f"need rank >= 1 and a known tag: {rank}, {tag!r}")
+    if (tag == TAG_DAGGER or s is not None) and as_int(s, "s") < 1:
+        raise ValueError(f"the radius index s must be >= 1, got {s}")
     okr = ok_ring(params)
-    P = [[mv_from(params, x) for x in row] for row in obj["P"]]
-    action = []
-    for entry in obj.get("action", []):
-        a = okr(tuple(entry["a"]))
-        G = [[mv_from(params, x) for x in row] for row in entry["G"]]
-        action.append((a, G))
-    return PhiModule(obj["rank"], obj["tag"], P, action, obj.get("s"))
+    P = matrix_from(params, obj["P"], rank)
+    action = [(okr(tuple(as_int(c, "a unit coordinate") for c in entry["a"])),
+               matrix_from(params, entry["G"], rank))
+              for entry in obj.get("action", [])]
+    return PhiModule(rank, tag, P, action, s)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .caches import cached
-from .coeff import FElt, FField, OEInt
+from .coeff import FElt, FField, OEInt, OERing, power
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +226,14 @@ def _eval_struct(terms, handle, xs, ys):
     acc = handle.zero()
     one = handle.one()
     pow_cache = {}
-
-    def power(idx, val, e):
-        key = (idx, e)
-        got = pow_cache.get(key)
-        if got is None:
-            got = one
-            base = val
-            n = e
-            while n:
-                if n & 1:
-                    got = got * base
-                base = base * base if n > 1 else base
-                n >>= 1
-            pow_cache[key] = got
-        return got
-
     for ci, factors in terms:
         if not all(live[j] for j, _ in factors):
             continue
         term = None
         for j, d in factors:
-            pw = power(j, vals[j], d)
+            pw = pow_cache.get((j, d))
+            if pw is None:
+                pw = pow_cache[j, d] = power(vals[j], d, one)
             term = pw if term is None else term * pw
         if term is None:
             term = one
@@ -314,27 +300,9 @@ def from_oe_scalar(handle, c: OEInt) -> WittVec:
 
 
 def from_int(handle, n: int, prec: int) -> WittVec:
-    """Integer as a Witt vector: digits of its Teichmueller expansion in Z_p."""
-    p = handle.p
-    digits = []
-    rem_prec = prec
-    cur = n % p ** prec
-    for _ in range(prec):
-        lam = cur % p
-        digits.append(handle.embed_residue(handle.field.from_int(lam)))
-        if rem_prec > 1:
-            t = _teich_int(lam, p, rem_prec)
-            cur = ((cur - t) % p ** rem_prec) // p
-        rem_prec -= 1
-    return from_expansion(handle, tuple(digits), prec)
-
-
-def _teich_int(lam: int, p: int, prec: int) -> int:
-    """Teichmueller lift of lam mod p inside Z/p^prec."""
-    t = lam % p ** prec
-    for _ in range(prec):
-        t = pow(t, p, p ** prec)
-    return t
+    """Integer as a Witt vector: an integer is an O_E scalar, and the
+    Teichmueller lift of a digit in F_p is the same in Z_p and in O_E."""
+    return from_oe_scalar(handle, OERing(handle.field).from_int(n, prec))
 
 
 def map_coefficients(sigma, u: WittVec) -> WittVec:

@@ -231,6 +231,36 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     bad_json.write_text("{not json")
     no_key = tmp_path / "no_key.json"
     no_key.write_text(json.dumps({"pi_prec": 3}))
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def mv(terms=({"y0": 0, "cross": [], "coeff": [1]},), **kw):
+        return dict({"pi_prec": 3, "window": [0, None], "band": 6,
+                     "terms": list(terms)}, **kw)
+
+    def module(P, rank=1, tag="A_mv", **kw):
+        return dict({"rank": rank, "tag": tag, "P": P}, **kw)
+    bad_elements = [
+        mv([{"y0": 0, "cross": [], "coeff": [1.5]}]),
+        mv([{"y0": 1.5, "cross": [], "coeff": [1]}]),
+        mv([{"y0": 0, "cross": [], "coeff": [True]}]),
+        mv(pi_prec=-1), mv(pi_prec=0), mv(band=-1), mv(window=[0, 1.5]),
+        mv([{"y0": 1, "cross": [], "coeff": [1]},
+            {"y0": 1, "cross": [], "coeff": [2]}]),
+    ]
+    bad_modules = [
+        module([[mv(), mv()]]),                        # 1 x 2, rank 1
+        module([[mv()]], rank=2),
+        module([[mv()]], tag="bogus"),
+        module([[mv()]], rank=0),
+        module([[mv()]], tag="dagger_s_minus"),        # no s
+        module([[mv()]], tag="dagger_s_minus", s=0),
+        module([[mv()]], tag="dagger_s_minus", s=1.5),
+        module([[mv()]], action=[{"a": [2], "G": [[mv(), mv()]]}]),
+    ]
     cases = [
         ["phi-y", "--p", "4", "--f", "1"],                  # Params.create
         ["phi-y", "--config", str(tmp_path / "missing.json")],
@@ -242,7 +272,21 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         ["gamma-y", "--p", "3", "--f", "2", "--h", "2", "--a", "1"],
         ["phi-y", "--p", "2", "--f", "1",
          "--out", str(tmp_path / "no" / "dir.json")],
+        ["phi-y", "--config", write("prec.json", {"prec": 2.5})],
+        ["phi-y", "--config", write("foo.json", {"foo": 1})],
+        ["phi-y", "--config", write("list.json", [1])],
+        ["oc-cert", "--p", "3", "--f", "1", "--in",
+         write("u.json", {"module": module([[mv()]]),
+                          "U": [[mv(), mv()]]})],
     ]
+    for i, x in enumerate(bad_elements):
+        cases.append(["norm", "--p", "3", "--f", "1", "--in",
+                      write(f"mv{i}.json", x)])
+    for i, m in enumerate(bad_modules):
+        cases += [["etale", "--p", "3", "--f", "1", "--in",
+                   write(f"m{i}.json", m)],
+                  ["oc-cert", "--p", "3", "--f", "1", "--in",
+                   write(f"oc{i}.json", {"module": m})]]
     for argv in cases:
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv

@@ -5,7 +5,10 @@ the iota and witt-suite commands cover Witt arithmetic over the perfection
 and over a finite field.  The norm and decompose commands read Laurent
 elements with mixed-sign and cross terms from tests/data/cli; two norm
 inputs sit on a certification boundary (s * norm = w_hi, and
-s * norm = s * prec + w_lo).
+s * norm = s * prec + w_lo).  The etale and oc-cert commands read a rank-2
+dagger-tagged module whose determinant has a Y_0^{-1} term and one entry
+that first passes at s = 2; the phimod suite runs the unit criterion and
+the integral bound at f = 2.
 """
 
 import os
@@ -33,6 +36,10 @@ GOLDEN = {
                           "tests/data/cli/norm_p3_f2_s2_prec.json",
     "decompose_p3_f2": "decompose --p 3 --f 2 --in "
                        "tests/data/cli/decompose_p3_f2.json",
+    "etale_p3_f1": "etale --p 3 --f 1 --in tests/data/cli/etale_p3_f1.json",
+    "oc-cert_p3_f1_s1": "oc-cert --p 3 --f 1 --s 1 --in "
+                        "tests/data/cli/oc-cert_p3_f1_s1.json",
+    "check-phimod_p3_f2": "check --suite phimod --p 3 --f 2",
 }
 
 

@@ -1,11 +1,12 @@
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import (Params, fq_field, oe_ring, ok_ring, teichmuller,
                          frobenius_lift, padic_binomial, vp_factorial,
-                         default_poly)
+                         default_poly, _row_reduce)
 from mvphi.errors import PrecisionExhausted, NotAUnit
 
 
@@ -237,6 +238,65 @@ def test_params_validation():
         Params.create(3, 2, 2, poly=(2, 0, 1))  # x^2 + 2 has root 1 mod 3
     with pytest.raises(ValueError):
         Params.create(3, 2, 2, poly=(1, 1))  # wrong degree
+    with pytest.raises(ValueError):
+        Params.create(3, 2, 2, poly=(1, 0, 2))  # not monic
+    assert Params.create(3, 2, 2, poly=(4, 3, 1)).poly == (1, 0, 1)
     pr = Params.create(3, 2)
     assert pr.h == 2 and pr.q == 9
     assert pr.guard() == vp_factorial(pr.M - 1, 3)
+
+
+def _det(a, m):
+    """Leibniz determinant mod m."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        sign = sum(perm[i] > perm[j] for i in range(len(a))
+                   for j in range(i + 1, len(a))) % 2
+        term = -1 if sign else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total % m
+
+
+def _in_span(col, cols, p):
+    """col is an F_p-combination of cols (by enumeration)."""
+    return any(all((sum(c * v[i] for c, v in zip(coefs, cols)) - col[i]) % p
+                   == 0 for i in range(len(col)))
+               for coefs in product(range(p), repeat=len(cols)))
+
+
+@st.composite
+def _matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = p ** draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.integers(0, m - 1)
+    a = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return p, m, a
+
+
+@given(_matrices())
+@settings(max_examples=150, deadline=None)
+def test_row_reduce_inverts_and_pivots_greedily(case):
+    p, m, a = case
+    n = len(a)
+    square = [row[:n] + [0] * (n - len(row)) for row in a]
+    reduced, pivots = _row_reduce(
+        [row + [int(i == j) for j in range(n)]
+         for i, row in enumerate(square)], p, m)
+    if _det(square, p):
+        assert pivots[:n] == list(range(n))
+        inv = [row[n:] for row in reduced]
+        assert all(sum(square[i][k] * inv[k][j] for k in range(n)) % m
+                   == int(i == j) for i in range(n) for j in range(n))
+    else:
+        assert pivots[:n] != list(range(n))
+    # mod p the pivots are the first columns independent of those before
+    cols = [[row[j] % p for row in a] for j in range(len(a[0]))]
+    greedy = []
+    for j, col in enumerate(cols):
+        if not _in_span(col, [cols[g] for g in greedy], p):
+            greedy.append(j)
+    assert _row_reduce(a, p, p)[1] == greedy
