@@ -8,7 +8,7 @@ from .iwasawa import (TSeries, group_like, y_generator, phi_map, gamma_map,
                       okx_coordinates, y_to_t_inverse, phi_y, gamma_y)
 from .mvring import (MvLaurent, NormValue, invert_unit, norm_s, member,
                      apply_phi, apply_phi_q, apply_gamma, phi_decompose,
-                     recompose, check_local_analyticity)
+                     recompose, roundtrip_ok, check_local_analyticity)
 from .witt import (WittVec, StructurePolys, gen_structure_polys, witt_add,
                    witt_mul, teich, from_expansion, map_coefficients)
 from .perfd import (PerfLaurent, PerfRing, BElt, ainf_ring, gauss_val,
@@ -27,7 +27,7 @@ __all__ = [
     "okx_coordinates", "y_to_t_inverse", "phi_y", "gamma_y",
     "MvLaurent", "NormValue", "invert_unit", "norm_s", "member", "apply_phi",
     "apply_phi_q", "apply_gamma", "phi_decompose", "recompose",
-    "check_local_analyticity",
+    "roundtrip_ok", "check_local_analyticity",
     "WittVec", "StructurePolys", "gen_structure_polys", "witt_add",
     "witt_mul", "teich", "from_expansion", "map_coefficients",
     "PerfLaurent", "PerfRing", "BElt", "ainf_ring", "gauss_val", "b_val_r",

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .coeff import Params, ok_ring
 from .iwasawa import phi_y, gamma_y
-from .mvring import MvLaurent, norm_s, phi_decompose, recompose
+from .mvring import (MvLaurent, norm_s, phi_decompose, recompose,
+                     roundtrip_ok)
 from .phimod import (mat_identity, is_etale, commutation_holds,
                      oc_certificate_check)
 from .embed import iota_generators, to_belt, verify_norm_compare
@@ -240,13 +241,12 @@ def cmd_decompose(args) -> int:
     with _usage():
         x = ser.mv_from(params, read_input(args))
     comps = phi_decompose(x)
-    back = recompose(comps, params)
-    roundtrip = (x - back).is_zero()
+    roundtrip = roundtrip_ok(x, recompose(comps, params))
     payload = {"config": cfg,
                "components": [{"monomial": {"y0": a[0], "cross": list(a[1])},
                                "g": ser.mv_json(g)}
                               for a, g in sorted(comps.items())],
-               "roundtrip": bool(roundtrip)}
+               "roundtrip": roundtrip}
     emit(args, payload)
     return 0 if roundtrip else 1
 

@@ -14,6 +14,7 @@ operate on this representation with conservative interval propagation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -45,8 +46,8 @@ class MvLaurent:
             if w_hi is not None and n0 >= w_hi:
                 continue
             if any(abs(e) > self.band for e in cross):
-                raise BandOverflow(
-                    f"cross exponent {cross} exceeds band {self.band}")
+                raise _band_overflow(params, "cross exponent", cross,
+                                     self.band)
             rc = ring.raw_reduce(c, prec)
             if any(rc):
                 out[(n0, tuple(cross))] = rc
@@ -179,8 +180,8 @@ class MvLaurent:
                     continue
                 cross = tuple(a + b for a, b in zip(x1, x2))
                 if any(abs(e) > band for e in cross):
-                    raise BandOverflow(
-                        f"product cross exponent {cross} exceeds band {band}")
+                    raise _band_overflow(self.params, "product cross exponent",
+                                        cross, band)
                 prod = ring.raw_mul(c1, c2, prec)
                 key = (n0, cross)
                 cur = out.get(key)
@@ -190,6 +191,24 @@ class MvLaurent:
             del out[k]
         return MvLaurent(self.params, prec, out, w_lo, w_hi, band,
                          _normalized=True)
+
+    def shift(self, n0: int, cross: tuple) -> "MvLaurent":
+        """self * Y_0^{n0} prod X_i^{cross_i}: keys move by (n0, cross), the
+        window by n0; coefficients, prec and band stay.  For g returned by
+        ``_SubstImages.apply`` and 1 <= g.prec <= prec this equals
+        ``MvLaurent.monomial(params, n0, cross, 1, prec, None, g.band) * g``:
+        the product's precision is g.prec, so 1 * c is c; the monomial is
+        exact with w_lo = n0, so the window moves by n0; and g's terms lie
+        below g.w_hi, so the product's window filter drops none."""
+        band, terms = self.band, {}
+        for (m0, x), c in self.terms.items():
+            key = (m0 + n0, tuple(a + b for a, b in zip(x, cross)))
+            if any(abs(e) > band for e in key[1]):
+                raise _band_overflow(self.params, "product cross exponent",
+                                    key[1], band)
+            terms[key] = c
+        return MvLaurent(self.params, self.prec, terms, self.w_lo + n0,
+                         bound_add(self.w_hi, n0), band, _normalized=True)
 
     def scalar_mul(self, c) -> "MvLaurent":
         ring = oe_ring(self.params)
@@ -204,6 +223,34 @@ class MvLaurent:
         return MvLaurent(self.params, prec,
                          sparse.smul(ring, self.terms, craw, prec),
                          self.w_lo, self.w_hi, self.band, _normalized=True)
+
+
+def _band_overflow(params: Params, what: str, cross, band: int):
+    """The error for a cross exponent past the band; it names the least
+    --band admitting it when the band is B or the working (B + M)(p + 1)."""
+    e, msg = max(map(abs, cross)), f"{what} {cross} exceeds band {band}"
+    least = {params.B: e,
+             _work_band(params): -(-e // (params.p + 1)) - params.M}
+    if band in least:
+        msg += f"; --band {least[band]} admits it"
+    return BandOverflow(msg)
+
+
+def _sum(params: Params, parts, prec: int, band: int) -> MvLaurent:
+    """MvLaurent.zero(params, prec, None, band) + parts[0] + parts[1] + ...
+    in one term dict, reduced and filtered below w_hi once.  The chain of +
+    gives the same: its precision and w_hi only fall along the chain."""
+    ring = oe_ring(params)
+    w_lo, w_hi, out = 0, None, {}
+    for g in parts:
+        prec, band = min(prec, g.prec), min(band, g.band)
+        w_lo, w_hi = min(w_lo, g.w_lo), bound_min(w_hi, g.w_hi)
+        for k, c in g.terms.items():
+            cur = out.get(k)
+            out[k] = c if cur is None else ring.raw_add(cur, c, prec)
+    out = sparse.reduce(ring, out, prec,
+                        None if w_hi is None else lambda k: k[0] < w_hi)
+    return MvLaurent(params, prec, out, w_lo, w_hi, band, _normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +524,12 @@ def apply_gamma(a: OKElement, x: MvLaurent) -> MvLaurent:
 # the Frobenius-basis decomposition
 # ---------------------------------------------------------------------------
 
-def phi_basis(params: Params):
-    """The q basis monomials Y_0^{n_0} prod X_i^{n_i}, 0 <= n_j <= p-1."""
-    p, f = params.p, params.f
-    out = []
-
-    def rec(i, acc):
-        if i == f:
-            out.append((acc[0], tuple(acc[1:])))
-            return
-        for d in range(p):
-            rec(i + 1, acc + [d])
-    rec(0, [])
-    return out
+@cached
+def phi_basis(params: Params) -> tuple:
+    """The q basis monomials Y_0^{n_0} prod X_i^{n_i}, 0 <= n_j <= p-1, as
+    keys (n_0, (n_1, ...)) in lexicographic order."""
+    return tuple((d[0], d[1:])
+                 for d in itertools.product(range(params.p), repeat=params.f))
 
 
 def _basis_for_residue(params: Params, r: tuple):
@@ -537,16 +577,14 @@ def phi_decompose(x: MvLaurent) -> dict:
             cur = delta[a].get(key)
             delta[a][key] = ring.raw_add(cur, c, rem.prec) \
                 if cur is not None else c
-        correction = MvLaurent.zero(params, rem.prec, None, band)
+        parts = []
         for a, terms in delta.items():
             if not terms:
                 continue
             g_delta = MvLaurent(params, rem.prec, terms, None, None, band)
             comps[a] = sparse.add(ring, comps[a], terms, x.prec)
-            mono = MvLaurent.monomial(params, a[0], a[1], 1, rem.prec, None,
-                                      band)
-            correction = correction + mono * images.apply(g_delta)
-        rem = rem - correction
+            parts.append(images.apply(g_delta).shift(*a))
+        rem = rem - _sum(params, parts, rem.prec, band)
         h_run = bound_min(h_run, rem.w_hi)
     if not rem.is_zero():
         raise WindowTooSmall(
@@ -565,11 +603,15 @@ def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
     images = phi_images(params, decompose_window(params))
     band = _work_band(params)
-    acc = MvLaurent.zero(params, params.N, None, band)
-    for (n0, cross), g in components.items():
-        mono = MvLaurent.monomial(params, n0, cross, 1, g.prec, None, band)
-        acc = acc + mono * images.apply(g.lift_band(band))
-    return acc
+    return _sum(params, (images.apply(g.lift_band(band)).shift(*a)
+                         for a, g in components.items()), params.N, band)
+
+
+def roundtrip_ok(x: MvLaurent, back: MvLaurent) -> bool:
+    """x equals its recomposition ``back``, and back's certified window
+    covers x's support, without which the equality would be vacuous."""
+    supmax = max((k[0] for k in x.terms), default=0)
+    return (x - back).is_zero() and (back.w_hi is None or back.w_hi > supmax)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .coeff import Params, fq_field, oe_ring, ok_ring
 from .iwasawa import TSeries, phi_y, gamma_y
 from .mvring import (MvLaurent, norm_s, member, apply_phi, apply_gamma,
-                     phi_decompose, recompose, check_local_analyticity,
-                     RING_DAGGER_S_MINUS)
+                     phi_decompose, recompose, roundtrip_ok,
+                     check_local_analyticity, RING_DAGGER_S_MINUS)
 from .witt import (gen_structure_polys, ghost_components, eval_int,
                    FiniteFieldHandle, from_int, witt_add, witt_mul, teich)
 from .perfd import ainf_handle, PerfLaurent
@@ -327,17 +327,6 @@ def rand_pure_cone(params: Params, rng, nterms=3) -> MvLaurent:
     return MvLaurent(params, params.N, terms)
 
 
-def _roundtrip_ok(params: Params, x: MvLaurent) -> bool:
-    """Exact recomposition, and the certified window must cover the input
-    (a window that stops short of the support would make the check vacuous)."""
-    comps = phi_decompose(x)
-    back = recompose(comps, params)
-    if not (x - back).is_zero():
-        return False
-    supmax = max((k[0] for k in x.terms), default=0)
-    return back.w_hi is None or back.w_hi > supmax
-
-
 def suite_decompose(params: Params, rng=None, n_samples: int = 50) -> dict:
     rng = rng or random.Random(5)
     assertions = []
@@ -345,15 +334,13 @@ def suite_decompose(params: Params, rng=None, n_samples: int = 50) -> dict:
     for _ in range(n_samples):
         # mod p the lift is one exact pass; mixed-sign supports certify
         x = rand_mv(params, rng, nterms=3).reduce(1)
-        if _roundtrip_ok(params, x):
-            ok += 1
+        ok += roundtrip_ok(x, recompose(phi_decompose(x), params))
     assertions.append({"id": "decompose/roundtrip-prec1",
                        "ok": ok == n_samples, "checked": n_samples})
     ok = 0
     for _ in range(n_samples):
         x = rand_pure_cone(params, rng)
-        if _roundtrip_ok(params, x):
-            ok += 1
+        ok += roundtrip_ok(x, recompose(phi_decompose(x), params))
     assertions.append({"id": f"decompose/roundtrip-prec{params.N}",
                        "ok": ok == n_samples, "checked": n_samples})
     s = 1

@@ -79,6 +79,34 @@ def test_decompose_roundtrip_cli():
     assert len(data["components"]) == 3
 
 
+def test_decompose_uncovered_window_is_no_roundtrip():
+    # the recomposition's window is [0, -1): x - back is zero only because
+    # nothing is certified, so the roundtrip must not be claimed
+    proc = run_cli(["decompose", "--p", "3", "--f", "1"],
+                   stdin=json.dumps({"pi_prec": 3, "window": [0, 5],
+                                     "band": 6, "terms": [
+                                         {"y0": 1, "cross": [],
+                                          "coeff": [1]}]}))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["roundtrip"] is False
+
+
+def test_band_overflow_names_the_least_band():
+    # (B + M)(p + 1) = (6 + 12) * 4 = 72 < 81 <= (9 + 12) * 4
+    base = ["check", "--suite", "iota", "--p", "3", "--f", "2", "--prec", "4"]
+    proc = run_cli(base)
+    assert proc.returncode == 2
+    assert "(-81,) exceeds band 72" in proc.stderr
+    assert "--band 9 admits it" in proc.stderr
+    proc = run_cli(base + ["--band", "8"])
+    assert proc.returncode == 2
+    assert "exceeds band 80" in proc.stderr
+    assert "--band 9 admits it" in proc.stderr
+    proc = run_cli(base + ["--band", "9"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["ok"] is True
+
+
 def test_etale_cli():
     pr = Params.create(3, 1, 1)
     m = unramified_char(pr, __import__("mvphi.coeff", fromlist=["oe_ring"])

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from mvphi.coeff import Params, fq_field, oe_ring, ok_ring
 from mvphi.mvring import (MvLaurent, invert_unit, norm_s, member, apply_phi,
                           apply_gamma, phi_decompose, recompose,
-                          phi_basis, check_local_analyticity, NormValue,
+                          roundtrip_ok, phi_basis, phi_images,
+                          decompose_window, _work_band,
+                          check_local_analyticity, NormValue,
                           RING_A0, RING_A, RING_DAGGER_S_MINUS, RING_DAGGER_S)
 from mvphi.errors import BandOverflow, NotAUnit
 
@@ -50,7 +52,8 @@ def test_band_overflow_on_mul():
     pr = params(3, 2, 2, B=2)
     a = mono(pr, 0, (2,))
     b = mono(pr, 0, (1,))
-    with pytest.raises(BandOverflow):
+    with pytest.raises(BandOverflow, match=r"\(3,\) exceeds band 2; "
+                                            r"--band 3 admits it"):
         a * b
 
 
@@ -475,13 +478,8 @@ def test_phi_decompose_roundtrip(p, f, h, prec):
         else:
             from mvphi.suites import rand_pure_cone
             x = rand_pure_cone(pr, rng)
-        comps = phi_decompose(x)
-        back = recompose(comps, pr)
-        diff = x - back
-        assert diff.is_zero(), (x, back, diff)
-        supmax = max((k[0] for k in x.terms), default=0)
-        # the certified window must cover the input support
-        assert back.w_hi is None or back.w_hi > supmax
+        back = recompose(phi_decompose(x), pr)
+        assert roundtrip_ok(x, back), (x, back)
 
 
 def test_phi_decompose_caps_precision_at_N():
@@ -518,6 +516,82 @@ def test_phi_decompose_dagger_membership():
         assert member(x, RING_DAGGER_S_MINUS, ps)
         for g in phi_decompose(x).values():
             assert member(g, RING_DAGGER_S_MINUS, s)
+
+
+# the reference for shift and recompose: a basis monomial at the
+# component's precision times the component's image, added to the sum by +
+SHIFT_GRID = [(3, 1, 1), (3, 2, 2), (5, 2, 2), (2, 2, 2)]
+
+
+def _recompose_by_products(components, pr):
+    images = phi_images(pr, decompose_window(pr))
+    band = _work_band(pr)
+    acc = MvLaurent.zero(pr, pr.N, None, band)
+    for (n0, cross), g in components.items():
+        m = MvLaurent.monomial(pr, n0, cross, 1, g.prec, None, band)
+        acc = acc + m * images.apply(g.lift_band(band))
+    return acc
+
+
+def _outcome(fn):
+    """terms, prec, window and band of fn(), or the BandOverflow raised."""
+    try:
+        x = fn()
+    except BandOverflow as exc:
+        return ("BandOverflow", str(exc))
+    return x.terms, x.prec, x.w_lo, x.w_hi, x.band
+
+
+def _coeff(draw, pr, prec):
+    v = draw(st.integers(0, prec - 1))
+    return tuple(draw(st.integers(0, pr.p ** prec - 1)) * pr.p ** v
+                 for _ in range(pr.h))
+
+
+@pytest.mark.parametrize("p,f,h", SHIFT_GRID)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shift_is_the_monomial_product(p, f, h, data):
+    # g as apply returns it: reduced mod p^prec, terms below w_hi, at most
+    # the monomial's precision; cross exponents reach the band edge
+    pr = params(p, f, h)
+    band = data.draw(st.sampled_from([pr.B, _work_band(pr)]))
+    prec = data.draw(st.integers(1, pr.N))
+    edge = st.one_of(st.integers(-2, 2), st.integers(band - p + 1, band),
+                     st.just(-band))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        key = (data.draw(st.integers(-4, 6)),
+               tuple(data.draw(edge) for _ in range(f - 1)))
+        terms[key] = _coeff(data.draw, pr, prec)
+    g = MvLaurent(pr, prec, terms, data.draw(st.integers(-6, 0)),
+                  data.draw(st.one_of(st.none(), st.integers(-3, 7))), band)
+    n0, cross = data.draw(st.sampled_from(phi_basis(pr)))
+    mprec = data.draw(st.integers(prec, pr.N))
+    assert _outcome(lambda: g.shift(n0, cross)) == _outcome(
+        lambda: MvLaurent.monomial(pr, n0, cross, 1, mprec, None, band) * g)
+
+
+@pytest.mark.parametrize("p,f,h", SHIFT_GRID)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_recompose_is_the_sum_of_products(p, f, h, data):
+    # components as phi_decompose leaves them, or empty, at lowered
+    # precision, or with a window (w_hi None, positive or negative)
+    pr = params(p, f, h)
+    band = _work_band(pr)
+    comps = {}
+    for a in phi_basis(pr):
+        prec = data.draw(st.integers(1, pr.N))
+        terms = {}
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+            key = (data.draw(st.integers(-2, 4)),
+                   tuple(data.draw(st.integers(-2, 2)) for _ in range(f - 1)))
+            terms[key] = _coeff(data.draw, pr, prec)
+        w_hi = data.draw(st.one_of(st.none(), st.integers(-3, 6)))
+        comps[a] = MvLaurent(pr, prec, terms, None, w_hi, band)
+    assert _outcome(lambda: recompose(comps, pr)) == _outcome(
+        lambda: _recompose_by_products(comps, pr))
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
