@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -174,7 +175,6 @@ def cmd_gamma_y(args) -> int:
                 raise UsageError(f"--a needs {params.f} coordinates")
             a = okr(coords)
     else:
-        import random
         a = okr.random_unit(random.Random(cfg["seed"]))
     if not a.is_unit():
         raise UsageError("the action needs a unit")

@@ -270,7 +270,6 @@ class OERing:
         self.h = fld.h
         # canonical integral lift of the defining polynomial
         self.poly = tuple(int(c) for c in fld.poly)
-        self._teich_cache: dict = {}
 
     # -- raw kernels (tuples of ints, explicit precision) -------------------
 
@@ -346,17 +345,13 @@ class OERing:
     def lift_felt(self, x: FElt, prec: int) -> tuple:
         return self.raw_reduce(x.coords, prec)
 
+    @cached
     def raw_teich(self, x: FElt, prec: int) -> tuple:
         """Hensel lift of x to the root of T^(p^h) = T at the given precision."""
-        key = (x.coords, prec)
-        cached = self._teich_cache.get(key)
-        if cached is not None:
-            return cached
         a = self.lift_felt(x, prec)
         e = self.p ** self.h
         for _ in range(prec):
             a = self.raw_pow(a, e, prec)
-        self._teich_cache[key] = a
         return a
 
     def raw_pow(self, a, e: int, prec: int) -> tuple:
@@ -671,7 +666,6 @@ class OKRing:
         self.field = fq_field(params)
         self.prec = params.n_work()
         self.fq_basis = self._subfield_basis()
-        self._solver_cache: dict = {}
         self._prepare_solver()
 
     def _subfield_basis(self):
@@ -733,11 +727,9 @@ class OKRing:
                 acc = oe.raw_add(acc, oe.raw_smul(c, tb[j], x.prec), x.prec)
         return acc
 
+    @cached
     def _solver_at(self, prec: int):
         """(teich basis, basis matrix, pivot-square inverse) at a precision."""
-        got = self._solver_cache.get(prec)
-        if got is not None:
-            return got
         p, f = self.params.p, self.params.f
         tb = [self.oe.raw_teich(b, prec) for b in self.fq_basis]
         T = [[tb[j][i] for j in range(f)] for i in range(self.params.h)]
@@ -747,9 +739,7 @@ class OKRing:
              for r, i in enumerate(self.pivot_rows)], p, p ** prec)
         if pivots[:f] != list(range(f)):
             raise NotAUnit("matrix is singular mod p")
-        inv = [row[f:] for row in reduced]
-        self._solver_cache[prec] = (tb, T, inv)
-        return tb, T, inv
+        return tb, T, [row[f:] for row in reduced]
 
     def coordinates_raw(self, vec: tuple, prec: int) -> tuple:
         """Solve sum x_j t_j = vec; raises if vec is not in the O_K lattice."""

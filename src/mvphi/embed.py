@@ -24,8 +24,9 @@ from typing import Optional
 
 from .caches import cached
 from .coeff import OEInt, Params, oe_ring
-from .errors import (DepthExhausted, StabilizationFailure, Uncertified)
-from .mvring import MvLaurent, NormValue, norm_s, apply_phi
+from .errors import (DepthExhausted, NotAUnit, StabilizationFailure,
+                     Uncertified)
+from .mvring import MvLaurent, NormValue, norm_s, apply_phi, apply_phi_q
 from .perfd import (PerfLaurent, ainf_handle, BElt, phi_exponents,
                     scaled_exponents)
 from . import iwasawa, sparse
@@ -290,13 +291,22 @@ class WAlg:
 
     # -- arithmetic --------------------------------------------------------------
 
+    @staticmethod
+    def sum(parts) -> "WAlg":
+        """parts[0] + parts[1] + ...: the least precision, and the horizons
+        and floors met left to right as the chain of + meets them."""
+        params = parts[0].params
+        prec, H, floors = parts[0].prec, parts[0].H, parts[0].floors
+        for x in parts[1:]:
+            prec = min(prec, x.prec)
+            H = _hmono(tuple(bound_min(a, b) for a, b in
+                             zip(H[:prec], x.H[:prec])))
+            floors = floors.meet(x.floors)
+        out = sparse.add(oe_ring(params), [x.terms for x in parts], prec)
+        return WAlg(params, prec, out, H, floors, _normalized=True)
+
     def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        H = _hmono(tuple(bound_min(a, b) for a, b in
-                         zip(self.H[:prec], other.H[:prec])))
-        out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec)
-        return WAlg(self.params, prec, out, H,
-                    self.floors.meet(other.floors), _normalized=True)
+        return WAlg.sum((self, other))
 
     def __neg__(self):
         return WAlg(self.params, self.prec,
@@ -561,14 +571,7 @@ class _IotaContext:
                         for j in range(params.f))
         tinv = WAlg.teich_monomial(params, y.prec, unitvec)
         u = (tinv * y) - WAlg.one(params, y.prec)
-        acc = WAlg.one(params, y.prec)
-        pw = WAlg.one(params, y.prec)
-        for _ in range(y.prec):
-            pw = pw * (-u)
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        return tinv * acc
+        return tinv * sparse.geometric(-u, WAlg.one(params, y.prec), y.prec)
 
     def slope(self) -> Fraction:
         """Worst per-level digit-floor drop across atoms, for the
@@ -612,8 +615,6 @@ def verify_phi_equivariance(x: MvLaurent) -> dict:
     """Check W(phi)(iota(x)) = iota(phi(x)) on the meet of certified regions,
     and the q-power version (directly when the degree window allows
     inverting the q-power images, else by f-fold composition)."""
-    from .mvring import apply_phi_q
-    from .errors import NotAUnit
     lhs = iota(x).phi_forward()
     rhs = iota(apply_phi(x))
     ok = congruent_mod(lhs, rhs, min(lhs.prec, rhs.prec))

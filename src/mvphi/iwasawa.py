@@ -19,8 +19,9 @@ from itertools import product
 from typing import Optional
 
 from .caches import cached
-from .coeff import Params, OKElement, oe_ring, ok_ring, padic_binomial
-from .errors import PrecisionExhausted, SingularJacobian
+from .coeff import (Params, OKElement, _row_reduce, oe_ring, ok_ring,
+                    padic_binomial)
+from .errors import NotAUnit, PrecisionExhausted, SingularJacobian
 from . import sparse
 
 
@@ -69,11 +70,18 @@ class TSeries:
     def _meet(self, other):
         return min(self.prec, other.prec), min(self.window, other.window)
 
-    def __add__(self, other):
-        prec, window = self._meet(other)
-        out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec,
+    @staticmethod
+    def sum(parts) -> "TSeries":
+        """parts[0] + parts[1] + ... at the least precision and window."""
+        params = parts[0].params
+        prec = min(x.prec for x in parts)
+        window = min(x.window for x in parts)
+        out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
                          lambda e: sum(e) < window)
-        return TSeries(self.params, prec, window, out, _normalized=True)
+        return TSeries(params, prec, window, out, _normalized=True)
+
+    def __add__(self, other):
+        return TSeries.sum((self, other))
 
     def __neg__(self):
         return TSeries(self.params, self.prec, self.window,
@@ -370,7 +378,6 @@ def okx_coordinates(a: OKElement):
 
     Column j holds the coordinates of a * t_j; invertible mod p.
     """
-    from .errors import NotAUnit
     if not a.is_unit():
         raise NotAUnit("action requires a unit of O_K")
     okr = a.okr
@@ -477,9 +484,11 @@ def revert_series(series, window: int) -> Reversion:
     nb = _slot_bytes(len(lay.pos) * params.h * (m - 1) ** 2)
     row_bits = 8 * nb * lay.span * lay.row
     # G[d] = sum over |e| >= 2 of coef[j][e] * G^e[d], coef = -L^-1 H
-    coef = [(-_linear_combo(params, Linv[j], high, prec, window)).terms
-            for j in range(f)]
-    coef = [{e: _from_slots(c, nb) for e, c in cj.items()} for cj in coef]
+    coef = []
+    for j in range(f):
+        lin = TSeries.sum([TSeries.zero(params, prec, window)]
+                          + [v.scalar_mul(c) for c, v in zip(Linv[j], high)])
+        coef.append({e: _from_slots(c, nb) for e, c in (-lin).terms.items()})
     # rows[e][d]: the degree-d part of G^e, packed as row 0
     rows = {e: [0] * window for e in lay.pos if sum(e)}
     for j in range(f):
@@ -522,42 +531,28 @@ def _linear_series(params, row, prec, window):
     return TSeries(params, prec, window, out)
 
 
-def _linear_combo(params, row, vecs, prec, window):
-    acc = TSeries.zero(params, prec, window)
-    for c, v in zip(row, vecs):
-        acc = acc + v.scalar_mul(c)
-    return acc
-
-
 def _invert_coeff_matrix(params, L, prec):
-    """Invert an f x f matrix of raw O_E tuples; None when singular mod p."""
+    """Invert an f x f matrix of raw O_E tuples; None when singular mod p.
+
+    O_E / p^prec is free of rank h over Z / p^prec, so L is the fh x fh
+    matrix whose entry (i h + r, j h + k) is coordinate r of L[i][j] x^k,
+    invertible exactly when L is; L^-1[i][j] is column j h of its inverse
+    at rows i h .. i h + h - 1.
+    """
     ring = oe_ring(params)
-    f = params.f
-    a = [[ring.raw_reduce(L[i][j], prec) for j in range(f)] for i in range(f)]
-    one = (1,) + (0,) * (params.h - 1)
-    inv = [[one if i == j else (0,) * params.h for j in range(f)]
-           for i in range(f)]
-    for col in range(f):
-        piv = None
-        for r in range(col, f):
-            if ring.reduce_mod_p(a[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pivinv = ring.raw_inv(a[col][col], prec)
-        a[col] = [ring.raw_mul(x, pivinv, prec) for x in a[col]]
-        inv[col] = [ring.raw_mul(x, pivinv, prec) for x in inv[col]]
-        for r in range(f):
-            if r != col and any(a[r][col]):
-                c = a[r][col]
-                a[r] = [ring.raw_sub(x, ring.raw_mul(c, y, prec), prec)
-                        for x, y in zip(a[r], a[col])]
-                inv[r] = [ring.raw_sub(x, ring.raw_mul(c, y, prec), prec)
-                          for x, y in zip(inv[r], inv[col])]
-    return inv
+    f, h, p = params.f, params.h, params.p
+    fh = f * h
+    xk = [tuple(int(r == k) for r in range(h)) for k in range(h)]
+    mult = [[[ring.raw_mul(L[i][j], xk[k], prec) for k in range(h)]
+             for j in range(f)] for i in range(f)]
+    rows = [[mult[i][j][k][r] for j in range(f) for k in range(h)]
+            + [int(c == i * h + r) for c in range(fh)]
+            for i in range(f) for r in range(h)]
+    reduced, pivots = _row_reduce(rows, p, p ** prec)
+    if pivots[:fh] != list(range(fh)):
+        return None
+    return [[tuple(reduced[i * h + r][fh + j * h] for r in range(h))
+             for j in range(f)] for i in range(f)]
 
 
 def y_to_t_inverse(params: Params,
@@ -589,16 +584,16 @@ def _group_sum(params: Params, i: int, transform, window: int) -> TSeries:
     less 1 when q = 2: the constant terms cancel only for q > 2."""
     okr = ok_ring(params)
     prec_in = params.n_work(window)
-    acc = TSeries.zero(params, params.N, window)
+    parts = [TSeries.zero(params, params.N, window)]
     for lam in okr.fq_elements():
         if not lam:
             continue
         coeff = okr.sigma(okr.coordinates_of_felt(lam.inverse(), prec_in), i)
         x = transform(okr.coordinates_of_felt(lam, prec_in))
-        acc = acc + group_like(x, window).scalar_mul(coeff)
+        parts.append(group_like(x, window).scalar_mul(coeff))
     if params.q == 2:
-        acc = acc - TSeries.one(params, params.N, window)
-    return acc
+        parts.append(-TSeries.one(params, params.N, window))
+    return TSeries.sum(parts)
 
 
 def phi_power_y(params: Params, i: int, power: int,

@@ -146,15 +146,20 @@ class MvLaurent:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        w_hi = bound_min(self.w_hi, other.w_hi)
-        w_lo = min(self.w_lo, other.w_lo)
-        band = min(self.band, other.band)
-        out = sparse.add(oe_ring(self.params), self.terms, other.terms, prec,
+    @staticmethod
+    def sum(parts) -> "MvLaurent":
+        """parts[0] + parts[1] + ... at the least precision and band and
+        the meet of the windows."""
+        params, prec = parts[0].params, min(x.prec for x in parts)
+        w_hi = min((x.w_hi for x in parts if x.w_hi is not None),
+                   default=None)
+        out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
                          None if w_hi is None else lambda k: k[0] < w_hi)
-        return MvLaurent(self.params, prec, out, w_lo, w_hi, band,
-                         _normalized=True)
+        return MvLaurent(params, prec, out, min(x.w_lo for x in parts), w_hi,
+                         min(x.band for x in parts), _normalized=True)
+
+    def __add__(self, other):
+        return MvLaurent.sum((self, other))
 
     def __neg__(self):
         return MvLaurent(self.params, self.prec,
@@ -236,23 +241,6 @@ def _band_overflow(params: Params, what: str, cross, band: int):
     return BandOverflow(msg)
 
 
-def _sum(params: Params, parts, prec: int, band: int) -> MvLaurent:
-    """MvLaurent.zero(params, prec, None, band) + parts[0] + parts[1] + ...
-    in one term dict, reduced and filtered below w_hi once.  The chain of +
-    gives the same: its precision and w_hi only fall along the chain."""
-    ring = oe_ring(params)
-    w_lo, w_hi, out = 0, None, {}
-    for g in parts:
-        prec, band = min(prec, g.prec), min(band, g.band)
-        w_lo, w_hi = min(w_lo, g.w_lo), bound_min(w_hi, g.w_hi)
-        for k, c in g.terms.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else ring.raw_add(cur, c, prec)
-    out = sparse.reduce(ring, out, prec,
-                        None if w_hi is None else lambda k: k[0] < w_hi)
-    return MvLaurent(params, prec, out, w_lo, w_hi, band, _normalized=True)
-
-
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
@@ -308,18 +296,11 @@ def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
         w_hi = params.M if horizon is None else horizon
     if w_hi is not None:
         t = t.with_window(w_hi=w_hi)
-    acc = MvLaurent.one(params, x.prec, w_hi, x.band)
-    pw = one
     t_lo = min(t.w_lo, 0)
     cap = x.prec * (1 + abs(t_lo)) + (w_hi - min(t.w_lo, 0)
                                       if w_hi is not None else 0) + 4
-    for _ in range(cap):
-        pw = pw * (-t)
-        if pw.is_zero():
-            break
-        acc = acc + pw
-    else:
-        raise RuntimeError("geometric series failed to terminate")
+    # the powers of -t start from the exact 1; the sum takes the window w_hi
+    acc = sparse.geometric(-t, one, cap).with_window(w_hi=w_hi)
     return acc * m_inv
 
 
@@ -577,14 +558,14 @@ def phi_decompose(x: MvLaurent) -> dict:
             cur = delta[a].get(key)
             delta[a][key] = ring.raw_add(cur, c, rem.prec) \
                 if cur is not None else c
-        parts = []
+        parts = [MvLaurent.zero(params, rem.prec, None, band)]
         for a, terms in delta.items():
             if not terms:
                 continue
             g_delta = MvLaurent(params, rem.prec, terms, None, None, band)
-            comps[a] = sparse.add(ring, comps[a], terms, x.prec)
+            comps[a] = sparse.add(ring, (comps[a], terms), x.prec)
             parts.append(images.apply(g_delta).shift(*a))
-        rem = rem - _sum(params, parts, rem.prec, band)
+        rem = rem - MvLaurent.sum(parts)
         h_run = bound_min(h_run, rem.w_hi)
     if not rem.is_zero():
         raise WindowTooSmall(
@@ -603,8 +584,9 @@ def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
     images = phi_images(params, decompose_window(params))
     band = _work_band(params)
-    return _sum(params, (images.apply(g.lift_band(band)).shift(*a)
-                         for a, g in components.items()), params.N, band)
+    return MvLaurent.sum([MvLaurent.zero(params, params.N, None, band)]
+                         + [images.apply(g.lift_band(band)).shift(*a)
+                            for a, g in components.items()])
 
 
 def roundtrip_ok(x: MvLaurent, back: MvLaurent) -> bool:

@@ -19,6 +19,7 @@ from typing import Optional
 from .caches import cached
 from .coeff import FElt, Params, fq_field
 from .errors import BandOverflow, DepthExhausted
+from .mvring import NormValue
 from .sparse import bound_add, bound_min
 from . import witt as wt
 
@@ -351,7 +352,6 @@ class BElt:
 
 def b_val_r(w: BElt):
     """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift."""
-    from .mvring import NormValue
     r = Fraction(w.r)
     best = None
     for n, d in enumerate(w.digits()):

@@ -15,8 +15,8 @@ from typing import Optional
 
 from .coeff import Params, oe_ring
 from .errors import NotAUnit, Uncertified, ZeroDeterminant
-from .mvring import (MvLaurent, apply_phi_q, apply_gamma, invert_unit,
-                     leading_slice)
+from .mvring import (MvLaurent, _work_band, apply_phi_q, apply_gamma,
+                     invert_unit, leading_slice)
 
 
 TAG_AMV = "A_mv"
@@ -40,24 +40,15 @@ class PhiModule:
 # -- matrix helpers ----------------------------------------------------------
 
 def _lifted(x: MvLaurent) -> MvLaurent:
-    from .mvring import _work_band
     band = _work_band(x.params)
     return x.lift_band(band) if x.band < band else x
 
 
 def mat_mul(A, B):
     d = len(A)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                term = _lifted(A[i][k]) * _lifted(B[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[MvLaurent.sum([_lifted(A[i][k]) * _lifted(B[k][j])
+                            for k in range(d)]) for j in range(d)]
+            for i in range(d)]
 
 
 def mat_map(A, fn):
@@ -68,14 +59,11 @@ def mat_det(A):
     d = len(A)
     if d == 1:
         return A[0][0]
-    acc = None
+    terms = []
     for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in A[1:]]
-        term = A[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+        term = A[0][j] * mat_det([row[:j] + row[j + 1:] for row in A[1:]])
+        terms.append(-term if j % 2 else term)
+    return MvLaurent.sum(terms)
 
 
 def mat_identity(params, d, prec=None):
@@ -105,15 +93,8 @@ def mat_inverse(A):
 
 def mat_eq_within(A, B) -> bool:
     """Entrywise agreement inside the common certified window."""
-    d = len(A)
-    for i in range(d):
-        for j in range(d):
-            diff = A[i][j] - B[i][j]
-            for (n0, _), c in diff.terms.items():
-                if diff.w_hi is not None and n0 >= diff.w_hi:
-                    continue
-                return False
-    return True
+    return all((a - b).is_zero() for ra, rb in zip(A, B)
+               for a, b in zip(ra, rb))
 
 
 # -- the unit criterion per base tag -----------------------------------------

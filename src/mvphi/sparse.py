@@ -3,9 +3,9 @@
 Each of those classes stores an element as a dict from an exponent key to
 raw O_E coordinates and keeps only its own precision bookkeeping (degree
 window, Y_0 window and band, or per-level horizons and floors).  The
-termwise arithmetic on such dicts, the substitution of generator images
-into a sum of monomials, and the min and sum of bounds for which None
-means unbounded live here.
+termwise arithmetic on such dicts (one n-ary sum), the substitution of
+generator images into a sum of monomials, the geometric series, and the
+min and sum of bounds for which None means unbounded live here.
 """
 
 from __future__ import annotations
@@ -84,31 +84,42 @@ class Powers:
 def evaluate(terms, powers: Powers, zero, one):
     """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``.
 
-    ``zero`` starts the sum and fixes its precision; ``one()`` is built
-    only when a constant term occurs.
+    ``zero`` starts the sum and fixes its precision, and is returned
+    itself when no term occurs; ``one()`` is built only when a constant
+    term occurs.
     """
-    acc = zero
     monomial = powers.monomial
+    parts = [zero]
     for e, c in terms:
         term = monomial(e)
-        acc = acc + (one() if term is None else term).scalar_mul(c)
-    return acc
+        parts.append((one() if term is None else term).scalar_mul(c))
+    return type(zero).sum(parts) if len(parts) > 1 else zero
 
 
-def add(ring, a: dict, b: dict, prec: int, keep=None) -> dict:
-    """a + b mod p^prec, zero sums dropped; keys failing ``keep`` are
-    left out."""
+def geometric(u, start, cap: int):
+    """start + start*u + start*u^2 + ..., up to the last nonzero power.
+
+    The powers are formed one product at a time; RuntimeError when none
+    of the first ``cap`` is zero.
+    """
+    parts, pw = [start], start
+    for _ in range(cap):
+        pw = pw * u
+        if pw.is_zero():
+            return type(start).sum(parts)
+        parts.append(pw)
+    raise RuntimeError("geometric series failed to terminate")
+
+
+def add(ring, parts, prec: int, keep=None) -> dict:
+    """The sum of the term dicts ``parts`` mod p^prec, zero sums dropped;
+    keys failing ``keep`` are left out."""
     out = {}
-    for src in (a, b):
-        for k, c in src.items():
-            if keep is not None and not keep(k):
-                continue
+    for terms in parts:
+        for k, c in terms.items():
             cur = out.get(k)
-            out[k] = ring.raw_add(cur, c, prec) if cur is not None \
-                else ring.raw_reduce(c, prec)
-    for k in [k for k, c in out.items() if not any(c)]:
-        del out[k]
-    return out
+            out[k] = c if cur is None else ring.raw_add(cur, c, prec)
+    return reduce(ring, out, prec, keep)
 
 
 def neg(ring, terms: dict, prec: int) -> dict:

@@ -125,6 +125,23 @@ def rand_mv(params: Params, rng, nterms=3, anchor=None) -> MvLaurent:
     return x
 
 
+def _norm_kept(params, rng, s, act, radius, per_s):
+    """(agreeing, checked) over random x anchored at Y_0^-s: until per_s
+    have both norms certified or 5 * per_s are drawn, does the image
+    act(x, k) of the k-th draw have |act(x, k)|_radius = |x|_s?"""
+    anchor = MvLaurent.monomial(params, -s)
+    agree = checked = k = 0
+    while checked < per_s and k < 5 * per_s:
+        k += 1
+        x = rand_mv(params, rng, anchor=anchor)
+        nx = norm_s(x, s)
+        nimg = norm_s(act(x, k), radius)
+        if nx.certified and nimg.certified:
+            checked += 1
+            agree += nimg.val == nx.val
+    return agree, checked
+
+
 def suite_norms(params: Params, rng=None, n_samples: int = 100,
                 n_units: int = 3) -> dict:
     rng = rng or random.Random(1)
@@ -133,39 +150,14 @@ def suite_norms(params: Params, rng=None, n_samples: int = 100,
     assertions = []
     per_s = max(1, n_samples // 3)
     for s in (1, 2, 3):
-        phi_ok = gamma_ok = 0
-        phi_tot = gamma_tot = 0
-        anchor = MvLaurent.monomial(params, -s)
-        k = 0
-        while phi_tot < per_s and k < 5 * per_s:
-            k += 1
-            x = rand_mv(params, rng, anchor=anchor)
-            nx = norm_s(x, s)
-            img = apply_phi(x)
-            nimg = norm_s(img, params.p * s)
-            if not (nx.certified and nimg.certified):
-                continue
-            phi_tot += 1
-            if nimg.val == nx.val:
-                phi_ok += 1
-        k = 0
-        while gamma_tot < per_s and k < 5 * per_s:
-            k += 1
-            x = rand_mv(params, rng, anchor=anchor)
-            a = units[k % len(units)]
-            nx = norm_s(x, s)
-            nimg = norm_s(apply_gamma(a, x), s)
-            if not (nx.certified and nimg.certified):
-                continue
-            gamma_tot += 1
-            if nimg.val == nx.val:
-                gamma_ok += 1
-        assertions.append({"id": f"norms/s={s}/phi-equivariance",
-                           "ok": phi_ok == phi_tot and phi_tot >= per_s,
-                           "checked": phi_tot})
-        assertions.append({"id": f"norms/s={s}/gamma-invariance",
-                           "ok": gamma_ok == gamma_tot and gamma_tot >= per_s,
-                           "checked": gamma_tot})
+        for name, act, radius in (
+                ("phi-equivariance", lambda x, k: apply_phi(x), params.p * s),
+                ("gamma-invariance",
+                 lambda x, k: apply_gamma(units[k % len(units)], x), s)):
+            agree, checked = _norm_kept(params, rng, s, act, radius, per_s)
+            assertions.append({"id": f"norms/s={s}/{name}",
+                               "ok": agree == checked and checked >= per_s,
+                               "checked": checked})
     return _report("norms", params, assertions)
 
 

@@ -11,7 +11,8 @@ command exits 1; the (5,2,2) one is a pure-cone, full-precision input whose
 roundtrip certifies.  The etale and oc-cert commands read a rank-2
 dagger-tagged module whose determinant has a Y_0^{-1} term and one entry
 that first passes at s = 2; the phimod suite runs the unit criterion and
-the integral bound at f = 2.
+the integral bound at f = 2.  The norms suite samples both norm checks:
+|phi x| at radius p * s and |gamma x| at radius s against |x|_s.
 """
 
 import os
@@ -45,6 +46,7 @@ GOLDEN = {
     "oc-cert_p3_f1_s1": "oc-cert --p 3 --f 1 --s 1 --in "
                         "tests/data/cli/oc-cert_p3_f1_s1.json",
     "check-phimod_p3_f2": "check --suite phimod --p 3 --f 2",
+    "check-norms_p3_f1": "check --suite norms --p 3 --f 1",
 }
 # the exit code of each command, when it is not 0
 EXIT_CODE = {"decompose_p3_f2": 1}

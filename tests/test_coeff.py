@@ -300,3 +300,31 @@ def test_row_reduce_inverts_and_pivots_greedily(case):
         if not _in_span(col, [cols[g] for g in greedy], p):
             greedy.append(j)
     assert _row_reduce(a, p, p)[1] == greedy
+
+
+RING_CACHES_CHECK = """
+import mvphi
+from mvphi.coeff import Params, fq_field, oe_ring, ok_ring
+names = ("coeff.OERing.raw_teich", "coeff.OKRing._solver_at")
+pr = Params.create(3, 2, 2)
+ring, okr = oe_ring(pr), ok_ring(pr)
+x = fq_field(pr)((1, 2))
+lift, solver = ring.raw_teich(x, 5), okr._solver_at(5)
+before = mvphi.cache_info()
+assert ring.raw_teich(x, 5) == lift and okr._solver_at(5) is solver
+after = mvphi.cache_info()
+assert all(after[n].hits == before[n].hits + 1 for n in names)
+assert all(after[n].currsize == before[n].currsize > 0 for n in names)
+mvphi.clear_caches()
+assert all(mvphi.cache_info()[n].currsize == 0 for n in names)
+assert oe_ring(pr).raw_teich(x, 5) == lift
+"""
+
+
+def test_teich_lifts_and_solvers_live_in_the_cache_registry():
+    # a fresh interpreter, so that the tables other tests built survive
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", RING_CACHES_CHECK],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mvphi.coeff import Params, oe_ring, ok_ring
 from mvphi.iwasawa import (TSeries, group_like, y_generator, phi_map,
                            gamma_map, okx_coordinates, revert_series,
-                           y_to_t_inverse, to_y_coordinates, phi_y, gamma_y)
+                           y_to_t_inverse, to_y_coordinates, phi_y, gamma_y,
+                           _invert_coeff_matrix)
 from mvphi.errors import SingularJacobian, NotAUnit
 
 
@@ -487,3 +488,42 @@ def test_constructors_respect_the_window():
     # a window of 1 holds no linear part to invert
     with pytest.raises(SingularJacobian):
         y_to_t_inverse(pr)
+
+
+@st.composite
+def coeff_matrices(draw):
+    p, f, h = draw(st.sampled_from([(2, 1, 1), (3, 1, 2), (2, 2, 2),
+                                    (3, 2, 2), (2, 2, 4), (2, 3, 3)]))
+    prec = draw(st.integers(1, 4))
+    entry = st.tuples(*[st.integers(0, p ** prec - 1)] * h)
+    row = st.lists(entry, min_size=f, max_size=f)
+    return (Params.create(p, f, h), draw(st.lists(row, min_size=f,
+                                                  max_size=f)), prec)
+
+
+def _raw_det(ring, L, prec):
+    if len(L) == 1:
+        return ring.raw_reduce(L[0][0], prec)
+    acc = (0,) * ring.h
+    for j, c in enumerate(L[0]):
+        minor = [row[:j] + row[j + 1:] for row in L[1:]]
+        t = ring.raw_mul(c, _raw_det(ring, minor, prec), prec)
+        acc = (ring.raw_sub if j % 2 else ring.raw_add)(acc, t, prec)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_matrices())
+def test_invert_coeff_matrix_inverts_or_reports_singular(case):
+    params, L, prec = case
+    ring, f = oe_ring(params), params.f
+    inv = _invert_coeff_matrix(params, L, prec)
+    assert (inv is None) == (not ring.reduce_mod_p(_raw_det(ring, L, prec)))
+    if inv is not None:
+        for i in range(f):
+            for j in range(f):
+                acc = (0,) * params.h
+                for k in range(f):
+                    acc = ring.raw_add(acc, ring.raw_mul(L[i][k], inv[k][j],
+                                                         prec), prec)
+                assert acc == ring.from_int(int(i == j), prec).coords
