@@ -318,7 +318,6 @@ class WAlg:
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
-        ring = oe_ring(self.params)
         # floors are non-increasing past their first finite level, so the
         # least floor over the levels <= v - v1 is the one at v - v1
         fs = [self.floors.at(v) for v in range(prec)]
@@ -334,23 +333,8 @@ class WAlg:
                 if b is not None and fl is not None:
                     best = bound_min(best, b + fl)
             H.append(best)
-        H = _hmono(tuple(H))
-        rhs = [(e, ring.raw_reduce(c, prec)) for e, c in other.terms.items()]
-        out = {}
-        for e1, c1 in self.terms.items():
-            c1 = ring.raw_reduce(c1, prec)
-            for e2, c2 in rhs:
-                prod = ring.raw_mul(c1, c2, prec)
-                if not any(prod):
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(e)
-                s = ring.raw_add(cur, prod, prec) if cur is not None else prod
-                if any(s):
-                    out[e] = s
-                elif cur is not None:
-                    del out[e]
-        return WAlg(self.params, prec, out, H,
+        out = sparse.mul(oe_ring(self.params), self.terms, other.terms, prec)
+        return WAlg(self.params, prec, out, _hmono(tuple(H)),
                     self.floors.convolve(other.floors), _normalized=True)
 
     def scalar_mul(self, craw) -> "WAlg":
@@ -556,45 +540,22 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
 # evaluating iota on Laurent elements
 # ---------------------------------------------------------------------------
 
-class _IotaContext:
-    def __init__(self, params: Params, result: IotaResult):
-        self.params = params
-        self.ys = result.ys
-        self.powers = sparse.Powers(
-            self.ys, lambda: WAlg.one(params, params.N), self._inverse)
-        self._slope = None
+@cached
+def iota_context(params: Params) -> sparse.Substitution:
+    """The generator images y_i, their powers and inverses, with the
+    per-level digit floors of each."""
+    ys = iota_generators(params).ys
 
-    def _inverse(self, i: int) -> WAlg:
-        params = self.params
-        y = self.ys[i]
+    def invert(i: int) -> WAlg:
+        y = ys[i]
         unitvec = tuple(Fraction(-1) if j == i else Fraction(0)
                         for j in range(params.f))
         tinv = WAlg.teich_monomial(params, y.prec, unitvec)
         u = (tinv * y) - WAlg.one(params, y.prec)
         return tinv * sparse.geometric(-u, WAlg.one(params, y.prec), y.prec)
-
-    def slope(self) -> Fraction:
-        """Worst per-level digit-floor drop across atoms, for the
-        unknown-region bookkeeping of windowed inputs."""
-        if self._slope is None:
-            worst = Fraction(0)
-            atoms = list(self.ys) + [self.powers.inverse(i)
-                                     for i in range(self.params.f)]
-            for a in atoms:
-                f0 = a.floors.at(0)
-                if f0 is None:
-                    continue
-                for v in range(1, a.prec):
-                    fv = a.floors.at(v)
-                    if fv is not None:
-                        worst = max(worst, (f0 - fv) / v)
-            self._slope = worst
-        return self._slope
-
-
-@cached
-def iota_context(params: Params) -> _IotaContext:
-    return _IotaContext(params, iota_generators(params))
+    return sparse.Substitution(
+        ys, lambda: WAlg.one(params, params.N), invert,
+        lambda a: [a.floors.at(v) for v in range(a.prec)])
 
 
 def iota(x: MvLaurent) -> WAlg:
@@ -605,7 +566,8 @@ def iota(x: MvLaurent) -> WAlg:
                           WAlg.zero(params, min(x.prec, params.N)),
                           lambda: WAlg.one(params, params.N))
     if x.w_hi is not None:
-        K = ctx.slope()
+        # each pi-level costs at most drop() of the window
+        K = ctx.drop()
         bounds = tuple(Fraction(x.w_hi) - K * v for v in range(acc.prec))
         acc = acc.clamp(bounds)
     return acc

@@ -15,6 +15,7 @@ operate on this representation with conservative interval propagation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -93,6 +94,8 @@ class MvLaurent:
     def lift_band(self, band: int) -> "MvLaurent":
         if band < self.band:
             raise ValueError("band can only be raised")
+        if band == self.band:
+            return self
         return MvLaurent(self.params, self.prec, self.terms, self.w_lo,
                          self.w_hi, band, _normalized=True)
 
@@ -369,8 +372,9 @@ def _work_band(params: Params) -> int:
     return (params.B + params.M) * (params.p + 1)
 
 
-class _SubstImages:
-    """Cached substitution data: images of the Y-generators and their powers."""
+class _SubstImages(sparse.Substitution):
+    """Cached substitution data: images of the Y-generators and their powers,
+    with each image's Y_0 support floor per pi-level."""
 
     def __init__(self, params: Params, images, horizon: int,
                  unit_degree: int):
@@ -380,52 +384,24 @@ class _SubstImages:
         # the closures hold the images, not self: no reference cycle, so a
         # table evicted from a bounded cache is freed at once
         self.images = atoms = [im.lift_band(band) for im in images]
-        self.powers = sparse.Powers(
-            atoms, lambda: MvLaurent.one(params, params.N, None, band),
-            lambda i: invert_unit(atoms[i], horizon))
-        self._drop = None
+        raw_val, N = oe_ring(params).raw_val, params.N
 
-    def _level_floors(self, x: MvLaurent):
-        """Per-pi-level support floors of an atom, window included."""
-        ring = oe_ring(self.params)
-        prec = self.params.N
-        fl = [None] * prec
-        for (n0, _), c in x.terms.items():
-            v = ring.raw_val(c, x.prec)
-            if v < prec and (fl[v] is None or n0 < fl[v]):
-                fl[v] = n0
-        run = None
-        out = []
-        for v in range(prec):
-            if fl[v] is not None:
-                run = fl[v] if run is None else min(run, fl[v])
-            cur = run
-            if x.w_hi is not None:
-                cur = x.w_hi if cur is None else min(cur, x.w_hi)
-            out.append(cur)
-        return out
-
-    def level_drop(self) -> int:
-        """Worst |level-0 floor - level-v floor| per pi-level over all atoms.
-
-        Used to bound the pollution of the unknown region of a windowed
-        input; the level-0 part of any substitution is exact exponent
-        arithmetic, so the bound is independent of the cross band.
-        """
-        if self._drop is None:
-            worst = 0
-            atoms = list(self.images)
-            for i in range(self.params.f):
-                atoms.append(self.powers.inverse(i))
-            for a in atoms:
-                fl = self._level_floors(a)
-                if fl[0] is None:
-                    continue
-                for v in range(1, len(fl)):
-                    if fl[v] is not None:
-                        worst = max(worst, (fl[0] - fl[v] + v - 1) // v)
-            self._drop = worst
-        return self._drop
+        def floors(x: MvLaurent) -> list:
+            """Per-pi-level support floors of an atom, window included."""
+            fl = [None] * N
+            for (n0, _), c in x.terms.items():
+                v = raw_val(c, x.prec)
+                if v < N:
+                    fl[v] = n0 if fl[v] is None else min(fl[v], n0)
+            run = None
+            for v in range(N):
+                if fl[v] is not None:
+                    run = fl[v] if run is None else min(run, fl[v])
+                fl[v] = bound_min(run, x.w_hi)
+            return fl
+        super().__init__(
+            atoms, lambda: MvLaurent.one(params, N, None, band),
+            lambda i: invert_unit(atoms[i], horizon), floors)
 
     def apply(self, x: MvLaurent) -> MvLaurent:
         params = self.params
@@ -437,9 +413,9 @@ class _SubstImages:
         if x.w_hi is not None:
             # unknown x-terms sit at pure-Y total degree >= w_hi; their
             # images have level-0 support >= unit_degree * w_hi, and each
-            # pi-level can cost at most level_drop of support
+            # pi-level can cost at most drop() of support, rounded up
             clamp = self.unit_degree * x.w_hi \
-                - (min(x.prec, params.N) - 1) * self.level_drop()
+                - (min(x.prec, params.N) - 1) * math.ceil(self.drop())
             acc = acc.with_window(w_hi=clamp)
         return acc
 
@@ -534,7 +510,6 @@ def phi_decompose(x: MvLaurent) -> dict:
     x = x.reduce(min(x.prec, params.N))
     p, f = params.p, params.f
     ring = oe_ring(params)
-    images = phi_images(params, decompose_window(params))
     band = _work_band(params)
     comps = {a: {} for a in phi_basis(params)}
     rem = x.lift_band(band)
@@ -558,14 +533,11 @@ def phi_decompose(x: MvLaurent) -> dict:
             cur = delta[a].get(key)
             delta[a][key] = ring.raw_add(cur, c, rem.prec) \
                 if cur is not None else c
-        parts = [MvLaurent.zero(params, rem.prec, None, band)]
-        for a, terms in delta.items():
-            if not terms:
-                continue
-            g_delta = MvLaurent(params, rem.prec, terms, None, None, band)
-            comps[a] = sparse.add(ring, (comps[a], terms), x.prec)
-            parts.append(images.apply(g_delta).shift(*a))
-        rem = rem - MvLaurent.sum(parts)
+        g_delta = {a: MvLaurent(params, rem.prec, terms, None, None, band)
+                   for a, terms in delta.items() if terms}
+        for a, g in g_delta.items():
+            comps[a] = sparse.add(ring, (comps[a], g.terms), x.prec)
+        rem = rem - recompose(g_delta, params)
         h_run = bound_min(h_run, rem.w_hi)
     if not rem.is_zero():
         raise WindowTooSmall(

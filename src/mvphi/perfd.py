@@ -2,8 +2,10 @@
 
 ``PerfLaurent`` holds a finite sum of terms c * (monomial in Y_0, ...,
 Y_{f-1} with exponents in p^{-k} Z) over the residue field, with a
-Gauss-valuation window and a cross band.  Every variable has Gauss weight
-1, so the Gauss valuation of a monomial is the sum of its exponents.
+Gauss-valuation window and a cross band.  Coefficients are raw F_q
+coordinate tuples, and the arithmetic is the O_E kernels' at precision 1.
+Every variable has Gauss weight 1, so the Gauss valuation of a monomial is
+the sum of its exponents.
 
 ``BElt`` wraps an expansion-form Witt vector over such a ring together with
 a radius and a global monomial shift (the [1/uniformizer] localization).
@@ -17,9 +19,10 @@ from math import ceil, lcm
 from typing import Optional
 
 from .caches import cached
-from .coeff import FElt, Params, fq_field
+from .coeff import FElt, Params, fq_field, oe_ring
 from .errors import BandOverflow, DepthExhausted
 from .mvring import NormValue
+from . import sparse
 from .sparse import bound_add, bound_min
 from . import witt as wt
 
@@ -32,6 +35,7 @@ class PerfRing:
         self.nvars = params.f
         self.scale = params.p ** params.k
         self.field = fq_field(params)
+        self.oe = oe_ring(params)
         # capacity guard: roots and structure-polynomial powers reach
         # p^(N+1)-fold exponents of banded inputs
         self.band_cap = max(params.B, 8) * self.scale \
@@ -39,7 +43,8 @@ class PerfRing:
 
 
 def ainf_ring(params: Params) -> PerfRing:
-    return PerfRing(params)
+    """The one ring per params (elements compare rings by identity)."""
+    return ainf_handle(params).ring
 
 
 def scaled_exponents(params: Params, exponents) -> tuple:
@@ -61,8 +66,9 @@ def phi_exponents(e: tuple, p: int) -> tuple:
 class PerfLaurent:
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
-    terms: scaled pure-exponent tuple -> FElt.  w_lo/w_hi bound the Gauss
-    valuation (w_hi None = exact); band bounds |scaled cross exponents|.
+    terms: scaled pure-exponent tuple -> F_q coordinate tuple (the
+    constructor also takes an FElt).  w_lo/w_hi bound the Gauss valuation
+    (w_hi None = exact); band bounds |scaled cross exponents|.
     """
 
     __slots__ = ("ring", "terms", "w_lo", "w_hi", "band")
@@ -83,7 +89,8 @@ class PerfLaurent:
                 continue
             if any(abs(x) > self.band for x in e[1:]):
                 raise BandOverflow(f"cross exponents {e[1:]} exceed the band")
-            if c:
+            c = getattr(c, "coords", c)
+            if any(c):
                 out[tuple(e)] = c
         self.terms = out
         lo = min((self._gv(e) for e in out), default=Fraction(0))
@@ -133,7 +140,7 @@ class PerfLaurent:
         for e in sorted(self.terms):
             mon = "*".join(f"Y{i}^{Fraction(x, self.ring.scale)}"
                            for i, x in enumerate(e) if x)
-            bits.append(f"{list(self.terms[e].coords)}{'*' + mon if mon else ''}")
+            bits.append(f"{list(self.terms[e])}{'*' + mon if mon else ''}")
         return " + ".join(bits) if bits else "0"
 
     # -- arithmetic ---------------------------------------------------------------
@@ -142,29 +149,25 @@ class PerfLaurent:
         """The least scaled exponent sum at or above the bound hi."""
         return None if hi is None else ceil(hi * self.ring.scale)
 
+    @staticmethod
+    def sum(parts) -> "PerfLaurent":
+        """parts[0] + parts[1] + ...: the least w_lo and band, the meet of
+        the w_hi, and the terms below it."""
+        ring = parts[0].ring
+        hi = None
+        for x in parts:
+            hi = bound_min(hi, x.w_hi)
+        hs = parts[0]._cut(hi)
+        out = sparse.add(ring.oe, [x.terms for x in parts], 1,
+                         None if hs is None else lambda e: sum(e) < hs)
+        return PerfLaurent(ring, out, min(x.w_lo for x in parts), hi,
+                           min(x.band for x in parts), _normalized=True)
+
     def __add__(self, other):
-        hi = bound_min(self.w_hi, other.w_hi)
-        lo = min(self.w_lo, other.w_lo)
-        band = min(self.band, other.band)
-        if hi is None and not (self.terms and other.terms):
-            return PerfLaurent(self.ring, self.terms or other.terms, lo, hi,
-                               band, _normalized=True)
-        hs = self._cut(hi)
-        out = dict()
-        for src in (self.terms, other.terms):
-            for e, c in src.items():
-                if hs is not None and sum(e) >= hs:
-                    continue
-                cur = out.get(e)
-                s = c if cur is None else cur + c
-                if s:
-                    out[e] = s
-                elif cur is not None:
-                    del out[e]
-        return PerfLaurent(self.ring, out, lo, hi, band, _normalized=True)
+        return PerfLaurent.sum((self, other))
 
     def __neg__(self):
-        return PerfLaurent(self.ring, {e: -c for e, c in self.terms.items()},
+        return PerfLaurent(self.ring, sparse.neg(self.ring.oe, self.terms, 1),
                            self.w_lo, self.w_hi, self.band, _normalized=True)
 
     def __sub__(self, other):
@@ -175,51 +178,37 @@ class PerfLaurent:
         hi = bound_min(bound_add(self.w_lo, other.w_hi),
                        bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
-        out = {}
-        if not (self.terms and other.terms):
-            return PerfLaurent(self.ring, out, lo, hi, band, _normalized=True)
         hs = self._cut(hi)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if hs is not None and sum(e) >= hs:
-                    continue
-                if any(abs(x) > band for x in e[1:]):
-                    raise BandOverflow(
-                        f"product cross exponents {e[1:]} exceed the band")
-                prod = c1 * c2
-                cur = out.get(e)
-                s = prod if cur is None else cur + prod
-                if s:
-                    out[e] = s
-                elif cur is not None:
-                    del out[e]
-        return PerfLaurent(self.ring, out, lo, hi, band, _normalized=True)
 
-    def scalar_mul(self, lam: FElt):
-        if not lam:
-            return PerfLaurent.zero(self.ring)
-        return PerfLaurent(self.ring,
-                           {e: c * lam for e, c in self.terms.items()},
-                           self.w_lo, self.w_hi, self.band, _normalized=True)
+        def keep(e):
+            if hs is not None and sum(e) >= hs:
+                return False
+            if any(abs(x) > band for x in e[1:]):
+                raise BandOverflow(
+                    f"product cross exponents {e[1:]} exceed the band")
+            return True
+        out = sparse.mul(self.ring.oe, self.terms, other.terms, 1, keep)
+        return PerfLaurent(self.ring, out, lo, hi, band, _normalized=True)
 
     def frobenius(self):
         """The ring Frobenius x -> x^p (coefficients included)."""
-        p = self.ring.params.p
-        out = {tuple(p * x for x in e): c.frobenius()
+        p, oe = self.ring.params.p, self.ring.oe
+        out = {tuple(p * x for x in e): oe.raw_pow(c, p, 1)
                for e, c in self.terms.items()}
         return PerfLaurent(self.ring, out, self.w_lo * p,
                            None if self.w_hi is None else self.w_hi * p,
                            self.band * p, _normalized=True)
 
     def pth_root(self):
-        p = self.ring.params.p
+        p, oe = self.ring.params.p, self.ring.oe
+        # Frobenius has order h on F_q, so x^(p^(h-1)) inverts it
+        root = p ** (self.ring.params.h - 1)
         out = {}
         for e, c in self.terms.items():
             if any(x % p for x in e):
                 raise DepthExhausted(
                     f"p-th root leaves depth p^-{self.ring.params.k}")
-            out[tuple(x // p for x in e)] = c.pth_root()
+            out[tuple(x // p for x in e)] = oe.raw_pow(c, root, 1)
         return PerfLaurent(self.ring, out, self.w_lo / p,
                            None if self.w_hi is None
                            else Fraction(self.w_hi) / p,
@@ -286,14 +275,16 @@ class PerfHandle:
     def eq(self, a, b):
         return a.eq_within(b)
 
-    def window(self, acc, terms, vals):
-        """``acc``, the sum of the terms with no zero value, given the
+    def sum(self, parts, terms, vals):
+        """The sum of ``parts``, the terms with no zero value, given the
         window and band of the sum of every term of ``terms`` at ``vals``.
 
-        These depend only on the values' (w_lo, w_hi, band): v^d has w_lo
-        d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum
-        d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j), here as numerators
-        over the lcm of the values' window denominators.
+        These are at or below each part's, so one more part, empty and
+        carrying them, sets them in the n-ary sum.  They depend only on
+        the values' (w_lo, w_hi, band): v^d has w_lo d*lo_v and w_hi
+        (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum d_j*lo_j and w_hi
+        lo_t + min_j (hi_j - lo_j), here as numerators over the lcm of the
+        values' window denominators.
         """
         den = lcm(*(x.denominator for v in vals for x in (v.w_lo, v.w_hi)
                     if x is not None))
@@ -314,12 +305,10 @@ class PerfHandle:
             w_lo = min(w_lo, t_lo)
             if t_gap is not None and (w_hi is None or t_lo + t_gap < w_hi):
                 w_hi = t_lo + t_gap
-        hi = None if w_hi is None else Fraction(w_hi, den)
-        hs = acc._cut(hi)
-        out = acc.terms if hs is None else \
-            {e: c for e, c in acc.terms.items() if sum(e) < hs}
-        return PerfLaurent(self.ring, out, Fraction(w_lo, den), hi, band,
-                           _normalized=True)
+        bound = PerfLaurent(self.ring, {}, Fraction(w_lo, den),
+                            None if w_hi is None else Fraction(w_hi, den),
+                            band, _normalized=True)
+        return PerfLaurent.sum(parts + [bound])
 
     def embed_residue(self, lam: FElt):
         return PerfLaurent(self.ring, {(0,) * self.ring.nvars: lam})
@@ -327,7 +316,7 @@ class PerfHandle:
 
 @cached
 def ainf_handle(params: Params) -> PerfHandle:
-    return PerfHandle(ainf_ring(params))
+    return PerfHandle(PerfRing(params))
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +363,8 @@ def b_val_r(w: BElt):
 
 def member_B0r(w: BElt) -> bool:
     """Power-bounded test: every digit has gauss_val(x_n) + n/r - shift >= 0."""
-    r = Fraction(w.r)
-    for n, d in enumerate(w.digits()):
-        gv = gauss_val(d)
-        if gv is None:
-            continue
-        if gv + Fraction(n, 1) / r - w.shift < 0:
-            return False
-    return True
+    val = b_val_r(w).val
+    return val is None or val >= 0
 
 
 def phi_q_belt(w: BElt) -> BElt:

@@ -109,7 +109,7 @@ def perf_json(x: PerfLaurent):
         cross = pure[1:]
         terms.append({"y0": fraction_json(y0),
                       "cross": [fraction_json(v) for v in cross],
-                      "coeff": list(c.coords)})
+                      "coeff": list(c)})
     return {"window": [fraction_json(x.w_lo), fraction_json(x.w_hi)],
             "band": fraction_json(Fraction(x.band, scale)),
             "terms": terms}

@@ -1,14 +1,19 @@
-"""Sparse terms shared by ``TSeries``, ``MvLaurent`` and ``WAlg``.
+"""Sparse terms shared by ``TSeries``, ``MvLaurent``, ``WAlg`` and
+``PerfLaurent``.
 
 Each of those classes stores an element as a dict from an exponent key to
-raw O_E coordinates and keeps only its own precision bookkeeping (degree
-window, Y_0 window and band, or per-level horizons and floors).  The
-termwise arithmetic on such dicts (one n-ary sum), the substitution of
-generator images into a sum of monomials, the geometric series, and the
-min and sum of bounds for which None means unbounded live here.
+raw O_E coordinates (mod p for ``PerfLaurent``, the residue field) and
+keeps only its own precision bookkeeping (degree window, Y_0 window and
+band, per-level horizons and floors, or a Gauss-valuation window).  The
+termwise arithmetic on such dicts (one n-ary sum, one pair loop for
+products), the substitution of generator images into a sum of monomials
+with the worst per-level floor drop of its atoms, the geometric series,
+and the min and sum of bounds for which None means unbounded live here.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def bound_min(a, b):
@@ -81,6 +86,38 @@ class Powers:
         return got
 
 
+class Substitution:
+    """Generator images ``atoms`` with their ``Powers`` (inverses built
+    by ``invert``), for substituting into sums of monomials.
+
+    ``floors(a)`` gives an atom's support floor per pi-level (None where
+    a level has no content); ``drop()`` bounds what one pi-level can cost
+    of support, which windowed inputs need for their unknown region.
+    """
+
+    def __init__(self, atoms, one, invert, floors):
+        self.atoms = atoms
+        self.powers = Powers(atoms, one, invert)
+        self.floors = floors
+        self._drop = None
+
+    def drop(self) -> Fraction:
+        """The worst (floor_0 - floor_v) / v over levels v >= 1 of the
+        atoms and their inverses, and 0 at least."""
+        if self._drop is None:
+            worst = Fraction(0)
+            for i, atom in enumerate(self.atoms):
+                for a in (atom, self.powers.inverse(i)):
+                    fl = self.floors(a)
+                    if fl[0] is None:
+                        continue
+                    for v in range(1, len(fl)):
+                        if fl[v] is not None:
+                            worst = max(worst, Fraction(fl[0] - fl[v]) / v)
+            self._drop = worst
+        return self._drop
+
+
 def evaluate(terms, powers: Powers, zero, one):
     """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``.
 
@@ -120,6 +157,31 @@ def add(ring, parts, prec: int, keep=None) -> dict:
             cur = out.get(k)
             out[k] = c if cur is None else ring.raw_add(cur, c, prec)
     return reduce(ring, out, prec, keep)
+
+
+def mul(ring, a: dict, b: dict, prec: int, keep=None) -> dict:
+    """The product of the term dicts a and b mod p^prec, keys added.
+
+    A zero product is skipped and a key whose sum cancels is removed; a
+    pair whose key fails ``keep`` is left out before its product is
+    formed (``keep`` may raise instead).
+    """
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if keep is not None and not keep(e):
+                continue
+            prod = ring.raw_mul(c1, c2, prec)
+            if not any(prod):
+                continue
+            cur = out.get(e)
+            s = prod if cur is None else ring.raw_add(cur, prod, prec)
+            if any(s):
+                out[e] = s
+            elif cur is not None:
+                del out[e]
+    return out
 
 
 def neg(ring, terms: dict, prec: int) -> dict:

@@ -149,9 +149,9 @@ class FiniteFieldHandle:
     def embed_residue(self, lam: FElt):
         return lam
 
-    def window(self, acc, terms, vals):
-        """Field elements carry no window: the sum is already exact."""
-        return acc
+    def sum(self, parts, terms, vals):
+        """Field elements carry no window: the plain sum."""
+        return sum(parts, self.field.zero)
 
 
 WITT_COORDS = "witt-coordinates"
@@ -218,14 +218,14 @@ def _eval_struct(terms, handle, xs, ys):
     elements.
 
     A term with a zero value is zero, so only the terms whose values are
-    all nonzero are multiplied out; ``handle.window`` then sets the bounds
-    of their sum to those of the sum of every term.
+    all nonzero are multiplied out, each repeated ci times; ``handle.sum``
+    adds them once, with the bounds of the sum of every term.
     """
     vals = xs + ys
     live = [not handle.is_zero(v) for v in vals]
-    acc = handle.zero()
     one = handle.one()
     pow_cache = {}
+    parts = []
     for ci, factors in terms:
         if not all(live[j] for j, _ in factors):
             continue
@@ -235,13 +235,8 @@ def _eval_struct(terms, handle, xs, ys):
             if pw is None:
                 pw = pow_cache[j, d] = power(vals[j], d, one)
             term = pw if term is None else term * pw
-        if term is None:
-            term = one
-        scaled = term
-        for _ in range(ci - 1):
-            scaled = scaled + term
-        acc = acc + scaled
-    return handle.window(acc, terms, vals)
+        parts.extend([one if term is None else term] * ci)
+    return handle.sum(parts, terms, vals)
 
 
 def _coordinatewise(u: WittVec, v: WittVec, polys: str) -> WittVec:

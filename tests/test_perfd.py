@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field
 from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
@@ -87,9 +88,9 @@ def test_frobenius_vs_phi_linear_differ_on_coefficients():
     lam = F((1, 1))
     x = PerfLaurent(ring, {(81, 0): lam})
     frob = x.frobenius()
-    assert list(frob.terms.values())[0] == lam.frobenius()
+    assert list(frob.terms.values())[0] == lam.frobenius().coords
     lin = phi_q_linear(x)
-    assert list(lin.terms.values())[0] == lam
+    assert list(lin.terms.values())[0] == lam.coords
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -241,3 +242,47 @@ def test_gauss_val_windows():
     assert gauss_val(t) == Fraction(1, 2) and t.w_hi is None
     capped = PerfLaurent(h.ring, dict(t.terms), None, Fraction(1, 4))
     assert gauss_val(capped) is None
+
+
+def test_ainf_ring_is_one_ring_per_params():
+    # elements compare their rings by identity
+    pr = params(3, 1, 1)
+    assert ainf_ring(pr) is ainf_ring(pr) is ainf_handle(pr).ring
+    assert PerfLaurent.one(ainf_ring(pr)) == PerfLaurent.one(ainf_ring(pr))
+
+
+def _ref_member_B0r(w):
+    """The digit scan member_B0r made before it read b_val_r."""
+    r = Fraction(w.r)
+    for n, d in enumerate(w.digits()):
+        gv = gauss_val(d)
+        if gv is None:
+            continue
+        if gv + Fraction(n, 1) / r - w.shift < 0:
+            return False
+    return True
+
+
+_signed = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_member_b0r_is_the_sign_of_b_val_r(data):
+    # digits with no content (zero, or every term past w_hi) are skipped
+    pr = params(3, 1, 1, k=2)
+    h = ainf_handle(pr)
+    ring = h.ring
+    elts = [e for e in ring.field.elements() if e]
+    digs = []
+    for _ in range(pr.N):
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(-2 * ring.scale, 2 * ring.scale)),
+            st.sampled_from(elts), max_size=2))
+        w_hi = data.draw(st.one_of(st.none(), _signed))
+        digs.append(PerfLaurent(ring, terms, None, w_hi))
+    w = BElt(wt.from_expansion(h, tuple(digs)),
+             data.draw(st.fractions(min_value=Fraction(1, 9), max_value=4,
+                                    max_denominator=9)),
+             data.draw(_signed))
+    assert member_B0r(w) == _ref_member_B0r(w)

@@ -1,24 +1,33 @@
-"""The n-ary sums of TSeries, MvLaurent and WAlg against the chain of
-binary additions they replace, and the geometric series.
+"""The n-ary sums of TSeries, MvLaurent, WAlg and PerfLaurent against
+the chain of binary additions they replace, the one pair loop of the WAlg
+and PerfLaurent products, the floor drop of a substitution table, and the
+geometric series.
 
-Each reference below is the two-operand addition written out: the terms
-of both operands summed mod p^prec and filtered by the meet of the
-windows, with the precision, windows, band, horizons and floors met as
-one ``+`` meets them.  The n-ary sum must equal its left fold.
+Each reference below is the code it replaced, written out: for a sum,
+the terms of both operands summed mod p^prec and filtered by the meet of
+the windows, with the precision, windows, band, horizons and floors met
+as one ``+`` meets them (the n-ary sum must equal its left fold); for a
+product, the pair loop each class had (``PerfLaurent`` on ``FElt``
+coefficients); for a drop, the per-ring scans of the atoms' floors.
 """
 
 import functools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvphi import sparse
-from mvphi.coeff import Params, oe_ring
-from mvphi.embed import WAlg, _hmono, iota
+from mvphi.coeff import Params, ok_ring, oe_ring
+from mvphi.embed import WAlg, _hmono, iota, iota_context
+from mvphi.errors import BandOverflow, NotAUnit
 from mvphi.iwasawa import TSeries
-from mvphi.mvring import MvLaurent
-from mvphi.sparse import bound_min
+from mvphi.mvring import (MvLaurent, _SubstImages, gamma_images, phi_images,
+                          phi_q_images)
+from mvphi.perfd import PerfLaurent, ainf_ring
+from mvphi.sparse import bound_add, bound_min
 
 P322 = Params.create(3, 2, 2)
 P311 = Params.create(3, 1, 1)
@@ -218,3 +227,263 @@ def test_geometric_matches_the_loop_on_iota_units():
     u = (tinv * y) - WAlg.one(P311, y.prec)
     assert not u.is_zero()
     _check_geometric(-u, WAlg.one(P311, y.prec), same)
+
+
+# -- PerfLaurent: the n-ary sum and the product ------------------------------
+
+def _cut(ring, hi):
+    return None if hi is None else math.ceil(hi * ring.scale)
+
+
+def _ref_perf_add(x, y):
+    """PerfLaurent.__add__ on FElt coefficients, as it was."""
+    F = x.ring.field
+    hi = bound_min(x.w_hi, y.w_hi)
+    lo, band = min(x.w_lo, y.w_lo), min(x.band, y.band)
+    hs = _cut(x.ring, hi)
+    out = {}
+    for src in (x.terms, y.terms):
+        for e, c in src.items():
+            if hs is not None and sum(e) >= hs:
+                continue
+            cur = out.get(e)
+            s = F(c) if cur is None else cur + F(c)
+            if s:
+                out[e] = s
+            elif cur is not None:
+                del out[e]
+    return PerfLaurent(x.ring, {e: c.coords for e, c in out.items()}, lo, hi,
+                       band, _normalized=True)
+
+
+def _ref_perf_mul(x, y):
+    """PerfLaurent.__mul__ on FElt coefficients, as it was."""
+    F = x.ring.field
+    lo = x.w_lo + y.w_lo
+    hi = bound_min(bound_add(x.w_lo, y.w_hi), bound_add(y.w_lo, x.w_hi))
+    band = min(x.band, y.band)
+    hs = _cut(x.ring, hi)
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if hs is not None and sum(e) >= hs:
+                continue
+            if any(abs(v) > band for v in e[1:]):
+                raise BandOverflow(
+                    f"product cross exponents {e[1:]} exceed the band")
+            prod = F(c1) * F(c2)
+            cur = out.get(e)
+            s = prod if cur is None else cur + prod
+            if s:
+                out[e] = s
+            elif cur is not None:
+                del out[e]
+    return PerfLaurent(x.ring, {e: c.coords for e, c in out.items()}, lo, hi,
+                       band, _normalized=True)
+
+
+PERF_RING = ainf_ring(Params.create(3, 2, 2, k=2))
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def perf_laurents(draw):
+    """Up to 5 terms on a coarse exponent grid (so products collide and
+    cancel), an optional w_lo and w_hi with denominators up to 9, and a
+    band just above the terms' cross exponents (so products overflow)."""
+    ring = PERF_RING
+    elts = [e for e in ring.field.elements() if e]
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-2, 2).map(lambda v: 3 * v),
+                  st.integers(-2, 2).map(lambda v: 3 * v)),
+        st.sampled_from(elts), max_size=5))
+    cross = max((abs(e[1]) for e in terms), default=0)
+    x = PerfLaurent(ring, terms, draw(st.one_of(st.none(), _fractions)),
+                    draw(st.one_of(st.none(), _fractions)))
+    band = draw(st.one_of(st.integers(cross, cross + 9),
+                          st.just(ring.band_cap)))
+    return PerfLaurent(ring, x.terms, x.w_lo, x.w_hi, band, _normalized=True)
+
+
+def _perf_outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except BandOverflow as exc:
+        return "BandOverflow", str(exc)
+    return list(r.terms.items()), r.w_lo, r.w_hi, r.band
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(perf_laurents(), min_size=1, max_size=6))
+def test_perf_laurent_sum_is_the_left_fold(parts):
+    got, want = PerfLaurent.sum(parts), _fold(_ref_perf_add, parts)
+    assert (got.terms, got.w_lo, got.w_hi, got.band) == \
+        (want.terms, want.w_lo, want.w_hi, want.band)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perf_laurents(), perf_laurents())
+def test_perf_laurent_product_is_the_old_pair_loop(x, y):
+    # the same terms in the same order, or the same BandOverflow at the
+    # same pair
+    assert _perf_outcome(operator.mul, x, y) == _perf_outcome(_ref_perf_mul,
+                                                              x, y)
+
+
+def test_perf_laurent_product_cuts_and_overflows_at_the_old_pair():
+    ring = PERF_RING
+    one = ring.field.one
+    x = PerfLaurent(ring, {(0, 0): one, (9, 9): one}, None, Fraction(3))
+    y = PerfLaurent(ring, {(0, 0): one, (18, 6): one, (0, 3): one})
+    # the product's w_hi is 3: (9, 9) * (18, 6) is cut before its cross
+    # exponent 15 is read, and (9, 9) * (0, 3) overflows the band 10
+    got = PerfLaurent(ring, x.terms, x.w_lo, x.w_hi, 10, _normalized=True)
+    with pytest.raises(BandOverflow, match=r"\(12,\) exceed the band"):
+        got * y
+    assert _perf_outcome(operator.mul, got, y) == _perf_outcome(
+        _ref_perf_mul, got, y)
+
+
+# -- WAlg: the product's pair loop ------------------------------------------
+
+def _ref_walg_terms(ring, a, b, prec):
+    """The pair loop of WAlg.__mul__, as it was."""
+    rhs = [(e, ring.raw_reduce(c, prec)) for e, c in b.items()]
+    out = {}
+    for e1, c1 in a.items():
+        c1 = ring.raw_reduce(c1, prec)
+        for e2, c2 in rhs:
+            prod = ring.raw_mul(c1, c2, prec)
+            if not any(prod):
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            cur = out.get(e)
+            s = ring.raw_add(cur, prod, prec) if cur is not None else prod
+            if any(s):
+                out[e] = s
+            elif cur is not None:
+                del out[e]
+    return out
+
+
+@st.composite
+def walgs(draw):
+    """Up to 5 terms on a small exponent grid, coefficients often
+    divisible by 3 and 9 (so products vanish mod p^prec)."""
+    prec = draw(st.integers(1, 3))
+    coord = st.sampled_from([0, 1, 2, 3, 6, 9, 18, 26])
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-1, 1)),
+        st.tuples(coord, coord), max_size=5))
+    return WAlg(P322, prec, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walgs(), walgs())
+def test_walg_product_terms_are_the_old_pair_loop(x, y):
+    want = _ref_walg_terms(oe_ring(P322), x.terms, y.terms,
+                           min(x.prec, y.prec))
+    assert list((x * y).terms.items()) == list(want.items())
+
+
+def test_walg_product_drops_zero_products_and_cancelled_keys():
+    one, minus = (1, 0), (26, 0)
+    x = WAlg(P322, 3, {(0, 0): one, (1, 0): one})        # 1 + T
+    y = WAlg(P322, 3, {(1, 0): one, (0, 0): minus})      # T - 1
+    # T * 1 and 1 * T land on (1, 0) first and cancel
+    assert list((x * y).terms.items()) == [((0, 0), minus), ((2, 0), one)]
+    three = WAlg(P322, 3, {(1, 0): (3, 0)})
+    nine = WAlg(P322, 3, {(0, 1): (9, 9)})
+    assert (three * nine).is_zero()
+    assert sparse.mul(oe_ring(P322), three.terms, nine.terms, 3) == {}
+
+
+# -- the substitution tables' floor drop --------------------------------------
+
+def _ref_level_floors(params, x):
+    """mvring's per-pi-level support floors of an atom, as they were."""
+    ring = oe_ring(params)
+    prec = params.N
+    fl = [None] * prec
+    for (n0, _), c in x.terms.items():
+        v = ring.raw_val(c, x.prec)
+        if v < prec and (fl[v] is None or n0 < fl[v]):
+            fl[v] = n0
+    run = None
+    out = []
+    for v in range(prec):
+        if fl[v] is not None:
+            run = fl[v] if run is None else min(run, fl[v])
+        cur = run
+        if x.w_hi is not None:
+            cur = x.w_hi if cur is None else min(cur, x.w_hi)
+        out.append(cur)
+    return out
+
+
+def _ref_level_drop(table):
+    """mvring's integer level drop, as it was."""
+    worst = 0
+    atoms = list(table.images)
+    for i in range(table.params.f):
+        atoms.append(table.powers.inverse(i))
+    for a in atoms:
+        fl = _ref_level_floors(table.params, a)
+        if fl[0] is None:
+            continue
+        for v in range(1, len(fl)):
+            if fl[v] is not None:
+                worst = max(worst, (fl[0] - fl[v] + v - 1) // v)
+    return worst
+
+
+def _ref_slope(ctx, f):
+    """embed's digit-floor slope of the iota generators, as it was."""
+    worst = Fraction(0)
+    for a in list(ctx.atoms) + [ctx.powers.inverse(i) for i in range(f)]:
+        f0 = a.floors.at(0)
+        if f0 is None:
+            continue
+        for v in range(1, a.prec):
+            fv = a.floors.at(v)
+            if fv is not None:
+                worst = max(worst, (f0 - fv) / v)
+    return worst
+
+
+def _drop_outcome(fn):
+    try:
+        return fn()
+    except NotAUnit as exc:
+        return "NotAUnit", str(exc)
+
+
+@pytest.mark.parametrize("g", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)])
+def test_drop_rounds_up_to_the_old_level_drop(g):
+    pr = Params.create(*g)
+    okr = ok_ring(pr)
+    tables = [phi_images(pr), phi_q_images(pr)] + [
+        gamma_images(pr, okr(c)) for c in
+        ((1 + pr.p,) + (0,) * (pr.f - 1), (2,) + (1,) * (pr.f - 1))]
+    for table in tables:
+        assert _drop_outcome(lambda: math.ceil(table.drop())) == \
+            _drop_outcome(lambda: _ref_level_drop(table))
+
+
+@pytest.mark.parametrize("g", [(3, 1, 1), (3, 2, 2)])
+def test_iota_drop_is_the_old_slope(g):
+    pr = Params.create(*g)
+    ctx = iota_context(pr)
+    assert ctx.drop() == _ref_slope(ctx, pr.f)
+
+
+def test_a_fractional_drop_rounds_the_clamp_up():
+    # Y + 9 Y^-2 and its inverse Y^-1 - 9 Y^-4 drop 3 support in 2 levels
+    atom = MvLaurent(P311, 3, {(1, ()): (1,), (-2, ()): (9,)})
+    table = _SubstImages(P311, [atom], P311.M, 1)
+    assert table.drop() == Fraction(3, 2)
+    assert _ref_level_drop(table) == 2
+    x = MvLaurent(P311, 3, {(1, ()): (1,)}, None, 5)
+    got = table.apply(x)
+    assert got.w_hi == 5 - (3 - 1) * 2 and type(got.w_hi) is int

@@ -293,6 +293,52 @@ def test_eval_struct_matches_full_evaluation_over_field(p, N, data):
         assert got == want
 
 
+@pytest.mark.parametrize("p,N", [(3, 3), (3, 4)])
+def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
+    # S_n and P_n mod 3 have terms with c = 2: the sum takes them twice
+    sp = gen_structure_polys(p, N)
+    polys = [t for t in sp.sums_mod_p + sp.prods_mod_p
+             if any(ci == 2 for ci, _ in t)]
+    assert polys
+    rng = random.Random(p * N)
+    F = fq_field(Params.create(p, 2, 2))
+    fh = FiniteFieldHandle(F)
+    elts = [e for e in F.elements() if e]
+    xs = tuple(rng.choice(elts) for _ in range(N))
+    ys = tuple(rng.choice(elts) for _ in range(N))
+    for terms in polys:
+        assert _eval_struct(terms, fh, xs, ys) == \
+            _ref_eval_struct(terms, fh, xs, ys)
+    ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    ring = ph.ring
+    xs = tuple(PerfLaurent(ring, {(rng.randrange(-9, 10),): ring.field.one},
+                           None, Fraction(rng.randrange(1, 9), 3))
+               for _ in range(N))
+    ys = tuple(PerfLaurent.monomial(ring, (Fraction(rng.randrange(4), 9),))
+               for _ in range(N))
+    for terms in polys:
+        _same_perf(_eval_struct(terms, ph, xs, ys),
+                   _ref_eval_struct(terms, ph, xs, ys))
+
+
+@pytest.mark.parametrize("p,N", _STRUCT_CASES)
+def test_eval_struct_of_zero_values_keeps_the_full_window(p, N):
+    # no term is live: the sum is zero, and over the perfectoid ring its
+    # window and band are those of the full evaluation
+    sp = gen_structure_polys(p, N)
+    fh = FiniteFieldHandle(fq_field(Params.create(p, 2, 2)))
+    zeros = (fh.zero(),) * N
+    ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    vals = [PerfLaurent(ph.ring, {}, Fraction(-n, 9), Fraction(n + 1, 3),
+                        ph.ring.band_cap // (n + 1))
+            for n in range(2 * N)]
+    for terms in sp.sums_mod_p + sp.prods_mod_p:
+        assert _eval_struct(terms, fh, zeros, zeros) == fh.zero()
+        got = _eval_struct(terms, ph, vals[:N], vals[N:])
+        assert got.is_zero()
+        _same_perf(got, _ref_eval_struct(terms, ph, vals[:N], vals[N:]))
+
+
 def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
     # v = [y] has Witt coordinates (y, 0, 0, 0): the terms of S_n with a
     # Y_1..Y_3 factor are zero, and are not multiplied out
