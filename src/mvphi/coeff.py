@@ -3,7 +3,8 @@
 Three layers, all exact:
 
 * ``FField`` / ``FElt`` -- the residue field F_{p^h} in a fixed polynomial
-  basis over F_p, with Frobenius and p-th roots.
+  basis over F_p, with Frobenius and p-th roots; F_{p^h} = O_E/p, so it
+  multiplies on the O_E kernel at precision 1.
 * ``OERing`` / ``OEInt`` -- truncated Witt scalars O_E/p^prec for E unramified
   (pi = p), realized as (Z/p^prec)[x]/(g) for a monic lift g of the defining
   polynomial.  Elements carry their own capped-absolute precision.
@@ -17,7 +18,8 @@ coordinate tuples and calls the ``raw_*`` kernels here in hot loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .caches import cached
@@ -64,16 +66,16 @@ def base_p_digits(n: int, p: int, k: int) -> list:
     return digits
 
 
-def power(x, e: int, one):
-    """x^e for e >= 0 by binary powering with the ring's own ``*``,
-    starting from ``one``."""
+def power(x, e: int, one, mul=operator.mul):
+    """x^e for e >= 0 by binary powering, starting from ``one``; ``mul``
+    multiplies two elements (the ring's own ``*`` by default)."""
     result = one
     while e:
         if e & 1:
-            result = result * x
+            result = mul(result, x)
         e >>= 1
         if e:
-            x = x * x
+            x = mul(x, x)
     return result
 
 
@@ -81,88 +83,26 @@ def power(x, e: int, one):
 # F_{p^h}
 # ---------------------------------------------------------------------------
 
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+def _is_irreducible(field: "FField") -> bool:
+    """Berlekamp's criterion for the defining polynomial g of ``field``.
 
-
-def _fp_poly_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return [c % p for c in a[:dm]] + [0] * max(0, dm - len(a))
-
-
-def _fp_poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _fp_poly_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _fp_poly_rem(_fp_poly_mul(result, base, p), mod, p)
-        base = _fp_poly_rem(_fp_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _fp_poly_gcd(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-
-    def deg(u):
-        d = len(u) - 1
-        while d >= 0 and u[d] == 0:
-            d -= 1
-        return d
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], p - 2, p)
-        shift = da - db
-        factor = (a[da] * inv) % p
-        for j in range(db + 1):
-            a[shift + j] = (a[shift + j] - factor * b[j]) % p
-    return a
-
-
-def _is_irreducible(poly, p):
-    """Monic poly over F_p: x^{p^h} == x mod poly and no subfield fixes it."""
-    h = len(poly) - 1
-    if h == 1:
+    x^(p^h) = x mod g makes g squarefree with every factor's degree
+    dividing h; then the Frobenius fixed space has one dimension per
+    factor.
+    """
+    if field.h == 1:
         return True
-    x = [0, 1]
-    xq = _fp_poly_powmod(x, p ** h, poly, p)
-    if _fp_poly_rem([(a - b) % p for a, b in
-                     zip(xq + [0] * 2, x + [0] * len(xq))], poly, p) != [0] * h:
-        return False
-    for ell in {d for d in range(2, h + 1) if h % d == 0 and is_prime(d)}:
-        xe = _fp_poly_powmod(x, p ** (h // ell), poly, p)
-        diff = [(a - b) % p for a, b in zip(xe + [0] * 2, x + [0] * len(xe))]
-        g = _fp_poly_gcd(poly, diff, p)
-        dg = max((i for i, c in enumerate(g) if c), default=-1)
-        if dg != 0:
-            return False
-    return True
+    x = field((0, 1) + (0,) * (field.h - 2))
+    return x ** (field.p ** field.h) == x and len(_fixed_space(field, 1)) == 1
 
 
 def default_poly(p: int, h: int) -> tuple:
     """Smallest monic irreducible of degree h over F_p (lexicographic tail)."""
-    if h == 1:
-        return (0, 1)
     for tail in range(p ** h):
-        poly = base_p_digits(tail, p, h) + [1]
-        if _is_irreducible(poly, p):
-            return tuple(poly)
+        try:
+            return FField(p, h, base_p_digits(tail, p, h) + [1]).poly
+        except ValueError:
+            pass
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -175,10 +115,11 @@ class FField:
         self.poly = tuple(c % p for c in poly)
         if len(self.poly) != h + 1 or self.poly[h] != 1:
             raise ValueError("defining polynomial must be monic of degree h")
-        if not _is_irreducible(list(self.poly), p):
-            raise ValueError("defining polynomial is not irreducible mod p")
         self.zero = FElt(self, (0,) * h)
         self.one = FElt(self, tuple([1] + [0] * (h - 1)))
+        self.oe = OERing(self)
+        if not _is_irreducible(self):
+            raise ValueError("defining polynomial is not irreducible mod p")
 
     def __call__(self, coords: Iterable[int]) -> "FElt":
         c = tuple(int(v) % self.p for v in coords)
@@ -193,13 +134,6 @@ class FField:
         p, h = self.p, self.h
         for idx in range(p ** h):
             yield FElt(self, tuple(base_p_digits(idx, p, h)))
-
-    def raw_mul(self, a: tuple, b: tuple) -> tuple:
-        p = self.p
-        if self.h == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = _fp_poly_mul(a, b, p)
-        return tuple(_fp_poly_rem(prod, self.poly, p))
 
 
 class FElt:
@@ -234,7 +168,8 @@ class FElt:
         return FElt(self.field, tuple((-a) % p for a in self.coords))
 
     def __mul__(self, other):
-        return FElt(self.field, self.field.raw_mul(self.coords, other.coords))
+        return FElt(self.field,
+                    self.field.oe.raw_mul(self.coords, other.coords, 1))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -342,34 +277,25 @@ class OERing:
     def reduce_mod_p(self, a) -> FElt:
         return FElt(self.field, tuple(c % self.p for c in a))
 
-    def lift_felt(self, x: FElt, prec: int) -> tuple:
-        return self.raw_reduce(x.coords, prec)
-
     @cached
     def raw_teich(self, x: FElt, prec: int) -> tuple:
         """Hensel lift of x to the root of T^(p^h) = T at the given precision."""
-        a = self.lift_felt(x, prec)
+        a = self.raw_reduce(x.coords, prec)
         e = self.p ** self.h
         for _ in range(prec):
             a = self.raw_pow(a, e, prec)
         return a
 
     def raw_pow(self, a, e: int, prec: int) -> tuple:
-        result = self.raw_reduce(tuple([1] + [0] * (self.h - 1)), prec)
-        base = a
-        while e:
-            if e & 1:
-                result = self.raw_mul(result, base, prec)
-            base = self.raw_mul(base, base, prec)
-            e >>= 1
-        return result
+        return power(a, e, self.raw_reduce((1,) + (0,) * (self.h - 1), prec),
+                     lambda x, y: self.raw_mul(x, y, prec))
 
     def raw_inv(self, a, prec: int) -> tuple:
         """Newton inverse; requires a unit (nonzero residue)."""
         res = self.reduce_mod_p(a)
         if not res:
             raise NotAUnit("not a unit in O_E at this precision")
-        b = self.lift_felt(res.inverse(), prec)
+        b = self.raw_reduce(res.inverse().coords, prec)
         two = self.from_int(2, prec).coords
         k = 1
         while k < prec:
@@ -548,26 +474,20 @@ class Params:
         return self.M if self.f == 1 else max(self.M, 15)
 
 
-# fields and O_E rings are keyed on (p, h, poly) alone: hashing three
-# fields is cheaper than hashing the whole Params, and oe_ring is on every
-# arithmetic path
+# fields are keyed on (p, h, poly) alone: hashing three fields is cheaper
+# than hashing the whole Params, and oe_ring is on every arithmetic path
 
 def fq_field(params: Params) -> FField:
     return _fq_field(params.p, params.h, params.poly)
 
 
 def oe_ring(params: Params) -> OERing:
-    return _oe_ring(params.p, params.h, params.poly)
+    return _fq_field(params.p, params.h, params.poly).oe
 
 
 @cached
 def _fq_field(p: int, h: int, poly: tuple) -> FField:
     return FField(p, h, poly)
-
-
-@cached
-def _oe_ring(p: int, h: int, poly: tuple) -> OERing:
-    return OERing(_fq_field(p, h, poly))
 
 
 @cached
@@ -657,6 +577,28 @@ def _row_reduce(rows, p: int, m: int):
     return a, pivots
 
 
+def _fixed_space(field: FField, f: int) -> list:
+    """Echelonized F_p-basis of the elements Frob^f fixes: the kernel of
+    Frob^f - id acting on F_p[x]/(g)."""
+    p, h = field.p, field.h
+    cols = []
+    for i in range(h):
+        e = field((0,) * i + (1,) + (0,) * (h - 1 - i))
+        im = e ** (p ** f)
+        cols.append([(a - b) % p for a, b in zip(im.coords, e.coords)])
+    # kernel of the h x h matrix with those columns
+    a, pivots = _row_reduce([[cols[j][i] for j in range(h)]
+                             for i in range(h)], p, p)
+    basis = []
+    for fc in (c for c in range(h) if c not in pivots):
+        vec = [0] * h
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-a[r][fc]) % p
+        basis.append(field(vec))
+    return basis
+
+
 class OKRing:
     """O_K = W(F_q) realized inside O_E via Teichmueller lifts of a basis."""
 
@@ -669,24 +611,7 @@ class OKRing:
         self._prepare_solver()
 
     def _subfield_basis(self):
-        """Echelonized kernel basis of Frob^f - id acting on F_{p^h}."""
-        p, f, h = self.params.p, self.params.f, self.params.h
-        field = self.field
-        cols = []
-        for i in range(h):
-            e = field((0,) * i + (1,) + (0,) * (h - 1 - i))
-            im = e ** (p ** f)
-            cols.append([(a - b) % p for a, b in zip(im.coords, e.coords)])
-        # kernel of the h x h matrix with those columns
-        a, pivots = _row_reduce([[cols[j][i] for j in range(h)]
-                                 for i in range(h)], p, p)
-        basis = []
-        for fc in (c for c in range(h) if c not in pivots):
-            vec = [0] * h
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = (-a[r][fc]) % p
-            basis.append(self.field(vec))
+        basis = _fixed_space(self.field, self.params.f)
         if len(basis) != self.params.f:
             raise RuntimeError("subfield dimension mismatch")
         return basis

@@ -357,10 +357,8 @@ def member(x: MvLaurent, tag: str, s: Optional[int] = None) -> bool:
     if tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
         if s is None:
             raise ValueError("dagger membership needs the radius index s")
-        _check_radius(s)
-        raw_val = oe_ring(x.params).raw_val
-        return all(s * raw_val(c, x.prec) + k[0] >= 0
-                   for k, c in x.terms.items())
+        v = norm_s(x, s).val
+        return v is None or v >= 0
     raise ValueError(f"unknown ring tag {tag!r}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .caches import cached
-from .coeff import FElt, FField, OEInt, OERing, power
+from .coeff import FElt, FField, OEInt, power
 
 
 # ---------------------------------------------------------------------------
@@ -37,16 +37,6 @@ def _pmul(a: dict, b: dict) -> dict:
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
-
-
-def _ppow(a: dict, n: int, nvars: int) -> dict:
-    result = {(0,) * nvars: 1}
-    while n:
-        if n & 1:
-            result = _pmul(result, a)
-        a = _pmul(a, a) if n > 1 else a
-        n >>= 1
-    return result
 
 
 def _ghost(nvars, offset, n, p):
@@ -101,14 +91,16 @@ def _div_exact(poly: dict, m: int) -> dict:
 @cached
 def gen_structure_polys(p: int, N: int) -> StructurePolys:
     nv = 2 * N
+    one = {(0,) * nv: 1}
     sums, prods = [], []
     for n in range(N):
         wx = _ghost(nv, 0, n, p)
         wy = _ghost(nv, N, n, p)
         acc_s, acc_p = {}, {}
         for j in range(n):
-            acc_s = _padd(acc_s, _ppow(sums[j], p ** (n - j), nv), p ** j)
-            acc_p = _padd(acc_p, _ppow(prods[j], p ** (n - j), nv), p ** j)
+            e = p ** (n - j)
+            acc_s = _padd(acc_s, power(sums[j], e, one, _pmul), p ** j)
+            acc_p = _padd(acc_p, power(prods[j], e, one, _pmul), p ** j)
         sums.append(_div_exact(_padd(_padd(wx, wy), acc_s, -1), p ** n))
         prods.append(_div_exact(_padd(_pmul(wx, wy), acc_p, -1), p ** n))
     return StructurePolys(p, N, sums, prods)
@@ -297,7 +289,7 @@ def from_oe_scalar(handle, c: OEInt) -> WittVec:
 def from_int(handle, n: int, prec: int) -> WittVec:
     """Integer as a Witt vector: an integer is an O_E scalar, and the
     Teichmueller lift of a digit in F_p is the same in Z_p and in O_E."""
-    return from_oe_scalar(handle, OERing(handle.field).from_int(n, prec))
+    return from_oe_scalar(handle, handle.field.oe.from_int(n, prec))
 
 
 def map_coefficients(sigma, u: WittVec) -> WittVec:

@@ -4,10 +4,13 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import (Params, fq_field, oe_ring, ok_ring, teichmuller,
-                         frobenius_lift, padic_binomial, vp_factorial,
-                         default_poly, _row_reduce)
+from mvphi.coeff import (Params, FField, fq_field, oe_ring, ok_ring,
+                         teichmuller, frobenius_lift, padic_binomial,
+                         vp_factorial, default_poly, base_p_digits, is_prime,
+                         power, _row_reduce)
+from mvphi.caches import cache_info
 from mvphi.errors import PrecisionExhausted, NotAUnit
+from mvphi.witt import _pmul
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -328,3 +331,171 @@ def test_teich_lifts_and_solvers_live_in_the_cache_registry():
     proc = subprocess.run([sys.executable, "-c", RING_CACHES_CHECK],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the former F_p[x] library, kept as the reference for the residue field on
+# the O_E kernel and for the fixed-space irreducibility test
+# ---------------------------------------------------------------------------
+
+def _ref_poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _ref_poly_rem(a, mod, p):
+    a = list(a)
+    dm = len(mod) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+    return [c % p for c in a[:dm]] + [0] * max(0, dm - len(a))
+
+
+def _ref_poly_powmod(base, e, mod, p):
+    result = [1]
+    base = _ref_poly_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = _ref_poly_rem(_ref_poly_mul(result, base, p), mod, p)
+        base = _ref_poly_rem(_ref_poly_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def _ref_poly_gcd(a, b, p):
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+
+    def deg(u):
+        d = len(u) - 1
+        while d >= 0 and u[d] == 0:
+            d -= 1
+        return d
+
+    while deg(b) >= 0:
+        da, db = deg(a), deg(b)
+        if da < db:
+            a, b = b, a
+            continue
+        inv = pow(b[deg(b)], p - 2, p)
+        shift = da - db
+        factor = (a[da] * inv) % p
+        for j in range(db + 1):
+            a[shift + j] = (a[shift + j] - factor * b[j]) % p
+    return a
+
+
+def _ref_is_irreducible(poly, p):
+    """x^{p^h} == x mod poly and no subfield fixes it (Rabin's test)."""
+    h = len(poly) - 1
+    if h == 1:
+        return True
+    x = [0, 1]
+    xq = _ref_poly_powmod(x, p ** h, poly, p)
+    if _ref_poly_rem([(a - b) % p for a, b in
+                      zip(xq + [0] * 2, x + [0] * len(xq))], poly, p) \
+            != [0] * h:
+        return False
+    for ell in {d for d in range(2, h + 1) if h % d == 0 and is_prime(d)}:
+        xe = _ref_poly_powmod(x, p ** (h // ell), poly, p)
+        diff = [(a - b) % p for a, b in zip(xe + [0] * 2, x + [0] * len(xe))]
+        g = _ref_poly_gcd(poly, diff, p)
+        dg = max((i for i, c in enumerate(g) if c), default=-1)
+        if dg != 0:
+            return False
+    return True
+
+
+def _ref_default_poly(p, h):
+    if h == 1:
+        return (0, 1)
+    for tail in range(p ** h):
+        poly = base_p_digits(tail, p, h) + [1]
+        if _ref_is_irreducible(poly, p):
+            return tuple(poly)
+
+
+def _accepts(p, h, poly):
+    try:
+        FField(p, h, poly)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_residue_products_match_the_fp_poly_reference(p, h):
+    F = fq_field(params(p, 1, h))
+    elts = list(F.elements())
+    for a in elts:
+        for b in elts:
+            want = _ref_poly_rem(_ref_poly_mul(list(a.coords), list(b.coords),
+                                               p), list(F.poly), p)
+            assert (a * b).coords == tuple(want)
+
+
+def test_field_acceptance_matches_the_reference_test():
+    # every monic polynomial with p^h <= 625, reducible ones included
+    cases = [(p, h) for p in range(2, 26) if is_prime(p)
+             for h in range(1, 10) if p ** h <= 625]
+    for p, h in cases:
+        for tail in range(p ** h):
+            poly = base_p_digits(tail, p, h) + [1]
+            assert _accepts(p, h, poly) == _ref_is_irreducible(poly, p), \
+                (p, poly)
+
+
+def test_default_poly_matches_the_reference_search():
+    for p in (2, 3, 5, 7):
+        for h in range(1, 7):
+            if p ** h <= 20000:
+                assert default_poly(p, h) == _ref_default_poly(p, h)
+
+
+def test_squarefree_reducible_polys_are_rejected():
+    # x^(p^h) = x holds mod each of these products of distinct factors of
+    # degree dividing h; only the fixed space tells them from irreducibles
+    for p, factors in ((2, [[0, 1], [1, 1]]), (3, [[1, 1], [2, 1]]),
+                       (3, [[1, 0, 1], [2, 1, 1]])):
+        poly = _ref_poly_mul(*factors, p)
+        h = len(poly) - 1
+        x_q = _ref_poly_powmod([0, 1], p ** h, poly, p)
+        assert x_q == [0, 1] + [0] * (h - 2)
+        assert not _accepts(p, h, poly)
+    assert _accepts(3, 2, (1, 0, 1)) and _accepts(3, 2, (2, 1, 1))
+
+
+def _fold(x, e, one, mul):
+    acc = one
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+def test_power_matches_a_fold_for_every_product():
+    pr = params(3, 2, 2, N=5)
+    F, ring = fq_field(pr), oe_ring(pr)
+    x = F((2, 1))
+    a, one = (7, 200), ring.one(5).coords
+    raw_mul = lambda u, v: ring.raw_mul(u, v, 5)  # noqa: E731
+    poly = {(1, 0): 1, (0, 1): -2}
+    for e in range(41):
+        assert power(x, e, F.one) == _fold(x, e, F.one, lambda u, v: u * v)
+        assert ring.raw_pow(a, e, 5) == _fold(a, e, one, raw_mul)
+        assert power(poly, e, {(0, 0): 1}, _pmul) == _fold(
+            poly, e, {(0, 0): 1}, _pmul)
+
+
+def test_oe_ring_is_the_residue_fields_own_ring():
+    for p, f, h in GRID:
+        pr = params(p, f, h)
+        assert oe_ring(pr) is fq_field(pr).oe
+        assert oe_ring(pr).field is fq_field(pr)
+    assert "coeff._oe_ring" not in cache_info()

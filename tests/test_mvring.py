@@ -185,6 +185,12 @@ def test_norm_s_matches_fraction_reference(case):
     x, s, boundary = case
     got, ref = norm_s(x, s), _ref_norm_s(x, s)
     assert got.val == ref.val and got.certified is ref.certified
+    # the dagger check is the sign of the same minimum; the former formula
+    raw_val = oe_ring(x.params).raw_val
+    dagger = all(s * raw_val(c, x.prec) + k[0] >= 0
+                 for k, c in x.terms.items())
+    for tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
+        assert member(x, tag, s) is dagger
     if boundary == "w_hi":
         assert s * ref.val == x.w_hi and not got.certified
     elif boundary == "prec":

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import Params, fq_field, oe_ring
+from mvphi.coeff import Params, fq_field, oe_ring, power
 from mvphi.perfd import PerfHandle, PerfLaurent, ainf_ring
 from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         witt_neg, witt_sub, teich, witt_zero, from_expansion,
                         from_oe_scalar, from_int,
-                        map_coefficients, scalar_mul, _eval_struct)
+                        map_coefficients, scalar_mul, _eval_struct, _pmul)
 
 
 def handle(p, h=1):
@@ -22,6 +22,27 @@ def test_structure_polys_degree_zero():
     sp = gen_structure_polys(3, 3)
     assert sp.sums[0] == {(1, 0, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0): 1}
     assert sp.prods[0] == {(1, 0, 0, 1, 0, 0): 1}
+
+
+def _ref_ppow(a, n, nvars):
+    """The former structure-polynomial power, kept as the reference."""
+    result = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            result = _pmul(result, a)
+        a = _pmul(a, a) if n > 1 else a
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,N", [(2, 4), (3, 3)])
+def test_structure_poly_powers_keep_the_reference_term_order(p, N):
+    # the same product sequence, so S_n and P_n keep their dict order
+    sp, one = gen_structure_polys(p, N), {(0,) * (2 * N): 1}
+    for poly in sp.sums[:-1] + sp.prods[:-1]:
+        for e in (p, p * p):
+            assert (list(power(poly, e, one, _pmul).items())
+                    == list(_ref_ppow(poly, e, 2 * N).items()))
 
 
 @pytest.mark.parametrize("p,N", [(2, 3), (3, 3), (3, 4)])
@@ -365,3 +386,29 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
     assert 0 < fast < len(calls) / 2
     for a, b in zip(got.comps, want, strict=True):
         _same_perf(a, b)
+
+
+FROM_INT_CACHE_CHECK = """
+import mvphi
+from mvphi.coeff import Params, fq_field, oe_ring
+from mvphi.witt import FiniteFieldHandle, from_int
+pr = Params.create(3, 1, 1)
+handle = FiniteFieldHandle(fq_field(pr))
+from_int(handle, -1, 3)
+before = mvphi.cache_info()["coeff.OERing.raw_teich"]
+for _ in range(5):
+    from_int(handle, -1, 3)
+after = mvphi.cache_info()["coeff.OERing.raw_teich"]
+assert after.currsize == before.currsize, (before, after)
+assert after.hits > before.hits and after.misses == before.misses
+assert handle.field.oe is oe_ring(pr)
+"""
+
+
+def test_from_int_lifts_on_the_fields_own_ring():
+    # a fresh interpreter, so that the lifts other tests cached do not count
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", FROM_INT_CACHE_CHECK],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
