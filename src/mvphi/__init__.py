@@ -2,8 +2,7 @@
 
 from .caches import clear_caches, cache_info
 from .coeff import (Params, FField, FElt, OERing, OEInt, OKRing, OKElement,
-                    teichmuller, frobenius_lift, padic_binomial, fq_field,
-                    oe_ring, ok_ring)
+                    teichmuller, padic_binomial, fq_field, oe_ring, ok_ring)
 from .iwasawa import (TSeries, group_like, y_generator, phi_map, gamma_map,
                       okx_coordinates, y_to_t_inverse, phi_y, gamma_y)
 from .mvring import (MvLaurent, NormValue, invert_unit, norm_s, member,
@@ -21,8 +20,7 @@ from . import errors
 
 __all__ = [
     "Params", "FField", "FElt", "OERing", "OEInt", "OKRing", "OKElement",
-    "teichmuller", "frobenius_lift", "padic_binomial", "fq_field", "oe_ring",
-    "ok_ring",
+    "teichmuller", "padic_binomial", "fq_field", "oe_ring", "ok_ring",
     "TSeries", "group_like", "y_generator", "phi_map", "gamma_map",
     "okx_coordinates", "y_to_t_inverse", "phi_y", "gamma_y",
     "MvLaurent", "NormValue", "invert_unit", "norm_s", "member", "apply_phi",

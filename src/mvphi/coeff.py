@@ -154,18 +154,15 @@ class FElt:
         return any(self.coords)
 
     def __add__(self, other):
-        p = self.field.p
-        return FElt(self.field, tuple((a + b) % p for a, b in
-                                      zip(self.coords, other.coords)))
+        return FElt(self.field,
+                    self.field.oe.raw_add(self.coords, other.coords, 1))
 
     def __sub__(self, other):
-        p = self.field.p
-        return FElt(self.field, tuple((a - b) % p for a, b in
-                                      zip(self.coords, other.coords)))
+        return FElt(self.field,
+                    self.field.oe.raw_sub(self.coords, other.coords, 1))
 
     def __neg__(self):
-        p = self.field.p
-        return FElt(self.field, tuple((-a) % p for a in self.coords))
+        return FElt(self.field, self.field.oe.raw_neg(self.coords, 1))
 
     def __mul__(self, other):
         return FElt(self.field,
@@ -246,6 +243,17 @@ class OERing:
                     out[i - h + j] -= c * poly[j]
             out[i] = 0
         return tuple(c % m for c in out[:h])
+
+    def scalar(self, c, prec: int):
+        """(raw coordinates, precision) of the scalar c taken at most at
+        prec: an OEInt meets prec with its own precision; an int or raw
+        coordinates are read at prec."""
+        if isinstance(c, OEInt):
+            prec = min(prec, c.prec)
+            c = c.coords
+        elif isinstance(c, int):
+            c = (c,) + (0,) * (self.h - 1)
+        return self.raw_reduce(c, prec), prec
 
     def raw_val(self, a, prec: int) -> int:
         """min v_p over coordinates; prec when indistinguishable from 0."""
@@ -351,17 +359,16 @@ class OEInt:
     def _join(self, other) -> int:
         return min(self.prec, other.prec)
 
+    # the raw kernels reduce mod p^pr, so neither operand is reduced first
     def __add__(self, other):
         pr = self._join(other)
-        return OEInt(self.ring, pr, self.ring.raw_add(
-            self.ring.raw_reduce(self.coords, pr),
-            self.ring.raw_reduce(other.coords, pr), pr))
+        return OEInt(self.ring, pr,
+                     self.ring.raw_add(self.coords, other.coords, pr))
 
     def __sub__(self, other):
         pr = self._join(other)
-        return OEInt(self.ring, pr, self.ring.raw_sub(
-            self.ring.raw_reduce(self.coords, pr),
-            self.ring.raw_reduce(other.coords, pr), pr))
+        return OEInt(self.ring, pr,
+                     self.ring.raw_sub(self.coords, other.coords, pr))
 
     def __neg__(self):
         return OEInt(self.ring, self.prec,
@@ -372,9 +379,8 @@ class OEInt:
             return OEInt(self.ring, self.prec,
                          self.ring.raw_smul(other, self.coords, self.prec))
         pr = self._join(other)
-        return OEInt(self.ring, pr, self.ring.raw_mul(
-            self.ring.raw_reduce(self.coords, pr),
-            self.ring.raw_reduce(other.coords, pr), pr))
+        return OEInt(self.ring, pr,
+                     self.ring.raw_mul(self.coords, other.coords, pr))
 
     __rmul__ = __mul__
 
@@ -504,10 +510,6 @@ def teichmuller(params: Params, x: FElt, prec: Optional[int] = None) -> OEInt:
     ring = oe_ring(params)
     pr = params.N if prec is None else prec
     return OEInt(ring, pr, ring.raw_teich(x, pr))
-
-
-def frobenius_lift(x: OEInt) -> OEInt:
-    return x.frobenius()
 
 
 def padic_binomial(params: Params, a, j: int,
@@ -705,12 +707,11 @@ class OKRing:
             img = self.oe.raw_frobenius(img, x.prec)
         return OEInt(self.oe, x.prec, img)
 
-    def random_unit(self, rng, prec: Optional[int] = None) -> "OKElement":
-        pr = self.prec if prec is None else prec
+    def random_unit(self, rng) -> "OKElement":
         while True:
             coords = tuple(rng.randrange(self.params.p ** self.params.N)
                            for _ in range(self.params.f))
-            x = self(coords, pr)
+            x = self(coords)
             if x.is_unit():
                 return x
 

@@ -263,8 +263,8 @@ class WAlg:
         return WAlg(params, prec, {})
 
     @staticmethod
-    def teich_monomial(params, prec, exponents, scalar=1):
-        c = (scalar,) + (0,) * (params.h - 1)
+    def teich_monomial(params, prec, exponents):
+        c = (1,) + (0,) * (params.h - 1)
         return WAlg(params, prec, {scaled_exponents(params, exponents): c})
 
     @staticmethod
@@ -402,19 +402,10 @@ class WAlg:
 
 
 def congruent_mod(x: WAlg, y: WAlg, m: int) -> bool:
-    """x = y mod p^m on the meet of the certified regions."""
+    """x = y mod p^m on the meet of the certified regions: the difference,
+    clamped to its horizons (the meet of x's and y's), is 0 mod p^m."""
     diff = x - y
-    ring = oe_ring(x.params)
-    H = tuple(bound_min(a, b) for a, b in zip(x.H, y.H))
-    for e, c in diff.terms.items():
-        v = ring.raw_val(c, diff.prec)
-        if v >= m:
-            continue
-        hv = H[v] if v < len(H) else None
-        if hv is not None and diff.gv(e) >= hv:
-            continue
-        return False
-    return True
+    return not sparse.reduce(oe_ring(x.params), diff.clamp(diff.H).terms, m)
 
 
 def b_val_walg(x: WAlg, r: Fraction) -> NormValue:
@@ -479,14 +470,14 @@ def _tail_clamp(params: Params, window: int, corr) -> tuple:
     return tuple(bounds)
 
 
-def iota_generators(params: Params, seed_offsets=None,
-                    window: Optional[int] = None) -> IotaResult:
-    """Solve phi(y_i) = F_i(y) with digit-0 Y_i by inverse-Frobenius iteration.
+def iota_generators(params: Params, seed_offsets=None) -> IotaResult:
+    """Solve phi(y_i) = F_i(y) with digit-0 Y_i by inverse-Frobenius iteration
+    at the degree window ``params.embed_window``.
 
     Runs N-1 steps; step n must agree with step n-1 mod p^n (recorded as a
     certificate, StabilizationFailure otherwise).
     """
-    w = params.embed_window if window is None else window
+    w = params.embed_window
     if seed_offsets is None:
         return _iota_fixpoint(params, w)
     return _solve_iota(params, seed_offsets, w)
@@ -586,8 +577,8 @@ def verify_phi_equivariance(x: MvLaurent) -> dict:
                      for h in meet)
     q_mode = "direct"
     try:
-        lhs_q = iota(x)
-        for _ in range(x.params.f):
+        lhs_q = lhs
+        for _ in range(x.params.f - 1):
             lhs_q = lhs_q.phi_forward()
         rhs_q = iota(apply_phi_q(x))
         ok_q = congruent_mod(lhs_q, rhs_q, min(lhs_q.prec, rhs_q.prec))

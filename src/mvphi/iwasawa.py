@@ -67,9 +67,6 @@ class TSeries:
 
     # -- ring operations -------------------------------------------------------
 
-    def _meet(self, other):
-        return min(self.prec, other.prec), min(self.window, other.window)
-
     @staticmethod
     def sum(parts) -> "TSeries":
         """parts[0] + parts[1] + ... at the least precision and window."""
@@ -92,7 +89,8 @@ class TSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        prec, window = self._meet(other)
+        prec = min(self.prec, other.prec)
+        window = min(self.window, other.window)
         out = {}
         if self.terms and other.terms:
             params = self.params
@@ -106,14 +104,9 @@ class TSeries:
         return TSeries(self.params, prec, window, out, _normalized=True)
 
     def scalar_mul(self, c) -> "TSeries":
-        """Multiply by an OEInt (or raw tuple at self.prec)."""
+        """Multiply by a scalar, as ``OERing.scalar`` reads it."""
         ring = oe_ring(self.params)
-        prec = self.prec
-        if hasattr(c, "coords"):
-            prec = min(prec, c.prec)
-            craw = ring.raw_reduce(c.coords, prec)
-        else:
-            craw = ring.raw_reduce(c, prec)
+        craw, prec = ring.scalar(c, self.prec)
         return TSeries(self.params, prec, self.window,
                        sparse.smul(ring, self.terms, craw, prec),
                        _normalized=True)

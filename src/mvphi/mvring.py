@@ -59,35 +59,33 @@ class MvLaurent:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(params, prec=None, w_hi=None, band=None):
+    def zero(params, prec=None, band=None):
         return MvLaurent(params, params.N if prec is None else prec, {},
-                         0, w_hi, band, _normalized=True)
+                         0, None, band, _normalized=True)
 
     @staticmethod
-    def one(params, prec=None, w_hi=None, band=None):
-        return MvLaurent.monomial(params, 0, None, 1, prec, w_hi, band)
+    def one(params, prec=None, band=None):
+        return MvLaurent.monomial(params, 0, None, 1, prec, band)
 
     @staticmethod
-    def monomial(params, n0, cross=None, scalar=1, prec=None, w_hi=None,
-                 band=None):
+    def monomial(params, n0, cross=None, scalar=1, prec=None, band=None):
         pr = params.N if prec is None else prec
         cr = (0,) * (params.f - 1) if cross is None else tuple(cross)
         c = (scalar,) + (0,) * (params.h - 1)
-        return MvLaurent(params, pr, {(n0, cr): c}, None, w_hi, band)
+        return MvLaurent(params, pr, {(n0, cr): c}, None, None, band)
 
     @staticmethod
-    def from_y_series(ts: "iwasawa.TSeries", band=None) -> "MvLaurent":
+    def from_y_series(ts: "iwasawa.TSeries") -> "MvLaurent":
         """Interpret a series in the Y-generators as a Laurent element.
 
         prod Y_i^{e_i} = Y_0^{sum e} * prod X_i^{e_i}; the degree window
-        becomes the Y_0-knowledge horizon.
+        becomes the Y_0-knowledge horizon and the band.
         """
         params = ts.params
         terms = {}
         for e, c in ts.terms.items():
             terms[(sum(e), tuple(e[1:]))] = c
-        return MvLaurent(params, ts.prec, terms, None, ts.window,
-                         ts.window if band is None else band)
+        return MvLaurent(params, ts.prec, terms, None, ts.window, ts.window)
 
     # -- views ----------------------------------------------------------------
 
@@ -99,13 +97,12 @@ class MvLaurent:
         return MvLaurent(self.params, self.prec, self.terms, self.w_lo,
                          self.w_hi, band, _normalized=True)
 
-    def with_window(self, w_lo=None, w_hi=None) -> "MvLaurent":
+    def with_window(self, w_hi) -> "MvLaurent":
         """Weaken the window (narrow the claim); never strengthens it."""
         new_hi = bound_min(self.w_hi, w_hi)
         terms = {k: c for k, c in self.terms.items()
                  if new_hi is None or k[0] < new_hi}
-        lo = self.w_lo if w_lo is None else max(self.w_lo, w_lo)
-        lo = min(lo, min((k[0] for k in terms), default=lo))
+        lo = min(self.w_lo, min((k[0] for k in terms), default=self.w_lo))
         return MvLaurent(self.params, self.prec, terms, lo, new_hi,
                          self.band, _normalized=True)
 
@@ -204,7 +201,7 @@ class MvLaurent:
         """self * Y_0^{n0} prod X_i^{cross_i}: keys move by (n0, cross), the
         window by n0; coefficients, prec and band stay.  For g returned by
         ``_SubstImages.apply`` and 1 <= g.prec <= prec this equals
-        ``MvLaurent.monomial(params, n0, cross, 1, prec, None, g.band) * g``:
+        ``MvLaurent.monomial(params, n0, cross, 1, prec, g.band) * g``:
         the product's precision is g.prec, so 1 * c is c; the monomial is
         exact with w_lo = n0, so the window moves by n0; and g's terms lie
         below g.w_hi, so the product's window filter drops none."""
@@ -220,14 +217,7 @@ class MvLaurent:
 
     def scalar_mul(self, c) -> "MvLaurent":
         ring = oe_ring(self.params)
-        prec = self.prec
-        if hasattr(c, "coords"):
-            prec = min(prec, c.prec)
-            craw = ring.raw_reduce(c.coords, prec)
-        elif isinstance(c, int):
-            craw = ring.raw_reduce((c,) + (0,) * (self.params.h - 1), prec)
-        else:
-            craw = ring.raw_reduce(c, prec)
+        craw, prec = ring.scalar(c, self.prec)
         return MvLaurent(self.params, prec,
                          sparse.smul(ring, self.terms, craw, prec),
                          self.w_lo, self.w_hi, self.band, _normalized=True)
@@ -283,7 +273,7 @@ def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
                       {(-ln0, tuple(-e for e in lcross)): lc_inv},
                       None, None, x.band, _normalized=True)
     normalized = (x * m_inv)
-    one = MvLaurent.one(params, x.prec, None, x.band)
+    one = MvLaurent.one(params, x.prec, x.band)
     t = normalized - one
     has_degree_terms = False
     for (n0, cross), c in t.terms.items():
@@ -298,12 +288,12 @@ def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
     if w_hi is None and has_degree_terms:
         w_hi = params.M if horizon is None else horizon
     if w_hi is not None:
-        t = t.with_window(w_hi=w_hi)
+        t = t.with_window(w_hi)
     t_lo = min(t.w_lo, 0)
     cap = x.prec * (1 + abs(t_lo)) + (w_hi - min(t.w_lo, 0)
                                       if w_hi is not None else 0) + 4
     # the powers of -t start from the exact 1; the sum takes the window w_hi
-    acc = sparse.geometric(-t, one, cap).with_window(w_hi=w_hi)
+    acc = sparse.geometric(-t, one, cap).with_window(w_hi)
     return acc * m_inv
 
 
@@ -398,7 +388,7 @@ class _SubstImages(sparse.Substitution):
                 fl[v] = bound_min(run, x.w_hi)
             return fl
         super().__init__(
-            atoms, lambda: MvLaurent.one(params, N, None, band),
+            atoms, lambda: MvLaurent.one(params, N, band),
             lambda i: invert_unit(atoms[i], horizon), floors)
 
     def apply(self, x: MvLaurent) -> MvLaurent:
@@ -406,15 +396,15 @@ class _SubstImages(sparse.Substitution):
         band = _work_band(params)
         acc = sparse.evaluate(
             x.pure_y_exponents(), self.powers,
-            MvLaurent.zero(params, x.prec, None, band),
-            lambda: MvLaurent.one(params, x.prec, None, band))
+            MvLaurent.zero(params, x.prec, band),
+            lambda: MvLaurent.one(params, x.prec, band))
         if x.w_hi is not None:
             # unknown x-terms sit at pure-Y total degree >= w_hi; their
             # images have level-0 support >= unit_degree * w_hi, and each
             # pi-level can cost at most drop() of support, rounded up
             clamp = self.unit_degree * x.w_hi \
                 - (min(x.prec, params.N) - 1) * math.ceil(self.drop())
-            acc = acc.with_window(w_hi=clamp)
+            acc = acc.with_window(clamp)
         return acc
 
 
@@ -554,7 +544,7 @@ def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
     images = phi_images(params, decompose_window(params))
     band = _work_band(params)
-    return MvLaurent.sum([MvLaurent.zero(params, params.N, None, band)]
+    return MvLaurent.sum([MvLaurent.zero(params, params.N, band)]
                          + [images.apply(g.lift_band(band)).shift(*a)
                             for a, g in components.items()])
 

@@ -66,9 +66,9 @@ def mat_det(A):
     return MvLaurent.sum(terms)
 
 
-def mat_identity(params, d, prec=None):
-    one = MvLaurent.one(params, prec)
-    zero = MvLaurent.zero(params, prec)
+def mat_identity(params, d):
+    one = MvLaurent.one(params)
+    zero = MvLaurent.zero(params)
     return [[one if i == j else zero for j in range(d)] for i in range(d)]
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .coeff import Params, ok_ring
 from .iwasawa import TSeries
-from .mvring import MvLaurent, NormValue
+from .mvring import MvLaurent, NormValue, _check_radius
 from .perfd import PerfLaurent
 from .phimod import PhiModule, TAG_A0, TAG_AMV, TAG_DAGGER
 
@@ -139,8 +139,8 @@ def phimodule_from(params: Params, obj) -> PhiModule:
     rank, tag, s = as_int(obj["rank"], "rank"), obj["tag"], obj.get("s")
     if rank < 1 or tag not in (TAG_AMV, TAG_A0, TAG_DAGGER):
         raise ValueError(f"need rank >= 1 and a known tag: {rank}, {tag!r}")
-    if (tag == TAG_DAGGER or s is not None) and as_int(s, "s") < 1:
-        raise ValueError(f"the radius index s must be >= 1, got {s}")
+    if tag == TAG_DAGGER or s is not None:
+        _check_radius(as_int(s, "s"))
     okr = ok_ring(params)
     P = matrix_from(params, obj["P"], rank)
     action = [(okr(tuple(as_int(c, "a unit coordinate") for c in entry["a"])),

@@ -305,10 +305,10 @@ def suite_witt(params: Params, rng=None, n_ghost: int = 100,
     return _report("witt", params, assertions)
 
 
-def rand_pure_cone(params: Params, rng, nterms=3) -> MvLaurent:
-    """Samples with nonnegative exponents in every generator."""
+def rand_pure_cone(params: Params, rng) -> MvLaurent:
+    """Three-term samples with nonnegative exponents in every generator."""
     terms = {}
-    for _ in range(nterms):
+    for _ in range(3):
         z = [rng.randrange(0, 3) for _ in range(params.f)]
         key = (sum(z), tuple(z[1:]))
         v = rng.randrange(0, params.N)

@@ -199,11 +199,6 @@ class WittVec:
         a, b = self.coordinates(), other.coordinates()
         return all(self.handle.eq(x, y) for x, y in zip(a.comps, b.comps))
 
-    def truncate(self, prec: int) -> "WittVec":
-        if prec > self.prec:
-            raise ValueError("cannot extend precision")
-        return WittVec(self.handle, prec, self.form, self.comps[:prec])
-
 
 def _eval_struct(terms, handle, xs, ys):
     """Evaluate a structure polynomial, given by its terms mod p, on handle
@@ -261,13 +256,11 @@ def witt_sub(u: WittVec, v: WittVec) -> WittVec:
 
 
 def teich(handle, x, prec: int) -> WittVec:
-    comps = (x,) + tuple(handle.zero() for _ in range(prec - 1))
-    return WittVec(handle, prec, TEICH_EXPANSION, comps)
+    return from_expansion(handle, (x,), prec)
 
 
 def witt_zero(handle, prec: int) -> WittVec:
-    return WittVec(handle, prec, TEICH_EXPANSION,
-                   tuple(handle.zero() for _ in range(prec)))
+    return from_expansion(handle, (), prec)
 
 
 def from_expansion(handle, digits, prec: Optional[int] = None) -> WittVec:

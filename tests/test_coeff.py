@@ -4,8 +4,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import (Params, FField, fq_field, oe_ring, ok_ring,
-                         teichmuller, frobenius_lift, padic_binomial,
+from mvphi.coeff import (Params, FField, OEInt, fq_field, oe_ring, ok_ring,
+                         teichmuller, padic_binomial,
                          vp_factorial, default_poly, base_p_digits, is_prime,
                          power, _row_reduce)
 from mvphi.caches import cache_info
@@ -89,16 +89,16 @@ def test_frobenius_lift_properties(p, f, h):
     for _ in range(15):
         a = ring(tuple(rng.randrange(p ** pr.N) for _ in range(h)), pr.N)
         b = ring(tuple(rng.randrange(p ** pr.N) for _ in range(h)), pr.N)
-        fa, fb = frobenius_lift(a), frobenius_lift(b)
-        assert frobenius_lift(a + b) == fa + fb
-        assert frobenius_lift(a * b) == fa * fb
+        fa, fb = a.frobenius(), b.frobenius()
+        assert (a + b).frobenius() == fa + fb
+        assert (a * b).frobenius() == fa * fb
         assert fa.residue() == a.residue().frobenius()
         it = a
         for _ in range(h):
-            it = frobenius_lift(it)
+            it = it.frobenius()
         assert it == a
     for x in list(F.elements())[:6]:
-        assert frobenius_lift(teichmuller(pr, x)) == teichmuller(
+        assert teichmuller(pr, x).frobenius() == teichmuller(
             pr, x.frobenius())
 
 
@@ -499,3 +499,45 @@ def test_oe_ring_is_the_residue_fields_own_ring():
         assert oe_ring(pr) is fq_field(pr).oe
         assert oe_ring(pr).field is fq_field(pr)
     assert "coeff._oe_ring" not in cache_info()
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 2)])
+def test_felt_add_sub_neg_match_the_tuple_formulas(p, h):
+    # F_8, F_9 and F_25: every pair against coordinatewise arithmetic mod p
+    F = FField(p, h, default_poly(p, h))
+    elts = list(F.elements())
+    for a in elts:
+        neg = -a
+        assert neg.field is F
+        assert neg.coords == tuple((-x) % p for x in a.coords)
+        for b in elts:
+            assert (a + b).coords == tuple((x + y) % p for x, y in
+                                           zip(a.coords, b.coords))
+            assert (a - b).coords == tuple((x - y) % p for x, y in
+                                           zip(a.coords, b.coords))
+
+
+@pytest.mark.parametrize("p,f,h", GRID)
+def test_oeint_ops_at_mixed_precision_match_the_reduced_operands(p, f, h):
+    # the reference reduces both operands to the least precision first
+    ring = oe_ring(params(p, f, h))
+    rng = random.Random(11)
+    for _ in range(40):
+        pa, pb = rng.randint(1, 6), rng.randint(1, 6)
+        a = ring(tuple(rng.randrange(p ** pa) for _ in range(h)), pa)
+        b = ring(tuple(rng.randrange(p ** pb) for _ in range(h)), pb)
+        pr = min(pa, pb)
+        ra = ring.raw_reduce(a.coords, pr)
+        rb = ring.raw_reduce(b.coords, pr)
+        assert a + b == OEInt(ring, pr, ring.raw_add(ra, rb, pr))
+        assert a - b == OEInt(ring, pr, ring.raw_sub(ra, rb, pr))
+        assert a * b == OEInt(ring, pr, ring.raw_mul(ra, rb, pr))
+
+
+def test_oe_scalar_reads_each_kind_of_scalar():
+    ring = oe_ring(params(3, 2, 2))
+    low, high = ring((10, 4), 2), ring((100, 40), 5)
+    assert ring.scalar(low, 4) == ((1, 4), 2)
+    assert ring.scalar(high, 3) == ((100 % 27, 40 % 27), 3)
+    assert ring.scalar(29, 3) == ((2, 0), 3)
+    assert ring.scalar((29, -1), 3) == ((2, 26), 3)

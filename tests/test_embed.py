@@ -12,6 +12,7 @@ from mvphi.embed import (Floors, WAlg, congruent_mod, b_val_walg,
                          to_belt)
 from mvphi.mvring import MvLaurent, norm_s
 from mvphi.perfd import b_val_r, gauss_val
+from mvphi.sparse import bound_min
 from mvphi.errors import Uncertified
 
 
@@ -501,3 +502,49 @@ def test_walg_product_horizons_match_cubic_loop(a, b):
     assert z.H == ref_product_horizons(x, y)
     _same_floors(z.floors, xref.convolve(yref))
     assert z.terms == _ref_walg_mul_terms(x, y)
+
+
+def _ref_congruent_mod(x, y, m):
+    """congruent_mod as its own term loop: a difference term of valuation
+    below m inside the meet of the horizons refutes the congruence."""
+    diff = x - y
+    ring = oe_ring(x.params)
+    H = tuple(bound_min(a, b) for a, b in zip(x.H, y.H))
+    for e, c in diff.terms.items():
+        v = ring.raw_val(c, diff.prec)
+        if v >= m:
+            continue
+        hv = H[v] if v < len(H) else None
+        if hv is not None and diff.gv(e) >= hv:
+            continue
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(walg_operands(), walg_operands(), st.integers(0, 4), st.booleans())
+def test_congruent_mod_matches_the_term_loop(a, b, j, near):
+    # y is random, or x plus a random element times 3^j, so that both
+    # answers occur; the precisions and windows are mixed
+    x, y = a[0], b[0]
+    if near:
+        y = x + y.scalar_mul((3 ** j,))
+    for m in range(min(x.prec, y.prec) + 1):
+        assert congruent_mod(x, y, m) == _ref_congruent_mod(x, y, m)
+
+
+@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
+def test_phi_equivariance_evaluates_iota_on_x_once(p, f, h, monkeypatch):
+    import mvphi.embed as embed
+    x = MvLaurent.monomial(params(p, f, h), 1)
+    calls, real = [], embed.iota
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+    monkeypatch.setattr(embed, "iota", counted)
+    rep = verify_phi_equivariance(x)
+    assert rep["q_mode"] == "direct" and rep["congruent_q"]
+    # iota(x), iota(phi(x)) and iota(phi_q(x))
+    assert sum(z is x for z in calls) == 1
+    assert len(calls) == 3

@@ -214,7 +214,7 @@ def test_geometric_matches_the_loop_on_laurent_elements(x):
     def same(a, b):
         assert (a.terms, a.prec, a.w_lo, a.w_hi, a.band) == \
             (b.terms, b.prec, b.w_lo, b.w_hi, b.band)
-    _check_geometric(u, MvLaurent.one(P322, 3, None, 6), same)
+    _check_geometric(u, MvLaurent.one(P322, 3, 6), same)
 
 
 def test_geometric_matches_the_loop_on_iota_units():

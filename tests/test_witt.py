@@ -10,7 +10,8 @@ from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         witt_neg, witt_sub, teich, witt_zero, from_expansion,
                         from_oe_scalar, from_int,
-                        map_coefficients, scalar_mul, _eval_struct, _pmul)
+                        map_coefficients, scalar_mul, _eval_struct, _pmul,
+                        TEICH_EXPANSION)
 
 
 def handle(p, h=1):
@@ -412,3 +413,25 @@ def test_from_int_lifts_on_the_fields_own_ring():
     proc = subprocess.run([sys.executable, "-c", FROM_INT_CACHE_CHECK],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_teich_and_zero_are_expansions_padded_with_zeros():
+    # the reference: x (or nothing) followed by prec - 1 (or prec) zeros
+    fh = handle(3, 2)
+    ph = PerfHandle(ainf_ring(Params.create(3, 1, 1, N=4)))
+    x = fh.field((2, 1))
+    y = PerfLaurent.monomial(ph.ring, (Fraction(1, 9),))
+    for h, v in ((fh, x), (ph, y)):
+        for prec in (1, 2, 4):
+            t, z = teich(h, v, prec), witt_zero(h, prec)
+            for w, want in ((t, (v,) + (h.zero(),) * (prec - 1)),
+                            (z, (h.zero(),) * prec)):
+                assert (w.form, w.prec) == (TEICH_EXPANSION, prec)
+                assert [_facts(a) for a in w.comps] == \
+                    [_facts(b) for b in want]
+
+
+def _facts(a):
+    if isinstance(a, PerfLaurent):
+        return a.terms, a.w_lo, a.w_hi, a.band
+    return a.coords
