@@ -521,36 +521,43 @@ def padic_binomial(params: Params, a, j: int,
     none remain.
     """
     ring = oe_ring(params)
-    p = params.p
     if isinstance(a, OEInt):
         if any(a.coords[1:]):
             raise ValueError("binomial base must be a scalar (prime subring)")
         pr = a.prec if prec is None else min(prec, a.prec)
-        a_int = a.coords[0]
+        a = a.coords[0]
     else:
         pr = params.N if prec is None else prec
-        a_int = int(a) % p ** pr
     if j < 0:
         raise ValueError("binomial index must be nonnegative")
-    if j == 0:
-        return ring.one(pr)
-    v = vp_factorial(j, p)
-    out_prec = pr - v
-    if out_prec <= 0:
-        raise PrecisionExhausted(
-            f"C(a, {j}) retains no digits at precision {pr} (v_p(j!) = {v})")
-    m = p ** pr
-    num = 1
-    for i in range(j):
-        num = (num * (a_int - i)) % m
-    if num % p ** v:
-        raise PrecisionExhausted("numerator lost expected divisibility")
-    fact = 1
-    for i in range(2, j + 1):
-        fact *= i
-    fact //= p ** v
-    unit = pow(fact, -1, p ** out_prec)
-    return ring.from_int((num // p ** v) * unit, out_prec)
+    *_, (c, out_prec) = binomial_row(params.p, int(a), pr, j + 1)
+    return ring.from_int(c, out_prec)
+
+
+def binomial_row(p: int, a: int, prec: int, count: int):
+    """(C(a, d), prec - v_p(d!)) for d = 0 .. count-1, a known mod p^prec.
+
+    One pass: the falling factorial a(a-1)...(a-d+1) mod p^prec and the
+    unit part of d! carry over from d-1.  Raises PrecisionExhausted at the
+    first d left with no certified digit.
+    """
+    m = p ** prec
+    num, unit, v = 1, 1, 0
+    yield 1 % m, prec
+    for d in range(1, count):
+        num = num * (a - d + 1) % m
+        k = d
+        while k % p == 0:
+            k //= p
+            v += 1
+        unit = unit * k % m
+        if v >= prec:
+            raise PrecisionExhausted(f"C(a, {d}) retains no digits at "
+                                     f"precision {prec} (v_p({d}!) = {v})")
+        if num % p ** v:
+            raise PrecisionExhausted("numerator lost expected divisibility")
+        mo = p ** (prec - v)
+        yield num // p ** v * pow(unit, -1, mo) % mo, prec - v
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from itertools import product
 from typing import Optional
 
 from .caches import cached
-from .coeff import (Params, OKElement, _row_reduce, oe_ring, ok_ring,
-                    padic_binomial)
+from .coeff import (Params, OKElement, _row_reduce, binomial_row, oe_ring,
+                    ok_ring)
 from .errors import NotAUnit, PrecisionExhausted, SingularJacobian
 from . import sparse
 
@@ -324,13 +324,13 @@ def group_like(x: OKElement, window: Optional[int] = None) -> TSeries:
     if out_prec <= 0:
         raise PrecisionExhausted(
             f"group_like needs input precision > {guard} for window {w}")
-    f = params.f
+    f, pad = params.f, (0,) * (params.h - 1)
     # the product of the univariate binomial series of each variable
     acc = TSeries.one(params, out_prec, w)
     for j in range(f):
-        row = {tuple(d if t == j else 0 for t in range(f)):
-               padic_binomial(params, x.coords[j], d, x.prec).coords
-               for d in range(w)}
+        row = {tuple(d if t == j else 0 for t in range(f)): (c,) + pad
+               for d, (c, _) in enumerate(
+                   binomial_row(params.p, x.coords[j], x.prec, w))}
         acc = acc * TSeries(params, out_prec, w, row)
     return acc
 
@@ -349,7 +349,7 @@ def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries
 def _y_generator(params: Params, i: int, w: int) -> TSeries:
     if not 0 <= i < params.f:
         raise ValueError("generator index out of range")
-    return _group_sum(params, i, lambda x: x, w)
+    return _group_sums(params, 1, w)[i]
 
 
 def phi_map(s: TSeries) -> TSeries:
@@ -470,8 +470,9 @@ def revert_series(series, window: int) -> Reversion:
     if Linv is None:
         raise SingularJacobian("linear part of the change of variables "
                                "is singular mod p")
-    high = [s - _linear_series(params, L[i], prec, window)
-            for i, s in enumerate(series)]
+    high = [TSeries(params, prec, window,
+                    {e: c for e, c in s.terms.items() if sum(e) > 1})
+            for s in series]
     lay = _layout(f, params.h, params.poly, window)
     m = params.p ** prec
     nb = _slot_bytes(len(lay.pos) * params.h * (m - 1) ** 2)
@@ -513,15 +514,6 @@ def revert_series(series, window: int) -> Reversion:
                           _normalized=True) for u in unit_vecs)
     G.monomials = MonomialTable(params, lay, nb, packed)
     return G
-
-
-def _linear_series(params, row, prec, window):
-    out = {}
-    for j, c in enumerate(row):
-        if any(c):
-            e = tuple(1 if t == j else 0 for t in range(params.f))
-            out[e] = c
-    return TSeries(params, prec, window, out)
 
 
 def _invert_coeff_matrix(params, L, prec):
@@ -572,21 +564,36 @@ def to_y_coordinates(s: TSeries) -> TSeries:
 # phi and the action in Y-coordinates
 # ---------------------------------------------------------------------------
 
-def _group_sum(params: Params, i: int, transform, window: int) -> TSeries:
-    """sum over nonzero lambda of sigma_i(lambda^{-1}) [transform(omega(lambda))]
-    less 1 when q = 2: the constant terms cancel only for q > 2."""
+@cached(maxsize=32)
+def _group_sums(params: Params, mult, window: int) -> tuple:
+    """For each i < f, the sum over nonzero lambda of sigma_i(lambda^{-1})
+    [mult omega(lambda)], less 1 when q = 2: the constant terms cancel only
+    for q > 2.  ``mult`` is an int or a unit of O_K; a stream of new units
+    evicts the least recently used.
+
+    Each group-like is built once, and each sum is one packed integer sum
+    of them on the ``Layout``.
+    """
     okr = ok_ring(params)
-    prec_in = params.n_work(window)
-    parts = [TSeries.zero(params, params.N, window)]
-    for lam in okr.fq_elements():
-        if not lam:
-            continue
-        coeff = okr.sigma(okr.coordinates_of_felt(lam.inverse(), prec_in), i)
-        x = transform(okr.coordinates_of_felt(lam, prec_in))
-        parts.append(group_like(x, window).scalar_mul(coeff))
-    if params.q == 2:
-        parts.append(-TSeries.one(params, params.N, window))
-    return TSeries.sum(parts)
+    pr = params.n_work(window)
+    lams = [lam for lam in okr.fq_elements() if lam]
+    gls = [group_like(mult * okr.coordinates_of_felt(lam, pr), window)
+           for lam in lams]
+    prec = min([params.N] + [g.prec for g in gls])
+    m = params.p ** prec
+    lay = _layout(params.f, params.h, params.poly, window)
+    nb = _slot_bytes(len(lams) * params.h * (m - 1) ** 2 + m)
+    packed = [lay.pack(g.reduce(prec).terms, nb) for g in gls]
+    sums = []
+    for i in range(params.f):
+        # sigma_i(omega(lambda^-1)) = omega(lambda^(-p^i)), Frobenius acting
+        # on a Teichmueller lift by the p-th power of its residue
+        acc = sum((_from_slots(okr.oe.raw_teich(lam ** -params.p ** i, prec),
+                               nb) * x for lam, x in zip(lams, packed)),
+                  m - 1 if params.q == 2 else 0)
+        sums.append(TSeries(params, prec, window, lay.unpack(acc, nb, m),
+                            _normalized=True))
+    return tuple(sums)
 
 
 def phi_power_y(params: Params, i: int, power: int,
@@ -602,8 +609,7 @@ def phi_power_y(params: Params, i: int, power: int,
 
 @cached
 def _phi_power_y(params: Params, i: int, power: int, w: int) -> TSeries:
-    m = params.p ** power
-    return to_y_coordinates(_group_sum(params, i, lambda x: x * m, w))
+    return to_y_coordinates(_group_sums(params, params.p ** power, w)[i])
 
 
 def phi_y(params: Params, i: int, window: Optional[int] = None) -> TSeries:
@@ -622,5 +628,4 @@ def gamma_y(a: OKElement, i: int, window: Optional[int] = None) -> TSeries:
     w = params.M if window is None else window
     need = params.n_work(w)
     a_eff = a.okr(a.coords, need) if a.prec > need else a
-    gam_t = _group_sum(params, i, lambda x: a_eff * x, w)
-    return to_y_coordinates(gam_t)
+    return to_y_coordinates(_group_sums(params, a_eff, w)[i])

@@ -367,7 +367,7 @@ class _SubstImages(sparse.Substitution):
     def __init__(self, params: Params, images, horizon: int,
                  unit_degree: int):
         self.params = params
-        self.unit_degree = unit_degree
+        self.horizon, self.unit_degree = horizon, unit_degree
         band = _work_band(params)
         # the closures hold the images, not self: no reference cycle, so a
         # table evicted from a bounded cache is freed at once
@@ -393,6 +393,11 @@ class _SubstImages(sparse.Substitution):
 
     def apply(self, x: MvLaurent) -> MvLaurent:
         params = self.params
+        if x.w_hi is not None and self.horizon < 1:
+            raise WindowTooSmall(
+                f"the images' window {self.horizon + self.unit_degree} "
+                f"misses their unit term Y^{self.unit_degree}; windowed "
+                f"inputs need --deg {self.unit_degree + 1} or more")
         band = _work_band(params)
         acc = sparse.evaluate(
             x.pure_y_exponents(), self.powers,

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations, product
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import (Params, FField, OEInt, fq_field, oe_ring, ok_ring,
-                         teichmuller, padic_binomial,
+                         teichmuller, padic_binomial, binomial_row,
                          vp_factorial, default_poly, base_p_digits, is_prime,
                          power, _row_reduce)
 from mvphi.caches import cache_info
@@ -138,6 +139,29 @@ def test_padic_binomial_pascal():
         lhs = padic_binomial(pr, a, j)
         rhs = padic_binomial(pr, a - 1, j) + padic_binomial(pr, a - 1, j - 1)
         assert lhs == rhs.reduce(lhs.prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_binomial_row_matches_padic_binomial(p):
+    pr, prec = params(p, 1, 1), 4
+    exhausted = next(d for d in range(100) if vp_factorial(d, p) >= prec)
+    for a in (p ** 3 + 2, -(2 * p ** 2 + 1), 7 * p, -p):
+        row = []
+        with pytest.raises(PrecisionExhausted):
+            for c in binomial_row(p, a, prec, exhausted + 5):
+                row.append(c)
+        assert len(row) == exhausted
+        for d, (c, cprec) in enumerate(row):
+            falling = 1
+            for i in range(d):
+                falling *= a - i
+            v = vp_factorial(d, p)
+            exact = falling // math.factorial(d)
+            assert (c, cprec) == (exact % p ** (prec - v), prec - v)
+            got = padic_binomial(pr, a, d, prec)
+            assert got.coords == (c,) and got.prec == cprec
+        with pytest.raises(PrecisionExhausted):
+            padic_binomial(pr, a, exhausted, prec)
 
 
 @given(st.integers(0, 3 ** 5 - 1), st.integers(0, 3 ** 5 - 1))

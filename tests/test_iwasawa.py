@@ -8,7 +8,7 @@ from mvphi.coeff import Params, oe_ring, ok_ring
 from mvphi.iwasawa import (TSeries, group_like, y_generator, phi_map,
                            gamma_map, okx_coordinates, revert_series,
                            y_to_t_inverse, to_y_coordinates, phi_y, gamma_y,
-                           _invert_coeff_matrix)
+                           phi_power_y, _invert_coeff_matrix)
 from mvphi.errors import SingularJacobian, NotAUnit
 
 
@@ -304,6 +304,65 @@ def test_low_precision_unit_does_not_lower_later_phi_y():
     a = ok_ring(pr)((2,), pr.n_work() - 1)
     assert gamma_y(a, 0).prec < pr.N
     assert phi_y(pr, 0).prec == pr.N
+
+
+def _term_by_term_group_sum(pr, i, transform, w):
+    """sum over nonzero lambda of sigma_i(lambda^-1) [transform(omega(lambda))],
+    less 1 when q = 2, formed one scaled group-like at a time."""
+    okr = ok_ring(pr)
+    prec_in = pr.n_work(w)
+    parts = [TSeries.zero(pr, pr.N, w)]
+    for lam in okr.fq_elements():
+        if lam:
+            c = okr.sigma(okr.coordinates_of_felt(lam.inverse(), prec_in), i)
+            x = transform(okr.coordinates_of_felt(lam, prec_in))
+            parts.append(group_like(x, w).scalar_mul(c))
+    if pr.q == 2:
+        parts.append(-TSeries.one(pr, pr.N, w))
+    return TSeries.sum(parts)
+
+
+@pytest.mark.parametrize("p,f,h,w", [g + (None,) for g in GRID]
+                         + [(5, 2, 2, 20)])
+def test_group_sums_match_the_term_by_term_formula(p, f, h, w):
+    pr = params(p, f, h)
+    W = pr.M if w is None else w
+    okr = ok_ring(pr)
+    rng = random.Random(31)
+    units = [okr.random_unit(rng) for _ in range(2)]
+    low = okr(units[0].coords, pr.n_work(W) - 1)
+    assert gamma_y(low, 0, w).prec < pr.N
+
+    def same(got, want):
+        assert (got.prec, got.window, got.terms) == \
+            (want.prec, want.window, want.terms)
+    for i in range(f):
+        same(y_generator(pr, i, w),
+             _term_by_term_group_sum(pr, i, lambda x: x, W))
+        for power in (1, f):
+            same(phi_power_y(pr, i, power, w), to_y_coordinates(
+                _term_by_term_group_sum(pr, i, lambda x: x * p ** power, W)))
+        for a in units + [low]:
+            a_eff = okr(a.coords, min(a.prec, pr.n_work(W)))
+            same(gamma_y(a, i, w), to_y_coordinates(
+                _term_by_term_group_sum(pr, i, lambda x: a_eff * x, W)))
+
+
+def test_group_sums_cache_is_bounded_and_rebuilds_evicted_units():
+    import mvphi
+    pr = params(3, 1, 1)
+    okr = ok_ring(pr)
+    units = [okr((k,)) for k in range(1, 61) if k % 3]
+    assert len(units) == 40
+    first = gamma_y(units[0], 0)
+    for a in units[1:]:
+        gamma_y(a, 0)
+    info = mvphi.cache_info()["iwasawa._group_sums"]
+    assert info.maxsize is not None and info.maxsize < len(units)
+    assert info.currsize <= info.maxsize
+    again = gamma_y(units[0], 0)
+    assert mvphi.cache_info()["iwasawa._group_sums"].misses == info.misses + 1
+    assert again == first
 
 
 @pytest.mark.parametrize("p,f,h", GRID)

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field, oe_ring, ok_ring
 from mvphi.mvring import (MvLaurent, invert_unit, norm_s, member, apply_phi,
-                          apply_gamma, phi_decompose, recompose,
+                          apply_gamma, apply_phi_q, phi_decompose, recompose,
                           roundtrip_ok, phi_basis, phi_images,
                           decompose_window, _work_band,
                           check_local_analyticity, NormValue,
                           RING_A0, RING_A, RING_DAGGER_S_MINUS, RING_DAGGER_S)
-from mvphi.errors import BandOverflow, NotAUnit
+from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -721,3 +721,17 @@ def test_gamma_images_is_bounded_and_rebuilds_evicted_units():
     again = gamma_images(pr, units[0])
     assert again is not first
     assert again.images == first.images
+
+
+def test_phi_q_table_short_of_its_unit_term_names_the_least_deg():
+    # at (5,2,2) the images of phi_q stop at degree M = 12 < q = 25, so no
+    # image holds its unit term Y_i^q and no windowed input can be clamped
+    def x(pr, w_hi=6):
+        return MvLaurent(pr, 3, {(1, (0,)): (1, 0)}, None, w_hi)
+    with pytest.raises(WindowTooSmall, match="--deg 26 or more"):
+        apply_phi_q(x(params(5, 2, 2)))
+    # exact inputs keep working
+    got = apply_phi_q(x(params(5, 2, 2), None))
+    assert got.terms == {(1, (0,)): (25, 0), (5, (5,)): (5, 0)}
+    assert apply_phi_q(x(params(5, 2, 2, M=26))).w_hi == 26
+    assert apply_phi_q(x(params(3, 2, 2))).w_hi == 12
