@@ -24,8 +24,8 @@ from typing import Optional
 
 from .caches import cached
 from .coeff import OEInt, Params, oe_ring
-from .errors import (DepthExhausted, NotAUnit, StabilizationFailure,
-                     Uncertified)
+from .errors import (DepthExhausted, StabilizationFailure, Uncertified,
+                     WindowTooSmall)
 from .mvring import MvLaurent, NormValue, norm_s, apply_phi, apply_phi_q
 from .perfd import (PerfLaurent, ainf_handle, BElt, phi_exponents,
                     scaled_exponents)
@@ -510,10 +510,10 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
     for n in range(1, N):
         corr = _corr_floor(ys)
         bounds = _tail_clamp(params, w, corr)
-        powers = sparse.Powers(ys, one)
+        sub = sparse.Substitution(ys, one)
         new = []
         for i in range(f):
-            z = sparse.evaluate(Fs[i].terms.items(), powers,
+            z = sparse.evaluate(Fs[i].terms.items(), sub,
                                 WAlg.zero(params, N), one)
             z = z.clamp(bounds)
             new.append(z.phi_inverse())
@@ -553,7 +553,7 @@ def iota(x: MvLaurent) -> WAlg:
     """Evaluate the embedding on a Laurent element: Y_i -> y_i termwise."""
     params = x.params
     ctx = iota_context(params)
-    acc = sparse.evaluate(x.pure_y_exponents(), ctx.powers,
+    acc = sparse.evaluate(x.pure_y_exponents(), ctx,
                           WAlg.zero(params, min(x.prec, params.N)),
                           lambda: WAlg.one(params, params.N))
     if x.w_hi is not None:
@@ -582,8 +582,8 @@ def verify_phi_equivariance(x: MvLaurent) -> dict:
             lhs_q = lhs_q.phi_forward()
         rhs_q = iota(apply_phi_q(x))
         ok_q = congruent_mod(lhs_q, rhs_q, min(lhs_q.prec, rhs_q.prec))
-    except NotAUnit:
-        # q-power cross images are not invertible inside the window;
+    except WindowTooSmall:
+        # the q-power images miss their unit term inside the window;
         # equivariance for phi^f follows from the single-phi check
         q_mode = "composed"
         ok_q = ok

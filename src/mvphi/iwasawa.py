@@ -160,9 +160,9 @@ class TSeries:
 
         def one():
             return TSeries.one(params, prec, window)
-        powers = sparse.Powers([im.truncate(window) for im in images], one)
+        sub = sparse.Substitution([im.truncate(window) for im in images], one)
         return sparse.evaluate(((e, c) for e, c in self.terms.items()
-                                if sum(e) < window), powers,
+                                if sum(e) < window), sub,
                                TSeries.zero(params, prec, window), one)
 
     def __repr__(self):

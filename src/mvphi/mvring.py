@@ -38,8 +38,9 @@ class MvLaurent:
         self.w_hi = w_hi
         self.band = params.B if band is None else band
         if _normalized:
-            self.terms = terms
-            self.w_lo = 0 if w_lo is None else w_lo
+            if w_lo is None:
+                raise ValueError("a normalized element needs its floor w_lo")
+            self.terms, self.w_lo = terms, w_lo
             return
         ring = oe_ring(params)
         out = {}
@@ -268,10 +269,12 @@ def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
         raise NotAUnit("leading slice is not a single monomial")
     (ln0, lcross), lc = leads[0]
     lc_inv = ring.raw_inv(lc, x.prec)
-    # m_inv = monomial inverse; t = x * m_inv * lc_inv - 1
+    # m_inv = monomial inverse; t = x * m_inv * lc_inv - 1.  Its floor 0
+    # is not its support floor -ln0: the two strict xfails in
+    # tests/test_mvring.py pin the windows that this floor overstates
     m_inv = MvLaurent(params, x.prec,
                       {(-ln0, tuple(-e for e in lcross)): lc_inv},
-                      None, None, x.band, _normalized=True)
+                      0, None, x.band, _normalized=True)
     normalized = (x * m_inv)
     one = MvLaurent.one(params, x.prec, x.band)
     t = normalized - one
@@ -362,17 +365,28 @@ def _work_band(params: Params) -> int:
 
 class _SubstImages(sparse.Substitution):
     """Cached substitution data: images of the Y-generators and their powers,
-    with each image's Y_0 support floor per pi-level."""
+    with each image's Y_0 support floor per pi-level.  An image holds its
+    unit term Y^unit_degree only at horizon (window - unit_degree) >= 1;
+    below that ``invert`` raises ``WindowTooSmall``, and so does ``apply``
+    on a windowed input, whose clamp needs ``drop()`` and every inverse."""
 
     def __init__(self, params: Params, images, horizon: int,
                  unit_degree: int):
         self.params = params
-        self.horizon, self.unit_degree = horizon, unit_degree
+        self.unit_degree = unit_degree
         band = _work_band(params)
-        # the closures hold the images, not self: no reference cycle, so a
+        # the closures hold the atoms, not self: no reference cycle, so a
         # table evicted from a bounded cache is freed at once
-        self.images = atoms = [im.lift_band(band) for im in images]
+        atoms = [im.lift_band(band) for im in images]
         raw_val, N = oe_ring(params).raw_val, params.N
+
+        def invert(i: int) -> MvLaurent:
+            if horizon < 1:
+                raise WindowTooSmall(
+                    f"the images' window {horizon + unit_degree} misses "
+                    f"their unit term Y^{unit_degree}; inverting them "
+                    f"needs --deg {unit_degree + 1} or more")
+            return invert_unit(atoms[i], horizon)
 
         def floors(x: MvLaurent) -> list:
             """Per-pi-level support floors of an atom, window included."""
@@ -387,30 +401,24 @@ class _SubstImages(sparse.Substitution):
                     run = fl[v] if run is None else min(run, fl[v])
                 fl[v] = bound_min(run, x.w_hi)
             return fl
-        super().__init__(
-            atoms, lambda: MvLaurent.one(params, N, band),
-            lambda i: invert_unit(atoms[i], horizon), floors)
+        super().__init__(atoms, lambda: MvLaurent.one(params, N, band),
+                         invert, floors)
 
     def apply(self, x: MvLaurent) -> MvLaurent:
         params = self.params
-        if x.w_hi is not None and self.horizon < 1:
-            raise WindowTooSmall(
-                f"the images' window {self.horizon + self.unit_degree} "
-                f"misses their unit term Y^{self.unit_degree}; windowed "
-                f"inputs need --deg {self.unit_degree + 1} or more")
-        band = _work_band(params)
-        acc = sparse.evaluate(
-            x.pure_y_exponents(), self.powers,
-            MvLaurent.zero(params, x.prec, band),
-            lambda: MvLaurent.one(params, x.prec, band))
+        clamp = None  # before evaluating, so a narrow table fails first
         if x.w_hi is not None:
             # unknown x-terms sit at pure-Y total degree >= w_hi; their
             # images have level-0 support >= unit_degree * w_hi, and each
             # pi-level can cost at most drop() of support, rounded up
             clamp = self.unit_degree * x.w_hi \
                 - (min(x.prec, params.N) - 1) * math.ceil(self.drop())
-            acc = acc.with_window(clamp)
-        return acc
+        band = _work_band(params)
+        acc = sparse.evaluate(
+            x.pure_y_exponents(), self,
+            MvLaurent.zero(params, x.prec, band),
+            lambda: MvLaurent.one(params, x.prec, band))
+        return acc if clamp is None else acc.with_window(clamp)
 
 
 def phi_images(params: Params, window: Optional[int] = None) -> _SubstImages:

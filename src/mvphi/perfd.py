@@ -79,8 +79,9 @@ class PerfLaurent:
         self.w_hi = w_hi
         self.band = ring.band_cap if band is None else band
         if _normalized:
-            self.terms = terms
-            self.w_lo = Fraction(0) if w_lo is None else w_lo
+            if w_lo is None:
+                raise ValueError("a normalized element needs its floor w_lo")
+            self.terms, self.w_lo = terms, w_lo
             return
         out = {}
         for e, c in terms.items():

@@ -32,26 +32,32 @@ def bound_add(a, b):
     return a + b
 
 
-# monomials a Powers keeps; past this, products are formed and not kept
+# monomials a Substitution keeps; later products are formed, not kept
 MONOMIAL_STORE = 256
 
 
-class Powers:
-    """Powers x_i^e of a tuple of atoms, built on demand and kept.
+class Substitution:
+    """Generator images ``atoms`` for substituting into sums of monomials.
 
     x_i^0 is ``one()``; x_i^e is one product from x_i^(e-1), or for e < 0
     from x_i^(e+1) and the inverse of x_i, which ``invert(i)`` builds the
-    first time a negative exponent asks for it.  The first
-    ``MONOMIAL_STORE`` monomials prod x_i^{e_i} formed are kept too.
+    first time a negative exponent or ``drop()`` asks for it.  Powers,
+    inverses and the first ``MONOMIAL_STORE`` monomials prod x_i^{e_i}
+    formed are kept.  ``floors(a)`` gives an atom's support floor per
+    pi-level (None where a level has no content); ``drop()`` bounds what
+    one pi-level can cost of support, which windowed inputs need for
+    their unknown region.
     """
 
-    def __init__(self, atoms, one, invert=None):
+    def __init__(self, atoms, one, invert=None, floors=None):
         self.atoms = atoms
         self.one = one
         self.invert = invert
+        self.floors = floors
         self.table: dict = {}
         self.inverses: dict = {}
         self.monomials: dict = {}
+        self._drop = None
 
     def inverse(self, i: int):
         got = self.inverses.get(i)
@@ -85,29 +91,13 @@ class Powers:
                 self.monomials[e] = got
         return got
 
-
-class Substitution:
-    """Generator images ``atoms`` with their ``Powers`` (inverses built
-    by ``invert``), for substituting into sums of monomials.
-
-    ``floors(a)`` gives an atom's support floor per pi-level (None where
-    a level has no content); ``drop()`` bounds what one pi-level can cost
-    of support, which windowed inputs need for their unknown region.
-    """
-
-    def __init__(self, atoms, one, invert, floors):
-        self.atoms = atoms
-        self.powers = Powers(atoms, one, invert)
-        self.floors = floors
-        self._drop = None
-
     def drop(self) -> Fraction:
         """The worst (floor_0 - floor_v) / v over levels v >= 1 of the
         atoms and their inverses, and 0 at least."""
         if self._drop is None:
             worst = Fraction(0)
             for i, atom in enumerate(self.atoms):
-                for a in (atom, self.powers.inverse(i)):
+                for a in (atom, self.inverse(i)):
                     fl = self.floors(a)
                     if fl[0] is None:
                         continue
@@ -118,14 +108,14 @@ class Substitution:
         return self._drop
 
 
-def evaluate(terms, powers: Powers, zero, one):
+def evaluate(terms, sub: Substitution, zero, one):
     """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``.
 
     ``zero`` starts the sum and fixes its precision, and is returned
     itself when no term occurs; ``one()`` is built only when a constant
     term occurs.
     """
-    monomial = powers.monomial
+    monomial = sub.monomial
     parts = [zero]
     for e, c in terms:
         term = monomial(e)

@@ -75,7 +75,7 @@ def gamma_congruence(a, i: int, gy: TSeries) -> bool:
     return _in_p_m_plus_m_pow(gy - yi, params.p)
 
 
-def suite_frobenius(params: Params, rng=None) -> dict:
+def suite_frobenius(params: Params, rng) -> dict:
     assertions = []
     for i in range(params.f):
         prev = (i - 1) % params.f
@@ -84,8 +84,7 @@ def suite_frobenius(params: Params, rng=None) -> dict:
     return _report("frobenius", params, assertions)
 
 
-def suite_action(params: Params, rng=None, n_units: int = 10) -> dict:
-    rng = rng or random.Random(0)
+def suite_action(params: Params, rng, n_units: int = 10) -> dict:
     okr = ok_ring(params)
     p, f = params.p, params.f
     assertions = []
@@ -142,9 +141,8 @@ def _norm_kept(params, rng, s, act, radius, per_s):
     return agree, checked
 
 
-def suite_norms(params: Params, rng=None, n_samples: int = 100,
+def suite_norms(params: Params, rng, n_samples: int = 100,
                 n_units: int = 3) -> dict:
-    rng = rng or random.Random(1)
     okr = ok_ring(params)
     units = [okr.random_unit(rng) for _ in range(n_units)]
     assertions = []
@@ -161,8 +159,7 @@ def suite_norms(params: Params, rng=None, n_samples: int = 100,
     return _report("norms", params, assertions)
 
 
-def suite_analytic(params: Params, rng=None, n_gammas: int = 5) -> dict:
-    rng = rng or random.Random(2)
+def suite_analytic(params: Params, rng, n_gammas: int = 5) -> dict:
     okr = ok_ring(params)
     p, f = params.p, params.f
     assertions = []
@@ -180,9 +177,8 @@ def suite_analytic(params: Params, rng=None, n_gammas: int = 5) -> dict:
     return _report("analytic", params, assertions)
 
 
-def suite_iota(params: Params, rng=None, n_products: int = 20,
+def suite_iota(params: Params, rng, n_products: int = 20,
                n_norm_samples: int = 20) -> dict:
-    rng = rng or random.Random(3)
     res = iota_generators(params)
     assertions = [{"id": "iota/stabilization-certificates",
                    "ok": res.certificates == list(range(1, params.N))}]
@@ -257,9 +253,8 @@ def rand_iota_sample(params: Params, rng, s: int) -> MvLaurent:
     return MvLaurent(params, params.N, terms)
 
 
-def suite_witt(params: Params, rng=None, n_ghost: int = 100,
+def suite_witt(params: Params, rng, n_ghost: int = 100,
                n_zp: int = 200, n_teich: int = 100) -> dict:
-    rng = rng or random.Random(4)
     p, N = params.p, params.N
     sp = gen_structure_polys(p, N)
     mod = p ** (N + 2)
@@ -319,8 +314,7 @@ def rand_pure_cone(params: Params, rng) -> MvLaurent:
     return MvLaurent(params, params.N, terms)
 
 
-def suite_decompose(params: Params, rng=None, n_samples: int = 50) -> dict:
-    rng = rng or random.Random(5)
+def suite_decompose(params: Params, rng, n_samples: int = 50) -> dict:
     assertions = []
     ok = 0
     for _ in range(n_samples):
@@ -363,8 +357,7 @@ def suite_decompose(params: Params, rng=None, n_samples: int = 50) -> dict:
     return _report("decompose", params, assertions)
 
 
-def suite_phimod(params: Params, rng=None, n_matrices: int = 20) -> dict:
-    rng = rng or random.Random(6)
+def suite_phimod(params: Params, rng, n_matrices: int = 20) -> dict:
     okr = ok_ring(params)
     ring = oe_ring(params)
     assertions = []

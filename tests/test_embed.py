@@ -224,6 +224,20 @@ def test_phi_equivariance_generators_and_products(p, f, h):
         assert rep["congruent"], rep
 
 
+def test_phi_equivariance_composes_when_phi_q_misses_its_unit_term():
+    # at (5,2,2) the phi_q images stop at M = 12 < q = 25: a windowed input
+    # and an exact one with a negative exponent both fall back to phi^f
+    # composed from the single-phi check
+    pr = params(5, 2, 2)
+    rep = verify_phi_equivariance(MvLaurent(pr, 3, {(1, (0,)): (1, 0)},
+                                            None, 6))
+    assert rep["q_mode"] == "composed"
+    assert rep["ok"] and rep["congruent"] and rep["congruent_q"]
+    rep = verify_phi_equivariance(MvLaurent(pr, 3, {(-1, (0,)): (1, 0)}))
+    assert rep["q_mode"] == "composed"
+    assert rep["congruent"] and rep["congruent_q"]
+
+
 def test_uniqueness_from_fixpoint_equation():
     # phi(y_i) = F_i(y) holds for the computed tuple
     pr = params(3, 1, 1)
@@ -233,7 +247,7 @@ def test_uniqueness_from_fixpoint_equation():
     F = iwasawa.phi_y(pr, 0, pr.embed_window)
     from mvphi import sparse
     one = lambda: WAlg.one(pr, pr.N)
-    rhs = sparse.evaluate(F.terms.items(), sparse.Powers(res.ys, one),
+    rhs = sparse.evaluate(F.terms.items(), sparse.Substitution(res.ys, one),
                           WAlg.zero(pr, pr.N), one)
     lhs = res.ys[0].phi_forward()
     assert congruent_mod(lhs, rhs, pr.N)

@@ -237,8 +237,8 @@ def test_powers_store_is_bounded_and_evaluates_as_a_fresh_table():
 
     def table():
         # Y_0 and Y_1 = Y_0 X_1
-        return sparse.Powers([mono_band(pr, 1, (0,), band),
-                              mono_band(pr, 1, (1,), band)], one)
+        return sparse.Substitution([mono_band(pr, 1, (0,), band),
+                                    mono_band(pr, 1, (1,), band)], one)
 
     exps = [(a, b) for a in range(18) for b in range(18)]
     assert len(exps) - 1 > sparse.MONOMIAL_STORE
@@ -720,7 +720,7 @@ def test_gamma_images_is_bounded_and_rebuilds_evicted_units():
     assert info.currsize <= info.maxsize
     again = gamma_images(pr, units[0])
     assert again is not first
-    assert again.images == first.images
+    assert again.atoms == first.atoms
 
 
 def test_phi_q_table_short_of_its_unit_term_names_the_least_deg():
@@ -735,3 +735,12 @@ def test_phi_q_table_short_of_its_unit_term_names_the_least_deg():
     assert got.terms == {(1, (0,)): (25, 0), (5, (5,)): (5, 0)}
     assert apply_phi_q(x(params(5, 2, 2, M=26))).w_hi == 26
     assert apply_phi_q(x(params(3, 2, 2))).w_hi == 12
+
+
+def test_a_table_short_of_its_unit_term_cannot_invert_its_images():
+    # an exact input with a negative exponent asks for an image's inverse,
+    # which needs the unit term: phi_q at (5,2,2) and phi at p = 13 > M
+    with pytest.raises(WindowTooSmall, match="--deg 26 or more"):
+        apply_phi_q(MvLaurent(params(5, 2, 2), 3, {(-1, (0,)): (1, 0)}))
+    with pytest.raises(WindowTooSmall, match="--deg 14 or more"):
+        apply_phi(MvLaurent(params(13, 1, 1), 3, {(-1, ()): (1,)}))

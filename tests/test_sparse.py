@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from mvphi import sparse
 from mvphi.coeff import Params, ok_ring, oe_ring
 from mvphi.embed import WAlg, _hmono, iota, iota_context
-from mvphi.errors import BandOverflow, NotAUnit
+from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
 from mvphi.iwasawa import TSeries
 from mvphi.mvring import (MvLaurent, _SubstImages, gamma_images, phi_images,
                           phi_q_images)
@@ -150,13 +150,20 @@ def test_iota_pool_has_horizons_and_mixed_floors():
                 for x in pool}) > 4
 
 
+def test_fast_paths_reject_a_missing_floor():
+    with pytest.raises(ValueError, match="w_lo"):
+        MvLaurent(P322, 3, {}, None, None, None, _normalized=True)
+    with pytest.raises(ValueError, match="w_lo"):
+        PerfLaurent(ainf_ring(P311), {}, None, None, None, _normalized=True)
+
+
 # -- evaluate and the geometric series --------------------------------------
 
 def test_evaluate_without_terms_returns_zero_itself():
     zero = MvLaurent.zero(P322)
-    powers = sparse.Powers([MvLaurent.monomial(P322, 1)],
-                           lambda: MvLaurent.one(P322))
-    assert sparse.evaluate([], powers, zero, None) is zero
+    sub = sparse.Substitution([MvLaurent.monomial(P322, 1)],
+                              lambda: MvLaurent.one(P322))
+    assert sparse.evaluate([], sub, zero, None) is zero
 
 
 def _ref_geometric(u, start, cap):
@@ -425,9 +432,9 @@ def _ref_level_floors(params, x):
 def _ref_level_drop(table):
     """mvring's integer level drop, as it was."""
     worst = 0
-    atoms = list(table.images)
+    atoms = list(table.atoms)
     for i in range(table.params.f):
-        atoms.append(table.powers.inverse(i))
+        atoms.append(table.inverse(i))
     for a in atoms:
         fl = _ref_level_floors(table.params, a)
         if fl[0] is None:
@@ -441,7 +448,7 @@ def _ref_level_drop(table):
 def _ref_slope(ctx, f):
     """embed's digit-floor slope of the iota generators, as it was."""
     worst = Fraction(0)
-    for a in list(ctx.atoms) + [ctx.powers.inverse(i) for i in range(f)]:
+    for a in list(ctx.atoms) + [ctx.inverse(i) for i in range(f)]:
         f0 = a.floors.at(0)
         if f0 is None:
             continue
@@ -455,8 +462,8 @@ def _ref_slope(ctx, f):
 def _drop_outcome(fn):
     try:
         return fn()
-    except NotAUnit as exc:
-        return "NotAUnit", str(exc)
+    except (NotAUnit, WindowTooSmall) as exc:
+        return type(exc).__name__, str(exc)
 
 
 @pytest.mark.parametrize("g", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)])
