@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional
 
 from .caches import cached
@@ -205,30 +206,38 @@ class OERing:
 
     # -- raw kernels (tuples of ints, explicit precision) -------------------
 
+    # list comprehensions, not generator expressions: no generator frame
+    # per call on these per-term kernels
+
     def raw_reduce(self, coords, prec: int) -> tuple:
         m = self.p ** prec
-        return tuple(c % m for c in coords)
+        return tuple([c % m for c in coords])
 
     def raw_add(self, a, b, prec: int) -> tuple:
         m = self.p ** prec
-        return tuple((x + y) % m for x, y in zip(a, b))
+        return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def raw_sub(self, a, b, prec: int) -> tuple:
         m = self.p ** prec
-        return tuple((x - y) % m for x, y in zip(a, b))
+        return tuple([(x - y) % m for x, y in zip(a, b)])
 
     def raw_neg(self, a, prec: int) -> tuple:
         m = self.p ** prec
-        return tuple((-x) % m for x in a)
+        return tuple([(-x) % m for x in a])
 
     def raw_smul(self, s: int, a, prec: int) -> tuple:
         m = self.p ** prec
-        return tuple((s * x) % m for x in a)
+        return tuple([(s * x) % m for x in a])
 
     def raw_mul(self, a, b, prec: int) -> tuple:
         h, m = self.h, self.p ** prec
         if h == 1:
             return ((a[0] * b[0]) % m,)
+        if h == 2:
+            # x^2 = -poly[1] x - poly[0] on the a1 b1 x^2 term
+            t, poly = a[1] * b[1], self.poly
+            return ((a[0] * b[0] - t * poly[0]) % m,
+                    (a[0] * b[1] + a[1] * b[0] - t * poly[1]) % m)
         out = [0] * (2 * h - 1)
         for i in range(h):
             ai = a[i]
@@ -256,14 +265,10 @@ class OERing:
         return self.raw_reduce(c, prec), prec
 
     def raw_val(self, a, prec: int) -> int:
-        """min v_p over coordinates; prec when indistinguishable from 0."""
-        v = prec
-        for c in a:
-            if c:
-                v = min(v, vp(c, self.p))
-                if v == 0:
-                    return 0
-        return v
+        """min v_p over coordinates, read off their gcd; prec when
+        indistinguishable from 0."""
+        g = gcd(*a)
+        return min(prec, vp(g, self.p)) if g else prec
 
     # -- wrapped elements ----------------------------------------------------
 
@@ -454,8 +459,9 @@ class Params:
             h = f
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if f < 1 or h % f != 0:
-            raise ValueError("need f >= 1 and f | h")
+        if f < 1 or h < 1 or h % f != 0:
+            raise ValueError(f"need f >= 1, h >= 1 and f | h (f = {f}, "
+                             f"h = {h})")
         if min(N, M, B, k) < 1:
             raise ValueError("N, M, B, k must all be >= 1")
         # FField checks an explicit poly: monic, degree h, irreducible

@@ -178,18 +178,19 @@ class MvLaurent:
                          bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
         ring = oe_ring(self.params)
+        inner = [(n2, x2, c2) for (n2, x2), c2 in other.terms.items()]
         out = {}
         for (n1, x1), c1 in self.terms.items():
-            for (n2, x2), c2 in other.terms.items():
-                n0 = n1 + n2
-                if w_hi is not None and n0 >= w_hi:
+            cut = None if w_hi is None else w_hi - n1
+            for n2, x2, c2 in inner:
+                if cut is not None and n2 >= cut:
                     continue
-                cross = tuple(a + b for a, b in zip(x1, x2))
+                cross = tuple([a + b for a, b in zip(x1, x2)])
                 if any(abs(e) > band for e in cross):
                     raise _band_overflow(self.params, "product cross exponent",
                                         cross, band)
                 prod = ring.raw_mul(c1, c2, prec)
-                key = (n0, cross)
+                key = (n1 + n2, cross)
                 cur = out.get(key)
                 out[key] = ring.raw_add(cur, prod, prec) if cur is not None \
                     else prod

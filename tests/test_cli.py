@@ -318,3 +318,11 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     for argv in cases:
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_residue_degree_below_one_is_a_usage_error(capsys):
+    from mvphi import cli
+    for h in ("0", "-2"):
+        assert cli.main(["phi-y", "--p", "3", "--h", h]) == 2
+        err = capsys.readouterr().err
+        assert f"h = {h}" in err and "h >= 1" in err

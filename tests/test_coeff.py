@@ -1,12 +1,13 @@
 import math
 import random
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import (Params, FField, OEInt, fq_field, oe_ring, ok_ring,
-                         teichmuller, padic_binomial, binomial_row,
+from mvphi.coeff import (Params, FField, OEInt, OERing, fq_field, oe_ring,
+                         ok_ring, teichmuller, padic_binomial, binomial_row,
                          vp_factorial, default_poly, base_p_digits, is_prime,
                          power, _row_reduce)
 from mvphi.caches import cache_info
@@ -565,3 +566,116 @@ def test_oe_scalar_reads_each_kind_of_scalar():
     assert ring.scalar(high, 3) == ((100 % 27, 40 % 27), 3)
     assert ring.scalar(29, 3) == ((2, 0), 3)
     assert ring.scalar((29, -1), 3) == ((2, 26), 3)
+
+
+# -- the raw kernels against independent references -------------------------
+
+def _schoolbook_mul(a, b, poly, m):
+    """a * b in Z[x], reduced by long division by the monic integer poly,
+    then mod m."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    h = len(poly) - 1
+    for top in range(len(prod) - 1, h - 1, -1):
+        lead = prod[top]
+        for j in range(h + 1):
+            prod[top - h + j] -= lead * poly[j]
+    return tuple(c % m for c in prod[:h])
+
+
+# (p, h, defining polynomial): the default one at h = 1, 2, 3 for each p,
+# and x^2 + x + 2 over F_3, which is irreducible and not the default
+KERNEL_RINGS = [
+    (2, 1, (0, 1)), (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)),
+    (3, 1, (0, 1)), (3, 2, (1, 0, 1)), (3, 3, (1, 2, 0, 1)),
+    (5, 1, (0, 1)), (5, 2, (2, 0, 1)), (5, 3, (1, 1, 0, 1)),
+    (3, 2, (2, 1, 1))]
+
+
+def _kernel_ring(p, h, poly):
+    """The O_E kernels on a bare field record: no field is built, so the
+    kernels under test are not first used to check irreducibility."""
+    return OERing(SimpleNamespace(p=p, h=h, poly=poly))
+
+
+@pytest.mark.parametrize("p,h,poly", KERNEL_RINGS)
+def test_raw_mul_matches_the_schoolbook_product(p, h, poly):
+    ring = _kernel_ring(p, h, poly)
+    rng = random.Random(31)
+    for prec in range(1, 7):
+        m = p ** prec
+        for _ in range(60):
+            # operands above p^prec and negative ones too: the kernel
+            # reduces only its result
+            a = tuple(rng.randrange(-p * m, p * m) for _ in range(h))
+            b = tuple(rng.randrange(-p * m, p * m) for _ in range(h))
+            assert ring.raw_mul(a, b, prec) == _schoolbook_mul(a, b, poly, m)
+
+
+def test_kernel_rings_are_irreducible_and_cover_both_quadratic_terms():
+    # a closed form that drops t * poly[0] or flips the sign of
+    # t * poly[1] differs from the schoolbook product only where those
+    # are nonzero mod p
+    for p, h, poly in KERNEL_RINGS[:-1]:
+        assert default_poly(p, h) == poly
+    assert FField(3, 2, (2, 1, 1)).poly != default_poly(3, 2)
+    quads = [poly for _, h, poly in KERNEL_RINGS if h == 2]
+    assert all(poly[0] for poly in quads)
+    assert any(poly[1] == 1 for poly in quads)
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p,h,poly", KERNEL_RINGS)
+def test_raw_val_is_the_least_coordinate_valuation(p, h, poly):
+    ring = _kernel_ring(p, h, poly)
+    rng = random.Random(32)
+    for prec in range(1, 7):
+        m = p ** prec
+        assert ring.raw_val((0,) * h, prec) == prec
+        for _ in range(60):
+            a = tuple(rng.choice((0, 1, -1)) * rng.randrange(1, m)
+                      * p ** rng.randrange(0, prec + 2) for _ in range(h))
+            want = min([prec] + [_vp(c, p) for c in a if c])
+            assert ring.raw_val(a, prec) == want
+
+
+@pytest.mark.parametrize("p,poly", [(2, (1, 1, 1)), (3, (1, 0, 1)),
+                                    (3, (2, 1, 1)), (5, (2, 0, 1))])
+def test_h2_inverses_satisfy_their_identity(p, poly):
+    F = FField(p, 2, poly)
+    ring = F.oe
+    # FElt.inverse is x^(q - 2) on the same kernel: check every element
+    for x in F.elements():
+        if x:
+            assert x * x.inverse() == F.one
+        else:
+            with pytest.raises(NotAUnit):
+                x.inverse()
+    rng = random.Random(33)
+    for prec in range(1, 7):
+        m = p ** prec
+        one = (1 % m, 0)
+        for _ in range(40):
+            a = (rng.randrange(m), rng.randrange(m))
+            if not (a[0] % p or a[1] % p):
+                with pytest.raises(NotAUnit):
+                    ring.raw_inv(a, prec)
+                continue
+            b = ring.raw_inv(a, prec)
+            assert _schoolbook_mul(a, b, poly, m) == one
+            assert ring.raw_mul(b, a, prec) == one
+
+
+def test_params_reject_h_below_one():
+    for h in (0, -2):
+        with pytest.raises(ValueError, match=rf"h = {h}\b"):
+            Params.create(3, 1, h)

@@ -744,3 +744,101 @@ def test_a_table_short_of_its_unit_term_cannot_invert_its_images():
         apply_phi_q(MvLaurent(params(5, 2, 2), 3, {(-1, (0,)): (1, 0)}))
     with pytest.raises(WindowTooSmall, match="--deg 14 or more"):
         apply_phi(MvLaurent(params(13, 1, 1), 3, {(-1, ()): (1,)}))
+
+
+# -- dict order: the product loop and the h = 2 kernel against the old ones --
+
+def _ref_raw_mul(ring, a, b, prec):
+    """OERing.raw_mul as it was at every h: the double loop, then the
+    reduction by the defining polynomial."""
+    h, m = ring.h, ring.p ** prec
+    out = [0] * (2 * h - 1)
+    for i in range(h):
+        for j in range(h):
+            out[i + j] += a[i] * b[j]
+    for i in range(2 * h - 2, h - 1, -1):
+        c = out[i] % m
+        for j in range(h):
+            out[i - h + j] -= c * ring.poly[j]
+    return tuple(c % m for c in out[:h])
+
+
+def _ref_mv_mul(x, y):
+    """MvLaurent.__mul__'s pair loop as it was: the window cut on the
+    summed key, the inner dict walked once per outer term."""
+    prec = min(x.prec, y.prec)
+    w_lo = None if x.w_lo is None or y.w_lo is None else x.w_lo + y.w_lo
+    his = [a + b for a, b in ((x.w_lo, y.w_hi), (y.w_lo, x.w_hi))
+           if a is not None and b is not None]
+    w_hi = min(his, default=None)
+    band = min(x.band, y.band)
+    ring = oe_ring(x.params)
+    out = {}
+    for (n1, x1), c1 in x.terms.items():
+        for (n2, x2), c2 in y.terms.items():
+            n0 = n1 + n2
+            if w_hi is not None and n0 >= w_hi:
+                continue
+            cross = tuple(a + b for a, b in zip(x1, x2))
+            if any(abs(e) > band for e in cross):
+                raise BandOverflow(f"cross exponent {cross}")
+            prod = ring.raw_mul(c1, c2, prec)
+            key = (n0, cross)
+            cur = out.get(key)
+            out[key] = ring.raw_add(cur, prod, prec) if cur is not None \
+                else prod
+    for k in [k for k, c in out.items() if not any(c)]:
+        del out[k]
+    return MvLaurent(x.params, prec, out, w_lo, w_hi, band,
+                     _normalized=True)
+
+
+def _ordered(fn):
+    """(key, coefficient) pairs in dict order, prec, window and band of
+    fn(), or the name of the kernel error raised."""
+    try:
+        x = fn()
+    except (BandOverflow, NotAUnit, WindowTooSmall) as exc:
+        return type(exc).__name__
+    return list(x.terms.items()), x.prec, x.w_lo, x.w_hi, x.band
+
+
+def _order_sample(pr, seed):
+    from mvphi.suites import rand_pure_cone
+    rng = random.Random(seed)
+    a = ok_ring(pr).random_unit(rng)
+    out = []
+    for s in (1, 2, 3):
+        x = rand_elt(pr, rng, nterms=4) + mono(pr, -s)
+        y = rand_elt(pr, rng, nterms=4)
+        w = rng.randrange(2, 8)
+        for u, v in ((x, y), (x.with_window(w), y), (y, x.with_window(w))):
+            out.append(_ordered(lambda: u * v))
+        for u in (x, y.with_window(w)):
+            out.append(_ordered(lambda: apply_phi(u)))
+            out.append(_ordered(lambda: apply_gamma(a, u)))
+    for _ in range(3):
+        comps = phi_decompose(rand_pure_cone(pr, rng))
+        out.append([(k, _ordered(lambda: g)) for k, g in comps.items()])
+    return out
+
+
+@pytest.mark.parametrize("p,f,h", [(3, 2, 2), (5, 2, 2)])
+def test_h2_results_keep_the_old_dict_order(p, f, h, monkeypatch):
+    # the order of terms is observable (the oc-cert witness is the first
+    # failing term), so products, substitutions and decompositions must
+    # list their terms as the old product loop and kernel did; the tables
+    # are rebuilt on each side
+    import mvphi
+    from mvphi.coeff import OERing
+    pr = params(p, f, h)
+    mvphi.clear_caches()
+    got = _order_sample(pr, 41)
+    monkeypatch.setattr(OERing, "raw_mul", _ref_raw_mul)
+    monkeypatch.setattr(MvLaurent, "__mul__", _ref_mv_mul)
+    mvphi.clear_caches()
+    want = _order_sample(pr, 41)
+    monkeypatch.undo()
+    mvphi.clear_caches()
+    assert got == want
+    assert any(isinstance(r, tuple) and r[3] is not None for r in got)
