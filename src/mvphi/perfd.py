@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .caches import cached
@@ -63,49 +64,79 @@ def phi_exponents(e: tuple, p: int) -> tuple:
     return tuple(p * x for x in e[1:] + e[:1])
 
 
+def _scaled_cut(hi, den: int, scale: int):
+    """The least scaled exponent sum at or above hi/den (None for None)."""
+    return None if hi is None else -((-hi * scale) // den)
+
+
+def _windows(xs):
+    """The lcm of the elements' denominators, and each (lo, hi) over it."""
+    den = lcm(*(x._den for x in xs))
+    return den, [(x._lo * (den // x._den),
+                  None if x._hi is None else x._hi * (den // x._den))
+                 for x in xs]
+
+
 class PerfLaurent:
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
     terms: scaled pure-exponent tuple -> F_q coordinate tuple (the
     constructor also takes an FElt).  w_lo/w_hi bound the Gauss valuation
-    (w_hi None = exact); band bounds |scaled cross exponents|.
+    (w_hi None = exact) as integers _lo/_hi over _den, the ring's scale or
+    a multiple of it; band bounds |scaled cross exponents|.
     """
 
-    __slots__ = ("ring", "terms", "w_lo", "w_hi", "band")
+    __slots__ = ("ring", "terms", "_lo", "_hi", "_den", "band")
 
     def __init__(self, ring: PerfRing, terms: dict, w_lo=None, w_hi=None,
                  band=None, _normalized=False):
-        self.ring = ring
-        self.w_hi = w_hi
-        self.band = ring.band_cap if band is None else band
-        if _normalized:
-            if w_lo is None:
-                raise ValueError("a normalized element needs its floor w_lo")
-            self.terms, self.w_lo = terms, w_lo
-            return
-        out = {}
-        for e, c in terms.items():
-            gv = self._gv(e)
-            if w_hi is not None and gv >= w_hi:
-                continue
-            if any(abs(x) > self.band for x in e[1:]):
-                raise BandOverflow(f"cross exponents {e[1:]} exceed the band")
-            c = getattr(c, "coords", c)
-            if any(c):
-                out[tuple(e)] = c
-        self.terms = out
-        lo = min((self._gv(e) for e in out), default=Fraction(0))
-        self.w_lo = lo if w_lo is None else min(w_lo, lo)
+        if _normalized and w_lo is None:
+            raise ValueError("a normalized element needs its floor w_lo")
+        lo, hi = (None if w is None else Fraction(w) for w in (w_lo, w_hi))
+        den = lcm(ring.scale, *(w.denominator for w in (lo, hi)
+                                if w is not None))
+        hi = None if hi is None else hi.numerator * (den // hi.denominator)
+        band = ring.band_cap if band is None else band
+        floors = [] if lo is None else [lo.numerator * (den // lo.denominator)]
+        if not _normalized:
+            hs = _scaled_cut(hi, den, ring.scale)
+            out = {}
+            for e, c in terms.items():
+                if hs is not None and sum(e) >= hs:
+                    continue
+                if any(abs(x) > band for x in e[1:]):
+                    raise BandOverflow(
+                        f"cross exponents {e[1:]} exceed the band")
+                c = getattr(c, "coords", c)
+                if any(c):
+                    out[tuple(e)] = c
+            terms = out
+            floors.append(min(map(sum, out), default=0) * (den // ring.scale))
+        self.ring, self.terms, self.band = ring, terms, band
+        self._lo, self._hi, self._den = min(floors), hi, den
 
-    def _gv(self, e) -> Fraction:
-        return Fraction(sum(e), self.ring.scale)
+    @staticmethod
+    def _make(ring, terms, lo: int, hi, den: int, band: int):
+        """The element with these terms, window lo/den to hi/den and band."""
+        x = object.__new__(PerfLaurent)
+        x.ring, x.terms, x._lo, x._hi, x._den, x.band = \
+            ring, terms, lo, hi, den, band
+        return x
+
+    @property
+    def w_lo(self) -> Fraction:
+        return Fraction(self._lo, self._den)
+
+    @property
+    def w_hi(self) -> Optional[Fraction]:
+        return None if self._hi is None else Fraction(self._hi, self._den)
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zero(ring):
-        return PerfLaurent(ring, {}, Fraction(0), None, None,
-                           _normalized=True)
+        return PerfLaurent._make(ring, {}, 0, None, ring.scale,
+                                 ring.band_cap)
 
     @staticmethod
     def monomial(ring, exponents, coeff=None):
@@ -128,9 +159,11 @@ class PerfLaurent:
 
     def eq_within(self, other) -> bool:
         """Equality of represented terms inside the common window."""
-        hi = bound_min(self.w_hi, other.w_hi)
+        scale = self.ring.scale
+        hs = bound_min(_scaled_cut(self._hi, self._den, scale),
+                       _scaled_cut(other._hi, other._den, scale))
         for e in set(self.terms) | set(other.terms):
-            if hi is not None and self._gv(e) >= hi:
+            if hs is not None and sum(e) >= hs:
                 continue
             if self.terms.get(e) != other.terms.get(e):
                 return False
@@ -146,59 +179,58 @@ class PerfLaurent:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _cut(self, hi):
-        """The least scaled exponent sum at or above the bound hi."""
-        return None if hi is None else ceil(hi * self.ring.scale)
-
     @staticmethod
     def sum(parts) -> "PerfLaurent":
         """parts[0] + parts[1] + ...: the least w_lo and band, the meet of
         the w_hi, and the terms below it."""
         ring = parts[0].ring
-        hi = None
-        for x in parts:
-            hi = bound_min(hi, x.w_hi)
-        hs = parts[0]._cut(hi)
+        den, wins = _windows(parts)
+        hi = min((h for _, h in wins if h is not None), default=None)
+        hs = _scaled_cut(hi, den, ring.scale)
         out = sparse.add(ring.oe, [x.terms for x in parts], 1,
                          None if hs is None else lambda e: sum(e) < hs)
-        return PerfLaurent(ring, out, min(x.w_lo for x in parts), hi,
-                           min(x.band for x in parts), _normalized=True)
+        return PerfLaurent._make(ring, out, min(lo for lo, _ in wins), hi,
+                                 den, min(x.band for x in parts))
 
     def __add__(self, other):
         return PerfLaurent.sum((self, other))
 
     def __neg__(self):
-        return PerfLaurent(self.ring, sparse.neg(self.ring.oe, self.terms, 1),
-                           self.w_lo, self.w_hi, self.band, _normalized=True)
+        return PerfLaurent._make(self.ring,
+                                 sparse.neg(self.ring.oe, self.terms, 1),
+                                 self._lo, self._hi, self._den, self.band)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        lo = self.w_lo + other.w_lo
-        hi = bound_min(bound_add(self.w_lo, other.w_hi),
-                       bound_add(other.w_lo, self.w_hi))
+        den, a_lo, a_hi, b_lo, b_hi = \
+            self._den, self._lo, self._hi, other._lo, other._hi
+        if other._den != den:
+            den, ((a_lo, a_hi), (b_lo, b_hi)) = _windows((self, other))
+        hi = bound_min(bound_add(a_lo, b_hi), bound_add(b_lo, a_hi))
         band = min(self.band, other.band)
-        hs = self._cut(hi)
+        hs = _scaled_cut(hi, den, self.ring.scale)
 
         def keep(e):
             if hs is not None and sum(e) >= hs:
                 return False
-            if any(abs(x) > band for x in e[1:]):
-                raise BandOverflow(
-                    f"product cross exponents {e[1:]} exceed the band")
+            for x in e[1:]:
+                if abs(x) > band:
+                    raise BandOverflow(
+                        f"product cross exponents {e[1:]} exceed the band")
             return True
         out = sparse.mul(self.ring.oe, self.terms, other.terms, 1, keep)
-        return PerfLaurent(self.ring, out, lo, hi, band, _normalized=True)
+        return PerfLaurent._make(self.ring, out, a_lo + b_lo, hi, den, band)
 
     def frobenius(self):
         """The ring Frobenius x -> x^p (coefficients included)."""
         p, oe = self.ring.params.p, self.ring.oe
         out = {tuple(p * x for x in e): oe.raw_pow(c, p, 1)
                for e, c in self.terms.items()}
-        return PerfLaurent(self.ring, out, self.w_lo * p,
-                           None if self.w_hi is None else self.w_hi * p,
-                           self.band * p, _normalized=True)
+        return PerfLaurent._make(self.ring, out, self._lo * p,
+                                 None if self._hi is None else self._hi * p,
+                                 self._den, self.band * p)
 
     def pth_root(self):
         p, oe = self.ring.params.p, self.ring.oe
@@ -210,10 +242,13 @@ class PerfLaurent:
                 raise DepthExhausted(
                     f"p-th root leaves depth p^-{self.ring.params.k}")
             out[tuple(x // p for x in e)] = oe.raw_pow(c, root, 1)
-        return PerfLaurent(self.ring, out, self.w_lo / p,
-                           None if self.w_hi is None
-                           else Fraction(self.w_hi) / p,
-                           max(1, self.band // p), _normalized=True)
+        lo, hi, den = self._lo, self._hi, self._den
+        if lo % p or (hi is not None and hi % p):
+            den *= p
+        else:
+            lo, hi = lo // p, None if hi is None else hi // p
+        return PerfLaurent._make(self.ring, out, lo, hi, den,
+                                 max(1, self.band // p))
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +257,34 @@ class PerfLaurent:
 
 def gauss_val(x: PerfLaurent) -> Optional[Fraction]:
     """min Gauss valuation over terms (value |x| = p^{-gauss_val}); None = 0."""
-    if not x.terms:
-        return None
-    return min(x._gv(e) for e in x.terms)
+    return Fraction(min(map(sum, x.terms)), x.ring.scale) if x.terms else None
 
 
 def phi_linear(x: PerfLaurent) -> PerfLaurent:
-    """The coefficient-fixing substitution Y_i -> Y_{i-1}^p (index shift)."""
+    """The coefficient-fixing substitution Y_i -> Y_{i-1}^p (index shift).
+
+    At f >= 2, e_0 moves into a cross slot: the band p * max(band, |e_0|)
+    bounds the represented terms' images.  A windowed input's unknown terms
+    (e_0 unbounded) map to at or above w_hi, outside the image's window.
+    """
     p = x.ring.params.p
     out = {phi_exponents(e, p): c for e, c in x.terms.items()}
-    return PerfLaurent(x.ring, out, x.w_lo * p,
-                       None if x.w_hi is None else x.w_hi * p,
-                       x.band * p, _normalized=True)
+    band = x.band
+    if x.ring.nvars > 1:
+        band = max(band, max((abs(e[0]) for e in x.terms), default=0))
+    return PerfLaurent._make(x.ring, out, x._lo * p,
+                             None if x._hi is None else x._hi * p,
+                             x._den, p * band)
 
 
 def phi_q_linear(x: PerfLaurent) -> PerfLaurent:
-    out = x
-    for _ in range(x.ring.params.f):
-        out = phi_linear(out)
-    return out
+    """The substitution Y_i -> Y_i^q (phi_linear f times): exponents,
+    window and band scaled by q, coefficients fixed."""
+    q = x.ring.params.q
+    out = {tuple(q * v for v in e): c for e, c in x.terms.items()}
+    return PerfLaurent._make(x.ring, out, x._lo * q,
+                             None if x._hi is None else x._hi * q,
+                             x._den, q * x.band)
 
 
 def pr_radius(params: Params, i: int, r: Fraction) -> Fraction:
@@ -263,12 +307,13 @@ class PerfHandle:
         self.ring = ring
         self.p = ring.params.p
         self.field = ring.field
+        self._one = PerfLaurent.one(ring)
 
     def zero(self):
         return PerfLaurent.zero(self.ring)
 
     def one(self):
-        return PerfLaurent.one(self.ring)
+        return self._one
 
     def is_zero(self, a):
         return a.is_zero()
@@ -276,39 +321,28 @@ class PerfHandle:
     def eq(self, a, b):
         return a.eq_within(b)
 
-    def sum(self, parts, terms, vals):
+    def sum(self, parts, plan, vals):
         """The sum of ``parts``, the terms with no zero value, given the
-        window and band of the sum of every term of ``terms`` at ``vals``.
+        window and band of the sum of every term of ``plan`` (a
+        ``witt.StructPlan``) at ``vals``, as one more part, empty.
 
-        These are at or below each part's, so one more part, empty and
-        carrying them, sets them in the n-ary sum.  They depend only on
-        the values' (w_lo, w_hi, band): v^d has w_lo d*lo_v and w_hi
-        (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum d_j*lo_j and w_hi
-        lo_t + min_j (hi_j - lo_j), here as numerators over the lcm of the
-        values' window denominators.
+        v^d has w_lo d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo
+        lo_t = sum d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j).  That gap
+        is the same for all terms of a variable group, so a group adds its
+        least lo_t plus the gap; the band is the least of the variables
+        used.  Numerators over the lcm of the values' denominators.
         """
-        den = lcm(*(x.denominator for v in vals for x in (v.w_lo, v.w_hi)
-                    if x is not None))
-        lo = [v.w_lo.numerator * (den // v.w_lo.denominator) for v in vals]
-        gap = [None if v.w_hi is None else
-               v.w_hi.numerator * (den // v.w_hi.denominator) - x
-               for v, x in zip(vals, lo)]
-        w_lo, w_hi, band = 0, None, self.ring.band_cap
-        for _, factors in terms:
-            t_lo, t_gap = 0, None
-            for j, d in factors:
-                t_lo += d * lo[j]
-                g = gap[j]
-                if g is not None and (t_gap is None or g < t_gap):
-                    t_gap = g
-                if vals[j].band < band:
-                    band = vals[j].band
-            w_lo = min(w_lo, t_lo)
-            if t_gap is not None and (w_hi is None or t_lo + t_gap < w_hi):
-                w_hi = t_lo + t_gap
-        bound = PerfLaurent(self.ring, {}, Fraction(w_lo, den),
-                            None if w_hi is None else Fraction(w_hi, den),
-                            band, _normalized=True)
+        den, wins = _windows(vals)
+        w_lo, w_hi = 0, None
+        for js, vecs in plan.groups:
+            sel = [wins[j][0] for j in js]
+            g_lo = min([sum(map(mul, vec, sel)) for vec in vecs])
+            w_lo = min(w_lo, g_lo)
+            for j in js:
+                lo, hi = wins[j]
+                w_hi = bound_min(w_hi, bound_add(hi, g_lo - lo))
+        band = min([self.ring.band_cap] + [vals[j].band for j in plan.used])
+        bound = PerfLaurent._make(self.ring, {}, w_lo, w_hi, den, band)
         return PerfLaurent.sum(parts + [bound])
 
     def embed_residue(self, lam: FElt):
@@ -341,24 +375,15 @@ class BElt:
 
 
 def b_val_r(w: BElt):
-    """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift."""
-    r = Fraction(w.r)
-    best = None
-    for n, d in enumerate(w.digits()):
-        gv = gauss_val(d)
-        if gv is None:
-            continue
-        lvl = gv + Fraction(n, 1) / r
-        if best is None or lvl < best:
-            best = lvl
-    if best is None:
+    """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift;
+    certified when below every digit's w_hi + n/r and below prec/r + floor."""
+    r, digits = Fraction(w.r), w.digits()
+    levels = [gauss_val(d) + n / r for n, d in enumerate(digits) if d.terms]
+    if not levels:
         return NormValue(None, False)
-    certified = True
-    for n, d in enumerate(w.digits()):
-        if d.w_hi is not None and best >= d.w_hi + Fraction(n, 1) / r:
-            certified = False
-    if best >= Fraction(w.witt.prec, 1) / r + w.floor:
-        certified = False
+    best = min(levels)
+    certified = best < w.witt.prec / r + w.floor and all(
+        d.w_hi is None or best < d.w_hi + n / r for n, d in enumerate(digits))
     return NormValue(best - w.shift, certified)
 
 

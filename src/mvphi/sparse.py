@@ -14,6 +14,7 @@ and the min and sum of bounds for which None means unbounded live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 
 
 def bound_min(a, b):
@@ -157,16 +158,17 @@ def mul(ring, a: dict, b: dict, prec: int, keep=None) -> dict:
     formed (``keep`` may raise instead).
     """
     out = {}
+    raw_mul, raw_add = ring.raw_mul, ring.raw_add
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(_add, e1, e2))
             if keep is not None and not keep(e):
                 continue
-            prod = ring.raw_mul(c1, c2, prec)
+            prod = raw_mul(c1, c2, prec)
             if not any(prod):
                 continue
             cur = out.get(e)
-            s = prod if cur is None else ring.raw_add(cur, prod, prec)
+            s = prod if cur is None else raw_add(cur, prod, prec)
             if any(s):
                 out[e] = s
             elif cur is not None:

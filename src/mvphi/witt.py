@@ -12,6 +12,7 @@ W itself and O_E-scalars act through their Teichmueller digit expansions.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Optional
 
 from .caches import cached
@@ -34,7 +35,7 @@ def _pmul(a: dict, b: dict) -> dict:
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -67,19 +68,47 @@ def eval_int(poly: dict, values) -> int:
     return total
 
 
+class StructPlan:
+    """A structure polynomial's ``terms`` mod p laid out for evaluation.
+
+    Term products form a prefix tree (node n multiplies its parent by
+    X_j^d, nodes[n] = (j, d)) shared by terms with equal leading factors;
+    ``index`` holds (c, path of nodes, mask of variables) per term, and
+    ``groups`` each variable set with its terms' exponent vectors.
+    """
+
+    __slots__ = ("terms", "nodes", "index", "groups", "used")
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
+        ids, index, groups = {}, [], {}
+        for c, factors in terms:
+            node, path = -1, []
+            for f in factors:
+                node = ids.setdefault((node, f), len(ids))
+                path.append(node)
+            js, ds = zip(*factors) if factors else ((), ())
+            index.append((c, tuple(path), sum(1 << j for j in js)))
+            groups.setdefault(js, []).append(ds)
+        self.nodes = tuple(f for _, f in ids)
+        self.index = tuple(index)
+        self.groups = tuple((js, tuple(vecs)) for js, vecs in groups.items())
+        self.used = tuple(sorted({j for js in groups for j in js}))
+
+
 class StructurePolys:
     """Addition and multiplication polynomials S_n, P_n for W_N, as
-    {exponent: int} dicts over X_0..X_{N-1}, Y_0..Y_{N-1}, and their terms
-    mod p (``sums_mod_p``, ``prods_mod_p``), which the arithmetic over a
-    characteristic-p handle evaluates."""
+    {exponent: int} dicts over X_0..X_{N-1}, Y_0..Y_{N-1}, and the plans of
+    their terms mod p (``sum_plans``, ``prod_plans``), which the arithmetic
+    over a characteristic-p handle evaluates."""
 
     def __init__(self, p: int, N: int, sums, prods):
         self.p = p
         self.N = N
         self.sums = sums
         self.prods = prods
-        self.sums_mod_p = [_mod_p_terms(s, p) for s in sums]
-        self.prods_mod_p = [_mod_p_terms(q, p) for q in prods]
+        self.sum_plans = [StructPlan(_mod_p_terms(s, p)) for s in sums]
+        self.prod_plans = [StructPlan(_mod_p_terms(q, p)) for q in prods]
 
 
 def _div_exact(poly: dict, m: int) -> dict:
@@ -141,7 +170,7 @@ class FiniteFieldHandle:
     def embed_residue(self, lam: FElt):
         return lam
 
-    def sum(self, parts, terms, vals):
+    def sum(self, parts, plan, vals):
         """Field elements carry no window: the plain sum."""
         return sum(parts, self.field.zero)
 
@@ -167,27 +196,22 @@ class WittVec:
         self.form = form
         self.comps = tuple(comps)
 
-    def coordinates(self) -> "WittVec":
-        if self.form == WITT_COORDS:
-            return self
-        comps = []
-        for n, d in enumerate(self.comps):
-            x = d
-            for _ in range(n):
-                x = x.frobenius()
-            comps.append(x)
-        return WittVec(self.handle, self.prec, WITT_COORDS, tuple(comps))
-
-    def expansion(self) -> "WittVec":
-        if self.form == TEICH_EXPANSION:
+    def _to(self, form: str, step: str) -> "WittVec":
+        """The vector in ``form``: method ``step`` n times on component n."""
+        if self.form == form:
             return self
         comps = []
         for n, x in enumerate(self.comps):
-            d = x
             for _ in range(n):
-                d = d.pth_root()
-            comps.append(d)
-        return WittVec(self.handle, self.prec, TEICH_EXPANSION, tuple(comps))
+                x = getattr(x, step)()
+            comps.append(x)
+        return WittVec(self.handle, self.prec, form, tuple(comps))
+
+    def coordinates(self) -> "WittVec":
+        return self._to(WITT_COORDS, "frobenius")
+
+    def expansion(self) -> "WittVec":
+        return self._to(TEICH_EXPANSION, "pth_root")
 
     def digits(self) -> tuple:
         return self.expansion().comps
@@ -200,55 +224,56 @@ class WittVec:
         return all(self.handle.eq(x, y) for x, y in zip(a.comps, b.comps))
 
 
-def _eval_struct(terms, handle, xs, ys):
-    """Evaluate a structure polynomial, given by its terms mod p, on handle
-    elements.
+def _eval_struct(plan: StructPlan, handle, xs, ys):
+    """Evaluate a structure polynomial, by its plan, on handle elements.
 
-    A term with a zero value is zero, so only the terms whose values are
-    all nonzero are multiplied out, each repeated ci times; ``handle.sum``
-    adds them once, with the bounds of the sum of every term.
+    Only the terms with no zero value are multiplied out, each node on
+    their paths once; ``handle.sum`` adds them, c times each, with the
+    bounds of the sum of every term.
     """
     vals = xs + ys
-    live = [not handle.is_zero(v) for v in vals]
-    one = handle.one()
-    pow_cache = {}
-    parts = []
-    for ci, factors in terms:
-        if not all(live[j] for j, _ in factors):
+    dead = sum(1 << j for j, v in enumerate(vals) if handle.is_zero(v))
+    one, nodes = handle.one(), plan.nodes
+    pows, value, parts = {}, {}, []
+    for ci, path, mask in plan.index:
+        if mask & dead:
             continue
         term = None
-        for j, d in factors:
-            pw = pow_cache.get((j, d))
-            if pw is None:
-                pw = pow_cache[j, d] = power(vals[j], d, one)
-            term = pw if term is None else term * pw
+        for n in path:
+            got = value.get(n)
+            if got is None:
+                pw = pows.get(nodes[n])
+                if pw is None:
+                    j, d = nodes[n]
+                    pw = pows[j, d] = power(vals[j], d, one)
+                got = value[n] = pw if term is None else term * pw
+            term = got
         parts.extend([one if term is None else term] * ci)
-    return handle.sum(parts, terms, vals)
+    return handle.sum(parts, plan, vals)
 
 
-def _coordinatewise(u: WittVec, v: WittVec, polys: str) -> WittVec:
-    """Evaluate the structure polynomials ``polys`` of
-    ``StructurePolys`` on the Witt coordinates of u and v."""
+def _coordinatewise(u: WittVec, v: WittVec, plans: str) -> WittVec:
+    """Evaluate the structure polynomials whose plans are the attribute
+    ``plans`` of ``StructurePolys`` on the Witt coordinates of u and v."""
     if u.handle is not v.handle or u.prec != v.prec:
         raise ValueError("operands live over different Witt rings")
     sp = gen_structure_polys(u.handle.p, u.prec)
     xs, ys = u.coordinates().comps, v.coordinates().comps
-    comps = tuple(_eval_struct(terms, u.handle, xs, ys)
-                  for terms in getattr(sp, polys))
+    comps = tuple(_eval_struct(plan, u.handle, xs, ys)
+                  for plan in getattr(sp, plans))
     return WittVec(u.handle, u.prec, WITT_COORDS, comps)
 
 
 def witt_add(u: WittVec, v: WittVec) -> WittVec:
-    return _coordinatewise(u, v, "sums_mod_p")
+    return _coordinatewise(u, v, "sum_plans")
 
 
 def witt_mul(u: WittVec, v: WittVec) -> WittVec:
-    return _coordinatewise(u, v, "prods_mod_p")
+    return _coordinatewise(u, v, "prod_plans")
 
 
 def witt_neg(u: WittVec) -> WittVec:
-    minus_one = from_int(u.handle, -1, u.prec)
-    return witt_mul(u, minus_one)
+    return witt_mul(u, from_int(u.handle, -1, u.prec))
 
 
 def witt_sub(u: WittVec, v: WittVec) -> WittVec:
@@ -267,8 +292,7 @@ def from_expansion(handle, digits, prec: Optional[int] = None) -> WittVec:
     pr = len(digits) if prec is None else prec
     if len(digits) > pr:
         raise ValueError("too many digits for the precision")
-    comps = tuple(digits) + tuple(handle.zero()
-                                  for _ in range(pr - len(digits)))
+    comps = tuple(digits) + (handle.zero(),) * (pr - len(digits))
     return WittVec(handle, pr, TEICH_EXPANSION, comps)
 
 

@@ -1,6 +1,8 @@
+import json
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from mvphi.mvring import MvLaurent, norm_s
 from mvphi.perfd import b_val_r, gauss_val
 from mvphi.sparse import bound_min
 from mvphi.errors import Uncertified
+from mvphi.serialize import dumps, witt_json
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -562,3 +565,43 @@ def test_phi_equivariance_evaluates_iota_on_x_once(p, f, h, monkeypatch):
     # iota(x), iota(phi(x)) and iota(phi_q(x))
     assert sum(z is x for z in calls) == 1
     assert len(calls) == 3
+
+
+# -- to_belt at N = 4: a golden --------------------------------------------
+
+BELT_N4 = Path(__file__).resolve().parent / "data" / "to_belt_n4.json"
+# the witt-n4 benchmark's element shapes (a, db, v): a unit monomial Y_0^a
+# plus, db degrees up, a term of valuation exactly v
+BELT_N4_SHAPES = ((0, 1, 3), (0, 1, 0), (-1, 1, 0))
+
+
+def _two_term(rng, pr, a, db, v):
+    p, mod = pr.p, pr.p ** pr.N
+    zero = (0,) * (pr.f - 1)
+    terms = {(a, zero): (rng.randrange(1, p),) + (0,) * (pr.h - 1)}
+    unit = rng.randrange(mod // p) * p + rng.randrange(1, p)
+    c = (unit,) + tuple(rng.randrange(mod) for _ in range(pr.h - 1))
+    terms[(a + db, zero)] = tuple((x * p ** v) % mod for x in c)
+    return terms
+
+
+def belt_n4_cases():
+    """(name, iota x) for the golden: each shape at (3,1,1) and (3,2,2),
+    N = 4, k = 4, coefficients from seeds 1 and 2."""
+    for pfh in ((3, 1, 1), (3, 2, 2)):
+        pr = params(*pfh, N=4, k=4)
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            for shape in BELT_N4_SHAPES:
+                x = MvLaurent(pr, pr.N, _two_term(rng, pr, *shape))
+                yield f"{pfh} seed {seed} shape {shape}", iota(x)
+
+
+def test_to_belt_at_n4_matches_the_golden():
+    # exact digits, windows and bands of the N = 4 expansions, f = 2 too
+    want = json.loads(BELT_N4.read_text())
+    got = {name: json.loads(dumps(witt_json(to_belt(w, Fraction(1)).witt)))
+           for name, w in belt_n4_cases()}
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name

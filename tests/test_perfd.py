@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ from mvphi.coeff import Params, fq_field
 from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
                          phi_q_linear, pr_radius, ainf_handle, BElt, b_val_r,
                          member_B0r, phi_q_belt)
-from mvphi.errors import DepthExhausted
-from mvphi import witt as wt
+from mvphi.errors import BandOverflow, DepthExhausted
+from mvphi import sparse, witt as wt
+from mvphi.sparse import bound_add, bound_min
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -286,3 +289,239 @@ def test_member_b0r_is_the_sign_of_b_val_r(data):
                                     max_denominator=9)),
              data.draw(_signed))
     assert member_B0r(w) == _ref_member_B0r(w)
+
+
+def test_phi_linear_band_holds_the_shifted_y0_exponent():
+    # at f = 2 the shift moves Y_0^5 into the cross slot: the image's band
+    # is 3 * 45, not 3 * 9, and its product by one keeps its term
+    R = ainf_ring(params(3, 2, 2, k=2))
+    s = R.scale
+    x = PerfLaurent(R, {(5 * s, s): R.field.one}, band=s)
+    img = phi_linear(x)
+    assert list(img.terms) == [(27, 135)] and img.band == 135
+    assert (img * PerfLaurent.one(R)).terms == img.terms
+
+
+@pytest.mark.parametrize("p,f,h", [(3, 2, 2), (5, 2, 2), (3, 1, 1)])
+def test_phi_q_linear_is_the_direct_substitution(p, f, h):
+    # f index shifts compose to Y_i -> Y_i^q: the same terms in the same
+    # order and the same window; the band is q * band
+    R = ainf_ring(params(p, f, h, k=2))
+    rng = random.Random(46)
+    elts = [e for e in R.field.elements() if e]
+    for _ in range(10):
+        terms = {tuple(rng.randrange(-2 * R.scale, 2 * R.scale)
+                       for _ in range(f)): rng.choice(elts)
+                 for _ in range(3)}
+        x = PerfLaurent(R, terms, None, Fraction(rng.randrange(-9, 9), 4))
+        got, want = phi_q_linear(x), x
+        for _ in range(f):
+            want = phi_linear(want)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert (got.w_lo, got.w_hi) == (want.w_lo, want.w_hi)
+        assert got.band == R.params.q * x.band
+
+
+# -- integer windows against the Fraction formulas they replace --------------
+
+class RefPerf:
+    """A PerfLaurent whose window is kept in Fractions, by the formulas the
+    integer numerators over one denominator replace.  Terms go through the
+    same sparse kernels; only the windows and bands are restated."""
+
+    def __init__(self, ring, terms, w_lo, w_hi, band):
+        self.ring, self.terms = ring, terms
+        self.w_lo, self.w_hi, self.band = w_lo, w_hi, band
+
+    @staticmethod
+    def new(ring, terms, w_lo=None, w_hi=None, band=None):
+        band = ring.band_cap if band is None else band
+        out = {}
+        for e, c in terms.items():
+            if w_hi is not None and Fraction(sum(e), ring.scale) >= w_hi:
+                continue
+            if any(abs(x) > band for x in e[1:]):
+                raise BandOverflow(f"cross exponents {e[1:]} exceed the band")
+            if any(c.coords):
+                out[tuple(e)] = c.coords
+        lo = min((Fraction(sum(e), ring.scale) for e in out),
+                 default=Fraction(0))
+        return RefPerf(ring, out, lo if w_lo is None else min(w_lo, lo),
+                       w_hi, band)
+
+    def _cut(self, hi):
+        return None if hi is None else math.ceil(hi * self.ring.scale)
+
+    @staticmethod
+    def sum(parts):
+        ring = parts[0].ring
+        hi = None
+        for x in parts:
+            hi = bound_min(hi, x.w_hi)
+        hs = parts[0]._cut(hi)
+        out = sparse.add(ring.oe, [x.terms for x in parts], 1,
+                         None if hs is None else lambda e: sum(e) < hs)
+        return RefPerf(ring, out, min(x.w_lo for x in parts), hi,
+                       min(x.band for x in parts))
+
+    def __neg__(self):
+        return RefPerf(self.ring, sparse.neg(self.ring.oe, self.terms, 1),
+                       self.w_lo, self.w_hi, self.band)
+
+    def __mul__(self, other):
+        lo = self.w_lo + other.w_lo
+        hi = bound_min(bound_add(self.w_lo, other.w_hi),
+                       bound_add(other.w_lo, self.w_hi))
+        band = min(self.band, other.band)
+        hs = self._cut(hi)
+
+        def keep(e):
+            if hs is not None and sum(e) >= hs:
+                return False
+            if any(abs(x) > band for x in e[1:]):
+                raise BandOverflow(
+                    f"product cross exponents {e[1:]} exceed the band")
+            return True
+        out = sparse.mul(self.ring.oe, self.terms, other.terms, 1, keep)
+        return RefPerf(self.ring, out, lo, hi, band)
+
+    def frobenius(self):
+        p, oe = self.ring.params.p, self.ring.oe
+        out = {tuple(p * x for x in e): oe.raw_pow(c, p, 1)
+               for e, c in self.terms.items()}
+        return RefPerf(self.ring, out, self.w_lo * p,
+                       None if self.w_hi is None else self.w_hi * p,
+                       self.band * p)
+
+    def pth_root(self):
+        p, oe = self.ring.params.p, self.ring.oe
+        root = p ** (self.ring.params.h - 1)
+        out = {}
+        for e, c in self.terms.items():
+            if any(x % p for x in e):
+                raise DepthExhausted("p-th root leaves the depth")
+            out[tuple(x // p for x in e)] = oe.raw_pow(c, root, 1)
+        return RefPerf(self.ring, out, self.w_lo / p,
+                       None if self.w_hi is None else self.w_hi / p,
+                       max(1, self.band // p))
+
+    def phi_linear(self):
+        # the band takes the shifted Y_0 exponent at f >= 2
+        p = self.ring.params.p
+        band = self.band
+        if self.ring.nvars > 1:
+            band = max([band] + [abs(e[0]) for e in self.terms])
+        return RefPerf(self.ring, {tuple(p * x for x in e[1:] + e[:1]): c
+                                   for e, c in self.terms.items()},
+                       self.w_lo * p,
+                       None if self.w_hi is None else self.w_hi * p,
+                       p * band)
+
+    @staticmethod
+    def handle_sum(parts, terms, vals):
+        """PerfHandle.sum: the bounds walked over every term."""
+        ring = vals[0].ring
+        w_lo, w_hi, band = Fraction(0), None, ring.band_cap
+        for _, factors in terms:
+            t_lo, t_gap = Fraction(0), None
+            for j, d in factors:
+                v = vals[j]
+                t_lo += d * v.w_lo
+                if v.w_hi is not None:
+                    t_gap = bound_min(t_gap, v.w_hi - v.w_lo)
+                band = min(band, v.band)
+            w_lo = min(w_lo, t_lo)
+            w_hi = bound_min(w_hi, bound_add(t_lo, t_gap))
+        return RefPerf.sum(parts + [RefPerf(ring, {}, w_lo, w_hi, band)])
+
+
+def _same_window(got, want):
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert type(got.w_lo) is Fraction and got.w_lo == want.w_lo
+    assert got.w_hi is None if want.w_hi is None else \
+        (type(got.w_hi) is Fraction and got.w_hi == want.w_hi)
+    assert got.band == want.band
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BandOverflow, DepthExhausted) as exc:
+        return type(exc)
+
+
+_bound = st.fractions(min_value=-3, max_value=4, max_denominator=9)
+_OPS = ("mul", "sum", "neg", "frobenius", "pth_root", "phi_linear",
+        "handle_sum")
+
+
+@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
+    # a random program of constructors and operations, run on PerfLaurent
+    # and on RefPerf: equal terms in dict order, windows and bands, or the
+    # same error
+    R = ainf_ring(params(p, f, h, k=2))
+    handle = ainf_handle(R.params)
+    plans = wt.gen_structure_polys(p, 3)
+    plans = plans.sum_plans + plans.prod_plans
+    elts = [e for e in R.field.elements() if e]
+    exps = st.integers(-2 * R.scale, 2 * R.scale)
+    pool = []
+    for _ in range(3):
+        terms = data.draw(st.dictionaries(st.tuples(*[exps] * f),
+                                          st.sampled_from(elts), max_size=3))
+        w_lo, w_hi = (data.draw(st.one_of(st.none(), _bound))
+                      for _ in range(2))
+        if w_hi is not None and data.draw(st.booleans()):
+            # the terms on either side of the cut, where ceil and floor of
+            # w_hi * scale part
+            cut = math.ceil(w_hi * R.scale)
+            for e0 in (cut - 1, cut):
+                key = (e0,) + (0,) * (f - 1)
+                terms[key] = data.draw(st.sampled_from(elts))
+        band = data.draw(st.one_of(st.none(), st.integers(R.scale,
+                                                          4 * R.scale)))
+        got = _outcome(PerfLaurent, R, terms, w_lo, w_hi, band)
+        want = _outcome(RefPerf.new, R, terms, w_lo, w_hi, band)
+        if want is BandOverflow:
+            assert got is BandOverflow
+            continue
+        _same_window(got, want)
+        pool.append((got, want))
+    if not pool:
+        return
+    pick = st.sampled_from(pool)
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(_OPS))
+        if op == "mul":
+            (a, ra), (b, rb) = data.draw(pick), data.draw(pick)
+            got, want = _outcome(operator.mul, a, b), _outcome(
+                operator.mul, ra, rb)
+        elif op == "sum":
+            xs = data.draw(st.lists(pick, min_size=1, max_size=4))
+            got = PerfLaurent.sum([a for a, _ in xs])
+            want = RefPerf.sum([r for _, r in xs])
+        elif op == "handle_sum":
+            plan = data.draw(st.sampled_from(plans))
+            xs = data.draw(st.lists(pick, max_size=3))
+            vs = [data.draw(pick) for _ in range(6)]
+            got = handle.sum([a for a, _ in xs], plan, [a for a, _ in vs])
+            want = RefPerf.handle_sum([r for _, r in xs], plan.terms,
+                                      [r for _, r in vs])
+        else:
+            a, ra = data.draw(pick)
+            if op == "phi_linear":
+                got, want = phi_linear(a), ra.phi_linear()
+            elif op == "neg":
+                got, want = -a, -ra
+            else:
+                got = _outcome(getattr(a, op))
+                want = _outcome(getattr(ra, op))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        _same_window(got, want)
+        pool.append((got, want))
+        pick = st.sampled_from(pool)

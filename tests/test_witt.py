@@ -10,8 +10,8 @@ from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         witt_neg, witt_sub, teich, witt_zero, from_expansion,
                         from_oe_scalar, from_int,
-                        map_coefficients, scalar_mul, _eval_struct, _pmul,
-                        TEICH_EXPANSION)
+                        map_coefficients, scalar_mul, _eval_struct,
+                        _mod_p_terms, _pmul, TEICH_EXPANSION)
 
 
 def handle(p, h=1):
@@ -51,11 +51,11 @@ def test_structure_polys_terms_mod_p(p, N):
     # the reduced terms the handle arithmetic reads are the polynomials mod
     # p, term for term in the polynomials' order
     sp = gen_structure_polys(p, N)
-    for polys, reduced in ((sp.sums, sp.sums_mod_p),
-                           (sp.prods, sp.prods_mod_p)):
-        for poly, terms in zip(polys, reduced, strict=True):
+    for polys, plans in ((sp.sums, sp.sum_plans),
+                         (sp.prods, sp.prod_plans)):
+        for poly, plan in zip(polys, plans, strict=True):
             back = []
-            for c, factors in terms:
+            for c, factors in plan.terms:
                 assert 0 < c < p
                 e = [0] * (2 * N)
                 for j, d in factors:
@@ -277,9 +277,9 @@ def perf_value(draw, ring):
 
 def _both_evaluations(p, N, handle, xs, ys):
     sp = gen_structure_polys(p, N)
-    for terms in sp.sums_mod_p + sp.prods_mod_p:
-        yield (_eval_struct(terms, handle, xs, ys),
-               _ref_eval_struct(terms, handle, xs, ys))
+    for plan in sp.sum_plans + sp.prod_plans:
+        yield (_eval_struct(plan, handle, xs, ys),
+               _ref_eval_struct(plan.terms, handle, xs, ys))
 
 
 def _same_perf(got, want):
@@ -319,8 +319,8 @@ def test_eval_struct_matches_full_evaluation_over_field(p, N, data):
 def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
     # S_n and P_n mod 3 have terms with c = 2: the sum takes them twice
     sp = gen_structure_polys(p, N)
-    polys = [t for t in sp.sums_mod_p + sp.prods_mod_p
-             if any(ci == 2 for ci, _ in t)]
+    polys = [plan for plan in sp.sum_plans + sp.prod_plans
+             if any(ci == 2 for ci, _ in plan.terms)]
     assert polys
     rng = random.Random(p * N)
     F = fq_field(Params.create(p, 2, 2))
@@ -328,9 +328,9 @@ def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
     elts = [e for e in F.elements() if e]
     xs = tuple(rng.choice(elts) for _ in range(N))
     ys = tuple(rng.choice(elts) for _ in range(N))
-    for terms in polys:
-        assert _eval_struct(terms, fh, xs, ys) == \
-            _ref_eval_struct(terms, fh, xs, ys)
+    for plan in polys:
+        assert _eval_struct(plan, fh, xs, ys) == \
+            _ref_eval_struct(plan.terms, fh, xs, ys)
     ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
     ring = ph.ring
     xs = tuple(PerfLaurent(ring, {(rng.randrange(-9, 10),): ring.field.one},
@@ -338,9 +338,9 @@ def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
                for _ in range(N))
     ys = tuple(PerfLaurent.monomial(ring, (Fraction(rng.randrange(4), 9),))
                for _ in range(N))
-    for terms in polys:
-        _same_perf(_eval_struct(terms, ph, xs, ys),
-                   _ref_eval_struct(terms, ph, xs, ys))
+    for plan in polys:
+        _same_perf(_eval_struct(plan, ph, xs, ys),
+                   _ref_eval_struct(plan.terms, ph, xs, ys))
 
 
 @pytest.mark.parametrize("p,N", _STRUCT_CASES)
@@ -354,11 +354,12 @@ def test_eval_struct_of_zero_values_keeps_the_full_window(p, N):
     vals = [PerfLaurent(ph.ring, {}, Fraction(-n, 9), Fraction(n + 1, 3),
                         ph.ring.band_cap // (n + 1))
             for n in range(2 * N)]
-    for terms in sp.sums_mod_p + sp.prods_mod_p:
-        assert _eval_struct(terms, fh, zeros, zeros) == fh.zero()
-        got = _eval_struct(terms, ph, vals[:N], vals[N:])
+    for plan in sp.sum_plans + sp.prod_plans:
+        assert _eval_struct(plan, fh, zeros, zeros) == fh.zero()
+        got = _eval_struct(plan, ph, vals[:N], vals[N:])
         assert got.is_zero()
-        _same_perf(got, _ref_eval_struct(terms, ph, vals[:N], vals[N:]))
+        _same_perf(got, _ref_eval_struct(plan.terms, ph, vals[:N],
+                                         vals[N:]))
 
 
 def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
@@ -383,10 +384,43 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
     calls.clear()
     xs, ys = u.coordinates().comps, v.coordinates().comps
     sp = gen_structure_polys(3, 4)
-    want = [_ref_eval_struct(t, handle, xs, ys) for t in sp.sums_mod_p]
+    want = [_ref_eval_struct(plan.terms, handle, xs, ys)
+            for plan in sp.sum_plans]
     assert 0 < fast < len(calls) / 2
     for a, b in zip(got.comps, want, strict=True):
         _same_perf(a, b)
+
+
+def _struct_eval_agrees(p, N, seed):
+    # witt_add and witt_mul read the plans of the cached StructurePolys;
+    # each coordinate must be the full evaluation of its polynomial
+    handle = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    ring, rng = handle.ring, random.Random(seed)
+    elts = [e for e in ring.field.elements() if e]
+
+    def digit(n):
+        return PerfLaurent(ring, {(rng.randrange(-9, 10) * p ** n,):
+                                  rng.choice(elts)},
+                           None, Fraction(rng.randrange(1, 9), 3))
+    u = from_expansion(handle, tuple(digit(n) for n in range(N)))
+    v = from_expansion(handle, tuple(digit(n) for n in range(N)))
+    xs, ys = u.coordinates().comps, v.coordinates().comps
+    sp = gen_structure_polys(p, N)
+    for got, polys in ((witt_add(u, v), sp.sums), (witt_mul(u, v), sp.prods)):
+        for a, poly in zip(got.comps, polys, strict=True):
+            _same_perf(a, _ref_eval_struct(_mod_p_terms(poly, p), handle,
+                                           xs, ys))
+
+
+def test_structure_plans_survive_clear_caches():
+    # the plans live on StructurePolys: after clear_caches frees the
+    # polynomials and other ones are built, nothing stale is read
+    import mvphi
+    _struct_eval_agrees(3, 4, 1)
+    mvphi.clear_caches()
+    _struct_eval_agrees(2, 3, 2)
+    mvphi.clear_caches()
+    _struct_eval_agrees(3, 4, 3)
 
 
 FROM_INT_CACHE_CHECK = """
