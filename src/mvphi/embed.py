@@ -409,20 +409,28 @@ def congruent_mod(x: WAlg, y: WAlg, m: int) -> bool:
 
 
 def b_val_walg(x: WAlg, r: Fraction) -> NormValue:
-    """Radius-r valuation via the graded-level minimum (exact on this model).
-
-    Certified below every horizon H_v + v/r and, for the digits beyond the
-    precision, below every floor fl(m) + m/r (sigma + 1/r >= 0 and m = prec).
-    """
-    ring, r, fl = oe_ring(x.params), Fraction(r), x.floors
-    levels = [x.gv(e) + Fraction(ring.raw_val(c, x.prec)) / r
-              for e, c in x.terms.items()]
-    if not levels:
+    """Radius-r valuation via the graded-level minimum (exact on this model)."""
+    ring = oe_ring(x.params)
+    r = Fraction(r)
+    best = None
+    for e, c in x.terms.items():
+        lvl = x.gv(e) + Fraction(ring.raw_val(c, x.prec)) / r
+        if best is None or lvl < best:
+            best = lvl
+    if best is None:
         return NormValue(None, False)
-    best, tail = min(levels), fl.at(x.prec)
-    certified = (all(x.H[v] is None or best < x.H[v] + Fraction(v) / r
-                     for v in range(x.prec)) and fl.sigma + 1 / r >= 0
-                 and (tail is None or best < tail + Fraction(x.prec) / r))
+    certified = True
+    for v in range(x.prec):
+        if x.H[v] is not None and best >= x.H[v] + Fraction(v) / r:
+            certified = False
+    # digits beyond the precision: floors fl(m) + m/r must stay above best
+    fl = x.floors
+    if fl.sigma + 1 / r < 0:
+        certified = False
+    else:
+        tail = fl.at(x.prec)
+        if tail is not None and best >= tail + Fraction(x.prec) / r:
+            certified = False
     return NormValue(best, certified)
 
 
@@ -618,9 +626,12 @@ def to_belt(x: WAlg, r: Fraction) -> BElt:
         tw = wt.teich(handle, mono, x.prec)
         coeff = wt.from_oe_scalar(handle, OEInt(oering, x.prec, c))
         acc = wt.witt_add(acc, wt.witt_mul(coeff, tw))
-    digits = tuple(PerfLaurent(handle.ring, dict(d.terms), d.w_lo, x.H[n],
-                               d.band) for n, d in enumerate(acc.digits()))
-    w = wt.from_expansion(handle, digits, x.prec)
+    digits = []
+    for n, d in enumerate(acc.digits()):
+        hi = x.H[n]
+        digits.append(PerfLaurent(handle.ring, dict(d.terms), d.w_lo, hi,
+                                  d.band))
+    w = wt.from_expansion(handle, tuple(digits), x.prec)
     floor = x.floors.global_min()
     return BElt(w, Fraction(r), Fraction(0),
                 Fraction(0) if floor is None else floor)

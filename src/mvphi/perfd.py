@@ -89,31 +89,27 @@ class PerfLaurent:
     __slots__ = ("ring", "terms", "_lo", "_hi", "_den", "band")
 
     def __init__(self, ring: PerfRing, terms: dict, w_lo=None, w_hi=None,
-                 band=None, _normalized=False):
-        if _normalized and w_lo is None:
-            raise ValueError("a normalized element needs its floor w_lo")
+                 band=None):
         lo, hi = (None if w is None else Fraction(w) for w in (w_lo, w_hi))
         den = lcm(ring.scale, *(w.denominator for w in (lo, hi)
                                 if w is not None))
         hi = None if hi is None else hi.numerator * (den // hi.denominator)
+        hs = _scaled_cut(hi, den, ring.scale)
         band = ring.band_cap if band is None else band
-        floors = [] if lo is None else [lo.numerator * (den // lo.denominator)]
-        if not _normalized:
-            hs = _scaled_cut(hi, den, ring.scale)
-            out = {}
-            for e, c in terms.items():
-                if hs is not None and sum(e) >= hs:
-                    continue
-                if any(abs(x) > band for x in e[1:]):
-                    raise BandOverflow(
-                        f"cross exponents {e[1:]} exceed the band")
-                c = getattr(c, "coords", c)
-                if any(c):
-                    out[tuple(e)] = c
-            terms = out
-            floors.append(min(map(sum, out), default=0) * (den // ring.scale))
-        self.ring, self.terms, self.band = ring, terms, band
-        self._lo, self._hi, self._den = min(floors), hi, den
+        out = {}
+        for e, c in terms.items():
+            if hs is not None and sum(e) >= hs:
+                continue
+            if any(abs(x) > band for x in e[1:]):
+                raise BandOverflow(f"cross exponents {e[1:]} exceed the band")
+            c = getattr(c, "coords", c)
+            if any(c):
+                out[tuple(e)] = c
+        floor = min(map(sum, out), default=0) * (den // ring.scale)
+        if lo is not None:
+            floor = min(floor, lo.numerator * (den // lo.denominator))
+        self.ring, self.terms, self.band = ring, out, band
+        self._lo, self._hi, self._den = floor, hi, den
 
     @staticmethod
     def _make(ring, terms, lo: int, hi, den: int, band: int):
@@ -257,7 +253,9 @@ class PerfLaurent:
 
 def gauss_val(x: PerfLaurent) -> Optional[Fraction]:
     """min Gauss valuation over terms (value |x| = p^{-gauss_val}); None = 0."""
-    return Fraction(min(map(sum, x.terms)), x.ring.scale) if x.terms else None
+    if not x.terms:
+        return None
+    return min(Fraction(sum(e), x.ring.scale) for e in x.terms)
 
 
 def phi_linear(x: PerfLaurent) -> PerfLaurent:
@@ -375,15 +373,24 @@ class BElt:
 
 
 def b_val_r(w: BElt):
-    """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift;
-    certified when below every digit's w_hi + n/r and below prec/r + floor."""
-    r, digits = Fraction(w.r), w.digits()
-    levels = [gauss_val(d) + n / r for n, d in enumerate(digits) if d.terms]
-    if not levels:
+    """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift."""
+    r = Fraction(w.r)
+    best = None
+    for n, d in enumerate(w.digits()):
+        gv = gauss_val(d)
+        if gv is None:
+            continue
+        lvl = gv + Fraction(n, 1) / r
+        if best is None or lvl < best:
+            best = lvl
+    if best is None:
         return NormValue(None, False)
-    best = min(levels)
-    certified = best < w.witt.prec / r + w.floor and all(
-        d.w_hi is None or best < d.w_hi + n / r for n, d in enumerate(digits))
+    certified = True
+    for n, d in enumerate(w.digits()):
+        if d.w_hi is not None and best >= d.w_hi + Fraction(n, 1) / r:
+            certified = False
+    if best >= Fraction(w.witt.prec, 1) / r + w.floor:
+        certified = False
     return NormValue(best - w.shift, certified)
 
 

@@ -77,10 +77,9 @@ class StructPlan:
     ``groups`` each variable set with its terms' exponent vectors.
     """
 
-    __slots__ = ("terms", "nodes", "index", "groups", "used")
+    __slots__ = ("nodes", "index", "groups", "used")
 
     def __init__(self, terms: tuple):
-        self.terms = terms
         ids, index, groups = {}, [], {}
         for c, factors in terms:
             node, path = -1, []
@@ -196,22 +195,27 @@ class WittVec:
         self.form = form
         self.comps = tuple(comps)
 
-    def _to(self, form: str, step: str) -> "WittVec":
-        """The vector in ``form``: method ``step`` n times on component n."""
-        if self.form == form:
+    def coordinates(self) -> "WittVec":
+        if self.form == WITT_COORDS:
+            return self
+        comps = []
+        for n, d in enumerate(self.comps):
+            x = d
+            for _ in range(n):
+                x = x.frobenius()
+            comps.append(x)
+        return WittVec(self.handle, self.prec, WITT_COORDS, tuple(comps))
+
+    def expansion(self) -> "WittVec":
+        if self.form == TEICH_EXPANSION:
             return self
         comps = []
         for n, x in enumerate(self.comps):
+            d = x
             for _ in range(n):
-                x = getattr(x, step)()
-            comps.append(x)
-        return WittVec(self.handle, self.prec, form, tuple(comps))
-
-    def coordinates(self) -> "WittVec":
-        return self._to(WITT_COORDS, "frobenius")
-
-    def expansion(self) -> "WittVec":
-        return self._to(TEICH_EXPANSION, "pth_root")
+                d = d.pth_root()
+            comps.append(d)
+        return WittVec(self.handle, self.prec, TEICH_EXPANSION, tuple(comps))
 
     def digits(self) -> tuple:
         return self.expansion().comps
@@ -273,7 +277,8 @@ def witt_mul(u: WittVec, v: WittVec) -> WittVec:
 
 
 def witt_neg(u: WittVec) -> WittVec:
-    return witt_mul(u, from_int(u.handle, -1, u.prec))
+    minus_one = from_int(u.handle, -1, u.prec)
+    return witt_mul(u, minus_one)
 
 
 def witt_sub(u: WittVec, v: WittVec) -> WittVec:
@@ -292,7 +297,8 @@ def from_expansion(handle, digits, prec: Optional[int] = None) -> WittVec:
     pr = len(digits) if prec is None else prec
     if len(digits) > pr:
         raise ValueError("too many digits for the precision")
-    comps = tuple(digits) + (handle.zero(),) * (pr - len(digits))
+    comps = tuple(digits) + tuple(handle.zero()
+                                  for _ in range(pr - len(digits)))
     return WittVec(handle, pr, TEICH_EXPANSION, comps)
 
 

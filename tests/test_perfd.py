@@ -464,8 +464,9 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
     # same error
     R = ainf_ring(params(p, f, h, k=2))
     handle = ainf_handle(R.params)
-    plans = wt.gen_structure_polys(p, 3)
-    plans = plans.sum_plans + plans.prod_plans
+    sp = wt.gen_structure_polys(p, 3)
+    plans = list(zip(sp.sum_plans + sp.prod_plans,
+                     [wt._mod_p_terms(q, p) for q in sp.sums + sp.prods]))
     elts = [e for e in R.field.elements() if e]
     exps = st.integers(-2 * R.scale, 2 * R.scale)
     pool = []
@@ -504,11 +505,11 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
             got = PerfLaurent.sum([a for a, _ in xs])
             want = RefPerf.sum([r for _, r in xs])
         elif op == "handle_sum":
-            plan = data.draw(st.sampled_from(plans))
+            plan, terms = data.draw(st.sampled_from(plans))
             xs = data.draw(st.lists(pick, max_size=3))
             vs = [data.draw(pick) for _ in range(6)]
             got = handle.sum([a for a, _ in xs], plan, [a for a, _ in vs])
-            want = RefPerf.handle_sum([r for _, r in xs], plan.terms,
+            want = RefPerf.handle_sum([r for _, r in xs], terms,
                                       [r for _, r in vs])
         else:
             a, ra = data.draw(pick)

@@ -153,8 +153,6 @@ def test_iota_pool_has_horizons_and_mixed_floors():
 def test_fast_paths_reject_a_missing_floor():
     with pytest.raises(ValueError, match="w_lo"):
         MvLaurent(P322, 3, {}, None, None, None, _normalized=True)
-    with pytest.raises(ValueError, match="w_lo"):
-        PerfLaurent(ainf_ring(P311), {}, None, None, None, _normalized=True)
 
 
 # -- evaluate and the geometric series --------------------------------------
@@ -242,6 +240,14 @@ def _cut(ring, hi):
     return None if hi is None else math.ceil(hi * ring.scale)
 
 
+def _perf(ring, terms, lo, hi, band):
+    """The PerfLaurent with exactly these terms, window and band."""
+    den = math.lcm(ring.scale, *(w.denominator for w in (lo, hi)
+                                 if w is not None))
+    return PerfLaurent._make(ring, terms, int(lo * den),
+                             None if hi is None else int(hi * den), den, band)
+
+
 def _ref_perf_add(x, y):
     """PerfLaurent.__add__ on FElt coefficients, as it was."""
     F = x.ring.field
@@ -259,8 +265,7 @@ def _ref_perf_add(x, y):
                 out[e] = s
             elif cur is not None:
                 del out[e]
-    return PerfLaurent(x.ring, {e: c.coords for e, c in out.items()}, lo, hi,
-                       band, _normalized=True)
+    return _perf(x.ring, {e: c.coords for e, c in out.items()}, lo, hi, band)
 
 
 def _ref_perf_mul(x, y):
@@ -286,8 +291,7 @@ def _ref_perf_mul(x, y):
                 out[e] = s
             elif cur is not None:
                 del out[e]
-    return PerfLaurent(x.ring, {e: c.coords for e, c in out.items()}, lo, hi,
-                       band, _normalized=True)
+    return _perf(x.ring, {e: c.coords for e, c in out.items()}, lo, hi, band)
 
 
 PERF_RING = ainf_ring(Params.create(3, 2, 2, k=2))
@@ -310,7 +314,7 @@ def perf_laurents(draw):
                     draw(st.one_of(st.none(), _fractions)))
     band = draw(st.one_of(st.integers(cross, cross + 9),
                           st.just(ring.band_cap)))
-    return PerfLaurent(ring, x.terms, x.w_lo, x.w_hi, band, _normalized=True)
+    return _perf(ring, x.terms, x.w_lo, x.w_hi, band)
 
 
 def _perf_outcome(fn, *args):
@@ -345,7 +349,7 @@ def test_perf_laurent_product_cuts_and_overflows_at_the_old_pair():
     y = PerfLaurent(ring, {(0, 0): one, (18, 6): one, (0, 3): one})
     # the product's w_hi is 3: (9, 9) * (18, 6) is cut before its cross
     # exponent 15 is read, and (9, 9) * (0, 3) overflows the band 10
-    got = PerfLaurent(ring, x.terms, x.w_lo, x.w_hi, 10, _normalized=True)
+    got = _perf(ring, x.terms, x.w_lo, x.w_hi, 10)
     with pytest.raises(BandOverflow, match=r"\(12,\) exceed the band"):
         got * y
     assert _perf_outcome(operator.mul, got, y) == _perf_outcome(

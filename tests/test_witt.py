@@ -48,21 +48,21 @@ def test_structure_poly_powers_keep_the_reference_term_order(p, N):
 
 @pytest.mark.parametrize("p,N", [(2, 3), (3, 3), (3, 4)])
 def test_structure_polys_terms_mod_p(p, N):
-    # the reduced terms the handle arithmetic reads are the polynomials mod
-    # p, term for term in the polynomials' order
-    sp = gen_structure_polys(p, N)
-    for polys, plans in ((sp.sums, sp.sum_plans),
-                         (sp.prods, sp.prod_plans)):
-        for poly, plan in zip(polys, plans, strict=True):
-            back = []
-            for c, factors in plan.terms:
-                assert 0 < c < p
-                e = [0] * (2 * N)
-                for j, d in factors:
-                    assert d > 0 and e[j] == 0
-                    e[j] = d
-                back.append((tuple(e), c))
-            assert back == [(e, c % p) for e, c in poly.items() if c % p]
+    # the reduced terms are the polynomials mod p, term for term in the
+    # polynomials' order, and each plan's paths and masks spell them out
+    for plan, terms, poly in _plans_and_terms(p, N):
+        back = []
+        for c, factors in terms:
+            assert 0 < c < p
+            e = [0] * (2 * N)
+            for j, d in factors:
+                assert d > 0 and e[j] == 0
+                e[j] = d
+            back.append((tuple(e), c))
+        assert back == [(e, c % p) for e, c in poly.items() if c % p]
+        assert [(c, tuple(plan.nodes[n] for n in path), mask)
+                for c, path, mask in plan.index] == \
+            [(c, fs, sum(1 << j for j, _ in fs)) for c, fs in terms]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -275,11 +275,17 @@ def perf_value(draw, ring):
     return PerfLaurent(ring, terms, w_lo, w_hi, band)
 
 
-def _both_evaluations(p, N, handle, xs, ys):
+def _plans_and_terms(p, N):
+    """(plan, terms mod p, polynomial) for each S_n, then each P_n."""
     sp = gen_structure_polys(p, N)
-    for plan in sp.sum_plans + sp.prod_plans:
+    return [(plan, _mod_p_terms(poly, p), poly) for plan, poly in zip(
+        sp.sum_plans + sp.prod_plans, sp.sums + sp.prods, strict=True)]
+
+
+def _both_evaluations(p, N, handle, xs, ys):
+    for plan, terms, _ in _plans_and_terms(p, N):
         yield (_eval_struct(plan, handle, xs, ys),
-               _ref_eval_struct(plan.terms, handle, xs, ys))
+               _ref_eval_struct(terms, handle, xs, ys))
 
 
 def _same_perf(got, want):
@@ -318,9 +324,8 @@ def test_eval_struct_matches_full_evaluation_over_field(p, N, data):
 @pytest.mark.parametrize("p,N", [(3, 3), (3, 4)])
 def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
     # S_n and P_n mod 3 have terms with c = 2: the sum takes them twice
-    sp = gen_structure_polys(p, N)
-    polys = [plan for plan in sp.sum_plans + sp.prod_plans
-             if any(ci == 2 for ci, _ in plan.terms)]
+    polys = [(plan, terms) for plan, terms, _ in _plans_and_terms(p, N)
+             if any(ci == 2 for ci, _ in terms)]
     assert polys
     rng = random.Random(p * N)
     F = fq_field(Params.create(p, 2, 2))
@@ -328,9 +333,9 @@ def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
     elts = [e for e in F.elements() if e]
     xs = tuple(rng.choice(elts) for _ in range(N))
     ys = tuple(rng.choice(elts) for _ in range(N))
-    for plan in polys:
+    for plan, terms in polys:
         assert _eval_struct(plan, fh, xs, ys) == \
-            _ref_eval_struct(plan.terms, fh, xs, ys)
+            _ref_eval_struct(terms, fh, xs, ys)
     ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
     ring = ph.ring
     xs = tuple(PerfLaurent(ring, {(rng.randrange(-9, 10),): ring.field.one},
@@ -338,28 +343,26 @@ def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
                for _ in range(N))
     ys = tuple(PerfLaurent.monomial(ring, (Fraction(rng.randrange(4), 9),))
                for _ in range(N))
-    for plan in polys:
+    for plan, terms in polys:
         _same_perf(_eval_struct(plan, ph, xs, ys),
-                   _ref_eval_struct(plan.terms, ph, xs, ys))
+                   _ref_eval_struct(terms, ph, xs, ys))
 
 
 @pytest.mark.parametrize("p,N", _STRUCT_CASES)
 def test_eval_struct_of_zero_values_keeps_the_full_window(p, N):
     # no term is live: the sum is zero, and over the perfectoid ring its
     # window and band are those of the full evaluation
-    sp = gen_structure_polys(p, N)
     fh = FiniteFieldHandle(fq_field(Params.create(p, 2, 2)))
     zeros = (fh.zero(),) * N
     ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
     vals = [PerfLaurent(ph.ring, {}, Fraction(-n, 9), Fraction(n + 1, 3),
                         ph.ring.band_cap // (n + 1))
             for n in range(2 * N)]
-    for plan in sp.sum_plans + sp.prod_plans:
+    for plan, terms, _ in _plans_and_terms(p, N):
         assert _eval_struct(plan, fh, zeros, zeros) == fh.zero()
         got = _eval_struct(plan, ph, vals[:N], vals[N:])
         assert got.is_zero()
-        _same_perf(got, _ref_eval_struct(plan.terms, ph, vals[:N],
-                                         vals[N:]))
+        _same_perf(got, _ref_eval_struct(terms, ph, vals[:N], vals[N:]))
 
 
 def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
@@ -384,8 +387,8 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
     calls.clear()
     xs, ys = u.coordinates().comps, v.coordinates().comps
     sp = gen_structure_polys(3, 4)
-    want = [_ref_eval_struct(plan.terms, handle, xs, ys)
-            for plan in sp.sum_plans]
+    want = [_ref_eval_struct(_mod_p_terms(poly, 3), handle, xs, ys)
+            for poly in sp.sums]
     assert 0 < fast < len(calls) / 2
     for a, b in zip(got.comps, want, strict=True):
         _same_perf(a, b)
