@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -32,13 +33,6 @@ from .perfd import (PerfLaurent, ainf_handle, BElt, phi_exponents,
 from . import iwasawa, sparse
 from .sparse import bound_min
 from . import witt as wt
-
-
-def _hmono(H):
-    out = list(H)
-    for v in range(1, len(out)):
-        out[v] = bound_min(out[v], out[v - 1])
-    return tuple(out)
 
 
 def _tail(vals, n, sig):
@@ -61,6 +55,13 @@ def _first(vals):
     return len(vals)
 
 
+def _times(xs, r):
+    """The integers xs times r, None kept."""
+    if r == 1:
+        return xs
+    return [None if x is None else x * r for x in xs]
+
+
 class Floors:
     """Digit-valuation floors: fl(m) = Lv[m] for m < N (None = no content),
     fl(m) = B + sigma * (m - N) for m >= N.
@@ -74,11 +75,11 @@ class Floors:
     A Floors is immutable and holds integers only: a denominator D,
     D*fl(0..2N+2), D*sigma and D*delta().  ``Lv``, ``B``, ``sigma``,
     ``at()``, ``delta()`` and ``global_min()`` build exact Fractions on
-    read; ``convolve`` and ``meet`` work over lcm(D, D') of the two
-    operands.
+    read; ``convolve`` and ``meet`` work over the lcm of the operands'
+    denominators.
     """
 
-    __slots__ = ("N", "den", "tab", "sig", "dlt")
+    __slots__ = ("N", "den", "tab", "sig", "dlt", "shifts")
 
     def __init__(self, N, den, lv, b, sig):
         """The floors of the numerators lv (N levels), b and sig over den.
@@ -104,15 +105,7 @@ class Floors:
             if x is not None and y - x < dlt:
                 dlt = y - x
         self.N, self.den, self.tab, self.sig, self.dlt = N, den, tab, sig, dlt
-
-    @staticmethod
-    def exact(N, level_mins):
-        """From exact finite data (Fractions): cumulative minima, flat
-        tail."""
-        den = lcm(*(x.denominator for x in level_mins if x is not None))
-        return Floors(N, den, [None if x is None else
-                               x.numerator * (den // x.denominator)
-                               for x in level_mins], None, 0)
+        self.shifts = {}
 
     def _frac(self, x):
         return None if x is None else Fraction(x, self.den)
@@ -133,34 +126,40 @@ class Floors:
         """(den*fl(0..top), den*sigma, den*delta()) as ints, None for no
         content; D must divide den."""
         tab = self.tab[:top + 1]
-        for m in range(len(tab), top + 1):
-            b = self.tab[self.N]
-            tab.append(None if b is None else b + self.sig * (m - self.N))
+        tab += [self.num(m) for m in range(len(tab), top + 1)]
         r = den // self.den
-        if r == 1:
-            return tab, self.sig, self.dlt
-        return [None if x is None else x * r for x in tab], self.sig * r, \
-            self.dlt * r
+        return _times(tab, r), self.sig * r, self.dlt * r
+
+    def num(self, m):
+        """D*fl(m) as an int, None for no content."""
+        if m < self.N:
+            return self.tab[m]
+        b = self.tab[self.N]
+        return None if b is None else b + self.sig * (m - self.N)
 
     def at(self, m):
-        if m < self.N:
-            return self._frac(self.tab[m])
-        b = self.tab[self.N]
-        return self._frac(None if b is None else b + self.sig * (m - self.N))
+        return self._frac(self.num(m))
 
     def delta(self):
         """min increment fl(m+1) - fl(m) past the first finite level."""
         return Fraction(self.dlt, self.den)
 
-    def meet(self, other):
-        """Floors of a sum, at the lower of the two precisions."""
-        N = min(self.N, other.N)
-        den = lcm(self.den, other.den)
-        xs, sx, _ = self._over(den, self.N)
-        ys, sy, _ = other._over(den, other.N)
-        lv = [bound_min(x, y) for x, y in zip(xs[:N], ys[:N])]
-        return Floors(N, den, lv, bound_min(xs[self.N], ys[other.N]),
-                      min(sx, sy))
+    def meet(self, *others):
+        """Floors of a sum at the least precision in one pass: the left fold
+        of binary meets, as each operand is non-increasing with B below."""
+        fls = (self,) + others
+        N = min(fl.N for fl in fls)
+        den = lcm(*[fl.den for fl in fls])
+        lv, b = [None] * N, None
+        for fl in fls:
+            r = den // fl.den
+            for m, x in enumerate(fl.tab[:N]):
+                if x is not None and (lv[m] is None or x * r < lv[m]):
+                    lv[m] = x * r
+            fb = fl.tab[fl.N]
+            b = bound_min(b, None if fb is None else fb * r)
+        return Floors(N, den, lv, b,
+                      min(fl.sig * (den // fl.den) for fl in fls))
 
     def convolve(self, other):
         """Floors of a product (min-plus convolution with affine tails), at
@@ -191,25 +190,29 @@ class Floors:
         return Floors(N, den, best[:N], _tail(best, N, sig), sig)
 
     def shift(self, v):
-        """Floors of p^v * x."""
-        N = self.N
-        xs, sig, _ = self._over(self.den, 2 * N)
-        xs = [None] * v + xs
-        return Floors(N, self.den, xs[:N], _tail(xs, N, sig), sig)
+        """Floors of p^v * x, kept per v for the scalars of one valuation."""
+        if not v:
+            return self
+        got = self.shifts.get(v)
+        if got is None:
+            N = self.N
+            xs, sig, _ = self._over(self.den, 2 * N)
+            xs = [None] * v + xs
+            got = self.shifts[v] = Floors(N, self.den, xs[:N],
+                                          _tail(xs, N, sig), sig)
+        return got
 
     def truncate(self, n, top):
         """Floors of x mod p^n: the levels n..top fold into the tail."""
         xs, sig, _ = self._over(self.den, top)
         return Floors(n, self.den, xs[:n], _tail(xs, n, sig), sig)
 
-    def scale(self, c):
-        """Floors of the values times c > 0 (Frobenius and its inverse)."""
-        c = Fraction(c)
-        a, d = c.numerator, c.denominator
+    def scale(self, c, d=1):
+        """Floors of the values times c/d > 0 (c an int or a Fraction) over
+        D*d*c.denominator: Frobenius, its inverse, or with c = d a new D."""
+        a, d = c.numerator, c.denominator * d
         b = self.tab[self.N]
-        return Floors(self.N, self.den * d,
-                      [None if x is None else x * a
-                       for x in self.tab[:self.N]],
+        return Floors(self.N, self.den * d, _times(self.tab[:self.N], a),
                       None if b is None else b * a, self.sig * a)
 
     def global_min(self):
@@ -221,40 +224,50 @@ class Floors:
 
 
 class WAlg:
-    """sum c_mu [mu]: dict of scaled pure-exponent tuples -> raw O_E coords."""
+    """sum c_mu [mu]: dict of scaled pure-exponent tuples -> raw O_E coords.
 
-    __slots__ = ("params", "prec", "terms", "H", "floors")
+    Horizons are integers hn[v] over the floors' denominator D (None = no
+    horizon), non-increasing in v, and ``H`` reads them as Fractions; a
+    level-v term of exponent sum s is below hn[v] when s * D < hn[v] * p^k.
+    """
+
+    __slots__ = ("params", "prec", "terms", "hn", "floors")
 
     def __init__(self, params: Params, prec: int, terms: dict, H=None,
-                 floors: Optional[Floors] = None, _normalized=False):
-        self.params = params
-        self.prec = prec
-        self.H = (None,) * prec if H is None else _hmono(H)
-        if _normalized:
-            self.terms = terms
-            self.floors = floors
-            return
+                 floors: Optional[Floors] = None):
+        """The terms mod p^prec below the horizons H (Fractions); windowed
+        elements need their floors, exact ones get their terms' floors."""
         ring = oe_ring(params)
-        out = {}
-        scale = params.p ** params.k
+        out = sparse.reduce(ring, terms, prec)
+        self.params, self.prec = params, prec
+        if floors is not None:
+            H = (None,) * prec if H is None else H
+            den = lcm(*[h.denominator for h in H if h is not None])
+            x = WAlg._make(params, prec, out, (None,) * prec, floors).clamp(
+                [None if h is None else h.numerator * (den // h.denominator)
+                 for h in H], den)
+            self.terms, self.hn, self.floors = x.terms, x.hn, x.floors
+            return
+        if H is not None and any(h is not None for h in H):
+            raise ValueError("floors are required for windowed elements")
         level_mins = [None] * prec
-        for e, c in terms.items():
-            rc = ring.raw_reduce(c, prec)
-            if not any(rc):
-                continue
-            gv = Fraction(sum(e), scale)
-            v = ring.raw_val(rc, prec)
-            hv = self.H[v]
-            if hv is not None and gv >= hv:
-                continue
-            out[tuple(e)] = rc
-            level_mins[v] = bound_min(level_mins[v], gv)
-        self.terms = out
-        if floors is None:
-            if any(h is not None for h in self.H):
-                raise ValueError("floors are required for windowed elements")
-            floors = Floors.exact(prec, level_mins)
-        self.floors = floors
+        for e, c in out.items():
+            v = ring.raw_val(c, prec)
+            level_mins[v] = bound_min(level_mins[v], sum(e))
+        self.terms, self.hn = out, (None,) * prec
+        self.floors = Floors(prec, params.p ** params.k, level_mins, None, 0)
+
+    @staticmethod
+    def _make(params, prec, terms, hn, floors):
+        """Reduced, cut terms and non-increasing hn over floors.den."""
+        x = object.__new__(WAlg)
+        x.params, x.prec, x.terms, x.hn, x.floors = \
+            params, prec, terms, hn, floors
+        return x
+
+    @property
+    def H(self):
+        return tuple(map(self.floors._frac, self.hn))
 
     # -- constructors ---------------------------------------------------------
 
@@ -273,9 +286,6 @@ class WAlg:
 
     # -- helpers ---------------------------------------------------------------
 
-    def gv(self, e) -> Fraction:
-        return Fraction(sum(e), self.params.p ** self.params.k)
-
     def is_zero(self):
         return not self.terms
 
@@ -293,102 +303,116 @@ class WAlg:
 
     @staticmethod
     def sum(parts) -> "WAlg":
-        """parts[0] + parts[1] + ...: the least precision, and the horizons
-        and floors met left to right as the chain of + meets them."""
+        """parts[0] + parts[1] + ...: the least precision, and the floors
+        and horizons met in one pass as the chain of + meets them (a
+        minimum of non-increasing horizons is non-increasing)."""
         params = parts[0].params
-        prec, H, floors = parts[0].prec, parts[0].H, parts[0].floors
-        for x in parts[1:]:
-            prec = min(prec, x.prec)
-            H = _hmono(tuple(bound_min(a, b) for a, b in
-                             zip(H[:prec], x.H[:prec])))
-            floors = floors.meet(x.floors)
+        prec = min(x.prec for x in parts)
+        # a list, not a generator, is unpacked: CPython grows a tuple made
+        # from a generator by resizing and files it on its size's free list
+        floors = Floors.meet(*[x.floors for x in parts])
+        hn = [None] * prec
+        for x in parts:
+            r = floors.den // x.floors.den
+            for v, h in enumerate(x.hn[:prec]):
+                if h is not None and (hn[v] is None or h * r < hn[v]):
+                    hn[v] = h * r
         out = sparse.add(oe_ring(params), [x.terms for x in parts], prec)
-        return WAlg(params, prec, out, H, floors, _normalized=True)
+        return WAlg._make(params, prec, out, tuple(hn), floors)
 
     def __add__(self, other):
         return WAlg.sum((self, other))
 
     def __neg__(self):
-        return WAlg(self.params, self.prec,
-                    sparse.neg(oe_ring(self.params), self.terms, self.prec),
-                    self.H, self.floors, _normalized=True)
+        return WAlg._make(self.params, self.prec,
+                          sparse.neg(oe_ring(self.params), self.terms,
+                                     self.prec), self.hn, self.floors)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
+        fs, fo = self.floors, other.floors
+        den = lcm(fs.den, fo.den)
         # floors are non-increasing past their first finite level, so the
-        # least floor over the levels <= v - v1 is the one at v - v1
-        fs = [self.floors.at(v) for v in range(prec)]
-        fo = [other.floors.at(v) for v in range(prec)]
-        H = []
+        # least floor over the levels <= v - v1 is the one at v - v1; the
+        # minimum runs on over v, which makes the horizons non-increasing
+        xs, ys = fs._over(den, prec - 1)[0], fo._over(den, prec - 1)[0]
+        hx = _times(self.hn[:prec], den // fs.den)
+        hy = _times(other.hn[:prec], den // fo.den)
+        H, best = [], None
         for v in range(prec):
-            best = None
             for v1 in range(v + 1):
-                a, fl = self.H[v1], fo[v - v1]
-                if a is not None and fl is not None:
-                    best = bound_min(best, a + fl)
-                b, fl = other.H[v1], fs[v - v1]
-                if b is not None and fl is not None:
-                    best = bound_min(best, b + fl)
+                a, fl = hx[v1], ys[v - v1]
+                if a is not None and fl is not None and (
+                        best is None or a + fl < best):
+                    best = a + fl
+                b, fl = hy[v1], xs[v - v1]
+                if b is not None and fl is not None and (
+                        best is None or b + fl < best):
+                    best = b + fl
             H.append(best)
         out = sparse.mul(oe_ring(self.params), self.terms, other.terms, prec)
-        return WAlg(self.params, prec, out, _hmono(tuple(H)),
-                    self.floors.convolve(other.floors), _normalized=True)
+        return WAlg._make(self.params, prec, out, tuple(H),
+                          fs.convolve(fo))
 
     def scalar_mul(self, craw) -> "WAlg":
+        """craw * self; a unit keeps the horizons and floors as they are."""
         ring = oe_ring(self.params)
-        v = ring.raw_val(craw, self.prec)
-        if v >= self.prec:
-            return WAlg.zero(self.params, self.prec)
-        H = [None] * self.prec
-        for w in range(v, self.prec):
-            H[w] = self.H[w - v]
-        return WAlg(self.params, self.prec,
-                    sparse.smul(ring, self.terms, craw, self.prec), tuple(H),
-                    self.floors.shift(v), _normalized=True)
+        prec = self.prec
+        v = ring.raw_val(craw, prec)
+        if v >= prec:
+            return WAlg.zero(self.params, prec)
+        hn = self.hn if not v else (None,) * v + self.hn[:prec - v]
+        return WAlg._make(self.params, prec,
+                          sparse.smul(ring, self.terms, craw, prec), hn,
+                          self.floors.shift(v))
 
-    def clamp(self, bounds) -> "WAlg":
-        """Impose additional per-level horizons (a knowledge statement)."""
-        H = _hmono(tuple(bound_min(a, b) for a, b in zip(self.H, bounds)))
-        ring = oe_ring(self.params)
+    def clamp(self, bounds, den) -> "WAlg":
+        """Impose additional per-level horizons bounds[v] / den (ints, None
+        = no bound; a knowledge statement), keeping a running minimum."""
+        D = lcm(self.floors.den, den)
+        r = D // self.floors.den
+        floors = self.floors if r == 1 else self.floors.scale(r, r)
+        H = tuple(accumulate(map(bound_min, _times(self.hn, r),
+                                 _times(bounds, D // den)), bound_min))
+        # s * D >= h * p^k exactly when s >= ceil(h * p^k / D)
+        scale = self.params.p ** self.params.k
+        lim = [None if h is None else -(-h * scale // D) for h in H]
+        raw_val, prec = oe_ring(self.params).raw_val, self.prec
         out = {}
         for e, c in self.terms.items():
-            v = ring.raw_val(c, self.prec)
-            hv = H[v]
-            if hv is not None and self.gv(e) >= hv:
-                continue
-            out[e] = c
-        return WAlg(self.params, self.prec, out, H, self.floors,
-                    _normalized=True)
+            cut = lim[raw_val(c, prec)]
+            if cut is None or sum(e) < cut:
+                out[e] = c
+        return WAlg._make(self.params, prec, out, H, floors)
 
     def phi_inverse(self) -> "WAlg":
+        """[mu] -> [phi^-1(mu)]: the horizon numerators stay, over p*D."""
         p, f = self.params.p, self.params.f
         out = {}
         for e, c in self.terms.items():
             if any(x % p for x in e):
                 raise DepthExhausted("phi^-1 leaves the exponent depth")
             out[tuple(e[(j - 1) % f] // p for j in range(f))] = c
-        H = tuple(None if h is None else h / p for h in self.H)
-        return WAlg(self.params, self.prec, out, H,
-                    self.floors.scale(Fraction(1, p)), _normalized=True)
+        return WAlg._make(self.params, self.prec, out, self.hn,
+                          self.floors.scale(1, p))
 
     def phi_forward(self) -> "WAlg":
         """W(phi): [mu] -> [phi(mu)], coefficients fixed."""
         p = self.params.p
         out = {phi_exponents(e, p): c for e, c in self.terms.items()}
-        H = tuple(None if h is None else h * p for h in self.H)
-        return WAlg(self.params, self.prec, out, H,
-                    self.floors.scale(p), _normalized=True)
+        return WAlg._make(self.params, self.prec, out,
+                          tuple(_times(self.hn, p)), self.floors.scale(p))
 
     def reduce(self, prec: int) -> "WAlg":
         if prec >= self.prec:
             return self
-        return WAlg(self.params, prec,
-                    sparse.reduce(oe_ring(self.params), self.terms, prec),
-                    self.H[:prec], self.floors.truncate(prec, 2 * self.prec),
-                    _normalized=True)
+        return WAlg._make(self.params, prec,
+                          sparse.reduce(oe_ring(self.params), self.terms,
+                                        prec), self.hn[:prec],
+                          self.floors.truncate(prec, 2 * self.prec))
 
     def __repr__(self):
         scale = self.params.p ** self.params.k
@@ -405,33 +429,30 @@ def congruent_mod(x: WAlg, y: WAlg, m: int) -> bool:
     """x = y mod p^m on the meet of the certified regions: the difference,
     clamped to its horizons (the meet of x's and y's), is 0 mod p^m."""
     diff = x - y
-    return not sparse.reduce(oe_ring(x.params), diff.clamp(diff.H).terms, m)
+    cut = diff.clamp(diff.hn, diff.floors.den)
+    return not sparse.reduce(oe_ring(x.params), cut.terms, m)
 
 
 def b_val_walg(x: WAlg, r: Fraction) -> NormValue:
-    """Radius-r valuation via the graded-level minimum (exact on this model)."""
-    ring = oe_ring(x.params)
+    """Radius-r valuation via the graded-level minimum (exact on this
+    model), for r > 0; with r = a/b, in integers over p^k * a."""
     r = Fraction(r)
-    best = None
-    for e, c in x.terms.items():
-        lvl = x.gv(e) + Fraction(ring.raw_val(c, x.prec)) / r
-        if best is None or lvl < best:
-            best = lvl
+    if r <= 0:
+        raise ValueError(f"the radius r must be > 0, got {r}")
+    a, b = r.numerator, r.denominator
+    raw_val, prec = oe_ring(x.params).raw_val, x.prec
+    scale = x.params.p ** x.params.k
+    best = min((sum(e) * a + raw_val(c, prec) * b * scale
+                for e, c in x.terms.items()), default=None)
     if best is None:
         return NormValue(None, False)
-    certified = True
-    for v in range(x.prec):
-        if x.H[v] is not None and best >= x.H[v] + Fraction(v) / r:
+    D = x.floors.den
+    # best below the horizons h/D + v/r and the floors fl(m) + m/r beyond
+    certified = x.floors.sig * a + b * D >= 0
+    for v, h in enumerate(x.hn + (x.floors.num(prec),)):
+        if h is not None and best * D >= (h * a + v * b * D) * scale:
             certified = False
-    # digits beyond the precision: floors fl(m) + m/r must stay above best
-    fl = x.floors
-    if fl.sigma + 1 / r < 0:
-        certified = False
-    else:
-        tail = fl.at(x.prec)
-        if tail is not None and best >= tail + Fraction(x.prec) / r:
-            certified = False
-    return NormValue(best, certified)
+    return NormValue(Fraction(best, scale * a), certified)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +478,17 @@ def _corr_floor(ys) -> Optional[Fraction]:
 
 
 def _tail_clamp(params: Params, window: int, corr) -> tuple:
-    """Horizon bounds from the dropped tail of a degree-truncated series.
+    """Horizon bounds from the dropped tail of a degree-truncated series,
+    as (numerators, denominator) for ``WAlg.clamp``.
 
     Tail coefficients are divisible by p, so level 0 is exact; a level-v
     tail term keeps at least window - (v-1) Teichmueller factors of
     valuation 1 each.
     """
-    bounds = [None]
     slope = Fraction(0) if corr is None else min(Fraction(0), corr - 1)
-    for v in range(1, params.N):
-        bounds.append(Fraction(window) + (v - 1) * slope)
-    return tuple(bounds)
+    d = slope.denominator
+    return (None,) + tuple(window * d + (v - 1) * slope.numerator
+                           for v in range(1, params.N)), d
 
 
 def iota_generators(params: Params, seed_offsets=None) -> IotaResult:
@@ -515,7 +536,7 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
         for i in range(f):
             z = sparse.evaluate(Fs[i].terms.items(), sub,
                                 WAlg.zero(params, N), one)
-            z = z.clamp(bounds)
+            z = z.clamp(*bounds)
             new.append(z.phi_inverse())
         for i in range(f):
             if not congruent_mod(new[i], ys[i], n):
@@ -559,8 +580,8 @@ def iota(x: MvLaurent) -> WAlg:
     if x.w_hi is not None:
         # each pi-level costs at most drop() of the window
         K = ctx.drop()
-        bounds = tuple(Fraction(x.w_hi) - K * v for v in range(acc.prec))
-        acc = acc.clamp(bounds)
+        acc = acc.clamp([x.w_hi * K.denominator - K.numerator * v
+                         for v in range(acc.prec)], K.denominator)
     return acc
 
 

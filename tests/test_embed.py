@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 import operator
 import random
 from fractions import Fraction
@@ -12,14 +14,16 @@ from mvphi.embed import (Floors, WAlg, congruent_mod, b_val_walg,
                          iota_generators, iota, iota_context,
                          verify_norm_compare, verify_phi_equivariance,
                          to_belt)
-from mvphi.mvring import MvLaurent, norm_s
-from mvphi.perfd import b_val_r, gauss_val
+from mvphi import sparse
+from mvphi.mvring import MvLaurent, NormValue, norm_s
+from mvphi.perfd import b_val_r, gauss_val, phi_exponents
 from mvphi.sparse import bound_min
-from mvphi.errors import Uncertified
+from mvphi.errors import DepthExhausted, Uncertified
 from mvphi.serialize import dumps, witt_json
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
+P311, P322 = Params.create(3, 1, 1), Params.create(3, 2, 2)
 
 
 def params(p, f, h, **kw):
@@ -289,6 +293,15 @@ def _ref_hmin(a, b):
     return min(a, b)
 
 
+def exact_floors(N, level_mins):
+    """Floors of exact finite data (Fractions): cumulative minima, flat
+    tail."""
+    den = math.lcm(*(x.denominator for x in level_mins if x is not None))
+    return Floors(N, den, [None if x is None else
+                           x.numerator * (den // x.denominator)
+                           for x in level_mins], None, 0)
+
+
 class RefFloors:
     """The Fraction-only floors the integer tables replace, kept as the
     reference: every value is rebuilt from Lv, B and sigma on each use."""
@@ -445,16 +458,35 @@ def floor_pairs(draw, N=None):
     if N is None:
         N = draw(st.integers(1, 4))
     lv = draw(st.lists(_level, min_size=N, max_size=N))
-    pair = (Floors.exact(N, lv), RefFloors.exact(N, lv))
+    pair = (exact_floors(N, lv), RefFloors.exact(N, lv))
     pr = Params.create(_FLOOR_P, 1, 1, N=4)
     for op in draw(st.lists(st.sampled_from(
-            ["meet", "convolve", "shift", "up", "down", "reduce"]),
+            ["meet", "convolve", "shift", "up", "down", "reduce", "meet_n"]),
             max_size=5)):
         fl, ref = pair
-        if op in ("meet", "convolve"):
+        if op == "meet_n":
+            # the n-ary meet against the left fold of binary meets, over
+            # operands of other precisions and denominators (1/3, 1/9)
+            others = []
+            for _ in range(draw(st.integers(1, 4))):
+                M = draw(st.integers(1, 4))
+                olv = draw(st.lists(_level, min_size=M, max_size=M))
+                o = (exact_floors(M, olv), RefFloors.exact(M, olv))
+                for _ in range(draw(st.integers(0, 2))):
+                    o = (o[0].scale(1, _FLOOR_P),
+                         o[1].scale(Fraction(1, _FLOOR_P)))
+                others.append(o)
+            got = fl.meet(*[o[0] for o in others])
+            fold = functools.reduce(Floors.meet, [o[0] for o in others], fl)
+            assert (got.N, got.Lv, got.B, got.sigma, got.delta()) == \
+                (fold.N, fold.Lv, fold.B, fold.sigma, fold.delta())
+            pair = (got, functools.reduce(RefFloors.meet,
+                                          [o[1] for o in others], ref))
+            N = pair[1].N
+        elif op in ("meet", "convolve"):
             M = draw(st.integers(1, 4))
             olv = draw(st.lists(_level, min_size=M, max_size=M))
-            other = (Floors.exact(M, olv), RefFloors.exact(M, olv))
+            other = (exact_floors(M, olv), RefFloors.exact(M, olv))
             if draw(st.booleans()):
                 other = (other[0].scale(Fraction(1, _FLOOR_P)),
                          other[1].scale(Fraction(1, _FLOOR_P)))
@@ -532,7 +564,7 @@ def _ref_congruent_mod(x, y, m):
         if v >= m:
             continue
         hv = H[v] if v < len(H) else None
-        if hv is not None and diff.gv(e) >= hv:
+        if hv is not None and Fraction(sum(e), 3 ** x.params.k) >= hv:
             continue
         return False
     return True
@@ -548,6 +580,288 @@ def test_congruent_mod_matches_the_term_loop(a, b, j, near):
         y = x + y.scalar_mul((3 ** j,))
     for m in range(min(x.prec, y.prec) + 1):
         assert congruent_mod(x, y, m) == _ref_congruent_mod(x, y, m)
+
+
+# ---------------------------------------------------------------------------
+# WAlg's integer horizons against the Fraction formulas they replace
+# ---------------------------------------------------------------------------
+
+class RefWAlg:
+    """WAlg's bookkeeping as Fractions: horizons H, RefFloors, and every
+    cut a comparison of Gauss valuations sum(e)/p^k >= H[v].  The terms
+    go through the same sparse engine as WAlg's."""
+
+    def __init__(self, params, prec, terms, H, floors):
+        self.params, self.prec, self.terms = params, prec, terms
+        self.H, self.floors = H, floors
+
+    def gv(self, e):
+        return Fraction(sum(e), self.params.p ** self.params.k)
+
+    @staticmethod
+    def make(params, prec, terms, H=None, floors=None):
+        ring = oe_ring(params)
+        H = (None,) * prec if H is None else _ref_mono(H)
+        scale = params.p ** params.k
+        out, level_mins = {}, [None] * prec
+        for e, c in terms.items():
+            rc = ring.raw_reduce(c, prec)
+            if not any(rc):
+                continue
+            gv, v = Fraction(sum(e), scale), ring.raw_val(rc, prec)
+            if H[v] is not None and gv >= H[v]:
+                continue
+            out[tuple(e)] = rc
+            level_mins[v] = _ref_hmin(level_mins[v], gv)
+        if floors is None:
+            if any(h is not None for h in H):
+                raise ValueError("floors are required for windowed elements")
+            floors = RefFloors.exact(prec, level_mins)
+        return RefWAlg(params, prec, out, H, floors)
+
+    @staticmethod
+    def sum(parts):
+        x = parts[0]
+        prec, H, floors = x.prec, x.H, x.floors
+        for y in parts[1:]:
+            prec = min(prec, y.prec)
+            H = _ref_mono(tuple(_ref_hmin(a, b)
+                                for a, b in zip(H[:prec], y.H[:prec])))
+            floors = floors.meet(y.floors)
+        out = sparse.add(oe_ring(x.params), [y.terms for y in parts], prec)
+        return RefWAlg(x.params, prec, out, _ref_mono(H), floors)
+
+    def __mul__(self, other):
+        prec = min(self.prec, other.prec)
+        H = []
+        for v in range(prec):
+            best = None
+            for v1 in range(v + 1):
+                for h, fl in ((self.H[v1], other.floors.at(v - v1)),
+                              (other.H[v1], self.floors.at(v - v1))):
+                    if h is not None and fl is not None:
+                        best = _ref_hmin(best, h + fl)
+            H.append(best)
+        out = sparse.mul(oe_ring(self.params), self.terms, other.terms, prec)
+        return RefWAlg(self.params, prec, out, _ref_mono(H),
+                       self.floors.convolve(other.floors))
+
+    def scalar_mul(self, craw):
+        ring = oe_ring(self.params)
+        v = ring.raw_val(craw, self.prec)
+        if v >= self.prec:
+            return RefWAlg.make(self.params, self.prec, {})
+        H = [None] * self.prec
+        for w in range(v, self.prec):
+            H[w] = self.H[w - v]
+        return RefWAlg(self.params, self.prec,
+                       sparse.smul(ring, self.terms, craw, self.prec),
+                       tuple(H), self.floors.shift(v))
+
+    def clamp(self, bounds):
+        H = _ref_mono(tuple(_ref_hmin(a, b) for a, b in zip(self.H, bounds)))
+        ring = oe_ring(self.params)
+        out = {e: c for e, c in self.terms.items()
+               if H[ring.raw_val(c, self.prec)] is None
+               or self.gv(e) < H[ring.raw_val(c, self.prec)]}
+        return RefWAlg(self.params, self.prec, out, H, self.floors)
+
+    def phi_inverse(self):
+        p, f = self.params.p, self.params.f
+        out = {}
+        for e, c in self.terms.items():
+            if any(x % p for x in e):
+                raise DepthExhausted("phi^-1 leaves the exponent depth")
+            out[tuple(e[(j - 1) % f] // p for j in range(f))] = c
+        return RefWAlg(self.params, self.prec, out,
+                       tuple(None if h is None else h / p for h in self.H),
+                       self.floors.scale(Fraction(1, p)))
+
+    def phi_forward(self):
+        p = self.params.p
+        return RefWAlg(self.params, self.prec,
+                       {phi_exponents(e, p): c for e, c in self.terms.items()},
+                       tuple(None if h is None else h * p for h in self.H),
+                       self.floors.scale(p))
+
+    def reduce(self, prec):
+        if prec >= self.prec:
+            return self
+        return RefWAlg(self.params, prec,
+                       sparse.reduce(oe_ring(self.params), self.terms, prec),
+                       self.H[:prec], self.floors.reduce(prec, self.prec))
+
+    def b_val(self, r):
+        r = Fraction(r)
+        if r <= 0:
+            raise ValueError(f"the radius r must be > 0, got {r}")
+        ring = oe_ring(self.params)
+        best = min((self.gv(e) + Fraction(ring.raw_val(c, self.prec)) / r
+                    for e, c in self.terms.items()), default=None)
+        if best is None:
+            return NormValue(None, False)
+        certified = all(h is None or best < h + Fraction(v) / r
+                        for v, h in enumerate(self.H))
+        tail = self.floors.at(self.prec)
+        if self.floors.sigma + 1 / r < 0 or (
+                tail is not None and best >= tail + Fraction(self.prec) / r):
+            certified = False
+        return NormValue(best, certified)
+
+
+def _ref_mono(H):
+    out = list(H)
+    for v in range(1, len(out)):
+        out[v] = _ref_hmin(out[v], out[v - 1])
+    return tuple(out)
+
+
+def _ints(bounds):
+    """Fraction bounds as (int numerators, denominator) for WAlg.clamp."""
+    den = math.lcm(*[b.denominator for b in bounds if b is not None])
+    return ([None if b is None else b.numerator * (den // b.denominator)
+             for b in bounds], den)
+
+
+def _outcome(fn):
+    """fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (ValueError, DepthExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_walg(x, ref):
+    assert list(x.terms.items()) == list(ref.terms.items())
+    assert (x.prec, x.H) == (ref.prec, ref.H)
+    fl, rf = x.floors, ref.floors
+    assert (fl.N, fl.Lv, fl.B, fl.sigma) == \
+        (rf.N, rf.Lv[:rf.N], rf.B, rf.sigma)
+
+
+def _near(draw, pool):
+    """A horizon bound: None, a Gauss valuation drawn from the terms (so
+    that terms land exactly on it), one a few steps of 1/162, 1/3 or 1
+    off (so that a valuation lands on a horizon plus v/r), or random."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0 or not pool:
+        return None if kind == 0 else draw(_level)
+    g = draw(st.sampled_from(pool))
+    if kind == 2:
+        g += Fraction(draw(st.integers(-3, 1)),
+                      draw(st.sampled_from([1, 3, 162])))
+    return g
+
+
+@st.composite
+def walg_programs(draw):
+    """Up to 3 constructors and 6 operations at (3,1,1) or (3,2,2), run on
+    WAlg and RefWAlg side by side; every result is compared as it is
+    made, and each op's outcome (element, valuation or error) too."""
+    pr = draw(st.sampled_from([P311, P322]))
+    scale, f, h = pr.p ** pr.k, pr.f, pr.h
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        prec = draw(st.integers(1, pr.N))
+        step = draw(st.sampled_from([1, pr.p]))  # p | e lets phi^-1 run
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(-2 * scale, 2 * scale).map(
+                lambda x, s=step: x - x % s)] * f),
+            st.tuples(*[st.integers(0, pr.p ** prec - 1)] * h), max_size=5))
+        gvs = [Fraction(sum(e), scale) for e in terms]
+        H = floors = None
+        if draw(st.booleans()):
+            H = tuple(_near(draw, gvs) for _ in range(prec))
+            if draw(st.integers(0, 5)):
+                lv = draw(st.lists(_level, min_size=prec, max_size=prec))
+                floors = (exact_floors(prec, lv), RefFloors.exact(prec, lv))
+        got = _outcome(lambda: WAlg(pr, prec, terms, H,
+                                    floors and floors[0]))
+        want = _outcome(lambda: RefWAlg.make(pr, prec, terms, H,
+                                             floors and floors[1]))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        _same_walg(got, want)
+        pool.append((got, want))
+    if not pool:
+        return pool
+    pick = st.integers(0, len(pool) - 1)
+    for op in draw(st.lists(st.sampled_from(
+            ["sum", "mul", "smul", "clamp", "phi", "phi_inv", "reduce",
+             "b_val"]), max_size=6)):
+        x, rx = pool[draw(pick)]
+        if op == "sum":
+            idx = draw(st.lists(pick, min_size=1, max_size=4))
+            got = WAlg.sum([pool[i][0] for i in idx])
+            want = RefWAlg.sum([pool[i][1] for i in idx])
+        elif op == "mul":
+            y, ry = pool[draw(pick)]
+            got, want = x * y, rx * ry
+        elif op == "smul":
+            j = draw(st.integers(0, pr.N))
+            c = tuple(pr.p ** j * draw(st.integers(0, 8)) for _ in range(h))
+            got, want = x.scalar_mul(c), rx.scalar_mul(c)
+        elif op == "clamp":
+            gvs = [Fraction(sum(e), scale) for e in x.terms]
+            bounds = [_near(draw, gvs) for _ in range(x.prec)]
+            got, want = x.clamp(*_ints(bounds)), rx.clamp(bounds)
+        elif op == "phi":
+            got, want = x.phi_forward(), rx.phi_forward()
+        elif op == "phi_inv":
+            got, want = (_outcome(x.phi_inverse), _outcome(rx.phi_inverse))
+        elif op == "reduce":
+            n = draw(st.integers(1, pr.N))
+            got, want = x.reduce(n), rx.reduce(n)
+        else:
+            r = draw(st.sampled_from([Fraction(1), Fraction(1, 2),
+                                      Fraction(1, 3), Fraction(2, 3),
+                                      Fraction(3), Fraction(0),
+                                      Fraction(-1, 2)]))
+            assert _outcome(lambda: b_val_walg(x, r)) == \
+                _outcome(lambda: rx.b_val(r))
+            continue
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        _same_walg(got, want)
+        pool.append((got, want))
+    return pool
+
+
+@settings(max_examples=400, deadline=None)
+@given(walg_programs())
+def test_walg_bookkeeping_follows_the_fraction_formulas(pool):
+    for x, ref in pool:
+        _same_walg(x, ref)
+        for r in (Fraction(1), Fraction(1, 3)):
+            assert b_val_walg(x, r) == ref.b_val(r)
+
+
+def test_b_val_walg_is_uncertified_on_a_horizon_plus_v_over_r():
+    # 3 [Y] sits at level 1 with Gauss valuation 1, so its value is
+    # 1 + 1/r; at r = 1 that equals the level-2 horizon 0 plus 2/r, and at
+    # r = 1/3 and 1/2 every horizon and floor bound lies above it
+    pr = params(3, 1, 1, N=3, k=4)
+    lv = [None, Fraction(1), None]
+    H = (None, Fraction(2), Fraction(0))
+    x = WAlg(pr, 3, {(81,): (3,)}, H, exact_floors(3, lv))
+    ref = RefWAlg.make(pr, 3, {(81,): (3,)}, H, RefFloors.exact(3, lv))
+    for r, want in ((Fraction(1), NormValue(Fraction(2), False)),
+                    (Fraction(1, 3), NormValue(Fraction(4), True)),
+                    (Fraction(1, 2), NormValue(Fraction(3), True))):
+        assert b_val_walg(x, r) == ref.b_val(r) == want
+
+
+def test_b_val_walg_rejects_a_radius_that_is_not_positive():
+    # (3,1,1), N = 3, k = 4: r = -1/2 gave an uncertified -35/9 and r = 0
+    # divided by zero
+    pr = params(3, 1, 1, N=3, k=4)
+    x = iota(mono(pr, 1))
+    for r in (Fraction(-1, 2), Fraction(0), -1):
+        with pytest.raises(ValueError, match="radius"):
+            b_val_walg(x, r)
+    assert b_val_walg(x, Fraction(1)).val == 1
 
 
 @pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])

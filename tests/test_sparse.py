@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvphi import sparse
 from mvphi.coeff import Params, ok_ring, oe_ring
-from mvphi.embed import WAlg, _hmono, iota, iota_context
+from mvphi.embed import WAlg, iota, iota_context
 from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
 from mvphi.iwasawa import TSeries
 from mvphi.mvring import (MvLaurent, _SubstImages, gamma_images, phi_images,
@@ -62,13 +62,28 @@ def _ref_mv_add(x, y):
                      min(x.band, y.band), _normalized=True)
 
 
+def _hmono(H):
+    """The running minimum of the horizons, None unbounded."""
+    out = list(H)
+    for v in range(1, len(out)):
+        out[v] = bound_min(out[v], out[v - 1])
+    return tuple(out)
+
+
 def _ref_walg_add(x, y):
     prec = min(x.prec, y.prec)
     H = _hmono(tuple(bound_min(a, b) for a, b in
                      zip(x.H[:prec], y.H[:prec])))
     out = _ref_terms(x.params, x.terms, y.terms, prec)
-    return WAlg(x.params, prec, out, H, x.floors.meet(y.floors),
-                _normalized=True)
+    floors = x.floors.meet(y.floors)
+    return WAlg._make(x.params, prec, out, _numerators(H, floors.den), floors)
+
+
+def _numerators(H, den):
+    """The Fractions H as integers over den, which each divides."""
+    out = tuple(None if h is None else h * den for h in H)
+    assert all(h is None or h.denominator == 1 for h in out)
+    return tuple(None if h is None else h.numerator for h in out)
 
 
 def _fold(add, parts):
