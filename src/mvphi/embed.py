@@ -29,9 +29,9 @@ from .errors import (DepthExhausted, StabilizationFailure, Uncertified,
                      WindowTooSmall)
 from .mvring import MvLaurent, NormValue, norm_s, apply_phi, apply_phi_q
 from .perfd import (PerfLaurent, ainf_handle, BElt, phi_exponents,
-                    scaled_exponents)
+                    positive_radius, scaled_exponents)
 from . import iwasawa, sparse
-from .sparse import bound_min
+from .sparse import bound_min, ceil_cut, rescale
 from . import witt as wt
 
 
@@ -53,13 +53,6 @@ def _first(vals):
         if x is not None:
             return i
     return len(vals)
-
-
-def _times(xs, r):
-    """The integers xs times r, None kept."""
-    if r == 1:
-        return xs
-    return [None if x is None else x * r for x in xs]
 
 
 class Floors:
@@ -128,7 +121,7 @@ class Floors:
         tab = self.tab[:top + 1]
         tab += [self.num(m) for m in range(len(tab), top + 1)]
         r = den // self.den
-        return _times(tab, r), self.sig * r, self.dlt * r
+        return rescale(tab, r), self.sig * r, self.dlt * r
 
     def num(self, m):
         """D*fl(m) as an int, None for no content."""
@@ -211,9 +204,8 @@ class Floors:
         """Floors of the values times c/d > 0 (c an int or a Fraction) over
         D*d*c.denominator: Frobenius, its inverse, or with c = d a new D."""
         a, d = c.numerator, c.denominator * d
-        b = self.tab[self.N]
-        return Floors(self.N, self.den * d, _times(self.tab[:self.N], a),
-                      None if b is None else b * a, self.sig * a)
+        *lv, b = rescale(self.tab[:self.N + 1], a)
+        return Floors(self.N, self.den * d, lv, b, self.sig * a)
 
     def global_min(self):
         return self._frac(min((x for x in self.tab[:self.N + 1]
@@ -223,7 +215,7 @@ class Floors:
         return f"Floors({self.Lv}, tail {self.B} slope {self.sigma})"
 
 
-class WAlg:
+class WAlg(sparse.Terms):
     """sum c_mu [mu]: dict of scaled pure-exponent tuples -> raw O_E coords.
 
     Horizons are integers hn[v] over the floors' denominator D (None = no
@@ -286,9 +278,6 @@ class WAlg:
 
     # -- helpers ---------------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def digit0(self) -> dict:
         """The mod-p reduction (the 0-th Teichmueller digit), as FElt values."""
         ring = oe_ring(self.params)
@@ -320,16 +309,9 @@ class WAlg:
         out = sparse.add(oe_ring(params), [x.terms for x in parts], prec)
         return WAlg._make(params, prec, out, tuple(hn), floors)
 
-    def __add__(self, other):
-        return WAlg.sum((self, other))
-
     def __neg__(self):
-        return WAlg._make(self.params, self.prec,
-                          sparse.neg(oe_ring(self.params), self.terms,
-                                     self.prec), self.hn, self.floors)
-
-    def __sub__(self, other):
-        return self + (-other)
+        terms = sparse.neg(oe_ring(self.params), self.terms, self.prec)
+        return WAlg._make(self.params, self.prec, terms, self.hn, self.floors)
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
@@ -339,8 +321,8 @@ class WAlg:
         # least floor over the levels <= v - v1 is the one at v - v1; the
         # minimum runs on over v, which makes the horizons non-increasing
         xs, ys = fs._over(den, prec - 1)[0], fo._over(den, prec - 1)[0]
-        hx = _times(self.hn[:prec], den // fs.den)
-        hy = _times(other.hn[:prec], den // fo.den)
+        hx = rescale(self.hn[:prec], den // fs.den)
+        hy = rescale(other.hn[:prec], den // fo.den)
         H, best = [], None
         for v in range(prec):
             for v1 in range(v + 1):
@@ -375,11 +357,11 @@ class WAlg:
         D = lcm(self.floors.den, den)
         r = D // self.floors.den
         floors = self.floors if r == 1 else self.floors.scale(r, r)
-        H = tuple(accumulate(map(bound_min, _times(self.hn, r),
-                                 _times(bounds, D // den)), bound_min))
+        H = tuple(accumulate(map(bound_min, rescale(self.hn, r),
+                                 rescale(bounds, D // den)), bound_min))
         # s * D >= h * p^k exactly when s >= ceil(h * p^k / D)
         scale = self.params.p ** self.params.k
-        lim = [None if h is None else -(-h * scale // D) for h in H]
+        lim = [ceil_cut(h, scale, D) for h in H]
         raw_val, prec = oe_ring(self.params).raw_val, self.prec
         out = {}
         for e, c in self.terms.items():
@@ -404,14 +386,13 @@ class WAlg:
         p = self.params.p
         out = {phi_exponents(e, p): c for e, c in self.terms.items()}
         return WAlg._make(self.params, self.prec, out,
-                          tuple(_times(self.hn, p)), self.floors.scale(p))
+                          tuple(rescale(self.hn, p)), self.floors.scale(p))
 
     def reduce(self, prec: int) -> "WAlg":
         if prec >= self.prec:
             return self
-        return WAlg._make(self.params, prec,
-                          sparse.reduce(oe_ring(self.params), self.terms,
-                                        prec), self.hn[:prec],
+        terms = sparse.reduce(oe_ring(self.params), self.terms, prec)
+        return WAlg._make(self.params, prec, terms, self.hn[:prec],
                           self.floors.truncate(prec, 2 * self.prec))
 
     def __repr__(self):
@@ -436,9 +417,7 @@ def congruent_mod(x: WAlg, y: WAlg, m: int) -> bool:
 def b_val_walg(x: WAlg, r: Fraction) -> NormValue:
     """Radius-r valuation via the graded-level minimum (exact on this
     model), for r > 0; with r = a/b, in integers over p^k * a."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError(f"the radius r must be > 0, got {r}")
+    r = positive_radius(r)
     a, b = r.numerator, r.denominator
     raw_val, prec = oe_ring(x.params).raw_val, x.prec
     scale = x.params.p ** x.params.k

@@ -25,7 +25,7 @@ from .errors import NotAUnit, PrecisionExhausted, SingularJacobian
 from . import sparse
 
 
-class TSeries:
+class TSeries(sparse.Terms):
     """Truncated multivariate power series with coefficient precision.
 
     terms: exponent tuple (length f) -> raw O_E coordinate tuple, all
@@ -34,20 +34,26 @@ class TSeries:
 
     __slots__ = ("params", "prec", "window", "terms")
 
-    def __init__(self, params: Params, prec: int, window: int, terms: dict,
-                 _normalized: bool = False):
+    def __init__(self, params: Params, prec: int, window: int, terms: dict):
         self.params = params
         self.prec = prec
         self.window = window
-        self.terms = terms if _normalized else sparse.reduce(
-            oe_ring(params), terms, prec, lambda e: sum(e) < window)
+        self.terms = sparse.reduce(oe_ring(params), terms, prec,
+                                   lambda e: sum(e) < window)
+
+    @staticmethod
+    def _make(params, prec, window, terms):
+        """The series of terms already reduced and cut at the window."""
+        x = object.__new__(TSeries)
+        x.params, x.prec, x.window, x.terms = params, prec, window, terms
+        return x
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(params: Params, prec: int, window: Optional[int] = None):
-        return TSeries(params, prec, params.M if window is None else window,
-                       {}, _normalized=True)
+        return TSeries._make(params, prec,
+                             params.M if window is None else window, {})
 
     @staticmethod
     def one(params: Params, prec: int, window: Optional[int] = None):
@@ -63,7 +69,7 @@ class TSeries:
     def _monomial(params: Params, e: tuple, prec: int, window):
         w = params.M if window is None else window
         terms = {e: (1,) + (0,) * (params.h - 1)} if sum(e) < w else {}
-        return TSeries(params, prec, w, terms, _normalized=True)
+        return TSeries._make(params, prec, w, terms)
 
     # -- ring operations -------------------------------------------------------
 
@@ -75,18 +81,11 @@ class TSeries:
         window = min(x.window for x in parts)
         out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
                          lambda e: sum(e) < window)
-        return TSeries(params, prec, window, out, _normalized=True)
-
-    def __add__(self, other):
-        return TSeries.sum((self, other))
+        return TSeries._make(params, prec, window, out)
 
     def __neg__(self):
-        return TSeries(self.params, self.prec, self.window,
-                       sparse.neg(oe_ring(self.params), self.terms, self.prec),
-                       _normalized=True)
-
-    def __sub__(self, other):
-        return self + (-other)
+        terms = sparse.neg(oe_ring(self.params), self.terms, self.prec)
+        return TSeries._make(self.params, self.prec, self.window, terms)
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
@@ -101,15 +100,14 @@ class TSeries:
                              * (p ** other.prec - 1))
             out = lay.unpack(lay.pack(self.terms, nb)
                              * lay.pack(other.terms, nb), nb, p ** prec)
-        return TSeries(self.params, prec, window, out, _normalized=True)
+        return TSeries._make(self.params, prec, window, out)
 
     def scalar_mul(self, c) -> "TSeries":
         """Multiply by a scalar, as ``OERing.scalar`` reads it."""
         ring = oe_ring(self.params)
         craw, prec = ring.scalar(c, self.prec)
-        return TSeries(self.params, prec, self.window,
-                       sparse.smul(ring, self.terms, craw, prec),
-                       _normalized=True)
+        return TSeries._make(self.params, prec, self.window,
+                             sparse.smul(ring, self.terms, craw, prec))
 
     def __eq__(self, other):
         return (isinstance(other, TSeries) and self.params == other.params
@@ -119,9 +117,6 @@ class TSeries:
     def __hash__(self):
         return hash((self.prec, self.window, tuple(sorted(self.terms.items()))))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self) -> tuple:
         return self.terms.get((0,) * self.params.f, (0,) * self.params.h)
 
@@ -129,9 +124,9 @@ class TSeries:
         return self.terms.get(tuple(e), (0,) * self.params.h)
 
     def truncate(self, window: int) -> "TSeries":
-        return TSeries(self.params, self.prec, min(self.window, window),
-                       {e: c for e, c in self.terms.items()
-                        if sum(e) < window}, _normalized=True)
+        return TSeries._make(self.params, self.prec, min(self.window, window),
+                             {e: c for e, c in self.terms.items()
+                              if sum(e) < window})
 
     def reduce(self, prec: int) -> "TSeries":
         if prec >= self.prec:
@@ -155,8 +150,8 @@ class TSeries:
             prec = min(prec, im.prec)
             window = min(window, im.window)
         if table is not None:
-            return TSeries(params, prec, window,
-                           table.combine(self.terms, prec), _normalized=True)
+            return TSeries._make(params, prec, window,
+                                 table.combine(self.terms, prec))
 
         def one():
             return TSeries.one(params, prec, window)
@@ -510,8 +505,9 @@ def revert_series(series, window: int) -> Reversion:
     packed = {e: sum(r << (d * row_bits) for d, r in enumerate(rs))
               for e, rs in rows.items()}
     packed[(0,) * f] = _from_slots((1,), nb)
-    G = Reversion(TSeries(params, prec, window, lay.unpack(packed[u], nb, m),
-                          _normalized=True) for u in unit_vecs)
+    G = Reversion(TSeries._make(params, prec, window,
+                                lay.unpack(packed[u], nb, m))
+                  for u in unit_vecs)
     G.monomials = MonomialTable(params, lay, nb, packed)
     return G
 
@@ -591,8 +587,8 @@ def _group_sums(params: Params, mult, window: int) -> tuple:
         acc = sum((_from_slots(okr.oe.raw_teich(lam ** -params.p ** i, prec),
                                nb) * x for lam, x in zip(lams, packed)),
                   m - 1 if params.q == 2 else 0)
-        sums.append(TSeries(params, prec, window, lay.unpack(acc, nb, m),
-                            _normalized=True))
+        sums.append(TSeries._make(params, prec, window,
+                                  lay.unpack(acc, nb, m)))
     return tuple(sums)
 
 

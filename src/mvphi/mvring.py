@@ -27,21 +27,16 @@ from . import iwasawa, sparse
 from .sparse import bound_add, bound_min
 
 
-class MvLaurent:
+class MvLaurent(sparse.Terms):
     __slots__ = ("params", "prec", "w_lo", "w_hi", "band", "terms")
 
     def __init__(self, params: Params, prec: int, terms: dict,
                  w_lo: Optional[int] = None, w_hi: Optional[int] = None,
-                 band: Optional[int] = None, _normalized: bool = False):
+                 band: Optional[int] = None):
         self.params = params
         self.prec = prec
         self.w_hi = w_hi
         self.band = params.B if band is None else band
-        if _normalized:
-            if w_lo is None:
-                raise ValueError("a normalized element needs its floor w_lo")
-            self.terms, self.w_lo = terms, w_lo
-            return
         ring = oe_ring(params)
         out = {}
         for (n0, cross), c in terms.items():
@@ -57,12 +52,20 @@ class MvLaurent:
         support_lo = min((k[0] for k in out), default=0)
         self.w_lo = support_lo if w_lo is None else min(w_lo, support_lo)
 
+    @staticmethod
+    def _make(params, prec, terms, w_lo, w_hi, band):
+        """Terms already reduced and cut at w_hi and band; w_lo as given."""
+        x = object.__new__(MvLaurent)
+        x.params, x.prec, x.terms, x.w_lo, x.w_hi, x.band = \
+            params, prec, terms, w_lo, w_hi, band
+        return x
+
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero(params, prec=None, band=None):
-        return MvLaurent(params, params.N if prec is None else prec, {},
-                         0, None, band, _normalized=True)
+        return MvLaurent._make(params, params.N if prec is None else prec,
+                               {}, 0, None, params.B if band is None else band)
 
     @staticmethod
     def one(params, prec=None, band=None):
@@ -95,8 +98,8 @@ class MvLaurent:
             raise ValueError("band can only be raised")
         if band == self.band:
             return self
-        return MvLaurent(self.params, self.prec, self.terms, self.w_lo,
-                         self.w_hi, band, _normalized=True)
+        return MvLaurent._make(self.params, self.prec, self.terms, self.w_lo,
+                               self.w_hi, band)
 
     def with_window(self, w_hi) -> "MvLaurent":
         """Weaken the window (narrow the claim); never strengthens it."""
@@ -104,18 +107,15 @@ class MvLaurent:
         terms = {k: c for k, c in self.terms.items()
                  if new_hi is None or k[0] < new_hi}
         lo = min(self.w_lo, min((k[0] for k in terms), default=self.w_lo))
-        return MvLaurent(self.params, self.prec, terms, lo, new_hi,
-                         self.band, _normalized=True)
+        return MvLaurent._make(self.params, self.prec, terms, lo, new_hi,
+                               self.band)
 
     def reduce(self, prec: int) -> "MvLaurent":
         if prec >= self.prec:
             return self
-        return MvLaurent(self.params, prec,
-                         sparse.reduce(oe_ring(self.params), self.terms, prec),
-                         self.w_lo, self.w_hi, self.band, _normalized=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        terms = sparse.reduce(oe_ring(self.params), self.terms, prec)
+        return MvLaurent._make(self.params, prec, terms, self.w_lo,
+                               self.w_hi, self.band)
 
     def coefficient(self, n0: int, cross=None) -> tuple:
         cr = (0,) * (self.params.f - 1) if cross is None else tuple(cross)
@@ -156,20 +156,13 @@ class MvLaurent:
                    default=None)
         out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
                          None if w_hi is None else lambda k: k[0] < w_hi)
-        return MvLaurent(params, prec, out, min(x.w_lo for x in parts), w_hi,
-                         min(x.band for x in parts), _normalized=True)
-
-    def __add__(self, other):
-        return MvLaurent.sum((self, other))
+        return MvLaurent._make(params, prec, out, min(x.w_lo for x in parts),
+                               w_hi, min(x.band for x in parts))
 
     def __neg__(self):
-        return MvLaurent(self.params, self.prec,
-                         sparse.neg(oe_ring(self.params), self.terms,
-                                    self.prec),
-                         self.w_lo, self.w_hi, self.band, _normalized=True)
-
-    def __sub__(self, other):
-        return self + (-other)
+        terms = sparse.neg(oe_ring(self.params), self.terms, self.prec)
+        return MvLaurent._make(self.params, self.prec, terms, self.w_lo,
+                               self.w_hi, self.band)
 
     def __mul__(self, other):
         prec = min(self.prec, other.prec)
@@ -196,8 +189,7 @@ class MvLaurent:
                     else prod
         for k in [k for k, c in out.items() if not any(c)]:
             del out[k]
-        return MvLaurent(self.params, prec, out, w_lo, w_hi, band,
-                         _normalized=True)
+        return MvLaurent._make(self.params, prec, out, w_lo, w_hi, band)
 
     def shift(self, n0: int, cross: tuple) -> "MvLaurent":
         """self * Y_0^{n0} prod X_i^{cross_i}: keys move by (n0, cross), the
@@ -214,15 +206,15 @@ class MvLaurent:
                 raise _band_overflow(self.params, "product cross exponent",
                                     key[1], band)
             terms[key] = c
-        return MvLaurent(self.params, self.prec, terms, self.w_lo + n0,
-                         bound_add(self.w_hi, n0), band, _normalized=True)
+        return MvLaurent._make(self.params, self.prec, terms, self.w_lo + n0,
+                               bound_add(self.w_hi, n0), band)
 
     def scalar_mul(self, c) -> "MvLaurent":
         ring = oe_ring(self.params)
         craw, prec = ring.scalar(c, self.prec)
-        return MvLaurent(self.params, prec,
-                         sparse.smul(ring, self.terms, craw, prec),
-                         self.w_lo, self.w_hi, self.band, _normalized=True)
+        return MvLaurent._make(self.params, prec,
+                               sparse.smul(ring, self.terms, craw, prec),
+                               self.w_lo, self.w_hi, self.band)
 
 
 def _band_overflow(params: Params, what: str, cross, band: int):
@@ -273,9 +265,9 @@ def invert_unit(x: MvLaurent, horizon: Optional[int] = None) -> MvLaurent:
     # m_inv = monomial inverse; t = x * m_inv * lc_inv - 1.  Its floor 0
     # is not its support floor -ln0: the two strict xfails in
     # tests/test_mvring.py pin the windows that this floor overstates
-    m_inv = MvLaurent(params, x.prec,
-                      {(-ln0, tuple(-e for e in lcross)): lc_inv},
-                      0, None, x.band, _normalized=True)
+    m_inv = MvLaurent._make(params, x.prec,
+                            {(-ln0, tuple(-e for e in lcross)): lc_inv},
+                            0, None, x.band)
     normalized = (x * m_inv)
     one = MvLaurent.one(params, x.prec, x.band)
     t = normalized - one
@@ -544,14 +536,9 @@ def phi_decompose(x: MvLaurent) -> dict:
     if not rem.is_zero():
         raise WindowTooSmall(
             f"decomposition left a remainder within the window: {rem!r}")
-    if h_run is None:
-        comp_hi = None
-    else:
-        comp_hi = -((-(h_run - p + 1)) // p)
-    out = {}
-    for a, terms in comps.items():
-        out[a] = MvLaurent(params, x.prec, terms, None, comp_hi, band)
-    return out
+    comp_hi = sparse.ceil_cut(bound_add(h_run, 1 - p), 1, p)
+    return {a: MvLaurent(params, x.prec, terms, None, comp_hi, band)
+            for a, terms in comps.items()}
 
 
 def recompose(components: dict, params: Params) -> MvLaurent:

@@ -24,7 +24,7 @@ from .coeff import FElt, Params, fq_field, oe_ring
 from .errors import BandOverflow, DepthExhausted
 from .mvring import NormValue
 from . import sparse
-from .sparse import bound_add, bound_min
+from .sparse import bound_add, bound_min, ceil_cut, rescale
 from . import witt as wt
 
 
@@ -64,20 +64,13 @@ def phi_exponents(e: tuple, p: int) -> tuple:
     return tuple(p * x for x in e[1:] + e[:1])
 
 
-def _scaled_cut(hi, den: int, scale: int):
-    """The least scaled exponent sum at or above hi/den (None for None)."""
-    return None if hi is None else -((-hi * scale) // den)
-
-
 def _windows(xs):
     """The lcm of the elements' denominators, and each (lo, hi) over it."""
     den = lcm(*(x._den for x in xs))
-    return den, [(x._lo * (den // x._den),
-                  None if x._hi is None else x._hi * (den // x._den))
-                 for x in xs]
+    return den, [rescale((x._lo, x._hi), den // x._den) for x in xs]
 
 
-class PerfLaurent:
+class PerfLaurent(sparse.Terms):
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
     terms: scaled pure-exponent tuple -> F_q coordinate tuple (the
@@ -94,7 +87,7 @@ class PerfLaurent:
         den = lcm(ring.scale, *(w.denominator for w in (lo, hi)
                                 if w is not None))
         hi = None if hi is None else hi.numerator * (den // hi.denominator)
-        hs = _scaled_cut(hi, den, ring.scale)
+        hs = ceil_cut(hi, ring.scale, den)
         band = ring.band_cap if band is None else band
         out = {}
         for e, c in terms.items():
@@ -146,9 +139,6 @@ class PerfLaurent:
 
     # -- structure ---------------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         return (isinstance(other, PerfLaurent) and self.ring is other.ring
                 and self.terms == other.terms)
@@ -156,8 +146,8 @@ class PerfLaurent:
     def eq_within(self, other) -> bool:
         """Equality of represented terms inside the common window."""
         scale = self.ring.scale
-        hs = bound_min(_scaled_cut(self._hi, self._den, scale),
-                       _scaled_cut(other._hi, other._den, scale))
+        hs = bound_min(ceil_cut(self._hi, scale, self._den),
+                       ceil_cut(other._hi, scale, other._den))
         for e in set(self.terms) | set(other.terms):
             if hs is not None and sum(e) >= hs:
                 continue
@@ -182,22 +172,16 @@ class PerfLaurent:
         ring = parts[0].ring
         den, wins = _windows(parts)
         hi = min((h for _, h in wins if h is not None), default=None)
-        hs = _scaled_cut(hi, den, ring.scale)
+        hs = ceil_cut(hi, ring.scale, den)
         out = sparse.add(ring.oe, [x.terms for x in parts], 1,
                          None if hs is None else lambda e: sum(e) < hs)
         return PerfLaurent._make(ring, out, min(lo for lo, _ in wins), hi,
                                  den, min(x.band for x in parts))
 
-    def __add__(self, other):
-        return PerfLaurent.sum((self, other))
-
     def __neg__(self):
         return PerfLaurent._make(self.ring,
                                  sparse.neg(self.ring.oe, self.terms, 1),
                                  self._lo, self._hi, self._den, self.band)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         den, a_lo, a_hi, b_lo, b_hi = \
@@ -206,7 +190,7 @@ class PerfLaurent:
             den, ((a_lo, a_hi), (b_lo, b_hi)) = _windows((self, other))
         hi = bound_min(bound_add(a_lo, b_hi), bound_add(b_lo, a_hi))
         band = min(self.band, other.band)
-        hs = _scaled_cut(hi, den, self.ring.scale)
+        hs = ceil_cut(hi, self.ring.scale, den)
 
         def keep(e):
             if hs is not None and sum(e) >= hs:
@@ -224,8 +208,8 @@ class PerfLaurent:
         p, oe = self.ring.params.p, self.ring.oe
         out = {tuple(p * x for x in e): oe.raw_pow(c, p, 1)
                for e, c in self.terms.items()}
-        return PerfLaurent._make(self.ring, out, self._lo * p,
-                                 None if self._hi is None else self._hi * p,
+        return PerfLaurent._make(self.ring, out,
+                                 *rescale((self._lo, self._hi), p),
                                  self._den, self.band * p)
 
     def pth_root(self):
@@ -270,8 +254,7 @@ def phi_linear(x: PerfLaurent) -> PerfLaurent:
     band = x.band
     if x.ring.nvars > 1:
         band = max(band, max((abs(e[0]) for e in x.terms), default=0))
-    return PerfLaurent._make(x.ring, out, x._lo * p,
-                             None if x._hi is None else x._hi * p,
+    return PerfLaurent._make(x.ring, out, *rescale((x._lo, x._hi), p),
                              x._den, p * band)
 
 
@@ -280,18 +263,24 @@ def phi_q_linear(x: PerfLaurent) -> PerfLaurent:
     window and band scaled by q, coefficients fixed."""
     q = x.ring.params.q
     out = {tuple(q * v for v in e): c for e, c in x.terms.items()}
-    return PerfLaurent._make(x.ring, out, x._lo * q,
-                             None if x._hi is None else x._hi * q,
+    return PerfLaurent._make(x.ring, out, *rescale((x._lo, x._hi), q),
                              x._den, q * x.band)
+
+
+def positive_radius(r) -> Fraction:
+    """r as a Fraction; ValueError unless r > 0."""
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError(f"the radius r must be > 0, got {r}")
+    return r
 
 
 def pr_radius(params: Params, i: int, r: Fraction) -> Fraction:
     """Radius conversion factor (p-1)/((q-1) p^i) for coordinate i."""
     if not 0 <= i < params.f:
         raise ValueError("coordinate index out of range")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return Fraction(params.p - 1, (params.q - 1) * params.p ** i) * Fraction(r)
+    return (Fraction(params.p - 1, (params.q - 1) * params.p ** i)
+            * positive_radius(r))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ class BElt:
 
 def b_val_r(w: BElt):
     """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift."""
-    r = Fraction(w.r)
+    r = positive_radius(w.r)
     best = None
     for n, d in enumerate(w.digits()):
         gv = gauss_val(d)

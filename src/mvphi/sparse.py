@@ -4,11 +4,13 @@
 Each of those classes stores an element as a dict from an exponent key to
 raw O_E coordinates (mod p for ``PerfLaurent``, the residue field) and
 keeps only its own precision bookkeeping (degree window, Y_0 window and
-band, per-level horizons and floors, or a Gauss-valuation window).  The
-termwise arithmetic on such dicts (one n-ary sum, one pair loop for
-products), the substitution of generator images into a sum of monomials
-with the worst per-level floor drop of its atoms, the geometric series,
-and the min and sum of bounds for which None means unbounded live here.
+band, per-level horizons and floors, or a Gauss-valuation window), builds
+results through its ``_make`` and takes +, - and the zero test from
+``Terms``.  The termwise arithmetic on such dicts (one n-ary sum, one pair
+loop for products), the substitution of generator images into a sum of
+monomials with the worst per-level floor drop of its atoms, the geometric
+series, the min and sum of bounds for which None means unbounded, and the
+integer windows (``ceil_cut``, ``rescale``) live here.
 """
 
 from __future__ import annotations
@@ -31,6 +33,33 @@ def bound_add(a, b):
     if a is None or b is None:
         return None
     return a + b
+
+
+def ceil_cut(h, scale: int, den: int):
+    """ceil(h * scale / den), None for None."""
+    return None if h is None else -(-h * scale // den)
+
+
+def rescale(xs, r: int):
+    """The integers xs times r, None kept; xs itself when r is 1."""
+    if r == 1:
+        return xs
+    return [None if x is None else x * r for x in xs]
+
+
+class Terms:
+    """+ on the class's n-ary ``sum``, - on its negation, the zero test."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return type(self).sum((self, other))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 # monomials a Substitution keeps; later products are formed, not kept

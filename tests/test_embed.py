@@ -864,6 +864,15 @@ def test_b_val_walg_rejects_a_radius_that_is_not_positive():
     assert b_val_walg(x, Fraction(1)).val == 1
 
 
+def test_b_val_r_rejects_a_radius_that_is_not_positive():
+    # r = -1 gave NormValue(1, uncertified) and r = 0 divided by zero
+    x = WAlg.teich_monomial(P311, 3, (1,))
+    for r in (Fraction(0), -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="radius"):
+            b_val_r(to_belt(x, r))
+    assert b_val_r(to_belt(x, 1)).val == 1
+
+
 @pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
 def test_phi_equivariance_evaluates_iota_on_x_once(p, f, h, monkeypatch):
     import mvphi.embed as embed

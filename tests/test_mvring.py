@@ -789,8 +789,7 @@ def _ref_mv_mul(x, y):
                 else prod
     for k in [k for k, c in out.items() if not any(c)]:
         del out[k]
-    return MvLaurent(x.params, prec, out, w_lo, w_hi, band,
-                     _normalized=True)
+    return MvLaurent._make(x.params, prec, out, w_lo, w_hi, band)
 
 
 def _ordered(fn):

@@ -1,7 +1,8 @@
 """The n-ary sums of TSeries, MvLaurent, WAlg and PerfLaurent against
 the chain of binary additions they replace, the one pair loop of the WAlg
-and PerfLaurent products, the floor drop of a substitution table, and the
-geometric series.
+and PerfLaurent products, the floor drop of a substitution table, the
+geometric series, and the protocol the four classes share (``Terms``,
+``_make``, ``ceil_cut`` and ``rescale``).
 
 Each reference below is the code it replaced, written out: for a sum,
 the terms of both operands summed mod p^prec and filtered by the meet of
@@ -17,7 +18,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvphi import sparse
 from mvphi.coeff import Params, ok_ring, oe_ring
@@ -50,7 +51,7 @@ def _ref_tseries_add(x, y):
     prec, window = min(x.prec, y.prec), min(x.window, y.window)
     out = _ref_terms(x.params, x.terms, y.terms, prec,
                      lambda e: sum(e) < window)
-    return TSeries(x.params, prec, window, out, _normalized=True)
+    return TSeries._make(x.params, prec, window, out)
 
 
 def _ref_mv_add(x, y):
@@ -58,8 +59,8 @@ def _ref_mv_add(x, y):
     w_hi = bound_min(x.w_hi, y.w_hi)
     out = _ref_terms(x.params, x.terms, y.terms, prec,
                      None if w_hi is None else lambda k: k[0] < w_hi)
-    return MvLaurent(x.params, prec, out, min(x.w_lo, y.w_lo), w_hi,
-                     min(x.band, y.band), _normalized=True)
+    return MvLaurent._make(x.params, prec, out, min(x.w_lo, y.w_lo), w_hi,
+                           min(x.band, y.band))
 
 
 def _hmono(H):
@@ -165,9 +166,62 @@ def test_iota_pool_has_horizons_and_mixed_floors():
                 for x in pool}) > 4
 
 
-def test_fast_paths_reject_a_missing_floor():
-    with pytest.raises(ValueError, match="w_lo"):
-        MvLaurent(P322, 3, {}, None, None, None, _normalized=True)
+# -- the shared protocol: Terms, _make, ceil_cut and rescale ----------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), st.integers(-10 ** 6, 10 ** 6)),
+       st.integers(1, 10 ** 4), st.integers(1, 10 ** 4))
+@example(-7, 3, 2)
+@example(None, 9, 4)
+def test_ceil_cut_is_the_ceiling(h, scale, den):
+    want = None if h is None else math.ceil(Fraction(h * scale, den))
+    assert sparse.ceil_cut(h, scale, den) == want
+
+
+def test_rescale_keeps_none_and_returns_its_input_at_one():
+    xs = (4, None, -3)
+    assert sparse.rescale(xs, 1) is xs
+    assert sparse.rescale(xs, 6) == [24, None, -18]
+
+
+def test_the_sparse_classes_share_the_terms_protocol():
+    ring = ainf_ring(P322)
+    for x in (TSeries.one(P322, 2), MvLaurent.monomial(P322, 1),
+              WAlg.teich_monomial(P311, 3, (1,)), WAlg.zero(P311, 3),
+              PerfLaurent.one(ring), PerfLaurent.zero(ring)):
+        cls = type(x)
+        assert isinstance(x, sparse.Terms)
+        assert not hasattr(x, "__dict__"), cls.__name__
+        for attr in ("__add__", "__sub__", "is_zero"):
+            assert attr not in cls.__dict__, (cls.__name__, attr)
+        assert (x - x).is_zero() and not (x + x - x - x).terms
+
+
+def _slots(x):
+    return type(x), [getattr(x, k) for k in type(x).__slots__]
+
+
+@pytest.mark.parametrize("g", [(3, 2, 2), (5, 2, 2)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_make_on_reduced_cut_terms_is_the_constructor(g, data):
+    pr = Params.create(*g)
+    q = pr.p ** pr.N
+    coeffs = st.tuples(st.integers(0, 2 * q), st.integers(0, 2 * q))
+    prec, window = data.draw(st.integers(1, pr.N)), data.draw(
+        st.integers(1, 8))
+    x = TSeries(pr, prec, window, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), coeffs,
+        max_size=8)))
+    assert _slots(TSeries._make(pr, prec, window, x.terms)) == _slots(x)
+    band = data.draw(st.integers(2, 6))
+    w_lo = data.draw(st.integers(-4, 0))
+    w_hi = data.draw(st.sampled_from([None, 1, 4]))
+    y = MvLaurent(pr, prec, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 6), st.tuples(st.integers(-band, band))),
+        coeffs, max_size=8)), w_lo, w_hi, band)
+    assert _slots(MvLaurent._make(pr, prec, y.terms, w_lo, w_hi, band)) \
+        == _slots(y)
 
 
 # -- evaluate and the geometric series --------------------------------------
