@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .caches import cached
-from .coeff import FElt, Params, fq_field, oe_ring
+from .coeff import FElt, Params, fq_field, oe_ring, power
 from .errors import BandOverflow, DepthExhausted
 from .mvring import NormValue
 from . import sparse
@@ -41,6 +42,84 @@ class PerfRing:
         # p^(N+1)-fold exponents of banded inputs
         self.band_cap = max(params.B, 8) * self.scale \
             * params.p ** (params.N + 1)
+        # the order of F_q^x: c^d = c^(d mod units) for every coefficient
+        self.units = params.p ** params.h - 1
+
+    # raw values (terms, lo, hi, band): an element's terms, window lo/den
+    # to hi/den over a denominator given alongside, and band
+
+    def product(self, den: int, a: tuple, b: tuple) -> tuple:
+        """The raw product of a and b, both over den: the terms below the
+        ceiling of the product's w_hi, a kept term past the band raising
+        ``BandOverflow``.  Over F_q no product of coefficients is zero, and
+        a one-term factor gives distinct keys: one loop, nothing summed."""
+        ta, a_lo, a_hi, a_band = a
+        tb, b_lo, b_hi, b_band = b
+        hi = bound_min(bound_add(a_lo, b_hi), bound_add(b_lo, a_hi))
+        band = min(a_band, b_band)
+        hs = ceil_cut(hi, self.scale, den)
+        cross = self.nvars > 1
+        single, rest = (ta, tb) if len(ta) == 1 else (tb, ta)
+        if len(single) == 1:
+            ((e1, c1),) = single.items()
+            raw_mul, out = self.oe.raw_mul, {}
+            for e2, c2 in rest.items():
+                e = tuple(map(add, e1, e2))
+                if hs is None or sum(e) < hs:
+                    if cross:
+                        _check_band(e, band)
+                    out[e] = raw_mul(c1, c2, 1)
+        else:
+            def keep(e):
+                if hs is not None and sum(e) >= hs:
+                    return False
+                _check_band(e, band)
+                return True
+            out = sparse.mul(self.oe, ta, tb, 1, keep)
+        return out, a_lo + b_lo, hi, band
+
+    def mono_power(self, den: int, x: tuple, d: int) -> tuple:
+        """x^d (d >= 1) for a raw x of one term c*Y^e, as ``coeff.power``
+        forms it from ``PerfLaurent.one`` with ``product``: {d*e: c^d},
+        window (d*lo, (d-1)*lo + hi), band min(band_cap, band).
+
+        The binary-powering products are followed on multiplicities alone:
+        x^m has the window above and the band of x for a square, the capped
+        band for a product into the result; each product of two live
+        factors is cut or checked against its band, and a cut one leaves
+        every later product that reads it empty."""
+        terms, lo, hi, band = x
+        ((e, c),) = terms.items()
+        s, cap, cross = sum(e), min(self.band_cap, band), self.nvars > 1
+
+        def live(m, band):
+            if hi is not None and \
+                    m * s >= ceil_cut((m - 1) * lo + hi, self.scale, den):
+                return False
+            if cross:
+                _check_band(tuple(m * v for v in e), band)
+            return True
+
+        r, r_live, sq, sq_live = 0, True, 1, True
+        while True:
+            if d & 1:
+                r += sq
+                r_live = r_live and sq_live and live(r, cap)
+            d >>= 1
+            if not d:
+                break
+            sq *= 2
+            sq_live = sq_live and live(sq, band)
+        out = {tuple(r * v for v in e):
+               self.oe.raw_pow(c, r % self.units, 1)} if r_live else {}
+        return out, r * lo, bound_add(hi, (r - 1) * lo), cap
+
+
+def _check_band(e, band: int):
+    for x in e[1:]:
+        if abs(x) > band:
+            raise BandOverflow(
+                f"product cross exponents {e[1:]} exceed the band")
 
 
 def ainf_ring(params: Params) -> PerfRing:
@@ -188,20 +267,10 @@ class PerfLaurent(sparse.Terms):
             self._den, self._lo, self._hi, other._lo, other._hi
         if other._den != den:
             den, ((a_lo, a_hi), (b_lo, b_hi)) = _windows((self, other))
-        hi = bound_min(bound_add(a_lo, b_hi), bound_add(b_lo, a_hi))
-        band = min(self.band, other.band)
-        hs = ceil_cut(hi, self.ring.scale, den)
-
-        def keep(e):
-            if hs is not None and sum(e) >= hs:
-                return False
-            for x in e[1:]:
-                if abs(x) > band:
-                    raise BandOverflow(
-                        f"product cross exponents {e[1:]} exceed the band")
-            return True
-        out = sparse.mul(self.ring.oe, self.terms, other.terms, 1, keep)
-        return PerfLaurent._make(self.ring, out, a_lo + b_lo, hi, den, band)
+        out, lo, hi, band = self.ring.product(
+            den, (self.terms, a_lo, a_hi, self.band),
+            (other.terms, b_lo, b_hi, other.band))
+        return PerfLaurent._make(self.ring, out, lo, hi, den, band)
 
     def frobenius(self):
         """The ring Frobenius x -> x^p (coefficients included)."""
@@ -308,29 +377,55 @@ class PerfHandle:
     def eq(self, a, b):
         return a.eq_within(b)
 
-    def sum(self, parts, plan, vals):
-        """The sum of ``parts``, the terms with no zero value, given the
-        window and band of the sum of every term of ``plan`` (a
-        ``witt.StructPlan``) at ``vals``, as one more part, empty.
+    def kernel(self, plan, vals) -> tuple:
+        """The raw evaluation of ``plan`` (a ``witt.StructPlan``) at
+        ``vals``: node values are raw (terms, lo, hi, band) over one
+        denominator, the lcm of the values'; a one-term value's powers
+        come in closed form (``PerfRing.mono_power``), another's from
+        ``PerfLaurent`` products; products are ``PerfRing.product``.
 
-        v^d has w_lo d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo
-        lo_t = sum d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j).  That gap
-        is the same for all terms of a variable group, so a group adds its
-        least lo_t plus the gap; the band is the least of the variables
-        used.  Numerators over the lcm of the values' denominators.
+        ``total`` adds the parts, c copies of a term as one scalar
+        multiple, and gives the sum the window and band of the sum of
+        every term of the plan.  v^d has w_lo d*lo_v and w_hi
+        (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum d_j*lo_j and w_hi
+        lo_t + min_j (hi_j - lo_j).  That gap is the same for all terms of
+        a variable group, so a group adds its least lo_t plus the gap; the
+        band is the least of the variables used.
         """
+        ring, one = self.ring, self._one
         den, wins = _windows(vals)
+        los = [lo for lo, _ in wins]
+        gaps = [None if hi is None else hi - lo for lo, hi in wins]
         w_lo, w_hi = 0, None
         for js, vecs in plan.groups:
-            sel = [wins[j][0] for j in js]
-            g_lo = min([sum(map(mul, vec, sel)) for vec in vecs])
+            sel = [los[j] for j in js]
+            g_lo = min([sum(map(mul, vec, sel)) for vec in vecs]) \
+                if any(sel) else 0
             w_lo = min(w_lo, g_lo)
-            for j in js:
-                lo, hi = wins[j]
-                w_hi = bound_min(w_hi, bound_add(hi, g_lo - lo))
-        band = min([self.ring.band_cap] + [vals[j].band for j in plan.used])
-        bound = PerfLaurent._make(self.ring, {}, w_lo, w_hi, den, band)
-        return PerfLaurent.sum(parts + [bound])
+            g_gaps = [gaps[j] for j in js if gaps[j] is not None]
+            if g_gaps:
+                w_hi = bound_min(w_hi, g_lo + min(g_gaps))
+        band = min([ring.band_cap] + [vals[j].band for j in plan.used])
+
+        def pow_(j, d):
+            x = vals[j]
+            if len(x.terms) == 1:
+                return ring.mono_power(den, (x.terms, *wins[j], x.band), d)
+            y = power(x, d, one)
+            return (y.terms, *rescale((y._lo, y._hi), den // y._den),
+                    y.band)
+
+        def total(parts):
+            smul = ring.oe.raw_smul
+            hs = ceil_cut(w_hi, ring.scale, den)
+            out = sparse.add(ring.oe, [
+                t if c == 1 else {e: smul(c, v, 1) for e, v in t.items()}
+                for c, (t, _, _, _) in parts], 1,
+                None if hs is None else lambda e: sum(e) < hs)
+            return PerfLaurent._make(ring, out, w_lo, w_hi, den, band)
+
+        return ((one.terms, 0, None, ring.band_cap), pow_,
+                partial(ring.product, den), total)
 
     def embed_residue(self, lam: FElt):
         return PerfLaurent(self.ring, {(0,) * self.ring.nvars: lam})

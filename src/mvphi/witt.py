@@ -2,9 +2,10 @@
 
 Structure polynomials are generated once per (p, N) by solving the ghost
 identities over the integers (each step an exact division by p^n);
-arithmetic applies them coordinatewise with the base ring's own operators,
-so the same code runs over any perfect base (finite fields, perfectoid
-Laurent rings); a handle supplies only what differs between bases.
+arithmetic applies them coordinatewise by one evaluation walk, so the same
+code runs over any perfect base (finite fields, perfectoid Laurent rings);
+a handle supplies only what differs between bases, the element kernel of
+the walk included (the field's own operators, or raw term dicts).
 
 For E unramified, O_E = W(F), so the ramified functor W_{O_E} coincides with
 W itself and O_E-scalars act through their Teichmueller digit expansions.
@@ -12,7 +13,7 @@ W itself and O_E-scalars act through their Teichmueller digit expansions.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 from typing import Optional
 
 from .caches import cached
@@ -169,9 +170,13 @@ class FiniteFieldHandle:
     def embed_residue(self, lam: FElt):
         return lam
 
-    def sum(self, parts, plan, vals):
-        """Field elements carry no window: the plain sum."""
-        return sum(parts, self.field.zero)
+    def kernel(self, plan, vals) -> tuple:
+        """Field elements are their own node values and carry no window:
+        the plain sum."""
+        one, zero = self.field.one, self.field.zero
+        return (one, lambda j, d: power(vals[j], d, one), mul,
+                lambda parts: sum([v for c, v in parts for _ in range(c)],
+                                  zero))
 
 
 WITT_COORDS = "witt-coordinates"
@@ -224,6 +229,7 @@ class WittVec:
         return all(self.handle.is_zero(c) for c in self.comps)
 
     def eq(self, other) -> bool:
+        _same_ring(self, other)
         a, b = self.coordinates(), other.coordinates()
         return all(self.handle.eq(x, y) for x, y in zip(a.comps, b.comps))
 
@@ -232,12 +238,15 @@ def _eval_struct(plan: StructPlan, handle, xs, ys):
     """Evaluate a structure polynomial, by its plan, on handle elements.
 
     Only the terms with no zero value are multiplied out, each node on
-    their paths once; ``handle.sum`` adds them, c times each, with the
-    bounds of the sum of every term.
+    their paths once.  ``handle.kernel(plan, vals)`` gives the node values
+    ``one`` and ``power(j, d)`` (vals[j] to the d >= 1), their ``mul``, and
+    ``total``, which adds the (c, node value) pairs, c times each, into an
+    element with the bounds of the sum of every term.
     """
     vals = xs + ys
     dead = sum(1 << j for j, v in enumerate(vals) if handle.is_zero(v))
-    one, nodes = handle.one(), plan.nodes
+    one, power, mul, total = handle.kernel(plan, vals)
+    nodes = plan.nodes
     pows, value, parts = {}, {}, []
     for ci, path, mask in plan.index:
         if mask & dead:
@@ -246,21 +255,25 @@ def _eval_struct(plan: StructPlan, handle, xs, ys):
         for n in path:
             got = value.get(n)
             if got is None:
-                pw = pows.get(nodes[n])
+                jd = nodes[n]
+                pw = pows.get(jd)
                 if pw is None:
-                    j, d = nodes[n]
-                    pw = pows[j, d] = power(vals[j], d, one)
-                got = value[n] = pw if term is None else term * pw
+                    pw = pows[jd] = power(*jd)
+                got = value[n] = pw if term is None else mul(term, pw)
             term = got
-        parts.extend([one if term is None else term] * ci)
-    return handle.sum(parts, plan, vals)
+        parts.append((ci, one if term is None else term))
+    return total(parts)
+
+
+def _same_ring(u: WittVec, v: WittVec):
+    if u.handle is not v.handle or u.prec != v.prec:
+        raise ValueError("operands live over different Witt rings")
 
 
 def _coordinatewise(u: WittVec, v: WittVec, plans: str) -> WittVec:
     """Evaluate the structure polynomials whose plans are the attribute
     ``plans`` of ``StructurePolys`` on the Witt coordinates of u and v."""
-    if u.handle is not v.handle or u.prec != v.prec:
-        raise ValueError("operands live over different Witt rings")
+    _same_ring(u, v)
     sp = gen_structure_polys(u.handle.p, u.prec)
     xs, ys = u.coordinates().comps, v.coordinates().comps
     comps = tuple(_eval_struct(plan, u.handle, xs, ys)

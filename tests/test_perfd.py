@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from mvphi.coeff import Params, fq_field
+from mvphi.coeff import Params, fq_field, power
 from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
                          phi_q_linear, pr_radius, ainf_handle, BElt, b_val_r,
                          member_B0r, phi_q_belt)
@@ -418,12 +418,17 @@ class RefPerf:
                        p * band)
 
     @staticmethod
-    def handle_sum(parts, terms, vals):
-        """PerfHandle.sum: the bounds walked over every term."""
+    def eval_struct(terms, vals):
+        """A structure polynomial's terms mod p at ``vals``: the terms with
+        no zero value multiplied out with ``coeff.power`` and ``*``, c
+        copies each, summed with the bounds walked over every term."""
         ring = vals[0].ring
+        one = RefPerf(ring, {(0,) * ring.nvars: ring.field.one.coords},
+                      Fraction(0), None, ring.band_cap)
+        parts = []
         w_lo, w_hi, band = Fraction(0), None, ring.band_cap
-        for _, factors in terms:
-            t_lo, t_gap = Fraction(0), None
+        for c, factors in terms:
+            t, t_lo, t_gap = None, Fraction(0), None
             for j, d in factors:
                 v = vals[j]
                 t_lo += d * v.w_lo
@@ -432,6 +437,11 @@ class RefPerf:
                 band = min(band, v.band)
             w_lo = min(w_lo, t_lo)
             w_hi = bound_min(w_hi, bound_add(t_lo, t_gap))
+            if all(vals[j].terms for j, _ in factors):
+                for j, d in factors:
+                    pw = power(vals[j], d, one)
+                    t = pw if t is None else t * pw
+                parts += [one if t is None else t] * c
         return RefPerf.sum(parts + [RefPerf(ring, {}, w_lo, w_hi, band)])
 
 
@@ -452,7 +462,7 @@ def _outcome(fn, *args):
 
 _bound = st.fractions(min_value=-3, max_value=4, max_denominator=9)
 _OPS = ("mul", "sum", "neg", "frobenius", "pth_root", "phi_linear",
-        "handle_sum")
+        "eval_struct")
 
 
 @pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
@@ -504,13 +514,13 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
             xs = data.draw(st.lists(pick, min_size=1, max_size=4))
             got = PerfLaurent.sum([a for a, _ in xs])
             want = RefPerf.sum([r for _, r in xs])
-        elif op == "handle_sum":
+        elif op == "eval_struct":
             plan, terms = data.draw(st.sampled_from(plans))
-            xs = data.draw(st.lists(pick, max_size=3))
             vs = [data.draw(pick) for _ in range(6)]
-            got = handle.sum([a for a, _ in xs], plan, [a for a, _ in vs])
-            want = RefPerf.handle_sum([r for _, r in xs], terms,
-                                      [r for _, r in vs])
+            got = _outcome(wt._eval_struct, plan, handle,
+                           tuple(a for a, _ in vs[:3]),
+                           tuple(a for a, _ in vs[3:]))
+            want = _outcome(RefPerf.eval_struct, terms, [r for _, r in vs])
         else:
             a, ra = data.draw(pick)
             if op == "phi_linear":
@@ -526,3 +536,72 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
         _same_window(got, want)
         pool.append((got, want))
         pick = st.sampled_from(pool)
+
+
+def _raised(fn, *args):
+    """fn(*args), or the type and message of the BandOverflow it raises."""
+    try:
+        return fn(*args)
+    except BandOverflow as exc:
+        return BandOverflow, str(exc)
+
+
+def _same_power(x, d):
+    # the closed form against binary powering with PerfLaurent products
+    # from one: equal terms, window over x's denominator and band, or the
+    # same BandOverflow
+    R = x.ring
+    got = _raised(R.mono_power, x._den, (x.terms, x._lo, x._hi, x.band), d)
+    want = _raised(power, x, d, PerfLaurent.one(R))
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert want._den == x._den
+    assert got == (want.terms, want._lo, want._hi, want.band)
+    return want
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_term_power_in_closed_form_is_binary_powering(f, data):
+    R = ainf_ring(params(3, f, f, k=2))
+    cap = R.band_cap
+    # cross exponents up to the cap, so that powers reach past a band on
+    # either side of it
+    e = (data.draw(st.integers(-2 * R.scale, 2 * R.scale)),) + tuple(
+        data.draw(st.integers(-cap, cap)) for _ in range(f - 1))
+    c = data.draw(st.sampled_from([v for v in R.field.elements() if v]))
+    # a floor below the term and a w_hi above it, denominators up to 27
+    # against the scale 9: x^m is cut once m (v - w_lo) >= w_hi - w_lo
+    v = Fraction(sum(e), R.scale)
+    gap = st.fractions(0, 3, max_denominator=27)
+    w_lo = data.draw(st.one_of(st.none(), gap.map(lambda t: v - t)))
+    w_hi = data.draw(st.one_of(st.none(), gap.map(lambda t: v + t)))
+    least = max([1] + [abs(y) for y in e[1:]])
+    band = data.draw(st.one_of(st.integers(least, max(least, cap)),
+                               st.integers(max(least, cap), 2 * cap)))
+    x = PerfLaurent(R, {e: c}, w_lo, w_hi, band)
+    assume(len(x.terms) == 1)
+    want = _same_power(x, data.draw(st.integers(1, 40)))
+    event("raises" if isinstance(want, tuple) else
+          "kept" if want.terms else "cut")
+
+
+def test_one_term_power_raises_at_a_kept_square_past_the_band():
+    # x = Y_0 Y_1 with w_lo 0 and w_hi 5 keeps x^2 and cuts x^3; x^2 is a
+    # square of binary powering with x's band 12 < 18, so x^3 raises
+    R = ainf_ring(params(3, 2, 2, k=2))
+    one, cap = R.field.one, R.band_cap
+    x = PerfLaurent(R, {(9, 9): one}, 0, 5, 12)
+    assert _same_power(x, 3) == (
+        BandOverflow, "product cross exponents (18,) exceed the band")
+    assert not _same_power(PerfLaurent(R, {(9, 9): one}, 0, 5, 18),
+                           3).terms
+    assert _same_power(x, 1).terms == x.terms
+    # a band above the cap: the square x^2 is checked against x's band,
+    # not the cap, and x^3 is cut
+    e1 = cap // 2 + 1
+    v = Fraction(9 + e1, R.scale)
+    y = PerfLaurent(R, {(9, e1): one}, v - 1, v + Fraction(3, 2), 2 * cap)
+    assert not _same_power(y, 3).terms

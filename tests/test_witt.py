@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import Params, fq_field, oe_ring, power
+from mvphi.coeff import OERing, Params, fq_field, oe_ring, power
 from mvphi.perfd import PerfHandle, PerfLaurent, ainf_ring
 from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
@@ -128,6 +128,20 @@ def test_witt_ring_axioms_over_extension_field():
         assert lhs.eq(rhs)
         assert witt_add(a, witt_neg(a)).is_zero()
         assert witt_add(a, witt_zero(h, 3)).eq(a)
+
+
+def test_eq_rejects_a_vector_of_another_witt_ring():
+    # eq compares coordinates: over another handle or at another length
+    # it raises as the arithmetic does, instead of reading only the common
+    # prefix ([1] and [1] + 3[2] at (3,1,1) compared equal)
+    h = handle(3)
+    F = h.field
+    one = from_expansion(h, (F.from_int(1),))
+    for other in (from_expansion(h, (F.from_int(1), F.from_int(2))),
+                  from_expansion(handle(3), (F.from_int(1),))):
+        with pytest.raises(ValueError, match="different Witt rings"):
+            one.eq(other)
+    assert one.eq(from_expansion(h, (F.from_int(1),)))
 
 
 def test_teichmuller_multiplicativity_and_digit0_addition():
@@ -375,13 +389,15 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
                              F.from_int(1 + n % 2)) for n in range(4)))
     v = teich(handle, PerfLaurent.monomial(ring, (Fraction(1, 9),)), 4)
     calls = []
-    mul = PerfLaurent.__mul__
+    raw_mul = OERing.raw_mul
 
-    def counted(a, b):
+    def counted(oe, a, b, prec):
         calls.append(1)
-        return mul(a, b)
+        return raw_mul(oe, a, b, prec)
 
-    monkeypatch.setattr(PerfLaurent, "__mul__", counted)
+    # coefficient products on both sides: the closed-form powers of
+    # one-term values form no PerfLaurent product
+    monkeypatch.setattr(OERing, "raw_mul", counted)
     got = witt_add(u, v)
     fast = len(calls)
     calls.clear()
