@@ -397,15 +397,20 @@ class _SubstImages(sparse.Substitution):
         super().__init__(atoms, lambda: MvLaurent.one(params, N, band),
                          invert, floors)
 
+    def clamp(self, x: MvLaurent) -> Optional[int]:
+        """The window of ``apply(x)``, None when x is exact.
+
+        Unknown x-terms sit at pure-Y total degree >= w_hi; their images
+        have level-0 support >= unit_degree * w_hi, and each pi-level can
+        cost at most drop() of support, rounded up."""
+        if x.w_hi is None:
+            return None
+        return self.unit_degree * x.w_hi \
+            - (min(x.prec, self.params.N) - 1) * math.ceil(self.drop())
+
     def apply(self, x: MvLaurent) -> MvLaurent:
         params = self.params
-        clamp = None  # before evaluating, so a narrow table fails first
-        if x.w_hi is not None:
-            # unknown x-terms sit at pure-Y total degree >= w_hi; their
-            # images have level-0 support >= unit_degree * w_hi, and each
-            # pi-level can cost at most drop() of support, rounded up
-            clamp = self.unit_degree * x.w_hi \
-                - (min(x.prec, params.N) - 1) * math.ceil(self.drop())
+        clamp = self.clamp(x)  # a narrow table fails here, before evaluating
         band = _work_band(params)
         acc = sparse.evaluate(
             x.pure_y_exponents(), self,
@@ -537,7 +542,8 @@ def phi_decompose(x: MvLaurent) -> dict:
         raise WindowTooSmall(
             f"decomposition left a remainder within the window: {rem!r}")
     comp_hi = sparse.ceil_cut(bound_add(h_run, 1 - p), 1, p)
-    return {a: MvLaurent(params, x.prec, terms, None, comp_hi, band)
+    return {a: MvLaurent(params, x.prec, terms, None, comp_hi, band) if terms
+            else MvLaurent._make(params, x.prec, {}, 0, comp_hi, band)
             for a, terms in comps.items()}
 
 
@@ -545,9 +551,17 @@ def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
     images = phi_images(params, decompose_window(params))
     band = _work_band(params)
-    return MvLaurent.sum([MvLaurent.zero(params, params.N, band)]
-                         + [images.apply(g.lift_band(band)).shift(*a)
-                            for a, g in components.items()])
+    prec, w_lo, w_hi, parts = params.N, 0, None, []
+    for a, g in components.items():
+        g = g.lift_band(band)
+        if g.terms:
+            parts.append(images.apply(g).shift(*a))
+        else:
+            # a * phi(0) has no terms: only its precision and window count
+            prec, w_lo = min(prec, g.prec), min(w_lo, a[0])
+            w_hi = bound_min(w_hi, bound_add(images.clamp(g), a[0]))
+    return MvLaurent.sum(
+        [MvLaurent._make(params, prec, {}, w_lo, w_hi, band)] + parts)
 
 
 def roundtrip_ok(x: MvLaurent, back: MvLaurent) -> bool:

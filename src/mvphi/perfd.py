@@ -149,6 +149,14 @@ def _windows(xs):
     return den, [rescale((x._lo, x._hi), den // x._den) for x in xs]
 
 
+def _ring_of(xs) -> PerfRing:
+    """The ring of the elements xs; ValueError when they mix rings."""
+    ring = xs[0].ring
+    if any(x.ring is not ring for x in xs):
+        raise ValueError("operands live over different perfectoid rings")
+    return ring
+
+
 class PerfLaurent(sparse.Terms):
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
@@ -248,7 +256,7 @@ class PerfLaurent(sparse.Terms):
     def sum(parts) -> "PerfLaurent":
         """parts[0] + parts[1] + ...: the least w_lo and band, the meet of
         the w_hi, and the terms below it."""
-        ring = parts[0].ring
+        ring = _ring_of(parts)
         den, wins = _windows(parts)
         hi = min((h for _, h in wins if h is not None), default=None)
         hs = ceil_cut(hi, ring.scale, den)
@@ -263,14 +271,15 @@ class PerfLaurent(sparse.Terms):
                                  self._lo, self._hi, self._den, self.band)
 
     def __mul__(self, other):
+        ring = _ring_of((self, other))
         den, a_lo, a_hi, b_lo, b_hi = \
             self._den, self._lo, self._hi, other._lo, other._hi
         if other._den != den:
             den, ((a_lo, a_hi), (b_lo, b_hi)) = _windows((self, other))
-        out, lo, hi, band = self.ring.product(
+        out, lo, hi, band = ring.product(
             den, (self.terms, a_lo, a_hi, self.band),
             (other.terms, b_lo, b_hi, other.band))
-        return PerfLaurent._make(self.ring, out, lo, hi, den, band)
+        return PerfLaurent._make(ring, out, lo, hi, den, band)
 
     def frobenius(self):
         """The ring Frobenius x -> x^p (coefficients included)."""

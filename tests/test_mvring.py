@@ -8,9 +8,10 @@ from mvphi.coeff import Params, fq_field, oe_ring, ok_ring
 from mvphi.mvring import (MvLaurent, invert_unit, norm_s, member, apply_phi,
                           apply_gamma, apply_phi_q, phi_decompose, recompose,
                           roundtrip_ok, phi_basis, phi_images,
-                          decompose_window, _work_band,
+                          decompose_window, _work_band, _SubstImages,
                           check_local_analyticity, NormValue,
                           RING_A0, RING_A, RING_DAGGER_S_MINUS, RING_DAGGER_S)
+from mvphi.suites import rand_pure_cone
 from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
 
 
@@ -509,7 +510,6 @@ def test_phi_decompose_roundtrip(p, f, h, prec):
         if prec == 1:
             x = rand_elt(pr, rng, nterms=3, maxv=0).reduce(1)
         else:
-            from mvphi.suites import rand_pure_cone
             x = rand_pure_cone(pr, rng)
         back = recompose(phi_decompose(x), pr)
         assert roundtrip_ok(x, back), (x, back)
@@ -610,10 +610,12 @@ def test_shift_is_the_monomial_product(p, f, h, data):
 @given(data=st.data())
 def test_recompose_is_the_sum_of_products(p, f, h, data):
     # components as phi_decompose leaves them, or empty, at lowered
-    # precision, or with a window (w_hi None, positive or negative)
+    # precision, or with a window (w_hi None, positive or negative); then
+    # the same components all emptied, and with each empty one replaced
+    # by one at precision below N with a window
     pr = params(p, f, h)
     band = _work_band(pr)
-    comps = {}
+    comps, emptied, windowed = {}, {}, {}
     for a in phi_basis(pr):
         prec = data.draw(st.integers(1, pr.N))
         terms = {}
@@ -623,8 +625,31 @@ def test_recompose_is_the_sum_of_products(p, f, h, data):
             terms[key] = _coeff(data.draw, pr, prec)
         w_hi = data.draw(st.one_of(st.none(), st.integers(-3, 6)))
         comps[a] = MvLaurent(pr, prec, terms, None, w_hi, band)
-    assert _outcome(lambda: recompose(comps, pr)) == _outcome(
-        lambda: _recompose_by_products(comps, pr))
+        emptied[a] = MvLaurent(pr, prec, {}, None, w_hi, band)
+        windowed[a] = comps[a] if not comps[a].is_zero() else MvLaurent(
+            pr, data.draw(st.integers(1, pr.N - 1)), {}, None,
+            data.draw(st.integers(-3, 6)), band)
+    for cs in (comps, emptied, windowed):
+        assert _outcome(lambda: recompose(cs, pr)) == _outcome(
+            lambda: _recompose_by_products(cs, pr))
+
+
+def test_recompose_applies_phi_to_nonempty_components_only(monkeypatch):
+    # an empty component adds only its precision and window to the sum
+    pr = params(5, 2, 2)
+    rng = random.Random(29)
+    apply = _SubstImages.apply
+    for x in (rand_elt(pr, rng, nterms=3, maxv=0).reduce(1),
+              rand_pure_cone(pr, rng)):
+        comps = phi_decompose(x)
+        calls = []
+        monkeypatch.setattr(_SubstImages, "apply",
+                            lambda self, g: calls.append(g) or apply(self, g))
+        back = recompose(comps, pr)
+        monkeypatch.undo()
+        assert roundtrip_ok(x, back)
+        assert len(calls) == sum(not g.is_zero() for g in comps.values())
+        assert 0 < len(calls) < len(comps)
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -803,7 +828,6 @@ def _ordered(fn):
 
 
 def _order_sample(pr, seed):
-    from mvphi.suites import rand_pure_cone
     rng = random.Random(seed)
     a = ok_ring(pr).random_unit(rng)
     out = []

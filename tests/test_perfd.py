@@ -254,6 +254,18 @@ def test_ainf_ring_is_one_ring_per_params():
     assert PerfLaurent.one(ainf_ring(pr)) == PerfLaurent.one(ainf_ring(pr))
 
 
+def test_mixed_rings_raise():
+    # exponents are scaled by each ring's p^k, so a product or sum across
+    # rings would read one ring's exponents at the other's scale
+    a = PerfLaurent.monomial(ainf_ring(params(3, 1, 1, k=2)), (1,))
+    b = PerfLaurent.monomial(ainf_ring(params(3, 1, 1, k=4)), (1,))
+    for op in (operator.mul, operator.add, operator.sub,
+               lambda x, y: PerfLaurent.sum([x, x, y])):
+        with pytest.raises(ValueError, match="different perfectoid rings"):
+            op(a, b)
+    assert a * a == PerfLaurent.monomial(a.ring, (2,))
+
+
 def _ref_member_B0r(w):
     """The digit scan member_B0r made before it read b_val_r."""
     r = Fraction(w.r)
