@@ -295,7 +295,7 @@ class WAlg(sparse.Terms):
         """parts[0] + parts[1] + ...: the least precision, and the floors
         and horizons met in one pass as the chain of + meets them (a
         minimum of non-increasing horizons is non-increasing)."""
-        params = parts[0].params
+        params = sparse.common(parts, "params", "parameter sets")
         prec = min(x.prec for x in parts)
         # a list, not a generator, is unpacked: CPython grows a tuple made
         # from a generator by resizing and files it on its size's free list
@@ -314,6 +314,7 @@ class WAlg(sparse.Terms):
         return WAlg._make(self.params, self.prec, terms, self.hn, self.floors)
 
     def __mul__(self, other):
+        params = sparse.common((self, other), "params", "parameter sets")
         prec = min(self.prec, other.prec)
         fs, fo = self.floors, other.floors
         den = lcm(fs.den, fo.den)
@@ -335,8 +336,8 @@ class WAlg(sparse.Terms):
                         best is None or b + fl < best):
                     best = b + fl
             H.append(best)
-        out = sparse.mul(oe_ring(self.params), self.terms, other.terms, prec)
-        return WAlg._make(self.params, prec, out, tuple(H),
+        out = sparse.mul(oe_ring(params), self.terms, other.terms, prec)
+        return WAlg._make(params, prec, out, tuple(H),
                           fs.convolve(fo))
 
     def scalar_mul(self, craw) -> "WAlg":

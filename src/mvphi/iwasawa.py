@@ -76,7 +76,7 @@ class TSeries(sparse.Terms):
     @staticmethod
     def sum(parts) -> "TSeries":
         """parts[0] + parts[1] + ... at the least precision and window."""
-        params = parts[0].params
+        params = sparse.common(parts, "params", "parameter sets")
         prec = min(x.prec for x in parts)
         window = min(x.window for x in parts)
         out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
@@ -88,11 +88,11 @@ class TSeries(sparse.Terms):
         return TSeries._make(self.params, self.prec, self.window, terms)
 
     def __mul__(self, other):
+        params = sparse.common((self, other), "params", "parameter sets")
         prec = min(self.prec, other.prec)
         window = min(self.window, other.window)
         out = {}
         if self.terms and other.terms:
-            params = self.params
             lay = _layout(params.f, params.h, params.poly, window)
             p = params.p
             nb = _slot_bytes(min(len(self.terms), len(other.terms))
@@ -100,7 +100,7 @@ class TSeries(sparse.Terms):
                              * (p ** other.prec - 1))
             out = lay.unpack(lay.pack(self.terms, nb)
                              * lay.pack(other.terms, nb), nb, p ** prec)
-        return TSeries._make(self.params, prec, window, out)
+        return TSeries._make(params, prec, window, out)
 
     def scalar_mul(self, c) -> "TSeries":
         """Multiply by a scalar, as ``OERing.scalar`` reads it."""

@@ -151,7 +151,8 @@ class MvLaurent(sparse.Terms):
     def sum(parts) -> "MvLaurent":
         """parts[0] + parts[1] + ... at the least precision and band and
         the meet of the windows."""
-        params, prec = parts[0].params, min(x.prec for x in parts)
+        params = sparse.common(parts, "params", "parameter sets")
+        prec = min(x.prec for x in parts)
         w_hi = min((x.w_hi for x in parts if x.w_hi is not None),
                    default=None)
         out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
@@ -165,12 +166,13 @@ class MvLaurent(sparse.Terms):
                                self.w_hi, self.band)
 
     def __mul__(self, other):
+        params = sparse.common((self, other), "params", "parameter sets")
         prec = min(self.prec, other.prec)
         w_lo = bound_add(self.w_lo, other.w_lo)
         w_hi = bound_min(bound_add(self.w_lo, other.w_hi),
                          bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
-        ring = oe_ring(self.params)
+        ring = oe_ring(params)
         inner = [(n2, x2, c2) for (n2, x2), c2 in other.terms.items()]
         out = {}
         for (n1, x1), c1 in self.terms.items():
@@ -180,8 +182,8 @@ class MvLaurent(sparse.Terms):
                     continue
                 cross = tuple([a + b for a, b in zip(x1, x2)])
                 if any(abs(e) > band for e in cross):
-                    raise _band_overflow(self.params, "product cross exponent",
-                                        cross, band)
+                    raise _band_overflow(params, "product cross exponent",
+                                         cross, band)
                 prod = ring.raw_mul(c1, c2, prec)
                 key = (n1 + n2, cross)
                 cur = out.get(key)
@@ -189,7 +191,7 @@ class MvLaurent(sparse.Terms):
                     else prod
         for k in [k for k, c in out.items() if not any(c)]:
             del out[k]
-        return MvLaurent._make(self.params, prec, out, w_lo, w_hi, band)
+        return MvLaurent._make(params, prec, out, w_lo, w_hi, band)
 
     def shift(self, n0: int, cross: tuple) -> "MvLaurent":
         """self * Y_0^{n0} prod X_i^{cross_i}: keys move by (n0, cross), the
@@ -412,10 +414,10 @@ class _SubstImages(sparse.Substitution):
         params = self.params
         clamp = self.clamp(x)  # a narrow table fails here, before evaluating
         band = _work_band(params)
+        unit = {(0, (0,) * (params.f - 1)): (1,) + (0,) * (params.h - 1)}
         acc = sparse.evaluate(
-            x.pure_y_exponents(), self,
-            MvLaurent.zero(params, x.prec, band),
-            lambda: MvLaurent.one(params, x.prec, band))
+            x.pure_y_exponents(), self, MvLaurent.zero(params, x.prec, band),
+            lambda: MvLaurent._make(params, x.prec, unit, 0, None, band))
         return acc if clamp is None else acc.with_window(clamp)
 
 
@@ -551,17 +553,17 @@ def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
     images = phi_images(params, decompose_window(params))
     band = _work_band(params)
-    prec, w_lo, w_hi, parts = params.N, 0, None, []
+    prec, w_hi, parts = params.N, None, []
     for a, g in components.items():
         g = g.lift_band(band)
         if g.terms:
             parts.append(images.apply(g).shift(*a))
         else:
             # a * phi(0) has no terms: only its precision and window count
-            prec, w_lo = min(prec, g.prec), min(w_lo, a[0])
+            prec = min(prec, g.prec)
             w_hi = bound_min(w_hi, bound_add(images.clamp(g), a[0]))
     return MvLaurent.sum(
-        [MvLaurent._make(params, prec, {}, w_lo, w_hi, band)] + parts)
+        [MvLaurent._make(params, prec, {}, 0, w_hi, band)] + parts)
 
 
 def roundtrip_ok(x: MvLaurent, back: MvLaurent) -> bool:

@@ -149,14 +149,6 @@ def _windows(xs):
     return den, [rescale((x._lo, x._hi), den // x._den) for x in xs]
 
 
-def _ring_of(xs) -> PerfRing:
-    """The ring of the elements xs; ValueError when they mix rings."""
-    ring = xs[0].ring
-    if any(x.ring is not ring for x in xs):
-        raise ValueError("operands live over different perfectoid rings")
-    return ring
-
-
 class PerfLaurent(sparse.Terms):
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
@@ -256,7 +248,7 @@ class PerfLaurent(sparse.Terms):
     def sum(parts) -> "PerfLaurent":
         """parts[0] + parts[1] + ...: the least w_lo and band, the meet of
         the w_hi, and the terms below it."""
-        ring = _ring_of(parts)
+        ring = sparse.common(parts, "ring", "perfectoid rings")
         den, wins = _windows(parts)
         hi = min((h for _, h in wins if h is not None), default=None)
         hs = ceil_cut(hi, ring.scale, den)
@@ -271,7 +263,7 @@ class PerfLaurent(sparse.Terms):
                                  self._lo, self._hi, self._den, self.band)
 
     def __mul__(self, other):
-        ring = _ring_of((self, other))
+        ring = sparse.common((self, other), "ring", "perfectoid rings")
         den, a_lo, a_hi, b_lo, b_hi = \
             self._den, self._lo, self._hi, other._lo, other._hi
         if other._den != den:
@@ -377,44 +369,31 @@ class PerfHandle:
     def zero(self):
         return PerfLaurent.zero(self.ring)
 
-    def one(self):
-        return self._one
-
     def is_zero(self, a):
         return a.is_zero()
 
     def eq(self, a, b):
         return a.eq_within(b)
 
-    def kernel(self, plan, vals) -> tuple:
-        """The raw evaluation of ``plan`` (a ``witt.StructPlan``) at
-        ``vals``: node values are raw (terms, lo, hi, band) over one
-        denominator, the lcm of the values'; a one-term value's powers
-        come in closed form (``PerfRing.mono_power``), another's from
-        ``PerfLaurent`` products; products are ``PerfRing.product``.
+    def kernel(self, vals) -> tuple:
+        """The raw evaluation of structure plans at ``vals``: node values
+        are raw (terms, lo, hi, band) over one denominator, the lcm of the
+        values'; a one-term value's powers come in closed form
+        (``PerfRing.mono_power``), another's from ``PerfLaurent``
+        products; products are ``PerfRing.product``.
 
-        ``total`` adds the parts, c copies of a term as one scalar
-        multiple, and gives the sum the window and band of the sum of
-        every term of the plan.  v^d has w_lo d*lo_v and w_hi
-        (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum d_j*lo_j and w_hi
-        lo_t + min_j (hi_j - lo_j).  That gap is the same for all terms of
-        a variable group, so a group adds its least lo_t plus the gap; the
-        band is the least of the variables used.
+        ``total(plan, parts)`` adds the parts, c copies of a term as one
+        scalar multiple, and gives the sum the window and band of the sum
+        of every term of ``plan`` (a ``witt.StructPlan``).  v^d has w_lo
+        d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum
+        d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j).  That gap is the
+        same for all terms of a variable group, so a group adds its least
+        lo_t plus the gap; the band is the least of the variables used.
         """
         ring, one = self.ring, self._one
         den, wins = _windows(vals)
         los = [lo for lo, _ in wins]
         gaps = [None if hi is None else hi - lo for lo, hi in wins]
-        w_lo, w_hi = 0, None
-        for js, vecs in plan.groups:
-            sel = [los[j] for j in js]
-            g_lo = min([sum(map(mul, vec, sel)) for vec in vecs]) \
-                if any(sel) else 0
-            w_lo = min(w_lo, g_lo)
-            g_gaps = [gaps[j] for j in js if gaps[j] is not None]
-            if g_gaps:
-                w_hi = bound_min(w_hi, g_lo + min(g_gaps))
-        band = min([ring.band_cap] + [vals[j].band for j in plan.used])
 
         def pow_(j, d):
             x = vals[j]
@@ -424,7 +403,17 @@ class PerfHandle:
             return (y.terms, *rescale((y._lo, y._hi), den // y._den),
                     y.band)
 
-        def total(parts):
+        def total(plan, parts):
+            w_lo, w_hi = 0, None
+            for js, vecs in plan.groups:
+                sel = [los[j] for j in js]
+                g_lo = min([sum(map(mul, vec, sel)) for vec in vecs]) \
+                    if any(sel) else 0
+                w_lo = min(w_lo, g_lo)
+                g_gaps = [gaps[j] for j in js if gaps[j] is not None]
+                if g_gaps:
+                    w_hi = bound_min(w_hi, g_lo + min(g_gaps))
+            band = min([ring.band_cap] + [vals[j].band for j in plan.used])
             smul = ring.oe.raw_smul
             hs = ceil_cut(w_hi, ring.scale, den)
             out = sparse.add(ring.oe, [

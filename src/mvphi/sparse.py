@@ -47,6 +47,17 @@ def rescale(xs, r: int):
     return [None if x is None else x * r for x in xs]
 
 
+def common(xs, attr: str, what: str):
+    """The ``attr`` of xs[0], after checking every x's by identity, then
+    by equality; ValueError naming ``what`` when two differ."""
+    first = getattr(xs[0], attr)
+    for x in xs:
+        y = getattr(x, attr)
+        if y is not first and y != first:
+            raise ValueError(f"operands live over different {what}")
+    return first
+
+
 class Terms:
     """+ on the class's n-ary ``sum``, - on its negation, the zero test."""
 

@@ -158,9 +158,6 @@ class FiniteFieldHandle:
     def zero(self):
         return self.field.zero
 
-    def one(self):
-        return self.field.one
-
     def is_zero(self, a):
         return not a
 
@@ -170,13 +167,13 @@ class FiniteFieldHandle:
     def embed_residue(self, lam: FElt):
         return lam
 
-    def kernel(self, plan, vals) -> tuple:
+    def kernel(self, vals) -> tuple:
         """Field elements are their own node values and carry no window:
-        the plain sum."""
+        the plain sum, whatever the plan."""
         one, zero = self.field.one, self.field.zero
         return (one, lambda j, d: power(vals[j], d, one), mul,
-                lambda parts: sum([v for c, v in parts for _ in range(c)],
-                                  zero))
+                lambda plan, parts: sum(
+                    [v for c, v in parts for _ in range(c)], zero))
 
 
 WITT_COORDS = "witt-coordinates"
@@ -234,37 +231,6 @@ class WittVec:
         return all(self.handle.eq(x, y) for x, y in zip(a.comps, b.comps))
 
 
-def _eval_struct(plan: StructPlan, handle, xs, ys):
-    """Evaluate a structure polynomial, by its plan, on handle elements.
-
-    Only the terms with no zero value are multiplied out, each node on
-    their paths once.  ``handle.kernel(plan, vals)`` gives the node values
-    ``one`` and ``power(j, d)`` (vals[j] to the d >= 1), their ``mul``, and
-    ``total``, which adds the (c, node value) pairs, c times each, into an
-    element with the bounds of the sum of every term.
-    """
-    vals = xs + ys
-    dead = sum(1 << j for j, v in enumerate(vals) if handle.is_zero(v))
-    one, power, mul, total = handle.kernel(plan, vals)
-    nodes = plan.nodes
-    pows, value, parts = {}, {}, []
-    for ci, path, mask in plan.index:
-        if mask & dead:
-            continue
-        term = None
-        for n in path:
-            got = value.get(n)
-            if got is None:
-                jd = nodes[n]
-                pw = pows.get(jd)
-                if pw is None:
-                    pw = pows[jd] = power(*jd)
-                got = value[n] = pw if term is None else mul(term, pw)
-            term = got
-        parts.append((ci, one if term is None else term))
-    return total(parts)
-
-
 def _same_ring(u: WittVec, v: WittVec):
     if u.handle is not v.handle or u.prec != v.prec:
         raise ValueError("operands live over different Witt rings")
@@ -272,13 +238,40 @@ def _same_ring(u: WittVec, v: WittVec):
 
 def _coordinatewise(u: WittVec, v: WittVec, plans: str) -> WittVec:
     """Evaluate the structure polynomials whose plans are the attribute
-    ``plans`` of ``StructurePolys`` on the Witt coordinates of u and v."""
+    ``plans`` of ``StructurePolys`` on the Witt coordinates of u and v.
+
+    ``handle.kernel(vals)``, built once per operation, gives the node
+    values ``one`` and ``power(j, d)`` (vals[j] to the d >= 1), their
+    ``mul``, and ``total(plan, parts)``, which adds the (c, node value)
+    pairs, c times each, into an element with the bounds of the sum of
+    every term of the plan.  One walk per plan multiplies out only the
+    terms with no zero value, each node on their paths once; the mask of
+    zero values and the powers are shared by the N plans.
+    """
     _same_ring(u, v)
-    sp = gen_structure_polys(u.handle.p, u.prec)
-    xs, ys = u.coordinates().comps, v.coordinates().comps
-    comps = tuple(_eval_struct(plan, u.handle, xs, ys)
-                  for plan in getattr(sp, plans))
-    return WittVec(u.handle, u.prec, WITT_COORDS, comps)
+    handle = u.handle
+    vals = u.coordinates().comps + v.coordinates().comps
+    dead = sum(1 << j for j, x in enumerate(vals) if handle.is_zero(x))
+    one, power, mul, total = handle.kernel(vals)
+    pows, comps = {}, []
+    for plan in getattr(gen_structure_polys(handle.p, u.prec), plans):
+        nodes, value, parts = plan.nodes, {}, []
+        for ci, path, mask in plan.index:
+            if mask & dead:
+                continue
+            term = None
+            for n in path:
+                got = value.get(n)
+                if got is None:
+                    jd = nodes[n]
+                    pw = pows.get(jd)
+                    if pw is None:
+                        pw = pows[jd] = power(*jd)
+                    got = value[n] = pw if term is None else mul(term, pw)
+                term = got
+            parts.append((ci, one if term is None else term))
+        comps.append(total(plan, parts))
+    return WittVec(handle, u.prec, WITT_COORDS, tuple(comps))
 
 
 def witt_add(u: WittVec, v: WittVec) -> WittVec:

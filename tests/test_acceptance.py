@@ -15,7 +15,8 @@ from mvphi.coeff import Params
 from mvphi import suites as su
 from mvphi.embed import verify_norm_compare
 from mvphi.errors import Uncertified
-from mvphi.perfd import (ainf_handle, pr_radius, BElt, member_B0r)
+from mvphi.perfd import (ainf_handle, pr_radius, BElt, member_B0r,
+                         PerfLaurent)
 from mvphi import witt as wt
 
 GRID = [Params.create(p, f, h) for (p, f, h) in su.DEFAULT_GRID]
@@ -122,7 +123,8 @@ def test_acceptance_10_radius_bookkeeping():
             h = ainf_handle(pr)
             for s in (1, 2):
                 pi_over = wt.from_expansion(
-                    h, (h.zero(), h.one()) + (h.zero(),) * (pr.N - 2))
+                    h, (h.zero(), PerfLaurent.one(h.ring))
+                    + (h.zero(),) * (pr.N - 2))
                 inside = BElt(pi_over, Fraction(1, s), shift=s)
                 outside = BElt(pi_over, Fraction(1, s), shift=s + 1)
                 if not member_B0r(inside) or member_B0r(outside):

@@ -679,3 +679,11 @@ def test_params_reject_h_below_one():
     for h in (0, -2):
         with pytest.raises(ValueError, match=rf"h = {h}\b"):
             Params.create(3, 1, h)
+
+
+def test_oe_reduce_refuses_digits_it_does_not_know():
+    ring = oe_ring(params(3, 2, 2))
+    x = ring((4, 5), 2)
+    assert x.reduce(1).coords == (1, 2) and x.reduce(2) == x
+    with pytest.raises(PrecisionExhausted, match="known mod p\\^2"):
+        x.reduce(3)

@@ -9,7 +9,7 @@ from mvphi.iwasawa import (TSeries, group_like, y_generator, phi_map,
                            gamma_map, okx_coordinates, revert_series,
                            y_to_t_inverse, to_y_coordinates, phi_y, gamma_y,
                            phi_power_y, _invert_coeff_matrix)
-from mvphi.errors import SingularJacobian, NotAUnit
+from mvphi.errors import SingularJacobian, NotAUnit, PrecisionExhausted
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -232,6 +232,28 @@ def test_singular_jacobian_raises():
     sq = t * t
     with pytest.raises(SingularJacobian):
         revert_series((sq,), pr.M)
+
+
+def test_revert_series_rejects_bad_input():
+    pr = params(3, 2, 2)
+    t0, t1 = (TSeries.variable(pr, j, pr.N) for j in range(2))
+    with pytest.raises(ValueError, match="empty series tuple"):
+        revert_series((), pr.M)
+    with pytest.raises(ValueError, match="exactly f series"):
+        revert_series((t0,), pr.M)
+    with pytest.raises(ValueError, match="zero constant term"):
+        revert_series((t0, t1 + TSeries.one(pr, pr.N)), pr.M)
+    assert revert_series((t0, t1), pr.M) is not None
+
+
+def test_group_like_needs_precision_past_the_binomial_guard():
+    # at M = 12 the binomials cost v_3(11!) = 4 digits
+    pr = params(3, 1, 1)
+    okr = ok_ring(pr)
+    assert pr.guard() == 4
+    with pytest.raises(PrecisionExhausted, match="precision > 4"):
+        group_like(okr((1,), 4))
+    assert group_like(okr((1,), 5)).prec == 1
 
 
 def test_phi_y_q2():

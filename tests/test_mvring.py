@@ -652,6 +652,19 @@ def test_recompose_applies_phi_to_nonempty_components_only(monkeypatch):
         assert 0 < len(calls) < len(comps)
 
 
+def test_phi_decompose_raises_on_a_remainder(monkeypatch):
+    # a recomposition that gives back nothing leaves every slice in the
+    # remainder: the decomposition refuses to return components for it
+    import mvphi.mvring as mvring
+    pr = params(3, 2, 2)
+    x = mono(pr, 2, (1,)) + mono(pr, 0, None, pr.p)
+    assert roundtrip_ok(x, recompose(phi_decompose(x), pr))
+    monkeypatch.setattr(mvring, "recompose",
+                        lambda comps, p: MvLaurent.zero(p))
+    with pytest.raises(WindowTooSmall, match="left a remainder"):
+        phi_decompose(x)
+
+
 @pytest.mark.parametrize("p,f,h", GRID)
 def test_local_analyticity(p, f, h):
     pr = params(p, f, h)

@@ -121,6 +121,21 @@ def test_map_phi_on_teichmuller_generators():
     assert got.eq(want)
 
 
+def test_eq_within_compares_only_the_common_window():
+    # a term past the least w_hi of the two is not compared; one below it
+    # that differs makes them unequal, and so the Witt vectors too
+    R = ainf_ring(params(3, 1, 1))
+    h = ainf_handle(R.params)
+    one, two = R.field.one, R.field.from_int(2)
+    a = PerfLaurent(R, {(0,): one, (R.scale,): one}, None, 2)
+    b = PerfLaurent(R, {(0,): one}, None, 1)
+    c = PerfLaurent(R, {(0,): two}, None, 1)
+    assert a.eq_within(b) and b.eq_within(a)
+    assert not a.eq_within(c) and not c.eq_within(b)
+    assert wt.teich(h, a, 3).eq(wt.teich(h, b, 3))
+    assert not wt.teich(h, a, 3).eq(wt.teich(h, c, 3))
+
+
 def test_belt_teich_and_pi():
     pr = params(3, 1, 1)
     h = ainf_handle(pr)
@@ -130,7 +145,7 @@ def test_belt_teich_and_pi():
     nv = b_val_r(w)
     assert nv.val == 1 and nv.certified
     # pi * teich(1) at radius r has value exponent 1/r
-    pi1 = wt.from_expansion(h, (h.zero(), h.one(), h.zero()))
+    pi1 = wt.from_expansion(h, (h.zero(), PerfLaurent.one(h.ring), h.zero()))
     nv2 = b_val_r(BElt(pi1, Fraction(1, 2)))
     assert nv2.val == 2
 
@@ -172,14 +187,13 @@ def test_b_val_multiplicative_on_random_pairs():
 def test_member_b0r_boundary_cases():
     pr = params(3, 1, 1)
     h = ainf_handle(pr)
+    pi = wt.from_expansion(h, (h.zero(), PerfLaurent.one(h.ring), h.zero()))
     for s in (1, 2):
         # pi / [Y]^s at r = 1/s: boundary, in
-        w = BElt(wt.from_expansion(
-            h, (h.zero(), h.one(), h.zero())), Fraction(1, s), shift=s)
+        w = BElt(pi, Fraction(1, s), shift=s)
         assert member_B0r(w)
         # pi / [Y]^{s+1} at r = 1/s: out
-        w2 = BElt(wt.from_expansion(
-            h, (h.zero(), h.one(), h.zero())), Fraction(1, s), shift=s + 1)
+        w2 = BElt(pi, Fraction(1, s), shift=s + 1)
         assert not member_B0r(w2)
     # teichmuller lifts are always in
     y = PerfLaurent.monomial(h.ring, (Fraction(1, 3),))
@@ -474,7 +488,7 @@ def _outcome(fn, *args):
 
 _bound = st.fractions(min_value=-3, max_value=4, max_denominator=9)
 _OPS = ("mul", "sum", "neg", "frobenius", "pth_root", "phi_linear",
-        "eval_struct")
+        "witt")
 
 
 @pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
@@ -487,8 +501,9 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
     R = ainf_ring(params(p, f, h, k=2))
     handle = ainf_handle(R.params)
     sp = wt.gen_structure_polys(p, 3)
-    plans = list(zip(sp.sum_plans + sp.prod_plans,
-                     [wt._mod_p_terms(q, p) for q in sp.sums + sp.prods]))
+    witt_ops = [(op, [wt._mod_p_terms(q, p) for q in polys])
+                for op, polys in ((wt.witt_add, sp.sums),
+                                  (wt.witt_mul, sp.prods))]
     elts = [e for e in R.field.elements() if e]
     exps = st.integers(-2 * R.scale, 2 * R.scale)
     pool = []
@@ -526,13 +541,25 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
             xs = data.draw(st.lists(pick, min_size=1, max_size=4))
             got = PerfLaurent.sum([a for a, _ in xs])
             want = RefPerf.sum([r for _, r in xs])
-        elif op == "eval_struct":
-            plan, terms = data.draw(st.sampled_from(plans))
+        elif op == "witt":
+            # witt_add or witt_mul on coordinate-form vectors: coordinate
+            # n is the evaluation of S_n or P_n at the six values
+            fn, polys = data.draw(st.sampled_from(witt_ops))
             vs = [data.draw(pick) for _ in range(6)]
-            got = _outcome(wt._eval_struct, plan, handle,
-                           tuple(a for a, _ in vs[:3]),
-                           tuple(a for a, _ in vs[3:]))
-            want = _outcome(RefPerf.eval_struct, terms, [r for _, r in vs])
+            u, v = (wt.WittVec(handle, 3, wt.WITT_COORDS,
+                               tuple(a for a, _ in vs[i:i + 3]))
+                    for i in (0, 3))
+            got = _outcome(lambda: fn(u, v).comps)
+            want = _outcome(lambda: [RefPerf.eval_struct(
+                terms, [r for _, r in vs]) for terms in polys])
+            if isinstance(want, type):
+                assert got is want
+                continue
+            for a, b in zip(got, want, strict=True):
+                _same_window(a, b)
+                pool.append((a, b))
+            pick = st.sampled_from(pool)
+            continue
         else:
             a, ra = data.draw(pick)
             if op == "phi_linear":

@@ -224,6 +224,25 @@ def test_make_on_reduced_cut_terms_is_the_constructor(g, data):
         == _slots(y)
 
 
+@pytest.mark.parametrize("one, var", [
+    (lambda pr: TSeries.one(pr, 3), lambda pr: TSeries.variable(pr, 0, 3)),
+    (MvLaurent.one, lambda pr: MvLaurent.monomial(pr, 2)),
+    (lambda pr: WAlg.one(pr, 3), lambda pr: WAlg.teich_monomial(pr, 3, (1,))),
+], ids=["TSeries", "MvLaurent", "WAlg"])
+def test_common_rejects_mixed_params_and_keeps_the_first(one, var):
+    # a sum or product over different params raises; equal params objects
+    # are compared by value, and the first one is kept
+    a, b, a2 = (Params.create(p, 1, 1) for p in (3, 5, 3))
+    assert a2 == a and a2 is not a
+    x, y, z = one(a), one(b), var(a2)
+    for op in (operator.add, operator.sub, operator.mul,
+               lambda u, v: type(u).sum([u, u, v])):
+        with pytest.raises(ValueError, match="different parameter sets"):
+            op(x, y)
+    assert (x + z).params is a and (z * x).params is a2
+    assert (x * z).terms == var(a).terms
+
+
 # -- evaluate and the geometric series --------------------------------------
 
 def test_evaluate_without_terms_returns_zero_itself():

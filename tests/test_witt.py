@@ -10,8 +10,8 @@ from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         witt_neg, witt_sub, teich, witt_zero, from_expansion,
                         from_oe_scalar, from_int,
-                        map_coefficients, scalar_mul, _eval_struct,
-                        _mod_p_terms, _pmul, TEICH_EXPANSION)
+                        map_coefficients, scalar_mul, WittVec,
+                        _mod_p_terms, _pmul, TEICH_EXPANSION, WITT_COORDS)
 
 
 def handle(p, h=1):
@@ -230,10 +230,11 @@ def test_scalar_mul_matches_repeated_addition():
 
 def _ref_eval_struct(terms, handle, xs, ys):
     """The full evaluation: every term multiplied out, zero values
-    included.  ``_eval_struct`` must agree with it on terms, window and
-    band."""
+    included.  Each coordinate of ``witt_add`` and ``witt_mul`` must agree
+    with it on terms, window and band."""
     acc = handle.zero()
-    one = handle.one()
+    one = PerfLaurent.one(handle.ring) if isinstance(handle, PerfHandle) \
+        else handle.field.one
     pow_cache = {}
 
     def power(idx, val, e):
@@ -297,9 +298,14 @@ def _plans_and_terms(p, N):
 
 
 def _both_evaluations(p, N, handle, xs, ys):
-    for plan, terms, _ in _plans_and_terms(p, N):
-        yield (_eval_struct(plan, handle, xs, ys),
-               _ref_eval_struct(terms, handle, xs, ys))
+    """(coordinate, full evaluation of its polynomial) for each coordinate
+    of witt_add, then of witt_mul, on the coordinate-form vectors xs and
+    ys."""
+    u, v = (WittVec(handle, N, WITT_COORDS, zs) for zs in (xs, ys))
+    sp = gen_structure_polys(p, N)
+    for got, polys in ((witt_add(u, v), sp.sums), (witt_mul(u, v), sp.prods)):
+        for a, poly in zip(got.comps, polys, strict=True):
+            yield a, _ref_eval_struct(_mod_p_terms(poly, p), handle, xs, ys)
 
 
 def _same_perf(got, want):
@@ -338,18 +344,17 @@ def test_eval_struct_matches_full_evaluation_over_field(p, N, data):
 @pytest.mark.parametrize("p,N", [(3, 3), (3, 4)])
 def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
     # S_n and P_n mod 3 have terms with c = 2: the sum takes them twice
-    polys = [(plan, terms) for plan, terms, _ in _plans_and_terms(p, N)
-             if any(ci == 2 for ci, _ in terms)]
-    assert polys
+    sp = gen_structure_polys(p, N)
+    assert any(ci == 2 for poly in sp.sums + sp.prods
+               for ci, _ in _mod_p_terms(poly, p))
     rng = random.Random(p * N)
     F = fq_field(Params.create(p, 2, 2))
     fh = FiniteFieldHandle(F)
     elts = [e for e in F.elements() if e]
     xs = tuple(rng.choice(elts) for _ in range(N))
     ys = tuple(rng.choice(elts) for _ in range(N))
-    for plan, terms in polys:
-        assert _eval_struct(plan, fh, xs, ys) == \
-            _ref_eval_struct(terms, fh, xs, ys)
+    for got, want in _both_evaluations(p, N, fh, xs, ys):
+        assert got == want
     ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
     ring = ph.ring
     xs = tuple(PerfLaurent(ring, {(rng.randrange(-9, 10),): ring.field.one},
@@ -357,9 +362,8 @@ def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
                for _ in range(N))
     ys = tuple(PerfLaurent.monomial(ring, (Fraction(rng.randrange(4), 9),))
                for _ in range(N))
-    for plan, terms in polys:
-        _same_perf(_eval_struct(plan, ph, xs, ys),
-                   _ref_eval_struct(terms, ph, xs, ys))
+    for got, want in _both_evaluations(p, N, ph, xs, ys):
+        _same_perf(got, want)
 
 
 @pytest.mark.parametrize("p,N", _STRUCT_CASES)
@@ -368,15 +372,40 @@ def test_eval_struct_of_zero_values_keeps_the_full_window(p, N):
     # window and band are those of the full evaluation
     fh = FiniteFieldHandle(fq_field(Params.create(p, 2, 2)))
     zeros = (fh.zero(),) * N
+    for got, want in _both_evaluations(p, N, fh, zeros, zeros):
+        assert got == want == fh.zero()
     ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
     vals = [PerfLaurent(ph.ring, {}, Fraction(-n, 9), Fraction(n + 1, 3),
                         ph.ring.band_cap // (n + 1))
             for n in range(2 * N)]
-    for plan, terms, _ in _plans_and_terms(p, N):
-        assert _eval_struct(plan, fh, zeros, zeros) == fh.zero()
-        got = _eval_struct(plan, ph, vals[:N], vals[N:])
+    for got, want in _both_evaluations(p, N, ph, vals[:N], vals[N:]):
         assert got.is_zero()
-        _same_perf(got, _ref_eval_struct(terms, ph, vals[:N], vals[N:]))
+        _same_perf(got, want)
+
+
+@pytest.mark.parametrize("p,N", [(3, 4), (2, 3)])
+def test_one_kernel_per_witt_operation(p, N, monkeypatch):
+    # the N coordinates of one witt_add or witt_mul share one kernel: the
+    # values' denominator, windows and powers are formed once
+    handle = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    ring = handle.ring
+    u = from_expansion(handle, tuple(
+        PerfLaurent.monomial(ring, (Fraction(n + 1, p),)) for n in range(N)))
+    v = teich(handle, PerfLaurent(ring, {(1,): ring.field.one,
+                                         (p,): ring.field.one}), N)
+    calls = []
+    kernel = PerfHandle.kernel
+
+    def counted(h, vals):
+        calls.append(len(vals))
+        return kernel(h, vals)
+
+    monkeypatch.setattr(PerfHandle, "kernel", counted)
+    for op in (witt_add, witt_mul, witt_sub):
+        calls.clear()
+        got = op(u, v)
+        assert len(got.comps) == N
+        assert calls == [2 * N] * (2 if op is witt_sub else 1)
 
 
 def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
