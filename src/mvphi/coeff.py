@@ -203,6 +203,13 @@ class OERing:
         self.h = fld.h
         # canonical integral lift of the defining polynomial
         self.poly = tuple(int(c) for c in fld.poly)
+        self.raw_one = (1,) + (0,) * (self.h - 1)
+        # x^k mod the defining polynomial over Z, k = h .. 2h-2
+        xh = [-c for c in self.poly[:self.h]]
+        self.folds, r = [], xh
+        for _ in range(self.h - 1):
+            self.folds.append(r)
+            r = [a + r[-1] * b for a, b in zip([0] + r[:-1], xh)]
 
     # -- raw kernels (tuples of ints, explicit precision) -------------------
 
@@ -244,20 +251,28 @@ class OERing:
             if ai:
                 for j in range(h):
                     out[i + j] += ai * b[j]
-        poly = self.poly
-        for i in range(2 * h - 2, h - 1, -1):
-            c = out[i] % m
-            if c:
-                for j in range(h):
-                    out[i - h + j] -= c * poly[j]
-            out[i] = 0
-        return tuple(c % m for c in out[:h])
+        return self.fold(out, m)
+
+    def fold(self, v: list, m: int) -> tuple:
+        """The 2h-1 coordinates v of a product before reduction by the
+        defining polynomial, reduced to h, mod m."""
+        c = v[:self.h]
+        for k, red in enumerate(self.folds, self.h):
+            vk = v[k]
+            if vk:
+                for i, r in enumerate(red):
+                    c[i] += vk * r
+        return tuple([x % m for x in c])
 
     def scalar(self, c, prec: int):
         """(raw coordinates, precision) of the scalar c taken at most at
-        prec: an OEInt meets prec with its own precision; an int or raw
-        coordinates are read at prec."""
+        prec: an OEInt of this ring (by identity, then by p and defining
+        polynomial; ValueError otherwise) meets prec with its own
+        precision; an int or raw coordinates are read at prec."""
         if isinstance(c, OEInt):
+            r = c.ring
+            if r is not self and (r.p, r.poly) != (self.p, self.poly):
+                raise ValueError("the scalar lives over a different O_E")
             prec = min(prec, c.prec)
             c = c.coords
         elif isinstance(c, int):

@@ -251,7 +251,8 @@ class WAlg(sparse.Terms):
 
     @staticmethod
     def _make(params, prec, terms, hn, floors):
-        """Reduced, cut terms and non-increasing hn over floors.den."""
+        """Cut terms, coordinates in [0, p^prec) and no coefficient zero,
+        and non-increasing hn over floors.den."""
         x = object.__new__(WAlg)
         x.params, x.prec, x.terms, x.hn, x.floors = \
             params, prec, terms, hn, floors
@@ -291,27 +292,33 @@ class WAlg(sparse.Terms):
     # -- arithmetic --------------------------------------------------------------
 
     @staticmethod
-    def sum(parts) -> "WAlg":
-        """parts[0] + parts[1] + ...: the least precision, and the floors
-        and horizons met in one pass as the chain of + meets them (a
-        minimum of non-increasing horizons is non-increasing)."""
-        params = sparse.common(parts, "params", "parameter sets")
-        prec = min(x.prec for x in parts)
+    def lincomb(pairs) -> "WAlg":
+        """sum c * x over (raw scalar c, element x) pairs.  c = p^v * unit
+        shifts x's horizons and floors up by v levels (x counts as
+        ``WAlg.zero`` when v >= x.prec); then the least precision, and the
+        floors and horizons met in one pass as the chain of + meets them
+        (a minimum of non-increasing horizons is non-increasing)."""
+        xs = [x for _, x in pairs]
+        params = sparse.common(xs, "params", "parameter sets")
+        ring = oe_ring(params)
+        prec = min([x.prec for x in xs])
+        shifted = []
+        for c, x in pairs:
+            v = ring.raw_val(c, x.prec)
+            shifted.append((v, x) if v < x.prec
+                           else (0, WAlg.zero(params, x.prec)))
         # a list, not a generator, is unpacked: CPython grows a tuple made
         # from a generator by resizing and files it on its size's free list
-        floors = Floors.meet(*[x.floors for x in parts])
+        floors = Floors.meet(*[x.floors.shift(v) for v, x in shifted])
         hn = [None] * prec
-        for x in parts:
+        for v, x in shifted:
             r = floors.den // x.floors.den
-            for v, h in enumerate(x.hn[:prec]):
-                if h is not None and (hn[v] is None or h * r < hn[v]):
-                    hn[v] = h * r
-        out = sparse.add(oe_ring(params), [x.terms for x in parts], prec)
+            for w, h in enumerate(x.hn[:max(0, prec - v)], v):
+                if h is not None and (hn[w] is None or h * r < hn[w]):
+                    hn[w] = h * r
+        out = sparse.lincomb(ring, [(c, x.terms, x.prec) for c, x in pairs],
+                             prec)
         return WAlg._make(params, prec, out, tuple(hn), floors)
-
-    def __neg__(self):
-        terms = sparse.neg(oe_ring(self.params), self.terms, self.prec)
-        return WAlg._make(self.params, self.prec, terms, self.hn, self.floors)
 
     def __mul__(self, other):
         params = sparse.common((self, other), "params", "parameter sets")
@@ -339,18 +346,6 @@ class WAlg(sparse.Terms):
         out = sparse.mul(oe_ring(params), self.terms, other.terms, prec)
         return WAlg._make(params, prec, out, tuple(H),
                           fs.convolve(fo))
-
-    def scalar_mul(self, craw) -> "WAlg":
-        """craw * self; a unit keeps the horizons and floors as they are."""
-        ring = oe_ring(self.params)
-        prec = self.prec
-        v = ring.raw_val(craw, prec)
-        if v >= prec:
-            return WAlg.zero(self.params, prec)
-        hn = self.hn if not v else (None,) * v + self.hn[:prec - v]
-        return WAlg._make(self.params, prec,
-                          sparse.smul(ring, self.terms, craw, prec), hn,
-                          self.floors.shift(v))
 
     def clamp(self, bounds, den) -> "WAlg":
         """Impose additional per-level horizons bounds[v] / den (ints, None

@@ -13,8 +13,6 @@ integer product (Harvey, JSC 2009).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from itertools import product
 from typing import Optional
 
@@ -23,6 +21,7 @@ from .coeff import (Params, OKElement, _row_reduce, binomial_row, oe_ring,
                     ok_ring)
 from .errors import NotAUnit, PrecisionExhausted, SingularJacobian
 from . import sparse
+from .sparse import from_slots, slot_bytes, to_slots
 
 
 class TSeries(sparse.Terms):
@@ -43,7 +42,8 @@ class TSeries(sparse.Terms):
 
     @staticmethod
     def _make(params, prec, window, terms):
-        """The series of terms already reduced and cut at the window."""
+        """The series of terms cut at the window, each coordinate reduced
+        into [0, p^prec) and no coefficient zero, as every class keeps."""
         x = object.__new__(TSeries)
         x.params, x.prec, x.window, x.terms = params, prec, window, terms
         return x
@@ -74,18 +74,17 @@ class TSeries(sparse.Terms):
     # -- ring operations -------------------------------------------------------
 
     @staticmethod
-    def sum(parts) -> "TSeries":
-        """parts[0] + parts[1] + ... at the least precision and window."""
-        params = sparse.common(parts, "params", "parameter sets")
-        prec = min(x.prec for x in parts)
-        window = min(x.window for x in parts)
-        out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
-                         lambda e: sum(e) < window)
+    def lincomb(pairs) -> "TSeries":
+        """sum c * x over (raw scalar c, series x) pairs, at the least
+        precision and window."""
+        xs = [x for _, x in pairs]
+        params = sparse.common(xs, "params", "parameter sets")
+        prec = min([x.prec for x in xs])
+        window = min([x.window for x in xs])
+        out = sparse.lincomb(oe_ring(params),
+                             [(c, x.terms, x.prec) for c, x in pairs], prec,
+                             lambda e: sum(e) < window)
         return TSeries._make(params, prec, window, out)
-
-    def __neg__(self):
-        terms = sparse.neg(oe_ring(self.params), self.terms, self.prec)
-        return TSeries._make(self.params, self.prec, self.window, terms)
 
     def __mul__(self, other):
         params = sparse.common((self, other), "params", "parameter sets")
@@ -93,21 +92,14 @@ class TSeries(sparse.Terms):
         window = min(self.window, other.window)
         out = {}
         if self.terms and other.terms:
-            lay = _layout(params.f, params.h, params.poly, window)
+            lay = _layout(oe_ring(params), params.f, window)
             p = params.p
-            nb = _slot_bytes(min(len(self.terms), len(other.terms))
-                             * params.h * (p ** self.prec - 1)
-                             * (p ** other.prec - 1))
+            nb = slot_bytes(min(len(self.terms), len(other.terms))
+                            * params.h * (p ** self.prec - 1)
+                            * (p ** other.prec - 1))
             out = lay.unpack(lay.pack(self.terms, nb)
                              * lay.pack(other.terms, nb), nb, p ** prec)
         return TSeries._make(params, prec, window, out)
-
-    def scalar_mul(self, c) -> "TSeries":
-        """Multiply by a scalar, as ``OERing.scalar`` reads it."""
-        ring = oe_ring(self.params)
-        craw, prec = ring.scalar(c, self.prec)
-        return TSeries._make(self.params, prec, self.window,
-                             sparse.smul(ring, self.terms, craw, prec))
 
     def __eq__(self, other):
         return (isinstance(other, TSeries) and self.params == other.params
@@ -176,45 +168,6 @@ class TSeries(sparse.Terms):
 # the packed (Kronecker) layout
 # ---------------------------------------------------------------------------
 
-# array typecode per item size: a packed int converts to and from its slots
-# at C speed when a slot is an array item wide
-_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
-_SWAP = sys.byteorder != "little"
-
-
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot for values up to ``bound``; an array item size when
-    one is wide enough."""
-    n = max(1, -(-bound.bit_length() // 8))
-    return min((size for size in _TYPECODES if size >= n), default=n)
-
-
-def _to_slots(x: int, nb: int, count: int) -> list:
-    """The lowest ``count`` slots of x, ``nb`` bytes each."""
-    size = count * nb
-    raw = x.to_bytes(max(size, -(-x.bit_length() // 8)), "little")[:size]
-    tc = _TYPECODES.get(nb)
-    if tc is None:
-        return [int.from_bytes(raw[i:i + nb], "little")
-                for i in range(0, size, nb)]
-    slots = array(tc, raw)
-    if _SWAP:
-        slots.byteswap()
-    return slots.tolist()
-
-
-def _from_slots(slots, nb: int) -> int:
-    """The int whose slots, ``nb`` bytes each, hold ``slots``."""
-    tc = _TYPECODES.get(nb)
-    if tc is None:
-        return int.from_bytes(b"".join(v.to_bytes(nb, "little")
-                                       for v in slots), "little")
-    packed = array(tc, slots)
-    if _SWAP:
-        packed.byteswap()
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 class Layout:
     """Kronecker layout of series in f variables below a degree window W.
 
@@ -222,14 +175,15 @@ class Layout:
     position is linear in e and one-to-one below the window, and every
     exponent of degree >= W lands at a position >= W R, so the product of
     two packed series is their packed truncated product.  A position holds
-    2h-1 slots, the coordinates of an O_E product before reduction by the
-    defining polynomial, each wide enough for the sum it collects.  The
-    positions of degree d, [d R, (d+1) R), form row d.
+    2h-1 slots, the coordinates of an O_E product before ``OERing.fold``
+    reduces them by the defining polynomial, each wide enough for the sum
+    it collects.  The positions of degree d, [d R, (d+1) R), form row d.
     """
 
-    def __init__(self, f: int, h: int, poly: tuple, window: int):
-        self.h = h
-        self.span = 2 * h - 1
+    def __init__(self, ring, f: int, window: int):
+        self.h = ring.h
+        self.span = 2 * ring.h - 1
+        self.fold = ring.fold
         self.row = window ** (f - 1)
         self.size = window * self.row
         self.pos = {e: sum(e) * self.row
@@ -237,23 +191,6 @@ class Layout:
                     for e in product(range(window), repeat=f)
                     if sum(e) < window}
         self.by_pos = sorted((q, e) for e, q in self.pos.items())
-        # x^k mod the defining polynomial over Z, k = h .. 2h-2
-        xh = [-c for c in poly[:h]]
-        self.folds = []
-        r = xh
-        for _ in range(h - 1):
-            self.folds.append(r)
-            r = [a + r[-1] * b for a, b in zip([0] + r[:-1], xh)]
-
-    def fold(self, v, m: int) -> tuple:
-        """2h-1 product coordinates reduced to h, mod m."""
-        c = v[:self.h]
-        for k, red in enumerate(self.folds, self.h):
-            vk = v[k]
-            if vk:
-                for i, r in enumerate(red):
-                    c[i] += vk * r
-        return tuple(x % m for x in c)
 
     def pack(self, terms: dict, nb: int) -> int:
         """Terms below the window, reduced coordinates at nb-byte slots."""
@@ -264,14 +201,14 @@ class Layout:
         slots = [0] * ((max(q for q, _ in at) + 1) * span)
         for q, c in at:
             slots[q * span:q * span + self.h] = c
-        return _from_slots(slots, nb)
+        return from_slots(slots, nb)
 
     def unpack(self, x: int, nb: int, m: int) -> dict:
         """The terms below the window of a packed sum of products, reduced
         by the defining polynomial and mod m; zeros dropped."""
         span = self.span
         n = min(self.size, -(-x.bit_length() // (8 * nb * span)))
-        slots = _to_slots(x, nb, n * span)
+        slots = to_slots(x, nb, n * span)
         out = {}
         for q, e in self.by_pos:
             if q >= n:
@@ -288,18 +225,18 @@ class Layout:
         if not x:
             return 0
         span, h = self.span, self.h
-        slots = _to_slots(x, nb, self.row * span)
+        slots = to_slots(x, nb, self.row * span)
         pad = (0,) * (span - h)
         for b in range(0, len(slots), span):
             v = slots[b:b + span]
             if any(v):
                 slots[b:b + span] = self.fold(v, m) + pad
-        return _from_slots(slots, nb)
+        return from_slots(slots, nb)
 
 
 @cached
-def _layout(f: int, h: int, poly: tuple, window: int) -> Layout:
-    return Layout(f, h, poly, window)
+def _layout(ring, f: int, window: int) -> Layout:
+    return Layout(ring, f, window)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +356,7 @@ class MonomialTable:
         for e, c in terms.items():
             x = packed.get(e)
             if x is not None:
-                acc += _from_slots([v % m for v in c], nb) * x
+                acc += from_slots([v % m for v in c], nb) * x
         return self.layout.unpack(acc, nb, m)
 
 
@@ -468,16 +405,17 @@ def revert_series(series, window: int) -> Reversion:
     high = [TSeries(params, prec, window,
                     {e: c for e, c in s.terms.items() if sum(e) > 1})
             for s in series]
-    lay = _layout(f, params.h, params.poly, window)
+    ring = oe_ring(params)
+    lay = _layout(ring, f, window)
     m = params.p ** prec
-    nb = _slot_bytes(len(lay.pos) * params.h * (m - 1) ** 2)
+    nb = slot_bytes(len(lay.pos) * params.h * (m - 1) ** 2)
     row_bits = 8 * nb * lay.span * lay.row
     # G[d] = sum over |e| >= 2 of coef[j][e] * G^e[d], coef = -L^-1 H
     coef = []
     for j in range(f):
-        lin = TSeries.sum([TSeries.zero(params, prec, window)]
-                          + [v.scalar_mul(c) for c, v in zip(Linv[j], high)])
-        coef.append({e: _from_slots(c, nb) for e, c in (-lin).terms.items()})
+        lin = TSeries.lincomb([(ring.raw_neg(c, prec), v)
+                               for c, v in zip(Linv[j], high)])
+        coef.append({e: from_slots(c, nb) for e, c in lin.terms.items()})
     # rows[e][d]: the degree-d part of G^e, packed as row 0
     rows = {e: [0] * window for e in lay.pos if sum(e)}
     for j in range(f):
@@ -504,7 +442,7 @@ def revert_series(series, window: int) -> Reversion:
             rows[unit_vecs[j]][d] = lay.reduce_row(acc, nb, m)
     packed = {e: sum(r << (d * row_bits) for d, r in enumerate(rs))
               for e, rs in rows.items()}
-    packed[(0,) * f] = _from_slots((1,), nb)
+    packed[(0,) * f] = from_slots((1,), nb)
     G = Reversion(TSeries._make(params, prec, window,
                                 lay.unpack(packed[u], nb, m))
                   for u in unit_vecs)
@@ -577,15 +515,15 @@ def _group_sums(params: Params, mult, window: int) -> tuple:
            for lam in lams]
     prec = min([params.N] + [g.prec for g in gls])
     m = params.p ** prec
-    lay = _layout(params.f, params.h, params.poly, window)
-    nb = _slot_bytes(len(lams) * params.h * (m - 1) ** 2 + m)
+    lay = _layout(okr.oe, params.f, window)
+    nb = slot_bytes(len(lams) * params.h * (m - 1) ** 2 + m)
     packed = [lay.pack(g.reduce(prec).terms, nb) for g in gls]
     sums = []
     for i in range(params.f):
         # sigma_i(omega(lambda^-1)) = omega(lambda^(-p^i)), Frobenius acting
         # on a Teichmueller lift by the p-th power of its residue
-        acc = sum((_from_slots(okr.oe.raw_teich(lam ** -params.p ** i, prec),
-                               nb) * x for lam, x in zip(lams, packed)),
+        acc = sum((from_slots(okr.oe.raw_teich(lam ** -params.p ** i, prec),
+                              nb) * x for lam, x in zip(lams, packed)),
                   m - 1 if params.q == 2 else 0)
         sums.append(TSeries._make(params, prec, window,
                                   lay.unpack(acc, nb, m)))

@@ -54,7 +54,8 @@ class MvLaurent(sparse.Terms):
 
     @staticmethod
     def _make(params, prec, terms, w_lo, w_hi, band):
-        """Terms already reduced and cut at w_hi and band; w_lo as given."""
+        """Terms cut at w_hi and band, coordinates in [0, p^prec) and no
+        coefficient zero; w_lo as given."""
         x = object.__new__(MvLaurent)
         x.params, x.prec, x.terms, x.w_lo, x.w_hi, x.band = \
             params, prec, terms, w_lo, w_hi, band
@@ -148,22 +149,18 @@ class MvLaurent(sparse.Terms):
     # -- arithmetic -----------------------------------------------------------
 
     @staticmethod
-    def sum(parts) -> "MvLaurent":
-        """parts[0] + parts[1] + ... at the least precision and band and
-        the meet of the windows."""
-        params = sparse.common(parts, "params", "parameter sets")
-        prec = min(x.prec for x in parts)
-        w_hi = min((x.w_hi for x in parts if x.w_hi is not None),
-                   default=None)
-        out = sparse.add(oe_ring(params), [x.terms for x in parts], prec,
-                         None if w_hi is None else lambda k: k[0] < w_hi)
-        return MvLaurent._make(params, prec, out, min(x.w_lo for x in parts),
-                               w_hi, min(x.band for x in parts))
-
-    def __neg__(self):
-        terms = sparse.neg(oe_ring(self.params), self.terms, self.prec)
-        return MvLaurent._make(self.params, self.prec, terms, self.w_lo,
-                               self.w_hi, self.band)
+    def lincomb(pairs) -> "MvLaurent":
+        """sum c * x over (raw scalar c, element x) pairs, at the least
+        precision and band and the meet of the windows."""
+        xs = [x for _, x in pairs]
+        params = sparse.common(xs, "params", "parameter sets")
+        prec = min([x.prec for x in xs])
+        w_hi = min((x.w_hi for x in xs if x.w_hi is not None), default=None)
+        out = sparse.lincomb(oe_ring(params),
+                             [(c, x.terms, x.prec) for c, x in pairs], prec,
+                             None if w_hi is None else lambda k: k[0] < w_hi)
+        return MvLaurent._make(params, prec, out, min([x.w_lo for x in xs]),
+                               w_hi, min([x.band for x in xs]))
 
     def __mul__(self, other):
         params = sparse.common((self, other), "params", "parameter sets")
@@ -210,13 +207,6 @@ class MvLaurent(sparse.Terms):
             terms[key] = c
         return MvLaurent._make(self.params, self.prec, terms, self.w_lo + n0,
                                bound_add(self.w_hi, n0), band)
-
-    def scalar_mul(self, c) -> "MvLaurent":
-        ring = oe_ring(self.params)
-        craw, prec = ring.scalar(c, self.prec)
-        return MvLaurent._make(self.params, prec,
-                               sparse.smul(ring, self.terms, craw, prec),
-                               self.w_lo, self.w_hi, self.band)
 
 
 def _band_overflow(params: Params, what: str, cross, band: int):
@@ -317,11 +307,14 @@ def _check_radius(s: int) -> None:
 
 def norm_s(x: MvLaurent, s: int) -> NormValue:
     """sup-norm exponent: min over terms of v_p(c) + n_0/s, for s >= 1,
-    found and certified on the integers s * v_p(c) + n_0."""
+    found and certified on the integers s * v_p(c) + n_0.  A term with
+    n_0 at or above the least so far cannot lower it: its v_p is not read."""
     _check_radius(s)
     raw_val, prec = oe_ring(x.params).raw_val, x.prec
-    best = min((s * raw_val(c, prec) + n0 for (n0, _), c in x.terms.items()),
-               default=None)
+    best = None
+    for (n0, _), c in x.terms.items():
+        if best is None or n0 < best:
+            best = bound_min(best, s * raw_val(c, prec) + n0)
     if best is None:
         return NormValue(None, False)
     certified = ((x.w_hi is None or best < x.w_hi)
@@ -511,7 +504,7 @@ def phi_decompose(x: MvLaurent) -> dict:
     x = x.reduce(min(x.prec, params.N))
     p, f = params.p, params.f
     ring = oe_ring(params)
-    band = _work_band(params)
+    one, band = ring.raw_one, _work_band(params)
     comps = {a: {} for a in phi_basis(params)}
     rem = x.lift_band(band)
     h_run = x.w_hi
@@ -537,7 +530,8 @@ def phi_decompose(x: MvLaurent) -> dict:
         g_delta = {a: MvLaurent(params, rem.prec, terms, None, None, band)
                    for a, terms in delta.items() if terms}
         for a, g in g_delta.items():
-            comps[a] = sparse.add(ring, (comps[a], g.terms), x.prec)
+            comps[a] = sparse.lincomb(ring, [(one, t, x.prec) for t in (
+                comps[a], g.terms)], x.prec) if comps[a] else g.terms
         rem = rem - recompose(g_delta, params)
         h_run = bound_min(h_run, rem.w_hi)
     if not rem.is_zero():

@@ -159,6 +159,7 @@ class PerfLaurent(sparse.Terms):
     """
 
     __slots__ = ("ring", "terms", "_lo", "_hi", "_den", "band")
+    prec = 1    # coefficients in F_q = O_E / p
 
     def __init__(self, ring: PerfRing, terms: dict, w_lo=None, w_hi=None,
                  band=None):
@@ -185,11 +186,16 @@ class PerfLaurent(sparse.Terms):
 
     @staticmethod
     def _make(ring, terms, lo: int, hi, den: int, band: int):
-        """The element with these terms, window lo/den to hi/den and band."""
+        """The element with these terms (below hi, coordinates in [0, p),
+        none zero), window lo/den to hi/den and band."""
         x = object.__new__(PerfLaurent)
         x.ring, x.terms, x._lo, x._hi, x._den, x.band = \
             ring, terms, lo, hi, den, band
         return x
+
+    @property
+    def params(self) -> Params:
+        return self.ring.params
 
     @property
     def w_lo(self) -> Fraction:
@@ -245,22 +251,18 @@ class PerfLaurent(sparse.Terms):
     # -- arithmetic ---------------------------------------------------------------
 
     @staticmethod
-    def sum(parts) -> "PerfLaurent":
-        """parts[0] + parts[1] + ...: the least w_lo and band, the meet of
-        the w_hi, and the terms below it."""
-        ring = sparse.common(parts, "ring", "perfectoid rings")
-        den, wins = _windows(parts)
+    def lincomb(pairs) -> "PerfLaurent":
+        """sum c * x over (raw F_q scalar c, element x) pairs: the least
+        w_lo and band, the meet of the w_hi, and the terms below it."""
+        xs = [x for _, x in pairs]
+        ring = sparse.common(xs, "ring", "perfectoid rings")
+        den, wins = _windows(xs)
         hi = min((h for _, h in wins if h is not None), default=None)
         hs = ceil_cut(hi, ring.scale, den)
-        out = sparse.add(ring.oe, [x.terms for x in parts], 1,
-                         None if hs is None else lambda e: sum(e) < hs)
+        out = sparse.lincomb(ring.oe, [(c, x.terms, 1) for c, x in pairs], 1,
+                             None if hs is None else lambda e: sum(e) < hs)
         return PerfLaurent._make(ring, out, min(lo for lo, _ in wins), hi,
-                                 den, min(x.band for x in parts))
-
-    def __neg__(self):
-        return PerfLaurent._make(self.ring,
-                                 sparse.neg(self.ring.oe, self.terms, 1),
-                                 self._lo, self._hi, self._den, self.band)
+                                 den, min(x.band for x in xs))
 
     def __mul__(self, other):
         ring = sparse.common((self, other), "ring", "perfectoid rings")
@@ -382,15 +384,16 @@ class PerfHandle:
         (``PerfRing.mono_power``), another's from ``PerfLaurent``
         products; products are ``PerfRing.product``.
 
-        ``total(plan, parts)`` adds the parts, c copies of a term as one
-        scalar multiple, and gives the sum the window and band of the sum
-        of every term of ``plan`` (a ``witt.StructPlan``).  v^d has w_lo
-        d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo lo_t = sum
-        d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j).  That gap is the
+        ``total(plan, parts)`` is one ``sparse.lincomb`` of the parts (c
+        copies of a term as the scalar c) with the window and band of the
+        sum of every term of ``plan`` (a ``witt.StructPlan``).  v^d has
+        w_lo d*lo_v and w_hi (d-1)*lo_v + hi_v, so a term has w_lo lo_t =
+        sum d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j).  That gap is the
         same for all terms of a variable group, so a group adds its least
         lo_t plus the gap; the band is the least of the variables used.
         """
         ring, one = self.ring, self._one
+        pad = (0,) * (ring.oe.h - 1)
         den, wins = _windows(vals)
         los = [lo for lo, _ in wins]
         gaps = [None if hi is None else hi - lo for lo, hi in wins]
@@ -414,11 +417,9 @@ class PerfHandle:
                 if g_gaps:
                     w_hi = bound_min(w_hi, g_lo + min(g_gaps))
             band = min([ring.band_cap] + [vals[j].band for j in plan.used])
-            smul = ring.oe.raw_smul
             hs = ceil_cut(w_hi, ring.scale, den)
-            out = sparse.add(ring.oe, [
-                t if c == 1 else {e: smul(c, v, 1) for e, v in t.items()}
-                for c, (t, _, _, _) in parts], 1,
+            out = sparse.lincomb(
+                ring.oe, [((c,) + pad, t, 1) for c, (t, _, _, _) in parts], 1,
                 None if hs is None else lambda e: sum(e) < hs)
             return PerfLaurent._make(ring, out, w_lo, w_hi, den, band)
 

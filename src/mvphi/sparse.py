@@ -2,21 +2,27 @@
 ``PerfLaurent``.
 
 Each of those classes stores an element as a dict from an exponent key to
-raw O_E coordinates (mod p for ``PerfLaurent``, the residue field) and
-keeps only its own precision bookkeeping (degree window, Y_0 window and
-band, per-level horizons and floors, or a Gauss-valuation window), builds
-results through its ``_make`` and takes +, - and the zero test from
-``Terms``.  The termwise arithmetic on such dicts (one n-ary sum, one pair
-loop for products), the substitution of generator images into a sum of
-monomials with the worst per-level floor drop of its atoms, the geometric
-series, the min and sum of bounds for which None means unbounded, and the
-integer windows (``ceil_cut``, ``rescale``) live here.
+raw O_E coordinates (mod p for ``PerfLaurent``, the residue field), keeps
+only its own precision bookkeeping (degree window, Y_0 window and band,
+per-level horizons and floors, or a Gauss-valuation window) and builds
+results through its ``_make``.  ``Terms`` gives each +, -, sums and scalar
+multiples on its one ``lincomb``.  The termwise kernels (the packed
+multiply-accumulate ``lincomb`` and its slots, one pair loop for
+products), the substitution of generator images into a sum of monomials
+with the worst per-level floor drop of its atoms, the geometric series,
+the min and sum of bounds for which None means unbounded, and the integer
+windows (``ceil_cut``, ``rescale``) live here.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from math import gcd
 from operator import add as _add
+
+from .coeff import oe_ring
 
 
 def bound_min(a, b):
@@ -59,15 +65,36 @@ def common(xs, attr: str, what: str):
 
 
 class Terms:
-    """+ on the class's n-ary ``sum``, - on its negation, the zero test."""
+    """``sum``, ``scalar_mul``, +, - and negation on the class's one
+    ``lincomb(pairs)`` of (raw scalar, element) pairs, whose scalars have
+    coordinates below p^prec of one of the elements; the zero test."""
 
     __slots__ = ()
+
+    @classmethod
+    def sum(cls, parts):
+        """parts[0] + parts[1] + ...: every scalar 1."""
+        one = oe_ring(parts[0].params).raw_one
+        return cls.lincomb([(one, x) for x in parts])
+
+    def scalar_mul(self, c):
+        """c * self for a scalar c as ``OERing.scalar`` reads it; an
+        ``OEInt`` may lower the precision (through ``reduce``)."""
+        craw, prec = oe_ring(self.params).scalar(c, self.prec)
+        return self.lincomb([(craw, self.reduce(prec))])
 
     def __add__(self, other):
         return type(self).sum((self, other))
 
     def __sub__(self, other):
-        return self + (-other)
+        one = oe_ring(self.params).raw_one
+        minus = (self.params.p ** other.prec - 1,) + one[1:]
+        return type(self).lincomb([(one, self), (minus, other)])
+
+    def __neg__(self):
+        one = oe_ring(self.params).raw_one
+        return self.lincomb([((self.params.p ** self.prec - 1,) + one[1:],
+                              self)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -150,18 +177,19 @@ class Substitution:
 
 
 def evaluate(terms, sub: Substitution, zero, one):
-    """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``.
+    """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``, one
+    ``lincomb`` of the raw scalars c and the monomials.
 
     ``zero`` starts the sum and fixes its precision, and is returned
     itself when no term occurs; ``one()`` is built only when a constant
     term occurs.
     """
     monomial = sub.monomial
-    parts = [zero]
+    pairs = [(oe_ring(zero.params).raw_one, zero)]
     for e, c in terms:
         term = monomial(e)
-        parts.append((one() if term is None else term).scalar_mul(c))
-    return type(zero).sum(parts) if len(parts) > 1 else zero
+        pairs.append((c, one() if term is None else term))
+    return type(zero).lincomb(pairs) if len(pairs) > 1 else zero
 
 
 def geometric(u, start, cap: int):
@@ -179,15 +207,109 @@ def geometric(u, start, cap: int):
     raise RuntimeError("geometric series failed to terminate")
 
 
-def add(ring, parts, prec: int, keep=None) -> dict:
-    """The sum of the term dicts ``parts`` mod p^prec, zero sums dropped;
-    keys failing ``keep`` are left out."""
-    out = {}
-    for terms in parts:
-        for k, c in terms.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else ring.raw_add(cur, c, prec)
-    return reduce(ring, out, prec, keep)
+# array typecode per item size: a packed int converts to and from its slots
+# at C speed when a slot is an array item wide
+_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
+_SWAP = sys.byteorder != "little"
+# the least array item size of at least n bytes, n = 0 .. the largest
+_ITEM_BYTES = [min(size for size in _TYPECODES if size >= n)
+               for n in range(max(_TYPECODES) + 1)]
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot for values up to ``bound``; an array item size when
+    one is wide enough."""
+    n = max(1, -(-bound.bit_length() // 8))
+    return _ITEM_BYTES[n] if n < len(_ITEM_BYTES) else n
+
+
+def to_slots(x: int, nb: int, count: int) -> list:
+    """The lowest ``count`` slots of x, ``nb`` bytes each."""
+    size = count * nb
+    raw = x.to_bytes(max(size, -(-x.bit_length() // 8)), "little")[:size]
+    tc = _TYPECODES.get(nb)
+    if tc is None:
+        return [int.from_bytes(raw[i:i + nb], "little")
+                for i in range(0, size, nb)]
+    slots = array(tc, raw)
+    if _SWAP:
+        slots.byteswap()
+    return slots.tolist()
+
+
+def from_slots(slots, nb: int) -> int:
+    """The int whose slots, ``nb`` bytes each, hold ``slots``."""
+    tc = _TYPECODES.get(nb)
+    if tc is None:
+        return int.from_bytes(b"".join(v.to_bytes(nb, "little")
+                                       for v in slots), "little")
+    packed = array(tc, slots)
+    if _SWAP:
+        packed.byteswap()
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def lincomb(ring, parts, prec: int, keep=None) -> dict:
+    """sum c * t mod p^prec over the (c, t, tp) ``parts`` (raw scalar c,
+    term dict t) as if each c * t were formed mod p^tp >= p^prec and the
+    results added: zero sums dropped, keys failing ``keep`` left out, a key
+    placed at its first product nonzero mod p^tp.  Coordinates are
+    non-negative, a term's below p^tp and a scalar's below the largest.
+
+    Each coefficient is one int of 2h-1 slots wide enough for the sum of
+    every part's product (Kronecker substitution; Harvey, JSC 2009): c * v
+    is one int product, a key's sum plain +, then one unpack, fold by the
+    defining polynomial and reduction per key; at h = 1 the int is the
+    coordinate.
+    """
+    p, h, one = ring.p, ring.h, ring.raw_one
+    live, top = [], prec
+    for c, t, tp in parts:
+        if tp > top:
+            top = tp
+        if t and c is not one and not gcd(*c) % p:
+            # c = p^vc * unit (vc <= tp): its products with the terms
+            # divisible by p^(tp - vc) vanish mod p^tp and place no key
+            q = p ** (tp - ring.raw_val(c, tp))
+            t = {k: v for k, v in t.items() if gcd(*v) % q}
+        if t:
+            live.append((c, t))
+    m, acc, out = p ** prec, {}, {}
+    get = acc.get
+    if h == 1:
+        for (c,), t in live:
+            for k, (v,) in t.items():
+                acc[k] = get(k, 0) + c * v
+        for k, x in acc.items():
+            x %= m
+            if x and (keep is None or keep(k)):
+                out[k] = (x,)
+        return out
+    nb = slot_bytes(len(live) * h * (p ** top - 1) ** 2)
+    if h == 2:
+        S = 8 * nb
+        for c, t in live:
+            c = c[0] | c[1] << S
+            for k, v in t.items():
+                acc[k] = get(k, 0) + c * (v[0] | v[1] << S)
+        # x^2 = -poly[1] x - poly[0] on the top slot
+        mask, S2, (g0, g1) = (1 << S) - 1, 2 * S, ring.poly[:2]
+        for k, x in acc.items():
+            x2 = x >> S2
+            r0 = ((x & mask) - x2 * g0) % m
+            r1 = ((x >> S & mask) - x2 * g1) % m
+            if (r0 or r1) and (keep is None or keep(k)):
+                out[k] = (r0, r1)
+        return out
+    for c, t in live:
+        c = from_slots(c, nb)
+        for k, v in t.items():
+            acc[k] = get(k, 0) + c * from_slots(v, nb)
+    for k, x in acc.items():
+        r = ring.fold(to_slots(x, nb, 2 * h - 1), m)
+        if any(r) and (keep is None or keep(k)):
+            out[k] = r
+    return out
 
 
 def mul(ring, a: dict, b: dict, prec: int, keep=None) -> dict:
@@ -213,20 +335,6 @@ def mul(ring, a: dict, b: dict, prec: int, keep=None) -> dict:
                 out[e] = s
             elif cur is not None:
                 del out[e]
-    return out
-
-
-def neg(ring, terms: dict, prec: int) -> dict:
-    return {k: ring.raw_neg(c, prec) for k, c in terms.items()}
-
-
-def smul(ring, terms: dict, craw: tuple, prec: int) -> dict:
-    """craw * terms mod p^prec, zero products dropped."""
-    out = {}
-    for k, c in terms.items():
-        prod = ring.raw_mul(craw, c, prec)
-        if any(prod):
-            out[k] = prod
     return out
 
 

@@ -588,8 +588,9 @@ def test_congruent_mod_matches_the_term_loop(a, b, j, near):
 
 class RefWAlg:
     """WAlg's bookkeeping as Fractions: horizons H, RefFloors, and every
-    cut a comparison of Gauss valuations sum(e)/p^k >= H[v].  The terms
-    go through the same sparse engine as WAlg's."""
+    cut a comparison of Gauss valuations sum(e)/p^k >= H[v].  Products go
+    through the same sparse engine as WAlg's; sums and scalar multiples
+    are the termwise loops ``sparse.lincomb`` replaced."""
 
     def __init__(self, params, prec, terms, H, floors):
         self.params, self.prec, self.terms = params, prec, terms
@@ -628,7 +629,13 @@ class RefWAlg:
             H = _ref_mono(tuple(_ref_hmin(a, b)
                                 for a, b in zip(H[:prec], y.H[:prec])))
             floors = floors.meet(y.floors)
-        out = sparse.add(oe_ring(x.params), [y.terms for y in parts], prec)
+        ring, out = oe_ring(x.params), {}
+        for y in parts:
+            for k, c in y.terms.items():
+                cur = out.get(k)
+                out[k] = c if cur is None else ring.raw_add(cur, c, prec)
+        out = {k: r for k, c in out.items()
+               if any(r := ring.raw_reduce(c, prec))}
         return RefWAlg(x.params, prec, out, _ref_mono(H), floors)
 
     def __mul__(self, other):
@@ -654,9 +661,10 @@ class RefWAlg:
         H = [None] * self.prec
         for w in range(v, self.prec):
             H[w] = self.H[w - v]
-        return RefWAlg(self.params, self.prec,
-                       sparse.smul(ring, self.terms, craw, self.prec),
-                       tuple(H), self.floors.shift(v))
+        out = {k: r for k, c in self.terms.items()
+               if any(r := ring.raw_mul(craw, c, self.prec))}
+        return RefWAlg(self.params, self.prec, out, tuple(H),
+                       self.floors.shift(v))
 
     def clamp(self, bounds):
         H = _ref_mono(tuple(_ref_hmin(a, b) for a, b in zip(self.H, bounds)))
@@ -788,13 +796,23 @@ def walg_programs(draw):
         return pool
     pick = st.integers(0, len(pool) - 1)
     for op in draw(st.lists(st.sampled_from(
-            ["sum", "mul", "smul", "clamp", "phi", "phi_inv", "reduce",
-             "b_val"]), max_size=6)):
+            ["sum", "lincomb", "mul", "smul", "clamp", "phi", "phi_inv",
+             "reduce", "b_val"]), max_size=6)):
         x, rx = pool[draw(pick)]
         if op == "sum":
             idx = draw(st.lists(pick, min_size=1, max_size=4))
             got = WAlg.sum([pool[i][0] for i in idx])
             want = RefWAlg.sum([pool[i][1] for i in idx])
+        elif op == "lincomb":
+            # scalars p^j * u reduced at their element's precision: units,
+            # 0 < v < prec, and zero (v >= prec)
+            idx = draw(st.lists(pick, min_size=1, max_size=4))
+            cs = [tuple(pr.p ** draw(st.integers(0, pr.N))
+                        * draw(st.integers(0, 8)) % pr.p ** pool[i][0].prec
+                        for _ in range(h)) for i in idx]
+            got = WAlg.lincomb([(c, pool[i][0]) for c, i in zip(cs, idx)])
+            want = RefWAlg.sum([pool[i][1].scalar_mul(c)
+                                for c, i in zip(cs, idx)])
         elif op == "mul":
             y, ry = pool[draw(pick)]
             got, want = x * y, rx * ry
@@ -836,6 +854,25 @@ def test_walg_bookkeeping_follows_the_fraction_formulas(pool):
         _same_walg(x, ref)
         for r in (Fraction(1), Fraction(1, 3)):
             assert b_val_walg(x, r) == ref.b_val(r)
+
+
+def test_walg_lincomb_shifts_horizons_past_the_least_precision():
+    # 9 * x moves x's level-0 horizon to level 2, past the precision 1 of
+    # the sum, and 3 * x to level 1; 27 * x is zero at x's precision 3
+    lv = [Fraction(0), Fraction(1), Fraction(2)]
+    H = (Fraction(2), Fraction(2), Fraction(1))
+    terms = {(81,): (1,), (162,): (3,), (0,): (9,)}
+    x = WAlg(P311, 3, terms, H, exact_floors(3, lv))
+    rx = RefWAlg.make(P311, 3, terms, H, RefFloors.exact(3, lv))
+    ys = [(WAlg(P311, 1, {(81,): (2,)}),
+           RefWAlg.make(P311, 1, {(81,): (2,)}))]
+    ys.append((WAlg(P311, 2, {(81,): (2,)}, H[:2], exact_floors(2, lv[:2])),
+               RefWAlg.make(P311, 2, {(81,): (2,)}, H[:2],
+                            RefFloors.exact(2, lv[:2]))))
+    for c, (y, ry) in (((9,), ys[0]), ((3,), ys[1]), ((27,), ys[1]),
+                       ((1,), ys[0])):
+        got = WAlg.lincomb([((c[0] % 27,), x), ((1,), y)])
+        _same_walg(got, RefWAlg.sum([rx.scalar_mul(c), ry]))
 
 
 def test_b_val_walg_is_uncertified_on_a_horizon_plus_v_over_r():

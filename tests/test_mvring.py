@@ -225,6 +225,39 @@ def test_norm_s_matches_fraction_reference(case):
         assert s * ref.val == s * x.prec + x.w_lo and not got.certified
 
 
+def _old_norm_s(x, s):
+    """norm_s as it was: s * v_p(c) + n_0 read on every term."""
+    raw_val, prec = oe_ring(x.params).raw_val, x.prec
+    best = min((s * raw_val(c, prec) + n0 for (n0, _), c in x.terms.items()),
+               default=None)
+    if best is None:
+        return NormValue(None, False)
+    certified = ((x.w_hi is None or best < x.w_hi)
+                 and best < s * prec + x.w_lo)
+    return NormValue(Fraction(best, s), certified)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(3, 2, 2), (5, 2, 2)]), st.integers(1, 4),
+       st.data())
+def test_norm_s_matches_the_min_over_every_term(g, s, data):
+    # norm_s skips the valuation of a term whose n_0 cannot lower the
+    # minimum; the value and the certification are the old ones
+    pr = params(*g)
+    prec = data.draw(st.integers(1, pr.N))
+    q = pr.p ** prec
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(-9, 9), st.tuples(st.integers(-3, 3))),
+        st.tuples(st.integers(0, q - 1), st.integers(0, q - 1),
+                  st.integers(0, prec)).map(
+            lambda c: (c[0] * pr.p ** c[2], c[1] * pr.p ** c[2])),
+        max_size=12))
+    w_lo = data.draw(st.one_of(st.none(), st.integers(-12, 6)))
+    w_hi = data.draw(st.one_of(st.none(), st.integers(-10, 12)))
+    x = MvLaurent(pr, prec, terms, w_lo, w_hi)
+    assert norm_s(x, s) == _old_norm_s(x, s)
+
+
 def test_powers_store_is_bounded_and_evaluates_as_a_fresh_table():
     from mvphi import sparse
     pr = params(3, 2, 2)

@@ -352,8 +352,9 @@ def test_phi_q_linear_is_the_direct_substitution(p, f, h):
 
 class RefPerf:
     """A PerfLaurent whose window is kept in Fractions, by the formulas the
-    integer numerators over one denominator replace.  Terms go through the
-    same sparse kernels; only the windows and bands are restated."""
+    integer numerators over one denominator replace.  Products go through
+    the same sparse kernel, sums through the termwise loop
+    ``sparse.lincomb`` replaced; the windows and bands are restated."""
 
     def __init__(self, ring, terms, w_lo, w_hi, band):
         self.ring, self.terms = ring, terms
@@ -385,13 +386,19 @@ class RefPerf:
         for x in parts:
             hi = bound_min(hi, x.w_hi)
         hs = parts[0]._cut(hi)
-        out = sparse.add(ring.oe, [x.terms for x in parts], 1,
-                         None if hs is None else lambda e: sum(e) < hs)
+        out = {}
+        for x in parts:
+            for e, c in x.terms.items():
+                cur = out.get(e)
+                out[e] = c if cur is None else ring.oe.raw_add(cur, c, 1)
+        out = {e: c for e, c in out.items()
+               if any(c) and (hs is None or sum(e) < hs)}
         return RefPerf(ring, out, min(x.w_lo for x in parts), hi,
                        min(x.band for x in parts))
 
     def __neg__(self):
-        return RefPerf(self.ring, sparse.neg(self.ring.oe, self.terms, 1),
+        return RefPerf(self.ring, {e: self.ring.oe.raw_neg(c, 1)
+                                   for e, c in self.terms.items()},
                        self.w_lo, self.w_hi, self.band)
 
     def __mul__(self, other):

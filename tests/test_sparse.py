@@ -1,6 +1,7 @@
 """The n-ary sums of TSeries, MvLaurent, WAlg and PerfLaurent against
-the chain of binary additions they replace, the one pair loop of the WAlg
-and PerfLaurent products, the floor drop of a substitution table, the
+the chain of binary additions they replace, the packed multiply-accumulate
+``lincomb`` against the scalar multiples it adds, the one pair loop of the
+WAlg and PerfLaurent products, the floor drop of a substitution table, the
 geometric series, and the protocol the four classes share (``Terms``,
 ``_make``, ``ceil_cut`` and ``rescale``).
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvphi import sparse
-from mvphi.coeff import Params, ok_ring, oe_ring
+from mvphi.coeff import FField, Params, ok_ring, oe_ring
 from mvphi.embed import WAlg, iota, iota_context
 from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
 from mvphi.iwasawa import TSeries
@@ -166,6 +167,138 @@ def test_iota_pool_has_horizons_and_mixed_floors():
                 for x in pool}) > 4
 
 
+# -- lincomb: the packed multiply-accumulate ---------------------------------
+
+def _ref_lincomb(ring, parts, prec, keep=None):
+    """What lincomb replaces: each c * t mod p^tp with its zero products
+    dropped (the old ``smul``), the results added in order as the old
+    n-ary ``add`` did, then reduced mod p^prec and filtered by keep."""
+    out = {}
+    for c, t, tp in parts:
+        for k, v in t.items():
+            prod = ring.raw_mul(c, v, tp)
+            if any(prod):
+                cur = out.get(k)
+                out[k] = prod if cur is None else ring.raw_add(cur, prod, prec)
+    return {k: r for k, c in out.items() if (keep is None or keep(k))
+            and any(r := ring.raw_reduce(c, prec))}
+
+
+# h = 1, 2, 3 and 4
+LINCOMB_GRID = [Params.create(3, 1, 1), Params.create(5, 2, 2),
+                Params.create(2, 3, 3), Params.create(2, 2, 4)]
+
+
+@st.composite
+def lincomb_cases(draw):
+    """Parts over a few keys (so products collide), at precisions at and
+    above the result's (prec up to 20 at p = 5), with zero scalars,
+    scalars p^v * u whose products vanish mod p^tp, the negation of an
+    earlier part (so sums cancel), and a keep filter."""
+    pr = draw(st.sampled_from(LINCOMB_GRID))
+    ring, p, h = oe_ring(pr), pr.p, pr.h
+    prec = draw(st.integers(1, 20 if p == 5 else 8))
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        tp = prec + draw(st.integers(0, 3))
+        q = p ** tp
+        coords = st.tuples(*[st.integers(0, q - 1)] * h)
+        if parts and draw(st.integers(0, 3)) == 0:
+            c, t, tp = draw(st.sampled_from(parts))
+            t = {k: ring.raw_neg(v, tp) for k, v in t.items()}
+        else:
+            v = draw(st.integers(0, tp))
+            c = ring.raw_reduce(tuple(x * p ** v for x in draw(coords)), tp)
+            t = draw(st.dictionaries(st.integers(0, 7), coords, max_size=6))
+            t = {k: v for k, v in t.items() if any(v)}
+        parts.append((c, t, tp))
+    if draw(st.booleans()):
+        # the largest scalar and coordinates at every part's precision
+        top = max(tp for _, _, tp in parts)
+        parts.append(((p ** top - 1,) * h, {0: (p ** top - 1,) * h}, top))
+    keep = draw(st.sampled_from([None, lambda k: k % 3 != 1]))
+    return ring, parts, prec, keep
+
+
+@settings(max_examples=400, deadline=None)
+@given(lincomb_cases())
+def test_lincomb_is_the_sum_of_the_scalar_multiples(case):
+    ring, parts, prec, keep = case
+    got = sparse.lincomb(ring, parts, prec, keep)
+    want = _ref_lincomb(ring, parts, prec, keep)
+    # the same terms in the same order: a key sits where its first
+    # product nonzero mod p^tp occurs
+    assert list(got.items()) == list(want.items())
+
+
+def test_lincomb_slots_hold_the_largest_products_at_p5_prec20():
+    # five parts of p^20 - 1 in every coordinate: each slot collects
+    # sums of about 2^96, which no 64-bit slot holds
+    ring = oe_ring(Params.create(5, 2, 2))
+    top = (5 ** 20 - 1,) * 2
+    parts = [(top, {0: top, 1: top}, 20)] * 5
+    assert sparse.lincomb(ring, parts, 20) == \
+        _ref_lincomb(ring, parts, 20)
+
+
+def _ref_scaled(x, c):
+    """x.scalar_mul(c) for a raw c as it was: each product mod p^x.prec,
+    zero products dropped, the metadata kept."""
+    ring = oe_ring(x.params)
+    terms = {k: r for k, v in x.terms.items()
+             if any(r := ring.raw_mul(c, v, x.prec))}
+    if isinstance(x, TSeries):
+        return TSeries._make(x.params, x.prec, x.window, terms)
+    return MvLaurent._make(x.params, x.prec, terms, x.w_lo, x.w_hi, x.band)
+
+
+def _scaled_pairs(elements):
+    """(c, x) pairs at (3,2,2): c is zero, a unit or p^v * u with
+    0 < v < x.prec, reduced at x.prec as ``OERing.scalar`` reads it."""
+    def pair(t):
+        u0, u1, v, x = t
+        q = 3 ** x.prec
+        return ((u0 * 3 ** v) % q, (u1 * 3 ** v) % q), x
+    return st.lists(st.tuples(st.integers(0, 26), st.integers(0, 26),
+                              st.integers(0, 3), elements).map(pair),
+                    min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_pairs(tseries()))
+def test_tseries_lincomb_is_scalar_mul_then_sum(pairs):
+    got = TSeries.lincomb(pairs)
+    want = _fold(_ref_tseries_add, [_ref_scaled(x, c) for c, x in pairs])
+    assert (got.terms, got.prec, got.window) == \
+        (want.terms, want.prec, want.window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_pairs(laurents()))
+def test_mvlaurent_lincomb_is_scalar_mul_then_sum(pairs):
+    got = MvLaurent.lincomb(pairs)
+    want = _fold(_ref_mv_add, [_ref_scaled(x, c) for c, x in pairs])
+    assert (got.terms, got.prec, got.w_lo, got.w_hi, got.band) == \
+        (want.terms, want.prec, want.w_lo, want.w_hi, want.band)
+
+
+@pytest.mark.parametrize("one", [lambda pr: TSeries.one(pr, 3),
+                                 MvLaurent.one], ids=["TSeries", "MvLaurent"])
+def test_scalar_mul_rejects_a_scalar_of_another_ring(one):
+    # an OEInt of another O_E was read coordinate by coordinate: at
+    # (3,1,1) it lost a coordinate, at (3,2,2) it was taken as it stood
+    c = oe_ring(Params.create(5, 2, 2))((7, 4), 3)
+    for pr in (Params.create(3, 1, 1), Params.create(3, 2, 2)):
+        with pytest.raises(ValueError, match="different O_E"):
+            one(pr).scalar_mul(c)
+    # the same ring, and an equal one built apart from it, are taken
+    pr = Params.create(5, 2, 2)
+    twin = FField(5, 2, pr.poly).oe
+    assert twin is not oe_ring(pr)
+    for scalar in (c, twin((7, 4), 3)):
+        assert list(one(pr).scalar_mul(scalar).terms.values()) == [(7, 4)]
+
+
 # -- the shared protocol: Terms, _make, ceil_cut and rescale ----------------
 
 @settings(max_examples=300, deadline=None)
@@ -192,7 +325,8 @@ def test_the_sparse_classes_share_the_terms_protocol():
         cls = type(x)
         assert isinstance(x, sparse.Terms)
         assert not hasattr(x, "__dict__"), cls.__name__
-        for attr in ("__add__", "__sub__", "is_zero"):
+        for attr in ("__add__", "__sub__", "__neg__", "sum", "scalar_mul",
+                     "is_zero"):
             assert attr not in cls.__dict__, (cls.__name__, attr)
         assert (x - x).is_zero() and not (x + x - x - x).terms
 
@@ -417,6 +551,22 @@ def _perf_outcome(fn, *args):
 @given(st.lists(perf_laurents(), min_size=1, max_size=6))
 def test_perf_laurent_sum_is_the_left_fold(parts):
     got, want = PerfLaurent.sum(parts), _fold(_ref_perf_add, parts)
+    assert (got.terms, got.w_lo, got.w_hi, got.band) == \
+        (want.terms, want.w_lo, want.w_hi, want.band)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(PERF_RING.field.elements())),
+                          perf_laurents()), min_size=1, max_size=5))
+def test_perf_laurent_lincomb_is_the_sum_of_the_scaled_terms(pairs):
+    # each term times its F_q scalar, then the old sum; a zero scalar
+    # still meets the windows and band
+    F = PERF_RING.field
+    scaled = [_perf(x.ring, {e: r for e, v in x.terms.items()
+                             if any(r := (c * F(v)).coords)},
+                    x.w_lo, x.w_hi, x.band) for c, x in pairs]
+    got = PerfLaurent.lincomb([(c.coords, x) for c, x in pairs])
+    want = _fold(_ref_perf_add, scaled)
     assert (got.terms, got.w_lo, got.w_hi, got.band) == \
         (want.terms, want.w_lo, want.w_hi, want.band)
 
