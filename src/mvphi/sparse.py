@@ -66,8 +66,7 @@ def common(xs, attr: str, what: str):
 
 class Terms:
     """``sum``, ``scalar_mul``, +, - and negation on the class's one
-    ``lincomb(pairs)`` of (raw scalar, element) pairs, whose scalars have
-    coordinates below p^prec of one of the elements; the zero test."""
+    ``lincomb(pairs)`` of (raw scalar, element) pairs; the zero test."""
 
     __slots__ = ()
 
@@ -81,7 +80,8 @@ class Terms:
         """c * self for a scalar c as ``OERing.scalar`` reads it; an
         ``OEInt`` may lower the precision (through ``reduce``)."""
         craw, prec = oe_ring(self.params).scalar(c, self.prec)
-        return self.lincomb([(craw, self.reduce(prec))])
+        return self.lincomb([(craw, self if prec >= self.prec
+                              else self.reduce(prec))])
 
     def __add__(self, other):
         return type(self).sum((self, other))
@@ -253,8 +253,8 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
     """sum c * t mod p^prec over the (c, t, tp) ``parts`` (raw scalar c,
     term dict t) as if each c * t were formed mod p^tp >= p^prec and the
     results added: zero sums dropped, keys failing ``keep`` left out, a key
-    placed at its first product nonzero mod p^tp.  Coordinates are
-    non-negative, a term's below p^tp and a scalar's below the largest.
+    placed at its first product nonzero mod p^tp.  Term coordinates are
+    non-negative and below p^tp; a scalar's are any integers.
 
     Each coefficient is one int of 2h-1 slots wide enough for the sum of
     every part's product (Kronecker substitution; Harvey, JSC 2009): c * v
@@ -285,11 +285,13 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
             if x and (keep is None or keep(k)):
                 out[k] = (x,)
         return out
-    nb = slot_bytes(len(live) * h * (p ** top - 1) ** 2)
+    # a scalar is packed mod p^top: as it stands it may overflow a slot
+    M = p ** top
+    nb = slot_bytes(len(live) * h * (M - 1) ** 2)
     if h == 2:
         S = 8 * nb
         for c, t in live:
-            c = c[0] | c[1] << S
+            c = c[0] % M | c[1] % M << S
             for k, v in t.items():
                 acc[k] = get(k, 0) + c * (v[0] | v[1] << S)
         # x^2 = -poly[1] x - poly[0] on the top slot
@@ -302,7 +304,7 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
                 out[k] = (r0, r1)
         return out
     for c, t in live:
-        c = from_slots(c, nb)
+        c = from_slots([x % M for x in c], nb)
         for k, v in t.items():
             acc[k] = get(k, 0) + c * from_slots(v, nb)
     for k, x in acc.items():

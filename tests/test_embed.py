@@ -173,6 +173,22 @@ def rand_elt(pr, rng, span=2):
     return MvLaurent(pr, pr.N, terms)
 
 
+def test_iota_reads_its_input_mod_p_to_the_n():
+    # h = 2: coefficients near p^(N+10), far above the precision of the
+    # monomials, are read mod p^N as if x were reduced first
+    pr = params(3, 2, 2)
+    rng = random.Random(53)
+    q = pr.p ** (pr.N + 10)
+    for _ in range(3):
+        terms = {(rng.randrange(-1, 2), (rng.randrange(-1, 2),)):
+                 (q - 1 - rng.randrange(9), rng.randrange(q))
+                 for _ in range(3)}
+        x = MvLaurent(pr, pr.N + 10, terms)
+        got, want = iota(x), iota(x.reduce(pr.N))
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert (got.prec, got.hn) == (want.prec, want.hn)
+
+
 def test_iota_injective_at_precision():
     pr = params(3, 1, 1)
     rng = random.Random(52)
@@ -804,12 +820,12 @@ def walg_programs(draw):
             got = WAlg.sum([pool[i][0] for i in idx])
             want = RefWAlg.sum([pool[i][1] for i in idx])
         elif op == "lincomb":
-            # scalars p^j * u reduced at their element's precision: units,
-            # 0 < v < prec, and zero (v >= prec)
+            # scalars p^j * u, not reduced: units, 0 < v < prec, zero
+            # (v >= prec), and coordinates above p^prec of every element
             idx = draw(st.lists(pick, min_size=1, max_size=4))
             cs = [tuple(pr.p ** draw(st.integers(0, pr.N))
-                        * draw(st.integers(0, 8)) % pr.p ** pool[i][0].prec
-                        for _ in range(h)) for i in idx]
+                        * draw(st.integers(0, 8)) for _ in range(h))
+                  for i in idx]
             got = WAlg.lincomb([(c, pool[i][0]) for c, i in zip(cs, idx)])
             want = RefWAlg.sum([pool[i][1].scalar_mul(c)
                                 for c, i in zip(cs, idx)])

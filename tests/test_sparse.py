@@ -193,8 +193,8 @@ LINCOMB_GRID = [Params.create(3, 1, 1), Params.create(5, 2, 2),
 def lincomb_cases(draw):
     """Parts over a few keys (so products collide), at precisions at and
     above the result's (prec up to 20 at p = 5), with zero scalars,
-    scalars p^v * u whose products vanish mod p^tp, the negation of an
-    earlier part (so sums cancel), and a keep filter."""
+    scalars p^v * u whose products vanish mod p^tp, scalars above p^tp,
+    the negation of an earlier part (so sums cancel), and a keep filter."""
     pr = draw(st.sampled_from(LINCOMB_GRID))
     ring, p, h = oe_ring(pr), pr.p, pr.h
     prec = draw(st.integers(1, 20 if p == 5 else 8))
@@ -209,6 +209,9 @@ def lincomb_cases(draw):
         else:
             v = draw(st.integers(0, tp))
             c = ring.raw_reduce(tuple(x * p ** v for x in draw(coords)), tp)
+            if draw(st.booleans()):
+                # a scalar read off an element at a higher precision
+                c = tuple(x + q * draw(st.integers(1, p ** 3)) for x in c)
             t = draw(st.dictionaries(st.integers(0, 7), coords, max_size=6))
             t = {k: v for k, v in t.items() if any(v)}
         parts.append((c, t, tp))
@@ -282,6 +285,46 @@ def test_mvlaurent_lincomb_is_scalar_mul_then_sum(pairs):
         (want.terms, want.prec, want.w_lo, want.w_hi, want.band)
 
 
+P522 = Params.create(5, 2, 2)
+
+
+def _ref_substitute(x, images):
+    """x.substitute(images) as it was: zero plus, for each term c T^e
+    below the window, the monomial as a chain of products scaled by c
+    mod its precision, summed as a chain of binary additions."""
+    prec = min([x.prec] + [im.prec for im in images])
+    window = min([x.window] + [im.window for im in images])
+    parts = [TSeries.zero(x.params, prec, window)]
+    for e, c in x.terms.items():
+        if sum(e) >= window:
+            continue
+        mono = TSeries.one(x.params, prec, window)
+        for im, k in zip(images, e):
+            for _ in range(k):
+                mono = mono * im.truncate(window)
+        parts.append(_ref_scaled(mono, c))
+    return _fold(_ref_tseries_add, parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.tuples(st.integers(5 ** 6 - 40, 5 ** 6 - 1),
+                                 st.integers(0, 5 ** 6 - 1)), max_size=6),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(1, 24),
+                          st.integers(0, 24)), min_size=2, max_size=2))
+@example({(1, 0): (15624, 0)}, [(1, 1, 0), (1, 1, 0)])
+def test_substitute_reads_coefficients_at_the_image_precision(terms, ims):
+    # h = 2: the coefficients sit near p^6, above p^prec of the images,
+    # and must be read mod p^prec, not packed as they stand
+    x = TSeries(P522, 6, P522.M, terms)
+    images = [TSeries(P522, prec, P522.M, {(1, 0) if j == 0 else (0, 1):
+                                           (u, 0), (1, 1): (a, 1)})
+              for j, (prec, u, a) in enumerate(ims)]
+    got, want = x.substitute(images), _ref_substitute(x, images)
+    assert (got.terms, got.prec, got.window) == \
+        (want.terms, want.prec, want.window)
+
+
 @pytest.mark.parametrize("one", [lambda pr: TSeries.one(pr, 3),
                                  MvLaurent.one], ids=["TSeries", "MvLaurent"])
 def test_scalar_mul_rejects_a_scalar_of_another_ring(one):
@@ -329,6 +372,9 @@ def test_the_sparse_classes_share_the_terms_protocol():
                      "is_zero"):
             assert attr not in cls.__dict__, (cls.__name__, attr)
         assert (x - x).is_zero() and not (x + x - x - x).terms
+        # a unit keeps every term, p kills every one mod p (PerfLaurent)
+        assert x.scalar_mul(2).terms.keys() == x.terms.keys()
+        assert not x.scalar_mul(x.params.p ** x.prec).terms
 
 
 def _slots(x):
