@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 from typing import Optional
 
 from .caches import cached
@@ -190,34 +191,15 @@ class MvLaurent(sparse.Terms):
             del out[k]
         return MvLaurent._make(params, prec, out, w_lo, w_hi, band)
 
-    def shift(self, n0: int, cross: tuple) -> "MvLaurent":
-        """self * Y_0^{n0} prod X_i^{cross_i}: keys move by (n0, cross), the
-        window by n0; coefficients, prec and band stay.  For g returned by
-        ``_SubstImages.apply`` and 1 <= g.prec <= prec this equals
-        ``MvLaurent.monomial(params, n0, cross, 1, prec, g.band) * g``:
-        the product's precision is g.prec, so 1 * c is c; the monomial is
-        exact with w_lo = n0, so the window moves by n0; and g's terms lie
-        below g.w_hi, so the product's window filter drops none."""
-        band, terms = self.band, {}
-        for (m0, x), c in self.terms.items():
-            key = (m0 + n0, tuple(a + b for a, b in zip(x, cross)))
-            if any(abs(e) > band for e in key[1]):
-                raise _band_overflow(self.params, "product cross exponent",
-                                    key[1], band)
-            terms[key] = c
-        return MvLaurent._make(self.params, self.prec, terms, self.w_lo + n0,
-                               bound_add(self.w_hi, n0), band)
-
 
 def _band_overflow(params: Params, what: str, cross, band: int):
-    """The error for a cross exponent past the band; it names the least
-    --band admitting it when the band is B or the working (B + M)(p + 1)."""
-    e, msg = max(map(abs, cross)), f"{what} {cross} exceeds band {band}"
+    """The error for a cross exponent (or an int band) past the band; it
+    names the least --band admitting it, if the band is B or (B + M)(p + 1)."""
+    e = cross if isinstance(cross, int) else max(map(abs, cross))
     least = {params.B: e,
              _work_band(params): -(-e // (params.p + 1)) - params.M}
-    if band in least:
-        msg += f"; --band {least[band]} admits it"
-    return BandOverflow(msg)
+    tail = f"; --band {least[band]} admits it" if band in least else ""
+    return BandOverflow(f"{what} {cross} exceeds band {band}{tail}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +342,14 @@ class _SubstImages(sparse.Substitution):
 
     def __init__(self, params: Params, images, horizon: int,
                  unit_degree: int):
-        self.params = params
-        self.unit_degree = unit_degree
-        band = _work_band(params)
+        self.params, self.unit_degree = params, unit_degree
+        self.band = band = _work_band(params)
+        self.ring = oe_ring(params)
+        self.unit = {(0, (0,) * (params.f - 1)): self.ring.raw_one}
         # the closures hold the atoms, not self: no reference cycle, so a
         # table evicted from a bounded cache is freed at once
         atoms = [im.lift_band(band) for im in images]
-        raw_val, N = oe_ring(params).raw_val, params.N
+        raw_val, N = self.ring.raw_val, params.N
 
         def invert(i: int) -> MvLaurent:
             if horizon < 1:
@@ -392,26 +375,43 @@ class _SubstImages(sparse.Substitution):
         super().__init__(atoms, lambda: MvLaurent.one(params, N, band),
                          invert, floors)
 
-    def clamp(self, x: MvLaurent) -> Optional[int]:
-        """The window of ``apply(x)``, None when x is exact.
+    def clamp(self, prec: int, w_hi) -> Optional[int]:
+        """The window of ``apply(x)`` for x at prec and w_hi, None if exact.
 
         Unknown x-terms sit at pure-Y total degree >= w_hi; their images
         have level-0 support >= unit_degree * w_hi, and each pi-level can
         cost at most drop() of support, rounded up."""
-        if x.w_hi is None:
+        if w_hi is None:
             return None
-        return self.unit_degree * x.w_hi \
-            - (min(x.prec, self.params.N) - 1) * math.ceil(self.drop())
+        return self.unit_degree * w_hi \
+            - (min(prec, self.params.N) - 1) * math.ceil(self.drop())
+
+    def raw_apply(self, terms: dict, prec: int, w_hi) -> tuple:
+        """``apply`` on x's terms, prec and w_hi as (prec, terms, w_lo, w_hi)
+        with no ``MvLaurent`` built: one ``sparse.lincomb`` of the monomials,
+        cut at their windows and the clamp; a clamped w_lo is re-floored on
+        the surviving keys, as ``with_window`` does."""
+        clamp = self.clamp(prec, w_hi)  # a narrow table fails here
+        monomial, parts, lo, hi, tp = self.monomial, [], 0, None, prec
+        for (n0, cross), c in terms.items():
+            m = monomial((n0 - sum(cross),) + cross)
+            if m is None:
+                parts.append((c, self.unit, tp))
+            else:
+                parts.append((c, m.terms, m.prec))
+                prec, lo, hi = min(prec, m.prec), min(lo, m.w_lo), \
+                    bound_min(hi, m.w_hi)
+        hi = bound_min(hi, clamp)
+        out = sparse.lincomb(self.ring, parts, prec,
+                             None if hi is None else lambda k: k[0] < hi)
+        if clamp is not None:
+            lo = min([lo] + [k[0] for k in out])
+        return prec, out, lo, hi
 
     def apply(self, x: MvLaurent) -> MvLaurent:
-        params = self.params
-        clamp = self.clamp(x)  # a narrow table fails here, before evaluating
-        band = _work_band(params)
-        unit = {(0, (0,) * (params.f - 1)): (1,) + (0,) * (params.h - 1)}
-        acc = sparse.evaluate(
-            x.pure_y_exponents(), self, MvLaurent.zero(params, x.prec, band),
-            lambda: MvLaurent._make(params, x.prec, unit, 0, None, band))
-        return acc if clamp is None else acc.with_window(clamp)
+        return MvLaurent._make(self.params,
+                               *self.raw_apply(x.terms, x.prec, x.w_hi),
+                               self.band)
 
 
 def phi_images(params: Params, window: Optional[int] = None) -> _SubstImages:
@@ -483,15 +483,6 @@ def phi_basis(params: Params) -> tuple:
                  for d in itertools.product(range(params.p), repeat=params.f))
 
 
-def _basis_for_residue(params: Params, r: tuple):
-    """Basis monomial whose pure-Y exponent vector is congruent to r mod p."""
-    p = params.p
-    n0 = sum(r) % p
-    cross = tuple(r[1:])
-    d0 = n0 - sum(cross)
-    return (n0, cross), (d0,) + cross
-
-
 def phi_decompose(x: MvLaurent) -> dict:
     """Components g_a with x = sum over basis monomials a of a * phi(g_a).
 
@@ -505,34 +496,33 @@ def phi_decompose(x: MvLaurent) -> dict:
     p, f = params.p, params.f
     ring = oe_ring(params)
     one, band = ring.raw_one, _work_band(params)
+    if x.band > band:
+        raise _band_overflow(params, "the element's band", x.band, band)
     comps = {a: {} for a in phi_basis(params)}
-    rem = x.lift_band(band)
-    h_run = x.w_hi
+    rem, h_run = x, x.w_hi
     for n in range(x.prec):
         if rem.is_zero():
             break
-        slice_terms = [(d, c) for d, c in rem.pure_y_exponents()
+        slice_terms = [(k, c) for k, c in rem.terms.items()
                        if ring.raw_val(c, rem.prec) == n]
         if not slice_terms:
             # valuation skipped a level; keep going
             continue
+        # a term is a * phi(g) mod p: a its key mod p, g's pure-Y exponents
+        # its own by p rotated one place (one-to-one: no key occurs twice)
         delta = {a: {} for a in phi_basis(params)}
-        for d, c in slice_terms:
-            r = tuple(e % p for e in d)
-            a, da = _basis_for_residue(params, r)
-            shifted = tuple((d[j] - da[j]) // p for j in range(f))
-            # w_{(j+1) mod f} = (d_j - da_j)/p
-            w = tuple(shifted[(j - 1) % f] for j in range(f))
-            key = (sum(w), tuple(w[1:]))
-            cur = delta[a].get(key)
-            delta[a][key] = ring.raw_add(cur, c, rem.prec) \
-                if cur is not None else c
-        g_delta = {a: MvLaurent(params, rem.prec, terms, None, None, band)
-                   for a, terms in delta.items() if terms}
-        for a, g in g_delta.items():
+        for (n0, cross), c in slice_terms:
+            q = [e // p for e in cross]
+            w = tuple([n0 // p - sum(q)] + q)[:f - 1]
+            delta[(n0 % p, tuple(e % p for e in cross))][(n0 // p, w)] = c
+        level = [(a, g, rem.prec, None) for a, g in delta.items() if g]
+        for a, g, _, _ in level:
+            for k in g:
+                if any(abs(e) > band for e in k[1]):
+                    raise _band_overflow(params, "cross exponent", k[1], band)
             comps[a] = sparse.lincomb(ring, [(one, t, x.prec) for t in (
-                comps[a], g.terms)], x.prec) if comps[a] else g.terms
-        rem = rem - recompose(g_delta, params)
+                comps[a], g)], x.prec) if comps[a] else g
+        rem = _recompose(params, level, rem)
         h_run = bound_min(h_run, rem.w_hi)
     if not rem.is_zero():
         raise WindowTooSmall(
@@ -545,19 +535,49 @@ def phi_decompose(x: MvLaurent) -> dict:
 
 def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
+    return _recompose(params, [(a, g.terms, g.prec, g.w_hi)
+                               for a, g in components.items()])
+
+
+def _times_basis(params: Params, band: int, a: tuple, g: tuple) -> tuple:
+    """a * g for a = (n0, cross) and g = (prec, terms, w_lo, w_hi) from
+    ``raw_apply``: keys move by a, checked against the band in the same
+    pass, the window by n0.  For 1 <= prec <= m this is
+    ``MvLaurent.monomial(params, n0, cross, 1, m, band) * g``: 1 * c is c
+    at g's precision; the exact monomial has w_lo = n0; and g's terms lie
+    below its w_hi, so the product's window filter drops none."""
+    (n0, cross), (prec, terms, w_lo, w_hi), out = a, g, {}
+    for (m0, x), c in terms.items():
+        key = tuple(map(_add, x, cross))
+        if any(abs(e) > band for e in key):
+            raise _band_overflow(params, "product cross exponent", key, band)
+        out[(m0 + n0, key)] = c
+    return prec, out, w_lo + n0, bound_add(w_hi, n0)
+
+
+def _recompose(params: Params, comps: list, rem=None) -> MvLaurent:
+    """sum_a a * phi(g_a) over components (a, terms, prec, w_hi), or rem
+    minus it: one ``raw_apply`` per nonempty component, each cut and
+    re-floored on its own (one ``lincomb`` over all their monomials would
+    not be), and one ``lincomb`` of the products; an empty component adds
+    only its precision and window."""
     images = phi_images(params, decompose_window(params))
-    band = _work_band(params)
-    prec, w_hi, parts = params.N, None, []
-    for a, g in components.items():
-        g = g.lift_band(band)
-        if g.terms:
-            parts.append(images.apply(g).shift(*a))
+    c, parts, prec, w_lo, w_hi = images.ring.raw_one, [], params.N, 0, None
+    if rem is not None:
+        parts, c = [(c, rem.terms, rem.prec)], (-1,) + c[1:]
+        prec, w_lo, w_hi = min(prec, rem.prec), min(0, rem.w_lo), rem.w_hi
+    for a, terms, gp, gw in comps:
+        if terms:
+            gp, t, lo, hi = _times_basis(params, images.band, a,
+                                         images.raw_apply(terms, gp, gw))
+            parts.append((c, t, gp))
+            w_lo = min(w_lo, lo)
         else:
-            # a * phi(0) has no terms: only its precision and window count
-            prec = min(prec, g.prec)
-            w_hi = bound_min(w_hi, bound_add(images.clamp(g), a[0]))
-    return MvLaurent.sum(
-        [MvLaurent._make(params, prec, {}, 0, w_hi, band)] + parts)
+            hi = bound_add(images.clamp(gp, gw), a[0])
+        prec, w_hi = min(prec, gp), bound_min(w_hi, hi)
+    out = sparse.lincomb(images.ring, parts, prec,
+                         None if w_hi is None else lambda k: k[0] < w_hi)
+    return MvLaurent._make(params, prec, out, w_lo, w_hi, images.band)
 
 
 def roundtrip_ok(x: MvLaurent, back: MvLaurent) -> bool:

@@ -107,6 +107,25 @@ def test_band_overflow_names_the_least_band():
     assert json.loads(proc.stdout)["report"]["ok"] is True
 
 
+def test_decompose_rejects_a_band_above_the_working_band(tmp_path, capsys):
+    # decompose works at (B + M)(p + 1) = 72; an element read at band 73
+    # is a usage error naming the least --band, ceil(73 / 4) - 12 = 7
+    from pathlib import Path
+    from mvphi import cli
+    doc = json.loads((Path(__file__).parent / "data" / "cli" /
+                      "decompose_p3_f2.json").read_text())
+    path = tmp_path / "band73.json"
+    path.write_text(json.dumps(dict(doc, band=73)))
+    args = ["decompose", "--p", "3", "--f", "2", "--in", str(path)]
+    assert cli.main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: the element's band 73 exceeds band 72; --band 7 admits it"]
+    assert cli.main(args + ["--band", "7"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_etale_cli():
     pr = Params.create(3, 1, 1)
     m = unramified_char(pr, __import__("mvphi.coeff", fromlist=["oe_ring"])

@@ -9,8 +9,10 @@ from mvphi.mvring import (MvLaurent, invert_unit, norm_s, member, apply_phi,
                           apply_gamma, apply_phi_q, phi_decompose, recompose,
                           roundtrip_ok, phi_basis, phi_images,
                           decompose_window, _work_band, _SubstImages,
+                          _band_overflow, _times_basis,
                           check_local_analyticity, NormValue,
                           RING_A0, RING_A, RING_DAGGER_S_MINUS, RING_DAGGER_S)
+from mvphi import sparse
 from mvphi.suites import rand_pure_cone
 from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
 
@@ -618,8 +620,9 @@ def _coeff(draw, pr, prec):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_shift_is_the_monomial_product(p, f, h, data):
-    # g as apply returns it: reduced mod p^prec, terms below w_hi, at most
-    # the monomial's precision; cross exponents reach the band edge
+    # g as raw_apply returns it: reduced mod p^prec, terms below w_hi, at
+    # most the monomial's precision; cross exponents reach the band edge.
+    # The raw shift of recompose is the product by the exact monomial
     pr = params(p, f, h)
     band = data.draw(st.sampled_from([pr.B, _work_band(pr)]))
     prec = data.draw(st.integers(1, pr.N))
@@ -632,10 +635,12 @@ def test_shift_is_the_monomial_product(p, f, h, data):
         terms[key] = _coeff(data.draw, pr, prec)
     g = MvLaurent(pr, prec, terms, data.draw(st.integers(-6, 0)),
                   data.draw(st.one_of(st.none(), st.integers(-3, 7))), band)
-    n0, cross = data.draw(st.sampled_from(phi_basis(pr)))
+    a = data.draw(st.sampled_from(phi_basis(pr)))
     mprec = data.draw(st.integers(prec, pr.N))
-    assert _outcome(lambda: g.shift(n0, cross)) == _outcome(
-        lambda: MvLaurent.monomial(pr, n0, cross, 1, mprec, band) * g)
+    raw = (g.prec, g.terms, g.w_lo, g.w_hi)
+    assert _outcome(lambda: MvLaurent._make(
+        pr, *_times_basis(pr, band, a, raw), band)) == _outcome(
+        lambda: MvLaurent.monomial(pr, *a, 1, mprec, band) * g)
 
 
 @pytest.mark.parametrize("p,f,h", SHIFT_GRID)
@@ -667,35 +672,221 @@ def test_recompose_is_the_sum_of_products(p, f, h, data):
             lambda: _recompose_by_products(cs, pr))
 
 
+# the reference for the raw recomposition: the chain of elements it
+# replaced, kept here as it was.  apply is sparse.evaluate over MvLaurent
+# monomials from a zero at x's precision, then with_window at the clamp;
+# recompose shifts each nonempty component's image and sums them with
+# one termless part; phi_decompose subtracts each level's recomposition
+CHAIN_GRID = [(3, 1, 1), (3, 2, 2), (5, 2, 2), (2, 2, 4)]
+
+
+def _chain_apply(images, x):
+    pr, band = images.params, _work_band(images.params)
+    clamp = images.clamp(x.prec, x.w_hi)
+    unit = {(0, (0,) * (pr.f - 1)): (1,) + (0,) * (pr.h - 1)}
+    acc = sparse.evaluate(
+        x.pure_y_exponents(), images, MvLaurent.zero(pr, x.prec, band),
+        lambda: MvLaurent(pr, x.prec, unit, 0, None, band))
+    return acc if clamp is None else acc.with_window(clamp)
+
+
+def _chain_shift(g, n0, cross):
+    terms = {}
+    for (m0, x), c in g.terms.items():
+        key = (m0 + n0, tuple(a + b for a, b in zip(x, cross)))
+        if any(abs(e) > g.band for e in key[1]):
+            raise _band_overflow(g.params, "product cross exponent", key[1],
+                                 g.band)
+        terms[key] = c
+    return MvLaurent._make(g.params, g.prec, terms, g.w_lo + n0,
+                           None if g.w_hi is None else g.w_hi + n0, g.band)
+
+
+def _chain_recompose(components, pr):
+    images = phi_images(pr, decompose_window(pr))
+    band = _work_band(pr)
+    prec, w_hi, parts = pr.N, None, []
+    for a, g in components.items():
+        g = g.lift_band(band)
+        if g.terms:
+            parts.append(_chain_shift(_chain_apply(images, g), *a))
+        else:
+            prec = min(prec, g.prec)
+            cut = images.clamp(g.prec, g.w_hi)
+            if cut is not None:
+                w_hi = cut + a[0] if w_hi is None else min(w_hi, cut + a[0])
+    return MvLaurent.sum([MvLaurent._make(pr, prec, {}, 0, w_hi, band)]
+                         + parts)
+
+
+def _chain_phi_decompose(x):
+    pr = x.params
+    x = x.reduce(min(x.prec, pr.N))
+    p, f, ring, band = pr.p, pr.f, oe_ring(pr), _work_band(pr)
+    comps = {a: {} for a in phi_basis(pr)}
+    rem, h_run = x.lift_band(band), x.w_hi
+    for n in range(x.prec):
+        if rem.is_zero():
+            break
+        level = [(d, c) for d, c in rem.pure_y_exponents()
+                 if ring.raw_val(c, rem.prec) == n]
+        if not level:
+            continue
+        delta = {a: {} for a in phi_basis(pr)}
+        for d, c in level:
+            r = tuple(e % p for e in d)
+            a = (sum(r) % p, r[1:])
+            da = (a[0] - sum(a[1]),) + a[1]
+            shifted = tuple((d[j] - da[j]) // p for j in range(f))
+            w = tuple(shifted[(j - 1) % f] for j in range(f))
+            key = (sum(w), w[1:])
+            cur = delta[a].get(key)
+            delta[a][key] = c if cur is None else ring.raw_add(cur, c,
+                                                               rem.prec)
+        g_delta = {a: MvLaurent(pr, rem.prec, t, None, None, band)
+                   for a, t in delta.items() if t}
+        for a, g in g_delta.items():
+            acc = dict(comps[a])
+            for k, c in g.terms.items():
+                acc[k] = c if k not in acc else ring.raw_add(acc[k], c,
+                                                             x.prec)
+            comps[a] = {k: c for k, c in acc.items() if any(c)}
+        rem = rem - _chain_recompose(g_delta, pr)
+        if rem.w_hi is not None:
+            h_run = rem.w_hi if h_run is None else min(h_run, rem.w_hi)
+    if not rem.is_zero():
+        raise WindowTooSmall(
+            f"decomposition left a remainder within the window: {rem!r}")
+    hi = None if h_run is None else -(-(h_run + 1 - p) // p)
+    return {a: MvLaurent(pr, x.prec, t, None, hi, band) if t
+            else MvLaurent._make(pr, x.prec, {}, 0, hi, band)
+            for a, t in comps.items()}
+
+
+def _chain_out(fn):
+    """Like _outcome, with the terms in their order, over a dict of
+    components too, and WindowTooSmall besides BandOverflow."""
+    try:
+        x = fn()
+    except (BandOverflow, WindowTooSmall) as exc:
+        return (type(exc).__name__, str(exc))
+    xs = x if isinstance(x, dict) else {None: x}
+    return [(a, list(g.terms.items()), g.prec, g.w_lo, g.w_hi, g.band)
+            for a, g in xs.items()]
+
+
+def _chain_terms(draw, pr, prec, cross, n0=st.integers(-3, 6)):
+    terms = {}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        key = (draw(n0), tuple(draw(cross) for _ in range(pr.f - 1)))
+        terms[key] = _coeff(draw, pr, prec)
+    return terms
+
+
+@pytest.mark.parametrize("p,f,h", CHAIN_GRID)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_raw_recomposition_is_the_element_chain(p, f, h, data):
+    # components below N, windowed (w_hi None, negative or positive) and
+    # exact, empty, with negative exponents (the inverses, whose w_lo
+    # overstates their support), and cross exponents whose images reach
+    # past the band; then an element decomposed both ways, the band check
+    # of its level keys reached through a far Y_0 degree
+    pr = params(p, f, h)
+    band = _work_band(pr)
+    reach = band // p
+    cross = st.one_of(st.integers(-3, 3), st.integers(reach - 2, reach + 1),
+                      st.integers(-reach - 1, -reach + 2))
+    images = phi_images(pr, decompose_window(pr))
+    comps = {}
+    for a in phi_basis(pr):
+        prec = data.draw(st.integers(1, pr.N))
+        w_hi = data.draw(st.one_of(st.none(), st.integers(-4, 8)))
+        comps[a] = MvLaurent(pr, prec, _chain_terms(data.draw, pr, prec,
+                                                    cross), None, w_hi, band)
+        assert _chain_out(lambda: images.apply(comps[a])) == _chain_out(
+            lambda: _chain_apply(images, comps[a]))
+    assert _chain_out(lambda: recompose(comps, pr)) == _chain_out(
+        lambda: _chain_recompose(comps, pr))
+    prec = data.draw(st.integers(1, pr.N + 1))
+    far = st.one_of(st.integers(-4, 10),
+                    st.sampled_from([p * (band + 4), -p * (band + 4)]))
+    x = MvLaurent(pr, prec, _chain_terms(
+        data.draw, pr, prec, st.integers(-3, 3), far), None, data.draw(
+        st.one_of(st.none(), st.integers(4, 24))), band)
+    assert _chain_out(lambda: phi_decompose(x)) == _chain_out(
+        lambda: _chain_phi_decompose(x))
+
+
 def test_recompose_applies_phi_to_nonempty_components_only(monkeypatch):
     # an empty component adds only its precision and window to the sum
     pr = params(5, 2, 2)
     rng = random.Random(29)
-    apply = _SubstImages.apply
+    raw_apply = _SubstImages.raw_apply
     for x in (rand_elt(pr, rng, nterms=3, maxv=0).reduce(1),
               rand_pure_cone(pr, rng)):
         comps = phi_decompose(x)
         calls = []
-        monkeypatch.setattr(_SubstImages, "apply",
-                            lambda self, g: calls.append(g) or apply(self, g))
+        monkeypatch.setattr(_SubstImages, "raw_apply",
+                            lambda self, *g: calls.append(g)
+                            or raw_apply(self, *g))
         back = recompose(comps, pr)
         monkeypatch.undo()
         assert roundtrip_ok(x, back)
-        assert len(calls) == sum(not g.is_zero() for g in comps.values())
+        assert calls == [(g.terms, g.prec, g.w_hi) for g in comps.values()
+                         if not g.is_zero()]
         assert 0 < len(calls) < len(comps)
+
+
+def test_recompose_is_one_lincomb_per_component_and_one_sum(monkeypatch):
+    # no element is built on the way: one sparse.lincomb per nonempty
+    # component, one for the sum, and the result the one MvLaurent made
+    # (counted on a warm table: its powers and inverses are built lazily)
+    pr = params(5, 2, 2)
+    rng = random.Random(30)
+    lincomb, make = sparse.lincomb, MvLaurent._make
+    for x in (rand_elt(pr, rng, nterms=3, maxv=0).reduce(1),
+              rand_pure_cone(pr, rng), MvLaurent.zero(pr)):
+        comps = phi_decompose(x)
+        recompose(comps, pr)
+        parts, made = [], []
+        monkeypatch.setattr(sparse, "lincomb", lambda ring, ps, *rest:
+                            parts.append(len(ps)) or lincomb(ring, ps, *rest))
+        monkeypatch.setattr(MvLaurent, "_make", staticmethod(
+            lambda *args: made.append(args) or make(*args)))
+        back = recompose(comps, pr)
+        monkeypatch.undo()
+        assert roundtrip_ok(x, back)
+        nonempty = sum(not g.is_zero() for g in comps.values())
+        assert len(parts) == nonempty + 1
+        assert parts[-1] == nonempty
+        assert len(made) == 1
 
 
 def test_phi_decompose_raises_on_a_remainder(monkeypatch):
     # a recomposition that gives back nothing leaves every slice in the
     # remainder: the decomposition refuses to return components for it
-    import mvphi.mvring as mvring
     pr = params(3, 2, 2)
     x = mono(pr, 2, (1,)) + mono(pr, 0, None, pr.p)
     assert roundtrip_ok(x, recompose(phi_decompose(x), pr))
-    monkeypatch.setattr(mvring, "recompose",
-                        lambda comps, p: MvLaurent.zero(p))
+    comps = phi_decompose(x)
+    monkeypatch.setattr(_SubstImages, "raw_apply",
+                        lambda self, terms, prec, w_hi: (prec, {}, 0, None))
+    assert recompose(comps, pr).is_zero()
     with pytest.raises(WindowTooSmall, match="left a remainder"):
         phi_decompose(x)
+
+
+def test_phi_decompose_rejects_a_band_above_the_working_band():
+    # the working band (B + M)(p + 1) is 72 at (3,2,2); the error names
+    # the least --band whose working band admits the element
+    pr = params(3, 2, 2)
+    x = MvLaurent(pr, pr.N, {(1, (2,)): (1, 0)}, None, None, 73)
+    with pytest.raises(BandOverflow, match=r"band 73 exceeds band 72; "
+                                           r"--band 7 admits it"):
+        phi_decompose(x)
+    y = MvLaurent(pr, pr.N, x.terms, None, None, 72)
+    assert roundtrip_ok(y, recompose(phi_decompose(y), pr))
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
