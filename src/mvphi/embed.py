@@ -334,16 +334,12 @@ class WAlg(sparse.Terms):
         H, best = [], None
         for v in range(prec):
             for v1 in range(v + 1):
-                a, fl = hx[v1], ys[v - v1]
-                if a is not None and fl is not None and (
-                        best is None or a + fl < best):
-                    best = a + fl
-                b, fl = hy[v1], xs[v - v1]
-                if b is not None and fl is not None and (
-                        best is None or b + fl < best):
-                    best = b + fl
+                for a, fl in ((hx[v1], ys[v - v1]), (hy[v1], xs[v - v1])):
+                    if a is not None and fl is not None and (
+                            best is None or a + fl < best):
+                        best = a + fl
             H.append(best)
-        out = sparse.mul(oe_ring(params), self.terms, other.terms, prec)
+        out = sparse.product(oe_ring(params), self.terms, other.terms, prec)
         return WAlg._make(params, prec, out, tuple(H),
                           fs.convolve(fo))
 

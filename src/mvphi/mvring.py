@@ -37,19 +37,15 @@ class MvLaurent(sparse.Terms):
         self.params = params
         self.prec = prec
         self.w_hi = w_hi
-        self.band = params.B if band is None else band
-        ring = oe_ring(params)
-        out = {}
-        for (n0, cross), c in terms.items():
-            if w_hi is not None and n0 >= w_hi:
-                continue
-            if any(abs(e) > self.band for e in cross):
-                raise _band_overflow(params, "cross exponent", cross,
-                                     self.band)
-            rc = ring.raw_reduce(c, prec)
-            if any(rc):
-                out[(n0, tuple(cross))] = rc
-        self.terms = out
+        self.band = band = params.B if band is None else band
+
+        def keep(k):
+            if w_hi is not None and k[0] >= w_hi:
+                return False
+            if any(abs(e) > band for e in k[1]):
+                raise _band_overflow(params, "cross exponent", k[1], band)
+            return True
+        self.terms = out = sparse.reduce(oe_ring(params), terms, prec, keep)
         support_lo = min((k[0] for k in out), default=0)
         self.w_lo = support_lo if w_lo is None else min(w_lo, support_lo)
 
@@ -170,25 +166,19 @@ class MvLaurent(sparse.Terms):
         w_hi = bound_min(bound_add(self.w_lo, other.w_hi),
                          bound_add(other.w_lo, self.w_hi))
         band = min(self.band, other.band)
-        ring = oe_ring(params)
-        inner = [(n2, x2, c2) for (n2, x2), c2 in other.terms.items()]
-        out = {}
-        for (n1, x1), c1 in self.terms.items():
-            cut = None if w_hi is None else w_hi - n1
-            for n2, x2, c2 in inner:
-                if cut is not None and n2 >= cut:
-                    continue
-                cross = tuple([a + b for a, b in zip(x1, x2)])
-                if any(abs(e) > band for e in cross):
-                    raise _band_overflow(params, "product cross exponent",
-                                         cross, band)
-                prod = ring.raw_mul(c1, c2, prec)
-                key = (n1 + n2, cross)
-                cur = out.get(key)
-                out[key] = ring.raw_add(cur, prod, prec) if cur is not None \
-                    else prod
-        for k in [k for k, c in out.items() if not any(c)]:
-            del out[k]
+
+        def join(k1, k2):
+            # the window cut first: a cut pair's cross exponent is not read
+            n0 = k1[0] + k2[0]
+            if w_hi is not None and n0 >= w_hi:
+                return None
+            cross = tuple([a + b for a, b in zip(k1[1], k2[1])])
+            if any(abs(e) > band for e in cross):
+                raise _band_overflow(params, "product cross exponent",
+                                     cross, band)
+            return n0, cross
+        out = sparse.product(oe_ring(params), self.terms, other.terms, prec,
+                             join)
         return MvLaurent._make(params, prec, out, w_lo, w_hi, band)
 
 

@@ -70,12 +70,13 @@ class PerfRing:
                         _check_band(e, band)
                     out[e] = raw_mul(c1, c2, 1)
         else:
-            def keep(e):
+            def join(e1, e2):
+                e = tuple(map(add, e1, e2))
                 if hs is not None and sum(e) >= hs:
-                    return False
+                    return None
                 _check_band(e, band)
-                return True
-            out = sparse.mul(self.oe, ta, tb, 1, keep)
+                return e
+            out = sparse.product(self.oe, ta, tb, 1, join)
         return out, a_lo + b_lo, hi, band
 
     def mono_power(self, den: int, x: tuple, d: int) -> tuple:

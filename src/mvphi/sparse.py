@@ -7,11 +7,12 @@ only its own precision bookkeeping (degree window, Y_0 window and band,
 per-level horizons and floors, or a Gauss-valuation window) and builds
 results through its ``_make``.  ``Terms`` gives each +, -, sums and scalar
 multiples on its one ``lincomb``.  The termwise kernels (the packed
-multiply-accumulate ``lincomb`` and its slots, one pair loop for
-products), the substitution of generator images into a sum of monomials
-with the worst per-level floor drop of its atoms, the geometric series,
-the min and sum of bounds for which None means unbounded, and the integer
-windows (``ceil_cut``, ``rescale``) live here.
+multiply-accumulate ``lincomb`` and the packed product ``product``, on
+one slot layout and one per-key unpack), the substitution of generator
+images into a sum of monomials with the worst per-level floor drop of its
+atoms, the geometric series, the min and sum of bounds for which None
+means unbounded, and the integer windows (``ceil_cut``, ``rescale``) live
+here.
 """
 
 from __future__ import annotations
@@ -88,13 +89,11 @@ class Terms:
 
     def __sub__(self, other):
         one = oe_ring(self.params).raw_one
-        minus = (self.params.p ** other.prec - 1,) + one[1:]
-        return type(self).lincomb([(one, self), (minus, other)])
+        return type(self).lincomb([(one, self), ((-1,) + one[1:], other)])
 
     def __neg__(self):
         one = oe_ring(self.params).raw_one
-        return self.lincomb([((self.params.p ** self.prec - 1,) + one[1:],
-                              self)])
+        return self.lincomb([((-1,) + one[1:], self)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -258,9 +257,7 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
 
     Each coefficient is one int of 2h-1 slots wide enough for the sum of
     every part's product (Kronecker substitution; Harvey, JSC 2009): c * v
-    is one int product, a key's sum plain +, then one unpack, fold by the
-    defining polynomial and reduction per key; at h = 1 the int is the
-    coordinate.
+    is one int product, a key's sum plain +, then ``_settle``.
     """
     p, h, one = ring.p, ring.h, ring.raw_one
     live, top = [], prec
@@ -274,17 +271,13 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
             t = {k: v for k, v in t.items() if gcd(*v) % q}
         if t:
             live.append((c, t))
-    m, acc, out = p ** prec, {}, {}
+    acc = {}
     get = acc.get
     if h == 1:
         for (c,), t in live:
             for k, (v,) in t.items():
                 acc[k] = get(k, 0) + c * v
-        for k, x in acc.items():
-            x %= m
-            if x and (keep is None or keep(k)):
-                out[k] = (x,)
-        return out
+        return _settle(ring, acc, p ** prec, 0, keep)
     # a scalar is packed mod p^top: as it stands it may overflow a slot
     M = p ** top
     nb = slot_bytes(len(live) * h * (M - 1) ** 2)
@@ -294,7 +287,59 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
             c = c[0] % M | c[1] % M << S
             for k, v in t.items():
                 acc[k] = get(k, 0) + c * (v[0] | v[1] << S)
+    else:
+        for c, t in live:
+            c = from_slots([x % M for x in c], nb)
+            for k, v in t.items():
+                acc[k] = get(k, 0) + c * from_slots(v, nb)
+    return _settle(ring, acc, p ** prec, nb, keep)
+
+
+def product(ring, a: dict, b: dict, prec: int,
+            join=lambda k1, k2: tuple(map(_add, k1, k2))) -> dict:
+    """The product of the term dicts a and b mod p^prec.
+
+    Each pair (k1, c1) of a and (k2, c2) of b, a outermost and both in
+    dict order, adds c1 * c2 at the key ``join(k1, k2)``, or is left out
+    when that is None; ``join`` may raise instead, and is one-to-one in
+    each argument (termwise addition by default).  The order rule: a key
+    is placed at its first pair kept, even where that pair's product is
+    zero, and zero sums are dropped at the end.
+
+    Each coefficient is packed once, mod p^prec, as in ``lincomb``: a pair
+    is one int product, a key's sum plain +, then ``_settle``.
+    """
+    h, m = ring.h, ring.p ** prec
+    nb = slot_bytes(min(len(a), len(b)) * h * (m - 1) ** 2)
+    S = 8 * nb
+    outer, inner = [[(k, v[0] % m) if h == 1 else
+                     (k, v[0] % m | v[1] % m << S) if h == 2 else
+                     (k, from_slots([x % m for x in v], nb))
+                     for k, v in t.items()] for t in (a, b)]
+    acc = {}
+    get = acc.get
+    for k1, c in outer:
+        for k2, v in inner:
+            k = join(k1, k2)
+            if k is not None:
+                acc[k] = get(k, 0) + c * v
+    return _settle(ring, acc, m, nb)
+
+
+def _settle(ring, acc: dict, m: int, nb: int, keep=None) -> dict:
+    """The packed sums ``acc`` (2h-1 slots of ``nb`` bytes) as raw
+    coordinates mod m: one unpack, fold by the defining polynomial and
+    reduction per key, in acc's order; zero sums dropped and keys
+    failing ``keep`` left out."""
+    h, out = ring.h, {}
+    if h == 1:
+        for k, x in acc.items():
+            x %= m
+            if x and (keep is None or keep(k)):
+                out[k] = (x,)
+    elif h == 2:
         # x^2 = -poly[1] x - poly[0] on the top slot
+        S = 8 * nb
         mask, S2, (g0, g1) = (1 << S) - 1, 2 * S, ring.poly[:2]
         for k, x in acc.items():
             x2 = x >> S2
@@ -302,52 +347,16 @@ def lincomb(ring, parts, prec: int, keep=None) -> dict:
             r1 = ((x >> S & mask) - x2 * g1) % m
             if (r0 or r1) and (keep is None or keep(k)):
                 out[k] = (r0, r1)
-        return out
-    for c, t in live:
-        c = from_slots([x % M for x in c], nb)
-        for k, v in t.items():
-            acc[k] = get(k, 0) + c * from_slots(v, nb)
-    for k, x in acc.items():
-        r = ring.fold(to_slots(x, nb, 2 * h - 1), m)
-        if any(r) and (keep is None or keep(k)):
-            out[k] = r
-    return out
-
-
-def mul(ring, a: dict, b: dict, prec: int, keep=None) -> dict:
-    """The product of the term dicts a and b mod p^prec, keys added.
-
-    A zero product is skipped and a key whose sum cancels is removed; a
-    pair whose key fails ``keep`` is left out before its product is
-    formed (``keep`` may raise instead).
-    """
-    out = {}
-    raw_mul, raw_add = ring.raw_mul, ring.raw_add
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(_add, e1, e2))
-            if keep is not None and not keep(e):
-                continue
-            prod = raw_mul(c1, c2, prec)
-            if not any(prod):
-                continue
-            cur = out.get(e)
-            s = prod if cur is None else raw_add(cur, prod, prec)
-            if any(s):
-                out[e] = s
-            elif cur is not None:
-                del out[e]
+    else:
+        for k, x in acc.items():
+            r = ring.fold(to_slots(x, nb, 2 * h - 1), m)
+            if any(r) and (keep is None or keep(k)):
+                out[k] = r
     return out
 
 
 def reduce(ring, terms: dict, prec: int, keep=None) -> dict:
     """terms mod p^prec, zeros dropped; keys failing ``keep`` are left
     out."""
-    out = {}
-    for k, c in terms.items():
-        if keep is not None and not keep(k):
-            continue
-        rc = ring.raw_reduce(c, prec)
-        if any(rc):
-            out[k] = rc
-    return out
+    return {k: rc for k, c in terms.items() if (keep is None or keep(k))
+            and any(rc := ring.raw_reduce(c, prec))}

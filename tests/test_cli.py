@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from mvphi.coeff import Params
 from mvphi.mvring import MvLaurent
@@ -270,6 +271,32 @@ def test_kernel_value_error_is_internal(monkeypatch, capsys, tmp_path):
     assert cli.main(["norm", "--p", "3", "--f", "1", "--in",
                      str(path)]) == 3
     assert "internal error: KeyError" in capsys.readouterr().err
+
+    # every other subcommand: the kernel call after the input was read
+    # raises, alternately a ValueError and a KeyError
+    data = Path(__file__).resolve().parent / "data" / "cli"
+    calls = [
+        ("phi_y", ["phi-y", "--p", "2", "--f", "1"]),
+        ("gamma_y", ["gamma-y", "--p", "2", "--f", "1", "--a", "3"]),
+        ("phi_decompose", ["decompose", "--p", "3", "--f", "2", "--in",
+                           str(data / "decompose_p3_f2.json")]),
+        ("is_etale", ["etale", "--p", "3", "--f", "1", "--in",
+                      str(data / "etale_p3_f1.json")]),
+        ("oc_certificate_check", ["oc-cert", "--p", "3", "--f", "1", "--s",
+                                  "1", "--in",
+                                  str(data / "oc-cert_p3_f1_s1.json")]),
+        ("run_suite", ["check", "--suite", "frobenius", "--p", "3", "--f",
+                       "1"]),
+    ]
+    for n, (name, argv) in enumerate(calls):
+        exc = (ValueError, KeyError)[n % 2]
+
+        def broken(*args, exc=exc, **kw):
+            raise exc("kernel fault")
+        monkeypatch.setattr(cli, name, broken)
+        assert cli.main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert f"internal error: {exc.__name__}" in err, (argv[0], err)
 
 
 def test_input_errors_are_usage_errors(tmp_path, capsys):

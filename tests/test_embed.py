@@ -21,6 +21,8 @@ from mvphi.sparse import bound_min
 from mvphi.errors import DepthExhausted, Uncertified
 from mvphi.serialize import dumps, witt_json
 
+from test_sparse import _ref_pair_loop
+
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
 P311, P322 = Params.create(3, 1, 1), Params.create(3, 2, 2)
@@ -604,9 +606,9 @@ def test_congruent_mod_matches_the_term_loop(a, b, j, near):
 
 class RefWAlg:
     """WAlg's bookkeeping as Fractions: horizons H, RefFloors, and every
-    cut a comparison of Gauss valuations sum(e)/p^k >= H[v].  Products go
-    through the same sparse engine as WAlg's; sums and scalar multiples
-    are the termwise loops ``sparse.lincomb`` replaced."""
+    cut a comparison of Gauss valuations sum(e)/p^k >= H[v].  Products
+    are a pair loop in the order of ``sparse.product``; sums and scalar
+    multiples are the termwise loops ``sparse.lincomb`` replaced."""
 
     def __init__(self, params, prec, terms, H, floors):
         self.params, self.prec, self.terms = params, prec, terms
@@ -665,7 +667,8 @@ class RefWAlg:
                     if h is not None and fl is not None:
                         best = _ref_hmin(best, h + fl)
             H.append(best)
-        out = sparse.mul(oe_ring(self.params), self.terms, other.terms, prec)
+        out = _ref_pair_loop(oe_ring(self.params), self.terms, other.terms,
+                             prec)
         return RefWAlg(self.params, prec, out, _ref_mono(H),
                        self.floors.convolve(other.floors))
 

@@ -11,8 +11,10 @@ from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
                          phi_q_linear, pr_radius, ainf_handle, BElt, b_val_r,
                          member_B0r, phi_q_belt)
 from mvphi.errors import BandOverflow, DepthExhausted
-from mvphi import sparse, witt as wt
+from mvphi import witt as wt
 from mvphi.sparse import bound_add, bound_min
+
+from test_sparse import _ref_pair_loop
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -352,8 +354,8 @@ def test_phi_q_linear_is_the_direct_substitution(p, f, h):
 
 class RefPerf:
     """A PerfLaurent whose window is kept in Fractions, by the formulas the
-    integer numerators over one denominator replace.  Products go through
-    the same sparse kernel, sums through the termwise loop
+    integer numerators over one denominator replace.  Products are a pair
+    loop in the order of ``sparse.product``, sums the termwise loop
     ``sparse.lincomb`` replaced; the windows and bands are restated."""
 
     def __init__(self, ring, terms, w_lo, w_hi, band):
@@ -408,14 +410,15 @@ class RefPerf:
         band = min(self.band, other.band)
         hs = self._cut(hi)
 
-        def keep(e):
+        def join(e1, e2):
+            e = tuple(a + b for a, b in zip(e1, e2))
             if hs is not None and sum(e) >= hs:
-                return False
+                return None
             if any(abs(x) > band for x in e[1:]):
                 raise BandOverflow(
                     f"product cross exponents {e[1:]} exceed the band")
-            return True
-        out = sparse.mul(self.ring.oe, self.terms, other.terms, 1, keep)
+            return e
+        out = _ref_pair_loop(self.ring.oe, self.terms, other.terms, 1, join)
         return RefPerf(self.ring, out, lo, hi, band)
 
     def frobenius(self):

@@ -1,16 +1,17 @@
 """The n-ary sums of TSeries, MvLaurent, WAlg and PerfLaurent against
 the chain of binary additions they replace, the packed multiply-accumulate
-``lincomb`` against the scalar multiples it adds, the one pair loop of the
-WAlg and PerfLaurent products, the floor drop of a substitution table, the
-geometric series, and the protocol the four classes share (``Terms``,
-``_make``, ``ceil_cut`` and ``rescale``).
+``lincomb`` against the scalar multiples it adds, the packed product
+``product`` against the pair loops it replaced, the floor drop of a
+substitution table, the geometric series, and the protocol the four
+classes share (``Terms``, ``_make``, ``ceil_cut`` and ``rescale``).
 
 Each reference below is the code it replaced, written out: for a sum,
 the terms of both operands summed mod p^prec and filtered by the meet of
 the windows, with the precision, windows, band, horizons and floors met
 as one ``+`` meets them (the n-ary sum must equal its left fold); for a
 product, the pair loop each class had (``PerfLaurent`` on ``FElt``
-coefficients); for a drop, the per-ring scans of the atoms' floors.
+coefficients) for its keys and values, and ``_ref_pair_loop`` for its
+order; for a drop, the per-ring scans of the atoms' floors.
 """
 
 import functools
@@ -242,6 +243,121 @@ def test_lincomb_slots_hold_the_largest_products_at_p5_prec20():
     parts = [(top, {0: top, 1: top}, 20)] * 5
     assert sparse.lincomb(ring, parts, 20) == \
         _ref_lincomb(ring, parts, 20)
+
+
+# -- product: the packed pair product ----------------------------------------
+
+def _ref_pair_loop(ring, a, b, prec, join=None, first=True):
+    """The product of the term dicts a and b as a pair loop of ``raw_mul``
+    and ``raw_add``: each pair in dict order, a outermost, at the key
+    join(k1, k2) (the keys added when join is None), left out when that is
+    None.  With ``first``, a key sits at its first pair kept and zero sums
+    are dropped at the end (``MvLaurent.__mul__``'s loop as it was);
+    without, the loop of the old ``sparse.mul``: a zero product skipped, a
+    cancelled key removed, and placed again at the end when it comes
+    back."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2)) if join is None \
+                else join(k1, k2)
+            if k is None:
+                continue
+            prod = ring.raw_mul(c1, c2, prec)
+            cur = out.get(k)
+            s = prod if cur is None else ring.raw_add(cur, prod, prec)
+            if first:
+                out[k] = s
+            elif any(prod):
+                if any(s):
+                    out[k] = s
+                elif cur is not None:
+                    del out[k]
+    return {k: c for k, c in out.items() if any(c)}
+
+
+def _cut_band_join(cut, band):
+    """Keys (n, c) added, the pair cut when n >= cut before its c is read,
+    a kept c past the band raising ``BandOverflow``."""
+    def join(k1, k2):
+        n = k1[0] + k2[0]
+        if cut is not None and n >= cut:
+            return None
+        c = k1[1] + k2[1]
+        if abs(c) > band:
+            raise BandOverflow(f"cross exponent {c} exceeds band {band}")
+        return n, c
+    return join
+
+
+# h = 1, 2, 3 and 4; h >= 3 folds through OERing.fold
+PRODUCT_GRID = [Params.create(3, 1, 1), Params.create(3, 2, 2),
+                Params.create(2, 3, 3), Params.create(2, 2, 4)]
+
+
+@st.composite
+def product_cases(draw):
+    """Two term dicts on a small key grid (so pairs collide and sums
+    cancel), each at its own precision: the lower-precision factor's
+    coordinates sit above p^prec of the product, and coefficients p^v * u
+    make products vanish.  A window cut on n and a band on c."""
+    pr = draw(st.sampled_from(PRODUCT_GRID))
+    ring, p, h = oe_ring(pr), pr.p, pr.h
+    sides = []
+    for _ in range(2):
+        tp = draw(st.integers(1, 4))
+        q = p ** tp
+        coords = st.builds(
+            lambda xs, v: ring.raw_reduce(tuple(x * p ** v for x in xs), tp),
+            st.tuples(*[st.integers(0, q - 1)] * h), st.integers(0, tp - 1))
+        t = draw(st.dictionaries(st.tuples(st.integers(-2, 2),
+                                           st.integers(-2, 2)),
+                                 coords, max_size=6))
+        sides.append((tp, {k: v for k, v in t.items() if any(v)}))
+    (pa, a), (pb, b) = sides
+    cut = draw(st.one_of(st.none(), st.integers(-3, 4)))
+    band = draw(st.integers(0, 4))
+    return ring, a, b, min(pa, pb), cut, band
+
+
+def _product_outcome(fn, *args):
+    try:
+        return list(fn(*args).items())
+    except BandOverflow as exc:
+        return "BandOverflow", str(exc)
+
+
+# 3 * 1 vanishes mod 3 at (0, 0) + (1, 0): that key is placed there,
+# before (1, 0) + (1, 0), and filled by (1, 0) + (0, 0)
+@example((oe_ring(P311), {(0, 0): (3,), (1, 0): (1,)},
+          {(1, 0): (1,), (0, 0): (1,)}, 1, None, 4))
+# at h = 3: (0, 0) + (1, 0) cancels (1, 0) + (0, 0), and comes back at
+# (2, 0) + (-1, 0); every pair with (3, 2) is cut before its band is read
+@example((oe_ring(PRODUCT_GRID[2]),
+          {(0, 0): (1, 0, 0), (1, 0): (1, 0, 0), (2, 0): (1, 0, 0)},
+          {(1, 0): (1, 0, 0), (0, 0): (1, 0, 0), (-1, 0): (1, 0, 0),
+           (3, 2): (1, 1, 0)}, 1, 3, 1))
+# the last pair overflows the band
+@example((oe_ring(P322), {(0, 0): (1, 0), (0, 1): (0, 1)},
+          {(1, 0): (2, 0), (0, 2): (1, 1)}, 2, None, 2))
+@settings(max_examples=400, deadline=None)
+@given(product_cases())
+def test_product_is_the_first_pair_loop(case):
+    # the same terms in the same order, or the same BandOverflow at the
+    # same pair: a key sits at its first pair kept, a zero product too
+    ring, a, b, prec, cut, band = case
+    args = (ring, a, b, prec, _cut_band_join(cut, band))
+    assert _product_outcome(sparse.product, *args) == \
+        _product_outcome(_ref_pair_loop, *args)
+
+
+def test_product_slots_hold_the_largest_products_at_p5_prec20():
+    # five pairs of p^20 - 1 in every coordinate on each key
+    ring = oe_ring(Params.create(5, 2, 2))
+    top = (5 ** 20 - 1,) * 2
+    a = {(i,): top for i in range(5)}
+    b = {(-i,): top for i in range(5)}
+    assert sparse.product(ring, a, b, 20) == _ref_pair_loop(ring, a, b, 20)
 
 
 def _ref_scaled(x, c):
@@ -617,13 +733,31 @@ def test_perf_laurent_lincomb_is_the_sum_of_the_scaled_terms(pairs):
         (want.terms, want.w_lo, want.w_hi, want.band)
 
 
+_ONE = PERF_RING.field.one
+
+
 @settings(max_examples=150, deadline=None)
 @given(perf_laurents(), perf_laurents())
+# a key that cancels and comes back: (3, 0) is 1 - 1 + 1, placed first
+# here and last by the old loop
+@example(PerfLaurent(PERF_RING, {(0, 0): _ONE, (3, 0): _ONE, (6, 0): _ONE}),
+         PerfLaurent(PERF_RING, {(3, 0): _ONE, (0, 0): -_ONE,
+                                 (-3, 0): _ONE}))
 def test_perf_laurent_product_is_the_old_pair_loop(x, y):
-    # the same terms in the same order, or the same BandOverflow at the
-    # same pair
-    assert _perf_outcome(operator.mul, x, y) == _perf_outcome(_ref_perf_mul,
-                                                              x, y)
+    # the old loop's terms, window and band, or the same BandOverflow at
+    # the same pair; the terms in the order of the one product rule
+    got, want = (_perf_outcome(operator.mul, x, y),
+                 _perf_outcome(_ref_perf_mul, x, y))
+    if "BandOverflow" in (got[0], want[0]):
+        assert got == want
+        return
+    assert (dict(got[0]),) + got[1:] == (dict(want[0]),) + want[1:]
+    hs = _cut(x.ring, want[2])
+    first = _ref_pair_loop(
+        x.ring.oe, x.terms, y.terms, 1,
+        lambda k1, k2: None if hs is not None and sum(k1) + sum(k2) >= hs
+        else tuple(a + b for a, b in zip(k1, k2)))
+    assert got[0] == list(first.items())
 
 
 def test_perf_laurent_product_cuts_and_overflows_at_the_old_pair():
@@ -640,27 +774,7 @@ def test_perf_laurent_product_cuts_and_overflows_at_the_old_pair():
         _ref_perf_mul, got, y)
 
 
-# -- WAlg: the product's pair loop ------------------------------------------
-
-def _ref_walg_terms(ring, a, b, prec):
-    """The pair loop of WAlg.__mul__, as it was."""
-    rhs = [(e, ring.raw_reduce(c, prec)) for e, c in b.items()]
-    out = {}
-    for e1, c1 in a.items():
-        c1 = ring.raw_reduce(c1, prec)
-        for e2, c2 in rhs:
-            prod = ring.raw_mul(c1, c2, prec)
-            if not any(prod):
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            cur = out.get(e)
-            s = ring.raw_add(cur, prod, prec) if cur is not None else prod
-            if any(s):
-                out[e] = s
-            elif cur is not None:
-                del out[e]
-    return out
-
+# -- WAlg: the product -------------------------------------------------------
 
 @st.composite
 def walgs(draw):
@@ -674,12 +788,26 @@ def walgs(draw):
     return WAlg(P322, prec, terms)
 
 
+_Y1, _Y0Y1 = (0, 81), (81, 81)
+
+
 @settings(max_examples=150, deadline=None)
 @given(walgs(), walgs())
+# a key whose first pair vanishes: [0,1]Y0Y1 * [0,3]Y1 is 0 mod 3, and the
+# key Y0Y1^2 sits there, before Y0^2Y1^2, which the old loop put first
+@example(WAlg(P322, 1, {_Y0Y1: (0, 1), _Y1: (0, 1)}),
+         WAlg(P322, 2, {_Y1: (0, 3), _Y0Y1: (0, 1)}))
+# a key that cancels and comes back: (1, 0) is 1 - 1 + 1, placed first
+# here and last by the old loop
+@example(WAlg(P322, 1, {(0, 0): (1, 0), (1, 0): (1, 0), (2, 0): (1, 0)}),
+         WAlg(P322, 1, {(1, 0): (1, 0), (0, 0): (2, 0), (-1, 0): (1, 0)}))
 def test_walg_product_terms_are_the_old_pair_loop(x, y):
-    want = _ref_walg_terms(oe_ring(P322), x.terms, y.terms,
-                           min(x.prec, y.prec))
-    assert list((x * y).terms.items()) == list(want.items())
+    # the old loop's keys and values; the order of the one product rule
+    ring, prec = oe_ring(P322), min(x.prec, y.prec)
+    got = (x * y).terms
+    assert got == _ref_pair_loop(ring, x.terms, y.terms, prec, first=False)
+    assert list(got.items()) == \
+        list(_ref_pair_loop(ring, x.terms, y.terms, prec).items())
 
 
 def test_walg_product_drops_zero_products_and_cancelled_keys():
@@ -691,7 +819,7 @@ def test_walg_product_drops_zero_products_and_cancelled_keys():
     three = WAlg(P322, 3, {(1, 0): (3, 0)})
     nine = WAlg(P322, 3, {(0, 1): (9, 9)})
     assert (three * nine).is_zero()
-    assert sparse.mul(oe_ring(P322), three.terms, nine.terms, 3) == {}
+    assert sparse.product(oe_ring(P322), three.terms, nine.terms, 3) == {}
 
 
 # -- the substitution tables' floor drop --------------------------------------
