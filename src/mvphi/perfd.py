@@ -392,6 +392,9 @@ class PerfHandle:
         sum d_j*lo_j and w_hi lo_t + min_j (hi_j - lo_j).  That gap is the
         same for all terms of a variable group, so a group adds its least
         lo_t plus the gap; the band is the least of the variables used.
+        So the window depends only on the plan and on the used variables'
+        lo numerators and gaps, never on a term: ``_plan_window`` scans a
+        plan's groups once per such pattern.
         """
         ring, one = self.ring, self._one
         pad = (0,) * (ring.oe.h - 1)
@@ -408,15 +411,8 @@ class PerfHandle:
                     y.band)
 
         def total(plan, parts):
-            w_lo, w_hi = 0, None
-            for js, vecs in plan.groups:
-                sel = [los[j] for j in js]
-                g_lo = min([sum(map(mul, vec, sel)) for vec in vecs]) \
-                    if any(sel) else 0
-                w_lo = min(w_lo, g_lo)
-                g_gaps = [gaps[j] for j in js if gaps[j] is not None]
-                if g_gaps:
-                    w_hi = bound_min(w_hi, g_lo + min(g_gaps))
+            w_lo, w_hi = _plan_window(plan, tuple([los[j] for j in plan.used]),
+                                      tuple([gaps[j] for j in plan.used]))
             band = min([ring.band_cap] + [vals[j].band for j in plan.used])
             hs = ceil_cut(w_hi, ring.scale, den)
             out = sparse.lincomb(
@@ -429,6 +425,24 @@ class PerfHandle:
 
     def embed_residue(self, lam: FElt):
         return PerfLaurent(self.ring, {(0,) * self.ring.nvars: lam})
+
+
+@cached(maxsize=4096)
+def _plan_window(plan, los, gaps) -> tuple:
+    """(w_lo, w_hi) of the sum of every term of ``plan`` when its used
+    variable ``plan.used[i]`` has lo numerator los[i] and hi - lo gaps[i]
+    (None: exact); the rule is ``PerfHandle.kernel``'s."""
+    lo_of, gap_of = dict(zip(plan.used, los)), dict(zip(plan.used, gaps))
+    w_lo, w_hi = 0, None
+    for js, vecs in plan.groups:
+        sel = [lo_of[j] for j in js]
+        g_lo = min([sum(map(mul, vec, sel)) for vec in vecs]) \
+            if any(sel) else 0
+        w_lo = min(w_lo, g_lo)
+        g_gaps = [gap_of[j] for j in js if gap_of[j] is not None]
+        if g_gaps:
+            w_hi = bound_min(w_hi, g_lo + min(g_gaps))
+    return w_lo, w_hi
 
 
 @cached

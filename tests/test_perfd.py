@@ -9,7 +9,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from mvphi.coeff import Params, fq_field, power
 from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
                          phi_q_linear, pr_radius, ainf_handle, BElt, b_val_r,
-                         member_B0r, phi_q_belt)
+                         member_B0r, phi_q_belt, _plan_window)
 from mvphi.errors import BandOverflow, DepthExhausted
 from mvphi import witt as wt
 from mvphi.sparse import bound_add, bound_min
@@ -654,3 +654,85 @@ def test_one_term_power_raises_at_a_kept_square_past_the_band():
     v = Fraction(9 + e1, R.scale)
     y = PerfLaurent(R, {(9, e1): one}, v - 1, v + Fraction(3, 2), 2 * cap)
     assert not _same_power(y, 3).terms
+
+
+def _ref_plan_window(plan, los, gaps):
+    """The direct group scan, with los and gaps indexed by variable: each
+    group's least sum of d_j*lo_j, and that plus the group's least gap."""
+    w_lo, w_hi = 0, None
+    for js, vecs in plan.groups:
+        g_lo = min(sum(d * los[j] for d, j in zip(vec, js)) for vec in vecs)
+        w_lo = min(w_lo, g_lo)
+        for j in js:
+            if gaps[j] is not None:
+                w_hi = bound_min(w_hi, g_lo + gaps[j])
+    return w_lo, w_hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plan_window_memo_is_the_group_scan(data):
+    # every plan at (2,3), (3,3) and (3,4); lo numerators of either sign
+    # and zero, gaps None (exact) or >= 0
+    for p, N in ((2, 3), (3, 3), (3, 4)):
+        sp = wt.gen_structure_polys(p, N)
+        n = 2 * N
+        los = data.draw(st.lists(st.integers(-30, 30), min_size=n,
+                                 max_size=n))
+        gaps = data.draw(st.lists(st.none() | st.integers(0, 30),
+                                  min_size=n, max_size=n))
+        for plan in sp.sum_plans + sp.prod_plans:
+            key = [tuple(xs[j] for j in plan.used) for xs in (los, gaps)]
+            assert _plan_window(plan, *key) == \
+                _ref_plan_window(plan, los, gaps)
+
+
+PLAN_WINDOW_CHECK = """
+import mvphi
+from fractions import Fraction
+from mvphi.coeff import Params
+from mvphi.perfd import PerfLaurent, ainf_handle
+from mvphi.witt import gen_structure_polys
+name = "perfd._plan_window"
+handle = ainf_handle(Params.create(3, 1, 1, N=4))
+plan = gen_structure_polys(3, 4).sum_plans[0]    # S_0 = X_0 + Y_0
+assert plan.used == (0, 4)
+
+
+def elt(lo, gap):
+    x = PerfLaurent.monomial(handle.ring, (lo,))
+    return PerfLaurent(handle.ring, x.terms, lo, lo + gap)
+
+
+def window(lo0, lo1, gap1):
+    # X_0 with gap 9, so that Y_0's gap 5/3 sets w_hi; X_1 is outside
+    vals = [elt(Fraction(n, 3), Fraction(n + 1, 3)) for n in range(8)]
+    vals[0], vals[1] = elt(lo0, 9), elt(lo1, gap1)
+    x = handle.kernel(vals)[3](plan, [])
+    return x.w_lo, x.w_hi
+
+
+mvphi.clear_caches()
+assert mvphi.cache_info()[name].currsize == 0
+assert window(Fraction(-2, 3), 1, 1) == (Fraction(-2, 3), 3)
+info = mvphi.cache_info()[name]
+assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+# X_1 is outside the plan: one entry, and a hit
+assert window(Fraction(-2, 3), 2, Fraction(1, 3)) == (Fraction(-2, 3), 3)
+info = mvphi.cache_info()[name]
+assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+# X_0 is used: a new entry
+assert window(Fraction(-7, 3), 2, 1) == (Fraction(-7, 3), 3)
+assert mvphi.cache_info()[name].currsize == 2
+mvphi.clear_caches()
+assert mvphi.cache_info()[name].currsize == 0
+"""
+
+
+def test_plan_window_entries_are_shared_counted_and_cleared():
+    # a fresh interpreter, so that the tables other tests built survive
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-c", PLAN_WINDOW_CHECK],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import OERing, Params, fq_field, oe_ring, power
-from mvphi.perfd import PerfHandle, PerfLaurent, ainf_ring
+from mvphi.coeff import Params, fq_field, oe_ring, power
+from mvphi.perfd import PerfHandle, PerfLaurent, PerfRing, ainf_ring
 from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         witt_neg, witt_sub, teich, witt_zero, from_expansion,
@@ -418,15 +418,19 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
                              F.from_int(1 + n % 2)) for n in range(4)))
     v = teich(handle, PerfLaurent.monomial(ring, (Fraction(1, 9),)), 4)
     calls = []
-    raw_mul = OERing.raw_mul
 
-    def counted(oe, a, b, prec):
-        calls.append(1)
-        return raw_mul(oe, a, b, prec)
+    def counted(name):
+        method = getattr(PerfRing, name)
 
-    # coefficient products on both sides: the closed-form powers of
-    # one-term values form no PerfLaurent product
-    monkeypatch.setattr(OERing, "raw_mul", counted)
+        def run(*args):
+            calls.append(name)
+            return method(*args)
+        return run
+
+    # the element products and closed-form powers on both sides: the walk
+    # forms each node once, the reference every factor of every term
+    for name in ("product", "mono_power"):
+        monkeypatch.setattr(PerfRing, name, counted(name))
     got = witt_add(u, v)
     fast = len(calls)
     calls.clear()
