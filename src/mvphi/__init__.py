@@ -1,7 +1,7 @@
 """Truncated-precision kernel for multivariable Frobenius-module rings."""
 
 from .caches import clear_caches, cache_info
-from .coeff import (Params, FField, FElt, OERing, OEInt, OKRing, OKElement,
+from .coeff import (Params, FField, OERing, OEInt, OKRing, OKElement,
                     teichmuller, padic_binomial, fq_field, oe_ring, ok_ring)
 from .iwasawa import (TSeries, group_like, y_generator, phi_map, gamma_map,
                       okx_coordinates, y_to_t_inverse, phi_y, gamma_y)
@@ -19,7 +19,7 @@ from .phimod import (PhiModule, is_etale, base_change, unramified_char,
 from . import errors
 
 __all__ = [
-    "Params", "FField", "FElt", "OERing", "OEInt", "OKRing", "OKElement",
+    "Params", "FField", "OERing", "OEInt", "OKRing", "OKElement",
     "teichmuller", "padic_binomial", "fq_field", "oe_ring", "ok_ring",
     "TSeries", "group_like", "y_generator", "phi_map", "gamma_map",
     "okx_coordinates", "y_to_t_inverse", "phi_y", "gamma_y",

@@ -1,13 +1,13 @@
 """Coefficient arithmetic.
 
-Three layers, all exact:
+Two element types, both exact, on one set of raw kernels:
 
-* ``FField`` / ``FElt`` -- the residue field F_{p^h} in a fixed polynomial
-  basis over F_p, with Frobenius and p-th roots; F_{p^h} = O_E/p, so it
-  multiplies on the O_E kernel at precision 1.
 * ``OERing`` / ``OEInt`` -- truncated Witt scalars O_E/p^prec for E unramified
   (pi = p), realized as (Z/p^prec)[x]/(g) for a monic lift g of the defining
-  polynomial.  Elements carry their own capped-absolute precision.
+  polynomial.  Elements carry their own capped-absolute precision, with
+  Frobenius and its inverse.  The residue field ``FField`` = F_{p^h} = O_E/p,
+  in the polynomial basis over F_p, is its ring at precision 1: its
+  elements are ``OEInt``s of precision 1.
 * ``OKRing`` / ``OKElement`` -- O_K/p^prec inside O_E via the Teichmueller
   lifts of a fixed F_p-basis of F_q, with coordinate solving for the
   unit-group action.
@@ -108,7 +108,8 @@ def default_poly(p: int, h: int) -> tuple:
 
 
 class FField:
-    """F_{p^h} with basis 1, x, ..., x^{h-1} modulo a monic irreducible."""
+    """F_{p^h} = O_E/p with basis 1, x, ..., x^{h-1} modulo a monic
+    irreducible: its elements are ``OEInt``s of ``oe`` at precision 1."""
 
     def __init__(self, p: int, h: int, poly: tuple):
         self.p = p
@@ -116,78 +117,22 @@ class FField:
         self.poly = tuple(c % p for c in poly)
         if len(self.poly) != h + 1 or self.poly[h] != 1:
             raise ValueError("defining polynomial must be monic of degree h")
-        self.zero = FElt(self, (0,) * h)
-        self.one = FElt(self, tuple([1] + [0] * (h - 1)))
         self.oe = OERing(self)
+        self.zero = self.oe.zero(1)
+        self.one = self.oe.one(1)
         if not _is_irreducible(self):
             raise ValueError("defining polynomial is not irreducible mod p")
 
-    def __call__(self, coords: Iterable[int]) -> "FElt":
-        c = tuple(int(v) % self.p for v in coords)
-        if len(c) != self.h:
-            raise ValueError("coordinate vector has wrong length")
-        return FElt(self, c)
+    def __call__(self, coords: Iterable[int]) -> "OEInt":
+        return self.oe(coords, 1)
 
-    def from_int(self, n: int) -> "FElt":
-        return self(tuple([n] + [0] * (self.h - 1)))
+    def from_int(self, n: int) -> "OEInt":
+        return self.oe.from_int(n, 1)
 
     def elements(self):
         p, h = self.p, self.h
         for idx in range(p ** h):
-            yield FElt(self, tuple(base_p_digits(idx, p, h)))
-
-
-class FElt:
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: FField, coords: tuple):
-        self.field = field
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, FElt) and self.field is other.field
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __add__(self, other):
-        return FElt(self.field,
-                    self.field.oe.raw_add(self.coords, other.coords, 1))
-
-    def __sub__(self, other):
-        return FElt(self.field,
-                    self.field.oe.raw_sub(self.coords, other.coords, 1))
-
-    def __neg__(self):
-        return FElt(self.field, self.field.oe.raw_neg(self.coords, 1))
-
-    def __mul__(self, other):
-        return FElt(self.field,
-                    self.field.oe.raw_mul(self.coords, other.coords, 1))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, self.field.one)
-
-    def inverse(self) -> "FElt":
-        if not self:
-            raise NotAUnit("0 has no inverse in the residue field")
-        return self ** (self.field.p ** self.field.h - 2)
-
-    def frobenius(self) -> "FElt":
-        return self ** self.field.p
-
-    def pth_root(self) -> "FElt":
-        # Frobenius has order h, so x^(p^(h-1)) inverts it.
-        return self ** (self.field.p ** (self.field.h - 1))
-
-    def __repr__(self):
-        return f"FElt{self.coords}"
+            yield OEInt(self.oe, 1, tuple(base_p_digits(idx, p, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +149,8 @@ class OERing:
         # canonical integral lift of the defining polynomial
         self.poly = tuple(int(c) for c in fld.poly)
         self.raw_one = (1,) + (0,) * (self.h - 1)
+        self.raw_minus_one = (-1,) + self.raw_one[1:]
+        self._raw_two = (2,) + self.raw_one[1:]
         # x^k mod the defining polynomial over Z, k = h .. 2h-2
         xh = [-c for c in self.poly[:self.h]]
         self.folds, r = [], xh
@@ -270,14 +217,18 @@ class OERing:
         polynomial; ValueError otherwise) meets prec with its own
         precision; an int or raw coordinates are read at prec."""
         if isinstance(c, OEInt):
-            r = c.ring
-            if r is not self and (r.p, r.poly) != (self.p, self.poly):
-                raise ValueError("the scalar lives over a different O_E")
+            self.check_same(c.ring)
             prec = min(prec, c.prec)
             c = c.coords
         elif isinstance(c, int):
             c = (c,) + (0,) * (self.h - 1)
         return self.raw_reduce(c, prec), prec
+
+    def check_same(self, other: "OERing"):
+        """ValueError unless other is this ring or agrees with it in p and
+        defining polynomial."""
+        if other is not self and (other.p, other.poly) != (self.p, self.poly):
+            raise ValueError("operands live over different O_E")
 
     def raw_val(self, a, prec: int) -> int:
         """min v_p over coordinates, read off their gcd; prec when
@@ -302,12 +253,13 @@ class OERing:
     def one(self, prec: int) -> "OEInt":
         return self.from_int(1, prec)
 
-    def reduce_mod_p(self, a) -> FElt:
-        return FElt(self.field, tuple(c % self.p for c in a))
+    def reduce_mod_p(self, a) -> "OEInt":
+        """The residue of raw coordinates a in F_q = O_E/p."""
+        return OEInt(self, 1, self.raw_reduce(a, 1))
 
     @cached
-    def raw_teich(self, x: FElt, prec: int) -> tuple:
-        """Hensel lift of x to the root of T^(p^h) = T at the given precision."""
+    def raw_teich(self, x: "OEInt", prec: int) -> tuple:
+        """Hensel lift of x mod p to the root of T^(p^h) = T at prec."""
         a = self.raw_reduce(x.coords, prec)
         e = self.p ** self.h
         for _ in range(prec):
@@ -315,20 +267,19 @@ class OERing:
         return a
 
     def raw_pow(self, a, e: int, prec: int) -> tuple:
-        return power(a, e, self.raw_reduce((1,) + (0,) * (self.h - 1), prec),
-                     lambda x, y: self.raw_mul(x, y, prec))
+        return power(a, e, self.raw_one, lambda x, y: self.raw_mul(x, y, prec))
 
     def raw_inv(self, a, prec: int) -> tuple:
         """Newton inverse; requires a unit (nonzero residue)."""
-        res = self.reduce_mod_p(a)
-        if not res:
+        res = self.raw_reduce(a, 1)
+        if not any(res):
             raise NotAUnit("not a unit in O_E at this precision")
-        b = self.raw_reduce(res.inverse().coords, prec)
-        two = self.from_int(2, prec).coords
+        # the residue inverse is res^(q - 2) in F_q^x
+        b = self.raw_pow(res, self.p ** self.h - 2, 1)
         k = 1
         while k < prec:
             ab = self.raw_mul(a, b, prec)
-            b = self.raw_mul(b, self.raw_sub(two, ab, prec), prec)
+            b = self.raw_mul(b, self.raw_sub(self._raw_two, ab, prec), prec)
             k *= 2
         return b
 
@@ -362,7 +313,8 @@ class OERing:
 
     def raw_frobenius(self, a, prec: int) -> tuple:
         """The Frobenius lift: p-th power on every Teichmueller digit."""
-        digits = [lam.frobenius() for lam in self.teich_digits(a, prec)]
+        digits = [OEInt(self, 1, self.raw_pow(lam.coords, self.p, 1))
+                  for lam in self.teich_digits(a, prec)]
         return self.from_teich_digits(digits, prec)
 
 
@@ -377,6 +329,7 @@ class OEInt:
         self.coords = coords
 
     def _join(self, other) -> int:
+        self.ring.check_same(other.ring)
         return min(self.prec, other.prec)
 
     # the raw kernels reduce mod p^pr, so neither operand is reduced first
@@ -417,6 +370,9 @@ class OEInt:
     def __hash__(self):
         return hash((self.prec, self.coords))
 
+    def __bool__(self):
+        return any(self.coords)
+
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -429,8 +385,8 @@ class OEInt:
                 f"element known mod p^{self.prec}, requested p^{prec}")
         return OEInt(self.ring, prec, self.ring.raw_reduce(self.coords, prec))
 
-    def residue(self) -> FElt:
-        return self.ring.reduce_mod_p(self.coords)
+    def residue(self) -> "OEInt":
+        return self.reduce(1)
 
     def inverse(self) -> "OEInt":
         return OEInt(self.ring, self.prec,
@@ -439,6 +395,14 @@ class OEInt:
     def frobenius(self) -> "OEInt":
         return OEInt(self.ring, self.prec,
                      self.ring.raw_frobenius(self.coords, self.prec))
+
+    def pth_root(self) -> "OEInt":
+        """Inverse Frobenius: the Frobenius lift has order h, so it is
+        applied h - 1 times."""
+        c = self.coords
+        for _ in range(self.ring.h - 1):
+            c = self.ring.raw_frobenius(c, self.prec)
+        return OEInt(self.ring, self.prec, c)
 
     def __repr__(self):
         return f"OEInt{self.coords}~p^{self.prec}"
@@ -526,7 +490,8 @@ def ok_ring(params: Params) -> "OKRing":
 # scalar operations
 # ---------------------------------------------------------------------------
 
-def teichmuller(params: Params, x: FElt, prec: Optional[int] = None) -> OEInt:
+def teichmuller(params: Params, x: OEInt,
+                prec: Optional[int] = None) -> OEInt:
     """Multiplicative lift: reduces to x mod p, satisfies t^(p^h) = t."""
     ring = oe_ring(params)
     pr = params.N if prec is None else prec
@@ -711,7 +676,7 @@ class OKRing:
                 raise ValueError("vector is not in the O_K lattice")
         return x
 
-    def coordinates_of_felt(self, lam: FElt,
+    def coordinates_of_felt(self, lam: OEInt,
                             prec: Optional[int] = None) -> "OKElement":
         """Teichmueller coordinates of lambda in F_q (must lie in F_q)."""
         pr = self.prec if prec is None else prec
@@ -719,7 +684,7 @@ class OKRing:
         return OKElement(self, pr, self.coordinates_raw(t, pr))
 
     def fq_elements(self):
-        """All q elements of F_q as FElt of the big field."""
+        """All q elements of F_q as residues in the big field."""
         p, f = self.params.p, self.params.f
         for idx in range(p ** f):
             acc = self.field.zero
@@ -764,7 +729,7 @@ class OKElement:
     def image(self) -> OEInt:
         return OEInt(self.okr.oe, self.prec, self.okr.image(self))
 
-    def residue(self) -> FElt:
+    def residue(self) -> OEInt:
         return self.okr.oe.reduce_mod_p(self.okr.image(self))
 
     def is_unit(self) -> bool:
@@ -772,15 +737,13 @@ class OKElement:
 
     def __add__(self, other):
         pr = min(self.prec, other.prec)
-        m = self.okr.params.p ** pr
-        return OKElement(self.okr, pr, tuple(
-            (a + b) % m for a, b in zip(self.coords, other.coords)))
+        return OKElement(self.okr, pr,
+                         self.okr.oe.raw_add(self.coords, other.coords, pr))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            m = self.okr.params.p ** self.prec
-            return OKElement(self.okr, self.prec,
-                             tuple((other * c) % m for c in self.coords))
+            return OKElement(self.okr, self.prec, self.okr.oe.raw_smul(
+                other, self.coords, self.prec))
         pr = min(self.prec, other.prec)
         img = self.okr.oe.raw_mul(self.okr.image(self), self.okr.image(other),
                                   pr)

@@ -280,7 +280,8 @@ class WAlg(sparse.Terms):
     # -- helpers ---------------------------------------------------------------
 
     def digit0(self) -> dict:
-        """The mod-p reduction (the 0-th Teichmueller digit), as FElt values."""
+        """The mod-p reduction (the 0-th Teichmueller digit), as residues
+        (precision-1 ``OEInt``s)."""
         ring = oe_ring(self.params)
         out = {}
         for e, c in self.terms.items():

@@ -554,7 +554,7 @@ def _recompose(params: Params, comps: list, rem=None) -> MvLaurent:
     images = phi_images(params, decompose_window(params))
     c, parts, prec, w_lo, w_hi = images.ring.raw_one, [], params.N, 0, None
     if rem is not None:
-        parts, c = [(c, rem.terms, rem.prec)], (-1,) + c[1:]
+        parts, c = [(c, rem.terms, rem.prec)], images.ring.raw_minus_one
         prec, w_lo, w_hi = min(prec, rem.prec), min(0, rem.w_lo), rem.w_hi
     for a, terms, gp, gw in comps:
         if terms:

@@ -21,7 +21,7 @@ from operator import add, mul
 from typing import Optional
 
 from .caches import cached
-from .coeff import FElt, Params, fq_field, oe_ring, power
+from .coeff import OEInt, Params, fq_field, oe_ring, power
 from .errors import BandOverflow, DepthExhausted
 from .mvring import NormValue
 from . import sparse
@@ -154,9 +154,9 @@ class PerfLaurent(sparse.Terms):
     """Element with exponents in (1/scale) Z, coefficients in the residue field.
 
     terms: scaled pure-exponent tuple -> F_q coordinate tuple (the
-    constructor also takes an FElt).  w_lo/w_hi bound the Gauss valuation
-    (w_hi None = exact) as integers _lo/_hi over _den, the ring's scale or
-    a multiple of it; band bounds |scaled cross exponents|.
+    constructor also takes a precision-1 OEInt).  w_lo/w_hi bound the
+    Gauss valuation (w_hi None = exact) as integers _lo/_hi over _den, the
+    ring's scale or a multiple of it; band bounds |scaled cross exponents|.
     """
 
     __slots__ = ("ring", "terms", "_lo", "_hi", "_den", "band")
@@ -423,7 +423,7 @@ class PerfHandle:
         return ((one.terms, 0, None, ring.band_cap), pow_,
                 partial(ring.product, den), total)
 
-    def embed_residue(self, lam: FElt):
+    def embed_residue(self, lam: OEInt):
         return PerfLaurent(self.ring, {(0,) * self.ring.nvars: lam})
 
 

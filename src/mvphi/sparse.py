@@ -88,12 +88,12 @@ class Terms:
         return type(self).sum((self, other))
 
     def __sub__(self, other):
-        one = oe_ring(self.params).raw_one
-        return type(self).lincomb([(one, self), ((-1,) + one[1:], other)])
+        oe = oe_ring(self.params)
+        return type(self).lincomb([(oe.raw_one, self),
+                                   (oe.raw_minus_one, other)])
 
     def __neg__(self):
-        one = oe_ring(self.params).raw_one
-        return self.lincomb([((-1,) + one[1:], self)])
+        return self.lincomb([(oe_ring(self.params).raw_minus_one, self)])
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Optional
 
 from .caches import cached
-from .coeff import FElt, FField, OEInt, power
+from .coeff import FField, OEInt, power
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ class FiniteFieldHandle:
     def eq(self, a, b):
         return a == b
 
-    def embed_residue(self, lam: FElt):
+    def embed_residue(self, lam: OEInt):
         return lam
 
     def kernel(self, vals) -> tuple:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from itertools import permutations, product
 from types import SimpleNamespace
@@ -533,13 +534,45 @@ def test_felt_add_sub_neg_match_the_tuple_formulas(p, h):
     elts = list(F.elements())
     for a in elts:
         neg = -a
-        assert neg.field is F
+        assert neg.ring is F.oe and neg.prec == 1
         assert neg.coords == tuple((-x) % p for x in a.coords)
         for b in elts:
             assert (a + b).coords == tuple((x + y) % p for x, y in
                                            zip(a.coords, b.coords))
             assert (a - b).coords == tuple((x - y) % p for x, y in
                                            zip(a.coords, b.coords))
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (5, 2)])
+def test_residues_are_precision_one_oeints(p, h):
+    # F_q = O_E/p has no element class of its own; pth_root inverts the
+    # Frobenius lift at every precision, not only on residues
+    F = FField(p, h, default_poly(p, h))
+    for x in [F.zero, F.one, F.from_int(2), F((1,) * h), *F.elements()]:
+        assert type(x) is OEInt and x.ring is F.oe and x.prec == 1
+        assert bool(x) == (not x.is_zero())
+    rng = random.Random(34)
+    for prec in range(1, 5):
+        for _ in range(20):
+            x = F.oe(tuple(rng.randrange(p ** prec) for _ in range(h)), prec)
+            assert x.residue() == x.reduce(1)
+            assert x.pth_root().frobenius() == x == x.frobenius().pth_root()
+
+
+def test_oeint_arithmetic_refuses_operands_over_another_o_e():
+    # unchecked, a + b gives a one-coordinate OEInt and a * c != c * a
+    a = oe_ring(params(3, 2, 2))((1, 2), 3)
+    b = oe_ring(params(3, 1, 1))((5,), 3)
+    c = oe_ring(params(3, 2, 2, poly=(2, 1, 1)))((1, 2), 3)
+    x, y = fq_field(params(3, 2, 2)).one, fq_field(params(3, 1, 1)).one
+    for u, v in ((a, b), (b, a), (a, c), (c, a), (x, y)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="different O_E"):
+                op(u, v)
+    # an equal ring built apart from a's is the same O_E
+    twin = FField(3, 2, a.ring.poly).oe((2, 2), 2)
+    assert twin.ring is not a.ring
+    assert a + twin == a.ring((3, 4), 2) and a * twin == a.ring((7, 6), 2)
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -653,7 +686,7 @@ def test_raw_val_is_the_least_coordinate_valuation(p, h, poly):
 def test_h2_inverses_satisfy_their_identity(p, poly):
     F = FField(p, 2, poly)
     ring = F.oe
-    # FElt.inverse is x^(q - 2) on the same kernel: check every element
+    # a residue's inverse is x^(q - 2) on the same kernel: check every element
     for x in F.elements():
         if x:
             assert x * x.inverse() == F.one

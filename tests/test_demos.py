@@ -1,5 +1,5 @@
-"""The demo scripts run to completion; the embedding demo prints exactly the
-text kept in tests/data."""
+"""The demo scripts run to completion, and each prints exactly the text kept
+in tests/data."""
 
 import os
 import subprocess
@@ -35,6 +35,7 @@ def test_demo_runs(name):
     assert run_demo(name)
 
 
-def test_embedding_demo_output_unchanged():
-    golden = ROOT / "tests" / "data" / "demo_perfectoid_embedding.out"
-    assert run_demo("demo_perfectoid_embedding") == golden.read_text()
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output_unchanged(name):
+    golden = ROOT / "tests" / "data" / (name + ".out")
+    assert run_demo(name) == golden.read_text()

@@ -9,7 +9,7 @@ Each reference below is the code it replaced, written out: for a sum,
 the terms of both operands summed mod p^prec and filtered by the meet of
 the windows, with the precision, windows, band, horizons and floors met
 as one ``+`` meets them (the n-ary sum must equal its left fold); for a
-product, the pair loop each class had (``PerfLaurent`` on ``FElt``
+product, the pair loop each class had (``PerfLaurent`` on ``FField``
 coefficients) for its keys and values, and ``_ref_pair_loop`` for its
 order; for a drop, the per-ring scans of the atoms' floors.
 """
@@ -633,7 +633,7 @@ def _perf(ring, terms, lo, hi, band):
 
 
 def _ref_perf_add(x, y):
-    """PerfLaurent.__add__ on FElt coefficients, as it was."""
+    """PerfLaurent.__add__ on FField coefficients, as it was."""
     F = x.ring.field
     hi = bound_min(x.w_hi, y.w_hi)
     lo, band = min(x.w_lo, y.w_lo), min(x.band, y.band)
@@ -653,7 +653,7 @@ def _ref_perf_add(x, y):
 
 
 def _ref_perf_mul(x, y):
-    """PerfLaurent.__mul__ on FElt coefficients, as it was."""
+    """PerfLaurent.__mul__ on FField coefficients, as it was."""
     F = x.ring.field
     lo = x.w_lo + y.w_lo
     hi = bound_min(bound_add(x.w_lo, y.w_hi), bound_add(y.w_lo, x.w_hi))
