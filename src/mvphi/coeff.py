@@ -302,20 +302,15 @@ class OERing:
                                        prec - n)
         return digits
 
-    def from_teich_digits(self, digits, prec: int) -> tuple:
-        acc = (0,) * self.h
-        for n, lam in enumerate(digits):
-            if n >= prec:
-                break
+    def raw_frobenius(self, a, prec: int, e: int = 1) -> tuple:
+        """phi^e for any integer e, the Frobenius lift having order h:
+        every Teichmueller digit raised to p^(e mod h) in one round trip."""
+        q, acc = self.p ** (e % self.h), (0,) * self.h
+        for n, lam in enumerate(self.teich_digits(a, prec)):
+            lam = OEInt(self, 1, self.raw_pow(lam.coords, q, 1))
             t = self.raw_smul(self.p ** n, self.raw_teich(lam, prec), prec)
             acc = self.raw_add(acc, t, prec)
         return acc
-
-    def raw_frobenius(self, a, prec: int) -> tuple:
-        """The Frobenius lift: p-th power on every Teichmueller digit."""
-        digits = [OEInt(self, 1, self.raw_pow(lam.coords, self.p, 1))
-                  for lam in self.teich_digits(a, prec)]
-        return self.from_teich_digits(digits, prec)
 
 
 class OEInt:
@@ -392,17 +387,13 @@ class OEInt:
         return OEInt(self.ring, self.prec,
                      self.ring.raw_inv(self.coords, self.prec))
 
-    def frobenius(self) -> "OEInt":
+    def frobenius(self, e: int = 1) -> "OEInt":
         return OEInt(self.ring, self.prec,
-                     self.ring.raw_frobenius(self.coords, self.prec))
+                     self.ring.raw_frobenius(self.coords, self.prec, e))
 
-    def pth_root(self) -> "OEInt":
-        """Inverse Frobenius: the Frobenius lift has order h, so it is
-        applied h - 1 times."""
-        c = self.coords
-        for _ in range(self.ring.h - 1):
-            c = self.ring.raw_frobenius(c, self.prec)
-        return OEInt(self.ring, self.prec, c)
+    def pth_root(self, n: int = 1) -> "OEInt":
+        """The n-th power of the inverse Frobenius."""
+        return self.frobenius(-n)
 
     def __repr__(self):
         return f"OEInt{self.coords}~p^{self.prec}"
@@ -695,10 +686,8 @@ class OKRing:
 
     def sigma(self, x: "OKElement", i: int) -> OEInt:
         """Embedding sigma_i = sigma_0 . Frob^i applied to x, as an O_E scalar."""
-        img = self.image(x)
-        for _ in range(i % self.params.h):
-            img = self.oe.raw_frobenius(img, x.prec)
-        return OEInt(self.oe, x.prec, img)
+        return OEInt(self.oe, x.prec,
+                     self.oe.raw_frobenius(self.image(x), x.prec, i))
 
     def random_unit(self, rng) -> "OKElement":
         while True:
@@ -735,8 +724,18 @@ class OKElement:
     def is_unit(self) -> bool:
         return bool(self.residue())
 
+    def _join(self, other) -> int:
+        """The common precision; ValueError unless other lies over this
+        O_K: the same ring, or one that agrees in p, f, h and defining
+        polynomial."""
+        a, b = self.okr.params, other.okr.params
+        if other.okr is not self.okr and \
+                (a.p, a.f, a.h, a.poly) != (b.p, b.f, b.h, b.poly):
+            raise ValueError("operands live over different O_K")
+        return min(self.prec, other.prec)
+
     def __add__(self, other):
-        pr = min(self.prec, other.prec)
+        pr = self._join(other)
         return OKElement(self.okr, pr,
                          self.okr.oe.raw_add(self.coords, other.coords, pr))
 
@@ -744,7 +743,7 @@ class OKElement:
         if isinstance(other, int):
             return OKElement(self.okr, self.prec, self.okr.oe.raw_smul(
                 other, self.coords, self.prec))
-        pr = min(self.prec, other.prec)
+        pr = self._join(other)
         img = self.okr.oe.raw_mul(self.okr.image(self), self.okr.image(other),
                                   pr)
         return OKElement(self.okr, pr, self.okr.coordinates_raw(img, pr))

@@ -374,12 +374,13 @@ class WAlg(sparse.Terms):
         return WAlg._make(self.params, self.prec, out, self.hn,
                           self.floors.scale(1, p))
 
-    def phi_forward(self) -> "WAlg":
-        """W(phi): [mu] -> [phi(mu)], coefficients fixed."""
+    def phi_forward(self, n: int = 1) -> "WAlg":
+        """W(phi)^n: [mu] -> [phi^n(mu)], coefficients fixed."""
         p = self.params.p
-        out = {phi_exponents(e, p): c for e, c in self.terms.items()}
+        out = {phi_exponents(e, p, n): c for e, c in self.terms.items()}
         return WAlg._make(self.params, self.prec, out,
-                          tuple(rescale(self.hn, p)), self.floors.scale(p))
+                          tuple(rescale(self.hn, p ** n)),
+                          self.floors.scale(p ** n))
 
     def reduce(self, prec: int) -> "WAlg":
         if prec >= self.prec:
@@ -570,9 +571,7 @@ def verify_phi_equivariance(x: MvLaurent) -> dict:
                      for h in meet)
     q_mode = "direct"
     try:
-        lhs_q = lhs
-        for _ in range(x.params.f - 1):
-            lhs_q = lhs_q.phi_forward()
+        lhs_q = lhs.phi_forward(x.params.f - 1)
         rhs_q = iota(apply_phi_q(x))
         ok_q = congruent_mod(lhs_q, rhs_q, min(lhs_q.prec, rhs_q.prec))
     except WindowTooSmall:

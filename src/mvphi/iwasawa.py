@@ -521,8 +521,10 @@ def _group_sums(params: Params, mult, window: int) -> tuple:
     sums = []
     for i in range(params.f):
         # sigma_i(omega(lambda^-1)) = omega(lambda^(-p^i)), Frobenius acting
-        # on a Teichmueller lift by the p-th power of its residue
-        acc = sum((from_slots(okr.oe.raw_teich(lam ** -params.p ** i, prec),
+        # on a Teichmueller lift by the p-th power of its residue; lambda
+        # lies in F_{p^h}^x, so one power mod p^h - 1 and no inverse
+        e = -params.p ** i % (params.p ** params.h - 1)
+        acc = sum((from_slots(okr.oe.raw_teich(lam ** e, prec),
                               nb) * x for lam, x in zip(lams, packed)),
                   m - 1 if params.q == 2 else 0)
         sums.append(TSeries._make(params, prec, window,

@@ -139,9 +139,11 @@ def scaled_exponents(params: Params, exponents) -> tuple:
     return tuple(out)
 
 
-def phi_exponents(e: tuple, p: int) -> tuple:
-    """The scaled exponent of the substitution Y_i -> Y_{i-1}^p."""
-    return tuple(p * x for x in e[1:] + e[:1])
+def phi_exponents(e: tuple, p: int, n: int = 1) -> tuple:
+    """The scaled exponent of the substitution Y_i -> Y_{i-1}^p applied n
+    times: rotated by n and scaled by p^n."""
+    k, m = n % len(e), p ** n
+    return tuple(m * x for x in e[k:] + e[:k])
 
 
 def _windows(xs):
@@ -276,32 +278,34 @@ class PerfLaurent(sparse.Terms):
             (other.terms, b_lo, b_hi, other.band))
         return PerfLaurent._make(ring, out, lo, hi, den, band)
 
-    def frobenius(self):
-        """The ring Frobenius x -> x^p (coefficients included)."""
-        p, oe = self.ring.params.p, self.ring.oe
-        out = {tuple(p * x for x in e): oe.raw_pow(c, p, 1)
+    def frobenius(self, n: int = 1):
+        """The ring Frobenius x -> x^(p^n) (coefficients included)."""
+        m, oe = self.ring.params.p ** n, self.ring.oe
+        c_exp = m % self.ring.units
+        out = {tuple(m * x for x in e): oe.raw_pow(c, c_exp, 1)
                for e, c in self.terms.items()}
         return PerfLaurent._make(self.ring, out,
-                                 *rescale((self._lo, self._hi), p),
-                                 self._den, self.band * p)
+                                 *rescale((self._lo, self._hi), m),
+                                 self._den, self.band * m)
 
-    def pth_root(self):
-        p, oe = self.ring.params.p, self.ring.oe
-        # Frobenius has order h on F_q, so x^(p^(h-1)) inverts it
-        root = p ** (self.ring.params.h - 1)
+    def pth_root(self, n: int = 1):
+        """The inverse Frobenius to the power n, with the window of n single
+        steps: lo and hi over p while both divide, den times p for the rest."""
+        ring, p = self.ring, self.ring.params.p
+        m = p ** n
+        # Frobenius has order h on F_q, so x^(p^(n(h-1))) inverts it n times
+        root = p ** (n * (ring.params.h - 1)) % ring.units
         out = {}
         for e, c in self.terms.items():
-            if any(x % p for x in e):
+            if any(x % m for x in e):
                 raise DepthExhausted(
-                    f"p-th root leaves depth p^-{self.ring.params.k}")
-            out[tuple(x // p for x in e)] = oe.raw_pow(c, root, 1)
-        lo, hi, den = self._lo, self._hi, self._den
-        if lo % p or (hi is not None and hi % p):
-            den *= p
-        else:
-            lo, hi = lo // p, None if hi is None else hi // p
-        return PerfLaurent._make(self.ring, out, lo, hi, den,
-                                 max(1, self.band // p))
+                    f"p-th root leaves depth p^-{ring.params.k}")
+            out[tuple(x // m for x in e)] = ring.oe.raw_pow(c, root, 1)
+        lo, hi, k = self._lo, self._hi, 0
+        while k < n and not lo % p and (hi is None or not hi % p):
+            lo, hi, k = lo // p, None if hi is None else hi // p, k + 1
+        return PerfLaurent._make(ring, out, lo, hi, self._den * p ** (n - k),
+                                 max(1, self.band // m) if n else self.band)
 
 
 # ---------------------------------------------------------------------------

