@@ -481,36 +481,6 @@ def ok_ring(params: Params) -> "OKRing":
 # scalar operations
 # ---------------------------------------------------------------------------
 
-def teichmuller(params: Params, x: OEInt,
-                prec: Optional[int] = None) -> OEInt:
-    """Multiplicative lift: reduces to x mod p, satisfies t^(p^h) = t."""
-    ring = oe_ring(params)
-    pr = params.N if prec is None else prec
-    return OEInt(ring, pr, ring.raw_teich(x, pr))
-
-
-def padic_binomial(params: Params, a, j: int,
-                   prec: Optional[int] = None) -> OEInt:
-    """C(a, j) for a p-adic scalar a known mod p^prec.
-
-    The numerator a(a-1)...(a-j+1) is determined mod p^prec; dividing by j!
-    leaves prec - v_p(j!) certified digits.  Raises PrecisionExhausted when
-    none remain.
-    """
-    ring = oe_ring(params)
-    if isinstance(a, OEInt):
-        if any(a.coords[1:]):
-            raise ValueError("binomial base must be a scalar (prime subring)")
-        pr = a.prec if prec is None else min(prec, a.prec)
-        a = a.coords[0]
-    else:
-        pr = params.N if prec is None else prec
-    if j < 0:
-        raise ValueError("binomial index must be nonnegative")
-    *_, (c, out_prec) = binomial_row(params.p, int(a), pr, j + 1)
-    return ring.from_int(c, out_prec)
-
-
 def binomial_row(p: int, a: int, prec: int, count: int):
     """(C(a, d), prec - v_p(d!)) for d = 0 .. count-1, a known mod p^prec.
 

@@ -19,7 +19,7 @@ from typing import Optional
 from .caches import cached
 from .coeff import (Params, OKElement, _row_reduce, binomial_row, oe_ring,
                     ok_ring)
-from .errors import NotAUnit, PrecisionExhausted, SingularJacobian
+from .errors import PrecisionExhausted, SingularJacobian
 from . import sparse
 from .sparse import from_slots, slot_bytes, to_slots
 
@@ -125,32 +125,15 @@ class TSeries(sparse.Terms):
             return self
         return TSeries(self.params, prec, self.window, self.terms)
 
-    def substitute(self, images,
-                   table: Optional[MonomialTable] = None) -> "TSeries":
-        """Substitute T_j -> images[j]; images need zero constant term.
-
-        ``table`` holds every monomial in the images at this window (the
-        reversion's ``monomials``); the substitution is then one packed sum
-        over it.  Without one, the powers of the images are built here.
-        """
-        params = self.params
-        window = self.window
-        prec = self.prec
-        for im in images:
-            if any(im.constant_term()):
-                raise ValueError("substitution images must have zero constant")
-            prec = min(prec, im.prec)
-            window = min(window, im.window)
-        if table is not None:
-            return TSeries._make(params, prec, window,
-                                 table.combine(self.terms, prec))
-
-        def one():
-            return TSeries.one(params, prec, window)
-        sub = sparse.Substitution([im.truncate(window) for im in images], one)
-        return sparse.evaluate(((e, c) for e, c in self.terms.items()
-                                if sum(e) < window), sub,
-                               TSeries.zero(params, prec, window), one)
+    def substitute(self, G: "Reversion") -> "TSeries":
+        """Substitute T_j -> G_j: one packed sum over the reversion's table
+        of every monomial G^e, cut at the least window."""
+        if any(any(g.constant_term()) for g in G):
+            raise ValueError("substitution images must have zero constant")
+        window = min(self.window, G[0].window)
+        prec = min(self.prec, G[0].prec)
+        return TSeries._make(self.params, prec, window,
+                             G.monomials.combine(self.terms, prec, window))
 
     def __repr__(self):
         if not self.terms:
@@ -284,49 +267,6 @@ def _y_generator(params: Params, i: int, w: int) -> TSeries:
     return _group_sums(params, 1, w)[i]
 
 
-def phi_map(s: TSeries) -> TSeries:
-    """Substitute T_j -> (1 + T_j)^p - 1 (multiplication by p on O_K)."""
-    params = s.params
-    images = []
-    for j in range(params.f):
-        t = TSeries.variable(params, j, s.prec, s.window)
-        one = TSeries.one(params, s.prec, s.window)
-        img = one
-        for _ in range(params.p):
-            img = img * (one + t)
-        images.append(img - one)
-    return s.substitute(images)
-
-
-def okx_coordinates(a: OKElement):
-    """Matrix of multiplication by the unit a in the Teichmueller basis.
-
-    Column j holds the coordinates of a * t_j; invertible mod p.
-    """
-    if not a.is_unit():
-        raise NotAUnit("action requires a unit of O_K")
-    okr = a.okr
-    f = a.okr.params.f
-    cols = []
-    for j in range(f):
-        ej = okr(tuple(1 if t == j else 0 for t in range(f)), a.prec)
-        cols.append((a * ej).coords)
-    return [[cols[j][i] for j in range(f)] for i in range(f)]
-
-
-def gamma_map(a: OKElement, s: TSeries) -> TSeries:
-    """The unit a acting by substitution T_j -> prod_k (1+T_k)^{c_kj} - 1."""
-    params = s.params
-    c = okx_coordinates(a)
-    okr = a.okr
-    images = []
-    one = TSeries.one(params, s.prec, s.window)
-    for j in range(params.f):
-        col = okr(tuple(c[k][j] for k in range(params.f)), a.prec)
-        images.append(group_like(col, s.window) - one)
-    return s.substitute(images)
-
-
 # ---------------------------------------------------------------------------
 # reversion: T as series in Y
 # ---------------------------------------------------------------------------
@@ -347,17 +287,19 @@ class MonomialTable:
         self.nb = nb
         self.packed = packed
 
-    def combine(self, terms: dict, prec: int) -> dict:
-        """sum c_e G^e over the terms (e, c), mod p^prec; prec is at most
-        the precision of G."""
+    def combine(self, terms: dict, prec: int, window: int) -> dict:
+        """sum c_e G^e over the terms (e, c), mod p^prec and below the
+        window; prec is at most the precision of G."""
         m = self.params.p ** prec
-        nb, packed = self.nb, self.packed
+        nb, packed, lay = self.nb, self.packed, self.layout
         acc = 0
         for e, c in terms.items():
             x = packed.get(e)
             if x is not None:
                 acc += from_slots([v % m for v in c], nb) * x
-        return self.layout.unpack(acc, nb, m)
+        # the positions of degree < window are the lowest window * row
+        cut = 8 * nb * lay.span * lay.row * window
+        return lay.unpack(acc & ((1 << cut) - 1), nb, m)
 
 
 class Reversion(tuple):
@@ -491,7 +433,7 @@ def to_y_coordinates(s: TSeries) -> TSeries:
     """Re-express a T-series in Y-coordinates: sum c_e G^e over the cached
     monomial table of the reversion."""
     G = y_to_t_inverse(s.params, s.window)
-    return s.substitute(G, G.monomials)
+    return s.substitute(G)
 
 
 # ---------------------------------------------------------------------------

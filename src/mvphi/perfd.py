@@ -309,7 +309,7 @@ class PerfLaurent(sparse.Terms):
 
 
 # ---------------------------------------------------------------------------
-# Gauss norms and the F-linear Frobenius substitution
+# Gauss norms
 # ---------------------------------------------------------------------------
 
 def gauss_val(x: PerfLaurent) -> Optional[Fraction]:
@@ -317,31 +317,6 @@ def gauss_val(x: PerfLaurent) -> Optional[Fraction]:
     if not x.terms:
         return None
     return min(Fraction(sum(e), x.ring.scale) for e in x.terms)
-
-
-def phi_linear(x: PerfLaurent) -> PerfLaurent:
-    """The coefficient-fixing substitution Y_i -> Y_{i-1}^p (index shift).
-
-    At f >= 2, e_0 moves into a cross slot: the band p * max(band, |e_0|)
-    bounds the represented terms' images.  A windowed input's unknown terms
-    (e_0 unbounded) map to at or above w_hi, outside the image's window.
-    """
-    p = x.ring.params.p
-    out = {phi_exponents(e, p): c for e, c in x.terms.items()}
-    band = x.band
-    if x.ring.nvars > 1:
-        band = max(band, max((abs(e[0]) for e in x.terms), default=0))
-    return PerfLaurent._make(x.ring, out, *rescale((x._lo, x._hi), p),
-                             x._den, p * band)
-
-
-def phi_q_linear(x: PerfLaurent) -> PerfLaurent:
-    """The substitution Y_i -> Y_i^q (phi_linear f times): exponents,
-    window and band scaled by q, coefficients fixed."""
-    q = x.ring.params.q
-    out = {tuple(q * v for v in e): c for e, c in x.terms.items()}
-    return PerfLaurent._make(x.ring, out, *rescale((x._lo, x._hi), q),
-                             x._den, q * x.band)
 
 
 def positive_radius(r) -> Fraction:
@@ -500,10 +475,3 @@ def member_B0r(w: BElt) -> bool:
     """Power-bounded test: every digit has gauss_val(x_n) + n/r - shift >= 0."""
     val = b_val_r(w).val
     return val is None or val >= 0
-
-
-def phi_q_belt(w: BElt) -> BElt:
-    """Digitwise F-linear phi_q; lands at radius r/q with shift scaled by q."""
-    q = w.witt.handle.ring.params.q
-    mapped = wt.map_coefficients(phi_q_linear, w.witt)
-    return BElt(mapped, Fraction(w.r) / q, w.shift * q, w.floor * q)

@@ -120,14 +120,6 @@ def witt_json(w) -> dict:
             "digits": [perf_json(d) for d in w.digits()]}
 
 
-def phimodule_json(m: PhiModule):
-    return {"rank": m.rank, "tag": m.tag, "s": m.s,
-            "P": [[mv_json(x) for x in row] for row in m.P],
-            "action": [{"a": list(a.coords),
-                        "G": [[mv_json(x) for x in row] for row in G]}
-                       for a, G in m.action]}
-
-
 def matrix_from(params: Params, rows, side: int) -> list:
     """A side x side matrix of Laurent elements."""
     if len(rows) != side or any(len(row) != side for row in rows):

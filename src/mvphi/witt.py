@@ -272,15 +272,6 @@ def witt_mul(u: WittVec, v: WittVec) -> WittVec:
     return _coordinatewise(u, v, "prod_plans")
 
 
-def witt_neg(u: WittVec) -> WittVec:
-    minus_one = from_int(u.handle, -1, u.prec)
-    return witt_mul(u, minus_one)
-
-
-def witt_sub(u: WittVec, v: WittVec) -> WittVec:
-    return witt_add(u, witt_neg(v))
-
-
 def teich(handle, x, prec: int) -> WittVec:
     return from_expansion(handle, (x,), prec)
 
@@ -309,13 +300,3 @@ def from_int(handle, n: int, prec: int) -> WittVec:
     """Integer as a Witt vector: an integer is an O_E scalar, and the
     Teichmueller lift of a digit in F_p is the same in Z_p and in O_E."""
     return from_oe_scalar(handle, handle.field.oe.from_int(n, prec))
-
-
-def map_coefficients(sigma, u: WittVec) -> WittVec:
-    """Apply a base-ring endomorphism to every Teichmueller digit."""
-    digits = tuple(sigma(d) for d in u.digits())
-    return WittVec(u.handle, u.prec, TEICH_EXPANSION, digits)
-
-
-def scalar_mul(c: OEInt, u: WittVec) -> WittVec:
-    return witt_mul(from_oe_scalar(u.handle, c.reduce(u.prec)), u)

@@ -15,6 +15,16 @@ def run_cli(args, stdin=None):
     return proc
 
 
+def phimodule_json(m):
+    """The JSON input of ``etale`` and ``oc-cert`` for the module m, the
+    inverse of ``serialize.phimodule_from``."""
+    return {"rank": m.rank, "tag": m.tag, "s": m.s,
+            "P": [[ser.mv_json(x) for x in row] for row in m.P],
+            "action": [{"a": list(a.coords),
+                        "G": [[ser.mv_json(x) for x in row] for row in G]}
+                       for a, G in m.action]}
+
+
 def test_phi_y_p2_example():
     proc = run_cli(["phi-y", "--p", "2", "--f", "1"])
     assert proc.returncode == 0
@@ -132,7 +142,7 @@ def test_etale_cli():
     m = unramified_char(pr, __import__("mvphi.coeff", fromlist=["oe_ring"])
                         .oe_ring(pr).from_int(2, pr.N))
     proc = run_cli(["etale", "--p", "3", "--f", "1"],
-                   stdin=json.dumps(ser.phimodule_json(m)))
+                   stdin=json.dumps(phimodule_json(m)))
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["is_etale"] is True and data["commutation"] is True
@@ -142,7 +152,7 @@ def test_oc_cert_cli():
     pr = Params.create(3, 1, 1)
     from mvphi.coeff import oe_ring
     m = unramified_char(pr, oe_ring(pr).from_int(2, pr.N))
-    payload = json.dumps({"module": ser.phimodule_json(m)})
+    payload = json.dumps({"module": phimodule_json(m)})
     proc = run_cli(["oc-cert", "--p", "3", "--f", "1", "--s", "1"],
                    stdin=payload)
     assert proc.returncode == 0
@@ -201,8 +211,8 @@ def test_serialize_roundtrips():
     from mvphi.coeff import oe_ring, ok_ring
     m = unramified_char(pr, oe_ring(pr).from_int(2, pr.N),
                         samples=(ok_ring(pr).one(),))
-    enc = json.loads(json.dumps(ser.phimodule_json(m)))
-    assert ser.phimodule_json(ser.phimodule_from(pr, enc)) == enc
+    enc = json.loads(json.dumps(phimodule_json(m)))
+    assert phimodule_json(ser.phimodule_from(pr, enc)) == enc
 
 
 def test_iota_norm_table_tests_each_generator(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import (Params, FField, OEInt, OERing, fq_field, oe_ring,
-                         ok_ring, teichmuller, padic_binomial, binomial_row,
+                         ok_ring, binomial_row,
                          vp_factorial, default_poly, base_p_digits, is_prime,
                          power, _row_reduce)
 from mvphi.caches import cache_info
@@ -57,30 +57,30 @@ def test_frobenius_is_additive_and_multiplicative():
 def test_teichmuller_trivial_cases():
     pr = params(3, 1, 1)
     F = fq_field(pr)
-    assert teichmuller(pr, F.zero).is_zero()
-    one = teichmuller(pr, F.one)
-    assert one.coords == (1,)
+    ring = oe_ring(pr)
+    assert ring.raw_teich(F.zero, pr.N) == (0,)
+    assert ring.raw_teich(F.one, pr.N) == (1,)
 
 
 def test_teichmuller_example_p3():
     # Hensel-lifting the root of X^2 = 1 congruent to 2 mod 3 gives -1.
     pr = params(3, 1, 1, N=5)
     F = fq_field(pr)
-    t = teichmuller(pr, F.from_int(2), prec=5)
-    assert t.coords == (3 ** 5 - 1,)
+    assert oe_ring(pr).raw_teich(F.from_int(2), 5) == (3 ** 5 - 1,)
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
 def test_teichmuller_is_multiplicative_and_fixed(p, f, h):
     pr = params(p, f, h)
     F = fq_field(pr)
+    ring, N = oe_ring(pr), pr.N
     rng = random.Random(1)
     elts = list(F.elements())
     for _ in range(20):
         x, y = rng.choice(elts), rng.choice(elts)
-        tx, ty = teichmuller(pr, x), teichmuller(pr, y)
-        assert tx * ty == teichmuller(pr, x * y)
-        assert tx ** (p ** h) == tx
+        tx, ty = ring.raw_teich(x, N), ring.raw_teich(y, N)
+        assert ring.raw_mul(tx, ty, N) == ring.raw_teich(x * y, N)
+        assert ring.raw_pow(tx, p ** h, N) == tx
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -101,51 +101,46 @@ def test_frobenius_lift_properties(p, f, h):
             it = it.frobenius()
         assert it == a
     for x in list(F.elements())[:6]:
-        assert teichmuller(pr, x).frobenius() == teichmuller(
-            pr, x.frobenius())
+        assert ring.raw_frobenius(ring.raw_teich(x, pr.N), pr.N) == \
+            ring.raw_teich(x.frobenius(), pr.N)
 
 
 def test_padic_binomial_integer_cases():
-    pr = params(3, 1, 1, N=4)
-    assert padic_binomial(pr, 5, 2).coords == (10 % 3 ** 4,)
-    assert padic_binomial(pr, 7, 0).coords == (1,)
+    row = list(binomial_row(3, 5, 4, 3))
+    assert row[2] == (10, 4)
+    assert row[0] == (1, 4)
 
 
 def test_padic_binomial_half_example():
     # a = 1/2 in Z/3^N, j = 2 -> -1/8 certified at full precision (v_3(2!)=0)
     N = 4
-    pr = params(3, 1, 1, N=N)
     a = pow(2, -1, 3 ** N)
-    got = padic_binomial(pr, a, 2)
     want = (-pow(8, -1, 3 ** N)) % 3 ** N
-    assert got.coords == (want,)
-    assert got.prec == N
+    assert list(binomial_row(3, a, N, 3))[2] == (want, N)
 
 
 def test_padic_binomial_precision_loss_and_exhaustion():
-    pr = params(2, 1, 1, N=3)
     # v_2(4!) = 3 eats all of N = 3
     with pytest.raises(PrecisionExhausted):
-        padic_binomial(pr, 5, 4)
-    got = padic_binomial(pr, 5, 4, prec=5)
-    assert got.prec == 5 - 3
-    assert got.coords == (5 % 4,)  # C(5,4) = 5
+        list(binomial_row(2, 5, 3, 5))
+    assert list(binomial_row(2, 5, 5, 5))[4] == (5 % 4, 5 - 3)  # C(5,4) = 5
 
 
 def test_padic_binomial_pascal():
-    pr = params(3, 1, 1, N=6)
     rng = random.Random(3)
     for _ in range(20):
         a = rng.randrange(3 ** 6)
         j = rng.randrange(1, 6)
-        lhs = padic_binomial(pr, a, j)
-        rhs = padic_binomial(pr, a - 1, j) + padic_binomial(pr, a - 1, j - 1)
-        assert lhs == rhs.reduce(lhs.prec)
+        lhs, prec = list(binomial_row(3, a, 6, j + 1))[j]
+        row = list(binomial_row(3, a - 1, 6, j + 1))
+        assert (lhs - row[j][0] - row[j - 1][0]) % 3 ** prec == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_binomial_row_matches_padic_binomial(p):
-    pr, prec = params(p, 1, 1), 4
+    # each entry is the exact binomial mod p^(prec - v_p(d!)), and the row
+    # stops where v_p(d!) reaches prec
+    prec = 4
     exhausted = next(d for d in range(100) if vp_factorial(d, p) >= prec)
     for a in (p ** 3 + 2, -(2 * p ** 2 + 1), 7 * p, -p):
         row = []
@@ -160,10 +155,6 @@ def test_binomial_row_matches_padic_binomial(p):
             v = vp_factorial(d, p)
             exact = falling // math.factorial(d)
             assert (c, cprec) == (exact % p ** (prec - v), prec - v)
-            got = padic_binomial(pr, a, d, prec)
-            assert got.coords == (c,) and got.prec == cprec
-        with pytest.raises(PrecisionExhausted):
-            padic_binomial(pr, a, exhausted, prec)
 
 
 @given(st.integers(0, 3 ** 5 - 1), st.integers(0, 3 ** 5 - 1))

@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvphi.coeff import Params, oe_ring, ok_ring
-from mvphi.iwasawa import (TSeries, group_like, y_generator, phi_map,
-                           gamma_map, okx_coordinates, revert_series,
+from mvphi.iwasawa import (TSeries, group_like, y_generator, revert_series,
                            y_to_t_inverse, to_y_coordinates, phi_y, gamma_y,
                            phi_power_y, _invert_coeff_matrix)
 from mvphi.errors import SingularJacobian, NotAUnit, PrecisionExhausted
+
+from test_sparse import _ref_substitute
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -77,6 +78,52 @@ def test_y_generator_constant_term_vanishes(p, f, h):
     pr = params(p, f, h)
     for i in range(f):
         assert not any(y_generator(pr, i).constant_term())
+
+
+# the slow routes that phi_y and gamma_y replace: the substitutions of
+# multiplication by p and by a unit on the group exponents, in T-coordinates
+
+def phi_map(s):
+    """Substitute T_j -> (1 + T_j)^p - 1 (multiplication by p on O_K)."""
+    params = s.params
+    images = []
+    for j in range(params.f):
+        t = TSeries.variable(params, j, s.prec, s.window)
+        one = TSeries.one(params, s.prec, s.window)
+        img = one
+        for _ in range(params.p):
+            img = img * (one + t)
+        images.append(img - one)
+    return _ref_substitute(s, images)
+
+
+def okx_coordinates(a):
+    """Matrix of multiplication by the unit a in the Teichmueller basis.
+
+    Column j holds the coordinates of a * t_j; invertible mod p.
+    """
+    if not a.is_unit():
+        raise NotAUnit("action requires a unit of O_K")
+    okr = a.okr
+    f = a.okr.params.f
+    cols = []
+    for j in range(f):
+        ej = okr(tuple(1 if t == j else 0 for t in range(f)), a.prec)
+        cols.append((a * ej).coords)
+    return [[cols[j][i] for j in range(f)] for i in range(f)]
+
+
+def gamma_map(a, s):
+    """The unit a acting by substitution T_j -> prod_k (1+T_k)^{c_kj} - 1."""
+    params = s.params
+    c = okx_coordinates(a)
+    okr = a.okr
+    images = []
+    one = TSeries.one(params, s.prec, s.window)
+    for j in range(params.f):
+        col = okr(tuple(c[k][j] for k in range(params.f)), a.prec)
+        images.append(group_like(col, s.window) - one)
+    return _ref_substitute(s, images)
 
 
 def test_phi_map_definition():
@@ -201,7 +248,7 @@ def test_reversion_roundtrip(p, f, h):
     ys = [y_generator(pr, i, w) for i in range(f)]
     G = y_to_t_inverse(pr, w)
     for j in range(f):
-        back = G[j].substitute(ys)
+        back = _ref_substitute(G[j], ys)
         assert as_int_series_multi(back) == {unit(f, j): 1}
 
 
@@ -533,10 +580,11 @@ def test_reversion_roundtrip_of_random_series(data):
     pr, prec, w = s.params, s.prec, s.window
     G = revert_series(series, w)
     for j in range(pr.f):
-        assert G[j].substitute(series) == TSeries.variable(pr, j, prec, w)
+        assert _ref_substitute(G[j], series) == \
+            TSeries.variable(pr, j, prec, w)
         assert series[j].substitute(G) == TSeries.variable(pr, j, prec, w)
     # the packed monomial table agrees with substituting power by power
-    assert s.substitute(G, G.monomials) == s.substitute(G)
+    assert s.substitute(G) == _ref_substitute(s, G)
 
 
 @pytest.mark.parametrize("p,f,h,w", [(5, 2, 2, 20), (3, 2, 2, 15)])
@@ -545,9 +593,38 @@ def test_reversion_roundtrip_wide_window(p, f, h, w):
     ys = [y_generator(pr, i, w) for i in range(f)]
     G = y_to_t_inverse(pr, w)
     for j in range(f):
-        back = G[j].substitute(ys)
+        back = _ref_substitute(G[j], ys)
         assert back == TSeries.variable(pr, j, pr.N, w)
         assert ys[j].substitute(G) == TSeries.variable(pr, j, pr.N, w)
+
+
+@st.composite
+def series_and_reversions(draw):
+    """A series and the reversion of the Y-generators at a window on
+    either side of the series' own."""
+    p, f, h = draw(st.sampled_from(GRID))
+    pr = params(p, f, h)
+    w = draw(st.integers(2, 10))
+    prec = draw(st.integers(1, pr.N + 1))
+    window = draw(st.integers(1, 12))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, window)] * f),
+        st.tuples(*[st.integers(0, p ** prec - 1)] * h), max_size=8))
+    return TSeries(pr, prec, window, terms), y_to_t_inverse(pr, w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(series_and_reversions())
+@example((TSeries(params(3, 2, 2), 3, 8, {(1, 1): (1, 0)}),
+          y_to_t_inverse(params(3, 2, 2), 12)))
+def test_table_substitution_is_the_substitution(data):
+    # the table holds each G^e up to its own window: a series at a smaller
+    # window, as T0*T1 at window 8 against the table at 12, takes only the
+    # terms below its own
+    s, G = data
+    got, want = s.substitute(G), _ref_substitute(s, G)
+    assert (got.prec, got.window, got.terms) == \
+        (want.prec, want.window, want.terms)
 
 
 @pytest.mark.parametrize("p,f,h", KERNEL_GRID)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field, power
-from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, phi_linear,
-                         phi_q_linear, pr_radius, ainf_handle, BElt, b_val_r,
-                         member_B0r, phi_q_belt, _plan_window)
+from mvphi.embed import WAlg, b_val_walg, iota
+from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, pr_radius,
+                         ainf_handle, BElt, b_val_r, member_B0r,
+                         _plan_window)
 from mvphi.errors import BandOverflow, DepthExhausted
 from mvphi import witt as wt
+from mvphi.suites import rand_iota_sample
 from mvphi.sparse import bound_add, bound_min
 
 from test_sparse import _ref_pair_loop
@@ -64,29 +66,7 @@ def test_gauss_multiplicativity():
             assert gauss_val(prod) == gauss_val(a) + gauss_val(b)
 
 
-def test_phi_linear_index_shift():
-    pr = params(3, 2, 2)
-    ring = ainf_ring(pr)
-    y1 = PerfLaurent.monomial(ring, (0, 1))
-    img = phi_linear(y1)
-    assert img.terms == PerfLaurent.monomial(ring, (3, 0)).terms
-    assert gauss_val(img) == 3 * gauss_val(y1)
-
-
-def test_phi_linear_scaling_random():
-    pr = params(3, 2, 2)
-    ring = ainf_ring(pr)
-    rng = random.Random(41)
-    F = fq_field(pr)
-    elts = [e for e in F.elements() if e]
-    for _ in range(10):
-        terms = {tuple(rng.randrange(-3, 4) * 81 for _ in range(2)):
-                 rng.choice(elts) for _ in range(3)}
-        x = PerfLaurent(ring, terms)
-        assert gauss_val(phi_linear(x)) == 3 * gauss_val(x)
-
-
-def test_frobenius_vs_phi_linear_differ_on_coefficients():
+def test_frobenius_raises_the_coefficients_to_the_p():
     pr = params(3, 2, 2)
     ring = ainf_ring(pr)
     F = fq_field(pr)
@@ -94,8 +74,6 @@ def test_frobenius_vs_phi_linear_differ_on_coefficients():
     x = PerfLaurent(ring, {(81, 0): lam})
     frob = x.frobenius()
     assert list(frob.terms.values())[0] == lam.frobenius().coords
-    lin = phi_q_linear(x)
-    assert list(lin.terms.values())[0] == lam.coords
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -114,13 +92,12 @@ def test_pr_radius_spec_value():
 
 
 def test_map_phi_on_teichmuller_generators():
-    # the F-linear Frobenius substitution sends [Y_i] to [Y_{i-1}^p]
+    # W(phi), the perfectoid-level Frobenius, sends [Y_i] to [Y_{i-1}^p]
     pr = params(3, 2, 2)
-    h = ainf_handle(pr)
-    y1 = PerfLaurent.monomial(h.ring, (0, 1))
-    got = wt.map_coefficients(phi_linear, wt.teich(h, y1, pr.N))
-    want = wt.teich(h, PerfLaurent.monomial(h.ring, (3, 0)), pr.N)
-    assert got.eq(want)
+    y1 = WAlg.teich_monomial(pr, pr.N, (0, 1))
+    got = y1.phi_forward()
+    want = WAlg.teich_monomial(pr, pr.N, (3, 0))
+    assert got.terms == want.terms and got.H == want.H
 
 
 def test_eq_within_compares_only_the_common_window():
@@ -202,24 +179,21 @@ def test_member_b0r_boundary_cases():
     assert member_B0r(BElt(wt.teich(h, y, pr.N), Fraction(5)))
 
 
-def test_member_b0r_phi_q_equivalence():
-    pr = params(3, 2, 2)
-    h = ainf_handle(pr)
-    ring = h.ring
+@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2), (2, 2, 2),
+                                   (5, 2, 2)])
+def test_phi_q_scales_the_radius_r_valuation(p, f, h):
+    # W(phi)^f = phi_q sends each Y_i to Y_i^q and scales the horizons and
+    # floors by q: the radius-r/q valuation of phi_q(iota(x)) is q times
+    # the radius-r one, certified alike
+    pr = params(p, f, h)
     rng = random.Random(43)
-    F = fq_field(pr)
-    elts = [e for e in F.elements() if e]
-    for _ in range(15):
-        digs = []
-        for n in range(pr.N):
-            e = (rng.randrange(0, 4) * ring.scale,
-                 rng.randrange(-2, 3) * ring.scale)
-            digs.append(PerfLaurent(ring, {e: rng.choice(elts)}))
-        w = BElt(wt.from_expansion(h, tuple(digs)), Fraction(2),
-                 shift=Fraction(rng.randrange(3)))
-        img = phi_q_belt(w)
-        assert img.r == Fraction(2, pr.q)
-        assert member_B0r(w) == member_B0r(img)
+    for _ in range(30):
+        w = iota(rand_iota_sample(pr, rng, 1))
+        img = w.phi_forward(f)
+        for r in (Fraction(1), Fraction(1, 2), Fraction(2)):
+            got, want = b_val_walg(img, r / pr.q), b_val_walg(w, r)
+            assert got.certified == want.certified
+            assert got.val == (None if want.val is None else pr.q * want.val)
 
 
 def test_member_b0r_monotone_in_r():
@@ -319,37 +293,6 @@ def test_member_b0r_is_the_sign_of_b_val_r(data):
     assert member_B0r(w) == _ref_member_B0r(w)
 
 
-def test_phi_linear_band_holds_the_shifted_y0_exponent():
-    # at f = 2 the shift moves Y_0^5 into the cross slot: the image's band
-    # is 3 * 45, not 3 * 9, and its product by one keeps its term
-    R = ainf_ring(params(3, 2, 2, k=2))
-    s = R.scale
-    x = PerfLaurent(R, {(5 * s, s): R.field.one}, band=s)
-    img = phi_linear(x)
-    assert list(img.terms) == [(27, 135)] and img.band == 135
-    assert (img * PerfLaurent.one(R)).terms == img.terms
-
-
-@pytest.mark.parametrize("p,f,h", [(3, 2, 2), (5, 2, 2), (3, 1, 1)])
-def test_phi_q_linear_is_the_direct_substitution(p, f, h):
-    # f index shifts compose to Y_i -> Y_i^q: the same terms in the same
-    # order and the same window; the band is q * band
-    R = ainf_ring(params(p, f, h, k=2))
-    rng = random.Random(46)
-    elts = [e for e in R.field.elements() if e]
-    for _ in range(10):
-        terms = {tuple(rng.randrange(-2 * R.scale, 2 * R.scale)
-                       for _ in range(f)): rng.choice(elts)
-                 for _ in range(3)}
-        x = PerfLaurent(R, terms, None, Fraction(rng.randrange(-9, 9), 4))
-        got, want = phi_q_linear(x), x
-        for _ in range(f):
-            want = phi_linear(want)
-        assert list(got.terms.items()) == list(want.terms.items())
-        assert (got.w_lo, got.w_hi) == (want.w_lo, want.w_hi)
-        assert got.band == R.params.q * x.band
-
-
 # -- integer windows against the Fraction formulas they replace --------------
 
 class RefPerf:
@@ -441,18 +384,6 @@ class RefPerf:
                        None if self.w_hi is None else self.w_hi / p,
                        max(1, self.band // p))
 
-    def phi_linear(self):
-        # the band takes the shifted Y_0 exponent at f >= 2
-        p = self.ring.params.p
-        band = self.band
-        if self.ring.nvars > 1:
-            band = max([band] + [abs(e[0]) for e in self.terms])
-        return RefPerf(self.ring, {tuple(p * x for x in e[1:] + e[:1]): c
-                                   for e, c in self.terms.items()},
-                       self.w_lo * p,
-                       None if self.w_hi is None else self.w_hi * p,
-                       p * band)
-
     @staticmethod
     def eval_struct(terms, vals):
         """A structure polynomial's terms mod p at ``vals``: the terms with
@@ -497,8 +428,7 @@ def _outcome(fn, *args):
 
 
 _bound = st.fractions(min_value=-3, max_value=4, max_denominator=9)
-_OPS = ("mul", "sum", "neg", "frobenius", "pth_root", "phi_linear",
-        "witt")
+_OPS = ("mul", "sum", "neg", "frobenius", "pth_root", "witt")
 
 
 @pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2)])
@@ -572,9 +502,7 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
             continue
         else:
             a, ra = data.draw(pick)
-            if op == "phi_linear":
-                got, want = phi_linear(a), ra.phi_linear()
-            elif op == "neg":
+            if op == "neg":
                 got, want = -a, -ra
             else:
                 got = _outcome(getattr(a, op))
