@@ -18,8 +18,9 @@ def main():
     for (p, f) in [(2, 1), (3, 1), (3, 2)]:
         pr = Params.create(p, f)
         res = iota_generators(pr)
-        print(f"\n=== p = {p}, f = {f}: fixpoint after {res.iterations} "
-              f"steps, certificates mod p^{res.certificates} ===")
+        print(f"\n=== p = {p}, f = {f}: fixpoint after "
+              f"{len(res.certificates)} steps, certificates mod "
+              f"p^{res.certificates} ===")
         for i, y in enumerate(res.ys):
             belt = to_belt(y, Fraction(1))
             gvs = [gauss_val(d) for d in belt.digits()]

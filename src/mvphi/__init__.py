@@ -10,7 +10,7 @@ from .mvring import (MvLaurent, NormValue, invert_unit, norm_s, member,
                      recompose, roundtrip_ok, check_local_analyticity)
 from .witt import (WittVec, StructurePolys, gen_structure_polys, witt_add,
                    witt_mul, teich, from_expansion)
-from .perfd import (PerfLaurent, PerfRing, BElt, ainf_ring, gauss_val,
+from .perfd import (PerfLaurent, PerfRing, BElt, gauss_val,
                     b_val_r, member_B0r, pr_radius)
 from .embed import (WAlg, IotaResult, iota_generators, iota,
                     verify_norm_compare, verify_phi_equivariance, to_belt)
@@ -27,7 +27,7 @@ __all__ = [
     "roundtrip_ok", "check_local_analyticity",
     "WittVec", "StructurePolys", "gen_structure_polys", "witt_add",
     "witt_mul", "teich", "from_expansion",
-    "PerfLaurent", "PerfRing", "BElt", "ainf_ring", "gauss_val", "b_val_r",
+    "PerfLaurent", "PerfRing", "BElt", "gauss_val", "b_val_r",
     "member_B0r", "pr_radius",
     "WAlg", "IotaResult", "iota_generators", "iota", "verify_norm_compare",
     "verify_phi_equivariance", "to_belt",

@@ -94,7 +94,8 @@ def _is_irreducible(field: "FField") -> bool:
     if field.h == 1:
         return True
     x = field((0, 1) + (0,) * (field.h - 2))
-    return x ** (field.p ** field.h) == x and len(_fixed_space(field, 1)) == 1
+    return (x ** (field.p ** field.h) == x
+            and len(_fixed_space(field, 1)[0]) == 1)
 
 
 def default_poly(p: int, h: int) -> tuple:
@@ -368,9 +369,6 @@ class OEInt:
     def __bool__(self):
         return any(self.coords)
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def valuation(self) -> int:
         return self.ring.raw_val(self.coords, self.prec)
 
@@ -379,9 +377,6 @@ class OEInt:
             raise PrecisionExhausted(
                 f"element known mod p^{self.prec}, requested p^{prec}")
         return OEInt(self.ring, prec, self.ring.raw_reduce(self.coords, prec))
-
-    def residue(self) -> "OEInt":
-        return self.reduce(1)
 
     def inverse(self) -> "OEInt":
         return OEInt(self.ring, self.prec,
@@ -533,9 +528,10 @@ def _row_reduce(rows, p: int, m: int):
     return a, pivots
 
 
-def _fixed_space(field: FField, f: int) -> list:
-    """Echelonized F_p-basis of the elements Frob^f fixes: the kernel of
-    Frob^f - id acting on F_p[x]/(g)."""
+def _fixed_space(field: FField, f: int) -> tuple:
+    """Echelonized F_p-basis of the elements Frob^f fixes, the kernel of
+    Frob^f - id acting on F_p[x]/(g), and its free columns: basis vector k
+    is 1 at free column k and 0 at the others."""
     p, h = field.p, field.h
     cols = []
     for i in range(h):
@@ -545,14 +541,15 @@ def _fixed_space(field: FField, f: int) -> list:
     # kernel of the h x h matrix with those columns
     a, pivots = _row_reduce([[cols[j][i] for j in range(h)]
                              for i in range(h)], p, p)
+    free = [c for c in range(h) if c not in pivots]
     basis = []
-    for fc in (c for c in range(h) if c not in pivots):
+    for fc in free:
         vec = [0] * h
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = (-a[r][fc]) % p
         basis.append(field(vec))
-    return basis
+    return basis, free
 
 
 class OKRing:
@@ -563,24 +560,11 @@ class OKRing:
         self.oe = oe_ring(params)
         self.field = fq_field(params)
         self.prec = params.n_work()
-        self.fq_basis = self._subfield_basis()
-        self._prepare_solver()
-
-    def _subfield_basis(self):
-        basis = _fixed_space(self.field, self.params.f)
-        if len(basis) != self.params.f:
+        # a Teichmueller lift is its residue mod p, so at the free columns
+        # the basis-lift matrix is the identity mod p: its pivot rows
+        self.fq_basis, self.pivot_rows = _fixed_space(self.field, params.f)
+        if len(self.fq_basis) != params.f:
             raise RuntimeError("subfield dimension mismatch")
-        return basis
-
-    def _prepare_solver(self):
-        # the first f rows of the basis-lift matrix that are independent
-        # mod p; a Teichmueller lift is its residue mod p, so these are the
-        # pivot columns of the f x h matrix of the F_q basis coordinates
-        p = self.params.p
-        _, rows = _row_reduce([b.coords for b in self.fq_basis], p, p)
-        if len(rows) != self.params.f:
-            raise RuntimeError("Teichmueller basis matrix is singular mod p")
-        self.pivot_rows = rows
 
     # -- elements ------------------------------------------------------------
 

@@ -66,9 +66,10 @@ class Floors:
     minimum of fl over the levels <= m is fl(m).
 
     A Floors is immutable and holds integers only: a denominator D,
-    D*fl(0..2N+2), D*sigma and D*delta().  ``Lv``, ``B``, ``sigma``,
-    ``at()``, ``delta()`` and ``global_min()`` build exact Fractions on
-    read; ``convolve`` and ``meet`` work over the lcm of the operands'
+    D*fl(0..2N+2) in ``tab``, D*sigma in ``sig`` and D*delta, the least
+    increment past the first finite level, in ``dlt``.  ``num(m)`` reads
+    D*fl(m); ``at(m)`` and ``global_min()`` build exact Fractions;
+    ``convolve`` and ``meet`` work over the lcm of the operands'
     denominators.
     """
 
@@ -91,7 +92,7 @@ class Floors:
         b = bound_min(b, prev)
         tab += [None if b is None else b + sig * (m - N)
                 for m in range(N, 2 * N + 3)]
-        # delta(), the least increment past the first finite level; every
+        # delta, the least increment past the first finite level; every
         # entry from there on is finite
         dlt = sig
         for x, y in zip(tab[:N], tab[1:N + 1]):
@@ -103,20 +104,8 @@ class Floors:
     def _frac(self, x):
         return None if x is None else Fraction(x, self.den)
 
-    @property
-    def Lv(self):
-        return tuple(self._frac(x) for x in self.tab[:self.N])
-
-    @property
-    def B(self):
-        return self._frac(self.tab[self.N])
-
-    @property
-    def sigma(self):
-        return Fraction(self.sig, self.den)
-
     def _over(self, den, top):
-        """(den*fl(0..top), den*sigma, den*delta()) as ints, None for no
+        """(den*fl(0..top), den*sigma, den*delta) as ints, None for no
         content; D must divide den."""
         tab = self.tab[:top + 1]
         tab += [self.num(m) for m in range(len(tab), top + 1)]
@@ -132,10 +121,6 @@ class Floors:
 
     def at(self, m):
         return self._frac(self.num(m))
-
-    def delta(self):
-        """min increment fl(m+1) - fl(m) past the first finite level."""
-        return Fraction(self.dlt, self.den)
 
     def meet(self, *others):
         """Floors of a sum at the least precision in one pass: the left fold
@@ -212,7 +197,8 @@ class Floors:
                                if x is not None), default=None))
 
     def __repr__(self):
-        return f"Floors({self.Lv}, tail {self.B} slope {self.sigma})"
+        return (f"Floors({[self.at(m) for m in range(self.N + 1)]}, "
+                f"slope {Fraction(self.sig, self.den)})")
 
 
 class WAlg(sparse.Terms):
@@ -435,7 +421,6 @@ def b_val_walg(x: WAlg, r: Fraction) -> NormValue:
 @dataclass
 class IotaResult:
     ys: tuple
-    iterations: int
     certificates: list  # one entry per step: pi-power checked
 
 
@@ -500,7 +485,6 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
                 (params.p,) + (0,) * (params.h - 1))
         ys.append(y0)
     certificates = []
-    steps = 0
     for n in range(1, N):
         corr = _corr_floor(ys)
         bounds = _tail_clamp(params, w, corr)
@@ -517,8 +501,7 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
                     f"step {n}: generator {i} moved below p^{n}")
         certificates.append(n)
         ys = new
-        steps = n
-    return IotaResult(tuple(ys), steps, certificates)
+    return IotaResult(tuple(ys), certificates)
 
 
 # ---------------------------------------------------------------------------

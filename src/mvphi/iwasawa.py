@@ -51,11 +51,6 @@ class TSeries(sparse.Terms):
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(params: Params, prec: int, window: Optional[int] = None):
-        return TSeries._make(params, prec,
-                             params.M if window is None else window, {})
-
-    @staticmethod
     def one(params: Params, prec: int, window: Optional[int] = None):
         return TSeries._monomial(params, (0,) * params.f, prec, window)
 
@@ -105,9 +100,6 @@ class TSeries(sparse.Terms):
         return (isinstance(other, TSeries) and self.params == other.params
                 and self.prec == other.prec and self.window == other.window
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.prec, self.window, tuple(sorted(self.terms.items()))))
 
     def constant_term(self) -> tuple:
         return self.terms.get((0,) * self.params.f, (0,) * self.params.h)

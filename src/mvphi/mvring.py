@@ -294,20 +294,21 @@ def norm_s(x: MvLaurent, s: int) -> NormValue:
     return NormValue(Fraction(best, s), certified)
 
 
-RING_A0 = "A0"
-RING_A = "A"
-RING_DAGGER_S_MINUS = "dagger_s_minus"
-RING_DAGGER_S = "dagger_s"
+# the rings A_mv, A0 and A^{dagger,s}: ``member``'s ring tags and the base
+# tags of a ``phimod.PhiModule``
+TAG_AMV = "A_mv"
+TAG_A0 = "A0"
+TAG_DAGGER = "dagger_s_minus"
 
 
 def member(x: MvLaurent, tag: str, s: Optional[int] = None) -> bool:
     """Membership certificate for the represented terms at the precision."""
-    if tag == RING_A:
+    if tag == TAG_AMV:
         return True
-    if tag == RING_A0:
+    if tag == TAG_A0:
         lead = leading_slice(x)
         return not lead or lead[0][0][0] >= 0
-    if tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
+    if tag == TAG_DAGGER:
         if s is None:
             raise ValueError("dagger membership needs the radius index s")
         v = norm_s(x, s).val

@@ -123,11 +123,6 @@ def _check_band(e, band: int):
                 f"product cross exponents {e[1:]} exceed the band")
 
 
-def ainf_ring(params: Params) -> PerfRing:
-    """The one ring per params (elements compare rings by identity)."""
-    return ainf_handle(params).ring
-
-
 def scaled_exponents(params: Params, exponents) -> tuple:
     """Pure rational exponents as integers over the scale p^k."""
     out = []

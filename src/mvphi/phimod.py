@@ -15,13 +15,8 @@ from typing import Optional
 
 from .coeff import Params, oe_ring
 from .errors import NotAUnit, Uncertified, ZeroDeterminant
-from .mvring import (MvLaurent, _work_band, apply_phi_q, apply_gamma,
-                     invert_unit, leading_slice)
-
-
-TAG_AMV = "A_mv"
-TAG_A0 = "A0"
-TAG_DAGGER = "dagger_s_minus"
+from .mvring import (MvLaurent, TAG_A0, TAG_AMV, TAG_DAGGER, _work_band,
+                     apply_phi_q, apply_gamma, invert_unit, leading_slice)
 
 
 @dataclass
@@ -31,10 +26,6 @@ class PhiModule:
     P: list                      # d x d MvLaurent
     action: list = field(default_factory=list)  # (OKElement, matrix) samples
     s: Optional[int] = None      # radius index for the dagger tag
-
-    @property
-    def params(self) -> Params:
-        return self.P[0][0].params
 
 
 # -- matrix helpers ----------------------------------------------------------
@@ -175,22 +166,19 @@ def unramified_char(params: Params, lam, samples=()) -> PhiModule:
     return PhiModule(1, TAG_AMV, [[lam_l]], action)
 
 
-def oc_certificate_check(m: PhiModule, U, s: int, s_max: Optional[int] = None):
+def oc_certificate_check(m: PhiModule, U, s: int):
     """Verify a witness basis for overconvergence at radius index >= s.
 
     Every entry of U, U^-1, U^-1 P phi_q(U) and the transformed action
     matrices must lie in the dagger ring up to a Y_0-power read off the
-    unit-level slice.  Returns per-entry results and the minimal certified
-    radius index that passes, or a failure witness.
+    unit-level slice.  Returns the per-entry results at the least radius
+    index in s .. s + 16 that passes, or at s + 16 with a failure witness.
     """
-    if s_max is not None and s_max < s:
-        raise ValueError(f"s_max = {s_max} is below s = {s}")
     U_inv, P_t, action = _conjugate(m, U, "certificate")
     mats = {"U": U, "U_inv": U_inv, "P": P_t}
     for idx, (_, G) in enumerate(action):
         mats[f"G{idx}"] = G
-    top = (s + 16) if s_max is None else s_max
-    for s_try in range(s, top + 1):
+    for s_try in range(s, s + 17):
         report = {"s": s_try, "entries": {}, "ok": True}
         for name, A in mats.items():
             for i, row in enumerate(A):

@@ -169,6 +169,16 @@ def test_check_suite_and_unknown_suite():
     assert bad.returncode == 2
 
 
+def test_check_analytic_suite_at_precision_one():
+    # at N = 1 the radius s = 2 is past the precision: the only class of
+    # 1 + p^2 O_K mod p is 1, and the draw must not ask for p^(N - s)
+    for p, f in ((3, 1), (3, 2)):
+        proc = run_cli(["check", "--suite", "analytic", "--p", str(p),
+                        "--f", str(f), "--prec", "1"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["report"]["ok"] is True
+
+
 def test_check_witt_suite_ghost_oracle():
     proc = run_cli(["check", "--suite", "witt", "--p", "3", "--f", "1"])
     assert proc.returncode == 0
@@ -224,7 +234,7 @@ def test_iota_norm_table_tests_each_generator(monkeypatch, tmp_path):
         seen.append((s, x))
         return {"ok": True, "ring_side": None, "witt_side": None}
     monkeypatch.setattr(cli, "iota_generators",
-                        lambda params: IotaResult((), 2, [1, 2]))
+                        lambda params: IotaResult((), [1, 2]))
     monkeypatch.setattr(cli, "verify_norm_compare", record)
     assert cli.main(["iota", "--p", "3", "--f", "2", "--h", "2",
                      "--out", str(tmp_path / "iota.json")]) == 0

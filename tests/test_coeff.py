@@ -95,7 +95,7 @@ def test_frobenius_lift_properties(p, f, h):
         fa, fb = a.frobenius(), b.frobenius()
         assert (a + b).frobenius() == fa + fb
         assert (a * b).frobenius() == fa * fb
-        assert fa.residue() == a.residue().frobenius()
+        assert fa.reduce(1) == a.reduce(1).frobenius()
         it = a
         for _ in range(h):
             it = it.frobenius()
@@ -203,7 +203,7 @@ def test_ok_ring_basics(p, f, h):
     for lam in fq:
         assert lam ** (p ** f) == lam
     one = okr.one()
-    assert one.image().residue() == fq_field(pr).one
+    assert one.image().reduce(1) == fq_field(pr).one
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -230,21 +230,27 @@ def test_ok_sigma_is_embedding():
             assert okr.sigma(a + b, i) == sa + sb
 
 
-def test_ok_coordinates_reject_outside_lattice():
-    # For f < h the lattice is proper; a generic O_E vector is outside it.
-    pr = params(2, 2, 4)
+@pytest.mark.parametrize("p,f,h", [(2, 2, 4), (3, 1, 3), (3, 2, 4),
+                                   (2, 2, 6)])
+def test_ok_coordinates_round_trip_at_h_above_f(p, f, h):
+    # O_K is a proper sublattice of O_E: the solver reads the free columns
+    # of the fixed space as its pivot rows and checks all h rows
+    pr = params(p, f, h)
     okr = ok_ring(pr)
-    bad = (1, 1, 1, 0)
-    matched = 0
-    try:
-        okr.coordinates_raw(bad, okr.prec)
-        matched = 1
-    except ValueError:
-        pass
-    except NotAUnit:
-        pass
-    # either it happens to be in the lattice (unlikely) or it raises
-    assert matched in (0, 1)
+    rng = random.Random(36)
+    # x generates F_{p^h} over F_p, so its residue is outside F_q
+    off = (0, 1) + (0,) * (h - 2)
+    for prec in range(1, 5):
+        m = p ** prec
+        for _ in range(10):
+            x = okr(tuple(rng.randrange(m) for _ in range(f)), prec)
+            y = okr(tuple(rng.randrange(m) for _ in range(f)), prec)
+            img = okr.image(x)
+            assert okr.coordinates_raw(img, prec) == x.coords
+            assert (x * y).image() == x.image() * y.image()
+            bad = tuple((a + m // p * b) % m for a, b in zip(img, off))
+            with pytest.raises(ValueError, match="not in the O_K lattice"):
+                okr.coordinates_raw(bad, prec)
 
 
 def test_params_validation():
@@ -541,12 +547,12 @@ def test_residues_are_precision_one_oeints(p, h):
     F = FField(p, h, default_poly(p, h))
     for x in [F.zero, F.one, F.from_int(2), F((1,) * h), *F.elements()]:
         assert type(x) is OEInt and x.ring is F.oe and x.prec == 1
-        assert bool(x) == (not x.is_zero())
+        assert bool(x) == (x != F.zero)
     rng = random.Random(34)
     for prec in range(1, 5):
         for _ in range(20):
             x = F.oe(tuple(rng.randrange(p ** prec) for _ in range(h)), prec)
-            assert x.residue() == x.reduce(1)
+            assert x.reduce(1) == F(x.coords)
             assert x.pth_root().frobenius() == x == x.frobenius().pth_root()
 
 

@@ -16,13 +16,13 @@ from mvphi.embed import (Floors, WAlg, congruent_mod, b_val_walg,
                          to_belt)
 from mvphi import sparse
 from mvphi.mvring import MvLaurent, NormValue, norm_s
-from mvphi.perfd import (PerfLaurent, ainf_ring, b_val_r, gauss_val,
+from mvphi.perfd import (PerfLaurent, ainf_handle, b_val_r, gauss_val,
                          phi_exponents)
 from mvphi.sparse import bound_min
 from mvphi.errors import BandOverflow, DepthExhausted, Uncertified
 from mvphi.serialize import dumps, witt_json
 
-from test_sparse import _ref_pair_loop
+from test_sparse import _ref_pair_loop, floor_values
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -57,9 +57,8 @@ def _same_in_either_order(op):
     ab, ba = op(hi, lo), op(lo, hi)
     assert ab.prec == ba.prec == 2
     assert ab.terms == ba.terms and ab.H == ba.H
-    fa, fb = ab.floors, ba.floors
-    assert fa.N == fb.N == 2
-    assert (fa.Lv, fa.B, fa.sigma) == (fb.Lv, fb.B, fb.sigma)
+    assert ab.floors.N == 2
+    assert floor_values(ab.floors) == floor_values(ba.floors)
     for r in (Fraction(1), Fraction(1, 3)):
         assert b_val_walg(ab, r) == b_val_walg(ba, r)
 
@@ -449,15 +448,13 @@ def ref_product_horizons(x, y):
 
 
 def _same_floors(fl, ref):
-    assert fl.N == ref.N
-    assert fl.Lv[:fl.N] == ref.Lv[:ref.N]
-    assert fl.B == ref.B and fl.sigma == ref.sigma
-    assert fl.delta() == ref.delta()
+    assert floor_values(fl) == \
+        (ref.N, ref.Lv[:ref.N], ref.B, ref.sigma, ref.delta())
     assert fl.global_min() == ref.global_min()
     for m in range(2 * fl.N + 6):
         assert fl.at(m) == ref.at(m)
     # the invariants the integer shortcut relies on
-    assert fl.sigma <= 0
+    assert fl.sig <= 0
     finite = [fl.at(m) for m in range(2 * fl.N + 6)]
     first = next((i for i, x in enumerate(finite) if x is not None),
                  len(finite))
@@ -497,8 +494,7 @@ def floor_pairs(draw, N=None):
                 others.append(o)
             got = fl.meet(*[o[0] for o in others])
             fold = functools.reduce(Floors.meet, [o[0] for o in others], fl)
-            assert (got.N, got.Lv, got.B, got.sigma, got.delta()) == \
-                (fold.N, fold.Lv, fold.B, fold.sigma, fold.delta())
+            assert floor_values(got) == floor_values(fold)
             pair = (got, functools.reduce(RefFloors.meet,
                                           [o[1] for o in others], ref))
             N = pair[1].N
@@ -762,9 +758,8 @@ def _outcome(fn):
 def _same_walg(x, ref):
     assert list(x.terms.items()) == list(ref.terms.items())
     assert (x.prec, x.H) == (ref.prec, ref.H)
-    fl, rf = x.floors, ref.floors
-    assert (fl.N, fl.Lv, fl.B, fl.sigma) == \
-        (rf.N, rf.Lv[:rf.N], rf.B, rf.sigma)
+    rf = ref.floors
+    assert floor_values(x.floors)[:4] == (rf.N, rf.Lv[:rf.N], rf.B, rf.sigma)
 
 
 def _near(draw, pool):
@@ -933,7 +928,7 @@ def test_a_frobenius_power_is_that_many_single_steps(p, f, h, data):
     # terms whose exponents are multiples of p^j, for a Witt-algebra
     # element and a perfectoid one over a denominator p^i: roots of every
     # depth and partly divisible windows
-    R = ainf_ring(pr)
+    R = ainf_handle(pr).ring
     elts = [c.coords for c in R.field.elements() if c]
     j = data.draw(st.integers(0, 4))
     exps = st.integers(-40, 40).map(lambda t: t * p ** j)

@@ -322,7 +322,7 @@ def test_phi_y_frobenius_congruence(p, f, h):
     for i in range(f):
         fi = phi_y(pr, i)
         prev = (i - 1) % f
-        lead = TSeries.zero(pr, pr.N, pr.M)
+        lead = TSeries(pr, pr.N, pr.M, {})
         e = [0] * f
         e[prev] = p
         lead = TSeries(pr, pr.N, pr.M, {tuple(e): (1,) + (0,) * (h - 1)})
@@ -380,7 +380,7 @@ def _term_by_term_group_sum(pr, i, transform, w):
     less 1 when q = 2, formed one scaled group-like at a time."""
     okr = ok_ring(pr)
     prec_in = pr.n_work(w)
-    parts = [TSeries.zero(pr, pr.N, w)]
+    parts = [TSeries(pr, pr.N, w, {})]
     for lam in okr.fq_elements():
         if lam:
             c = okr.sigma(okr.coordinates_of_felt(lam.inverse(), prec_in), i)
@@ -544,8 +544,8 @@ def _exponents(f, w):
 def test_product_with_zero_series():
     pr = params(3, 2, 2)
     y = y_generator(pr, 0)
-    zero = TSeries.zero(pr, 2, 5)
-    assert (y * zero) == TSeries.zero(pr, 2, 5)
+    zero = TSeries(pr, 2, 5, {})
+    assert (y * zero) == TSeries(pr, 2, 5, {})
     assert (zero * y).is_zero() and (zero * y).window == 5
 
 

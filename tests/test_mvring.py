@@ -11,7 +11,7 @@ from mvphi.mvring import (MvLaurent, invert_unit, norm_s, member, apply_phi,
                           decompose_window, _work_band, _SubstImages,
                           _band_overflow, _times_basis,
                           check_local_analyticity, NormValue,
-                          RING_A0, RING_A, RING_DAGGER_S_MINUS, RING_DAGGER_S)
+                          TAG_A0, TAG_AMV, TAG_DAGGER)
 from mvphi import sparse
 from mvphi.suites import rand_pure_cone
 from mvphi.errors import BandOverflow, NotAUnit, WindowTooSmall
@@ -154,9 +154,8 @@ def test_norm_s_and_member_reject_radius_below_one():
     for s in (0, -1):
         with pytest.raises(ValueError):
             norm_s(x, s)
-        for tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
-            with pytest.raises(ValueError):
-                member(x, tag, s)
+        with pytest.raises(ValueError):
+            member(x, TAG_DAGGER, s)
 
 
 def _ref_norm_s(x, s):
@@ -219,8 +218,7 @@ def test_norm_s_matches_fraction_reference(case):
     raw_val = oe_ring(x.params).raw_val
     dagger = all(s * raw_val(c, x.prec) + k[0] >= 0
                  for k, c in x.terms.items())
-    for tag in (RING_DAGGER_S_MINUS, RING_DAGGER_S):
-        assert member(x, tag, s) is dagger
+    assert member(x, TAG_DAGGER, s) is dagger
     if boundary == "w_hi":
         assert s * ref.val == x.w_hi and not got.certified
     elif boundary == "prec":
@@ -383,12 +381,11 @@ def rand_elt(pr, rng, nterms=3, maxv=None):
 def test_member_examples():
     pr = params(3, 1, 1)
     s = 2
-    assert member(mono(pr, -s, None, 3), RING_DAGGER_S_MINUS, s)
-    assert not member(mono(pr, -s - 1, None, 3), RING_DAGGER_S_MINUS, s)
-    assert not member(mono(pr, -1), RING_A0)
-    assert member(mono(pr, 0), RING_A0)
-    assert member(mono(pr, -5), RING_A)
-    assert member(mono(pr, -s, None, 3), RING_DAGGER_S, s)
+    assert member(mono(pr, -s, None, 3), TAG_DAGGER, s)
+    assert not member(mono(pr, -s - 1, None, 3), TAG_DAGGER, s)
+    assert not member(mono(pr, -1), TAG_A0)
+    assert member(mono(pr, 0), TAG_A0)
+    assert member(mono(pr, -5), TAG_AMV)
 
 
 class ModPOracle:
@@ -507,9 +504,9 @@ def test_dagger_stability_under_phi():
     rng = random.Random(25)
     for _ in range(10):
         x = rand_elt(pr, rng)
-        if not member(x, RING_DAGGER_S_MINUS, s):
+        if not member(x, TAG_DAGGER, s):
             continue
-        assert member(apply_phi(x), RING_DAGGER_S_MINUS, pr.p * s)
+        assert member(apply_phi(x), TAG_DAGGER, pr.p * s)
 
 
 def test_phi_decompose_basis_monomial():
@@ -581,9 +578,9 @@ def test_phi_decompose_dagger_membership():
             c = ((rng.randrange(1, pr.p) * pr.p ** v) % pr.p ** pr.N,)
             terms[(n0, ())] = c
         x = MvLaurent(pr, pr.N, terms)
-        assert member(x, RING_DAGGER_S_MINUS, ps)
+        assert member(x, TAG_DAGGER, ps)
         for g in phi_decompose(x).values():
-            assert member(g, RING_DAGGER_S_MINUS, s)
+            assert member(g, TAG_DAGGER, s)
 
 
 # the reference for shift and recompose: a basis monomial at the

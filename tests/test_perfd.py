@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field, power
 from mvphi.embed import WAlg, b_val_walg, iota
-from mvphi.perfd import (ainf_ring, PerfLaurent, gauss_val, pr_radius,
+from mvphi.perfd import (PerfLaurent, gauss_val, pr_radius,
                          ainf_handle, BElt, b_val_r, member_B0r,
                          _plan_window)
 from mvphi.errors import BandOverflow, DepthExhausted
@@ -28,7 +28,7 @@ def params(p, f, h, **kw):
 
 def test_gauss_val_normalization():
     pr = params(3, 2, 2)
-    ring = ainf_ring(pr)
+    ring = ainf_handle(pr).ring
     y0 = PerfLaurent.monomial(ring, (1, 0))
     assert gauss_val(y0) == 1
     cross = PerfLaurent.monomial(ring, (-1, 1))  # Y_1 / Y_0
@@ -40,14 +40,14 @@ def test_gauss_val_normalization():
 
 def test_monomial_depth_guard():
     pr = params(3, 1, 1, k=2)
-    ring = ainf_ring(pr)
+    ring = ainf_handle(pr).ring
     with pytest.raises(DepthExhausted):
         PerfLaurent.monomial(ring, (Fraction(1, 27),))
 
 
 def test_gauss_multiplicativity():
     pr = params(3, 2, 2)
-    ring = ainf_ring(pr)
+    ring = ainf_handle(pr).ring
     rng = random.Random(40)
     F = fq_field(pr)
     elts = [e for e in F.elements() if e]
@@ -68,7 +68,7 @@ def test_gauss_multiplicativity():
 
 def test_frobenius_raises_the_coefficients_to_the_p():
     pr = params(3, 2, 2)
-    ring = ainf_ring(pr)
+    ring = ainf_handle(pr).ring
     F = fq_field(pr)
     lam = F((1, 1))
     x = PerfLaurent(ring, {(81, 0): lam})
@@ -103,7 +103,7 @@ def test_map_phi_on_teichmuller_generators():
 def test_eq_within_compares_only_the_common_window():
     # a term past the least w_hi of the two is not compared; one below it
     # that differs makes them unequal, and so the Witt vectors too
-    R = ainf_ring(params(3, 1, 1))
+    R = ainf_handle(params(3, 1, 1)).ring
     h = ainf_handle(R.params)
     one, two = R.field.one, R.field.from_int(2)
     a = PerfLaurent(R, {(0,): one, (R.scale,): one}, None, 2)
@@ -239,16 +239,17 @@ def test_gauss_val_windows():
 
 def test_ainf_ring_is_one_ring_per_params():
     # elements compare their rings by identity
-    pr = params(3, 1, 1)
-    assert ainf_ring(pr) is ainf_ring(pr) is ainf_handle(pr).ring
-    assert PerfLaurent.one(ainf_ring(pr)) == PerfLaurent.one(ainf_ring(pr))
+    ring = ainf_handle(params(3, 1, 1)).ring
+    assert ainf_handle(params(3, 1, 1)).ring is ring
+    assert PerfLaurent.one(ring) == \
+        PerfLaurent.one(ainf_handle(params(3, 1, 1)).ring)
 
 
 def test_mixed_rings_raise():
     # exponents are scaled by each ring's p^k, so a product or sum across
     # rings would read one ring's exponents at the other's scale
-    a = PerfLaurent.monomial(ainf_ring(params(3, 1, 1, k=2)), (1,))
-    b = PerfLaurent.monomial(ainf_ring(params(3, 1, 1, k=4)), (1,))
+    a = PerfLaurent.monomial(ainf_handle(params(3, 1, 1, k=2)).ring, (1,))
+    b = PerfLaurent.monomial(ainf_handle(params(3, 1, 1, k=4)).ring, (1,))
     for op in (operator.mul, operator.add, operator.sub,
                lambda x, y: PerfLaurent.sum([x, x, y])):
         with pytest.raises(ValueError, match="different perfectoid rings"):
@@ -438,7 +439,7 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
     # a random program of constructors and operations, run on PerfLaurent
     # and on RefPerf: equal terms in dict order, windows and bands, or the
     # same error
-    R = ainf_ring(params(p, f, h, k=2))
+    R = ainf_handle(params(p, f, h, k=2)).ring
     handle = ainf_handle(R.params)
     sp = wt.gen_structure_polys(p, 3)
     witt_ops = [(op, [wt._mod_p_terms(q, p) for q in polys])
@@ -542,7 +543,7 @@ def _same_power(x, d):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_one_term_power_in_closed_form_is_binary_powering(f, data):
-    R = ainf_ring(params(3, f, f, k=2))
+    R = ainf_handle(params(3, f, f, k=2)).ring
     cap = R.band_cap
     # cross exponents up to the cap, so that powers reach past a band on
     # either side of it
@@ -568,7 +569,7 @@ def test_one_term_power_in_closed_form_is_binary_powering(f, data):
 def test_one_term_power_raises_at_a_kept_square_past_the_band():
     # x = Y_0 Y_1 with w_lo 0 and w_hi 5 keeps x^2 and cuts x^3; x^2 is a
     # square of binary powering with x's band 12 < 18, so x^3 raises
-    R = ainf_ring(params(3, 2, 2, k=2))
+    R = ainf_handle(params(3, 2, 2, k=2)).ring
     one, cap = R.field.one, R.band_cap
     x = PerfLaurent(R, {(9, 9): one}, 0, 5, 12)
     assert _same_power(x, 3) == (

@@ -122,29 +122,17 @@ def test_oc_certificate_monotone_and_failure():
     # P with a term needing s >= 2: p * (1 + p Y^-3) style
     x = MvLaurent.one(pr).scalar_mul(2) + mono(pr, -3, None, 3)
     m2 = PhiModule(1, TAG_AMV, [[x]])
-    r1 = oc_certificate_check(m2, mat_identity(pr, 1), 1, s_max=6)
+    r1 = oc_certificate_check(m2, mat_identity(pr, 1), 1)
     assert r1["ok"] and r1["s"] >= 3
-    # norm_s unbounded for every s in the window: sum p^n Y^{-2 n^2}
-    terms = {(-2 * n * n, ()): ((3 ** n),) for n in range(3)}
+    # sum p^n Y^{-20 n^2} needs s >= 40, past the search bound s + 16
+    terms = {(-20 * n * n, ()): ((3 ** n),) for n in range(3)}
     bad = MvLaurent(pr, pr.N, terms)
     m3 = PhiModule(1, TAG_AMV, [[MvLaurent.one(pr)]])
     r2 = oc_certificate_check(m3, [[MvLaurent.one(pr) + bad - bad]], 1)
     assert r2["ok"]
     m4 = PhiModule(1, TAG_AMV, [[bad]])
-    r3 = oc_certificate_check(m4, mat_identity(pr, 1), 1, s_max=3)
-    assert not r3["ok"] and "witness" in r3
-
-
-def test_oc_certificate_rejects_s_max_below_s():
-    pr = params(3, 1, 1)
-    m = unramified_char(pr, oe_ring(pr).from_int(4, 3))
-    with pytest.raises(ValueError, match="below s"):
-        oc_certificate_check(m, mat_identity(pr, 1), 5, s_max=3)
-    # the range is checked before the determinant of U (3 is no unit)
-    with pytest.raises(ValueError, match="below s"):
-        oc_certificate_check(m, [[mono(pr, 0, None, 3)]], 5, s_max=3)
-    rep = oc_certificate_check(m, mat_identity(pr, 1), 5, s_max=5)
-    assert rep["ok"] and rep["s"] == 5
+    r3 = oc_certificate_check(m4, mat_identity(pr, 1), 1)
+    assert not r3["ok"] and "witness" in r3 and r3["s"] == 17
 
 
 def test_is_etale_uncertified_window():

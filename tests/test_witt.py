@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvphi.coeff import Params, fq_field, oe_ring, power
-from mvphi.perfd import PerfHandle, PerfLaurent, PerfRing, ainf_ring
+from mvphi.perfd import PerfHandle, PerfLaurent, PerfRing, ainf_handle
 from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         teich, witt_zero, from_expansion, from_oe_scalar,
@@ -294,7 +294,7 @@ def _same_perf(got, want):
 def test_eval_struct_matches_full_evaluation_over_perf(p, N, f, data):
     # skipping the terms with a zero value keeps the terms, and the window
     # rule gives the window and band the full evaluation gives
-    handle = PerfHandle(ainf_ring(Params.create(p, f, f, N=N, k=2)))
+    handle = ainf_handle(Params.create(p, f, f, N=N, k=2))
     xs = tuple(data.draw(perf_value(handle.ring)) for _ in range(N))
     ys = tuple(data.draw(perf_value(handle.ring)) for _ in range(N))
     for got, want in _both_evaluations(p, N, handle, xs, ys):
@@ -328,7 +328,7 @@ def test_eval_struct_repeats_the_terms_of_coefficient_two(p, N):
     ys = tuple(rng.choice(elts) for _ in range(N))
     for got, want in _both_evaluations(p, N, fh, xs, ys):
         assert got == want
-    ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    ph = ainf_handle(Params.create(p, 1, 1, N=N, k=2))
     ring = ph.ring
     xs = tuple(PerfLaurent(ring, {(rng.randrange(-9, 10),): ring.field.one},
                            None, Fraction(rng.randrange(1, 9), 3))
@@ -347,7 +347,7 @@ def test_eval_struct_of_zero_values_keeps_the_full_window(p, N):
     zeros = (fh.zero(),) * N
     for got, want in _both_evaluations(p, N, fh, zeros, zeros):
         assert got == want == fh.zero()
-    ph = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    ph = ainf_handle(Params.create(p, 1, 1, N=N, k=2))
     vals = [PerfLaurent(ph.ring, {}, Fraction(-n, 9), Fraction(n + 1, 3),
                         ph.ring.band_cap // (n + 1))
             for n in range(2 * N)]
@@ -360,7 +360,7 @@ def test_eval_struct_of_zero_values_keeps_the_full_window(p, N):
 def test_one_kernel_per_witt_operation(p, N, monkeypatch):
     # the N coordinates of one witt_add or witt_mul share one kernel: the
     # values' denominator, windows and powers are formed once
-    handle = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    handle = ainf_handle(Params.create(p, 1, 1, N=N, k=2))
     ring = handle.ring
     u = from_expansion(handle, tuple(
         PerfLaurent.monomial(ring, (Fraction(n + 1, p),)) for n in range(N)))
@@ -384,7 +384,7 @@ def test_one_kernel_per_witt_operation(p, N, monkeypatch):
 def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
     # v = [y] has Witt coordinates (y, 0, 0, 0): the terms of S_n with a
     # Y_1..Y_3 factor are zero, and are not multiplied out
-    handle = PerfHandle(ainf_ring(Params.create(3, 1, 1, N=4)))
+    handle = ainf_handle(Params.create(3, 1, 1, N=4))
     ring, F = handle.ring, handle.field
     u = from_expansion(handle, tuple(
         PerfLaurent.monomial(ring, (Fraction(n - 1, 3),),
@@ -419,7 +419,7 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
 def _struct_eval_agrees(p, N, seed):
     # witt_add and witt_mul read the plans of the cached StructurePolys;
     # each coordinate must be the full evaluation of its polynomial
-    handle = PerfHandle(ainf_ring(Params.create(p, 1, 1, N=N, k=2)))
+    handle = ainf_handle(Params.create(p, 1, 1, N=N, k=2))
     ring, rng = handle.ring, random.Random(seed)
     elts = [e for e in ring.field.elements() if e]
 
@@ -477,7 +477,7 @@ def test_from_int_lifts_on_the_fields_own_ring():
 def test_teich_and_zero_are_expansions_padded_with_zeros():
     # the reference: x (or nothing) followed by prec - 1 (or prec) zeros
     fh = handle(3, 2)
-    ph = PerfHandle(ainf_ring(Params.create(3, 1, 1, N=4)))
+    ph = ainf_handle(Params.create(3, 1, 1, N=4))
     x = fh.field((2, 1))
     y = PerfLaurent.monomial(ph.ring, (Fraction(1, 9),))
     for h, v in ((fh, x), (ph, y)):
