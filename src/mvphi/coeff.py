@@ -203,14 +203,34 @@ class OERing:
 
     def fold(self, v: list, m: int) -> tuple:
         """The 2h-1 coordinates v of a product before reduction by the
-        defining polynomial, reduced to h, mod m."""
-        c = v[:self.h]
-        for k, red in enumerate(self.folds, self.h):
-            vk = v[k]
-            if vk:
-                for i, r in enumerate(red):
-                    c[i] += vk * r
-        return tuple([x % m for x in c])
+        defining polynomial, reduced to h, mod m; v is overwritten."""
+        self.fold_runs(v, m)
+        return tuple(v[:self.h])
+
+    def fold_runs(self, v: list, m: int):
+        """``fold`` on each run of 2h-1 slots in the flat list v, in place
+        and in one pass: a run's first h slots become its coordinates mod
+        m and the others 0; all-zero runs are skipped."""
+        h = self.h
+        if h == 1:
+            v[:] = [x % m for x in v]
+        elif h == 2:
+            # x^2 = -poly[1] x - poly[0] on the top slot
+            (g0, g1), top = self.poly[:2], v[2::3]
+            v[0::3] = [(a - t * g0) % m for a, t in zip(v[0::3], top)]
+            v[1::3] = [(b - t * g1) % m for b, t in zip(v[1::3], top)]
+            v[2::3] = [0] * len(top)
+        else:
+            span, pad = 2 * h - 1, [0] * (h - 1)
+            for b in range(0, len(v), span):
+                if any(run := v[b:b + span]):
+                    c = run[:h]
+                    for k, red in enumerate(self.folds, h):
+                        vk = run[k]
+                        if vk:
+                            for i, r in enumerate(red):
+                                c[i] += vk * r
+                    v[b:b + span] = [x % m for x in c] + pad
 
     def scalar(self, c, prec: int):
         """(raw coordinates, precision) of the scalar c taken at most at
@@ -305,7 +325,10 @@ class OERing:
 
     def raw_frobenius(self, a, prec: int, e: int = 1) -> tuple:
         """phi^e for any integer e, the Frobenius lift having order h:
-        every Teichmueller digit raised to p^(e mod h) in one round trip."""
+        every Teichmueller digit raised to p^(e mod h) in one round trip;
+        at e = 0 mod h, where that returns its input, no round trip."""
+        if not e % self.h:
+            return self.raw_reduce(a, prec)
         q, acc = self.p ** (e % self.h), (0,) * self.h
         for n, lam in enumerate(self.teich_digits(a, prec)):
             lam = OEInt(self, 1, self.raw_pow(lam.coords, q, 1))
@@ -598,12 +621,11 @@ class OKRing:
         p, f = self.params.p, self.params.f
         tb = [self.oe.raw_teich(b, prec) for b in self.fq_basis]
         T = [[tb[j][i] for j in range(f)] for i in range(self.params.h)]
-        # [square | I] reduces to [I | square^-1]
-        reduced, pivots = _row_reduce(
+        # [square | I] reduces to [I | square^-1]: the square is the
+        # identity mod p (``_fixed_space``'s free columns), so never singular
+        reduced, _ = _row_reduce(
             [T[i] + [int(r == c) for c in range(f)]
              for r, i in enumerate(self.pivot_rows)], p, p ** prec)
-        if pivots[:f] != list(range(f)):
-            raise NotAUnit("matrix is singular mod p")
         return tb, T, [row[f:] for row in reduced]
 
     def coordinates_raw(self, vec: tuple, prec: int) -> tuple:

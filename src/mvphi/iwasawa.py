@@ -6,14 +6,15 @@ Group-like elements, the generators Y_i, the Frobenius substitution phi and
 the unit-group action all live here, together with the change of variables
 between T- and Y-coordinates (series reversion).
 
-Series products and the change of variables run on a packed (Kronecker)
-layout: a whole series is one Python int, so a product of series is one
-integer product (Harvey, JSC 2009).
+Series products run on ``sparse.product``; group sums and the change of
+variables on a packed (Kronecker) layout: one Python int per series or
+degree row, so a product is one integer product (Harvey, JSC 2009).
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import add
 from typing import Optional
 
 from .caches import cached
@@ -85,16 +86,12 @@ class TSeries(sparse.Terms):
         params = sparse.common((self, other), "params", "parameter sets")
         prec = min(self.prec, other.prec)
         window = min(self.window, other.window)
-        out = {}
-        if self.terms and other.terms:
-            lay = _layout(oe_ring(params), params.f, window)
-            p = params.p
-            nb = slot_bytes(min(len(self.terms), len(other.terms))
-                            * params.h * (p ** self.prec - 1)
-                            * (p ** other.prec - 1))
-            out = lay.unpack(lay.pack(self.terms, nb)
-                             * lay.pack(other.terms, nb), nb, p ** prec)
-        return TSeries._make(params, prec, window, out)
+
+        def join(e1, e2):
+            e = tuple(map(add, e1, e2))
+            return e if sum(e) < window else None
+        return TSeries._make(params, prec, window, sparse.product(
+            oe_ring(params), self.terms, other.terms, prec, join))
 
     def __eq__(self, other):
         return (isinstance(other, TSeries) and self.params == other.params
@@ -150,15 +147,16 @@ class Layout:
     position is linear in e and one-to-one below the window, and every
     exponent of degree >= W lands at a position >= W R, so the product of
     two packed series is their packed truncated product.  A position holds
-    2h-1 slots, the coordinates of an O_E product before ``OERing.fold``
-    reduces them by the defining polynomial, each wide enough for the sum
-    it collects.  The positions of degree d, [d R, (d+1) R), form row d.
+    2h-1 slots, the coordinates of an O_E product before
+    ``OERing.fold_runs`` reduces them by the defining polynomial, one pass
+    per packed int, each wide enough for the sum it collects.  The
+    positions of degree d, [d R, (d+1) R), form row d.
     """
 
     def __init__(self, ring, f: int, window: int):
         self.h = ring.h
         self.span = 2 * ring.h - 1
-        self.fold = ring.fold
+        self.fold_runs = ring.fold_runs
         self.row = window ** (f - 1)
         self.size = window * self.row
         self.pos = {e: sum(e) * self.row
@@ -181,31 +179,17 @@ class Layout:
     def unpack(self, x: int, nb: int, m: int) -> dict:
         """The terms below the window of a packed sum of products, reduced
         by the defining polynomial and mod m; zeros dropped."""
-        span = self.span
-        n = min(self.size, -(-x.bit_length() // (8 * nb * span)))
-        slots = to_slots(x, nb, n * span)
-        out = {}
-        for q, e in self.by_pos:
-            if q >= n:
-                break
-            v = slots[q * span:(q + 1) * span]
-            if any(v):
-                c = self.fold(v, m)
-                if any(c):
-                    out[e] = c
-        return out
+        span, slots = self.span, to_slots(x, nb, self.size * self.span)
+        self.fold_runs(slots, m)
+        runs = list(zip(*[slots[i::span] for i in range(self.h)]))
+        return {e: r for q, e in self.by_pos if any(r := runs[q])}
 
     def reduce_row(self, x: int, nb: int, m: int) -> int:
         """One packed row of sums of products, every position reduced."""
         if not x:
             return 0
-        span, h = self.span, self.h
-        slots = to_slots(x, nb, self.row * span)
-        pad = (0,) * (span - h)
-        for b in range(0, len(slots), span):
-            v = slots[b:b + span]
-            if any(v):
-                slots[b:b + span] = self.fold(v, m) + pad
+        slots = to_slots(x, nb, self.row * self.span)
+        self.fold_runs(slots, m)
         return from_slots(slots, nb)
 
 

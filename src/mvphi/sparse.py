@@ -100,7 +100,7 @@ class Terms:
 
 
 # monomials a Substitution keeps; later products are formed, not kept
-MONOMIAL_STORE = 256
+MONOMIAL_STORE = 4096
 
 
 class Substitution:

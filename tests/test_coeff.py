@@ -181,14 +181,46 @@ def test_oe_inverse_and_valuation():
         (a * 5).inverse()
 
 
+def _digit_round_trip(ring, a, prec, e):
+    """phi^e as the Teichmueller digits of a, each raised to p^(e mod h)
+    and lifted again: the round trip ``raw_frobenius`` made for every e."""
+    q, acc = ring.p ** (e % ring.h), (0,) * ring.h
+    for n, lam in enumerate(ring.teich_digits(a, prec)):
+        t = ring.raw_teich(lam ** q, prec)
+        acc = ring.raw_add(acc, ring.raw_smul(ring.p ** n, t, prec), prec)
+    return acc
+
+
 def test_teich_digit_roundtrip():
     pr = params(3, 2, 2, N=4)
     ring = oe_ring(pr)
     rng = random.Random(4)
     for _ in range(20):
-        # phi^h recombines the Teichmueller digits, each raised to p^0
+        # the Teichmueller digits, each raised to p^0, recombine to a
         a = tuple(rng.randrange(3 ** 4) for _ in range(2))
+        assert _digit_round_trip(ring, a, 4, 0) == a
         assert ring.raw_frobenius(a, 4, ring.h) == a
+
+
+@pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2), (2, 3, 3)])
+def test_frobenius_at_a_multiple_of_h_makes_no_digit_round_trip(
+        p, f, h, monkeypatch):
+    # phi^e is the identity at e = 0 mod h: the round trip's result, read
+    # off the input mod p^prec, with no Teichmueller digit taken
+    ring = oe_ring(params(p, f, h))
+    rng = random.Random(37)
+    cases = [(tuple(rng.randrange(-p ** 6, p ** 6) for _ in range(h)), prec)
+             for prec in range(1, 5) for _ in range(5)]
+    es = (0, h, -h, 2 * h)
+    want = {(a, prec, e): _digit_round_trip(ring, a, prec, e)
+            for a, prec in cases for e in es}
+
+    def no_digits(*args):
+        raise AssertionError("teich_digits called")
+    monkeypatch.setattr(OERing, "teich_digits", no_digits)
+    for (a, prec, e), w in want.items():
+        assert ring.raw_frobenius(a, prec, e) == w
+        assert ring.raw_frobenius(a, prec, e) == ring.raw_reduce(a, prec)
 
 
 @pytest.mark.parametrize("p,f,h", GRID + [(2, 2, 4)])
@@ -251,6 +283,21 @@ def test_ok_coordinates_round_trip_at_h_above_f(p, f, h):
             bad = tuple((a + m // p * b) % m for a, b in zip(img, off))
             with pytest.raises(ValueError, match="not in the O_K lattice"):
                 okr.coordinates_raw(bad, prec)
+
+
+@pytest.mark.parametrize("p,f,h", [(2, 2, 4), (3, 1, 3), (3, 2, 4),
+                                   (2, 2, 6)])
+def test_ok_pivot_square_is_the_identity_mod_p(p, f, h):
+    # the pivot rows are the fixed space's free columns, where each basis
+    # vector is 1 at its own column and 0 at the others: the square the
+    # solver inverts is never singular mod p
+    okr = ok_ring(params(p, f, h))
+    ident = [[int(i == j) for j in range(f)] for i in range(f)]
+    for prec in (1, 3, okr.prec):
+        _, T, inv = okr._solver_at(prec)
+        assert [[T[i][j] % p for j in range(f)]
+                for i in okr.pivot_rows] == ident
+        assert [[x % p for x in row] for row in inv] == ident
 
 
 def test_params_validation():
@@ -661,6 +708,27 @@ def test_raw_mul_matches_the_schoolbook_product(p, h, poly):
             a = tuple(rng.randrange(-p * m, p * m) for _ in range(h))
             b = tuple(rng.randrange(-p * m, p * m) for _ in range(h))
             assert ring.raw_mul(a, b, prec) == _schoolbook_mul(a, b, poly, m)
+
+
+@pytest.mark.parametrize("p,h,poly", KERNEL_RINGS + [(2, 4, (1, 1, 0, 0, 1))])
+def test_fold_runs_divide_each_run_by_the_defining_polynomial(p, h, poly):
+    # h = 1 and 2 fold in closed form, h >= 3 through the table; each run
+    # of 2h - 1 coordinates against long division, left in its first h
+    # slots and 0 in the others, all-zero runs and negative coordinates
+    # among them
+    ring, span = _kernel_ring(p, h, poly), 2 * h - 1
+    rng = random.Random(38)
+    for prec in range(1, 7):
+        m = p ** prec
+        for _ in range(20):
+            runs = [[rng.randrange(-p * m * m, p * m * m) for _ in range(span)]
+                    if rng.random() < 0.7 else [0] * span
+                    for _ in range(rng.randrange(1, 6))]
+            want = [_schoolbook_mul(v, (1,), poly, m) for v in runs]
+            assert [ring.fold(list(v), m) for v in runs] == want
+            flat = [x for v in runs for x in v]
+            ring.fold_runs(flat, m)
+            assert flat == [x for c in want for x in c + (0,) * (h - 1)]
 
 
 def test_kernel_rings_are_irreducible_and_cover_both_quadratic_terms():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mvphi.coeff import Params, oe_ring, ok_ring
-from mvphi.iwasawa import (TSeries, group_like, y_generator, revert_series,
-                           y_to_t_inverse, to_y_coordinates, phi_y, gamma_y,
-                           phi_power_y, _invert_coeff_matrix)
+from mvphi.iwasawa import (Layout, TSeries, group_like, y_generator,
+                           revert_series, y_to_t_inverse, to_y_coordinates,
+                           phi_y, gamma_y, phi_power_y, _invert_coeff_matrix)
 from mvphi.errors import SingularJacobian, NotAUnit, PrecisionExhausted
+from mvphi.sparse import from_slots, to_slots
 
-from test_sparse import _ref_substitute
+from test_coeff import _schoolbook_mul
+from test_sparse import _ref_pair_loop, _ref_substitute
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -476,25 +478,30 @@ def test_gamma_y_refined_congruence(p, f, h):
 KERNEL_GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2), (2, 2, 4)]
 
 
-def pair_loop_mul(a, b):
-    """Reference product: every pair of terms, reduced as it goes."""
+def _window_join(window):
+    def join(e1, e2):
+        e = tuple(x + y for x, y in zip(e1, e2))
+        return e if sum(e) < window else None
+    return join
+
+
+def _check_product(a, b):
+    """a * b has the terms of ``test_sparse._ref_pair_loop`` in its order,
+    with a join that cuts at the least window, at the least precision."""
     prec, window = min(a.prec, b.prec), min(a.window, b.window)
-    ring = oe_ring(a.params)
-    zero = (0,) * a.params.h
-    out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            if sum(e1) + sum(e2) < window:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = ring.raw_add(out.get(e, zero),
-                                      ring.raw_mul(c1, c2, prec), prec)
-    return TSeries(a.params, prec, window,
-                   {e: c for e, c in out.items() if any(c)})
+    want = _ref_pair_loop(oe_ring(a.params), a.terms, b.terms, prec,
+                          _window_join(window))
+    got = a * b
+    assert (list(got.terms.items()), got.prec, got.window) == \
+        (list(want.items()), prec, window)
 
 
 @st.composite
 def series_pairs(draw):
-    p, f, h = draw(st.sampled_from(KERNEL_GRID))
+    """Two series of their own precision and window, either one possibly
+    empty; exponents up to the window, so that products are cut by it.
+    h = 1 .. 4, and h = 3 at (2,3,3)."""
+    p, f, h = draw(st.sampled_from(KERNEL_GRID + [(2, 3, 3)]))
     pr = params(p, f, h)
 
     def series():
@@ -507,12 +514,18 @@ def series_pairs(draw):
     return series(), series()
 
 
+@example((TSeries(params(3, 2, 2), 3, 5, {(1, 0): (1, 2)}),
+          TSeries(params(3, 2, 2), 2, 7, {})))
+@example((TSeries(params(2, 3, 3), 2, 4, {(1, 1, 0): (1, 1, 0),
+                                          (0, 0, 1): (3, 0, 1)}),
+          TSeries(params(2, 3, 3), 3, 3, {(0, 2, 0): (1, 0, 1),
+                                          (0, 0, 0): (5, 7, 2)})))
 @settings(max_examples=300, deadline=None)
 @given(series_pairs())
 def test_packed_product_matches_pair_loop(pair):
     a, b = pair
-    assert a * b == pair_loop_mul(a, b)
-    assert b * a == pair_loop_mul(a, b)
+    _check_product(a, b)
+    _check_product(b, a)
 
 
 @pytest.mark.parametrize("p,f,h,prec,w", [
@@ -526,12 +539,69 @@ def test_packed_product_fills_the_slot_width(p, f, h, prec, w):
     top = p ** prec - 1
     mons = _exponents(f, w)
     full = TSeries(pr, prec, w, {e: (top,) * h for e in mons})
-    assert full * full == pair_loop_mul(full, full)
+    _check_product(full, full)
     rng = random.Random(prec)
     other = TSeries(pr, prec - 1, w - 1,
                     {e: tuple(rng.randrange(top) for _ in range(h))
                      for e in mons})
-    assert full * other == pair_loop_mul(full, other)
+    _check_product(full, other)
+
+
+# h = 1 .. 4; at (2,2,2) x^2 = x + 1 reads both coefficients of the fold
+LAYOUT_PARAMS = [(3, 1, 1), (2, 2, 2), (5, 2, 2), (2, 3, 3), (2, 2, 4)]
+
+
+def _ref_fold(ring, v, m):
+    """One run of 2h-1 slots by long division by the defining polynomial."""
+    return _schoolbook_mul(v, (1,), ring.poly, m)
+
+
+@st.composite
+def packed_ints(draw, rows):
+    """(ring, layout, slot bytes, modulus, packed int): ``rows`` rows of
+    positions, or every position and two past the window when None.  A
+    position's slots are all zero, or each at the bound 256^nb - 1 or
+    any value below it."""
+    p, f, h = draw(st.sampled_from(LAYOUT_PARAMS))
+    ring = oe_ring(params(p, f, h))
+    lay = Layout(ring, f, draw(st.integers(1, 5)))
+    nb = draw(st.sampled_from([1, 2, 4, 8, 9]))
+    top = 256 ** nb - 1
+    # a reduced coordinate fits its slot, as every caller sizes them
+    m = p ** draw(st.integers(1, 6).filter(lambda k: p ** k <= top))
+    slot = st.one_of(st.just(top), st.integers(0, top))
+    count = lay.row * rows if rows else lay.size + 2
+    runs = draw(st.lists(st.one_of(st.just([0] * lay.span),
+                                   st.lists(slot, min_size=lay.span,
+                                            max_size=lay.span)),
+                         min_size=count, max_size=count))
+    return ring, lay, nb, m, from_slots([x for v in runs for x in v], nb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_ints(None))
+def test_layout_unpack_is_the_per_position_fold(case):
+    ring, lay, nb, m, x = case
+    span = lay.span
+    slots = to_slots(x, nb, lay.size * span)
+    want = {}
+    for q, e in lay.by_pos:
+        c = _ref_fold(ring, slots[q * span:(q + 1) * span], m)
+        if any(c):
+            want[e] = c
+    assert list(lay.unpack(x, nb, m).items()) == list(want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_ints(1))
+def test_layout_reduce_row_is_the_per_position_fold(case):
+    ring, lay, nb, m, x = case
+    span, h = lay.span, ring.h
+    slots = to_slots(x, nb, lay.row * span)
+    want = []
+    for b in range(0, len(slots), span):
+        want += _ref_fold(ring, slots[b:b + span], m) + (0,) * (span - h)
+    assert lay.reduce_row(x, nb, m) == from_slots(want, nb)
 
 
 def _exponents(f, w):

@@ -258,8 +258,12 @@ def test_norm_s_matches_the_min_over_every_term(g, s, data):
     assert norm_s(x, s) == _old_norm_s(x, s)
 
 
-def test_powers_store_is_bounded_and_evaluates_as_a_fresh_table():
+def test_powers_store_is_bounded_and_evaluates_as_a_fresh_table(
+        monkeypatch):
     from mvphi import sparse
+    # the bound read at 256: past it at 18 x 18 exponents, where the
+    # library's 4,096 would need a table of some 4,100 monomials
+    monkeypatch.setattr(sparse, "MONOMIAL_STORE", 256)
     pr = params(3, 2, 2)
     band = 20
 
