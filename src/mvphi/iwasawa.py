@@ -116,13 +116,20 @@ class TSeries(sparse.Terms):
 
     def substitute(self, G: "Reversion") -> "TSeries":
         """Substitute T_j -> G_j: one packed sum over the reversion's table
-        of every monomial G^e, cut at the least window."""
-        if any(any(g.constant_term()) for g in G):
-            raise ValueError("substitution images must have zero constant")
+        of every monomial G^e, mod p^prec and cut at the least window."""
         window = min(self.window, G[0].window)
         prec = min(self.prec, G[0].prec)
+        m = self.params.p ** prec
+        nb, packed, lay = G.nb, G.packed, G.layout
+        acc = 0
+        for e, c in self.terms.items():
+            x = packed.get(e)
+            if x is not None:
+                acc += from_slots([v % m for v in c], nb) * x
+        # the positions of degree < window are the lowest window * row
+        cut = 8 * nb * lay.span * lay.row * window
         return TSeries._make(self.params, prec, window,
-                             G.monomials.combine(self.terms, prec, window))
+                             lay.unpack(acc & ((1 << cut) - 1), nb, m))
 
     def __repr__(self):
         if not self.terms:
@@ -233,67 +240,31 @@ def y_generator(params: Params, i: int, window: Optional[int] = None) -> TSeries
     sigma_i(lambda)^{-1} times the group-like of the Teichmueller lift of
     lambda, less 1 when q = 2 (there it is [1] - 1 = T_0).
     """
-    return _y_generator(params, i, params.M if window is None else window)
-
-
-@cached
-def _y_generator(params: Params, i: int, w: int) -> TSeries:
     if not 0 <= i < params.f:
         raise ValueError("generator index out of range")
-    return _group_sums(params, 1, w)[i]
+    return _group_sums(params, 1, params.M if window is None else window)[i]
 
 
 # ---------------------------------------------------------------------------
 # reversion: T as series in Y
 # ---------------------------------------------------------------------------
 
-class MonomialTable:
-    """Every monomial G^e, |e| < window, of a tuple of series G, each kept
-    as one packed int whose slots can sum one product per monomial.
-
-    Substituting G into a T-series is then one packed sum and one unpack.
-    """
-
-    __slots__ = ("params", "layout", "nb", "packed")
-
-    def __init__(self, params: Params, layout: Layout, nb: int,
-                 packed: dict):
-        self.params = params
-        self.layout = layout
-        self.nb = nb
-        self.packed = packed
-
-    def combine(self, terms: dict, prec: int, window: int) -> dict:
-        """sum c_e G^e over the terms (e, c), mod p^prec and below the
-        window; prec is at most the precision of G."""
-        m = self.params.p ** prec
-        nb, packed, lay = self.nb, self.packed, self.layout
-        acc = 0
-        for e, c in terms.items():
-            x = packed.get(e)
-            if x is not None:
-                acc += from_slots([v % m for v in c], nb) * x
-        # the positions of degree < window are the lowest window * row
-        cut = 8 * nb * lay.span * lay.row * window
-        return lay.unpack(acc & ((1 << cut) - 1), nb, m)
-
-
 class Reversion(tuple):
-    """The series G_0, ..., G_{f-1} that ``revert_series`` returns.
+    """The series G_0, ..., G_{f-1} that ``revert_series`` returns, and
+    every monomial G^e below the window, ``packed[e]`` one int of nb-byte
+    slots on ``layout`` that can sum one product per monomial."""
 
-    ``monomials`` is the table of every G^e below the window, which the
-    reversion builds on its way.
-    """
-
-    monomials: MonomialTable
+    layout: Layout
+    nb: int
+    packed: dict
 
 
 def revert_series(series, window: int) -> Reversion:
     """Compositional inverse of T -> (series_i(T)) on the degree filtration.
 
-    Each series must have zero constant term; the linear part L must be
-    invertible mod p (SingularJacobian otherwise).  Returns G with
-    G_j(series(T)) = T_j + O(degree window).
+    Each series must have zero constant term; the window must hold the
+    linear part L, and L must be invertible mod p (SingularJacobian
+    otherwise).  Returns G with G_j(series(T)) = T_j + O(degree window).
 
     One pass up the degrees (Brent & Kung, JACM 1978): with H the part of
     the series of degree >= 2, G = L^-1 T - L^-1 H(G).  The degree-d part
@@ -310,6 +281,9 @@ def revert_series(series, window: int) -> Reversion:
     for s in series:
         if any(s.constant_term()):
             raise ValueError("series must have zero constant term")
+    if window < 2:
+        raise SingularJacobian(f"the degree window {window} holds no linear "
+                               "term to invert; it needs --deg 2 or more")
     series = [s.truncate(window) for s in series]
     # linear part L[i][j] = coeff of T_j in series_i, as h-tuples
     unit_vecs = [tuple(1 if t == j else 0 for t in range(f))
@@ -364,7 +338,7 @@ def revert_series(series, window: int) -> Reversion:
     G = Reversion(TSeries._make(params, prec, window,
                                 lay.unpack(packed[u], nb, m))
                   for u in unit_vecs)
-    G.monomials = MonomialTable(params, lay, nb, packed)
+    G.layout, G.nb, G.packed = lay, nb, packed
     return G
 
 

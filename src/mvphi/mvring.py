@@ -76,19 +76,6 @@ class MvLaurent(sparse.Terms):
         c = (scalar,) + (0,) * (params.h - 1)
         return MvLaurent(params, pr, {(n0, cr): c}, None, None, band)
 
-    @staticmethod
-    def from_y_series(ts: "iwasawa.TSeries") -> "MvLaurent":
-        """Interpret a series in the Y-generators as a Laurent element.
-
-        prod Y_i^{e_i} = Y_0^{sum e} * prod X_i^{e_i}; the degree window
-        becomes the Y_0-knowledge horizon and the band.
-        """
-        params = ts.params
-        terms = {}
-        for e, c in ts.terms.items():
-            terms[(sum(e), tuple(e[1:]))] = c
-        return MvLaurent(params, ts.prec, terms, None, ts.window, ts.window)
-
     # -- views ----------------------------------------------------------------
 
     def lift_band(self, band: int) -> "MvLaurent":
@@ -366,6 +353,17 @@ class _SubstImages(sparse.Substitution):
         super().__init__(atoms, lambda: MvLaurent.one(params, N, band),
                          invert, floors)
 
+    @classmethod
+    def of_series(cls, params: Params, series, unit_degree: int):
+        """The table of the generators' images given as Y-series, each read
+        into an atom at the working band (prod Y_i^{e_i} = Y_0^{sum e} prod
+        X_i^{e_i}), its degree window the Y_0-knowledge horizon."""
+        atoms = [MvLaurent(params, s.prec, {(sum(e), e[1:]): c
+                                            for e, c in s.terms.items()},
+                           None, s.window, _work_band(params))
+                 for s in series]
+        return cls(params, atoms, series[0].window - unit_degree, unit_degree)
+
     def clamp(self, prec: int, w_hi) -> Optional[int]:
         """The window of ``apply(x)`` for x at prec and w_hi, None if exact.
 
@@ -411,16 +409,16 @@ def phi_images(params: Params, window: Optional[int] = None) -> _SubstImages:
 
 @cached
 def _phi_images(params: Params, w: int) -> _SubstImages:
-    images = [MvLaurent.from_y_series(iwasawa.phi_y(params, i, w))
-              for i in range(params.f)]
-    return _SubstImages(params, images, w - params.p, params.p)
+    return _SubstImages.of_series(
+        params, [iwasawa.phi_y(params, i, w) for i in range(params.f)],
+        params.p)
 
 
 @cached
 def phi_q_images(params: Params) -> _SubstImages:
-    images = [MvLaurent.from_y_series(iwasawa.phi_power_y(params, i, params.f))
-              for i in range(params.f)]
-    return _SubstImages(params, images, params.M - params.q, params.q)
+    return _SubstImages.of_series(
+        params, [iwasawa.phi_power_y(params, i, params.f)
+                 for i in range(params.f)], params.q)
 
 
 def decompose_window(params: Params) -> int:
@@ -441,9 +439,8 @@ _GAMMA_TABLES = 32
 
 @cached(maxsize=_GAMMA_TABLES)
 def gamma_images(params: Params, a: OKElement) -> _SubstImages:
-    images = [MvLaurent.from_y_series(iwasawa.gamma_y(a, i))
-              for i in range(params.f)]
-    return _SubstImages(params, images, params.M - 1, 1)
+    return _SubstImages.of_series(
+        params, [iwasawa.gamma_y(a, i) for i in range(params.f)], 1)
 
 
 def apply_phi(x: MvLaurent) -> MvLaurent:

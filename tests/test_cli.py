@@ -102,6 +102,16 @@ def test_decompose_uncovered_window_is_no_roundtrip():
     assert json.loads(proc.stdout)["roundtrip"] is False
 
 
+def test_a_window_below_two_names_the_least_deg():
+    # a degree window of 1 holds no linear term, so the change of variables
+    # between T- and Y-coordinates has nothing to invert
+    for cmd in ("phi-y", "gamma-y", "iota"):
+        proc = run_cli([cmd, "--p", "2", "--f", "1", "--deg", "1"])
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: the degree window 1 holds no linear "
+                               "term to invert; it needs --deg 2 or more\n")
+
+
 def test_band_overflow_names_the_least_band():
     # (B + M)(p + 1) = (6 + 12) * 4 = 72 < 81 <= (9 + 12) * 4
     base = ["check", "--suite", "iota", "--p", "3", "--f", "2", "--prec", "4"]

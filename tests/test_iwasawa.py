@@ -9,6 +9,7 @@ from mvphi.iwasawa import (Layout, TSeries, group_like, y_generator,
                            revert_series, y_to_t_inverse, to_y_coordinates,
                            phi_y, gamma_y, phi_power_y, _invert_coeff_matrix)
 from mvphi.errors import SingularJacobian, NotAUnit, PrecisionExhausted
+from mvphi.perfd import pr_radius
 from mvphi.sparse import from_slots, to_slots
 
 from test_coeff import _schoolbook_mul
@@ -716,6 +717,18 @@ def test_constructors_respect_the_window():
     # a window of 1 holds no linear part to invert
     with pytest.raises(SingularJacobian):
         y_to_t_inverse(pr)
+
+
+@pytest.mark.parametrize("p,f,h", GRID)
+@pytest.mark.parametrize("of_index", [
+    lambda pr, i: y_generator(pr, i),
+    lambda pr, i: pr_radius(pr, i, Fraction(1))],
+    ids=["y_generator", "pr_radius"])
+def test_an_index_outside_range_f_raises(p, f, h, of_index):
+    pr = params(p, f, h)
+    for i in (f, -1):
+        with pytest.raises(ValueError, match="index out of range"):
+            of_index(pr, i)
 
 
 @st.composite

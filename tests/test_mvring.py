@@ -1009,6 +1009,19 @@ def test_a_table_short_of_its_unit_term_cannot_invert_its_images():
         apply_phi(MvLaurent(params(13, 1, 1), 3, {(-1, ()): (1,)}))
 
 
+def test_a_table_window_past_the_working_band():
+    # at M = 2 and B = 1 the decomposition window max(M, 4p) = 20 passes
+    # the working band (B + M)(p + 1) = 18: the f = 1 images have no cross
+    # exponent, so the table builds, and an f = 2 image's cross exponent
+    # past the working band (9 at (2,2,2)) names the least --band
+    pr = params(5, 1, 1, M=2, B=1)
+    assert decompose_window(pr) > _work_band(pr)
+    table = phi_images(pr, decompose_window(pr))
+    assert all(a.band == _work_band(pr) for a in table.atoms)
+    with pytest.raises(BandOverflow, match="--band 2 admits it"):
+        phi_images(params(2, 2, 2, M=2, B=1), 20)
+
+
 # -- dict order: the product loop and the h = 2 kernel against the old ones --
 
 def _ref_raw_mul(ring, a, b, prec):

@@ -30,13 +30,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _phi_images():
-    from mvphi import Params, mvring
+    from mvphi import mvring
+    from mvphi.coeff import Params
     P = Params.create(5, 2, 2)
     return lambda: mvring.phi_images(P, 20)
 
 
 def _gamma_images():
-    from mvphi import Params, mvring, ok_ring
+    from mvphi import mvring
+    from mvphi.coeff import Params, ok_ring
     P = Params.create(3, 2, 2)
     okr = ok_ring(P)
     mvring.gamma_images(P, okr((1, 1)))
@@ -44,7 +46,8 @@ def _gamma_images():
 
 
 def _y_to_t_inverse():
-    from mvphi import Params, y_to_t_inverse
+    from mvphi.coeff import Params
+    from mvphi.iwasawa import y_to_t_inverse
     P = Params.create(2, 3, 3)
     return lambda: y_to_t_inverse(P, 16)
 
