@@ -160,7 +160,7 @@ def cmd_phi_y(args) -> int:
         s = phi_y(params, i)
         out.append({"i": i, "series": ser.tseries_json(s),
                     "str": ser.tseries_str(s),
-                    "congruence_mod_p": frobenius_congruence(params, i)})
+                    "congruence_mod_p": frobenius_congruence(i, s)})
     emit(args, {"config": cfg, "phi_y": out})
     return 0 if all(r["congruence_mod_p"] for r in out) else 1
 

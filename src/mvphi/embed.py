@@ -469,12 +469,17 @@ def _iota_fixpoint(params: Params, w: int) -> IotaResult:
 
 def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
     if params.k < params.N:
-        raise DepthExhausted("need denominator depth k >= N for the fixpoint")
-    N, f = params.N, params.f
+        raise DepthExhausted("need denominator depth k >= N for the "
+                             f"fixpoint; it needs --depth {params.N} or more")
+    N, f, p = params.N, params.f, params.p
 
     def one():
         return WAlg.one(params, N)
     Fs = [iwasawa.phi_y(params, i, w) for i in range(f)]
+    if N > 1 and w <= p:
+        raise WindowTooSmall(
+            f"the embedding window {w} misses the degree-{p} leading term "
+            f"of phi(Y_i); the fixpoint needs --deg {p + 1} or more")
     ys = []
     for i in range(f):
         unitvec = tuple(Fraction(1) if j == i else Fraction(0)

@@ -6,9 +6,9 @@ Group-like elements, the generators Y_i, the Frobenius substitution phi and
 the unit-group action all live here, together with the change of variables
 between T- and Y-coordinates (series reversion).
 
-Series products run on ``sparse.product``; group sums and the change of
-variables on a packed (Kronecker) layout: one Python int per series or
-degree row, so a product is one integer product (Harvey, JSC 2009).
+Series products run on ``sparse.product``, group sums on ``lincomb``, the
+change of variables on a packed (Kronecker) layout: one Python int per
+series or degree row, so a product is one integer product (Harvey, JSC 2009).
 """
 
 from __future__ import annotations
@@ -172,17 +172,6 @@ class Layout:
                     if sum(e) < window}
         self.by_pos = sorted((q, e) for e, q in self.pos.items())
 
-    def pack(self, terms: dict, nb: int) -> int:
-        """Terms below the window, reduced coordinates at nb-byte slots."""
-        span, pos = self.span, self.pos
-        at = [(pos[e], c) for e, c in terms.items() if e in pos]
-        if not at:
-            return 0
-        slots = [0] * ((max(q for q, _ in at) + 1) * span)
-        for q, c in at:
-            slots[q * span:q * span + self.h] = c
-        return from_slots(slots, nb)
-
     def unpack(self, x: int, nb: int, m: int) -> dict:
         """The terms below the window of a packed sum of products, reduced
         by the defining polynomial and mod m; zeros dropped."""
@@ -198,11 +187,6 @@ class Layout:
         slots = to_slots(x, nb, self.row * self.span)
         self.fold_runs(slots, m)
         return from_slots(slots, nb)
-
-
-@cached
-def _layout(ring, f: int, window: int) -> Layout:
-    return Layout(ring, f, window)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +282,7 @@ def revert_series(series, window: int) -> Reversion:
                     {e: c for e, c in s.terms.items() if sum(e) > 1})
             for s in series]
     ring = oe_ring(params)
-    lay = _layout(ring, f, window)
+    lay = Layout(ring, f, window)
     m = params.p ** prec
     nb = slot_bytes(len(lay.pos) * params.h * (m - 1) ** 2)
     row_bits = 8 * nb * lay.span * lay.row
@@ -311,8 +295,9 @@ def revert_series(series, window: int) -> Reversion:
     # rows[e][d]: the degree-d part of G^e, packed as row 0
     rows = {e: [0] * window for e in lay.pos if sum(e)}
     for j in range(f):
-        lin = {unit_vecs[i]: Linv[j][i] for i in range(f)}
-        rows[unit_vecs[j]][1] = lay.pack(lin, nb) >> row_bits
+        rows[unit_vecs[j]][1] = sum(
+            from_slots(c, nb) << 8 * nb * lay.span * (lay.pos[u] - lay.row)
+            for u, c in zip(unit_vecs, Linv[j]))
     jobs = []           # G^e = G_j * G^(e - unit j), graded
     for _, e in lay.by_pos:
         if sum(e) >= 2:
@@ -397,30 +382,27 @@ def _group_sums(params: Params, mult, window: int) -> tuple:
     for q > 2.  ``mult`` is an int or a unit of O_K; a stream of new units
     evicts the least recently used.
 
-    Each group-like is built once, and each sum is one packed integer sum
-    of them on the ``Layout``.
+    Each group-like is built once, and each sum is one ``TSeries.lincomb``
+    of them.
     """
     okr = ok_ring(params)
     pr = params.n_work(window)
     lams = [lam for lam in okr.fq_elements() if lam]
     gls = [group_like(mult * okr.coordinates_of_felt(lam, pr), window)
            for lam in lams]
-    prec = min([params.N] + [g.prec for g in gls])
-    m = params.p ** prec
-    lay = _layout(okr.oe, params.f, window)
-    nb = slot_bytes(len(lams) * params.h * (m - 1) ** 2 + m)
-    packed = [lay.pack(g.reduce(prec).terms, nb) for g in gls]
+    # a group-like's precision x.prec - guard(window) is at most N
+    prec = min([g.prec for g in gls])
+    less_one = ([(okr.oe.raw_minus_one, TSeries.one(params, prec, window))]
+                if params.q == 2 else [])
     sums = []
     for i in range(params.f):
         # sigma_i(omega(lambda^-1)) = omega(lambda^(-p^i)), Frobenius acting
         # on a Teichmueller lift by the p-th power of its residue; lambda
         # lies in F_{p^h}^x, so one power mod p^h - 1 and no inverse
         e = -params.p ** i % (params.p ** params.h - 1)
-        acc = sum((from_slots(okr.oe.raw_teich(lam ** e, prec),
-                              nb) * x for lam, x in zip(lams, packed)),
-                  m - 1 if params.q == 2 else 0)
-        sums.append(TSeries._make(params, prec, window,
-                                  lay.unpack(acc, nb, m)))
+        sums.append(TSeries.lincomb(
+            [(okr.oe.raw_teich(lam ** e, prec), g)
+             for lam, g in zip(lams, gls)] + less_one))
     return tuple(sums)
 
 
@@ -431,12 +413,7 @@ def phi_power_y(params: Params, i: int, power: int,
     Multiplication by p^power on the group exponents; one substitution, so
     the degree window is not compounded.
     """
-    return _phi_power_y(params, i, power,
-                        params.M if window is None else window)
-
-
-@cached
-def _phi_power_y(params: Params, i: int, power: int, w: int) -> TSeries:
+    w = params.M if window is None else window
     return to_y_coordinates(_group_sums(params, params.p ** power, w)[i])
 
 

@@ -97,6 +97,9 @@ def mv_from(params: Params, obj) -> MvLaurent:
     if prec < 1 or band < 0:
         raise ValueError(f"need pi_prec >= 1 and band >= 0, got {prec} and "
                          f"{band}")
+    if prec > params.N:
+        raise ValueError(f"pi_prec {prec} exceeds the precision N = "
+                         f"{params.N}; it needs --prec {prec} or more")
     return MvLaurent(params, prec, terms, w_lo, w_hi, band)
 
 

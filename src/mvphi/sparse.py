@@ -133,16 +133,19 @@ class Substitution:
         return got
 
     def power(self, i: int, e: int):
-        key = (i, e)
-        got = self.table.get(key)
+        """x_i^e: from the stored power nearest e on the way to 0 (or
+        ``one()``), one product per step outward, each power stored."""
+        table, step = self.table, 1 if e > 0 else -1
+        k = e
+        while k and (i, k) not in table:
+            k -= step
+        got = table.get((i, k))
         if got is None:
-            if e == 0:
-                got = self.one()
-            elif e > 0:
-                got = self.power(i, e - 1) * self.atoms[i]
-            else:
-                got = self.power(i, e + 1) * self.inverse(i)
-            self.table[key] = got
+            got = table[(i, 0)] = self.one()
+        while k != e:
+            k += step
+            got = table[(i, k)] = got * (self.atoms[i] if step > 0
+                                         else self.inverse(i))
         return got
 
     def monomial(self, e):

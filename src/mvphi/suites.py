@@ -55,16 +55,16 @@ def _in_p_m_plus_m_pow(diff: TSeries, power: int) -> bool:
     return True
 
 
-def frobenius_congruence(params: Params, i: int) -> bool:
-    """phi(Y_i) lies in Y_{i-1}^p + p*m."""
-    f = params.f
-    e = [0] * f
-    e[(i - 1) % f] = params.p
+def frobenius_congruence(i: int, fy: TSeries) -> bool:
+    """fy = phi_y(params, i) lies in Y_{i-1}^p + p*m."""
+    params = fy.params
+    e = [0] * params.f
+    e[(i - 1) % params.f] = params.p
     lead = TSeries(params, params.N, params.M,
                    {tuple(e): (1,) + (0,) * (params.h - 1)})
     # diff has window M, so no term reaches degree M: membership in
     # p*m + m^M is membership in p*m
-    return _in_p_m_plus_m_pow(phi_y(params, i) - lead, params.M)
+    return _in_p_m_plus_m_pow(fy - lead, params.M)
 
 
 def gamma_congruence(a, i: int, gy: TSeries) -> bool:
@@ -80,7 +80,7 @@ def suite_frobenius(params: Params, rng) -> dict:
     for i in range(params.f):
         prev = (i - 1) % params.f
         assertions.append({"id": f"frobenius/phi_y[{i}]-in-Y[{prev}]^p+p*m",
-                           "ok": frobenius_congruence(params, i)})
+                           "ok": frobenius_congruence(i, phi_y(params, i))})
     return _report("frobenius", params, assertions)
 
 

@@ -402,3 +402,63 @@ def test_residue_degree_below_one_is_a_usage_error(capsys):
         assert cli.main(["phi-y", "--p", "3", "--h", h]) == 2
         err = capsys.readouterr().err
         assert f"h = {h}" in err and "h >= 1" in err
+
+
+def test_an_exponent_past_the_recursion_limit_is_substituted(tmp_path,
+                                                             capsys):
+    # a power of a substitution atom was one recursive call per step, so
+    # y0 = 1200 exited 3 with a RecursionError
+    from mvphi import cli
+    data = Path(__file__).resolve().parent / "data" / "cli"
+    obj = json.loads((data / "etale_p3_f1.json").read_text())
+    obj["P"][0][0]["terms"][0]["y0"] = 1200
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["etale", "--p", "3", "--f", "1", "--in",
+                     str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and set(json.loads(out.out)) == {
+        "config", "is_etale", "commutation"}
+
+
+def test_the_iota_fixpoint_names_the_least_deg_and_depth():
+    # phi(Y_i) leads with a term of degree p, so the fixpoint's window must
+    # exceed p; with N = 1 no step runs and any window is enough
+    for p in ("2", "3"):
+        for cmd in (["iota"], ["check", "--suite", "iota"]):
+            proc = run_cli(cmd + ["--p", p, "--f", "1", "--deg", p])
+            assert proc.returncode == 2
+            assert proc.stderr == (
+                f"error: the embedding window {p} misses the degree-{p} "
+                f"leading term of phi(Y_i); the fixpoint needs --deg "
+                f"{int(p) + 1} or more\n")
+    assert run_cli(["iota", "--p", "3", "--f", "1", "--deg", "4"]
+                   ).returncode == 0
+    assert run_cli(["iota", "--p", "3", "--f", "1", "--prec", "1", "--deg",
+                    "3"]).returncode == 0
+    proc = run_cli(["iota", "--p", "3", "--f", "1", "--prec", "4",
+                    "--depth", "3"])
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: need denominator depth k >= N for the "
+                           "fixpoint; it needs --depth 4 or more\n")
+    assert run_cli(["iota", "--p", "3", "--f", "1", "--prec", "4",
+                    "--depth", "4"]).returncode == 0
+
+
+def test_an_element_past_the_precision_names_the_least_prec(tmp_path):
+    # an element may not claim more pi-adic digits than --prec gives it
+    data = Path(__file__).resolve().parent / "data" / "cli"
+    x = json.loads((data / "norm_p3_f2_s2.json").read_text())
+    m = json.loads((data / "etale_p3_f1.json").read_text())
+    x["pi_prec"] = m["P"][1][1]["pi_prec"] = 4
+    cases = [(["norm", "--p", "3", "--f", "2", "--s", "2"], x),
+             (["etale", "--p", "3", "--f", "1"], m)]
+    for argv, obj in cases:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli(argv + ["--in", str(path)])
+        assert proc.returncode == 2, argv
+        assert proc.stderr == ("error: pi_prec 4 exceeds the precision N = "
+                               "3; it needs --prec 4 or more\n"), argv
+        assert run_cli(argv + ["--prec", "4", "--in", str(path)]
+                       ).returncode == 0, argv

@@ -986,6 +986,43 @@ def test_gamma_images_is_bounded_and_rebuilds_evicted_units():
     assert again.atoms == first.atoms
 
 
+def test_an_evicted_gamma_table_is_freed_at_once():
+    # the table's closures hold its atoms, not the table: with no reference
+    # cycle, leaving the bounded cache frees it without the cycle collector
+    import gc
+    import weakref
+    from mvphi.mvring import gamma_images
+    pr = params(3, 2, 2)
+    okr = ok_ring(pr)
+    x = mono(pr, 2) + mono(pr, -1, (1,))
+    units = [okr((1 + 3 * k, 1)) for k in range(34)]
+    gc.disable()
+    try:
+        table = gamma_images(pr, units[0])
+        table.apply(x)
+        assert table.table and table.inverses
+        ref = weakref.ref(table)
+        del table
+        for a in units[1:]:
+            gamma_images(pr, a)
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_phi_of_a_power_past_the_recursion_limit():
+    # x_i^e was one recursive call per step, so |e| = 1200 raised
+    # RecursionError; each power is one product from the one before
+    pr = params(3, 1, 1)
+    table = phi_images(pr)
+    for e, x in ((1200, table.atoms[0]), (-1200, table.inverse(0))):
+        want = MvLaurent.one(pr, pr.N, table.band)
+        for _ in range(abs(e)):
+            want = want * x
+        got = apply_phi(mono(pr, e))
+        assert (got.terms, got.w_hi) == (want.terms, want.w_hi)
+
+
 def test_phi_q_table_short_of_its_unit_term_names_the_least_deg():
     # at (5,2,2) the images of phi_q stop at degree M = 12 < q = 25, so no
     # image holds its unit term Y_i^q and no windowed input can be clamped
