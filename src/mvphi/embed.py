@@ -12,7 +12,7 @@ valuation < H[v].  Separately, ``Floors`` carries proven lower bounds for
 the Gauss valuation of every Teichmueller digit of the true element, one
 value per level below the precision plus an affine tail; digit carries are
 isobaric of weight one, so these bounds survive Witt addition and
-multiplication by min-plus convolution.
+multiplication by min-plus convolution (``_minplus``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,20 @@ def _tail(vals, n, sig):
     return best
 
 
+def _minplus(xs, ys, n):
+    """[least xs[i] + ys[j] over i + j = m of finite entries, None if none,
+    for m < n]: the min-plus convolution."""
+    out = [None] * n
+    for i, x in enumerate(xs[:n]):
+        if x is not None:
+            for m, y in enumerate(ys[:n - i], i):
+                if y is not None:
+                    y += x
+                    if out[m] is None or y < out[m]:
+                        out[m] = y
+    return out
+
+
 def _first(vals):
     """Index of the first finite entry; len(vals) if there is none."""
     for i, x in enumerate(vals):
@@ -66,14 +80,13 @@ class Floors:
     minimum of fl over the levels <= m is fl(m).
 
     A Floors is immutable and holds integers only: a denominator D,
-    D*fl(0..2N+2) in ``tab``, D*sigma in ``sig`` and D*delta, the least
-    increment past the first finite level, in ``dlt``.  ``num(m)`` reads
-    D*fl(m); ``at(m)`` and ``global_min()`` build exact Fractions;
-    ``convolve`` and ``meet`` work over the lcm of the operands'
+    D*fl(0..N) in ``tab`` (the N levels and B) and D*sigma in ``sig``.
+    ``num(m)`` reads D*fl(m); ``at(m)`` and ``global_min()`` build exact
+    Fractions; ``convolve`` and ``meet`` work over the lcm of the operands'
     denominators.
     """
 
-    __slots__ = ("N", "den", "tab", "sig", "dlt", "shifts")
+    __slots__ = ("N", "den", "tab", "sig", "shifts")
 
     def __init__(self, N, den, lv, b, sig):
         """The floors of the numerators lv (N levels), b and sig over den.
@@ -89,28 +102,20 @@ class Floors:
             if x is None or (prev is not None and prev < x):
                 tab[i] = prev
             prev = tab[i]
-        b = bound_min(b, prev)
-        tab += [None if b is None else b + sig * (m - N)
-                for m in range(N, 2 * N + 3)]
-        # delta, the least increment past the first finite level; every
-        # entry from there on is finite
-        dlt = sig
-        for x, y in zip(tab[:N], tab[1:N + 1]):
-            if x is not None and y - x < dlt:
-                dlt = y - x
-        self.N, self.den, self.tab, self.sig, self.dlt = N, den, tab, sig, dlt
+        tab.append(bound_min(b, prev))
+        self.N, self.den, self.tab, self.sig = N, den, tab, sig
         self.shifts = {}
 
     def _frac(self, x):
         return None if x is None else Fraction(x, self.den)
 
     def _over(self, den, top):
-        """(den*fl(0..top), den*sigma, den*delta) as ints, None for no
-        content; D must divide den."""
+        """(den*fl(0..top), den*sigma) as ints, None for no content; D must
+        divide den."""
         tab = self.tab[:top + 1]
         tab += [self.num(m) for m in range(len(tab), top + 1)]
         r = den // self.den
-        return rescale(tab, r), self.sig * r, self.dlt * r
+        return rescale(tab, r), self.sig * r
 
     def num(self, m):
         """D*fl(m) as an int, None for no content."""
@@ -144,27 +149,21 @@ class Floors:
         the lower of the two precisions.
 
         Past the level i0 + j0 of the first finite entries, the increments
-        of the convolution are at least min(delta, delta') >= sigma, so
-        best[m] - sigma * (m - N) is non-decreasing there and the tail B
-        is fixed by the first finite m >= N: the pairs with a + b <=
-        max(N, i0 + j0) are all that is needed.
+        of the convolution are at least sigma = min(delta, delta', 0), with
+        delta an operand's least increment past its first finite level met
+        with its slope; so best[m] - sigma * (m - N) is non-decreasing
+        there and the tail B is fixed by the first finite m >= N: the
+        levels up to max(N, i0 + j0) are all that is needed.
         """
         N = min(self.N, other.N)
-        top = 2 * N + 2
         den = lcm(self.den, other.den)
-        xs, _, dx = self._over(den, top)
-        ys, _, dy = other._over(den, top)
-        i0, j0 = _first(xs), _first(ys)
-        hi = min(max(N, i0 + j0), top)
-        best = [None] * (hi + 1)
-        for i in range(i0, hi + 1 - j0):
-            x = xs[i]
-            for j in range(j0, hi + 1 - i):
-                s = x + ys[j]
-                cur = best[i + j]
-                if cur is None or s < cur:
-                    best[i + j] = s
-        sig = min(dx, dy, 0)
+        top = min(max(N, _first(self.tab) + _first(other.tab)), 2 * N + 2)
+        sig = 0
+        for fl in (self, other):
+            sig = min(sig, (den // fl.den) * min([fl.sig] + [
+                y - x for x, y in zip(fl.tab, fl.tab[1:]) if x is not None]))
+        best = _minplus(self._over(den, top)[0], other._over(den, top)[0],
+                        top + 1)
         return Floors(N, den, best[:N], _tail(best, N, sig), sig)
 
     def shift(self, v):
@@ -174,7 +173,7 @@ class Floors:
         got = self.shifts.get(v)
         if got is None:
             N = self.N
-            xs, sig, _ = self._over(self.den, 2 * N)
+            xs, sig = self._over(self.den, 2 * N)
             xs = [None] * v + xs
             got = self.shifts[v] = Floors(N, self.den, xs[:N],
                                           _tail(xs, N, sig), sig)
@@ -182,19 +181,19 @@ class Floors:
 
     def truncate(self, n, top):
         """Floors of x mod p^n: the levels n..top fold into the tail."""
-        xs, sig, _ = self._over(self.den, top)
+        xs, sig = self._over(self.den, top)
         return Floors(n, self.den, xs[:n], _tail(xs, n, sig), sig)
 
     def scale(self, c, d=1):
         """Floors of the values times c/d > 0 (c an int or a Fraction) over
         D*d*c.denominator: Frobenius, its inverse, or with c = d a new D."""
         a, d = c.numerator, c.denominator * d
-        *lv, b = rescale(self.tab[:self.N + 1], a)
+        *lv, b = rescale(self.tab, a)
         return Floors(self.N, self.den * d, lv, b, self.sig * a)
 
     def global_min(self):
-        return self._frac(min((x for x in self.tab[:self.N + 1]
-                               if x is not None), default=None))
+        return self._frac(min((x for x in self.tab if x is not None),
+                              default=None))
 
     def __repr__(self):
         return (f"Floors({[self.at(m) for m in range(self.N + 1)]}, "
@@ -318,17 +317,10 @@ class WAlg(sparse.Terms):
         xs, ys = fs._over(den, prec - 1)[0], fo._over(den, prec - 1)[0]
         hx = rescale(self.hn[:prec], den // fs.den)
         hy = rescale(other.hn[:prec], den // fo.den)
-        H, best = [], None
-        for v in range(prec):
-            for v1 in range(v + 1):
-                for a, fl in ((hx[v1], ys[v - v1]), (hy[v1], xs[v - v1])):
-                    if a is not None and fl is not None and (
-                            best is None or a + fl < best):
-                        best = a + fl
-            H.append(best)
+        H = accumulate(map(bound_min, _minplus(hx, ys, prec),
+                           _minplus(hy, xs, prec)), bound_min)
         out = sparse.product(oe_ring(params), self.terms, other.terms, prec)
-        return WAlg._make(params, prec, out, tuple(H),
-                          fs.convolve(fo))
+        return WAlg._make(params, prec, out, tuple(H), fs.convolve(fo))
 
     def clamp(self, bounds, den) -> "WAlg":
         """Impose additional per-level horizons bounds[v] / den (ints, None
@@ -590,11 +582,12 @@ def verify_norm_compare(x: MvLaurent, s: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def to_belt(x: WAlg, r: Fraction) -> BElt:
-    """Convert to an expansion-form Witt vector over the perfectoid ring.
+    """Convert to a Witt vector over the perfectoid ring.
 
     Exact for the represented terms; each digit's window is the matching
-    level horizon.  Heavier than the algebra path (structure-polynomial
-    carries), intended for digit output and cross-checks.
+    level horizon, so coordinate n, its p^n-th power, is cut at H[n]*p^n.
+    Heavier than the algebra path (structure-polynomial carries), intended
+    for digit output and cross-checks.
     """
     params = x.params
     handle = ainf_handle(params)
@@ -606,12 +599,10 @@ def to_belt(x: WAlg, r: Fraction) -> BElt:
         tw = wt.teich(handle, mono, x.prec)
         coeff = wt.from_oe_scalar(handle, OEInt(oering, x.prec, c))
         acc = wt.witt_add(acc, wt.witt_mul(coeff, tw))
-    digits = []
-    for n, d in enumerate(acc.digits()):
-        hi = x.H[n]
-        digits.append(PerfLaurent(handle.ring, dict(d.terms), d.w_lo, hi,
-                                  d.band))
-    w = wt.from_expansion(handle, tuple(digits), x.prec)
+    w = wt.WittVec(handle, x.prec, tuple(
+        PerfLaurent(handle.ring, a.terms, a.w_lo,
+                    None if h is None else h * params.p ** n, a.band)
+        for n, (a, h) in enumerate(zip(acc.comps, x.H))))
     floor = x.floors.global_min()
     return BElt(w, Fraction(r), Fraction(0),
                 Fraction(0) if floor is None else floor)

@@ -7,7 +7,7 @@ coordinate tuples, and the arithmetic is the O_E kernels' at precision 1.
 Every variable has Gauss weight 1, so the Gauss valuation of a monomial is
 the sum of its exponents.
 
-``BElt`` wraps an expansion-form Witt vector over such a ring together with
+``BElt`` wraps a Witt vector over such a ring together with
 a radius and a global monomial shift (the [1/uniformizer] localization).
 """
 
@@ -447,8 +447,8 @@ class BElt:
 def b_val_r(w: BElt):
     """min over digits n of gauss_val(x_n) + n/r, minus the monomial shift."""
     r = positive_radius(w.r)
-    best = None
-    for n, d in enumerate(w.digits()):
+    digits, best = w.digits(), None
+    for n, d in enumerate(digits):
         gv = gauss_val(d)
         if gv is None:
             continue
@@ -458,7 +458,7 @@ def b_val_r(w: BElt):
     if best is None:
         return NormValue(None, False)
     certified = True
-    for n, d in enumerate(w.digits()):
+    for n, d in enumerate(digits):
         if d.w_hi is not None and best >= d.w_hi + Fraction(n, 1) / r:
             certified = False
     if best >= Fraction(w.witt.prec, 1) / r + w.floor:

@@ -176,49 +176,34 @@ class FiniteFieldHandle:
                     [v for c, v in parts for _ in range(c)], zero))
 
 
-WITT_COORDS = "witt-coordinates"
-TEICH_EXPANSION = "teichmuller-expansion"
-
-
 class WittVec:
-    """Length-N Witt vector over a handle, in either coordinate form.
+    """Length-N Witt vector over a handle, kept in Witt coordinates.
 
-    The forms are related by (x_0, x_1, ...) = sum_n p^n [x_n^{1/p^n}]:
-    expansion digit d_n is the p^n-th root of coordinate x_n.
+    Coordinates and Teichmueller digits are related by (x_0, x_1, ...) =
+    sum_n p^n [x_n^{1/p^n}]: digit d_n is the p^n-th root of x_n.
     """
 
-    __slots__ = ("handle", "prec", "form", "comps")
+    __slots__ = ("handle", "prec", "comps")
 
-    def __init__(self, handle, prec: int, form: str, comps: tuple):
+    def __init__(self, handle, prec: int, comps: tuple):
         if len(comps) != prec:
             raise ValueError("component count must equal the precision")
         self.handle = handle
         self.prec = prec
-        self.form = form
         self.comps = tuple(comps)
 
-    def coordinates(self) -> "WittVec":
-        if self.form == WITT_COORDS:
-            return self
-        comps = [d.frobenius(n) if n else d for n, d in enumerate(self.comps)]
-        return WittVec(self.handle, self.prec, WITT_COORDS, tuple(comps))
-
-    def expansion(self) -> "WittVec":
-        if self.form == TEICH_EXPANSION:
-            return self
-        comps = [x.pth_root(n) if n else x for n, x in enumerate(self.comps)]
-        return WittVec(self.handle, self.prec, TEICH_EXPANSION, tuple(comps))
-
     def digits(self) -> tuple:
-        return self.expansion().comps
+        """The Teichmueller digit expansion."""
+        return tuple(x.pth_root(n) if n else x
+                     for n, x in enumerate(self.comps))
 
     def is_zero(self) -> bool:
         return all(self.handle.is_zero(c) for c in self.comps)
 
     def eq(self, other) -> bool:
         _same_ring(self, other)
-        a, b = self.coordinates(), other.coordinates()
-        return all(self.handle.eq(x, y) for x, y in zip(a.comps, b.comps))
+        return all(self.handle.eq(x, y)
+                   for x, y in zip(self.comps, other.comps))
 
 
 def _same_ring(u: WittVec, v: WittVec):
@@ -240,7 +225,7 @@ def _coordinatewise(u: WittVec, v: WittVec, plans: str) -> WittVec:
     """
     _same_ring(u, v)
     handle = u.handle
-    vals = u.coordinates().comps + v.coordinates().comps
+    vals = u.comps + v.comps
     dead = sum(1 << j for j, x in enumerate(vals) if handle.is_zero(x))
     one, power, mul, total = handle.kernel(vals)
     pows, comps = {}, []
@@ -261,7 +246,7 @@ def _coordinatewise(u: WittVec, v: WittVec, plans: str) -> WittVec:
                 term = got
             parts.append((ci, one if term is None else term))
         comps.append(total(plan, parts))
-    return WittVec(handle, u.prec, WITT_COORDS, tuple(comps))
+    return WittVec(handle, u.prec, comps)
 
 
 def witt_add(u: WittVec, v: WittVec) -> WittVec:
@@ -281,12 +266,14 @@ def witt_zero(handle, prec: int) -> WittVec:
 
 
 def from_expansion(handle, digits, prec: Optional[int] = None) -> WittVec:
+    """Teichmueller digits, padded with zeros: coordinate n is d_n^(p^n)."""
     pr = len(digits) if prec is None else prec
     if len(digits) > pr:
         raise ValueError("too many digits for the precision")
-    comps = tuple(digits) + tuple(handle.zero()
-                                  for _ in range(pr - len(digits)))
-    return WittVec(handle, pr, TEICH_EXPANSION, comps)
+    digits = tuple(digits) + tuple(handle.zero()
+                                   for _ in range(pr - len(digits)))
+    return WittVec(handle, pr, tuple(d.frobenius(n) if n else d
+                                     for n, d in enumerate(digits)))
 
 
 def from_oe_scalar(handle, c: OEInt) -> WittVec:

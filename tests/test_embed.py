@@ -449,7 +449,7 @@ def ref_product_horizons(x, y):
 
 def _same_floors(fl, ref):
     assert floor_values(fl) == \
-        (ref.N, ref.Lv[:ref.N], ref.B, ref.sigma, ref.delta())
+        (ref.N, ref.Lv[:ref.N], ref.B, ref.sigma)
     assert fl.global_min() == ref.global_min()
     for m in range(2 * fl.N + 6):
         assert fl.at(m) == ref.at(m)
@@ -897,7 +897,7 @@ def _perf_state(x):
 def _walg_state(x):
     fl = x.floors
     return (list(x.terms.items()), x.prec, x.hn,
-            (fl.N, fl.den, fl.tab, fl.sig, fl.dlt))
+            (fl.N, fl.den, fl.tab, fl.sig))
 
 
 @pytest.mark.parametrize("p,f,h", [(3, 1, 1), (3, 2, 2), (2, 1, 3),

@@ -483,12 +483,11 @@ def test_integer_windows_follow_the_fraction_formulas(p, f, h, data):
             got = PerfLaurent.sum([a for a, _ in xs])
             want = RefPerf.sum([r for _, r in xs])
         elif op == "witt":
-            # witt_add or witt_mul on coordinate-form vectors: coordinate
-            # n is the evaluation of S_n or P_n at the six values
+            # witt_add or witt_mul on two vectors of three coordinates:
+            # coordinate n is the evaluation of S_n or P_n at the six values
             fn, polys = data.draw(st.sampled_from(witt_ops))
             vs = [data.draw(pick) for _ in range(6)]
-            u, v = (wt.WittVec(handle, 3, wt.WITT_COORDS,
-                               tuple(a for a, _ in vs[i:i + 3]))
+            u, v = (wt.WittVec(handle, 3, tuple(a for a, _ in vs[i:i + 3]))
                     for i in (0, 3))
             got = _outcome(lambda: fn(u, v).comps)
             want = _outcome(lambda: [RefPerf.eval_struct(

@@ -151,10 +151,10 @@ def _iota_pool():
 
 
 def floor_values(fl):
-    """(N, Lv, B, sigma, delta) of an ``embed.Floors`` as exact Fractions,
-    read off its integer numerators."""
+    """(N, Lv, B, sigma) of an ``embed.Floors`` as exact Fractions, read
+    off its integer numerators."""
     return (fl.N, tuple(fl.at(m) for m in range(fl.N)), fl.at(fl.N),
-            Fraction(fl.sig, fl.den), Fraction(fl.dlt, fl.den))
+            Fraction(fl.sig, fl.den))
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,18 +412,22 @@ P522 = Params.create(5, 2, 2)
 def _ref_substitute(x, images):
     """x with T_j -> images[j], as the general substitution of series
     did it (``test_iwasawa`` reads it too): zero plus, for each term c T^e
-    below the window, the monomial as a chain of products scaled by c
-    mod its precision, summed as a chain of binary additions."""
+    below the window, the monomial as a chain of products of the powers
+    im_j^k (each power one product past the one below it) scaled by c mod
+    its precision, summed as a chain of binary additions."""
     prec = min([x.prec] + [im.prec for im in images])
     window = min([x.window] + [im.window for im in images])
     parts = [TSeries(x.params, prec, window, {})]
+    one = TSeries.one(x.params, prec, window)
+    pows = [[one] for _ in images]
     for e, c in x.terms.items():
         if sum(e) >= window:
             continue
-        mono = TSeries.one(x.params, prec, window)
-        for im, k in zip(images, e):
-            for _ in range(k):
-                mono = mono * im.truncate(window)
+        mono = one
+        for im, k, ps in zip(images, e, pows):
+            while len(ps) <= k:
+                ps.append(ps[-1] * im.truncate(window))
+            mono = mono * ps[k]
         parts.append(_ref_scaled(mono, c))
     return _fold(_ref_tseries_add, parts)
 

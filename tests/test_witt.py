@@ -10,7 +10,7 @@ from mvphi.witt import (gen_structure_polys, ghost_components, eval_int,
                         FiniteFieldHandle, witt_add, witt_mul,
                         teich, witt_zero, from_expansion, from_oe_scalar,
                         from_int, WittVec,
-                        _mod_p_terms, _pmul, TEICH_EXPANSION, WITT_COORDS)
+                        _mod_p_terms, _pmul)
 
 
 def handle(p, h=1):
@@ -161,9 +161,7 @@ def test_expansion_coordinate_roundtrip():
     elts = list(fq_field(pr).elements())
     for _ in range(20):
         digits = tuple(rng.choice(elts) for _ in range(4))
-        w = from_expansion(h, digits)
-        assert w.coordinates().expansion().digits() == digits
-        assert w.coordinates().digits() == digits
+        assert from_expansion(h, digits).digits() == digits
 
 
 def test_from_expansion_two_digit_coordinates():
@@ -172,8 +170,7 @@ def test_from_expansion_two_digit_coordinates():
     h = FiniteFieldHandle(fq_field(pr))
     F = fq_field(pr)
     a, b = F.from_int(2), F.from_int(2)
-    w = from_expansion(h, (a, b), 2).coordinates()
-    assert w.comps == (a, b ** 3)
+    assert from_expansion(h, (a, b), 2).comps == (a, b ** 3)
 
 
 def test_oe_scalar_embedding_is_ring_hom():
@@ -272,9 +269,9 @@ def _plans_and_terms(p, N):
 
 def _both_evaluations(p, N, handle, xs, ys):
     """(coordinate, full evaluation of its polynomial) for each coordinate
-    of witt_add, then of witt_mul, on the coordinate-form vectors xs and
+    of witt_add, then of witt_mul, on the vectors of coordinates xs and
     ys."""
-    u, v = (WittVec(handle, N, WITT_COORDS, zs) for zs in (xs, ys))
+    u, v = (WittVec(handle, N, zs) for zs in (xs, ys))
     sp = gen_structure_polys(p, N)
     for got, polys in ((witt_add(u, v), sp.sums), (witt_mul(u, v), sp.prods)):
         for a, poly in zip(got.comps, polys, strict=True):
@@ -407,7 +404,7 @@ def test_witt_add_of_a_teichmuller_lift_skips_zero_terms(monkeypatch):
     got = witt_add(u, v)
     fast = len(calls)
     calls.clear()
-    xs, ys = u.coordinates().comps, v.coordinates().comps
+    xs, ys = u.comps, v.comps
     sp = gen_structure_polys(3, 4)
     want = [_ref_eval_struct(_mod_p_terms(poly, 3), handle, xs, ys)
             for poly in sp.sums]
@@ -429,7 +426,7 @@ def _struct_eval_agrees(p, N, seed):
                            None, Fraction(rng.randrange(1, 9), 3))
     u = from_expansion(handle, tuple(digit(n) for n in range(N)))
     v = from_expansion(handle, tuple(digit(n) for n in range(N)))
-    xs, ys = u.coordinates().comps, v.coordinates().comps
+    xs, ys = u.comps, v.comps
     sp = gen_structure_polys(p, N)
     for got, polys in ((witt_add(u, v), sp.sums), (witt_mul(u, v), sp.prods)):
         for a, poly in zip(got.comps, polys, strict=True):
@@ -485,8 +482,8 @@ def test_teich_and_zero_are_expansions_padded_with_zeros():
             t, z = teich(h, v, prec), witt_zero(h, prec)
             for w, want in ((t, (v,) + (h.zero(),) * (prec - 1)),
                             (z, (h.zero(),) * prec)):
-                assert (w.form, w.prec) == (TEICH_EXPANSION, prec)
-                assert [_facts(a) for a in w.comps] == \
+                assert w.prec == prec
+                assert [_facts(a) for a in w.digits()] == \
                     [_facts(b) for b in want]
 
 
@@ -494,3 +491,32 @@ def _facts(a):
     if isinstance(a, PerfLaurent):
         return a.terms, a.w_lo, a.w_hi, a.band
     return a.coords
+
+
+
+CI_POINTS = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2), (2, 2, 4), (3, 1, 3)]
+
+
+def _digit_facts(a):
+    if isinstance(a, PerfLaurent):
+        return list(a.terms.items()), a.w_lo, a.w_hi, a.band
+    return a.coords
+
+
+@pytest.mark.parametrize("p,f,h", CI_POINTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_digits_read_back_the_expansion(p, f, h, data):
+    # from_expansion keeps coordinate d_n^(p^n) and digits() takes its
+    # p^n-th root: the digits come back term for term, window for window
+    # and band for band, over the residue field and the perfectoid ring
+    # (at (2,2,4) and (3,1,3) the p-th root is phi^(h-1), h - 1 >= 2)
+    N = data.draw(st.integers(1, 4))
+    fh = FiniteFieldHandle(fq_field(Params.create(p, f, h)))
+    ph = ainf_handle(Params.create(p, f, h, N=N))
+    elts = st.sampled_from(list(fh.field.elements()))
+    for handle, value in ((fh, elts), (ph, perf_value(ph.ring))):
+        digits = tuple(data.draw(value) for _ in range(N))
+        got = from_expansion(handle, digits, N).digits()
+        assert [_digit_facts(a) for a in got] == \
+            [_digit_facts(d) for d in digits]
