@@ -1,5 +1,8 @@
 """Command-line driver: computations and verification suites as JSON.
 
+``main`` owns a run: it checks ``--s``, resolves the flags and their
+``Params``, calls one ``cmd_*(args, cfg, params)``, which returns its
+payload and pass flag, and writes ``{"config": cfg, **payload}`` once.
 Exit codes: 0 pass, 1 assertion failure, 2 usage or precondition violation,
 3 internal error.  A ValueError, KeyError, TypeError or OSError is a usage
 error only while the flags, the config file, the ``--out`` path or the
@@ -43,6 +46,13 @@ def _usage():
         raise UsageError(exc) from exc
 
 
+DEFAULTS = {"p": 3, "f": 1, "h": None, "prec": 3, "deg": 12, "band": 6,
+            "depth": 4, "seed": 0}
+# the help line of each integer flag that has one
+HELP = {"prec": "pi-adic precision N", "deg": "total-degree window M",
+        "band": "cross-exponent band B", "depth": "denominator depth k"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mvphi",
@@ -51,18 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--f", type=int, default=None)
-        sp.add_argument("--h", type=int, default=None)
-        sp.add_argument("--prec", type=int, default=None,
-                        help="pi-adic precision N")
-        sp.add_argument("--deg", type=int, default=None,
-                        help="total-degree window M")
-        sp.add_argument("--band", type=int, default=None,
-                        help="cross-exponent band B")
-        sp.add_argument("--depth", type=int, default=None,
-                        help="denominator depth k")
-        sp.add_argument("--seed", type=int, default=None)
+        for key in DEFAULTS:
+            sp.add_argument("--" + key, type=int, default=None,
+                            help=HELP.get(key))
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with default flag values")
         sp.add_argument("--out", type=str, default=None,
@@ -97,13 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-DEFAULTS = {"p": 3, "f": 1, "h": None, "prec": 3, "deg": 12, "band": 6,
-            "depth": 4, "seed": 0}
-
-
 def resolve_config(args) -> dict:
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = dict(json.load(fh))
         for key, val in loaded.items():
@@ -113,7 +110,7 @@ def resolve_config(args) -> dict:
                 ser.as_int(val, f"config {key}")
         cfg.update(loaded)
     for key in DEFAULTS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     if cfg["h"] is None:
@@ -121,24 +118,11 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def make_params(cfg) -> Params:
-    return Params.create(cfg["p"], cfg["f"], cfg["h"], cfg["prec"],
-                         cfg["deg"], cfg["band"], cfg["depth"])
-
-
-def configure(args):
-    """The resolved flags and their parameters."""
-    with _usage():
-        cfg = resolve_config(args)
-        return cfg, make_params(cfg)
-
-
 def emit(args, payload: dict) -> None:
     text = ser.dumps(payload)
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         with _usage():
-            fh = open(out, "w")
+            fh = open(args.out, "w")
         with fh:
             fh.write(text)
     else:
@@ -146,27 +130,23 @@ def emit(args, payload: dict) -> None:
 
 
 def read_input(args) -> dict:
-    infile = getattr(args, "infile", None)
-    if infile:
-        with open(infile) as fh:
+    if args.infile:
+        with open(args.infile) as fh:
             return json.load(fh)
     return json.load(sys.stdin)
 
 
-def cmd_phi_y(args) -> int:
-    cfg, params = configure(args)
+def cmd_phi_y(args, cfg, params):
     out = []
     for i in range(params.f):
         s = phi_y(params, i)
         out.append({"i": i, "series": ser.tseries_json(s),
                     "str": ser.tseries_str(s),
                     "congruence_mod_p": frobenius_congruence(i, s)})
-    emit(args, {"config": cfg, "phi_y": out})
-    return 0 if all(r["congruence_mod_p"] for r in out) else 1
+    return {"phi_y": out}, all(r["congruence_mod_p"] for r in out)
 
 
-def cmd_gamma_y(args) -> int:
-    cfg, params = configure(args)
+def cmd_gamma_y(args, cfg, params):
     okr = ok_ring(params)
     if args.a:
         with _usage():
@@ -179,113 +159,76 @@ def cmd_gamma_y(args) -> int:
     if not a.is_unit():
         raise UsageError("the action needs a unit")
     out = []
-    codes = []
     for i in range(params.f):
         gy = gamma_y(a, i)
-        ok = gamma_congruence(a, i, gy)
-        codes.append(ok)
         out.append({"i": i, "series": ser.tseries_json(gy),
                     "str": ser.tseries_str(gy),
-                    "congruence": ok})
-    emit(args, {"config": cfg, "a": list(a.coords), "gamma_y": out})
-    return 0 if all(codes) else 1
+                    "congruence": gamma_congruence(a, i, gy)})
+    return ({"a": list(a.coords), "gamma_y": out},
+            all(r["congruence"] for r in out))
 
 
-def cmd_iota(args) -> int:
-    cfg, params = configure(args)
+def cmd_iota(args, cfg, params):
     res = iota_generators(params)
-    gens = []
-    for i, y in enumerate(res.ys):
-        belt = to_belt(y, Fraction(1))
-        gens.append({"i": i, "witt": ser.witt_json(belt.witt)})
+    gens = [{"i": i, "witt": ser.witt_json(to_belt(y, Fraction(1)).witt)}
+            for i, y in enumerate(res.ys)]
     table = []
-    ok = True
     for s in (1, 2):
         for i in range(params.f):
             # Y_i = Y_0 * X_i
             cross = tuple(1 if j == i - 1 else 0
                           for j in range(params.f - 1))
             rep = verify_norm_compare(MvLaurent.monomial(params, 1, cross), s)
-            ok = ok and rep["ok"]
             table.append({"s": s, "i": i,
                           "ring_side": ser.fraction_json(rep["ring_side"]),
                           "witt_side": ser.fraction_json(rep["witt_side"]),
                           "ok": rep["ok"]})
-    payload = {"config": cfg,
-               "stabilization": res.certificates,
-               "stabilization_ok": res.certificates == list(
-                   range(1, params.N)),
-               "generators": gens,
-               "norm_table": table}
-    emit(args, payload)
-    return 0 if ok and payload["stabilization_ok"] else 1
+    stable = res.certificates == list(range(1, params.N))
+    return ({"stabilization": res.certificates, "stabilization_ok": stable,
+             "generators": gens, "norm_table": table},
+            stable and all(r["ok"] for r in table))
 
 
-def _check_s(s: int) -> None:
-    if s < 1:
-        raise UsageError(f"--s must be a positive integer, got {s}")
-
-
-def cmd_norm(args) -> int:
-    _check_s(args.s)
-    cfg, params = configure(args)
+def cmd_norm(args, cfg, params):
     with _usage():
         x = ser.mv_from(params, read_input(args))
-    nv = norm_s(x, args.s)
-    emit(args, {"config": cfg, "s": args.s, "norm": ser.norm_json(nv)})
-    return 0
+    return {"s": args.s, "norm": ser.norm_json(norm_s(x, args.s))}, True
 
 
-def cmd_decompose(args) -> int:
-    cfg, params = configure(args)
+def cmd_decompose(args, cfg, params):
     with _usage():
         x = ser.mv_from(params, read_input(args))
     comps = phi_decompose(x)
     roundtrip = roundtrip_ok(x, recompose(comps, params))
-    payload = {"config": cfg,
-               "components": [{"monomial": {"y0": a[0], "cross": list(a[1])},
-                               "g": ser.mv_json(g)}
-                              for a, g in sorted(comps.items())],
-               "roundtrip": roundtrip}
-    emit(args, payload)
-    return 0 if roundtrip else 1
+    return ({"components": [{"monomial": {"y0": a[0], "cross": list(a[1])},
+                             "g": ser.mv_json(g)}
+                            for a, g in sorted(comps.items())],
+             "roundtrip": roundtrip}, roundtrip)
 
 
-def cmd_etale(args) -> int:
-    cfg, params = configure(args)
+def cmd_etale(args, cfg, params):
     with _usage():
         m = ser.phimodule_from(params, read_input(args))
-    et = is_etale(m)
-    comm = commutation_holds(m)
-    emit(args, {"config": cfg, "is_etale": bool(et),
-                "commutation": bool(comm)})
-    return 0
+    return {"is_etale": bool(is_etale(m)),
+            "commutation": bool(commutation_holds(m))}, True
 
 
-def cmd_oc_cert(args) -> int:
-    _check_s(args.s)
-    cfg, params = configure(args)
+def cmd_oc_cert(args, cfg, params):
     with _usage():
         obj = read_input(args)
-        m = ser.phimodule_from(params, obj["module"])
+        m = ser.phimodule_from(params, ser.field(obj, "module", "the input"))
         if "U" in obj:
-            U = ser.matrix_from(params, obj["U"], m.rank)
+            U = ser.matrix_from(params, ser.field(obj, "U", "the input", list),
+                                m.rank)
         else:
             U = mat_identity(params, m.rank)
     rep = oc_certificate_check(m, U, args.s)
-    payload = {"config": cfg, "ok": rep["ok"], "s": rep["s"],
-               "entries": rep["entries"]}
-    if "witness" in rep:
-        payload["witness"] = rep["witness"]
-    emit(args, payload)
-    return 0 if rep["ok"] else 1
+    return rep, rep["ok"]
 
 
-def cmd_check(args) -> int:
-    cfg, params = configure(args)
+def cmd_check(args, cfg, params):
     report = run_suite(args.suite, params, seed=cfg["seed"])
-    emit(args, {"config": cfg, "report": report})
-    return 0 if report["ok"] else 1
+    return {"report": report}, report["ok"]
 
 
 COMMANDS = {
@@ -301,10 +244,17 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if getattr(args, "s", 1) < 1:
+            raise UsageError(f"--s must be a positive integer, got {args.s}")
+        with _usage():
+            cfg = resolve_config(args)
+            params = Params.create(cfg["p"], cfg["f"], cfg["h"], cfg["prec"],
+                                   cfg["deg"], cfg["band"], cfg["depth"])
+        payload, ok = COMMANDS[args.command](args, cfg, params)
+        emit(args, {"config": cfg, **payload})
+        return 0 if ok else 1
     except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

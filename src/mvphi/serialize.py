@@ -78,12 +78,41 @@ def as_int(v, what: str) -> int:
     return v
 
 
+# the JSON name of each type json.load returns
+_JSON = {dict: "an object", list: "a list", str: "a string",
+         int: "an integer", float: "a number", bool: "a boolean",
+         type(None): "null"}
+
+
+def _kind(v) -> str:
+    name = _JSON.get(type(v), type(v).__name__)
+    return name + (f" of {len(v)}" if type(v) is list else "")
+
+
+def field(obj, key: str, what: str, kind=None, size=None):
+    """obj[key] of the JSON object obj, named what; an obj that is no
+    object, a missing key, or a value whose type is not kind (a list of
+    size entries, when size is given) is a ValueError naming the field."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be an object, got {_kind(obj)}")
+    if key not in obj:
+        raise ValueError(f"{what} has no field {key!r}")
+    v = obj[key]
+    if kind is not None and (type(v) is not kind
+                             or size is not None and len(v) != size):
+        want = _JSON[kind] + (f" of {size}" if size is not None else "")
+        raise ValueError(f"{what}'s {key} must be {want}, got {_kind(v)}")
+    return v
+
+
 def mv_from(params: Params, obj) -> MvLaurent:
     terms = {}
-    for t in obj["terms"]:
-        coeff = tuple(as_int(c, "a coefficient") for c in t["coeff"])
-        key = (as_int(t["y0"], "y0"),
-               tuple(as_int(e, "a cross exponent") for e in t["cross"]))
+    for t in field(obj, "terms", "the element", list):
+        coeff = tuple(as_int(c, "a coefficient")
+                      for c in field(t, "coeff", "a term", list))
+        key = (as_int(field(t, "y0", "a term"), "y0"),
+               tuple(as_int(e, "a cross exponent")
+                     for e in field(t, "cross", "a term", list)))
         if len(coeff) != params.h or len(key[1]) != params.f - 1:
             raise ValueError(f"a term needs {params.h} coefficients and "
                              f"{params.f - 1} cross exponents: {t}")
@@ -92,8 +121,9 @@ def mv_from(params: Params, obj) -> MvLaurent:
                              f"{list(key[1])}")
         terms[key] = coeff
     w_lo, w_hi = (None if w is None else as_int(w, "a window bound")
-                  for w in obj["window"])
-    prec, band = as_int(obj["pi_prec"], "pi_prec"), as_int(obj["band"], "band")
+                  for w in field(obj, "window", "the element", list, 2))
+    prec = as_int(field(obj, "pi_prec", "the element"), "pi_prec")
+    band = as_int(field(obj, "band", "the element"), "band")
     if prec < 1 or band < 0:
         raise ValueError(f"need pi_prec >= 1 and band >= 0, got {prec} and "
                          f"{band}")
@@ -124,21 +154,27 @@ def witt_json(w) -> dict:
 
 
 def matrix_from(params: Params, rows, side: int) -> list:
-    """A side x side matrix of Laurent elements."""
-    if len(rows) != side or any(len(row) != side for row in rows):
+    """A side x side matrix of Laurent elements, from a list of rows."""
+    if len(rows) != side or any(type(row) is not list or len(row) != side
+                                for row in rows):
         raise ValueError(f"a matrix must be {side} x {side}")
     return [[mv_from(params, x) for x in row] for row in rows]
 
 
 def phimodule_from(params: Params, obj) -> PhiModule:
-    rank, tag, s = as_int(obj["rank"], "rank"), obj["tag"], obj.get("s")
+    rank = as_int(field(obj, "rank", "the module"), "rank")
+    tag, s = field(obj, "tag", "the module"), obj.get("s")
     if rank < 1 or tag not in (TAG_AMV, TAG_A0, TAG_DAGGER):
         raise ValueError(f"need rank >= 1 and a known tag: {rank}, {tag!r}")
     if tag == TAG_DAGGER or s is not None:
         _check_radius(as_int(s, "s"))
     okr = ok_ring(params)
-    P = matrix_from(params, obj["P"], rank)
-    action = [(okr(tuple(as_int(c, "a unit coordinate") for c in entry["a"])),
-               matrix_from(params, entry["G"], rank))
-              for entry in obj.get("action", [])]
+    P = matrix_from(params, field(obj, "P", "the module", list), rank)
+    entries = field(obj, "action", "the module", list) if "action" in obj \
+        else []
+    action = [(okr(tuple(as_int(c, "a unit coordinate")
+                         for c in field(e, "a", "an action entry", list))),
+               matrix_from(params, field(e, "G", "an action entry", list),
+                           rank))
+              for e in entries]
     return PhiModule(rank, tag, P, action, s)

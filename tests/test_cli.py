@@ -1,12 +1,20 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvphi.coeff import Params
 from mvphi.mvring import MvLaurent
 from mvphi.phimod import unramified_char
 from mvphi import serialize as ser
+from mvphi.suites import SUITES
 
 
 def run_cli(args, stdin=None):
@@ -462,3 +470,153 @@ def test_an_element_past_the_precision_names_the_least_prec(tmp_path):
                                "3; it needs --prec 4 or more\n"), argv
         assert run_cli(argv + ["--prec", "4", "--in", str(path)]
                        ).returncode == 0, argv
+
+
+# the documents of tests/data/cli with the flags of their golden commands
+_DATA = Path(__file__).resolve().parent / "data" / "cli"
+_DOCS = {"norm_p3_f2_s2": "norm --p 3 --f 2 --s 2",
+         "norm_p3_f2_s2_whi": "norm --p 3 --f 2 --s 2",
+         "norm_p3_f2_s2_prec": "norm --p 3 --f 2 --s 2",
+         "decompose_p3_f2": "decompose --p 3 --f 2",
+         "decompose_p5_f2": "decompose --p 5 --f 2 --h 2",
+         "etale_p3_f1": "etale --p 3 --f 1",
+         "oc-cert_p3_f1_s1": "oc-cert --p 3 --f 1 --s 1"}
+_DOC = {name: json.loads((_DATA / f"{name}.json").read_text())
+        for name in _DOCS}
+_ONE = {"pi_prec": 3, "window": [0, None], "band": 6,
+        "terms": [{"y0": 1, "cross": [], "coeff": [1]}]}
+_MODULE = _DOC["etale_p3_f1"]
+
+
+@pytest.mark.parametrize("cmd,doc,line", [
+    ("norm", {k: v for k, v in _ONE.items() if k != "window"},
+     "the element has no field 'window'"),
+    ("norm", dict(_ONE, terms=5),
+     "the element's terms must be a list, got an integer"),
+    ("norm", dict(_ONE, terms=[5]),
+     "a term must be an object, got an integer"),
+    ("norm", dict(_ONE, terms="abc"),
+     "the element's terms must be a list, got a string"),
+    ("norm", dict(_ONE, window=[]),
+     "the element's window must be a list of 2, got a list of 0"),
+    ("norm", dict(_ONE, terms=[{"y0": 1, "cross": []}]),
+     "a term has no field 'coeff'"),
+    ("decompose", [_ONE], "the element must be an object, got a list of 1"),
+    ("etale", dict(_MODULE, P=None),
+     "the module's P must be a list, got null"),
+    ("etale", dict(_MODULE, action=None),
+     "the module's action must be a list, got null"),
+    ("etale", dict(_MODULE, action=[{"a": [1]}]),
+     "an action entry has no field 'G'"),
+    ("oc-cert", [_MODULE], "the input must be an object, got a list of 1"),
+    ("oc-cert", {"module": _MODULE, "U": {}},
+     "the input's U must be a list, got an object"),
+    ("oc-cert", _MODULE, "the input has no field 'module'"),
+])
+def test_a_malformed_document_names_its_field(cmd, doc, line, tmp_path,
+                                              capsys):
+    from mvphi import cli
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([cmd, "--p", "3", "--f", "1", "--in", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {line}\n"
+
+
+# each integer flag's draws: its valid range from one below its least
+# value, with p <= 5, f <= 2 and N <= 3
+_FLAGS = {"p": (1, 5), "f": (0, 2), "h": (0, 4), "prec": (0, 3),
+          "deg": (0, 13), "band": (0, 12), "depth": (0, 5), "seed": (-1, 3),
+          "s": (0, 3)}
+# a replacement value of another type, length or bound; a negative exponent
+# e under a substitution costs about e^2 products (7 s at -2000), so the
+# draws stay within -200..2000
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-200, 2000),
+                    st.sampled_from([1.5, "x", [], {}]),
+                    st.lists(st.integers(-3, 3), max_size=3))
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if type(node) is dict else \
+        enumerate(node) if type(node) is list else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+@st.composite
+def _documents(draw):
+    """A document of tests/data/cli with one node replaced by another type,
+    length or bound, or removed."""
+    name = draw(st.sampled_from(sorted(_DOC)))
+    doc = copy.deepcopy(_DOC[name])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return name, draw(_VALUES)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    node, how = parent[path[-1]], draw(st.sampled_from(
+        ["replace", "remove", "grow", "nudge"]))
+    if how == "remove":
+        del parent[path[-1]]
+    elif how == "grow" and type(node) is list:
+        node.append(copy.deepcopy(node[0]) if node else 0)
+    elif how == "nudge" and type(node) is int:
+        parent[path[-1]] = node + draw(st.integers(-3, 3))
+    else:
+        parent[path[-1]] = draw(_VALUES)
+    return name, doc
+
+
+@st.composite
+def _runs(draw):
+    """(argv, document): a golden document, mutated or not, or a command
+    without input, and up to three of its flags drawn around their range."""
+    if draw(st.booleans()):
+        name, doc = draw(_documents())
+        argv = _DOCS[name].split()
+    else:
+        argv, doc = [draw(st.sampled_from(
+            ["phi-y", "gamma-y", "iota", "check"]))], None
+        if argv[0] == "check":
+            argv += ["--suite", draw(st.sampled_from(SUITES))]
+        if argv[0] == "gamma-y" and draw(st.booleans()):
+            # one word, so that a leading minus is not read as a flag
+            argv.append("--a=" + ",".join(map(str, draw(st.lists(
+                st.integers(-3, 9), max_size=3)))))
+    keys = [k for k in _FLAGS if k != "s" or argv[0] in ("norm", "oc-cert")]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3,
+                             unique=True)):
+        argv += [f"--{key}", str(draw(st.integers(*_FLAGS[key])))]
+    return argv, doc
+
+
+def _band73():
+    return ["decompose", "--p", "3", "--f", "2"], \
+        dict(_DOC["decompose_p3_f2"], band=73)
+
+
+def _y0_1200():
+    doc = copy.deepcopy(_DOC["etale_p3_f1"])
+    doc["P"][0][0]["terms"][0]["y0"] = 1200
+    return ["etale", "--p", "3", "--f", "1"], doc
+
+
+@example(_band73())
+@example(_y0_1200())
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_runs())
+def test_the_command_line_boundary_exits_0_1_or_2(run):
+    # exit 3 is a kernel bug; a usage error is one line and no output
+    from mvphi import cli
+    argv, doc = run
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

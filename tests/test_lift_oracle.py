@@ -1,5 +1,6 @@
 """The precision lift oracle: each operation at (N, M) = (3, 12) against the
-same operation on a lift of its input at (N, M) = (5, 30).
+same operation on a lift of its input at (N, M) = (5, 30); for the
+Frobenius-basis decomposition, each component against its lift.
 
 The high input lifts the low one: each coefficient plus a multiple of p^3,
 and, when the low input has a window, extra terms at or above its w_hi.  So
@@ -23,7 +24,7 @@ import pytest
 from mvphi.coeff import Params, ok_ring
 from mvphi.errors import BandOverflow, WindowTooSmall
 from mvphi.mvring import (MvLaurent, apply_gamma, apply_phi, apply_phi_q,
-                          invert_unit, norm_s)
+                          invert_unit, norm_s, phi_decompose)
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -103,6 +104,12 @@ _GEOM = ("sparse.geometric leaves out the first power that is zero in its "
 _BAND = ("invert_unit's series forms a power that is 0 mod p^N, and its "
          "cross exponents pass the band")
 _PHI_Q = "the phi_q table at (5,2,2) misses Y_i^q"
+_LIFT = ("phi_decompose's comp_hi counts only the mod-p step: an unknown "
+         "term of degree w >= w_hi lands in g at degree w/p at level 0, and "
+         "the lower-degree terms of phi(Y) carry it down p - 1 degrees per "
+         "pi-level")
+_CROSS = ("at f = 2 the cross variables' images need the inverses of item 2 "
+          "(not verified as the cause)")
 
 
 def _xfail(raises, *why):
@@ -140,3 +147,38 @@ def test_low_precision_results_keep_their_claims(pfh, rname, op):
     fn = OPS[op]
     for x_lo, x_hi in _inputs(*pfh, *RANGES[rname]):
         _claims_hold(fn(x_lo), fn(x_hi))
+
+
+# (point, range, windowed) -> the mark of a known failure: every case but
+# the exact inputs at f = 1
+DECOMPOSE_XFAIL = {}
+for _pfh in GRID:
+    for _range in RANGES:
+        if _pfh[1] == 1:
+            DECOMPOSE_XFAIL[_pfh, _range, True] = _xfail(AssertionError, _LIFT)
+        else:
+            DECOMPOSE_XFAIL[_pfh, _range, False] = _xfail(AssertionError,
+                                                          _CROSS)
+            DECOMPOSE_XFAIL[_pfh, _range, True] = _xfail(AssertionError,
+                                                         _LIFT, _CROSS)
+
+
+def _decompose_cases():
+    for p, f, h in GRID:
+        for rname in RANGES:
+            for windowed in (False, True):
+                mark = DECOMPOSE_XFAIL.get(((p, f, h), rname, windowed), ())
+                kind = "windowed" if windowed else "exact"
+                yield pytest.param((p, f, h), rname, windowed, marks=mark,
+                                   id=f"{p}{f}{h}-{rname}-{kind}")
+
+
+@pytest.mark.parametrize("pfh,rname,windowed", _decompose_cases())
+def test_decomposition_components_keep_their_claims(pfh, rname, windowed):
+    # the same inputs as above, split by whether the input has a window
+    for x_lo, x_hi in _inputs(*pfh, *RANGES[rname]):
+        if (x_lo.w_hi is not None) == windowed:
+            lo, hi = phi_decompose(x_lo), phi_decompose(x_hi)
+            assert sorted(lo) == sorted(hi)
+            for a in lo:
+                _claims_hold(lo[a], hi[a])
