@@ -14,7 +14,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from contextlib import contextmanager
@@ -53,56 +52,10 @@ HELP = {"prec": "pi-adic precision N", "deg": "total-degree window M",
         "band": "cross-exponent band B", "depth": "denominator depth k"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="mvphi",
-        description="truncated-precision kernel for multivariable "
-                    "Frobenius-module rings")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        for key in DEFAULTS:
-            sp.add_argument("--" + key, type=int, default=None,
-                            help=HELP.get(key))
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file with default flag values")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output path (default: stdout)")
-
-    common(sub.add_parser("phi-y", help="Frobenius images of the generators"))
-    g = sub.add_parser("gamma-y", help="unit action on the generators")
-    common(g)
-    g.add_argument("--a", type=str, default=None,
-                   help="unit coordinates, comma separated")
-    common(sub.add_parser("iota", help="perfectoid embedding of the "
-                                       "generators, digit by digit"))
-    n = sub.add_parser("norm", help="s-norm of a Laurent element (JSON in)")
-    common(n)
-    n.add_argument("--s", type=int, default=1)
-    n.add_argument("--in", dest="infile", type=str, default=None)
-    d = sub.add_parser("decompose", help="Frobenius-basis decomposition "
-                                         "(JSON in)")
-    common(d)
-    d.add_argument("--in", dest="infile", type=str, default=None)
-    e = sub.add_parser("etale", help="etale test for a module (JSON in)")
-    common(e)
-    e.add_argument("--in", dest="infile", type=str, default=None)
-    o = sub.add_parser("oc-cert", help="overconvergence certificate check "
-                                       "(JSON in)")
-    common(o)
-    o.add_argument("--s", type=int, default=1)
-    o.add_argument("--in", dest="infile", type=str, default=None)
-    c = sub.add_parser("check", help="run a verification suite")
-    common(c)
-    c.add_argument("--suite", type=str, required=True, choices=SUITES)
-    return ap
-
-
 def resolve_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            loaded = dict(json.load(fh))
+        loaded = ser.read_json(args.config, "the config file", dict)
         for key, val in loaded.items():
             if key not in DEFAULTS:
                 raise ValueError(f"unknown config key {key!r}")
@@ -113,8 +66,6 @@ def resolve_config(args) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if cfg["h"] is None:
-        cfg["h"] = cfg["f"]
     return cfg
 
 
@@ -127,13 +78,6 @@ def emit(args, payload: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def read_input(args) -> dict:
-    if args.infile:
-        with open(args.infile) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
 
 
 def cmd_phi_y(args, cfg, params):
@@ -191,13 +135,13 @@ def cmd_iota(args, cfg, params):
 
 def cmd_norm(args, cfg, params):
     with _usage():
-        x = ser.mv_from(params, read_input(args))
+        x = ser.mv_from(params, ser.read_json(args.infile))
     return {"s": args.s, "norm": ser.norm_json(norm_s(x, args.s))}, True
 
 
 def cmd_decompose(args, cfg, params):
     with _usage():
-        x = ser.mv_from(params, read_input(args))
+        x = ser.mv_from(params, ser.read_json(args.infile))
     comps = phi_decompose(x)
     roundtrip = roundtrip_ok(x, recompose(comps, params))
     return ({"components": [{"monomial": {"y0": a[0], "cross": list(a[1])},
@@ -208,14 +152,14 @@ def cmd_decompose(args, cfg, params):
 
 def cmd_etale(args, cfg, params):
     with _usage():
-        m = ser.phimodule_from(params, read_input(args))
+        m = ser.phimodule_from(params, ser.read_json(args.infile))
     return {"is_etale": bool(is_etale(m)),
             "commutation": bool(commutation_holds(m))}, True
 
 
 def cmd_oc_cert(args, cfg, params):
     with _usage():
-        obj = read_input(args)
+        obj = ser.read_json(args.infile)
         m = ser.phimodule_from(params, ser.field(obj, "module", "the input"))
         if "U" in obj:
             U = ser.matrix_from(params, ser.field(obj, "U", "the input", list),
@@ -231,16 +175,47 @@ def cmd_check(args, cfg, params):
     return {"report": report}, report["ok"]
 
 
+_IN = ("--in", {"dest": "infile", "type": str, "default": None})
+_S = ("--s", {"type": int, "default": 1})
+# each subcommand's handler, help line and flags past the common ones, in
+# the order --help lists them
 COMMANDS = {
-    "phi-y": cmd_phi_y,
-    "gamma-y": cmd_gamma_y,
-    "iota": cmd_iota,
-    "norm": cmd_norm,
-    "decompose": cmd_decompose,
-    "etale": cmd_etale,
-    "oc-cert": cmd_oc_cert,
-    "check": cmd_check,
+    "phi-y": (cmd_phi_y, "Frobenius images of the generators", ()),
+    "gamma-y": (cmd_gamma_y, "unit action on the generators",
+                (("--a", {"type": str, "default": None,
+                          "help": "unit coordinates, comma separated"}),)),
+    "iota": (cmd_iota, "perfectoid embedding of the generators, digit by "
+                       "digit", ()),
+    "norm": (cmd_norm, "s-norm of a Laurent element (JSON in)", (_S, _IN)),
+    "decompose": (cmd_decompose, "Frobenius-basis decomposition (JSON in)",
+                  (_IN,)),
+    "etale": (cmd_etale, "etale test for a module (JSON in)", (_IN,)),
+    "oc-cert": (cmd_oc_cert, "overconvergence certificate check (JSON in)",
+                (_S, _IN)),
+    "check": (cmd_check, "run a verification suite",
+              (("--suite", {"type": str, "required": True,
+                            "choices": SUITES}),)),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="mvphi",
+        description="truncated-precision kernel for multivariable "
+                    "Frobenius-module rings")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for key in DEFAULTS:
+            sp.add_argument("--" + key, type=int, default=None,
+                            help=HELP.get(key))
+        sp.add_argument("--config", type=str, default=None,
+                        help="JSON file with default flag values")
+        sp.add_argument("--out", type=str, default=None,
+                        help="output path (default: stdout)")
+        for flag, kw in flags:
+            sp.add_argument(flag, **kw)
+    return ap
 
 
 def main(argv=None) -> int:
@@ -252,7 +227,8 @@ def main(argv=None) -> int:
             cfg = resolve_config(args)
             params = Params.create(cfg["p"], cfg["f"], cfg["h"], cfg["prec"],
                                    cfg["deg"], cfg["band"], cfg["depth"])
-        payload, ok = COMMANDS[args.command](args, cfg, params)
+        cfg["h"] = params.h
+        payload, ok = COMMANDS[args.command][0](args, cfg, params)
         emit(args, {"config": cfg, **payload})
         return 0 if ok else 1
     except KernelError as exc:

@@ -199,18 +199,14 @@ class OERing:
             if ai:
                 for j in range(h):
                     out[i + j] += ai * b[j]
-        return self.fold(out, m)
-
-    def fold(self, v: list, m: int) -> tuple:
-        """The 2h-1 coordinates v of a product before reduction by the
-        defining polynomial, reduced to h, mod m; v is overwritten."""
-        self.fold_runs(v, m)
-        return tuple(v[:self.h])
+        self.fold_runs(out, m)
+        return tuple(out[:h])
 
     def fold_runs(self, v: list, m: int):
-        """``fold`` on each run of 2h-1 slots in the flat list v, in place
-        and in one pass: a run's first h slots become its coordinates mod
-        m and the others 0; all-zero runs are skipped."""
+        """Each run of 2h-1 slots in the flat list v, the coordinates of a
+        product before reduction by the defining polynomial, reduced by it
+        mod m, in place and in one pass: a run's first h slots become its
+        coordinates and the others 0; all-zero runs are skipped."""
         h = self.h
         if h == 1:
             v[:] = [x % m for x in v]
@@ -377,10 +373,10 @@ class OEInt:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
+        a = self.coords if e >= 0 else \
+            self.ring.raw_inv(self.coords, self.prec)
         return OEInt(self.ring, self.prec,
-                     self.ring.raw_pow(self.coords, e, self.prec))
+                     self.ring.raw_pow(a, abs(e), self.prec))
 
     def __eq__(self, other):
         return (isinstance(other, OEInt) and self.ring is other.ring
@@ -392,18 +388,11 @@ class OEInt:
     def __bool__(self):
         return any(self.coords)
 
-    def valuation(self) -> int:
-        return self.ring.raw_val(self.coords, self.prec)
-
     def reduce(self, prec: int) -> "OEInt":
         if prec > self.prec:
             raise PrecisionExhausted(
                 f"element known mod p^{self.prec}, requested p^{prec}")
         return OEInt(self.ring, prec, self.ring.raw_reduce(self.coords, prec))
-
-    def inverse(self) -> "OEInt":
-        return OEInt(self.ring, self.prec,
-                     self.ring.raw_inv(self.coords, self.prec))
 
     def frobenius(self, e: int = 1) -> "OEInt":
         return OEInt(self.ring, self.prec,
@@ -599,12 +588,6 @@ class OKRing:
             raise ValueError("coordinate vector has wrong length")
         return OKElement(self, pr, c)
 
-    def zero(self, prec: Optional[int] = None) -> "OKElement":
-        return self((0,) * self.params.f, prec)
-
-    def one(self, prec: Optional[int] = None) -> "OKElement":
-        return self.coordinates_of_felt(self.field.one, prec)
-
     def image(self, x: "OKElement") -> tuple:
         """Raw O_E coordinates of sum x_j * t_j at x.prec."""
         oe = self.oe
@@ -691,9 +674,6 @@ class OKElement:
     def __hash__(self):
         return hash((self.prec, self.coords))
 
-    def image(self) -> OEInt:
-        return OEInt(self.okr.oe, self.prec, self.okr.image(self))
-
     def residue(self) -> OEInt:
         return self.okr.oe.reduce_mod_p(self.okr.image(self))
 
@@ -725,13 +705,6 @@ class OKElement:
         return OKElement(self.okr, pr, self.okr.coordinates_raw(img, pr))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "OKElement":
-        if not self.is_unit():
-            raise NotAUnit("O_K element is not a unit")
-        inv = self.okr.oe.raw_inv(self.okr.image(self), self.prec)
-        return OKElement(self.okr, self.prec,
-                         self.okr.coordinates_raw(inv, self.prec))
 
     def __repr__(self):
         return f"OK{self.coords}~p^{self.prec}"

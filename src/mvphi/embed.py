@@ -210,23 +210,12 @@ class WAlg(sparse.Terms):
 
     __slots__ = ("params", "prec", "terms", "hn", "floors")
 
-    def __init__(self, params: Params, prec: int, terms: dict, H=None,
-                 floors: Optional[Floors] = None):
-        """The terms mod p^prec below the horizons H (Fractions); windowed
-        elements need their floors, exact ones get their terms' floors."""
+    def __init__(self, params: Params, prec: int, terms: dict):
+        """The exact element of the terms mod p^prec, with its terms' own
+        floors; a windowed element comes from ``clamp``."""
         ring = oe_ring(params)
         out = sparse.reduce(ring, terms, prec)
         self.params, self.prec = params, prec
-        if floors is not None:
-            H = (None,) * prec if H is None else H
-            den = lcm(*[h.denominator for h in H if h is not None])
-            x = WAlg._make(params, prec, out, (None,) * prec, floors).clamp(
-                [None if h is None else h.numerator * (den // h.denominator)
-                 for h in H], den)
-            self.terms, self.hn, self.floors = x.terms, x.hn, x.floors
-            return
-        if H is not None and any(h is not None for h in H):
-            raise ValueError("floors are required for windowed elements")
         level_mins = [None] * prec
         for e, c in out.items():
             v = ring.raw_val(c, prec)
@@ -418,13 +407,8 @@ class IotaResult:
 
 def _corr_floor(ys) -> Optional[Fraction]:
     """min digit floor over positive levels of the generator tuple."""
-    best = None
-    for y in ys:
-        for v in range(1, y.prec):
-            fl = y.floors.at(v)
-            if fl is not None:
-                best = fl if best is None else min(best, fl)
-    return best
+    return min((fl for y in ys for v in range(1, y.prec)
+                if (fl := y.floors.at(v)) is not None), default=None)
 
 
 def _tail_clamp(params: Params, window: int, corr) -> tuple:

@@ -22,7 +22,7 @@ from .coeff import (Params, OKElement, _row_reduce, binomial_row, oe_ring,
                     ok_ring)
 from .errors import PrecisionExhausted, SingularJacobian
 from . import sparse
-from .sparse import from_slots, slot_bytes, to_slots
+from .sparse import from_slots, slot_bytes, to_slots, unpack_runs
 
 
 class TSeries(sparse.Terms):
@@ -161,9 +161,8 @@ class Layout:
     """
 
     def __init__(self, ring, f: int, window: int):
-        self.h = ring.h
+        self.ring = ring
         self.span = 2 * ring.h - 1
-        self.fold_runs = ring.fold_runs
         self.row = window ** (f - 1)
         self.size = window * self.row
         self.pos = {e: sum(e) * self.row
@@ -175,9 +174,7 @@ class Layout:
     def unpack(self, x: int, nb: int, m: int) -> dict:
         """The terms below the window of a packed sum of products, reduced
         by the defining polynomial and mod m; zeros dropped."""
-        span, slots = self.span, to_slots(x, nb, self.size * self.span)
-        self.fold_runs(slots, m)
-        runs = list(zip(*[slots[i::span] for i in range(self.h)]))
+        runs = unpack_runs(self.ring, x, nb, self.size, m)
         return {e: r for q, e in self.by_pos if any(r := runs[q])}
 
     def reduce_row(self, x: int, nb: int, m: int) -> int:
@@ -185,7 +182,7 @@ class Layout:
         if not x:
             return 0
         slots = to_slots(x, nb, self.row * self.span)
-        self.fold_runs(slots, m)
+        self.ring.fold_runs(slots, m)
         return from_slots(slots, nb)
 
 

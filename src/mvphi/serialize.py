@@ -8,6 +8,8 @@ key-sorted so a fixed configuration reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .coeff import Params, ok_ring
@@ -87,6 +89,22 @@ _JSON = {dict: "an object", list: "a list", str: "a string",
 def _kind(v) -> str:
     name = _JSON.get(type(v), type(v).__name__)
     return name + (f" of {len(v)}" if type(v) is list else "")
+
+
+def read_json(path, what: str = "the input file", kind=None):
+    """The JSON document in the file at path, or on stdin when path is
+    None; text that is no UTF-8 JSON, or a document whose type is not kind,
+    is a ValueError naming its source (``the config file cfg.json``)."""
+    src = f"{what} {path}" if path else "the standard input"
+    with (open(path, encoding="utf-8") if path
+          else nullcontext(sys.stdin)) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{src} is not JSON: {exc}") from exc
+    if kind is not None and type(doc) is not kind:
+        raise ValueError(f"{src} must be {_JSON[kind]}, got {_kind(doc)}")
+    return doc
 
 
 def field(obj, key: str, what: str, kind=None, size=None):

@@ -8,7 +8,7 @@ per-level horizons and floors, or a Gauss-valuation window) and builds
 results through its ``_make``.  ``Terms`` gives each +, -, sums and scalar
 multiples on its one ``lincomb``.  The termwise kernels (the packed
 multiply-accumulate ``lincomb`` and the packed product ``product``, on
-one slot layout and one per-key unpack), the substitution of generator
+one slot layout and one unpack), the substitution of generator
 images into a sum of monomials with the worst per-level floor drop of its
 atoms, the geometric series, the min and sum of bounds for which None
 means unbounded, and the integer windows (``ceil_cut``, ``rescale``) live
@@ -331,8 +331,8 @@ def product(ring, a: dict, b: dict, prec: int,
 
 def _settle(ring, acc: dict, m: int, nb: int, keep=None) -> dict:
     """The packed sums ``acc`` (2h-1 slots of ``nb`` bytes) as raw
-    coordinates mod m: one unpack, fold by the defining polynomial and
-    reduction per key, in acc's order; zero sums dropped and keys
+    coordinates mod m, folded by the defining polynomial, in acc's order
+    (at h >= 3 all keys in one unpack); zero sums dropped and keys
     failing ``keep`` left out."""
     h, out = ring.h, {}
     if h == 1:
@@ -351,11 +351,22 @@ def _settle(ring, acc: dict, m: int, nb: int, keep=None) -> dict:
             if (r0 or r1) and (keep is None or keep(k)):
                 out[k] = (r0, r1)
     else:
-        for k, x in acc.items():
-            r = ring.fold(to_slots(x, nb, 2 * h - 1), m)
+        size = (2 * h - 1) * nb
+        joined = int.from_bytes(b"".join([x.to_bytes(size, "little")
+                                          for x in acc.values()]), "little")
+        for k, r in zip(acc, unpack_runs(ring, joined, nb, len(acc), m)):
             if any(r) and (keep is None or keep(k)):
                 out[k] = r
     return out
+
+
+def unpack_runs(ring, x: int, nb: int, count: int, m: int) -> list:
+    """The lowest ``count`` runs of 2h-1 slots of ``nb`` bytes in x, each
+    reduced by the defining polynomial mod m, as h-tuples."""
+    span = 2 * ring.h - 1
+    slots = to_slots(x, nb, count * span)
+    ring.fold_runs(slots, m)
+    return list(zip(*[slots[i::span] for i in range(ring.h)]))
 
 
 def reduce(ring, terms: dict, prec: int, keep=None) -> dict:

@@ -43,16 +43,8 @@ def _report(name, params, assertions):
 def _in_p_m_plus_m_pow(diff: TSeries, power: int) -> bool:
     """Membership in p*m + m^power, term by term inside the window."""
     p = diff.params.p
-    for e, c in diff.terms.items():
-        deg = sum(e)
-        if deg < 1:
-            return False
-        if all(v % p == 0 for v in c):
-            continue
-        if deg >= power:
-            continue
-        return False
-    return True
+    return all(sum(e) >= 1 and (sum(e) >= power or all(v % p == 0 for v in c))
+               for e, c in diff.terms.items())
 
 
 def frobenius_congruence(i: int, fy: TSeries) -> bool:

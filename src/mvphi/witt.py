@@ -197,9 +197,6 @@ class WittVec:
         return tuple(x.pth_root(n) if n else x
                      for n, x in enumerate(self.comps))
 
-    def is_zero(self) -> bool:
-        return all(self.handle.is_zero(c) for c in self.comps)
-
     def eq(self, other) -> bool:
         _same_ring(self, other)
         return all(self.handle.eq(x, y)

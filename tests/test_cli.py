@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -223,6 +224,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert data["config"]["p"] == 5 and data["config"]["prec"] == 3
 
 
+@pytest.mark.parametrize("data,line", [
+    (b"[1]", "must be an object, got a list of 1"),
+    (b'"str"', "must be an object, got a string"),
+    (b"not json", "is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff", "is not JSON: 'utf-8' codec can't decode byte 0xff in position "
+              "0: invalid start byte"),
+])
+def test_a_config_file_that_is_no_object_names_the_file(data, line, tmp_path,
+                                                        capsys):
+    from mvphi import cli
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    assert cli.main(["phi-y", "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: the config file {path} {line}\n"
+
+
 def test_out_file(tmp_path):
     out = tmp_path / "result.json"
     proc = run_cli(["phi-y", "--p", "2", "--f", "1", "--out", str(out)])
@@ -237,8 +256,9 @@ def test_serialize_roundtrips():
     back = ser.mv_from(pr, json.loads(json.dumps(ser.mv_json(x))))
     assert back.terms == x.terms and back.w_hi == x.w_hi
     from mvphi.coeff import oe_ring, ok_ring
+    okr = ok_ring(pr)
     m = unramified_char(pr, oe_ring(pr).from_int(2, pr.N),
-                        samples=(ok_ring(pr).one(),))
+                        samples=(okr.coordinates_of_felt(okr.field.one),))
     enc = json.loads(json.dumps(phimodule_json(m)))
     assert phimodule_json(ser.phimodule_from(pr, enc)) == enc
 
@@ -536,6 +556,37 @@ _VALUES = st.one_of(st.none(), st.booleans(), st.integers(-200, 2000),
                     st.lists(st.integers(-3, 3), max_size=3))
 
 
+# a valid --config document, the one the draws mutate, and the values of
+# another type that may replace one of its keys'
+_CONFIG = {"p": 3, "f": 1, "h": None, "prec": 2, "deg": 12, "band": 6,
+           "depth": 4, "seed": 0}
+_NOT_INT = st.one_of(st.none(), st.booleans(),
+                     st.sampled_from([1.5, "x", [], {}, [1], "3"]))
+
+
+@st.composite
+def _configs(draw):
+    """The text of a --config file: ``_CONFIG`` with one key's value
+    redrawn (an integer of its flag's range, or another type), one key
+    removed or an unknown one added, another document in its place, or its
+    text cut short."""
+    doc, key = dict(_CONFIG), draw(st.sampled_from(sorted(_CONFIG)))
+    how = draw(st.sampled_from(["value", "remove", "unknown", "document",
+                                "cut"]))
+    if how == "value":
+        doc[key] = draw(st.one_of(st.integers(*_FLAGS[key]), _NOT_INT))
+    elif how == "remove":
+        del doc[key]
+    elif how == "unknown":
+        doc[draw(st.sampled_from(["s", "suite", "Prec"]))] = 1
+    elif how == "document":
+        doc = draw(st.one_of(_NOT_INT, st.integers(-3, 3)))
+    text = json.dumps(doc)
+    if how == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
 def _paths(node, path=()):
     yield path
     items = node.items() if type(node) is dict else \
@@ -571,8 +622,9 @@ def _documents(draw):
 
 @st.composite
 def _runs(draw):
-    """(argv, document): a golden document, mutated or not, or a command
-    without input, and up to three of its flags drawn around their range."""
+    """(argv, document, config): a golden document, mutated or not, or a
+    command without input; up to three of its flags drawn around their
+    range; and the text of a --config file, or None."""
     if draw(st.booleans()):
         name, doc = draw(_documents())
         argv = _DOCS[name].split()
@@ -589,18 +641,18 @@ def _runs(draw):
     for key in draw(st.lists(st.sampled_from(keys), max_size=3,
                              unique=True)):
         argv += [f"--{key}", str(draw(st.integers(*_FLAGS[key])))]
-    return argv, doc
+    return argv, doc, draw(st.one_of(st.none(), _configs()))
 
 
 def _band73():
     return ["decompose", "--p", "3", "--f", "2"], \
-        dict(_DOC["decompose_p3_f2"], band=73)
+        dict(_DOC["decompose_p3_f2"], band=73), None
 
 
 def _y0_1200():
     doc = copy.deepcopy(_DOC["etale_p3_f1"])
     doc["P"][0][0]["terms"][0]["y0"] = 1200
-    return ["etale", "--p", "3", "--f", "1"], doc
+    return ["etale", "--p", "3", "--f", "1"], doc, None
 
 
 @example(_band73())
@@ -610,11 +662,16 @@ def _y0_1200():
 def test_the_command_line_boundary_exits_0_1_or_2(run):
     # exit 3 is a kernel bug; a usage error is one line and no output
     from mvphi import cli
-    argv, doc = run
+    argv, doc, config = run
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
-            redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code == 2:
         assert out.getvalue() == "", argv

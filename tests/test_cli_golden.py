@@ -13,8 +13,14 @@ dagger-tagged module whose determinant has a Y_0^{-1} term and one entry
 that first passes at s = 2; the phimod suite runs the unit criterion and
 the integral bound at f = 2.  The norms suite samples both norm checks:
 |phi x| at radius p * s and |gamma x| at radius s against |x|_s.
+
+The parser's shape, its subcommands and each one's arguments as argparse
+holds them, is kept in tests/data/parser.json; unlike the --help text it
+does not depend on the Python version or the terminal width.
 """
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +56,29 @@ GOLDEN = {
 }
 # the exit code of each command, when it is not 0
 EXIT_CODE = {"decompose_p3_f2": 1}
+
+
+def parser_shape(parser):
+    """Each subcommand of parser in order, with its help line and its
+    arguments in order: option strings, dest, type name, default,
+    required, choices and help; the -h actions are left out."""
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return [{"command": name, "help": helps[name], "arguments": [
+        {"options": a.option_strings, "dest": a.dest,
+         "type": getattr(a.type, "__name__", None), "default": a.default,
+         "required": a.required,
+         "choices": None if a.choices is None else list(a.choices),
+         "help": a.help}
+        for a in sp._actions if not isinstance(a, argparse._HelpAction)]}
+        for name, sp in sub.choices.items()]
+
+
+def test_the_parser_has_the_shape_of_its_golden():
+    from mvphi.cli import build_parser
+    golden = ROOT / "tests" / "data" / "parser.json"
+    assert parser_shape(build_parser()) == json.loads(golden.read_text())
 
 
 def test_golden_list_is_complete():

@@ -39,7 +39,7 @@ def test_field_axioms_small():
         assert a + F.zero == a
         assert a * F.one == a
         if a:
-            assert a * a.inverse() == F.one
+            assert a * a ** -1 == F.one
         assert a.pth_root().frobenius() == a
 
 
@@ -173,12 +173,12 @@ def test_oe_inverse_and_valuation():
     pr = params(5, 2, 2, N=4)
     ring = oe_ring(pr)
     a = ring((7, 3), 4)
-    inv = a.inverse()
-    assert (a * inv).coords == ring.one(4).coords
-    assert (a * 25).valuation() == 2
-    assert ring.zero(4).valuation() == 4
+    inv = ring.raw_inv(a.coords, 4)
+    assert ring.raw_mul(a.coords, inv, 4) == ring.one(4).coords
+    assert ring.raw_val((a * 25).coords, 4) == 2
+    assert ring.raw_val(ring.zero(4).coords, 4) == 4
     with pytest.raises(NotAUnit):
-        (a * 5).inverse()
+        ring.raw_inv((a * 5).coords, 4)
 
 
 def _digit_round_trip(ring, a, prec, e):
@@ -234,8 +234,8 @@ def test_ok_ring_basics(p, f, h):
     # after f steps
     for lam in fq:
         assert lam ** (p ** f) == lam
-    one = okr.one()
-    assert one.image().reduce(1) == fq_field(pr).one
+    one = okr.coordinates_of_felt(okr.field.one)
+    assert one.residue() == fq_field(pr).one
 
 
 @pytest.mark.parametrize("p,f,h", GRID)
@@ -245,8 +245,10 @@ def test_ok_unit_inverse(p, f, h):
     rng = random.Random(5)
     for _ in range(10):
         a = okr.random_unit(rng)
-        prod = a * a.inverse()
-        assert prod.coords == okr.one().coords
+        inv = okr.coordinates_raw(okr.oe.raw_inv(okr.image(a), a.prec),
+                                  a.prec)
+        prod = a * okr(inv, a.prec)
+        assert prod.coords == okr.coordinates_of_felt(okr.field.one).coords
 
 
 def test_ok_sigma_is_embedding():
@@ -279,7 +281,8 @@ def test_ok_coordinates_round_trip_at_h_above_f(p, f, h):
             y = okr(tuple(rng.randrange(m) for _ in range(f)), prec)
             img = okr.image(x)
             assert okr.coordinates_raw(img, prec) == x.coords
-            assert (x * y).image() == x.image() * y.image()
+            assert okr.image(x * y) == okr.oe.raw_mul(img, okr.image(y),
+                                                      prec)
             bad = tuple((a + m // p * b) % m for a, b in zip(img, off))
             with pytest.raises(ValueError, match="not in the O_K lattice"):
                 okr.coordinates_raw(bad, prec)
@@ -725,7 +728,10 @@ def test_fold_runs_divide_each_run_by_the_defining_polynomial(p, h, poly):
                     if rng.random() < 0.7 else [0] * span
                     for _ in range(rng.randrange(1, 6))]
             want = [_schoolbook_mul(v, (1,), poly, m) for v in runs]
-            assert [ring.fold(list(v), m) for v in runs] == want
+            for v, c in zip(runs, want):
+                one = list(v)
+                ring.fold_runs(one, m)
+                assert tuple(one[:h]) == c
             flat = [x for v in runs for x in v]
             ring.fold_runs(flat, m)
             assert flat == [x for c in want for x in c + (0,) * (h - 1)]
@@ -773,10 +779,10 @@ def test_h2_inverses_satisfy_their_identity(p, poly):
     # a residue's inverse is x^(q - 2) on the same kernel: check every element
     for x in F.elements():
         if x:
-            assert x * x.inverse() == F.one
+            assert x * x ** -1 == F.one
         else:
             with pytest.raises(NotAUnit):
-                x.inverse()
+                x ** -1
     rng = random.Random(33)
     for prec in range(1, 7):
         m = p ** prec

@@ -15,13 +15,21 @@ Math. 2014):
 The inputs are 30 fixed-seed 3-term elements per grid point and exponent
 range, with pure-Y exponents >= 0 or in -2..3.  An error at either
 precision fails the case too.
+
+The perfectoid embedding iota is checked the same way, against a high
+side at (N, M, B, k) = (5, 16, 18, 5): its coefficients, over the exact
+pure exponents, agree mod p^3 wherever the low result's horizons claim
+them.
 """
 
 import random
 
 import pytest
 
-from mvphi.coeff import Params, ok_ring
+from fractions import Fraction
+
+from mvphi.coeff import Params, oe_ring, ok_ring
+from mvphi.embed import iota
 from mvphi.errors import BandOverflow, WindowTooSmall
 from mvphi.mvring import (MvLaurent, apply_gamma, apply_phi, apply_phi_q,
                           invert_unit, norm_s, phi_decompose)
@@ -33,6 +41,9 @@ LOW = dict(N=3, M=12)
 # the band bounds cross exponents only: the high one admits the powers of
 # invert_unit's series up to t^5
 HIGH = dict(N=5, M=30, B=18)
+# iota's high side: k = 5 holds the roots of depth N, and M = 16 keeps the
+# fixpoint's set-up short
+IOTA_HIGH = dict(N=5, M=16, B=18, k=5)
 INPUTS = 30
 
 
@@ -59,10 +70,10 @@ def _key(rng, f, lo, hi):
     return sum(d), tuple(d[1:])
 
 
-def _inputs(p, f, h, lo, hi):
+def _inputs(p, f, h, lo, hi, high=HIGH):
     """(low input, high input) pairs: the high one is a lift of the low."""
     rng = random.Random(7)
-    low, high = Params.create(p, f, h, **LOW), Params.create(p, f, h, **HIGH)
+    low, high = Params.create(p, f, h, **LOW), Params.create(p, f, h, **high)
     out = []
     for _ in range(INPUTS):
         terms = {}
@@ -110,11 +121,15 @@ _LIFT = ("phi_decompose's comp_hi counts only the mod-p step: an unknown "
          "pi-level")
 _CROSS = ("at f = 2 the cross variables' images need the inverses of item 2 "
           "(not verified as the cause)")
+_IOTA = ("the generator images claim too wide a horizon: at (3,1,1) and "
+         "N = 3, y_0 carries 9 [Y^(7/9)] at level 2 below H[2] = 4/3, a "
+         "coefficient that is 0 mod 27 at N = 4 and 5; unchanged at M = 24 "
+         "and 40, so not the degree window (cause not established)")
 
 
-def _xfail(raises, *why):
+def _xfail(raises, *why, item=2):
     return pytest.mark.xfail(strict=True, raises=raises,
-                             reason="ROADMAP item 2: " + "; ".join(why))
+                             reason=f"ROADMAP item {item}: " + "; ".join(why))
 
 
 # (point, range, operation) -> the mark of a known failure
@@ -182,3 +197,32 @@ def test_decomposition_components_keep_their_claims(pfh, rname, windowed):
             assert sorted(lo) == sorted(hi)
             for a in lo:
                 _claims_hold(lo[a], hi[a])
+
+
+def _iota_claims_hold(lo, hi):
+    """A difference mod p^3 of the two embeddings, at an exponent read as
+    Fractions, of valuation w fails where the low result claims level w
+    there: H[w] is None or above the exponent sum."""
+    ring, m = oe_ring(lo.params), lo.params.p ** lo.prec
+
+    def exact(x):
+        scale = x.params.p ** x.params.k
+        return {tuple(Fraction(e, scale) for e in k): c
+                for k, c in x.terms.items()}
+    a, b = exact(lo), exact(hi)
+    zero = (0,) * lo.params.h
+    for k in set(a) | set(b):
+        d = [(u - v) % m for u, v in zip(a.get(k, zero), b.get(k, zero))]
+        if any(d):
+            w = ring.raw_val(d, lo.prec)
+            assert lo.H[w] is not None and sum(k) >= lo.H[w], ("iota", k, w)
+
+
+@pytest.mark.parametrize("pfh,rname", [
+    pytest.param(pfh, rname, id=f"{''.join(map(str, pfh))}-{rname}",
+                 marks=_xfail(AssertionError, _IOTA, item=1)
+                 if pfh[0] == 3 else ())
+    for pfh in GRID for rname in RANGES])
+def test_the_embedding_keeps_its_claims(pfh, rname):
+    for x_lo, x_hi in _inputs(*pfh, *RANGES[rname], high=IOTA_HIGH):
+        _iota_claims_hold(iota(x_lo), iota(x_hi))

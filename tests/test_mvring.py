@@ -926,7 +926,8 @@ def test_local_analyticity_sharper_bound_for_y0():
 def test_local_analyticity_identity_gamma():
     pr = params(3, 1, 1)
     okr = ok_ring(pr)
-    rows = check_local_analyticity(pr, 1, [okr.one()])
+    rows = check_local_analyticity(
+        pr, 1, [okr.coordinates_of_felt(okr.field.one)])
     assert all(r["exponent"] is None for r in rows)
 
 

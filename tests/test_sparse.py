@@ -295,7 +295,7 @@ def _cut_band_join(cut, band):
     return join
 
 
-# h = 1, 2, 3 and 4; h >= 3 folds through OERing.fold
+# h = 1, 2, 3 and 4; h >= 3 folds every key in one OERing.fold_runs pass
 PRODUCT_GRID = [Params.create(3, 1, 1), Params.create(3, 2, 2),
                 Params.create(2, 3, 3), Params.create(2, 2, 4)]
 
