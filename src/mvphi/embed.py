@@ -448,9 +448,6 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
         raise DepthExhausted("need denominator depth k >= N for the "
                              f"fixpoint; it needs --depth {params.N} or more")
     N, f, p = params.N, params.f, params.p
-
-    def one():
-        return WAlg.one(params, N)
     Fs = [iwasawa.phi_y(params, i, w) for i in range(f)]
     if N > 1 and w <= p:
         raise WindowTooSmall(
@@ -469,11 +466,11 @@ def _solve_iota(params: Params, seed_offsets, w: int) -> IotaResult:
     for n in range(1, N):
         corr = _corr_floor(ys)
         bounds = _tail_clamp(params, w, corr)
-        sub = sparse.Substitution(ys, one)
+        sub = sparse.Substitution(ys, lambda: WAlg.one(params, N))
         new = []
         for i in range(f):
             z = sparse.evaluate(Fs[i].terms.items(), sub,
-                                WAlg.zero(params, N), one)
+                                WAlg.zero(params, N))
             z = z.clamp(*bounds)
             new.append(z.phi_inverse())
         for i in range(f):
@@ -512,8 +509,7 @@ def iota(x: MvLaurent) -> WAlg:
     params = x.params
     ctx = iota_context(params)
     acc = sparse.evaluate(x.pure_y_exponents(), ctx,
-                          WAlg.zero(params, min(x.prec, params.N)),
-                          lambda: WAlg.one(params, params.N))
+                          WAlg.zero(params, min(x.prec, params.N)))
     if x.w_hi is not None:
         # each pi-level costs at most drop() of the window
         K = ctx.drop()

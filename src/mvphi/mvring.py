@@ -288,19 +288,24 @@ TAG_A0 = "A0"
 TAG_DAGGER = "dagger_s_minus"
 
 
+def check_tag(tag: str, s: Optional[int]) -> None:
+    """ValueError unless tag is a ring tag and the dagger tag carries s."""
+    if tag not in (TAG_AMV, TAG_A0, TAG_DAGGER):
+        raise ValueError(f"unknown ring tag {tag!r}")
+    if tag == TAG_DAGGER and s is None:
+        raise ValueError("the dagger tag needs the radius index s")
+
+
 def member(x: MvLaurent, tag: str, s: Optional[int] = None) -> bool:
     """Membership certificate for the represented terms at the precision."""
-    if tag == TAG_AMV:
-        return True
+    check_tag(tag, s)
     if tag == TAG_A0:
         lead = leading_slice(x)
         return not lead or lead[0][0][0] >= 0
     if tag == TAG_DAGGER:
-        if s is None:
-            raise ValueError("dagger membership needs the radius index s")
         v = norm_s(x, s).val
         return v is None or v >= 0
-    raise ValueError(f"unknown ring tag {tag!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Optional
 from .coeff import Params, oe_ring
 from .errors import NotAUnit, Uncertified, ZeroDeterminant
 from .mvring import (MvLaurent, TAG_A0, TAG_AMV, TAG_DAGGER, _work_band,
-                     apply_phi_q, apply_gamma, invert_unit, leading_slice)
+                     apply_phi_q, apply_gamma, check_tag, invert_unit,
+                     leading_slice)
 
 
 @dataclass
@@ -95,21 +96,18 @@ def _unit_criterion(x: MvLaurent, tag: str, s: Optional[int]) -> bool:
     then has a larger Y_0-degree.  The integral and dagger tags also need
     that monomial at Y_0-degree 0, and the dagger tag every other term at
     s * v_p + n_0 >= 1."""
+    check_tag(tag, s)
     front = leading_slice(x)
     if len(front) != 1:
         return False
     lead = front[0][0]
-    if tag == TAG_AMV:
-        return True
     if tag == TAG_A0:
         return lead[0] == 0
     if tag == TAG_DAGGER:
-        if s is None:
-            raise ValueError("dagger tag needs the radius index s")
         raw_val = oe_ring(x.params).raw_val
         return lead[0] == 0 and all(s * raw_val(c, x.prec) + k[0] >= 1
                                     for k, c in x.terms.items() if k != lead)
-    raise ValueError(f"unknown base tag {tag!r}")
+    return True
 
 
 def is_etale(m: PhiModule) -> bool:

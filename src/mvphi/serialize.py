@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .coeff import Params, ok_ring
 from .iwasawa import TSeries
-from .mvring import MvLaurent, NormValue, _check_radius
+from .mvring import MvLaurent, NormValue, _check_radius, check_tag
 from .perfd import PerfLaurent
-from .phimod import PhiModule, TAG_A0, TAG_AMV, TAG_DAGGER
+from .phimod import PhiModule
 
 
 def dumps(obj) -> str:
@@ -182,9 +182,10 @@ def matrix_from(params: Params, rows, side: int) -> list:
 def phimodule_from(params: Params, obj) -> PhiModule:
     rank = as_int(field(obj, "rank", "the module"), "rank")
     tag, s = field(obj, "tag", "the module"), obj.get("s")
-    if rank < 1 or tag not in (TAG_AMV, TAG_A0, TAG_DAGGER):
-        raise ValueError(f"need rank >= 1 and a known tag: {rank}, {tag!r}")
-    if tag == TAG_DAGGER or s is not None:
+    if rank < 1:
+        raise ValueError(f"need rank >= 1: {rank}")
+    check_tag(tag, s)
+    if s is not None:
         _check_radius(as_int(s, "s"))
     okr = ok_ring(params)
     P = matrix_from(params, field(obj, "P", "the module", list), rank)

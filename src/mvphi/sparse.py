@@ -178,19 +178,19 @@ class Substitution:
         return self._drop
 
 
-def evaluate(terms, sub: Substitution, zero, one):
+def evaluate(terms, sub: Substitution, zero):
     """sum c * prod x_i^{e_i} over the (e, c) pairs of ``terms``, one
     ``lincomb`` of the raw scalars c and the monomials.
 
     ``zero`` starts the sum and fixes its precision, and is returned
-    itself when no term occurs; ``one()`` is built only when a constant
-    term occurs.
+    itself when no term occurs; ``sub.one()`` is built only when a
+    constant term occurs.
     """
     monomial = sub.monomial
     pairs = [(oe_ring(zero.params).raw_one, zero)]
     for e, c in terms:
         term = monomial(e)
-        pairs.append((c, one() if term is None else term))
+        pairs.append((c, sub.one() if term is None else term))
     return type(zero).lincomb(pairs) if len(pairs) > 1 else zero
 
 

@@ -1,8 +1,9 @@
 """Verification suites: every explicitly checkable congruence and identity.
 
-Each suite returns a JSON-able report {"suite", "params", "assertions",
-"ok"} with one entry per assertion carrying a stable identifier.  The
-acceptance tests and the command-line ``check`` subcommand both run these.
+Each suite ``suite_<name>(params, rng)`` returns its assertions, one JSON-able
+entry each with a stable identifier; ``run_suite`` builds the report
+{"suite", "params", "assertions", "ok"} from them.  The acceptance tests and
+the command-line ``check`` subcommand both run these.
 """
 
 from __future__ import annotations
@@ -32,12 +33,40 @@ SUITES = ("frobenius", "action", "norms", "analytic", "iota", "witt",
 DEFAULT_GRID = ((2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2))
 
 
-def _report(name, params, assertions):
-    return {"suite": name,
-            "params": {"p": params.p, "f": params.f, "h": params.h,
-                       "N": params.N, "M": params.M},
-            "assertions": assertions,
-            "ok": all(a["ok"] for a in assertions)}
+def _tally(name, n, trial):
+    """One assertion: all n draws trial() hold.  Every draw runs, in order,
+    so a failure does not change which numbers the later draws take."""
+    held = sum(bool(trial()) for _ in range(n))
+    return {"id": name, "ok": held == n, "checked": n}
+
+
+def _certified(name, n, cap, trial):
+    """One assertion over draws k = 1, 2, ... until n are certified or cap
+    are drawn: trial(k) is None when draw k is not certified, else whether
+    it agrees.  It holds when every certified draw agrees and n certified."""
+    agree = checked = k = 0
+    while checked < n and k < cap:
+        k += 1
+        res = trial(k)
+        if res is not None:
+            checked += 1
+            agree += bool(res)
+    return {"id": name, "ok": agree == checked and checked >= n,
+            "checked": checked}
+
+
+def _coeff(params: Params, rng, v: int, lo: int) -> tuple:
+    """h coordinates drawn from [lo, p^N), each times p^v mod p^N."""
+    q = params.p ** params.N
+    return tuple((rng.randrange(lo, q) * params.p ** v) % q
+                 for _ in range(params.h))
+
+
+def _near_one(okr, rng, s: int, m: int):
+    """The unit 1 + p^s z of O_K, z's coordinates drawn from [0, m)."""
+    ps = okr.params.p ** s
+    return okr((1 + ps * rng.randrange(m),) +
+               tuple(ps * rng.randrange(m) for _ in range(okr.params.f - 1)))
 
 
 def _in_p_m_plus_m_pow(diff: TSeries, power: int) -> bool:
@@ -67,36 +96,30 @@ def gamma_congruence(a, i: int, gy: TSeries) -> bool:
     return _in_p_m_plus_m_pow(gy - yi, params.p)
 
 
-def suite_frobenius(params: Params, rng) -> dict:
-    assertions = []
-    for i in range(params.f):
-        prev = (i - 1) % params.f
-        assertions.append({"id": f"frobenius/phi_y[{i}]-in-Y[{prev}]^p+p*m",
-                           "ok": frobenius_congruence(i, phi_y(params, i))})
-    return _report("frobenius", params, assertions)
+def suite_frobenius(params: Params, rng) -> list:
+    return [{"id": f"frobenius/phi_y[{i}]-in-Y[{(i - 1) % params.f}]^p+p*m",
+             "ok": frobenius_congruence(i, phi_y(params, i))}
+            for i in range(params.f)]
 
 
-def suite_action(params: Params, rng, n_units: int = 10) -> dict:
+def suite_action(params: Params, rng) -> list:
     okr = ok_ring(params)
     p, f = params.p, params.f
     assertions = []
-    for t in range(n_units):
+    for t in range(10):
         a = okr.random_unit(rng)
         for i in range(f):
             assertions.append(
                 {"id": f"action/unit{t}/gamma_y[{i}]-sigma*Y in p*m+m^p",
                  "ok": gamma_congruence(a, i, gamma_y(a, i))})
     for n in (1, 2):
-        coords = [1 + p ** n * rng.randrange(p)] + \
-            [p ** n * rng.randrange(p) for _ in range(f - 1)]
-        a = okr(tuple(coords))
+        a = _near_one(okr, rng, n, p)
         for i in range(f):
             diff = gamma_y(a, i) - TSeries.variable(params, i, params.N)
-            ok = _in_p_m_plus_m_pow(diff, p ** n)
             assertions.append(
                 {"id": f"action/1+p^{n}/gamma_y[{i}]-Y in p*m+m^(p^{n})",
-                 "ok": bool(ok)})
-    return _report("action", params, assertions)
+                 "ok": bool(_in_p_m_plus_m_pow(diff, p ** n))})
+    return assertions
 
 
 def rand_mv(params: Params, rng, nterms=3, anchor=None) -> MvLaurent:
@@ -116,62 +139,48 @@ def rand_mv(params: Params, rng, nterms=3, anchor=None) -> MvLaurent:
     return x
 
 
-def _norm_kept(params, rng, s, act, radius, per_s):
-    """(agreeing, checked) over random x anchored at Y_0^-s: until per_s
-    have both norms certified or 5 * per_s are drawn, does the image
-    act(x, k) of the k-th draw have |act(x, k)|_radius = |x|_s?"""
+def _norm_kept(params, rng, s, act, radius):
+    """The k-th draw's trial: does the image act(x, k) of a random x
+    anchored at Y_0^-s have |act(x, k)|_radius = |x|_s, when both norms
+    are certified?"""
     anchor = MvLaurent.monomial(params, -s)
-    agree = checked = k = 0
-    while checked < per_s and k < 5 * per_s:
-        k += 1
+
+    def trial(k):
         x = rand_mv(params, rng, anchor=anchor)
-        nx = norm_s(x, s)
-        nimg = norm_s(act(x, k), radius)
+        nx, nimg = norm_s(x, s), norm_s(act(x, k), radius)
         if nx.certified and nimg.certified:
-            checked += 1
-            agree += nimg.val == nx.val
-    return agree, checked
+            return nimg.val == nx.val
+    return trial
 
 
-def suite_norms(params: Params, rng, n_samples: int = 100,
-                n_units: int = 3) -> dict:
+def suite_norms(params: Params, rng, n_samples: int = 100) -> list:
     okr = ok_ring(params)
-    units = [okr.random_unit(rng) for _ in range(n_units)]
-    assertions = []
+    units = [okr.random_unit(rng) for _ in range(3)]
     per_s = max(1, n_samples // 3)
-    for s in (1, 2, 3):
-        for name, act, radius in (
+    return [_certified(f"norms/s={s}/{name}", per_s, 5 * per_s,
+                       _norm_kept(params, rng, s, act, radius))
+            for s in (1, 2, 3)
+            for name, act, radius in (
                 ("phi-equivariance", lambda x, k: apply_phi(x), params.p * s),
                 ("gamma-invariance",
-                 lambda x, k: apply_gamma(units[k % len(units)], x), s)):
-            agree, checked = _norm_kept(params, rng, s, act, radius, per_s)
-            assertions.append({"id": f"norms/s={s}/{name}",
-                               "ok": agree == checked and checked >= per_s,
-                               "checked": checked})
-    return _report("norms", params, assertions)
+                 lambda x, k: apply_gamma(units[k % len(units)], x), s))]
 
 
-def suite_analytic(params: Params, rng, n_gammas: int = 5) -> dict:
+def suite_analytic(params: Params, rng) -> list:
     okr = ok_ring(params)
-    p, f = params.p, params.f
     assertions = []
     for s in (1, 2):
         # at s >= N the only class of 1 + p^s O_K mod p^N is 1
-        m = p ** max(0, params.N - s)
-        gammas = []
-        for _ in range(n_gammas):
-            coords = [1 + p ** s * rng.randrange(m)] + \
-                [p ** s * rng.randrange(m) for _ in range(f - 1)]
-            gammas.append(okr(tuple(coords)))
+        m = params.p ** max(0, params.N - s)
+        gammas = [_near_one(okr, rng, s, m) for _ in range(5)]
         rows = check_local_analyticity(params, s, gammas)
-        ok = all(r["ok"] for r in rows)
         assertions.append({"id": f"analytic/s={s}/bound-1-over-p-1",
-                           "ok": bool(ok), "rows": len(rows)})
-    return _report("analytic", params, assertions)
+                           "ok": all(r["ok"] for r in rows),
+                           "rows": len(rows)})
+    return assertions
 
 
-def suite_iota(params: Params, rng, n_products: int = 20,
-               n_norm_samples: int = 20) -> dict:
+def suite_iota(params: Params, rng) -> list:
     res = iota_generators(params)
     assertions = [{"id": "iota/stabilization-certificates",
                    "ok": res.certificates == list(range(1, params.N))}]
@@ -201,32 +210,21 @@ def suite_iota(params: Params, rng, n_products: int = 20,
         eq_ok = eq_ok and rep["ok"]
     assertions.append({"id": "iota/phi-equivariance-generators",
                        "ok": bool(eq_ok)})
-    prod_ok = 0
-    for _ in range(n_products):
-        x = rand_mv(params, rng, nterms=2)
-        y = rand_mv(params, rng, nterms=2)
-        rep = verify_phi_equivariance(x * y)
-        if rep["congruent"]:
-            prod_ok += 1
-    assertions.append({"id": "iota/phi-equivariance-products",
-                       "ok": prod_ok == n_products, "checked": n_products})
-    if n_norm_samples:
-        done = tried = failed = 0
-        while done < n_norm_samples and tried < 8 * n_norm_samples:
-            tried += 1
-            s = (1, 2)[tried % 2]
-            x = rand_iota_sample(params, rng, s)
-            try:
-                rep = verify_norm_compare(x, s)
-            except Uncertified:
-                continue
-            done += 1
-            if not rep["ok"]:
-                failed += 1
-        assertions.append({"id": "iota/norm-comparison",
-                           "ok": failed == 0 and done >= n_norm_samples,
-                           "checked": done})
-    return _report("iota", params, assertions)
+
+    def product_trial():
+        x, y = rand_mv(params, rng, nterms=2), rand_mv(params, rng, nterms=2)
+        return verify_phi_equivariance(x * y)["congruent"]
+
+    def norm_trial(k):
+        s = (1, 2)[k % 2]
+        x = rand_iota_sample(params, rng, s)
+        try:
+            return verify_norm_compare(x, s)["ok"]
+        except Uncertified:
+            return None
+    return assertions + [
+        _tally("iota/phi-equivariance-products", 20, product_trial),
+        _certified("iota/norm-comparison", 20, 160, norm_trial)]
 
 
 def rand_iota_sample(params: Params, rng, s: int) -> MvLaurent:
@@ -238,59 +236,48 @@ def rand_iota_sample(params: Params, rng, s: int) -> MvLaurent:
     for _ in range(2):
         n0 = rng.randrange(a0, a0 + 3)
         cross = tuple(rng.randrange(-1, 2) for _ in range(params.f - 1))
-        v = rng.randrange(0, params.N)
-        c = tuple((rng.randrange(params.p ** params.N) * params.p ** v)
-                  % params.p ** params.N for _ in range(params.h))
+        c = _coeff(params, rng, rng.randrange(0, params.N), 0)
         if any(c):
             terms.setdefault((n0, cross), c)
     return MvLaurent(params, params.N, terms)
 
 
-def suite_witt(params: Params, rng, n_ghost: int = 100,
-               n_zp: int = 200, n_teich: int = 100) -> dict:
+def suite_witt(params: Params, rng) -> list:
     p, N = params.p, params.N
     sp = gen_structure_polys(p, N)
     mod = p ** (N + 2)
-    ghost_ok = 0
-    for _ in range(n_ghost):
+
+    def ghost_trial():
         xs = [rng.randrange(60) for _ in range(N)]
         ys = [rng.randrange(60) for _ in range(N)]
         svals = [eval_int(sp.sums[n], xs + ys) for n in range(N)]
         pvals = [eval_int(sp.prods[n], xs + ys) for n in range(N)]
         gx, gy = ghost_components(p, N, xs), ghost_components(p, N, ys)
         gs, gp = ghost_components(p, N, svals), ghost_components(p, N, pvals)
-        if all((gs[n] - gx[n] - gy[n]) % mod == 0 and
-               (gp[n] - gx[n] * gy[n]) % mod == 0 for n in range(N)):
-            ghost_ok += 1
-    assertions = [{"id": "witt/ghost-identities", "ok": ghost_ok == n_ghost,
-                   "checked": n_ghost}]
+        return all((gs[n] - gx[n] - gy[n]) % mod == 0 and
+                   (gp[n] - gx[n] * gy[n]) % mod == 0 for n in range(N))
     fh = FiniteFieldHandle(fq_field(Params.create(p, 1, 1)))
-    zp_ok = 0
-    for _ in range(n_zp):
+
+    def zp_trial():
         a, b = rng.randrange(p ** N), rng.randrange(p ** N)
         wa, wb = from_int(fh, a, N), from_int(fh, b, N)
-        if witt_add(wa, wb).eq(from_int(fh, a + b, N)) and \
-                witt_mul(wa, wb).eq(from_int(fh, a * b, N)):
-            zp_ok += 1
-    assertions.append({"id": "witt/Z-mod-p^N-oracle", "ok": zp_ok == n_zp,
-                       "checked": n_zp})
+        return witt_add(wa, wb).eq(from_int(fh, a + b, N)) and \
+            witt_mul(wa, wb).eq(from_int(fh, a * b, N))
     h = ainf_handle(params)
     ring = h.ring
-    field = fq_field(params)
-    elts = [e for e in field.elements() if e]
-    teich_ok = 0
-    for _ in range(n_teich):
-        x = PerfLaurent(ring, {tuple(rng.randrange(-4, 5) * ring.scale
-                                     for _ in range(params.f)):
-                               rng.choice(elts)})
-        y = PerfLaurent(ring, {tuple(rng.randrange(-4, 5) * ring.scale
-                                     for _ in range(params.f)):
-                               rng.choice(elts)})
-        if witt_mul(teich(h, x, N), teich(h, y, N)).eq(teich(h, x * y, N)):
-            teich_ok += 1
-    assertions.append({"id": "witt/teichmuller-multiplicative",
-                       "ok": teich_ok == n_teich, "checked": n_teich})
-    return _report("witt", params, assertions)
+    elts = [e for e in fq_field(params).elements() if e]
+
+    def mono():
+        return PerfLaurent(ring, {tuple(rng.randrange(-4, 5) * ring.scale
+                                        for _ in range(params.f)):
+                                  rng.choice(elts)})
+
+    def teich_trial():
+        x, y = mono(), mono()
+        return witt_mul(teich(h, x, N), teich(h, y, N)).eq(teich(h, x * y, N))
+    return [_tally("witt/ghost-identities", 100, ghost_trial),
+            _tally("witt/Z-mod-p^N-oracle", 200, zp_trial),
+            _tally("witt/teichmuller-multiplicative", 100, teich_trial)]
 
 
 def rand_pure_cone(params: Params, rng) -> MvLaurent:
@@ -298,43 +285,31 @@ def rand_pure_cone(params: Params, rng) -> MvLaurent:
     terms = {}
     for _ in range(3):
         z = [rng.randrange(0, 3) for _ in range(params.f)]
-        key = (sum(z), tuple(z[1:]))
-        v = rng.randrange(0, params.N)
-        c = tuple((rng.randrange(1, params.p ** params.N) * params.p ** v)
-                  % params.p ** params.N for _ in range(params.h))
+        c = _coeff(params, rng, rng.randrange(0, params.N), 1)
         if any(c):
-            terms[key] = c
+            terms[(sum(z), tuple(z[1:]))] = c
     return MvLaurent(params, params.N, terms)
 
 
-def suite_decompose(params: Params, rng, n_samples: int = 50) -> dict:
-    assertions = []
-    ok = 0
-    for _ in range(n_samples):
-        # mod p the lift is one exact pass; mixed-sign supports certify
-        x = rand_mv(params, rng, nterms=3).reduce(1)
-        ok += roundtrip_ok(x, recompose(phi_decompose(x), params))
-    assertions.append({"id": "decompose/roundtrip-prec1",
-                       "ok": ok == n_samples, "checked": n_samples})
-    ok = 0
-    for _ in range(n_samples):
-        x = rand_pure_cone(params, rng)
-        ok += roundtrip_ok(x, recompose(phi_decompose(x), params))
-    assertions.append({"id": f"decompose/roundtrip-prec{params.N}",
-                       "ok": ok == n_samples, "checked": n_samples})
+def suite_decompose(params: Params, rng) -> list:
+    def roundtrip(x):
+        return roundtrip_ok(x, recompose(phi_decompose(x), params))
+    # mod p the lift is one exact pass; mixed-sign supports certify
+    assertions = [
+        _tally("decompose/roundtrip-prec1", 50,
+               lambda: roundtrip(rand_mv(params, rng, nterms=3).reduce(1))),
+        _tally(f"decompose/roundtrip-prec{params.N}", 50,
+               lambda: roundtrip(rand_pure_cone(params, rng)))]
     s = 1
     ps = params.p * s
     member_ok = 0
-    n_member = max(10, n_samples // 5)
-    for _ in range(n_member):
+    for _ in range(10):
         terms = {}
         for _ in range(3):
             v = rng.randrange(0, params.N)
             n0 = rng.randrange(-ps * v, 5)
             cross = tuple(rng.randrange(-2, 3) for _ in range(params.f - 1))
-            c = tuple((rng.randrange(1, params.p ** params.N) *
-                       params.p ** v) % params.p ** params.N
-                      for _ in range(params.h))
+            c = _coeff(params, rng, v, 1)
             if any(c):
                 terms[(n0, cross)] = c
         x = MvLaurent(params, params.N, terms)
@@ -344,33 +319,26 @@ def suite_decompose(params: Params, rng, n_samples: int = 50) -> dict:
                for g in phi_decompose(x).values()):
             member_ok += 1
         else:
-            member_ok -= 10 * n_member
+            member_ok -= 100
     assertions.append({"id": "decompose/dagger-membership",
                        "ok": member_ok > 0})
-    return _report("decompose", params, assertions)
+    return assertions
 
 
-def suite_phimod(params: Params, rng, n_matrices: int = 20) -> dict:
+def suite_phimod(params: Params, rng) -> list:
     okr = ok_ring(params)
     ring = oe_ring(params)
-    assertions = []
     lam = ring.from_int(1 + params.p * rng.randrange(1, params.p),
                         params.N)
     samples = [okr.random_unit(rng) for _ in range(2)]
     m = unramified_char(params, lam, samples)
     cert = oc_certificate_check(m, mat_identity(params, 1), 1)
-    assertions.append({"id": "phimod/unramified-char-etale",
-                       "ok": bool(is_etale(m))})
-    assertions.append({"id": "phimod/unramified-char-oc-cert-s1",
-                       "ok": bool(cert["ok"] and cert["s"] == 1)})
     pmod = PhiModule(1, TAG_A0, [[MvLaurent.monomial(
         params, 0, None, params.p)]])
     pmod2 = PhiModule(1, TAG_DAGGER, [[MvLaurent.monomial(
         params, 0, None, params.p)]], s=1)
-    assertions.append({"id": "phimod/P=(p)-rejected-integral-tags",
-                       "ok": not is_etale(pmod) and not is_etale(pmod2)})
-    bound_ok = 0
-    for _ in range(n_matrices):
+
+    def bound_trial():
         d = rng.randrange(1, 4)
         zero = MvLaurent.zero(params)
         P = [[zero] * d for _ in range(d)]
@@ -383,17 +351,23 @@ def suite_phimod(params: Params, rng, n_matrices: int = 20) -> dict:
                           for _ in range(params.f - 1))
             P[i][i] = MvLaurent.monomial(params, e, cross, u) + \
                 MvLaurent.monomial(params, e + 1, None, params.p)
-        mod = PhiModule(d, TAG_AMV, P)
-        if integral_bound(mod) == want:
-            bound_ok += 1
-    assertions.append({"id": "phimod/integral-bound-diagonal",
-                       "ok": bound_ok == n_matrices, "checked": n_matrices})
-    return _report("phimod", params, assertions)
+        return integral_bound(PhiModule(d, TAG_AMV, P)) == want
+    return [{"id": "phimod/unramified-char-etale", "ok": bool(is_etale(m))},
+            {"id": "phimod/unramified-char-oc-cert-s1",
+             "ok": bool(cert["ok"] and cert["s"] == 1)},
+            {"id": "phimod/P=(p)-rejected-integral-tags",
+             "ok": not is_etale(pmod) and not is_etale(pmod2)},
+            _tally("phimod/integral-bound-diagonal", 20, bound_trial)]
 
 
 def run_suite(name: str, params: Params, seed: int = 0, **kw) -> dict:
+    """The report {"suite", "params", "assertions", "ok"} of one suite run
+    at seed; the one count a caller may set is norms' n_samples."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (choose from {SUITES})")
-    rng = random.Random(seed)
-    fn = globals()[f"suite_{name}"]
-    return fn(params, rng, **kw)
+    assertions = globals()[f"suite_{name}"](params, random.Random(seed), **kw)
+    return {"suite": name,
+            "params": {"p": params.p, "f": params.f, "h": params.h,
+                       "N": params.N, "M": params.M},
+            "assertions": assertions,
+            "ok": all(a["ok"] for a in assertions)}

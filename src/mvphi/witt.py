@@ -137,11 +137,7 @@ def gen_structure_polys(p: int, N: int) -> StructurePolys:
 
 def ghost_components(p: int, N: int, values) -> list:
     """Ghost vector of an integer tuple (x_0, ..., x_{N-1})."""
-    out = []
-    for n in range(N):
-        out.append(sum(p ** j * values[j] ** (p ** (n - j))
-                       for j in range(n + 1)))
-    return out
+    return [eval_int(_ghost(N, 0, n, p), values) for n in range(N)]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_acceptance_01_frobenius_congruence():
 
 def test_acceptance_02_action_congruences():
     _criterion(2, "unit-action congruences (generic and 1 + p^n)", 30,
-               _grid_suite("action", n_units=10))
+               _grid_suite("action"))
 
 
 def test_acceptance_03_norm_equivariance():
@@ -64,13 +64,13 @@ def test_acceptance_03_norm_equivariance():
 
 def test_acceptance_04_local_analyticity():
     _criterion(4, "analyticity bound |gamma(x) - x|_s <= p^(-1/(p-1))", 30,
-               _grid_suite("analytic", n_gammas=5))
+               _grid_suite("analytic"))
 
 
 def test_acceptance_05_iota_fixpoint():
     _criterion(5, "embedding fixpoint: stabilization, digit 0, uniqueness, "
                   "equivariance", 120,
-               _grid_suite("iota", n_products=20, n_norm_samples=0))
+               _grid_suite("iota"))
 
 
 def test_acceptance_06_norm_comparison():
@@ -98,17 +98,17 @@ def test_acceptance_06_norm_comparison():
 
 def test_acceptance_07_witt_oracle():
     _criterion(7, "Witt oracle: ghosts, Z/p^N, Teichmuller products", 60,
-               _grid_suite("witt", n_ghost=100, n_zp=200, n_teich=100))
+               _grid_suite("witt"))
 
 
 def test_acceptance_08_phi_decomposition():
     _criterion(8, "Frobenius-basis decomposition roundtrip and membership",
-               60, _grid_suite("decompose", n_samples=50))
+               60, _grid_suite("decompose"))
 
 
 def test_acceptance_09_phi_modules():
     _criterion(9, "etale modules: characters, rejections, integral bound",
-               30, _grid_suite("phimod", n_matrices=20))
+               30, _grid_suite("phimod"))
 
 
 def test_acceptance_10_radius_bookkeeping():

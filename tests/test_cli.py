@@ -655,12 +655,19 @@ def _y0_1200():
     return ["etale", "--p", "3", "--f", "1"], doc, None
 
 
-@example(_band73())
-@example(_y0_1200())
+# the --out target: absent, a file in the temp directory, the directory
+# itself, or a file under a directory that does not exist
+_OUT = {"absent": None, "file": ("out.json",), "dir": (),
+        "missing": ("no", "out.json")}
+
+
+@example(_band73(), "absent")
+@example(_y0_1200(), "file")
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(_runs())
-def test_the_command_line_boundary_exits_0_1_or_2(run):
-    # exit 3 is a kernel bug; a usage error is one line and no output
+@given(_runs(), st.sampled_from(sorted(_OUT)))
+def test_the_command_line_boundary_exits_0_1_or_2(run, dest):
+    # exit 3 is a kernel bug; a usage error is one line and no output; a
+    # result written to --out is one JSON document and no stdout
     from mvphi import cli
     argv, doc, config = run
     out, err = io.StringIO(), io.StringIO()
@@ -669,11 +676,18 @@ def test_the_command_line_boundary_exits_0_1_or_2(run):
             path = Path(tmp) / "cfg.json"
             path.write_text(config)
             argv = argv + ["--config", str(path)]
+        target = None if _OUT[dest] is None else Path(tmp, *_OUT[dest])
+        if target is not None:
+            argv = argv + ["--out", str(target)]
         with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
                 redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
+        written = target.read_text() if code in (0, 1) and target else None
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    elif target is not None:
+        assert dest == "file" and out.getvalue() == "", argv
+        assert "config" in json.loads(written), argv

@@ -273,7 +273,7 @@ def test_uniqueness_from_fixpoint_equation():
     from mvphi import sparse
     one = lambda: WAlg.one(pr, pr.N)
     rhs = sparse.evaluate(F.terms.items(), sparse.Substitution(res.ys, one),
-                          WAlg.zero(pr, pr.N), one)
+                          WAlg.zero(pr, pr.N))
     lhs = res.ys[0].phi_forward()
     assert congruent_mod(lhs, rhs, pr.N)
 

@@ -14,7 +14,8 @@ Math. 2014):
 
 The inputs are 30 fixed-seed 3-term elements per grid point and exponent
 range, with pure-Y exponents >= 0 or in -2..3.  An error at either
-precision fails the case too.
+precision fails the case too.  The recomposition sum_a a * phi(g_a) takes
+q of them at a time: component j of recomposition k is input (k + j) mod 30.
 
 The perfectoid embedding iota is checked the same way, against a high
 side at (N, M, B, k) = (5, 16, 18, 5): its coefficients, over the exact
@@ -32,7 +33,8 @@ from mvphi.coeff import Params, oe_ring, ok_ring
 from mvphi.embed import iota
 from mvphi.errors import BandOverflow, WindowTooSmall
 from mvphi.mvring import (MvLaurent, apply_gamma, apply_phi, apply_phi_q,
-                          invert_unit, norm_s, phi_decompose)
+                          invert_unit, norm_s, phi_basis, phi_decompose,
+                          recompose)
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -121,6 +123,11 @@ _LIFT = ("phi_decompose's comp_hi counts only the mod-p step: an unknown "
          "pi-level")
 _CROSS = ("at f = 2 the cross variables' images need the inverses of item 2 "
           "(not verified as the cause)")
+_WINDOW = ("at f = 2 the phi table at the decompose window (W = 20) that "
+           "recompose applies disagrees with the lift on 6 of 30 mixed "
+           "inputs even with the floor and the series mended, where the "
+           "M = 12 table agrees on 30 of 30 at (3,2,2) and 29 of 30 at "
+           "(5,2,2)")
 _IOTA = ("the generator images claim too wide a horizon: at (3,1,1) and "
          "N = 3, y_0 carries 9 [Y^(7/9)] at level 2 below H[2] = 4/3, a "
          "coefficient that is 0 mod 27 at N = 4 and 5; unchanged at M = 24 "
@@ -197,6 +204,30 @@ def test_decomposition_components_keep_their_claims(pfh, rname, windowed):
             assert sorted(lo) == sorted(hi)
             for a in lo:
                 _claims_hold(lo[a], hi[a])
+
+
+# (point, range) -> the mark of a known failure: every mixed case but
+# (3,1,1); at (2,1,1) it fails on the floor, at f = 2 on coefficients too
+RECOMPOSE_XFAIL = {(GRID[0], "mixed"): _xfail(AssertionError, _FLOOR, _GEOM)}
+for _pfh in GRID[2:]:
+    RECOMPOSE_XFAIL[_pfh, "mixed"] = _xfail(AssertionError, _FLOOR, _GEOM,
+                                            _WINDOW)
+
+
+@pytest.mark.parametrize("pfh,rname", [
+    pytest.param(pfh, rname, id=f"{''.join(map(str, pfh))}-{rname}",
+                 marks=RECOMPOSE_XFAIL.get((pfh, rname), ()))
+    for pfh in GRID for rname in RANGES])
+def test_recompositions_keep_their_claims(pfh, rname):
+    pairs = _inputs(*pfh, *RANGES[rname])
+    lo_pr, hi_pr = pairs[0][0].params, pairs[0][1].params
+    basis = phi_basis(lo_pr)
+    for k in range(INPUTS):
+        comps = [pairs[(k + j) % INPUTS] for j in range(len(basis))]
+        _claims_hold(recompose({a: x for a, (x, _) in zip(basis, comps)},
+                               lo_pr),
+                     recompose({a: x for a, (_, x) in zip(basis, comps)},
+                               hi_pr))
 
 
 def _iota_claims_hold(lo, hi):

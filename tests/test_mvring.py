@@ -283,12 +283,12 @@ def test_powers_store_is_bounded_and_evaluates_as_a_fresh_table(
     batches = [[(e, (k % 5 + 1, k % 3)) for k, e in enumerate(exps[i:i + 4])]
                for i in range(0, len(exps), 4)]
     warm = table()
-    first = [sparse.evaluate(b, warm, zero(), one) for b in batches]
+    first = [sparse.evaluate(b, warm, zero()) for b in batches]
     assert len(warm.monomials) == sparse.MONOMIAL_STORE
     # again: stored monomials, then the ones past the bound formed anew
     for b, got in zip(batches, first):
-        again = sparse.evaluate(b, warm, zero(), one)
-        fresh = sparse.evaluate(b, table(), zero(), one)
+        again = sparse.evaluate(b, warm, zero())
+        fresh = sparse.evaluate(b, table(), zero())
         assert again == got == fresh
         assert again.band == got.band == fresh.band
     assert len(warm.monomials) == sparse.MONOMIAL_STORE
@@ -684,10 +684,8 @@ CHAIN_GRID = [(3, 1, 1), (3, 2, 2), (5, 2, 2), (2, 2, 4)]
 def _chain_apply(images, x):
     pr, band = images.params, _work_band(images.params)
     clamp = images.clamp(x.prec, x.w_hi)
-    unit = {(0, (0,) * (pr.f - 1)): (1,) + (0,) * (pr.h - 1)}
-    acc = sparse.evaluate(
-        x.pure_y_exponents(), images, MvLaurent.zero(pr, x.prec, band),
-        lambda: MvLaurent(pr, x.prec, unit, 0, None, band))
+    acc = sparse.evaluate(x.pure_y_exponents(), images,
+                          MvLaurent.zero(pr, x.prec, band))
     return acc if clamp is None else acc.with_window(clamp)
 
 

@@ -557,7 +557,7 @@ def test_evaluate_without_terms_returns_zero_itself():
     zero = MvLaurent.zero(P322)
     sub = sparse.Substitution([MvLaurent.monomial(P322, 1)],
                               lambda: MvLaurent.one(P322))
-    assert sparse.evaluate([], sub, zero, None) is zero
+    assert sparse.evaluate([], sub, zero) is zero
 
 
 def _ref_geometric(u, start, cap):
