@@ -205,8 +205,9 @@ class OERing:
     def fold_runs(self, v: list, m: int):
         """Each run of 2h-1 slots in the flat list v, the coordinates of a
         product before reduction by the defining polynomial, reduced by it
-        mod m, in place and in one pass: a run's first h slots become its
-        coordinates and the others 0; all-zero runs are skipped."""
+        mod m, in place: a run's first h slots become its coordinates and
+        the others 0.  At h >= 3 column by column, one pass over every
+        run per nonzero coefficient of the fold table."""
         h = self.h
         if h == 1:
             v[:] = [x % m for x in v]
@@ -217,16 +218,16 @@ class OERing:
             v[1::3] = [(b - t * g1) % m for b, t in zip(v[1::3], top)]
             v[2::3] = [0] * len(top)
         else:
-            span, pad = 2 * h - 1, [0] * (h - 1)
-            for b in range(0, len(v), span):
-                if any(run := v[b:b + span]):
-                    c = run[:h]
-                    for k, red in enumerate(self.folds, h):
-                        vk = run[k]
-                        if vk:
-                            for i, r in enumerate(red):
-                                c[i] += vk * r
-                    v[b:b + span] = [x % m for x in c] + pad
+            span = 2 * h - 1
+            cols = [v[i::span] for i in range(h)]
+            for k, red in enumerate(self.folds, h):
+                top = v[k::span]
+                for i, r in enumerate(red):
+                    if r:
+                        cols[i] = [a + t * r for a, t in zip(cols[i], top)]
+                v[k::span] = [0] * len(top)
+            for i, col in enumerate(cols):
+                v[i::span] = [x % m for x in col]
 
     def scalar(self, c, prec: int):
         """(raw coordinates, precision) of the scalar c taken at most at

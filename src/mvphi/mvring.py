@@ -482,54 +482,75 @@ def phi_decompose(x: MvLaurent) -> dict:
     Buckets pure-Y exponents by residue class mod p (exact mod p since
     phi(Y_i) = Y_{i-1}^p there) and lifts pi-adically by successive
     approximation, one digit per pass.  The Frobenius images are certified
-    mod p^N only, so the components carry at most N digits.
+    mod p^N only, so the components carry at most N digits.  Each pass
+    works on the residue classes its level meets, in basis order; the
+    classes no level meets share one empty component.
     """
     params = x.params
     x = x.reduce(min(x.prec, params.N))
-    p, f = params.p, params.f
-    ring = oe_ring(params)
-    one, band = ring.raw_one, _work_band(params)
+    p, f, band = params.p, params.f, _work_band(params)
     if x.band > band:
         raise _band_overflow(params, "the element's band", x.band, band)
-    comps = {a: {} for a in phi_basis(params)}
-    rem, h_run = x, x.w_hi
+    images = phi_images(params, decompose_window(params))
+    ring = images.ring
+    one, raw_val = ring.raw_one, ring.raw_val
+    # the remainder as (prec, terms, w_lo, w_hi), as _recompose returns it
+    comps, rem, h_run = {}, (x.prec, x.terms, x.w_lo, x.w_hi), x.w_hi
     for n in range(x.prec):
-        if rem.is_zero():
+        if not rem[1]:
             break
-        slice_terms = [(k, c) for k, c in rem.terms.items()
-                       if ring.raw_val(c, rem.prec) == n]
-        if not slice_terms:
-            # valuation skipped a level; keep going
-            continue
         # a term is a * phi(g) mod p: a its key mod p, g's pure-Y exponents
         # its own by p rotated one place (one-to-one: no key occurs twice)
-        delta = {a: {} for a in phi_basis(params)}
-        for (n0, cross), c in slice_terms:
-            q = [e // p for e in cross]
-            w = tuple([n0 // p - sum(q)] + q)[:f - 1]
-            delta[(n0 % p, tuple(e % p for e in cross))][(n0 // p, w)] = c
-        level = [(a, g, rem.prec, None) for a, g in delta.items() if g]
+        delta = {}
+        for (n0, cross), c in rem[1].items():
+            if raw_val(c, rem[0]) == n:
+                q = [e // p for e in cross]
+                w = tuple([n0 // p - sum(q)] + q)[:f - 1]
+                delta.setdefault((n0 % p, tuple(e % p for e in cross)),
+                                 {})[(n0 // p, w)] = c
+        if not delta:
+            # valuation skipped a level; keep going
+            continue
+        level = [(a, delta[a], rem[0], None) for a in sorted(delta)]
         for a, g, _, _ in level:
             for k in g:
                 if any(abs(e) > band for e in k[1]):
                     raise _band_overflow(params, "cross exponent", k[1], band)
+            got = comps.get(a)
             comps[a] = sparse.lincomb(ring, [(one, t, x.prec) for t in (
-                comps[a], g)], x.prec) if comps[a] else g
-        rem = _recompose(params, level, rem)
-        h_run = bound_min(h_run, rem.w_hi)
-    if not rem.is_zero():
-        raise WindowTooSmall(
-            f"decomposition left a remainder within the window: {rem!r}")
+                got, g)], x.prec) if got else g
+        rem = _recompose(images, level, {}, rem)
+        h_run = bound_min(h_run, rem[3])
+    if rem[1]:
+        raise WindowTooSmall("decomposition left a remainder within the "
+                             f"window: {MvLaurent._make(params, *rem, band)!r}")
+    # the terms are reduced mod p^prec and band-checked above: cut at
+    # comp_hi, each is its own support floor
     comp_hi = sparse.ceil_cut(bound_add(h_run, 1 - p), 1, p)
-    return {a: MvLaurent(params, x.prec, terms, None, comp_hi, band) if terms
-            else MvLaurent._make(params, x.prec, {}, 0, comp_hi, band)
-            for a, terms in comps.items()}
+    empty = MvLaurent._make(params, x.prec, {}, 0, comp_hi, band)
+    out = dict.fromkeys(phi_basis(params), empty)
+    for a, terms in comps.items():
+        if comp_hi is not None:
+            terms = {k: c for k, c in terms.items() if k[0] < comp_hi}
+        if terms:
+            out[a] = MvLaurent._make(params, x.prec, terms,
+                                     min([k[0] for k in terms]), comp_hi,
+                                     band)
+    return out
 
 
 def recompose(components: dict, params: Params) -> MvLaurent:
     """sum_a a * phi(g_a), for checking the decomposition roundtrip."""
-    return _recompose(params, [(a, g.terms, g.prec, g.w_hi)
-                               for a, g in components.items()])
+    nonempty, empty = [], {}
+    for a, g in components.items():
+        if g.terms:
+            nonempty.append((a, g.terms, g.prec, g.w_hi))
+        else:
+            key = g.prec, g.w_hi
+            empty[key] = min(a[0], empty.get(key, a[0]))
+    images = phi_images(params, decompose_window(params))
+    return MvLaurent._make(params, *_recompose(images, nonempty, empty),
+                           images.band)
 
 
 def _times_basis(params: Params, band: int, a: tuple, g: tuple) -> tuple:
@@ -548,29 +569,32 @@ def _times_basis(params: Params, band: int, a: tuple, g: tuple) -> tuple:
     return prec, out, w_lo + n0, bound_add(w_hi, n0)
 
 
-def _recompose(params: Params, comps: list, rem=None) -> MvLaurent:
-    """sum_a a * phi(g_a) over components (a, terms, prec, w_hi), or rem
-    minus it: one ``raw_apply`` per nonempty component, each cut and
+def _recompose(images: _SubstImages, comps: list, empty: dict,
+               rem=None) -> tuple:
+    """sum_a a * phi(g_a) over the nonempty components (a, terms, prec,
+    w_hi), or rem minus it for rem = (prec, terms, w_lo, w_hi), as (prec,
+    terms, w_lo, w_hi): one ``raw_apply`` per component, each cut and
     re-floored on its own (one ``lincomb`` over all their monomials would
-    not be), and one ``lincomb`` of the products; an empty component adds
-    only its precision and window."""
-    images = phi_images(params, decompose_window(params))
+    not be), and one ``lincomb`` of the products.  ``empty`` maps the
+    (prec, w_hi) of empty components to their least basis degree n0; they
+    add only their precision and window, the least at the least n0, as
+    the clamp plus n0 grows with n0."""
+    params = images.params
     c, parts, prec, w_lo, w_hi = images.ring.raw_one, [], params.N, 0, None
     if rem is not None:
-        parts, c = [(c, rem.terms, rem.prec)], images.ring.raw_minus_one
-        prec, w_lo, w_hi = min(prec, rem.prec), min(0, rem.w_lo), rem.w_hi
+        parts, c = [(c, rem[1], rem[0])], images.ring.raw_minus_one
+        prec, w_lo, w_hi = min(prec, rem[0]), min(0, rem[2]), rem[3]
     for a, terms, gp, gw in comps:
-        if terms:
-            gp, t, lo, hi = _times_basis(params, images.band, a,
-                                         images.raw_apply(terms, gp, gw))
-            parts.append((c, t, gp))
-            w_lo = min(w_lo, lo)
-        else:
-            hi = bound_add(images.clamp(gp, gw), a[0])
-        prec, w_hi = min(prec, gp), bound_min(w_hi, hi)
+        gp, t, lo, hi = _times_basis(params, images.band, a,
+                                     images.raw_apply(terms, gp, gw))
+        parts.append((c, t, gp))
+        prec, w_lo, w_hi = min(prec, gp), min(w_lo, lo), bound_min(w_hi, hi)
+    for (gp, gw), n0 in empty.items():
+        prec = min(prec, gp)
+        w_hi = bound_min(w_hi, bound_add(images.clamp(gp, gw), n0))
     out = sparse.lincomb(images.ring, parts, prec,
                          None if w_hi is None else lambda k: k[0] < w_hi)
-    return MvLaurent._make(params, prec, out, w_lo, w_hi, images.band)
+    return prec, out, w_lo, w_hi
 
 
 def roundtrip_ok(x: MvLaurent, back: MvLaurent) -> bool:

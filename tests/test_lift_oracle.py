@@ -20,7 +20,10 @@ q of them at a time: component j of recomposition k is input (k + j) mod 30.
 The perfectoid embedding iota is checked the same way, against a high
 side at (N, M, B, k) = (5, 16, 18, 5): its coefficients, over the exact
 pure exponents, agree mod p^3 wherever the low result's horizons claim
-them.
+them.  So is the ``WAlg`` product, on the same inputs read as sums of
+Teichmueller monomials c [mu] over their pure exponents, the low ones at
+N = 3 cut by ``clamp`` at their window on every level and the high ones
+exact at N = 5: input k times input k + 1 mod 30.
 """
 
 import random
@@ -30,11 +33,12 @@ import pytest
 from fractions import Fraction
 
 from mvphi.coeff import Params, oe_ring, ok_ring
-from mvphi.embed import iota
+from mvphi.embed import WAlg, iota
 from mvphi.errors import BandOverflow, WindowTooSmall
 from mvphi.mvring import (MvLaurent, apply_gamma, apply_phi, apply_phi_q,
                           invert_unit, norm_s, phi_basis, phi_decompose,
                           recompose)
+from mvphi.perfd import scaled_exponents
 
 
 GRID = [(2, 1, 1), (3, 1, 1), (3, 2, 2), (5, 2, 2)]
@@ -230,8 +234,8 @@ def test_recompositions_keep_their_claims(pfh, rname):
                                hi_pr))
 
 
-def _iota_claims_hold(lo, hi):
-    """A difference mod p^3 of the two embeddings, at an exponent read as
+def _walg_claims_hold(lo, hi):
+    """A difference mod p^3 of two ``WAlg`` results, at an exponent read as
     Fractions, of valuation w fails where the low result claims level w
     there: H[w] is None or above the exponent sum."""
     ring, m = oe_ring(lo.params), lo.params.p ** lo.prec
@@ -246,7 +250,7 @@ def _iota_claims_hold(lo, hi):
         d = [(u - v) % m for u, v in zip(a.get(k, zero), b.get(k, zero))]
         if any(d):
             w = ring.raw_val(d, lo.prec)
-            assert lo.H[w] is not None and sum(k) >= lo.H[w], ("iota", k, w)
+            assert lo.H[w] is not None and sum(k) >= lo.H[w], ("horizon", k, w)
 
 
 @pytest.mark.parametrize("pfh,rname", [
@@ -256,4 +260,24 @@ def _iota_claims_hold(lo, hi):
     for pfh in GRID for rname in RANGES])
 def test_the_embedding_keeps_its_claims(pfh, rname):
     for x_lo, x_hi in _inputs(*pfh, *RANGES[rname], high=IOTA_HIGH):
-        _iota_claims_hold(iota(x_lo), iota(x_hi))
+        _walg_claims_hold(iota(x_lo), iota(x_hi))
+
+
+def _teichmueller_sum(x):
+    """x's terms as c [mu] over their pure exponents at x's precision, cut
+    by ``clamp`` at x's window on every level when it has one."""
+    pr = x.params
+    out = WAlg(pr, x.prec, {scaled_exponents(pr, d): c
+                            for d, c in x.pure_y_exponents()})
+    return out if x.w_hi is None else out.clamp([x.w_hi] * x.prec, 1)
+
+
+@pytest.mark.parametrize("pfh,rname", [
+    pytest.param(pfh, rname, id=f"{''.join(map(str, pfh))}-{rname}")
+    for pfh in GRID for rname in RANGES])
+def test_walg_products_keep_their_claims(pfh, rname):
+    xs = [(_teichmueller_sum(lo), _teichmueller_sum(hi))
+          for lo, hi in _inputs(*pfh, *RANGES[rname])]
+    for k, (a_lo, a_hi) in enumerate(xs):
+        b_lo, b_hi = xs[(k + 1) % INPUTS]
+        _walg_claims_hold(a_lo * b_lo, a_hi * b_hi)

@@ -862,6 +862,34 @@ def test_recompose_is_one_lincomb_per_component_and_one_sum(monkeypatch):
         assert len(made) == 1
 
 
+@pytest.mark.parametrize("p,f,h", [(3, 2, 2), (5, 2, 2)])
+def test_an_empty_component_costs_no_make_and_no_clamp_of_its_own(
+        p, f, h, monkeypatch):
+    # phi_decompose builds each nonempty component and one empty one that
+    # the others share; recompose clamps each nonempty component and each
+    # distinct (prec, w_hi) of the empty ones once (on a warm table)
+    pr = params(p, f, h)
+    rng = random.Random(31)
+    clamp, make = _SubstImages.clamp, MvLaurent._make
+    for x in (mono(pr, 2, (1,), p), rand_pure_cone(pr, rng)):
+        recompose(phi_decompose(x), pr)
+        made, clamps = [], []
+        monkeypatch.setattr(MvLaurent, "_make", staticmethod(
+            lambda *args: made.append(args) or make(*args)))
+        comps = phi_decompose(x)
+        monkeypatch.undo()
+        monkeypatch.setattr(_SubstImages, "clamp", lambda self, *g:
+                            clamps.append(g) or clamp(self, *g))
+        back = recompose(comps, pr)
+        monkeypatch.undo()
+        assert roundtrip_ok(x, back)
+        nonempty = sum(not g.is_zero() for g in comps.values())
+        windows = {(g.prec, g.w_hi) for g in comps.values() if g.is_zero()}
+        assert 0 < nonempty < len(comps)
+        assert len(made) <= nonempty + 1
+        assert len(clamps) <= nonempty + len(windows)
+
+
 def test_phi_decompose_raises_on_a_remainder(monkeypatch):
     # a recomposition that gives back nothing leaves every slice in the
     # remainder: the decomposition refuses to return components for it
